@@ -531,13 +531,15 @@ class ExperimentMetrics:
         return "\n".join(lines)
 
 
-def _versions_for_record(simulation: Simulation, record: TransactionRecord) -> int:
+def _versions_for_record(
+    simulation: Simulation, record: TransactionRecord, servers: Sequence[str]
+) -> int:
     from ..core.snow import versions_in_replies
 
     if not isinstance(record.txn, ReadTransaction):
         return 1
     max_versions, _replies = versions_in_replies(
-        simulation.trace, str(record.txn_id), record.client, simulation.servers()
+        simulation.trace, str(record.txn_id), record.client, servers
     )
     return max_versions
 
@@ -873,9 +875,10 @@ def collect_metrics(
     """
     transactions: List[TransactionMetrics] = []
     total_messages = 0
+    servers = simulation.servers()
     for record in simulation.transaction_records():
         kind = "read" if isinstance(record.txn, ReadTransaction) else "write"
-        versions = _versions_for_record(simulation, record)
+        versions = _versions_for_record(simulation, record, servers)
         total_messages += record.messages_sent
         transactions.append(
             TransactionMetrics(

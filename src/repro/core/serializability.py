@@ -22,12 +22,21 @@ Two complementary checkers are provided:
 Both checkers operate only on complete transactions, matching the paper's
 reduction (via Lynch's Lemma 13.10) from arbitrary well-formed executions to
 transaction-complete ones.
+
+Cost, for ``n`` complete transactions: Lemma 20's ``P1–P4`` take
+O(n log n) — each condition is a sort plus one probe per transaction — and
+the semantic search takes O(n log n) plus O(w log w) per explored state,
+``w`` being the number of transactions concurrent with one transaction
+(about ``n`` states when the protocol really serialized the history,
+exponential in ``w`` at worst).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from itertools import accumulate
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..txn.datatype import OTState, apply_transaction
 from ..txn.history import History, HistoryEntry
@@ -75,70 +84,107 @@ def check_strict_serializability(
     from a frontier state it may serialize next any transaction all of whose
     real-time predecessors are already serialized, provided a READ's observed
     values match the current abstract state.  Memoisation is on the pair
-    ``(frozenset of placed txn ids, abstract state)`` — two different orders
+    ``(set of placed transactions, abstract state)`` — two different orders
     of the same writes that produce the same state are explored once.
 
-    The worst case is exponential in the number of *concurrent* transactions,
-    which is small in all experiments (the checkers are applied to bounded
-    histories); ``max_states`` bounds the work defensively.
+    Real-time order is an interval order, so "every predecessor is placed"
+    is a window test: a transaction is eligible iff it was invoked no later
+    than the earliest response among the *other* unplaced transactions.  With
+    the transactions ranked by invocation, a state is therefore the first
+    unplaced rank plus a bitmask of the few placed ranks beyond it, and its
+    eligible transactions lie in the short run of ranks invoked before that
+    earliest response — no predecessor sets, no scan over all transactions.
+
+    Cost: O(n log n) to rank, then O(w log w) per explored state where ``w``
+    is the window (bounded by how many transactions overlap one transaction).
+    A history a protocol serialized correctly is explored in about ``n``
+    states; the worst case is exponential in the number of *concurrent*
+    transactions, and ``max_states`` bounds the work defensively.
     """
     entries = list(history.complete_entries())
     if not entries:
         return SerializabilityResult(ok=True, witness_order=(), explored_states=0)
 
-    by_id: Dict[str, HistoryEntry] = {e.txn_id: e for e in entries}
-    ids: List[str] = [e.txn_id for e in entries]
+    # Rank space: positions in ``entries`` (history order) sorted by
+    # invocation; the stable sort lets history order break ties.
+    n = len(entries)
+    ranked = sorted(range(n), key=lambda position: entries[position].invoke_index)
+    ids = [entries[position].txn_id for position in ranked]
+    txns = [entries[position].txn for position in ranked]
+    invoke = [entries[position].invoke_index for position in ranked]
+    respond = [entries[position].respond_index for position in ranked]
+    is_read = [isinstance(txn, ReadTransaction) for txn in txns]
+    observed = [
+        _observed_read_map(entries[position]) if read else None for position, read in zip(ranked, is_read)
+    ]
+    # earliest response among ranks >= r; it can undercut a window member's
+    # invocation only in a hand-written history whose entries respond before
+    # they are invoked, but then it must, to keep the predecessor test exact
+    respond_from = [float("inf")] * (n + 1)
+    for rank in range(n - 1, -1, -1):
+        respond_from[rank] = min(respond[rank], respond_from[rank + 1])
 
-    # Pre-compute real-time predecessors for each transaction.
-    predecessors: Dict[str, FrozenSet[str]] = {}
-    for entry in entries:
-        preds = frozenset(other.txn_id for other in entries if other is not entry and other.precedes(entry))
-        predecessors[entry.txn_id] = preds
-
-    observed: Dict[str, Optional[Dict[str, Any]]] = {
-        e.txn_id: _observed_read_map(e) if isinstance(e.txn, ReadTransaction) else None for e in entries
-    }
+    def candidates(lo: int, beyond: int, state: OTState) -> List[int]:
+        """Eligible ranks whose observed values match ``state``, in history
+        order.  ``lo`` is the first unplaced rank; bit ``i`` of ``beyond``
+        says rank ``lo + 1 + i`` is placed."""
+        window: List[int] = []
+        first = second = float("inf")  # two earliest responses in the window
+        rank, placed = lo, beyond << 1
+        while rank < n and invoke[rank] <= first:
+            if not placed & 1:
+                window.append(rank)
+                if respond[rank] < first:
+                    first, second = respond[rank], first
+                elif respond[rank] < second:
+                    second = respond[rank]
+            rank += 1
+            placed >>= 1
+        rest = respond_from[rank]
+        out = []
+        for rank in window:
+            others = second if respond[rank] == first else first
+            if invoke[rank] > others or invoke[rank] > rest:
+                continue
+            if is_read[rank]:
+                expected = state.read(txns[rank].objects)
+                if observed[rank] is not None and observed[rank] != expected:
+                    continue
+            out.append(rank)
+        out.sort(key=ranked.__getitem__)
+        return out
 
     initial_state = OTState.initial(history.objects, history.initial_value)
-    visited: Set[Tuple[FrozenSet[str], OTState]] = set()
+    visited: Set[Tuple[int, int, OTState]] = {(0, 0, initial_state)}
     explored = 0
 
     # Iterative depth-first search with an explicit stack so deep histories
-    # cannot blow the Python recursion limit.
-    # Stack holds (placed_frozenset, state, order_list, candidate_iterator).
-    def candidates(placed: FrozenSet[str], state: OTState) -> List[str]:
-        out = []
-        for txn_id in ids:
-            if txn_id in placed:
-                continue
-            if not predecessors[txn_id] <= placed:
-                continue
-            entry = by_id[txn_id]
-            if isinstance(entry.txn, ReadTransaction):
-                expected, _ = apply_transaction(state, entry.txn)
-                seen = observed[txn_id]
-                if seen is not None and seen != expected.as_dict:
-                    continue
-            out.append(txn_id)
-        return out
-
-    stack: List[Tuple[FrozenSet[str], OTState, Tuple[str, ...], List[str]]] = []
-    placed0: FrozenSet[str] = frozenset()
-    stack.append((placed0, initial_state, (), candidates(placed0, initial_state)))
-    visited.add((placed0, initial_state))
-
+    # cannot blow the Python recursion limit.  A frame is (first unplaced
+    # rank, placed ranks beyond it, state, rank placed to get here, untried
+    # candidates); the ranks placed along the stack are the serial order.
+    stack: List[Tuple[int, int, OTState, int, List[int]]] = [
+        (0, 0, initial_state, -1, candidates(0, 0, initial_state))
+    ]
     while stack:
-        placed, state, order, cands = stack[-1]
-        if len(placed) == len(ids):
+        lo, beyond, state, _, cands = stack[-1]
+        if lo == n:
+            order = tuple(ids[frame[3]] for frame in stack[1:])
             return SerializabilityResult(ok=True, witness_order=order, explored_states=explored)
         if not cands:
             stack.pop()
             continue
-        txn_id = cands.pop()
-        entry = by_id[txn_id]
-        _, next_state = apply_transaction(state, entry.txn)
-        next_placed = placed | {txn_id}
-        key = (next_placed, next_state)
+        rank = cands.pop()
+        next_state = state if is_read[rank] else apply_transaction(state, txns[rank])[1]
+        if rank != lo:
+            next_lo, next_beyond = lo, beyond | 1 << (rank - lo - 1)
+        else:
+            # the first unplaced rank moves up to the first clear bit
+            next_lo, next_beyond = lo + 1, beyond
+            while next_beyond & 1:
+                next_lo += 1
+                next_beyond >>= 1
+            next_beyond >>= 1
+        key = (next_lo, next_beyond, next_state)
         if key in visited:
             continue
         visited.add(key)
@@ -149,7 +195,7 @@ def check_strict_serializability(
                 violations=(f"search aborted after exploring {max_states} states",),
                 explored_states=explored,
             )
-        stack.append((next_placed, next_state, order + (txn_id,), candidates(next_placed, next_state)))
+        stack.append((next_lo, next_beyond, next_state, rank, candidates(next_lo, next_beyond, next_state)))
 
     # Exhausted without serializing everything: diagnose why.
     violations = _diagnose(history)
@@ -264,6 +310,12 @@ def check_lemma20(
       object it returns, the value equals the one written by the ≺-latest
       WRITE to that object that precedes the READ, or the initial value if
       there is none.
+
+    Cost: O(n log n) when the conditions hold.  ``≺`` is a lexicographic key,
+    so P2 is a running maximum over the response order probed by bisection,
+    P3 a grouping of the WRITEs by tag, and P4 a bisection into each object's
+    tag-sorted writes; only a P2 violation costs more (O(n) per transaction
+    that was overtaken), to list every offending pair in history order.
     """
     entries = list(history.complete_entries())
     violations: List[str] = []
@@ -276,9 +328,6 @@ def check_lemma20(
     def is_write(entry: HistoryEntry) -> bool:
         return isinstance(entry.txn, WriteTransaction)
 
-    def precedes(a: HistoryEntry, b: HistoryEntry) -> bool:
-        return tag_precedes(tags[a.txn_id], is_write(a), tags[b.txn_id], is_write(b))
-
     # P1 -----------------------------------------------------------------
     for entry in entries:
         tag = tags[entry.txn_id]
@@ -288,31 +337,56 @@ def check_lemma20(
         # Non-numeric tags make the ≺ relation ill-defined; stop before P2-P4.
         return Lemma20Result(ok=False, violations=tuple(violations))
 
+    # ``φ ≺ π`` (:func:`tag_precedes`) is exactly ``key[φ] < key[π]``.
+    key = {e.txn_id: (tags[e.txn_id], 0 if is_write(e) else 1) for e in entries}
+
     # P2 -----------------------------------------------------------------
-    for a in entries:
-        for b in entries:
-            if a is b:
-                continue
-            if a.precedes(b) and precedes(b, a):
-                violations.append(
-                    f"P2: {a.txn_id} responds before {b.txn_id} is invoked, yet {b.txn_id} ≺ {a.txn_id} "
-                    f"(tags {tags[b.txn_id]!r} vs {tags[a.txn_id]!r})"
-                )
+    # π can be ≺-preceded by something that responded before it was invoked
+    # only if the ≺-largest such transaction is: probe a running maximum over
+    # the entries in response order at each invocation index.
+    by_respond = sorted(entries, key=lambda e: e.respond_index)
+    respond_indices = [e.respond_index for e in by_respond]
+    largest_key_so_far = list(accumulate((key[e.txn_id] for e in by_respond), max))
+    overtaken = []  # in history order
+    for b in entries:
+        responded_before = bisect_left(respond_indices, b.invoke_index)
+        if responded_before and largest_key_so_far[responded_before - 1] > key[b.txn_id]:
+            overtaken.append(b)
+    if overtaken:
+        for a in entries:
+            for b in overtaken:
+                if a is not b and a.precedes(b) and key[b.txn_id] < key[a.txn_id]:
+                    violations.append(
+                        f"P2: {a.txn_id} responds before {b.txn_id} is invoked, yet {b.txn_id} ≺ {a.txn_id} "
+                        f"(tags {tags[b.txn_id]!r} vs {tags[a.txn_id]!r})"
+                    )
 
     # P3 -----------------------------------------------------------------
-    for a in entries:
-        if not is_write(a):
-            continue
-        for b in entries:
-            if a is b:
-                continue
-            if not precedes(a, b) and not precedes(b, a):
+    # A WRITE is unordered against exactly the WRITEs that share its tag.
+    writes = [e for e in entries if is_write(e)]
+    writes_by_tag: Dict[Any, List[HistoryEntry]] = {}
+    for entry in writes:
+        writes_by_tag.setdefault(tags[entry.txn_id], []).append(entry)
+    for a in writes:
+        for b in writes_by_tag[tags[a.txn_id]]:
+            if a is not b:
                 violations.append(
                     f"P3: WRITE {a.txn_id} is not ordered against {b.txn_id} "
                     f"(tags {tags[a.txn_id]!r} vs {tags[b.txn_id]!r})"
                 )
 
     # P4 -----------------------------------------------------------------
+    # Per object, the writes sorted by tag (stable: history order within a
+    # tag); the ≺-latest write preceding a READ tagged ``t`` is the first of
+    # the run sharing the largest tag <= t.
+    writes_to: Dict[str, List[HistoryEntry]] = {}
+    for entry in writes:
+        for obj in entry.txn.objects:
+            writes_to.setdefault(obj, []).append(entry)
+    write_tags_to: Dict[str, List[Any]] = {}
+    for obj, object_writes in writes_to.items():
+        object_writes.sort(key=lambda w: tags[w.txn_id])
+        write_tags_to[obj] = [tags[w.txn_id] for w in object_writes]
     for read_entry in entries:
         if is_write(read_entry):
             continue
@@ -320,14 +394,11 @@ def check_lemma20(
         if observed is None:
             continue
         for obj, value in observed.items():
-            prior_writes = [
-                w
-                for w in entries
-                if is_write(w) and obj in w.txn.objects and precedes(w, read_entry)
-            ]
-            if prior_writes:
-                latest = max(prior_writes, key=lambda w: tags[w.txn_id])
-                expected = dict(latest.txn.updates)[obj]
+            write_tags = write_tags_to.get(obj, ())
+            preceding = bisect_right(write_tags, tags[read_entry.txn_id])
+            if preceding:
+                latest = writes_to[obj][bisect_left(write_tags, write_tags[preceding - 1])]
+                expected = latest.txn.value_for(obj)
                 if value != expected:
                     violations.append(
                         f"P4: {read_entry.txn_id} returned {obj}={value!r} but the ≺-latest preceding "

@@ -15,6 +15,13 @@ Conventions the protocol implementations follow (and the checkers rely on):
   (1 for algorithms A and B, up to ``|Vals|`` for algorithm C).
 
 The S property has its own module (:mod:`repro.core.serializability`).
+
+Cost: the N and O questions about *all* transactions are answered from one
+pass over the trace — the :class:`~repro.core.traffic.TrafficIndex`, built on
+first use and cached on the trace — so :func:`blocking_servers_for`,
+:func:`round_trips_per_server` and :func:`versions_in_replies` are lookups
+proportional to the transaction's own messages, and :func:`check_snow` is
+linear in the trace plus the serializability search.
 """
 
 from __future__ import annotations
@@ -22,12 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..ioa.actions import Action, ActionKind, Message
 from ..ioa.simulation import Simulation, TransactionRecord
 from ..ioa.trace import Trace, TraceError
 from ..txn.history import History, HistoryEntry
 from ..txn.transactions import ReadTransaction, WriteTransaction
 from .serializability import SerializabilityResult, check_strict_serializability
+from .traffic import traffic_index
 
 
 # ----------------------------------------------------------------------
@@ -180,50 +187,19 @@ def blocking_servers_for(
     the placement layer.  The check for the group is accordingly: if the
     reader addressed the group, some member must have answered.
     """
-    offenders: List[str] = []
+    index = traffic_index(trace)
     group_set = frozenset(consensus_group)
-    server_set = set(servers)
-    for server in servers:
-        if server in group_set:
-            continue
-        projection = trace.project(server)
-        for position, action in enumerate(projection):
-            if action.kind != ActionKind.RECV or action.message is None:
-                continue
-            message = action.message
-            if message.src != reader or message.get("txn") != txn_id:
-                continue
-            if message.get("repair"):
-                continue
-            reply_position: Optional[int] = None
-            blocked = False
-            for later_position in range(position + 1, len(projection)):
-                later = projection[later_position]
-                if (
-                    later.kind == ActionKind.SEND
-                    and later.message is not None
-                    and later.message.dst == reader
-                    and later.message.get("txn") == txn_id
-                ):
-                    reply_position = later_position
-                    break
-                if later.kind == ActionKind.RECV:
-                    blocked = True
-            if reply_position is None or blocked:
-                offenders.append(server)
-                break
+    offenders: List[str] = [
+        server
+        for server in servers
+        if server not in group_set and index.blocked(server, reader, txn_id)
+    ]
     if group_set:
-        requested = replied = False
-        for action in trace:
-            if action.kind != ActionKind.SEND or action.message is None:
-                continue
-            message = action.message
-            if message.get("txn") != txn_id:
-                continue
-            if message.src == reader and message.dst in group_set:
-                requested = True
-            elif message.src in group_set and message.dst == reader:
-                replied = True
+        requested = any(reader in index.answered.get((member, txn_id), ()) for member in group_set)
+        # a message the reader sent itself is a request, never the group's answer
+        replied = any(
+            src in group_set and src != reader for src in index.answered.get((reader, txn_id), ())
+        )
         if requested and not replied:
             offenders.extend(sorted(group_set))
     return tuple(offenders)
@@ -239,17 +215,8 @@ def round_trips_per_server(
     servers: Sequence[str],
 ) -> Dict[str, int]:
     """Number of requests the reader sent to each server for this transaction."""
-    counts: Dict[str, int] = {}
-    for action in trace:
-        if action.kind != ActionKind.SEND or action.message is None:
-            continue
-        message = action.message
-        if message.src != reader or message.dst not in servers:
-            continue
-        if message.get("txn") != txn_id or message.get("repair"):
-            continue
-        counts[message.dst] = counts.get(message.dst, 0) + 1
-    return counts
+    sent = traffic_index(trace).sent.get((reader, txn_id), {})
+    return {dst: count for dst, count in sent.items() if dst in servers}
 
 
 def versions_in_replies(
@@ -261,16 +228,10 @@ def versions_in_replies(
     """``(max_versions, replies_seen)`` over server replies for this transaction."""
     max_versions = 0
     replies = 0
-    for action in trace:
-        if action.kind != ActionKind.SEND or action.message is None:
-            continue
-        message = action.message
-        if message.src not in servers or message.dst != reader:
-            continue
-        if message.get("txn") != txn_id:
-            continue
-        replies += 1
-        max_versions = max(max_versions, int(message.get("num_versions", 1)))
+    for src, (count, versions) in traffic_index(trace).answered.get((reader, txn_id), {}).items():
+        if src in servers:
+            replies += count
+            max_versions = max(max_versions, versions)
     return (max_versions if replies else 1), replies
 
 
@@ -310,11 +271,17 @@ def check_snow(
 ) -> SnowReport:
     """Run every SNOW property checker against a finished simulation.
 
-    Needs a full-mode trace: the N and O checkers walk per-message
+    Needs a full-mode trace: the N and O checkers read per-message
     ``SEND``/``RECV`` records, and a ``sampled``/``ring`` trace retains only
     some of them — the verdict would be *wrong* (phantom blocking servers,
     zero replies seen), not merely incomplete, so a partial record is
     refused loudly, mirroring :meth:`Trace.prefix`.
+
+    Cost: N and O are one pass over the trace (shared with
+    ``collect_metrics`` through the cached :class:`~repro.core.traffic.TrafficIndex`)
+    plus a lookup per READ; W's conflicting-write probe is O(reads × writes)
+    interval comparisons, stopping at the first conflict; S is the search of
+    :func:`~repro.core.serializability.check_strict_serializability`.
     """
     if not simulation.trace.is_full():
         raise TraceError(
@@ -337,15 +304,17 @@ def check_snow(
     if not writes_complete:
         incomplete = [e.txn_id for e in write_entries if not e.complete]
         notes.append("incomplete WRITE transactions: " + ", ".join(incomplete))
+    complete_writes = [(entry, frozenset(entry.txn.objects)) for entry in write_entries if entry.complete]
     conflicting = False
     for read_entry in history.reads():
-        for write_entry in write_entries:
-            if not write_entry.complete or not read_entry.complete:
-                continue
-            if read_entry.overlaps(write_entry) and set(read_entry.txn.objects) & set(write_entry.txn.objects):
-                conflicting = True
-                break
-        if conflicting:
+        if not read_entry.complete:
+            continue
+        read_objects = frozenset(read_entry.txn.objects)
+        if any(
+            read_entry.overlaps(write_entry) and not read_objects.isdisjoint(write_objects)
+            for write_entry, write_objects in complete_writes
+        ):
+            conflicting = True
             break
 
     # N and O --------------------------------------------------------------

@@ -17,7 +17,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from .actions import Action, ActionKind, Message
 from .errors import TraceError
@@ -85,6 +85,16 @@ class TraceMode:
 #: markers live on INTERNAL/START actions.
 _SAMPLABLE_KINDS = (ActionKind.SEND, ActionKind.RECV)
 
+View = TypeVar("View")
+
+
+def _projections(trace: "Trace") -> Dict[str, Tuple[Action, ...]]:
+    """Every ``trace|actor`` in one pass (the view behind :meth:`Trace.project`)."""
+    by_actor: Dict[str, List[Action]] = {}
+    for action in trace:
+        by_actor.setdefault(action.actor, []).append(action)
+    return {actor: tuple(actions) for actor, actions in by_actor.items()}
+
 
 class Trace:
     """An ordered sequence of :class:`~repro.ioa.actions.Action` records.
@@ -132,6 +142,10 @@ class Trace:
         #: the dropped ones (still carrying index ``-1``), so counters and
         #: streaming monitors stay exact in every mode.
         self._observer: Optional[Callable[[Action], None]] = None
+        #: derived views (see :meth:`derived`), valid while ``_total`` still
+        #: equals ``_derived_at``
+        self._derived: Dict[Callable[["Trace"], Any], Any] = {}
+        self._derived_at = 0
         if actions is not None:
             for action in actions:
                 self.append(action)
@@ -233,12 +247,37 @@ class Trace:
     def is_full(self) -> bool:
         return self.mode.kind == "full"
 
+    def derived(self, build: Callable[["Trace"], View]) -> View:
+        """The view ``build(self)``, computed on first request and then shared.
+
+        Analyses that answer many questions about one finished trace (the
+        per-actor projections, the SNOW checkers' traffic index) build their
+        lookup structure once here instead of re-walking the trace per
+        question.  Views are keyed by the ``build`` function and dropped
+        lazily: a request after ``total_appended`` has moved rebuilds, so the
+        append path does no bookkeeping for them.  A view is shared by every
+        caller and must be treated as read-only.
+        """
+        if self._derived_at != self._total:
+            self._derived = {}
+            self._derived_at = self._total
+        try:
+            return self._derived[build]
+        except KeyError:
+            view = self._derived[build] = build(self)
+            return view
+
     # ------------------------------------------------------------------
     # Projections and filters
     # ------------------------------------------------------------------
     def project(self, actor: str) -> Tuple[Action, ...]:
-        """Projection ``trace|actor``: the subsequence of actions at ``actor``."""
-        return tuple(a for a in self._actions if a.actor == actor)
+        """Projection ``trace|actor``: the subsequence of actions at ``actor``.
+
+        All projections are built together in one pass on the first request
+        (a :meth:`derived` view), so projecting onto each automaton in turn
+        costs one trace walk in total.
+        """
+        return self.derived(_projections).get(actor, ())
 
     def external(self) -> Tuple[Action, ...]:
         """The subsequence of external actions (the *trace* in I/O-automata terms)."""

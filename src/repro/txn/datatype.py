@@ -16,6 +16,7 @@ used both by the checkers and by property-based tests as the reference model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .transactions import (
@@ -42,15 +43,25 @@ class OTState:
     def from_mapping(cls, mapping: Mapping[str, Any]) -> "OTState":
         return cls(values=tuple(sorted(mapping.items())))
 
-    @property
+    @cached_property
     def as_dict(self) -> Dict[str, Any]:
+        """Object→value view, built once per instance and shared (read-only;
+        not a dataclass field, so ``==``/``hash``/``repr`` are unaffected)."""
         return dict(self.values)
 
     def value_for(self, object_id: str) -> Any:
-        return dict(self.values)[object_id]
+        return self.as_dict[object_id]
 
     def objects(self) -> Tuple[str, ...]:
         return tuple(o for o, _ in self.values)
+
+    def read(self, objects: Sequence[str]) -> Dict[str, Any]:
+        """What a READ of ``objects`` returns in this state (``f``'s READ case)."""
+        current = self.as_dict
+        try:
+            return {obj: current[obj] for obj in objects}
+        except KeyError as error:
+            raise KeyError(f"READ of unknown object {error.args[0]!r}") from None
 
     def with_updates(self, updates: Mapping[str, Any]) -> "OTState":
         merged = dict(self.values)
@@ -67,14 +78,9 @@ def apply_transaction(state: OTState, txn: Transaction) -> Tuple[Any, OTState]:
     Returns ``(response, next_state)``.
     """
     if isinstance(txn, ReadTransaction):
-        current = state.as_dict
-        for obj in txn.objects:
-            if obj not in current:
-                raise KeyError(f"READ of unknown object {obj!r}")
-        response = ReadResult.from_mapping({obj: current[obj] for obj in txn.objects})
-        return response, state
+        return ReadResult.from_mapping(state.read(txn.objects)), state
     if isinstance(txn, WriteTransaction):
-        return WRITE_OK, state.with_updates(dict(txn.updates))
+        return WRITE_OK, state.with_updates(txn.values)
     raise TypeError(f"not a transaction: {txn!r}")
 
 

@@ -72,8 +72,8 @@ class History:
         self._entries: List[HistoryEntry] = list(entries)
         self.objects = tuple(objects)
         self.initial_value = initial_value
-        ids = [e.txn_id for e in self._entries]
-        if len(set(ids)) != len(ids):
+        self._by_id: Dict[str, HistoryEntry] = {e.txn_id: e for e in self._entries}
+        if len(self._by_id) != len(self._entries):
             raise ValueError("duplicate transaction ids in history")
 
     # ------------------------------------------------------------------
@@ -133,10 +133,7 @@ class History:
         return tuple(self._entries)
 
     def entry(self, txn_id: str) -> HistoryEntry:
-        for entry in self._entries:
-            if entry.txn_id == txn_id:
-                return entry
-        raise KeyError(txn_id)
+        return self._by_id[txn_id]
 
     def complete_entries(self) -> Tuple[HistoryEntry, ...]:
         return tuple(e for e in self._entries if e.complete)
@@ -203,4 +200,9 @@ class History:
         return "\n".join(lines)
 
     def restricted_to_complete(self) -> "History":
-        return History(self.complete_entries(), self.objects, self.initial_value)
+        """The history of the complete transactions only — ``self`` when
+        nothing is incomplete (histories are immutable, so no copy is needed)."""
+        complete = self.complete_entries()
+        if len(complete) == len(self._entries):
+            return self
+        return History(complete, self.objects, self.initial_value)

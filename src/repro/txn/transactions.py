@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 _txn_counter = itertools.count(1)
@@ -72,16 +73,20 @@ class WriteTransaction:
             object.__setattr__(self, "txn_id", _next_txn_id("W"))
         object.__setattr__(self, "updates", tuple(tuple(u) for u in self.updates))
 
-    @property
+    # The derived views below are computed once per instance: a
+    # ``cached_property`` is not a dataclass field, so ``==``, ``hash`` and
+    # ``repr`` still see ``updates`` only.  The cached objects are shared by
+    # every caller — read, don't mutate.
+    @cached_property
     def objects(self) -> Tuple[str, ...]:
         return tuple(obj for obj, _ in self.updates)
 
-    @property
+    @cached_property
     def values(self) -> Mapping[str, Any]:
         return dict(self.updates)
 
     def value_for(self, object_id: str) -> Any:
-        return dict(self.updates)[object_id]
+        return self.values[object_id]
 
     def is_read(self) -> bool:
         return False
@@ -127,12 +132,14 @@ class ReadResult:
     def from_mapping(cls, mapping: Mapping[str, Any]) -> "ReadResult":
         return cls(values=tuple(sorted(mapping.items())))
 
-    @property
+    @cached_property
     def as_dict(self) -> Dict[str, Any]:
+        """Object→value view, built once per instance and shared (read-only;
+        not a dataclass field, so ``==``/``hash``/``repr`` are unaffected)."""
         return dict(self.values)
 
     def value_for(self, object_id: str) -> Any:
-        return dict(self.values)[object_id]
+        return self.as_dict[object_id]
 
     def objects(self) -> Tuple[str, ...]:
         return tuple(o for o, _ in self.values)
