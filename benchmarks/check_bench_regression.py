@@ -23,12 +23,20 @@ climbing above ``1/DRIFT_FLOOR`` × the committed baseline fails the gate —
 the read fast path quietly degenerating back into the commit path is a
 regression even when every verdict column still passes.
 
+``BENCH_perf.json`` (the per-PR trajectory of ``benchmarks/perf``) gets one
+rule of its own, checked on the working-tree file alone: the simulated
+end-to-end columns (latency in steps, rounds, messages and events per
+transaction, completed share) are exact at a fixed seed, so within one
+workload every row measured at the same seed must carry identical values —
+a PR that only claims speed and moved one of them did not only change speed
+(ROADMAP item 1(c): deterministic cost columns are gated for equality).
+
 Rows are matched on their identity columns (protocol / scenario / plan /
-factors).  A row present at HEAD but missing from the regenerated grid is a
-failure too — a silently dropped cell hides regressions.  Brand-new files
-and brand-new rows pass (they have no baseline yet); a changed value in a
-non-invariant column (latency means, message counts) is reported but does
-not fail the gate.
+factors; PR / workload / seed in the perf trajectory).  A row present at HEAD
+but missing from the regenerated grid is a failure too — a silently dropped
+cell hides regressions.  Brand-new files and brand-new rows pass (they have
+no baseline yet); a changed value in a non-invariant column (latency means,
+message counts) is reported but does not fail the gate.
 
 Usage: ``python benchmarks/check_bench_regression.py`` from the repo root
 (or anywhere inside the repository — paths are derived from this file).
@@ -56,6 +64,10 @@ IDENTITY = (
     "quorum",
     "persistence",
     "leases",
+    # the perf trajectory (BENCH_perf.json): one row per PR, workload and seed
+    "pr",
+    "workload",
+    "seed",
 )
 #: the gated columns and their comparison direction
 INVARIANTS: Tuple[Tuple[str, str], ...] = (
@@ -79,6 +91,42 @@ DRIFT_COLUMNS: Dict[str, Tuple[str, ...]] = {
 DRIFT_CEILING_COLUMNS: Dict[str, Tuple[str, ...]] = {
     "BENCH_lease.json": ("lease_read_latency_mean",),
 }
+
+
+#: BENCH_perf.json columns that repeat exactly under a fixed seed
+SIMULATED_COLUMNS = (
+    "read_latency_steps_p50",
+    "read_latency_steps_p95",
+    "write_latency_steps_p50",
+    "read_rounds_max",
+    "msgs_per_txn",
+    "events_per_txn",
+    "completed_share",
+)
+
+
+def simulated_column_drift(payload: Dict[str, Any]) -> List[str]:
+    """Measurements of one workload and seed that disagree on a simulated column.
+
+    A row's seed is its own ``seed`` column, else the file's; a row's
+    ``parent`` (the parent commit as re-measured beside it) is held to the
+    same values."""
+    first: Dict[Tuple[Any, Any], Tuple[str, Dict[str, Any]]] = {}
+    problems: List[str] = []
+    for row in payload.get("grid", []):
+        cell = (row.get("workload"), row.get("seed", payload.get("seed")))
+        pr = f"PR {row.get('pr')}"
+        for label, measured in ((pr, row), (f"{pr}'s parent", row.get("parent"))):
+            if measured is None:
+                continue
+            pinned_label, pinned = first.setdefault(cell, (label, measured))
+            for column in SIMULATED_COLUMNS:
+                if measured.get(column) != pinned.get(column):
+                    problems.append(
+                        f"workload {cell[0]!r} seed {cell[1]}: {column} is {pinned.get(column)!r} "
+                        f"at {pinned_label} but {measured.get(column)!r} at {label}"
+                    )
+    return problems
 
 
 def committed_version(path: Path) -> Optional[Dict[str, Any]]:
@@ -153,11 +201,13 @@ def main() -> int:
     failures: List[str] = []
     checked = 0
     for path in sorted(RESULTS.glob("BENCH_*.json")):
+        current = json.loads(path.read_text(encoding="utf-8"))
+        if path.name == "BENCH_perf.json":
+            failures.extend(f"{path.name} {problem}" for problem in simulated_column_drift(current))
         baseline = committed_version(path)
         if baseline is None:
             print(f"[bench-regression] {path.name}: new file, no baseline — skipped")
             continue
-        current = json.loads(path.read_text(encoding="utf-8"))
         old_rows = index_rows(baseline)
         new_rows = index_rows(current)
         drift_columns = DRIFT_COLUMNS.get(path.name, ())

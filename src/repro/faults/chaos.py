@@ -39,6 +39,11 @@ class ChaosScheduler(Scheduler):
     def __init__(self, base: Optional[Scheduler] = None, seed: int = 0) -> None:
         self.seed = seed
         self.base = base if base is not None else RandomScheduler(seed=seed)
+        # the two per-step counters, held per registry (a scheduler may be
+        # reset and reused on another kernel)
+        self._registry: Any = None
+        self._steps: Any = None
+        self._ripe_events: Any = None
 
     def reset(self) -> None:
         self.base.reset()
@@ -53,8 +58,13 @@ class ChaosScheduler(Scheduler):
         if obs is not None:
             # Cheap ripeness telemetry for the observability plane: how much
             # of the pending set the latency model made choosable this step.
-            obs.registry.counter("scheduler.chaos_steps").inc()
-            obs.registry.counter("scheduler.chaos_ripe_events").inc(len(ripe))
+            registry = obs.registry
+            if registry is not self._registry:
+                self._registry = registry
+                self._steps = registry.counter("scheduler.chaos_steps")
+                self._ripe_events = registry.counter("scheduler.chaos_ripe_events")
+            self._steps.inc()
+            self._ripe_events.inc(len(ripe))
             if not ripe:
                 obs.registry.counter("scheduler.chaos_fastforwards").inc()
                 health = getattr(obs, "health", None)

@@ -30,9 +30,10 @@ would otherwise idle with timers outstanding (:meth:`FaultInjector.on_idle`)
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..ioa.actions import Message, internal_action
 from ..ioa.errors import UnknownProcessError
@@ -79,6 +80,66 @@ class _HeldMessage:
     attempts: int = 1
 
 
+class _TransportBuffer:
+    """Everything the injector has parked, indexed so idle mail costs nothing.
+
+    ``_parked`` maps a buffer sequence number to its record and *is* the
+    buffer: a dict iterates in insertion order, which is the order
+    :meth:`FaultInjector.held_messages` reports.  ``_timers`` is a min-heap
+    of ``(release_at, seq)`` for the records that have a release time, so
+    asking "is anything due?" is a peek at the top and mail parked forever
+    (fail-stop, permanent partition) is never looked at again.  A record
+    discarded early leaves its heap entry behind; entries whose ``seq`` is no
+    longer parked are skipped when they surface.
+
+    **Ordering invariant.**  :meth:`pop_due` returns the due records in
+    buffer insertion order, *not* in ``release_at`` order.  Re-admission
+    draws from the injector's RNG, so the order in which due mail re-enters
+    the pipeline decides every later drop / duplicate / latency sample: it
+    is part of the determinism contract, not an implementation detail.
+    """
+
+    def __init__(self) -> None:
+        self._parked: Dict[int, _HeldMessage] = {}
+        self._timers: List[Tuple[int, int]] = []
+        self._next_seq = 0
+
+    def __iter__(self) -> Iterator[_HeldMessage]:
+        return iter(self._parked.values())
+
+    def park(self, held: _HeldMessage) -> None:
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        self._parked[seq] = held
+        if held.release_at is not None:
+            heapq.heappush(self._timers, (held.release_at, seq))
+
+    def next_release(self) -> Optional[int]:
+        """The earliest release time of any parked record (None = no timers)."""
+        timers = self._timers
+        while timers and timers[0][1] not in self._parked:
+            heapq.heappop(timers)
+        return timers[0][0] if timers else None
+
+    def pop_due(self, now: int) -> List[_HeldMessage]:
+        """Remove and return the records with ``release_at <= now``."""
+        timers = self._timers
+        if not timers or timers[0][0] > now:
+            return []
+        seqs = []
+        while timers and timers[0][0] <= now:
+            seqs.append(heapq.heappop(timers)[1])
+        seqs.sort()
+        parked = self._parked
+        return [parked.pop(seq) for seq in seqs if seq in parked]
+
+    def discard(self, doomed: Callable[[_HeldMessage], bool]) -> List[_HeldMessage]:
+        """Remove and return every record ``doomed`` selects (a full pass:
+        only retirement of an automaton does this)."""
+        seqs = [seq for seq, held in self._parked.items() if doomed(held)]
+        return [self._parked.pop(seq) for seq in seqs]
+
+
 class FaultInjector(FaultPlane):
     """Stateful enforcement of one :class:`FaultPlan` over one simulation."""
 
@@ -87,7 +148,7 @@ class FaultInjector(FaultPlane):
         self.seed = seed
         self.stats = FaultStats()
         self._rng = random.Random(((plan.seed & 0xFFFFFFFF) << 17) ^ (seed & 0x1FFFF) ^ 0x5EED)
-        self._held: List[_HeldMessage] = []
+        self._buffer = _TransportBuffer()
         self._delivered_ids: Set[int] = set()
         self._drop_streak: Dict[int, int] = {}  # msg_id -> consecutive drops
         self._virtual_now = 0
@@ -179,16 +240,17 @@ class FaultInjector(FaultPlane):
             # Nothing is ripe: every pending delivery / armed timer has
             # ready_at > now, so the earliest of each (heap peeks on the
             # kernel's frontier, not full scans) bounds the next jump.
-            boundaries = []
-            earliest = kernel.next_delivery_boundary()
-            if earliest is not None:
-                boundaries.append(earliest)
-            earliest = kernel.next_timeout_boundary()
-            if earliest is not None:
-                boundaries.append(earliest)
-            boundaries.extend(
-                h.release_at for h in self._held if h.release_at is not None and h.release_at > now
-            )
+            # The transport timer is a heap peek too: ``_release_due`` just
+            # emptied everything due, so the top is the next one after now.
+            boundaries = [
+                boundary
+                for boundary in (
+                    kernel.next_delivery_boundary(),
+                    kernel.next_timeout_boundary(),
+                    self._buffer.next_release(),
+                )
+                if boundary is not None
+            ]
             for crash in self.plan.crashes:
                 boundaries.extend(
                     t for t in (crash.at, crash.recover) if t is not None and t > now
@@ -230,9 +292,8 @@ class FaultInjector(FaultPlane):
         crash transitions so a crash event outliving the retirement neither
         sweeps nor "recovers" a ghost.
         """
-        self._held = [
-            h for h in self._held if h.message.dst != name and h.message.src != name
-        ]
+        for held in self._buffer.discard(lambda h: name in (h.message.dst, h.message.src)):
+            self._drop_streak.pop(held.message.msg_id, None)
         self._crashed.discard(name)
         self._crash_onset.pop(name, None)
         self._removed.add(name)
@@ -247,13 +308,13 @@ class FaultInjector(FaultPlane):
         release = self._partition_release(message.src, message.dst, now)
         if release is not _NOT_BLOCKED:
             self.stats.held_by_partition += 1
-            self._held.append(_HeldMessage(message, release, "partition", attempts))
+            self._buffer.park(_HeldMessage(message, release, "partition", attempts))
             return
 
         release = self._crash_release(message.dst, now)
         if release is not _NOT_BLOCKED:
             self.stats.held_by_crash += 1
-            self._held.append(_HeldMessage(message, release, "crash", attempts))
+            self._buffer.park(_HeldMessage(message, release, "crash", attempts))
             return
 
         if self._should_drop(message, now):
@@ -262,7 +323,7 @@ class FaultInjector(FaultPlane):
             if retry is None or attempts >= retry.max_attempts:
                 self._abandon(message, kernel)
             else:
-                self._held.append(
+                self._buffer.park(
                     _HeldMessage(message, now + retry.timeout_steps, "retransmit", attempts + 1)
                 )
             return
@@ -293,6 +354,7 @@ class FaultInjector(FaultPlane):
 
     def _abandon(self, message: Message, kernel: Any) -> None:
         self.stats.abandoned += 1
+        self._drop_streak.pop(message.msg_id, None)  # never admitted again
         txn = message.get("txn")
         if txn is not None:
             kernel.annotate_transaction(txn, {"abandoned_messages": 1, "_accumulate": True})
@@ -348,7 +410,7 @@ class FaultInjector(FaultPlane):
             release = self._crash_release(server, now)
             for delivery in kernel.extract_deliveries(lambda d, s=server: d.message.dst == s):
                 self.stats.held_by_crash += 1
-                self._held.append(_HeldMessage(delivery.message, release, "crash"))
+                self._buffer.park(_HeldMessage(delivery.message, release, "crash"))
         for server in sorted(self._crashed - currently):
             self.stats.recoveries += 1
             kernel.trace.append(internal_action(server, {"fault": "recover"}))
@@ -378,14 +440,7 @@ class FaultInjector(FaultPlane):
 
     def _release_due(self, kernel: Any, now: int) -> None:
         """Re-admit every held message whose timer has expired."""
-        due: List[_HeldMessage] = []
-        keep: List[_HeldMessage] = []
-        for held in self._held:
-            (due if held.release_at is not None and held.release_at <= now else keep).append(held)
-        if not due:
-            return
-        self._held = keep
-        for held in due:
+        for held in self._buffer.pop_due(now):
             if held.reason == "retransmit":
                 self.stats.retransmissions += 1
                 txn = held.message.get("txn")
@@ -398,10 +453,21 @@ class FaultInjector(FaultPlane):
     # ------------------------------------------------------------------
     def held_messages(self) -> Tuple[Message, ...]:
         """Messages currently parked in the transport buffer."""
-        return tuple(h.message for h in self._held)
+        return tuple(h.message for h in self._buffer)
 
     def crashed_servers(self) -> Tuple[str, ...]:
         return tuple(sorted(self._crashed))
+
+    def describe_stuck(self) -> str:
+        """One line for a liveness error: who is down, and whose mail is
+        parked with no release time (fail-stop, permanent partition)."""
+        forever: Dict[str, int] = {}
+        for held in self._buffer:
+            if held.release_at is None:
+                forever[held.message.dst] = forever.get(held.message.dst, 0) + 1
+        crashed = ", ".join(self.crashed_servers()) or "none"
+        parked = ", ".join(f"{dst}={count}" for dst, count in sorted(forever.items())) or "none"
+        return f"fault plane: crashed servers: {crashed}; messages parked forever, by destination: {parked}"
 
 
 #: Sentinel distinguishing "link not blocked" from "blocked forever" (None).

@@ -238,6 +238,9 @@ class FaultPlane:
     * :meth:`now` / :meth:`advance_to` — the plane's virtual clock, measured
       in kernel steps; schedulers may fast-forward it when every pending
       event carries a future ``ready_at``.
+    * :meth:`describe_stuck` — one line the kernel appends to a
+      :class:`~repro.ioa.errors.LivenessError`: what the plane knows about
+      why the run cannot progress (crashed servers, mail parked forever).
     """
 
     def on_attach(self, kernel: Any) -> None:
@@ -278,6 +281,11 @@ class FaultPlane:
 
     def describe(self) -> str:
         return type(self).__name__
+
+    def describe_stuck(self) -> str:
+        """One line appended to the kernel's liveness errors: what the plane
+        knows about why the run cannot progress (empty = nothing to add)."""
+        return ""
 
 
 @dataclass(frozen=True)

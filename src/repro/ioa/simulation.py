@@ -445,6 +445,7 @@ class Simulation:
         if self._steps_taken >= self.max_steps:
             raise LivenessError(
                 f"simulation exceeded max_steps={self.max_steps} with {len(pending)} pending events"
+                + self._stuck_line()
             )
         if profiler is not None:
             stamp = perf_counter()
@@ -497,8 +498,16 @@ class Simulation:
         incomplete = self.incomplete_transactions()
         if incomplete:
             names = ", ".join(str(r.txn_id) for r in incomplete)
-            raise LivenessError(f"simulation went idle with incomplete transactions: {names}")
+            raise LivenessError(
+                f"simulation went idle with incomplete transactions: {names}" + self._stuck_line()
+            )
         return self.trace
+
+    def _stuck_line(self) -> str:
+        """What the fault plane knows about a stuck run, as a line to append
+        to a :class:`LivenessError` (empty without a plane)."""
+        stuck = self.fault_plane.describe_stuck() if self.fault_plane is not None else ""
+        return f"\n{stuck}" if stuck else ""
 
     # ------------------------------------------------------------------
     # Internal machinery: sends, deliveries, sessions

@@ -23,7 +23,7 @@ from ..ioa.actions import Action, ActionKind
 from .health import HealthPlane, HealthView, SLOPolicy
 from .monitor import MonitorSuite
 from .profiler import KernelProfiler
-from .registry import MetricsRegistry
+from .registry import HeldInstruments, MetricsRegistry
 
 
 class ObservabilityPlane:
@@ -46,6 +46,11 @@ class ObservabilityPlane:
         health: Union[None, bool, SLOPolicy, HealthPlane] = None,
     ) -> None:
         self.registry = MetricsRegistry()
+        # the instruments touched on every action / mailbox event
+        self._events = HeldInstruments(self.registry, "counter", "kernel.events", "kind")
+        self._sent = HeldInstruments(self.registry, "counter", "kernel.messages_sent", "type")
+        self._channels = HeldInstruments(self.registry, "counter", "kernel.messages_channel", "channel")
+        self._mailboxes = HeldInstruments(self.registry, "gauge", "kernel.mailbox_depth", "automaton")
         self.profiler: Optional[KernelProfiler] = KernelProfiler() if profile else None
         if monitors is True:
             monitors = MonitorSuite()
@@ -78,27 +83,24 @@ class ObservabilityPlane:
 
     def on_enqueue(self, delivery: Any) -> None:
         """A message entered the kernel's pending-delivery set."""
-        gauge = self.registry.gauge("kernel.mailbox_depth", automaton=delivery.message.dst)
-        gauge.inc()
+        self._mailboxes[delivery.message.dst].inc()
 
     def on_dequeue(self, message: Any) -> None:
         """A pending delivery left the set (delivered, extracted or dropped
         with a retired automaton)."""
-        self.registry.gauge("kernel.mailbox_depth", automaton=message.dst).dec()
+        self._mailboxes[message.dst].dec()
 
     # -- the trace observer ----------------------------------------------
     def on_action(self, action: Action) -> None:
         registry = self.registry
-        registry.counter("kernel.events", kind=action.kind.value).inc()
+        self._events[action.kind.value].inc()
         message = action.message
         if action.kind is ActionKind.SEND and message is not None:
-            registry.counter("kernel.messages_sent", type=message.msg_type).inc()
+            self._sent[message.msg_type].inc()
             simulation = self.simulation
             if simulation is not None:
-                registry.counter(
-                    "kernel.messages_channel",
-                    channel=simulation.topology.channel_class(message.src, message.dst),
-                ).inc()
+                channel = simulation.topology.channel_class(message.src, message.dst)
+                self._channels[channel].inc()
         elif action.kind is ActionKind.RECV and message is not None:
             if message.msg_type == "ctl-ack":
                 registry.counter("controller.acks").inc()

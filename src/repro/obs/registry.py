@@ -107,6 +107,34 @@ class Histogram:
         }
 
 
+class HeldInstruments(dict):
+    """One single-label metric's instruments, held by label value.
+
+    ``held[value]`` is ``registry.<family>(name, **{label: value})`` for
+    ``family`` one of ``"counter"`` / ``"gauge"`` / ``"histogram"``: looked
+    up through the registry once per value and by a plain dict hit
+    afterwards, for callers that touch the same few instruments on every
+    kernel event (building and sorting a label dict per touch was the
+    registry's whole cost there).  Holding is lazy, so a snapshot still lists
+    exactly the label sets a run touched, and it stops once the metric name
+    has overflowed its cardinality cap: from then on every new value goes
+    through the registry, which must count each routed touch.
+    """
+
+    def __init__(self, registry: "MetricsRegistry", family: str, name: str, label: str) -> None:
+        super().__init__()
+        self._registry = registry
+        self._fetch = getattr(registry, family)
+        self._name = name
+        self._label = label
+
+    def __missing__(self, value: Any) -> Any:
+        instrument = self._fetch(self._name, **{self._label: value})
+        if not self._registry.counter_value("obs.label_overflow", metric=self._name):
+            self[value] = instrument
+        return instrument
+
+
 #: the label set high-cardinality instruments overflow into (see below)
 OVERFLOW_LABELS: Tuple[Tuple[str, Any], ...] = (("label_overflow", "true"),)
 

@@ -101,3 +101,34 @@ def test_registry_percentile_handles_degenerate_inputs():
     assert math.isnan(_percentile([], 0.5))
     for fraction in (0.01, 0.5, 0.95, 1.0):
         assert _percentile([7.0], fraction) == 7.0
+
+
+def test_held_instruments_are_the_registrys_own_and_fetched_lazily():
+    from repro.obs.registry import HeldInstruments
+
+    registry = MetricsRegistry()
+    held = HeldInstruments(registry, "counter", "kernel.events", "kind")
+    assert registry.snapshot()["counters"] == {}  # nothing exists until touched
+    held["send"].inc()
+    held["send"].inc()
+    registry.counter("kernel.events", kind="send").inc()
+    assert held["send"] is registry.counter("kernel.events", kind="send")
+    assert registry.snapshot()["counters"] == {"kernel.events{kind=send}": 3}
+
+
+def test_held_instruments_stop_holding_once_the_metric_overflows():
+    """Every touch routed to the overflow instrument must still be counted,
+    exactly as when each touch goes through the registry."""
+    from repro.obs.registry import HeldInstruments
+
+    def touch(get):
+        for value in ("a", "b", "c", "c", "d", "a", "c"):
+            get(value).inc()
+
+    direct, through_held = MetricsRegistry(max_label_sets=2), MetricsRegistry(max_label_sets=2)
+    touch(lambda value: direct.gauge("depth", automaton=value))
+    held = HeldInstruments(through_held, "gauge", "depth", "automaton")
+    touch(lambda value: held[value])
+    assert through_held.snapshot() == direct.snapshot()
+    assert direct.counter_value("obs.label_overflow", metric="depth") == 4
+    assert set(held) == {"a", "b"}

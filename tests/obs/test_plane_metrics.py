@@ -14,7 +14,7 @@ from repro.analysis.metrics import (
     _collect_consensus_metrics,
     _collect_controller_metrics,
 )
-from repro.faults import ChaosScheduler, auto_heal
+from repro.faults import ChaosScheduler, FaultPlan, auto_heal
 from repro.ioa import FIFOScheduler
 from repro.ioa.actions import ActionKind
 
@@ -163,3 +163,16 @@ def test_chaos_scheduler_counters_populate_under_the_plane():
     registry = plane.registry
     assert registry.counter_value("scheduler.chaos_steps") > 0
     assert registry.counter_value("scheduler.chaos_ripe_events") > 0
+
+
+def test_a_reused_chaos_scheduler_counts_into_each_runs_own_registry():
+    """The scheduler holds its two per-step counters; a second kernel (after
+    ``reset``) must not keep feeding the first kernel's registry."""
+    scheduler = chaos_fifo()
+    _handle, first = run_observed("simple-rw", scheduler=scheduler, plan=FaultPlan.none())
+    steps = first.registry.counter_value("scheduler.chaos_steps")
+    scheduler.reset()
+    _handle, second = run_observed("simple-rw", scheduler=scheduler, plan=FaultPlan.none())
+    assert steps > 0
+    assert first.registry.counter_value("scheduler.chaos_steps") == steps
+    assert second.registry.snapshot() == first.registry.snapshot()
