@@ -9,18 +9,17 @@ racing the reader.
 
 from __future__ import annotations
 
-from repro.analysis import format_series, sweep_rounds_vs_contention
+from repro.analysis import format_series, run_suite
+from repro.analysis.sweep import ROUNDS_VS_CONTENTION
 
 from benchutil import emit
 
-WRITER_COUNTS = (1, 2, 4, 6)
-PROTOCOLS = ("algorithm-b", "algorithm-c", "occ-double-collect")
+WRITER_COUNTS = ROUNDS_VS_CONTENTION.axes["writers"]
+PROTOCOLS = ROUNDS_VS_CONTENTION.protocols
 
 
 def regenerate():
-    sweeps = sweep_rounds_vs_contention(
-        protocols=PROTOCOLS, writer_counts=WRITER_COUNTS, num_objects=2, scheduler="random", seed=13
-    )
+    sweeps = run_suite(ROUNDS_VS_CONTENTION).series()
     table = format_series(
         "writers",
         {name: sweeps[name].max_rounds_series() for name in PROTOCOLS},

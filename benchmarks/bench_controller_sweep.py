@@ -26,19 +26,12 @@ a fail-stopped replica (giving up N is its defining property).
 
 from __future__ import annotations
 
-from repro.analysis import controller_grid_rows, format_table, sweep_controller
+from repro.analysis import bench_payload, format_table, run_suite, suite_rows
+from repro.analysis.sweep import CONTROLLER
 
 from benchutil import emit, emit_json
 
-PROTOCOLS = (
-    "algorithm-a",
-    "algorithm-b",
-    "algorithm-c",
-    "occ-double-collect",
-    "eiger",
-    "naive-snow",
-)
-SEED = 17
+PROTOCOLS = CONTROLLER.protocols
 
 HEADERS = [
     "protocol",
@@ -55,8 +48,7 @@ HEADERS = [
 
 
 def regenerate():
-    grid = sweep_controller(protocols=PROTOCOLS, seed=SEED)
-    rows = controller_grid_rows(grid)
+    rows = suite_rows(run_suite(CONTROLLER))
     table_rows = [
         [
             row["protocol"],
@@ -77,16 +69,13 @@ def regenerate():
         table_rows,
         title="Self-healing grid: the controller replaces dead replicas autonomously",
     )
-    return grid, rows, table
+    return rows, table
 
 
 def test_controller_sweep(benchmark):
-    grid, rows, table = benchmark(regenerate)
+    rows, table = benchmark(regenerate)
     emit("controller_sweep", table)
-    emit_json(
-        "controller",
-        {"grid": rows, "protocols": list(PROTOCOLS), "seed": SEED},
-    )
+    emit_json(CONTROLLER.name, bench_payload(CONTROLLER, rows))
 
     cells = {(r["protocol"], r["scenario"]): r for r in rows}
     assert len(rows) == len(PROTOCOLS) * 2

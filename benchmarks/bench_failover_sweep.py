@@ -23,13 +23,13 @@ roadmap, measured.
 
 from __future__ import annotations
 
-from repro.analysis import consensus_grid_rows, format_table, sweep_consensus_factor
+from repro.analysis import bench_payload, format_table, run_suite, suite_rows
+from repro.analysis.sweep import FAILOVER
 
 from benchutil import emit, emit_json
 
-PROTOCOLS = ("algorithm-b", "algorithm-c", "occ-double-collect")
-FACTORS = (1, 3)
-SEED = 11
+PROTOCOLS = FAILOVER.protocols
+FACTORS = FAILOVER.axes["consensus_factor"]
 
 HEADERS = [
     "protocol",
@@ -45,8 +45,7 @@ HEADERS = [
 
 
 def regenerate():
-    grid = sweep_consensus_factor(protocols=PROTOCOLS, factors=FACTORS, seed=SEED)
-    rows = consensus_grid_rows(grid)
+    rows = suite_rows(run_suite(FAILOVER))
     table_rows = [
         [
             row["protocol"],
@@ -66,16 +65,13 @@ def regenerate():
         table_rows,
         title="Failover grid: SNOW verdicts and availability across consensus factors",
     )
-    return grid, rows, table
+    return rows, table
 
 
 def test_failover_sweep(benchmark):
-    grid, rows, table = benchmark(regenerate)
+    rows, table = benchmark(regenerate)
     emit("failover_sweep", table)
-    emit_json(
-        "failover",
-        {"grid": rows, "protocols": list(PROTOCOLS), "factors": list(FACTORS), "seed": SEED},
-    )
+    emit_json(FAILOVER.name, {**bench_payload(FAILOVER, rows), "factors": list(FACTORS)})
 
     cells = {(r["protocol"], r["consensus_factor"], r["scenario"]): r for r in rows}
     assert len(rows) == len(PROTOCOLS) * len(FACTORS) * 2

@@ -26,20 +26,12 @@ more.
 
 from __future__ import annotations
 
-from repro.analysis import fault_grid_rows, format_table, sweep_fault_grid
-from repro.faults import fail_stop, partition_grid_scenarios, standard_fault_scenarios
+from repro.analysis import bench_payload, format_table, run_suite, suite_rows
+from repro.analysis.sweep import FAULTS, PARTITION_DURATIONS
 
 from benchutil import emit, emit_json
 
-PROTOCOLS = ("simple-rw", "algorithm-b", "algorithm-c", "eiger")
-NUM_OBJECTS = 2
-NUM_READERS = 2
-NUM_WRITERS = 2
-SEED = 7
-CRASH_SERVER = "sx"  # the server holding the first object of a 2-object system
-CLIENTS = ("r1", "r2", "w1", "w2")
-SERVERS = ("sx", "sy")
-PARTITION_DURATIONS = (20, 60)
+PROTOCOLS = FAULTS.protocols
 
 HEADERS = [
     "protocol",
@@ -55,28 +47,8 @@ HEADERS = [
 ]
 
 
-def scenarios():
-    grid_scenarios = standard_fault_scenarios(seed=SEED, crash_server=CRASH_SERVER)
-    grid_scenarios["fail-stop"] = fail_stop(server=CRASH_SERVER, at=12, seed=SEED)
-    # The partition grid: placement (client↔shard / shard↔shard) × duration.
-    grid_scenarios.update(
-        partition_grid_scenarios(
-            clients=CLIENTS, servers=SERVERS, durations=PARTITION_DURATIONS, seed=SEED
-        )
-    )
-    return grid_scenarios
-
-
 def regenerate():
-    grid = sweep_fault_grid(
-        protocols=PROTOCOLS,
-        scenarios=scenarios(),
-        num_readers=NUM_READERS,
-        num_writers=NUM_WRITERS,
-        num_objects=NUM_OBJECTS,
-        seed=SEED,
-    )
-    rows = fault_grid_rows(grid)
+    rows = suite_rows(run_suite(FAULTS))
     table_rows = [
         [
             row["protocol"],
@@ -95,13 +67,13 @@ def regenerate():
     table = format_table(
         HEADERS, table_rows, title="Chaos grid: SNOW verdicts, availability and latency under faults"
     )
-    return grid, rows, table
+    return rows, table
 
 
 def test_faults_sweep(benchmark):
-    grid, rows, table = benchmark(regenerate)
+    rows, table = benchmark(regenerate)
     emit("faults_sweep", table)
-    emit_json("faults", {"grid": rows, "protocols": list(PROTOCOLS), "seed": SEED})
+    emit_json(FAULTS.name, bench_payload(FAULTS, rows))
 
     cells = {(row["protocol"], row["scenario"]): row for row in rows}
     scenario_names = {row["scenario"] for row in rows}

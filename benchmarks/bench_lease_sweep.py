@@ -29,16 +29,16 @@ latency column matches the unleased cell.
 
 from __future__ import annotations
 
-from repro.analysis import format_table, lease_grid_rows, sweep_lease
+from repro.analysis import bench_payload, format_table, run_suite, suite_rows
+from repro.analysis.sweep import LEASE
 
 from benchutil import emit, emit_json
 
-PROTOCOLS = ("algorithm-b", "algorithm-c", "occ-double-collect")
+PROTOCOLS = LEASE.protocols
 #: the protocols with a read-only coordinator request to accelerate
 LEASED_READ_PROTOCOLS = ("algorithm-b", "algorithm-c")
-MODES = ("none", "leased")
-SCENARIOS = ("steady", "leader-crash")
-SEED = 11
+MODES = LEASE.axes["leases"]
+SCENARIOS = LEASE.axes["scenario"]
 
 HEADERS = [
     "protocol",
@@ -55,8 +55,7 @@ HEADERS = [
 
 
 def regenerate():
-    grid = sweep_lease(protocols=PROTOCOLS, seed=SEED)
-    rows = lease_grid_rows(grid)
+    rows = suite_rows(run_suite(LEASE))
     table_rows = [
         [
             row["protocol"],
@@ -81,10 +80,7 @@ def regenerate():
 def test_lease_sweep(benchmark):
     rows, table = benchmark(regenerate)
     emit("lease_sweep", table)
-    emit_json(
-        "lease",
-        {"grid": rows, "protocols": list(PROTOCOLS), "seed": SEED},
-    )
+    emit_json(LEASE.name, bench_payload(LEASE, rows))
 
     cells = {(r["protocol"], r["leases"], r["scenario"]): r for r in rows}
     assert len(rows) == len(PROTOCOLS) * len(MODES) * len(SCENARIOS)

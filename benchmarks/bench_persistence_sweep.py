@@ -29,7 +29,8 @@ import shutil
 import tempfile
 import time
 
-from repro.analysis import format_table, persistence_grid_rows, sweep_persistence
+from repro.analysis import bench_payload, format_table, run_suite, suite_rows
+from repro.analysis.sweep import PERSIST
 from repro.faults import ChaosScheduler
 from repro.ioa import FIFOScheduler
 from repro.persist import PersistencePlane, PersistencePolicy
@@ -37,9 +38,9 @@ from repro.protocols import get_protocol
 
 from benchutil import emit, emit_json
 
-PROTOCOLS = ("algorithm-b", "algorithm-c", "occ-double-collect")
-MODES = ("volatile", "durable", "durable+compact")
-SEED = 11
+PROTOCOLS = PERSIST.protocols
+MODES = PERSIST.axes["persistence"]
+SEED = PERSIST.seed
 
 HEADERS = [
     "protocol",
@@ -55,8 +56,7 @@ HEADERS = [
 
 
 def regenerate():
-    grid = sweep_persistence(protocols=PROTOCOLS, seed=SEED)
-    rows = persistence_grid_rows(grid)
+    rows = suite_rows(run_suite(PERSIST))
     table_rows = [
         [
             row["protocol"],
@@ -164,16 +164,7 @@ def test_persistence_sweep(benchmark):
     emit("persistence_sweep", table)
     recovery = recovery_microbench()
     journal = journal_compaction_stats()
-    emit_json(
-        "persist",
-        {
-            "grid": rows,
-            "journal": journal,
-            "protocols": list(PROTOCOLS),
-            "recovery": recovery,
-            "seed": SEED,
-        },
-    )
+    emit_json(PERSIST.name, {**bench_payload(PERSIST, rows), "journal": journal, "recovery": recovery})
 
     cells = {(r["protocol"], r["persistence"], r["scenario"]): r for r in rows}
     assert len(rows) == len(PROTOCOLS) * len(MODES) * 2

@@ -32,14 +32,15 @@ monotonically with the drop probability.
 
 from __future__ import annotations
 
-from repro.analysis import format_table, reconfig_grid_rows, sweep_reconfig
+from repro.analysis import bench_payload, format_table, run_suite, suite_rows
+from repro.analysis.sweep import RECONFIG
 
 from benchutil import emit, emit_json
 
-PROTOCOLS = ("algorithm-a", "algorithm-b")
-SEED = 13
-LOSS_RATES = (0.05, 0.15, 0.30)
-LOSSY_SCENARIOS = tuple(f"lossy-replace-p{round(p * 100):02d}" for p in LOSS_RATES)
+PROTOCOLS = RECONFIG.protocols
+SCENARIOS = RECONFIG.axes["scenario"]
+#: in growing order of drop probability, as the suite declares them
+LOSSY_SCENARIOS = tuple(s for s in SCENARIOS if s.startswith("lossy-replace-"))
 
 HEADERS = [
     "protocol",
@@ -56,8 +57,7 @@ HEADERS = [
 
 
 def regenerate():
-    grid = sweep_reconfig(protocols=PROTOCOLS, seed=SEED, loss_rates=LOSS_RATES)
-    rows = reconfig_grid_rows(grid)
+    rows = suite_rows(run_suite(RECONFIG))
     table_rows = [
         [
             row["protocol"],
@@ -78,19 +78,16 @@ def regenerate():
         table_rows,
         title="Reconfiguration grid: membership change as a mid-run experiment",
     )
-    return grid, rows, table
+    return rows, table
 
 
 def test_reconfig_sweep(benchmark):
-    grid, rows, table = benchmark(regenerate)
+    rows, table = benchmark(regenerate)
     emit("reconfig_sweep", table)
-    emit_json(
-        "reconfig",
-        {"grid": rows, "protocols": list(PROTOCOLS), "seed": SEED},
-    )
+    emit_json(RECONFIG.name, bench_payload(RECONFIG, rows))
 
     cells = {(r["protocol"], r["scenario"]): r for r in rows}
-    assert len(rows) == len(PROTOCOLS) * (3 + len(LOSS_RATES))
+    assert len(rows) == len(PROTOCOLS) * len(SCENARIOS) and len(LOSSY_SCENARIOS) == 3
 
     for protocol in PROTOCOLS:
         baseline = cells[(protocol, "none")]

@@ -22,14 +22,13 @@ verdict, availability 1.0 — which is precisely "SNOW verdicts measured
 
 from __future__ import annotations
 
-from repro.analysis import format_table, replication_grid_rows, sweep_replication_factor
+from repro.analysis import bench_payload, format_table, run_suite, suite_rows
+from repro.analysis.sweep import REPLICATION
 
 from benchutil import emit, emit_json
 
-PROTOCOLS = ("algorithm-a", "algorithm-b", "algorithm-c")
-FACTORS = (1, 2, 3)
-QUORUM = "majority"
-SEED = 9
+PROTOCOLS = REPLICATION.protocols
+FACTORS = REPLICATION.axes["replication_factor"]
 
 HEADERS = [
     "protocol",
@@ -45,13 +44,7 @@ HEADERS = [
 
 
 def regenerate():
-    grid = sweep_replication_factor(
-        protocols=PROTOCOLS,
-        factors=FACTORS,
-        quorum=QUORUM,
-        seed=SEED,
-    )
-    rows = replication_grid_rows(grid)
+    rows = suite_rows(run_suite(REPLICATION))
     table_rows = [
         [
             row["protocol"],
@@ -71,16 +64,13 @@ def regenerate():
         table_rows,
         title="Replication grid: SNOW verdicts and availability across replication factors",
     )
-    return grid, rows, table
+    return rows, table
 
 
 def test_replication_sweep(benchmark):
-    grid, rows, table = benchmark(regenerate)
+    rows, table = benchmark(regenerate)
     emit("replication_sweep", table)
-    emit_json(
-        "replication",
-        {"grid": rows, "protocols": list(PROTOCOLS), "factors": list(FACTORS), "seed": SEED},
-    )
+    emit_json(REPLICATION.name, {**bench_payload(REPLICATION, rows), "factors": list(FACTORS)})
 
     cells = {(r["protocol"], r["replication_factor"], r["scenario"]): r for r in rows}
     assert len(rows) == len(PROTOCOLS) * len(FACTORS) * 2

@@ -14,12 +14,12 @@ signal are visible.
 
 from __future__ import annotations
 
-from repro.analysis import format_series, sweep_versions_vs_writers
-from repro.txn.transactions import ReadTransaction
+from repro.analysis import format_series, run_suite
+from repro.analysis.sweep import VERSIONS_VS_WRITERS
 
 from benchutil import emit
 
-WRITER_COUNTS = (1, 2, 4, 6)
+WRITER_COUNTS = VERSIONS_VS_WRITERS.axes["writers"]
 
 
 def concurrent_writes_series(sweep):
@@ -35,9 +35,7 @@ def concurrent_writes_series(sweep):
 
 
 def regenerate():
-    sweep = sweep_versions_vs_writers(
-        writer_counts=WRITER_COUNTS, num_objects=3, scheduler="random", seed=5, writes_per_writer=3, reads_per_reader=6
-    )
+    (sweep,) = run_suite(VERSIONS_VS_WRITERS).series().values()
     versions = sweep.max_versions_series()
     concurrency = concurrent_writes_series(sweep)
     table = format_series(

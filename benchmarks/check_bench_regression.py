@@ -1,27 +1,33 @@
 #!/usr/bin/env python3
 """Bench-regression gate: diff regenerated BENCH_*.json against HEAD.
 
-The tiny-grid CI job reruns every sweep (they are deterministic per seed),
-which rewrites ``benchmarks/results/BENCH_*.json`` in the working tree.
-This script then compares each row's **invariant columns** — availability,
-the SNOW verdict string, the consistency verdict and the unavailability
-window — against the version committed at ``HEAD`` and fails the build when
-any of them regressed:
+The bench-smoke CI job reruns the sweep and throughput scripts, which
+rewrites ``benchmarks/results/BENCH_*.json`` in the working tree; this script
+then compares each file with the version committed at ``HEAD``.
 
-* ``availability`` may not decrease;
-* ``snow`` must be identical;
-* ``consistent`` may not degrade from ``True``;
-* ``unavailability_window`` may not increase.
+The gate has two halves, and this script is the **wall-clock** one:
 
-Wall-clock columns get a **bounded-drift** rule instead of an invariant:
-``events_per_sec`` in ``BENCH_throughput.json`` may fluctuate with the
-machine, but falling below ``DRIFT_FLOOR`` × the committed baseline fails
-the gate — runner variance passes, an order-of-magnitude kernel slowdown
-does not.  Latency columns drift the other way: ``lease_read_latency_mean``
-in ``BENCH_lease.json`` may move with intentional protocol changes, but
-climbing above ``1/DRIFT_FLOOR`` × the committed baseline fails the gate —
-the read fast path quietly degenerating back into the commit path is a
-regression even when every verdict column still passes.
+* *Exact columns live in tier-1.*  The seven sweep files are deterministic
+  per seed, so ``tests/analysis/test_suite_golden.py`` pins every column of
+  their ``grid`` arrays to the committed files for equality — which implies
+  the directional rules this script used to apply to them (availability not
+  below, same SNOW verdict, consistency not degraded, unavailability window
+  and lease read latency not above).
+* *Wall-clock columns live here*, under a **bounded-drift** rule:
+  ``events_per_sec`` in ``BENCH_throughput.json`` and ``BENCH_obs.json`` may
+  fluctuate with the machine, but falling below ``DRIFT_FLOOR`` × the
+  committed baseline fails the gate — runner variance passes, an
+  order-of-magnitude kernel slowdown does not.
+
+Two more rules apply to every file.  Rows are matched on the identity
+columns the file itself declares under ``axes`` (an axis a row does not
+carry takes the payload's top-level value, e.g. the perf trajectory's
+``seed``); a payload without ``axes``, or two rows with one identity, fail
+loudly — a hand-kept identity list that misses a new axis would collapse
+rows and hide whichever regressed.  And a row present at HEAD but missing
+from the regenerated grid is a failure too — a silently dropped cell hides
+regressions.  Brand-new files and brand-new rows pass (they have no baseline
+yet).
 
 ``BENCH_perf.json`` (the per-PR trajectory of ``benchmarks/perf``) gets one
 rule of its own, checked on the working-tree file alone: the simulated
@@ -30,13 +36,6 @@ transaction, completed share) are exact at a fixed seed, so within one
 workload every row measured at the same seed must carry identical values —
 a PR that only claims speed and moved one of them did not only change speed
 (ROADMAP item 1(c): deterministic cost columns are gated for equality).
-
-Rows are matched on their identity columns (protocol / scenario / plan /
-factors; PR / workload / seed in the perf trajectory).  A row present at HEAD
-but missing from the regenerated grid is a failure too — a silently dropped
-cell hides regressions.  Brand-new files and brand-new rows pass (they have
-no baseline yet); a changed value in a non-invariant column (latency means,
-message counts) is reported but does not fail the gate.
 
 Usage: ``python benchmarks/check_bench_regression.py`` from the repo root
 (or anywhere inside the repository — paths are derived from this file).
@@ -54,28 +53,6 @@ BENCH_DIR = Path(__file__).resolve().parent
 REPO_ROOT = BENCH_DIR.parent
 RESULTS = BENCH_DIR / "results"
 
-#: columns identifying one grid cell (whichever subset a row carries)
-IDENTITY = (
-    "protocol",
-    "scenario",
-    "plan",
-    "replication_factor",
-    "consensus_factor",
-    "quorum",
-    "persistence",
-    "leases",
-    # the perf trajectory (BENCH_perf.json): one row per PR, workload and seed
-    "pr",
-    "workload",
-    "seed",
-)
-#: the gated columns and their comparison direction
-INVARIANTS: Tuple[Tuple[str, str], ...] = (
-    ("availability", "not-below"),
-    ("snow", "equal"),
-    ("consistent", "not-degraded"),
-    ("unavailability_window", "not-above"),
-)
 #: wall-clock columns gated per file: new >= DRIFT_FLOOR * baseline.  The
 #: floor is deliberately loose — CI runners differ from the machines that
 #: committed the baselines; this catches collapses, not noise.
@@ -83,13 +60,6 @@ DRIFT_FLOOR = 0.25
 DRIFT_COLUMNS: Dict[str, Tuple[str, ...]] = {
     "BENCH_throughput.json": ("events_per_sec",),
     "BENCH_obs.json": ("events_per_sec",),
-}
-#: latency columns gated the other way round: lower is better, so the gate
-#: is a ceiling — new <= baseline / DRIFT_FLOOR.  Guards the lease read
-#: fast path: its latency creeping back up toward the commit path fails
-#: the build even though no verdict column moved.
-DRIFT_CEILING_COLUMNS: Dict[str, Tuple[str, ...]] = {
-    "BENCH_lease.json": ("lease_read_latency_mean",),
 }
 
 
@@ -143,23 +113,31 @@ def committed_version(path: Path) -> Optional[Dict[str, Any]]:
     return json.loads(proc.stdout)
 
 
-def row_key(row: Dict[str, Any]) -> Tuple[Tuple[str, Any], ...]:
-    return tuple((field, row[field]) for field in IDENTITY if field in row)
-
-
-def index_rows(payload: Dict[str, Any]) -> Dict[Tuple, Dict[str, Any]]:
-    rows = payload.get("grid", [])
+def index_rows(payload: Dict[str, Any], name: str) -> Dict[Tuple, Dict[str, Any]]:
+    """The payload's ``grid`` rows by their identity: the values of the
+    columns the payload declares under ``axes``."""
+    try:
+        axes = payload["axes"]
+    except KeyError:
+        raise ValueError(
+            f"{name} declares no 'axes': the gate cannot tell its rows apart "
+            "(a suite file gets them from bench_payload(); any other script "
+            "lists its grid's identity columns)"
+        ) from None
     indexed: Dict[Tuple, Dict[str, Any]] = {}
-    for row in rows:
-        indexed[row_key(row)] = row
+    for row in payload.get("grid", []):
+        key = tuple((axis, row.get(axis, payload.get(axis))) for axis in axes)
+        if key in indexed:
+            raise ValueError(
+                f"{name}: two rows share the identity {dict(key)} — an axis "
+                "is missing from the file's 'axes'"
+            )
+        indexed[key] = row
     return indexed
 
 
 def compare_cell(
-    old: Dict[str, Any],
-    new: Dict[str, Any],
-    drift_columns: Tuple[str, ...] = (),
-    ceiling_columns: Tuple[str, ...] = (),
+    old: Dict[str, Any], new: Dict[str, Any], drift_columns: Tuple[str, ...] = ()
 ) -> List[str]:
     problems: List[str] = []
     for column in drift_columns:
@@ -171,29 +149,6 @@ def compare_cell(
                 f"{column}: {before!r} -> {after!r} "
                 f"(below the {DRIFT_FLOOR:.0%} drift floor)"
             )
-    for column in ceiling_columns:
-        before, after = old.get(column), new.get(column)
-        if not isinstance(before, (int, float)) or before <= 0:
-            continue
-        if not isinstance(after, (int, float)) or after > before / DRIFT_FLOOR:
-            problems.append(
-                f"{column}: {before!r} -> {after!r} "
-                f"(above the {1 / DRIFT_FLOOR:.0f}x drift ceiling)"
-            )
-    for column, rule in INVARIANTS:
-        if column not in old:
-            continue
-        before, after = old.get(column), new.get(column)
-        if rule == "equal" and after != before:
-            problems.append(f"{column}: {before!r} -> {after!r}")
-        elif rule == "not-below" and isinstance(before, (int, float)):
-            if not isinstance(after, (int, float)) or after < before:
-                problems.append(f"{column}: {before!r} -> {after!r}")
-        elif rule == "not-above" and isinstance(before, (int, float)):
-            if not isinstance(after, (int, float)) or after > before:
-                problems.append(f"{column}: {before!r} -> {after!r}")
-        elif rule == "not-degraded" and before is True and after is not True:
-            problems.append(f"{column}: True -> {after!r}")
     return problems
 
 
@@ -204,14 +159,17 @@ def main() -> int:
         current = json.loads(path.read_text(encoding="utf-8"))
         if path.name == "BENCH_perf.json":
             failures.extend(f"{path.name} {problem}" for problem in simulated_column_drift(current))
-        baseline = committed_version(path)
-        if baseline is None:
-            print(f"[bench-regression] {path.name}: new file, no baseline — skipped")
+        try:
+            new_rows = index_rows(current, path.name)
+            baseline = committed_version(path)
+            if baseline is None:
+                print(f"[bench-regression] {path.name}: new file, no baseline — skipped")
+                continue
+            old_rows = index_rows(baseline, f"{path.name} at HEAD")
+        except ValueError as error:
+            failures.append(str(error))
             continue
-        old_rows = index_rows(baseline)
-        new_rows = index_rows(current)
         drift_columns = DRIFT_COLUMNS.get(path.name, ())
-        ceiling_columns = DRIFT_CEILING_COLUMNS.get(path.name, ())
         for key, old_row in old_rows.items():
             checked += 1
             label = f"{path.name} {dict(key)}"
@@ -219,18 +177,18 @@ def main() -> int:
             if new_row is None:
                 failures.append(f"{label}: row disappeared from the regenerated grid")
                 continue
-            for problem in compare_cell(old_row, new_row, drift_columns, ceiling_columns):
+            for problem in compare_cell(old_row, new_row, drift_columns):
                 failures.append(f"{label}: {problem}")
-        extra = set(new_rows) - set(old_rows)
-        for key in sorted(extra):
-            print(f"[bench-regression] {path.name}: new row {dict(key)} (no baseline)")
+        for key in new_rows:
+            if key not in old_rows:
+                print(f"[bench-regression] {path.name}: new row {dict(key)} (no baseline)")
     print(f"[bench-regression] checked {checked} baseline rows")
     if failures:
         print("\n[bench-regression] REGRESSIONS:", file=sys.stderr)
         for failure in failures:
             print(f"  - {failure}", file=sys.stderr)
         return 1
-    print("[bench-regression] ok — no invariant or drift-gated column regressed")
+    print("[bench-regression] ok — no row disappeared, no drift-gated column regressed")
     return 0
 
 

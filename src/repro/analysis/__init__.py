@@ -1,4 +1,8 @@
-"""Experiment harness: workloads, runner, metrics, sweeps and reporting."""
+"""Experiment harness: workloads, runner, metrics, suites and reporting.
+
+The suite declarations themselves (``FAULTS``, ``FAILOVER``, …) live in
+:mod:`repro.analysis.sweep`.
+"""
 
 from .metrics import (
     AggregateStats,
@@ -32,25 +36,14 @@ from .runner import (
     scheduler_names,
 )
 from .sweep import (
+    GRID_SUITES,
+    Suite,
+    SuiteResult,
     SweepPoint,
     SweepResult,
-    consensus_grid_rows,
-    controller_grid_rows,
-    fault_grid_rows,
-    lease_grid_rows,
-    persistence_grid_rows,
-    reconfig_grid_rows,
-    replication_grid_rows,
-    sweep_consensus_factor,
-    sweep_controller,
-    sweep_fault_grid,
-    sweep_lease,
-    sweep_persistence,
-    sweep_read_size,
-    sweep_reconfig,
-    sweep_replication_factor,
-    sweep_rounds_vs_contention,
-    sweep_versions_vs_writers,
+    bench_payload,
+    run_suite,
+    suite_rows,
 )
 from .workload import (
     GeneratedWorkload,
@@ -87,25 +80,14 @@ __all__ = [
     "run_experiment",
     "run_many",
     "scheduler_names",
+    "GRID_SUITES",
+    "Suite",
+    "SuiteResult",
     "SweepPoint",
     "SweepResult",
-    "consensus_grid_rows",
-    "controller_grid_rows",
-    "fault_grid_rows",
-    "lease_grid_rows",
-    "persistence_grid_rows",
-    "reconfig_grid_rows",
-    "replication_grid_rows",
-    "sweep_consensus_factor",
-    "sweep_controller",
-    "sweep_fault_grid",
-    "sweep_lease",
-    "sweep_persistence",
-    "sweep_read_size",
-    "sweep_reconfig",
-    "sweep_replication_factor",
-    "sweep_rounds_vs_contention",
-    "sweep_versions_vs_writers",
+    "bench_payload",
+    "run_suite",
+    "suite_rows",
     "GeneratedWorkload",
     "WorkloadSpec",
     "generate_workload",

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..ioa.simulation import Simulation, TransactionRecord
-from ..txn.transactions import ReadTransaction, WriteTransaction
+from ..txn.transactions import ReadTransaction
 
 
 @dataclass(frozen=True)
@@ -601,17 +601,30 @@ def _collect_replication_metrics(
     )
 
 
-def _consensus_metrics_from_registry(simulation: Simulation, members: int) -> ConsensusMetrics:
-    """Read the consensus block off the observability plane's registry.
+def _registry(simulation: Simulation):
+    """The run's metrics registry: the live plane's when it had one, else
+    the same registry replayed from the retained trace (one walk, shared by
+    every block through :meth:`Trace.derived`; refuses a partial trace).
 
-    The plane's trace observer counted every consensus internal action as it
-    was appended, so this is a handful of dictionary lookups instead of a
-    full trace walk — and provably equal to the walk (pinned by
-    ``tests/obs/test_plane_metrics.py``).
+    Which internal action counts as what is decided in one place only —
+    :meth:`repro.obs.ObservabilityPlane.on_action`.
     """
-    registry = simulation.obs.registry
+    plane = getattr(simulation, "obs", None)
+    if plane is not None:
+        return plane.registry
+    from ..obs.plane import derive_registry
+
+    return simulation.trace.derived(derive_registry)
+
+
+def _collect_consensus_metrics(simulation: Simulation) -> Optional[ConsensusMetrics]:
+    """Build the consensus block when a replicated coordinator is registered."""
+    group = getattr(simulation.topology, "consensus_group", lambda: ())()
+    if not group:
+        return None
+    registry = _registry(simulation)
     return ConsensusMetrics(
-        members=members,
+        members=len(group),
         elections=registry.counter_value("consensus.events", kind="candidacy"),
         leaders_elected=registry.counter_value("consensus.events", kind="became-leader"),
         max_term=max(1, int(registry.gauge_value("consensus.max_term") or 1)),
@@ -630,67 +643,6 @@ def _consensus_metrics_from_registry(simulation: Simulation, members: int) -> Co
         lease_read_latency=AggregateStats.from_values(
             [int(v) for v in registry.histogram_values("consensus.lease_read_latency")]
         ),
-    )
-
-
-def _collect_consensus_metrics(simulation: Simulation) -> Optional[ConsensusMetrics]:
-    """Build the consensus block when a replicated coordinator is registered."""
-    from ..ioa.actions import ActionKind
-
-    group = getattr(simulation.topology, "consensus_group", lambda: ())()
-    if not group:
-        return None
-    if getattr(simulation, "obs", None) is not None:
-        return _consensus_metrics_from_registry(simulation, len(group))
-    elections = leaders = applied = 0
-    acquired = renewed = expired = local = read_applies = 0
-    max_term = 1
-    latencies: List[int] = []
-    elected_at: List[int] = []
-    read_latencies: List[int] = []
-    for action in simulation.trace:
-        if action.kind != ActionKind.INTERNAL or not action.info:
-            continue
-        info = dict(action.info)
-        kind = info.get("consensus")
-        if kind is None:
-            continue
-        max_term = max(max_term, int(info.get("term", 1)))
-        if kind == "candidacy":
-            elections += 1
-        elif kind == "became-leader":
-            leaders += 1
-            elected_at.append(int(info.get("vtime", 0)))
-        elif kind == "apply":
-            applied += 1
-            if "commit_latency" in info:
-                latencies.append(int(info["commit_latency"]))
-            if info.get("read"):
-                read_applies += 1
-        elif kind == "lease-acquired":
-            acquired += 1
-        elif kind == "lease-renewed":
-            renewed += 1
-        elif kind == "lease-expired":
-            expired += 1
-        elif kind == "local-read":
-            local += 1
-            if "read_latency" in info:
-                read_latencies.append(int(info["read_latency"]))
-    return ConsensusMetrics(
-        members=len(group),
-        elections=elections,
-        leaders_elected=leaders,
-        max_term=max_term,
-        entries_applied=applied,
-        commit_latency=AggregateStats.from_values(latencies),
-        leader_elected_at=tuple(elected_at),
-        lease_acquisitions=acquired,
-        lease_renewals=renewed,
-        lease_expiries=expired,
-        local_reads=local,
-        read_applies=read_applies,
-        lease_read_latency=AggregateStats.from_values(read_latencies),
     )
 
 
@@ -730,12 +682,17 @@ def _collect_reconfig_metrics(simulation: Simulation, directory) -> Optional[Rec
     )
 
 
-def _controller_metrics_from_registry(
+def _collect_controller_metrics(
     simulation: Simulation, directory
 ) -> Optional[ControllerMetrics]:
-    """Read the rebalancing block off the observability plane's registry
-    (same shortcut as :func:`_consensus_metrics_from_registry`)."""
-    registry = simulation.obs.registry
+    """Build the rebalancing block when a controller ran.
+
+    A build creates the placement directory iff a reconfiguration plan or a
+    controller is installed, so without one there is nothing to look for.
+    """
+    if directory is None:
+        return None
+    registry = _registry(simulation)
     if registry.counter_total("controller.events") == 0:
         return None
     dead = registry.counter_value("controller.events", kind="replica-dead")
@@ -746,6 +703,8 @@ def _controller_metrics_from_registry(
     last_heal = registry.gauge_value("controller.last_heal_vtime") if healed else None
     return ControllerMetrics(
         probes=registry.counter_value("controller.probes"),
+        # delivered acks, counted per RECV: acks landing after the final
+        # tick would be invisible to any per-tick counter
         acks=registry.counter_value("controller.acks"),
         dead_detected=dead,
         plans_replace=replaces,
@@ -757,79 +716,7 @@ def _controller_metrics_from_registry(
             if first_dead is not None and last_heal is not None
             else None
         ),
-        converged=(
-            healed == replaces + grows
-            and (directory is None or not directory.in_flight())
-        ),
-    )
-
-
-def _collect_controller_metrics(
-    simulation: Simulation, directory
-) -> Optional[ControllerMetrics]:
-    """Build the rebalancing block from the controller's internal actions."""
-    from ..ioa.actions import ActionKind
-
-    if getattr(simulation, "obs", None) is not None:
-        return _controller_metrics_from_registry(simulation, directory)
-    probes = acks = dead = replaces = grows = rejected = healed = 0
-    first_dead: Optional[int] = None
-    last_heal: Optional[int] = None
-    seen = False
-    for action in simulation.trace:
-        if (
-            action.kind == ActionKind.RECV
-            and action.message is not None
-            and action.message.msg_type == "ctl-ack"
-        ):
-            # Count delivered acks from the trace itself: acks landing after
-            # the final tick would be invisible to any per-tick counter.
-            acks += 1
-            continue
-        if action.kind != ActionKind.INTERNAL or not action.info:
-            continue
-        info = dict(action.info)
-        if info.get("reconfig") == "rejected":
-            rejected += 1
-            continue
-        kind = info.get("controller")
-        if kind is None:
-            continue
-        seen = True
-        if kind == "tick":
-            probes += int(info.get("probes", 0))
-        elif kind == "replica-dead":
-            dead += 1
-            if first_dead is None:
-                first_dead = int(info.get("vtime", 0))
-        elif kind == "plan-replace":
-            replaces += 1
-        elif kind == "plan-grow":
-            grows += 1
-        elif kind == "healed":
-            healed += 1
-            last_heal = int(info.get("vtime", 0))
-    if not seen:
-        return None
-    time_to_heal = (
-        last_heal - first_dead
-        if first_dead is not None and last_heal is not None
-        else None
-    )
-    converged = (
-        healed == replaces + grows
-        and (directory is None or not directory.in_flight())
-    )
-    return ControllerMetrics(
-        probes=probes,
-        acks=acks,
-        dead_detected=dead,
-        plans_replace=replaces,
-        plans_grow=grows,
-        plans_rejected=rejected,
-        healed=healed,
-        time_to_heal=time_to_heal,
-        converged=converged,
+        converged=healed == replaces + grows and not directory.in_flight(),
     )
 
 

@@ -100,8 +100,10 @@ class ExperimentConfig:
     controller: Optional[Any] = None
     #: install the observability plane (kernel metrics registry + causal
     #: spans; see :mod:`repro.obs`).  Purely additive: the trace and every
-    #: metric block stay identical — the collectors just read the registry
-    #: instead of re-walking the trace.
+    #: metric block stay identical — the collectors read the plane's
+    #: registry instead of replaying the trace into one, which is also what
+    #: keeps the consensus/controller blocks exact under a partial
+    #: ``trace_mode``.
     observe: bool = False
     #: also enable the wall-clock kernel profiler (implies ``observe``);
     #: profiler output never enters deterministic results.
@@ -207,7 +209,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             f"fault plan {config.faults.name or 'faults'!r} has a latency model, which only the "
             f"'chaos'-family schedulers honour; got scheduler={config.scheduler!r}"
         )
-    if config.check_properties and config.trace_mode is not None and config.trace_mode.kind != "full":
+    partial_trace = config.trace_mode is not None and config.trace_mode.kind != "full"
+    if config.check_properties and partial_trace:
         # The SNOW N/O checkers walk per-message trace records; a partial
         # record yields *wrong* verdicts (phantom blocking servers, zero
         # replies seen), not merely incomplete ones — refuse up front rather
@@ -217,6 +220,19 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             f"{config.trace_mode.describe()} retains only some of it; pass "
             "check_properties=False for retention-mode runs (counters, "
             "monitors and the health plane stay exact)"
+        )
+    observed = config.observe or config.profile or config.monitors or config.health
+    if partial_trace and not observed and (
+        config.consensus_factor > 1 or config.reconfig is not None or config.controller is not None
+    ):
+        # Without a plane the consensus and controller blocks are counted by
+        # replaying the retained trace; on a partial record that count is
+        # silently short, so the replay refuses it — say so before the run.
+        raise ValueError(
+            f"the consensus/controller metric blocks need every action, but trace_mode="
+            f"{config.trace_mode.describe()} retains only some of the trace and no "
+            "observability plane is requested; pass observe=True so a live plane "
+            "counts each action as it is appended"
         )
     protocol = get_protocol(config.protocol)
     build_kwargs: Dict[str, Any] = dict(
@@ -240,7 +256,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         build_kwargs["num_readers"] = 1
     if config.faults is not None:
         build_kwargs["fault_plane"] = FaultInjector(config.faults, seed=config.seed)
-    if config.observe or config.profile or config.monitors or config.health:
+    if observed:
         from ..obs import ObservabilityPlane
 
         build_kwargs["obs"] = ObservabilityPlane(

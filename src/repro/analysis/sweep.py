@@ -1,33 +1,96 @@
-"""Parameter sweeps: contention, fan-out and concurrency series.
+"""Experiment suites: declared grids, one runner, one row projector.
 
-These sweeps back the "figure-shaped" benchmarks that go beyond the paper's
-two summary matrices:
+Everything beyond the paper's two summary matrices reaches the reader as a
+table — SNOW verdict, rounds, versions, availability per protocol × setting.
+A table is declared once as a frozen :class:`Suite` (who runs, on which axes,
+what every cell shares, what an axis value changes, which metric blocks the
+row carries) and produced by the same three steps whatever the plane:
 
-* :func:`sweep_versions_vs_writers` — algorithm C's reply sizes as the number
-  of concurrent WRITE transactions grows (the ``|W|`` bound of Figure 1(b)
-  and Section 9);
-* :func:`sweep_rounds_vs_contention` — the unbounded-round baseline's collect
-  count as write contention grows, versus the constant two rounds of
-  algorithm B and one round of algorithms A/C (the motivation for bounded
-  SNW algorithms);
-* :func:`sweep_read_size` — latency as READ transactions span more shards
-  (the fan-out dimension of real workloads).
+* :func:`run_suite` — the one grid loop: protocols × axis values, one
+  :func:`~repro.analysis.runner.run_experiment` per cell;
+* :func:`suite_rows` — the one projector: a cell's JSON-ready row, tracked
+  across PRs as ``benchmarks/results/BENCH_<suite.name>.json``
+  (:func:`bench_payload`) and pinned column for column by
+  ``tests/analysis/test_suite_golden.py``;
+* :meth:`SuiteResult.series` — a one-axis suite read as per-protocol series
+  (the figure-shaped benchmarks: versions vs. writers, rounds vs. contention,
+  latency vs. read fan-out).
+
+The declarations are the module constants below (:data:`GRID_SUITES` lists
+the seven that own a BENCH file); a variation for a test or a notebook is
+``dataclasses.replace(SUITE, ...)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from itertools import product
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..faults.plan import FaultPlan
-from ..faults.scenarios import standard_fault_scenarios
+from ..consensus.controller import ControllerPolicy
+from ..faults.plan import CrashEvent, DropPolicy, FaultPlan, RetryPolicy
+from ..faults.scenarios import (
+    auto_heal,
+    coordinator_failover,
+    fail_stop,
+    grow_group_mid_run,
+    partition_grid_scenarios,
+    replace_dead_replica,
+    standard_fault_scenarios,
+)
+from ..persist import PersistencePolicy
+from ..txn.placement import coordinator_group_names, replica_names
 from .runner import ExperimentConfig, ExperimentResult, run_experiment
 from .workload import WorkloadSpec
 
 
+def _read_latency(result: ExperimentResult, stat: str) -> Optional[float]:
+    latency = result.metrics.read_latency_steps
+    return round(getattr(latency, stat), 2) if latency.count else None
+
+
+#: run-level row columns a suite may carry next to the verdict pair
+RUN_COLUMNS: Dict[str, Callable[[ExperimentResult], Any]] = {
+    "max_read_rounds": lambda result: result.metrics.max_read_rounds(),
+    "total_steps": lambda result: result.metrics.total_steps,
+    "total_messages": lambda result: result.metrics.total_messages,
+    "quorum": lambda result: result.config.quorum,
+    "completed_reads_mean_latency_steps": lambda result: _read_latency(result, "mean"),
+    "completed_reads_p95_latency_steps": lambda result: _read_latency(result, "p95"),
+    "client_read_latency_mean": lambda result: _read_latency(result, "mean"),
+}
+
+
+@dataclass(frozen=True)
+class Suite:
+    """One declared experiment grid: ``protocols`` × the values of ``axes``.
+
+    A cell's configuration is ``shared`` overlaid with ``vary(seed, *axis
+    values)`` — the fields an axis value changes: fault plan, factor, leases,
+    persistence, reconfig, controller — seeded with ``seed`` (configuration
+    and workload alike).  Its row carries the axis values, the SNOW verdict,
+    the chosen :data:`RUN_COLUMNS` and, per entry of ``blocks``, the named
+    metric block's ``as_dict()`` (all of it, or the listed keys) when the
+    run produced that block.
+    """
+
+    #: for a grid suite also its file, ``benchmarks/results/BENCH_<name>.json``
+    name: str
+    protocols: Tuple[str, ...]
+    seed: int
+    #: axis name → its values, outermost first (the row's identity columns
+    #: are ``["protocol", *axes]``)
+    axes: Mapping[str, Sequence[Any]]
+    #: the :class:`ExperimentConfig` fields every cell shares
+    shared: Mapping[str, Any]
+    vary: Callable[..., Mapping[str, Any]]
+    columns: Tuple[str, ...] = ()
+    blocks: Tuple[Tuple[str, Optional[Tuple[str, ...]]], ...] = ()
+
+
 @dataclass
 class SweepPoint:
-    """One (x, result) point of a sweep."""
+    """One (x, result) point of a series."""
 
     x: Any
     result: ExperimentResult
@@ -43,7 +106,7 @@ class SweepResult:
 
     name: str
     x_label: str
-    points: List[SweepPoint] = field(default_factory=list)
+    points: List[SweepPoint]
 
     def series(self, extractor) -> List[Tuple[Any, Any]]:
         return [(point.x, extractor(point.result)) for point in self.points]
@@ -67,707 +130,344 @@ class SweepResult:
         )
 
 
-def sweep_versions_vs_writers(
-    protocol: str = "algorithm-c",
-    writer_counts: Sequence[int] = (1, 2, 4, 6, 8),
-    num_objects: int = 3,
-    scheduler: str = "random",
-    seed: int = 1,
-    writes_per_writer: int = 4,
-    reads_per_reader: int = 6,
-) -> SweepResult:
-    """Versions carried by read replies as concurrent writers increase."""
-    sweep = SweepResult(name=f"{protocol}: versions vs writers", x_label="writers")
-    for writers in writer_counts:
-        config = ExperimentConfig(
-            protocol=protocol,
-            num_readers=1,
-            num_writers=writers,
-            num_objects=num_objects,
-            workload=WorkloadSpec(
-                reads_per_reader=reads_per_reader,
-                writes_per_writer=writes_per_writer,
-                read_size=num_objects,
-                write_size=num_objects,
-                seed=seed,
-            ),
-            scheduler=scheduler,
-            seed=seed,
-            check_properties=False,
-        )
-        sweep.points.append(SweepPoint(x=writers, result=run_experiment(config)))
-    return sweep
+@dataclass
+class SuiteResult:
+    """A run suite: ``cells[(protocol, *axis values)]`` is that cell's result."""
 
+    suite: Suite
+    cells: Dict[Tuple[Any, ...], ExperimentResult]
 
-def sweep_rounds_vs_contention(
-    protocols: Sequence[str] = ("algorithm-b", "algorithm-c", "occ-double-collect"),
-    writer_counts: Sequence[int] = (1, 2, 4, 6),
-    num_objects: int = 2,
-    scheduler: str = "random",
-    seed: int = 2,
-) -> Dict[str, SweepResult]:
-    """Worst-case read rounds as write contention grows, per protocol."""
-    sweeps: Dict[str, SweepResult] = {}
-    for protocol in protocols:
-        sweep = SweepResult(name=f"{protocol}: rounds vs contention", x_label="writers")
-        for writers in writer_counts:
-            config = ExperimentConfig(
-                protocol=protocol,
-                num_readers=1,
-                num_writers=writers,
-                num_objects=num_objects,
-                workload=WorkloadSpec(
-                    reads_per_reader=6,
-                    writes_per_writer=4,
-                    read_size=num_objects,
-                    write_size=num_objects,
-                    seed=seed,
-                ),
-                scheduler=scheduler,
-                seed=seed,
-                check_properties=False,
+    def series(self) -> Dict[str, SweepResult]:
+        """Per protocol, the cells of a one-axis suite as a series over that axis."""
+        (x_label,) = self.suite.axes
+        return {
+            protocol: SweepResult(
+                name=f"{protocol}: {self.suite.name}",
+                x_label=x_label,
+                points=[
+                    SweepPoint(x=x, result=result)
+                    for (cell_protocol, x), result in self.cells.items()
+                    if cell_protocol == protocol
+                ],
             )
-            sweep.points.append(SweepPoint(x=writers, result=run_experiment(config)))
-        sweeps[protocol] = sweep
-    return sweeps
-
-
-def sweep_fault_grid(
-    protocols: Sequence[str] = ("simple-rw", "algorithm-b", "algorithm-c", "eiger"),
-    scenarios: Optional[Mapping[str, FaultPlan]] = None,
-    num_readers: int = 2,
-    num_writers: int = 2,
-    num_objects: int = 2,
-    workload: Optional[WorkloadSpec] = None,
-    seed: int = 7,
-    check_properties: bool = True,
-) -> Dict[str, Dict[str, ExperimentResult]]:
-    """The chaos grid: every protocol under every named fault scenario.
-
-    Returns ``{protocol: {scenario: result}}``.  Each cell runs the same
-    workload through the chaos scheduler under that scenario's
-    :class:`FaultPlan`; the fault-free ``none`` column doubles as the
-    latency/availability baseline the degradation numbers are relative to.
-
-    The default scenarios crash the server holding the first object of the
-    built systems, so the crash column actually bites.
-    """
-    if scenarios is None:
-        from ..txn.objects import object_names, server_for_object
-
-        crash_server = server_for_object(object_names(num_objects)[0])
-        scenarios = standard_fault_scenarios(seed=seed, crash_server=crash_server)
-    else:
-        scenarios = dict(scenarios)
-    workload = workload or WorkloadSpec(
-        reads_per_reader=6, writes_per_writer=3, read_size=num_objects, write_size=num_objects, seed=seed
-    )
-    grid: Dict[str, Dict[str, ExperimentResult]] = {}
-    for protocol in protocols:
-        row: Dict[str, ExperimentResult] = {}
-        for scenario_name, plan in scenarios.items():
-            config = ExperimentConfig(
-                protocol=protocol,
-                num_readers=num_readers,
-                num_writers=num_writers,
-                num_objects=num_objects,
-                workload=workload,
-                scheduler="chaos",
-                seed=seed,
-                check_properties=check_properties,
-                faults=plan,
-            )
-            row[scenario_name] = run_experiment(config)
-        grid[protocol] = row
-    return grid
-
-
-def fault_grid_rows(grid: Mapping[str, Mapping[str, ExperimentResult]]) -> List[Dict[str, Any]]:
-    """Flatten a chaos grid into JSON-ready rows (one per protocol×scenario).
-
-    Each row carries the SNOW verdict, availability, latency-under-fault and
-    retransmission counts — the machine-readable record tracked across PRs
-    via ``BENCH_faults.json``.  Two CAP-style fields make the
-    availability/consistency trade-off a first-class column pair:
-    ``consistent`` (did strict serializability survive, over the completed
-    transactions) next to ``availability`` (what fraction completed).
-    Partition scenarios additionally report their axes
-    (``partition_duration``; the placement is encoded in the scenario name),
-    and replicated runs their ``replication_factor``/``quorum``.
-    """
-    rows: List[Dict[str, Any]] = []
-    for protocol, cells in grid.items():
-        for scenario, result in cells.items():
-            metrics = result.metrics
-            faults = metrics.faults
-            read_latency = metrics.read_latency_steps
-            row: Dict[str, Any] = {
-                "protocol": protocol,
-                "scenario": scenario,
-                "snow": result.property_string(),
-                "consistent": result.snow.satisfies_s if result.snow is not None else None,
-                "completed_reads_mean_latency_steps": round(read_latency.mean, 2)
-                if read_latency.count
-                else None,
-                "completed_reads_p95_latency_steps": read_latency.p95 if read_latency.count else None,
-                "max_read_rounds": metrics.max_read_rounds(),
-                "total_steps": metrics.total_steps,
-                "total_messages": metrics.total_messages,
-            }
-            if faults is not None:
-                row.update(faults.as_dict())
-            else:
-                row.update({"plan": "none", "availability": 1.0})
-            plan = result.config.faults
-            if plan is not None and plan.partitions:
-                finite_heals = [p.heal - p.start for p in plan.partitions if p.heal is not None]
-                row["partition_duration"] = max(finite_heals) if finite_heals else None
-            if metrics.replication is not None:
-                row.update(metrics.replication.as_dict())
-            rows.append(row)
-    return rows
-
-
-def sweep_replication_factor(
-    protocols: Sequence[str] = ("algorithm-a", "algorithm-b", "algorithm-c"),
-    factors: Sequence[int] = (1, 2, 3),
-    quorum: str = "majority",
-    num_readers: int = 2,
-    num_writers: int = 2,
-    num_objects: int = 2,
-    workload: Optional[WorkloadSpec] = None,
-    seed: int = 9,
-    crash_at: int = 6,
-    check_properties: bool = True,
-) -> Dict[str, Dict[Tuple[int, str], ExperimentResult]]:
-    """The replication grid: protocol × replication factor × fault scenario.
-
-    Per factor, two scenarios run: ``none`` (fault-free baseline) and
-    ``crash-replica`` — a fail-stop of the *last* replica of the first
-    object's group mid-run.  At factor 1 that replica is the object's only
-    copy, so the crash costs availability; at factor ≥ 3 with a majority
-    quorum the reads and writes complete on the surviving quorum and the
-    verdict columns show the SNOW properties riding through the outage.
-    Returns ``{protocol: {(factor, scenario): result}}``.
-    """
-    from ..faults.plan import CrashEvent, FaultPlan
-    from ..txn.objects import object_names
-    from ..txn.placement import replica_names
-
-    workload = workload or WorkloadSpec(
-        reads_per_reader=6, writes_per_writer=3, read_size=num_objects, write_size=num_objects, seed=seed
-    )
-    first_object = object_names(num_objects)[0]
-    grid: Dict[str, Dict[Tuple[int, str], ExperimentResult]] = {}
-    for protocol in protocols:
-        row: Dict[Tuple[int, str], ExperimentResult] = {}
-        for factor in factors:
-            crash_target = replica_names(first_object, factor)[-1]
-            scenarios: Dict[str, FaultPlan] = {
-                "none": FaultPlan.none(),
-                "crash-replica": FaultPlan(
-                    name="crash-replica",
-                    crashes=(CrashEvent(server=crash_target, at=crash_at, recover=None),),
-                    seed=seed,
-                ),
-            }
-            for scenario_name, plan in scenarios.items():
-                config = ExperimentConfig(
-                    protocol=protocol,
-                    num_readers=num_readers,
-                    num_writers=num_writers,
-                    num_objects=num_objects,
-                    workload=workload,
-                    scheduler="chaos",
-                    seed=seed,
-                    check_properties=check_properties,
-                    faults=plan,
-                    replication_factor=factor,
-                    quorum=quorum if factor > 1 else "read-one-write-all",
-                )
-                row[(factor, scenario_name)] = run_experiment(config)
-        grid[protocol] = row
-    return grid
-
-
-def replication_grid_rows(
-    grid: Mapping[str, Mapping[Tuple[int, str], ExperimentResult]],
-) -> List[Dict[str, Any]]:
-    """Flatten a replication grid into JSON-ready rows.
-
-    One row per protocol × replication factor × scenario, carrying the SNOW
-    verdict, availability split by reads/writes, and the quorum measurements
-    — the machine-readable record tracked across PRs via
-    ``BENCH_replication.json``.
-    """
-    rows: List[Dict[str, Any]] = []
-    for protocol, cells in grid.items():
-        for (factor, scenario), result in cells.items():
-            metrics = result.metrics
-            faults = metrics.faults
-            row: Dict[str, Any] = {
-                "protocol": protocol,
-                "replication_factor": factor,
-                "scenario": scenario,
-                "snow": result.property_string(),
-                "consistent": result.snow.satisfies_s if result.snow is not None else None,
-                "quorum": result.config.quorum if factor > 1 else "read-one-write-all",
-                "max_read_rounds": metrics.max_read_rounds(),
-                "total_messages": metrics.total_messages,
-            }
-            if faults is not None:
-                row["availability"] = round(faults.availability, 4)
-                row["read_availability"] = round(faults.read_availability, 4)
-                row["write_availability"] = round(faults.write_availability, 4)
-            else:
-                row["availability"] = 1.0
-            if metrics.replication is not None:
-                row.update(metrics.replication.as_dict())
-            rows.append(row)
-    return rows
-
-
-def sweep_consensus_factor(
-    protocols: Sequence[str] = ("algorithm-b", "algorithm-c", "occ-double-collect"),
-    factors: Sequence[int] = (1, 3),
-    num_readers: int = 2,
-    num_writers: int = 2,
-    num_objects: int = 2,
-    workload: Optional[WorkloadSpec] = None,
-    seed: int = 11,
-    crash_at: int = 14,
-    check_properties: bool = True,
-) -> Dict[str, Dict[Tuple[int, str], ExperimentResult]]:
-    """The failover grid: protocol × consensus factor × coordinator fate.
-
-    Per factor, two scenarios run: ``none`` (fault-free baseline) and
-    ``crash-leader`` — a fail-stop of the coordinator's leader mid-run.  At
-    factor 1 the "leader" is the designated first storage server and the
-    crash stalls every coordinator-dependent transaction (the seed's single
-    point of failure); at factor ≥ 3 the surviving consensus members elect a
-    new leader after a bounded leaderless window and the run completes with
-    the fault-free verdicts.  Returns ``{protocol: {(factor, scenario):
-    result}}``.
-    """
-    from ..faults.scenarios import coordinator_failover
-    from ..txn.objects import object_names, server_for_object
-    from ..txn.placement import coordinator_group_names
-
-    workload = workload or WorkloadSpec(
-        reads_per_reader=6, writes_per_writer=3, read_size=num_objects, write_size=num_objects, seed=seed
-    )
-    single_coordinator = server_for_object(object_names(num_objects)[0])
-    grid: Dict[str, Dict[Tuple[int, str], ExperimentResult]] = {}
-    for protocol in protocols:
-        row: Dict[Tuple[int, str], ExperimentResult] = {}
-        for factor in factors:
-            group = coordinator_group_names(factor)
-            leader = group[0] if group else single_coordinator
-            scenarios: Dict[str, FaultPlan] = {
-                "none": FaultPlan.none(),
-                "crash-leader": coordinator_failover(leader=leader, at=crash_at, seed=seed),
-            }
-            for scenario_name, plan in scenarios.items():
-                config = ExperimentConfig(
-                    protocol=protocol,
-                    num_readers=num_readers,
-                    num_writers=num_writers,
-                    num_objects=num_objects,
-                    workload=workload,
-                    scheduler="chaos",
-                    seed=seed,
-                    check_properties=check_properties,
-                    faults=plan,
-                    consensus_factor=factor,
-                )
-                row[(factor, scenario_name)] = run_experiment(config)
-        grid[protocol] = row
-    return grid
-
-
-def consensus_grid_rows(
-    grid: Mapping[str, Mapping[Tuple[int, str], ExperimentResult]],
-) -> List[Dict[str, Any]]:
-    """Flatten a failover grid into JSON-ready rows.
-
-    One row per protocol × consensus factor × scenario, carrying the SNOW
-    verdict, availability, the election/term counters and the commit-latency
-    tax — the machine-readable record tracked across PRs via
-    ``BENCH_failover.json``.
-    """
-    rows: List[Dict[str, Any]] = []
-    for protocol, cells in grid.items():
-        for (factor, scenario), result in cells.items():
-            metrics = result.metrics
-            faults = metrics.faults
-            row: Dict[str, Any] = {
-                "protocol": protocol,
-                "consensus_factor": factor,
-                "scenario": scenario,
-                "snow": result.property_string(),
-                "consistent": result.snow.satisfies_s if result.snow is not None else None,
-                "max_read_rounds": metrics.max_read_rounds(),
-                "total_messages": metrics.total_messages,
-            }
-            if faults is not None:
-                row["availability"] = round(faults.availability, 4)
-                row["read_availability"] = round(faults.read_availability, 4)
-                row["write_availability"] = round(faults.write_availability, 4)
-            else:
-                row["availability"] = 1.0
-            if metrics.consensus is not None:
-                row.update(metrics.consensus.as_dict())
-            rows.append(row)
-    return rows
-
-
-def sweep_persistence(
-    protocols: Sequence[str] = ("algorithm-b", "algorithm-c", "occ-double-collect"),
-    modes: Optional[Mapping[str, Optional[Any]]] = None,
-    num_readers: int = 2,
-    num_writers: int = 2,
-    num_objects: int = 2,
-    workload: Optional[WorkloadSpec] = None,
-    seed: int = 11,
-    crash_at: int = 10,
-    recover_at: int = 45,
-    check_properties: bool = True,
-) -> Dict[str, Dict[Tuple[str, str], ExperimentResult]]:
-    """The durability grid: protocol × persistence mode × coordinator fate.
-
-    Per mode (``None`` = the seed's volatile members, or any
-    :class:`~repro.persist.PersistencePolicy`), two scenarios run: ``none``
-    (fault-free baseline) and ``amnesia-member`` — a crash-with-amnesia of
-    one consensus member, recovered mid-run.  With a store attached the
-    amnesiac member recovers its term/vote/log instead of resetting, so the
-    verdict/availability columns match the fault-free baseline while the new
-    persistence block reports the recovery/compaction work it took.  Returns
-    ``{protocol: {(mode, scenario): result}}``.
-    """
-    from ..faults.plan import CrashEvent, RetryPolicy
-    from ..persist import PersistencePolicy
-
-    if modes is None:
-        modes = {
-            "volatile": None,
-            "durable": PersistencePolicy(),
-            "durable+compact": PersistencePolicy(compact_every=4),
+            for protocol in self.suite.protocols
         }
-    workload = workload or WorkloadSpec(
-        reads_per_reader=6, writes_per_writer=3, read_size=num_objects, write_size=num_objects, seed=seed
+
+
+def run_suite(suite: Suite) -> SuiteResult:
+    """Run every cell of ``suite``: protocol-major, then the axes in order."""
+    cells: Dict[Tuple[Any, ...], ExperimentResult] = {}
+    for protocol, *values in product(suite.protocols, *suite.axes.values()):
+        fields = {**suite.shared, **suite.vary(suite.seed, *values)}
+        config = ExperimentConfig(protocol=protocol, **fields).with_seed(suite.seed)
+        cells[(protocol, *values)] = run_experiment(config)
+    return SuiteResult(suite, cells)
+
+
+def suite_rows(run: SuiteResult) -> List[Dict[str, Any]]:
+    """Flatten a run suite into JSON-ready rows, one per cell.
+
+    Two rules apply to every suite: a cell run without a fault plan reports
+    ``availability`` 1.0 where the ``faults`` block would have, and a cell
+    whose plan partitions the network reports its ``partition_duration``
+    (the longest finite partition; the placement is in the scenario name).
+    """
+    suite = run.suite
+    rows: List[Dict[str, Any]] = []
+    for (protocol, *values), result in run.cells.items():
+        snow = result.snow
+        row: Dict[str, Any] = {
+            "protocol": protocol,
+            **dict(zip(suite.axes, values)),
+            "snow": result.property_string(),
+            "consistent": snow.satisfies_s if snow is not None else None,
+        }
+        for column in suite.columns:
+            row[column] = RUN_COLUMNS[column](result)
+        for name, keys in suite.blocks:
+            block = getattr(result.metrics, name)
+            if block is None:
+                if name == "faults":
+                    row["availability"] = 1.0
+                continue
+            columns = block.as_dict()
+            row.update(columns if keys is None else {k: columns[k] for k in keys if k in columns})
+        plan = result.config.faults
+        if plan is not None and plan.partitions:
+            finite = [p.heal - p.start for p in plan.partitions if p.heal is not None]
+            row["partition_duration"] = max(finite) if finite else None
+        rows.append(row)
+    return rows
+
+
+def bench_payload(suite: Suite, rows: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """The ``BENCH_<suite.name>.json`` payload; ``axes`` names the columns
+    that identify a row (what ``check_bench_regression.py`` matches on)."""
+    return {
+        "axes": ["protocol", *suite.axes],
+        "grid": rows,
+        "protocols": list(suite.protocols),
+        "seed": suite.seed,
+    }
+
+
+# ----------------------------------------------------------------------
+# The grid suites (one BENCH file each)
+# ----------------------------------------------------------------------
+#: what every grid cell shares: 2 readers / 2 writers / 2 objects (the
+#: config defaults), this workload, the fault-plane-aware scheduler
+_GRID_CELL: Dict[str, Any] = dict(
+    workload=WorkloadSpec(reads_per_reader=6, writes_per_writer=3, read_size=2, write_size=2),
+    scheduler="chaos",
+)
+#: the first object of a two-object system, and the server holding it
+_FIRST_OBJECT, _FIRST_SERVER = "ox", "sx"
+_AVAILABILITY = ("availability", "read_availability", "write_availability")
+#: the protocols with a coordinator to replicate
+_COORDINATOR_PROTOCOLS = ("algorithm-b", "algorithm-c", "occ-double-collect")
+#: the duration axis of the chaos grid's partition scenarios
+PARTITION_DURATIONS = (20, 60)
+
+
+def _fault_scenarios(seed: int) -> Dict[str, FaultPlan]:
+    """The standard scenarios (crashes aimed at the first object's server, so
+    they bite), a fail-stop, and the partition grid: placement (client↔shard /
+    shard↔shard) × duration."""
+    scenarios = standard_fault_scenarios(seed=seed, crash_server=_FIRST_SERVER)
+    scenarios["fail-stop"] = fail_stop(server=_FIRST_SERVER, at=12, seed=seed)
+    scenarios.update(
+        partition_grid_scenarios(
+            clients=("r1", "r2", "w1", "w2"),
+            servers=("sx", "sy"),
+            durations=PARTITION_DURATIONS,
+            seed=seed,
+        )
     )
-    scenarios: Dict[str, FaultPlan] = {
-        "none": FaultPlan.none(),
-        "amnesia-member": FaultPlan(
-            name="amnesia-member",
-            crashes=(
-                CrashEvent(server="coor.2", at=crash_at, recover=recover_at, preserve_state=False),
-            ),
+    return scenarios
+
+
+#: The chaos grid: every protocol under every named fault scenario.  The
+#: fault-free ``none`` column doubles as the baseline the degradation numbers
+#: are relative to; ``consistent`` (did S survive, over the completed
+#: transactions) next to ``availability`` (what fraction completed) is the
+#: CAP-style column pair.
+FAULTS = Suite(
+    name="faults",
+    protocols=("simple-rw", "algorithm-b", "algorithm-c", "eiger"),
+    seed=7,
+    axes={"scenario": tuple(_fault_scenarios(0))},
+    shared=_GRID_CELL,
+    vary=lambda seed, scenario: {"faults": _fault_scenarios(seed)[scenario]},
+    columns=(
+        "completed_reads_mean_latency_steps",
+        "completed_reads_p95_latency_steps",
+        "max_read_rounds",
+        "total_steps",
+        "total_messages",
+    ),
+    blocks=(("faults", None),),
+)
+
+
+def _replica_crash(seed: int, factor: int, scenario: str) -> Dict[str, Any]:
+    """``crash-replica`` fail-stops the *last* replica of the first object's
+    group mid-run: the only copy at factor 1, absorbed by a majority quorum
+    at factor ≥ 3."""
+    plan = FaultPlan.none()
+    if scenario == "crash-replica":
+        target = replica_names(_FIRST_OBJECT, factor)[-1]
+        plan = FaultPlan(
+            name=scenario, crashes=(CrashEvent(server=target, at=6, recover=None),), seed=seed
+        )
+    return {
+        "faults": plan,
+        "replication_factor": factor,
+        "quorum": "majority" if factor > 1 else "read-one-write-all",
+    }
+
+
+#: The replication grid: protocol × replication factor × replica fate.
+REPLICATION = Suite(
+    name="replication",
+    protocols=("algorithm-a", "algorithm-b", "algorithm-c"),
+    seed=9,
+    axes={"replication_factor": (1, 2, 3), "scenario": ("none", "crash-replica")},
+    shared=_GRID_CELL,
+    vary=_replica_crash,
+    columns=("quorum", "max_read_rounds", "total_messages"),
+    blocks=(("faults", _AVAILABILITY), ("replication", None)),
+)
+
+
+def _leader_crash(seed: int, factor: int, scenario: str) -> Dict[str, Any]:
+    """``crash-leader`` fail-stops the coordinator's leader mid-run: at factor
+    1 that is the designated first storage server (the seed's single point of
+    failure); at factor ≥ 3 the survivors elect a successor."""
+    plan = FaultPlan.none()
+    if scenario == "crash-leader":
+        group = coordinator_group_names(factor)
+        leader = group[0] if group else _FIRST_SERVER
+        plan = coordinator_failover(leader=leader, at=14, seed=seed)
+    return {"faults": plan, "consensus_factor": factor}
+
+
+#: The failover grid: protocol × consensus factor × coordinator fate.
+FAILOVER = Suite(
+    name="failover",
+    protocols=_COORDINATOR_PROTOCOLS,
+    seed=11,
+    axes={"consensus_factor": (1, 3), "scenario": ("none", "crash-leader")},
+    shared=_GRID_CELL,
+    vary=_leader_crash,
+    columns=("max_read_rounds", "total_messages"),
+    blocks=(("faults", _AVAILABILITY), ("consensus", None)),
+)
+
+_PERSISTENCE_MODES: Dict[str, Optional[PersistencePolicy]] = {
+    "volatile": None,
+    "durable": PersistencePolicy(),
+    "durable+compact": PersistencePolicy(compact_every=4),
+}
+
+
+def _amnesia(seed: int, mode: str, scenario: str) -> Dict[str, Any]:
+    """``amnesia-member`` crashes one consensus member with amnesia and
+    recovers it mid-run: with a store attached it recovers its
+    term/vote/log instead of resetting."""
+    plan = FaultPlan.none()
+    if scenario == "amnesia-member":
+        plan = FaultPlan(
+            name=scenario,
+            crashes=(CrashEvent(server="coor.2", at=10, recover=45, preserve_state=False),),
             retry=RetryPolicy(timeout_steps=10, max_attempts=8),
             seed=seed,
-        ),
-    }
-    grid: Dict[str, Dict[Tuple[str, str], ExperimentResult]] = {}
-    for protocol in protocols:
-        row: Dict[Tuple[str, str], ExperimentResult] = {}
-        for mode_name, persistence in modes.items():
-            for scenario_name, plan in scenarios.items():
-                config = ExperimentConfig(
-                    protocol=protocol,
-                    num_readers=num_readers,
-                    num_writers=num_writers,
-                    num_objects=num_objects,
-                    workload=workload,
-                    scheduler="chaos",
-                    seed=seed,
-                    check_properties=check_properties,
-                    faults=plan,
-                    consensus_factor=3,
-                    persistence=persistence,
-                )
-                row[(mode_name, scenario_name)] = run_experiment(config)
-        grid[protocol] = row
-    return grid
-
-
-def persistence_grid_rows(
-    grid: Mapping[str, Mapping[Tuple[str, str], ExperimentResult]],
-) -> List[Dict[str, Any]]:
-    """Flatten a durability grid into JSON-ready rows.
-
-    One row per protocol × persistence mode × scenario: the SNOW verdict and
-    availability (the invariant columns the regression gate pins), the
-    election counters, and the persistence block (recoveries, checkpoints,
-    compaction ratio, retained-vs-total log length) — the machine-readable
-    record tracked across PRs via ``BENCH_persist.json``.
-    """
-    rows: List[Dict[str, Any]] = []
-    for protocol, cells in grid.items():
-        for (mode, scenario), result in cells.items():
-            metrics = result.metrics
-            faults = metrics.faults
-            row: Dict[str, Any] = {
-                "protocol": protocol,
-                "persistence": mode,
-                "scenario": scenario,
-                "snow": result.property_string(),
-                "consistent": result.snow.satisfies_s if result.snow is not None else None,
-                "total_messages": metrics.total_messages,
-            }
-            if faults is not None:
-                row["availability"] = round(faults.availability, 4)
-            else:
-                row["availability"] = 1.0
-            if metrics.consensus is not None:
-                row["elections"] = metrics.consensus.elections
-                row["max_term"] = metrics.consensus.max_term
-            if metrics.persistence is not None:
-                row.update(metrics.persistence.as_dict())
-            rows.append(row)
-    return rows
-
-
-def sweep_lease(
-    protocols: Sequence[str] = ("algorithm-b", "algorithm-c", "occ-double-collect"),
-    modes: Optional[Mapping[str, Optional[Any]]] = None,
-    num_readers: int = 2,
-    num_writers: int = 2,
-    num_objects: int = 2,
-    workload: Optional[WorkloadSpec] = None,
-    seed: int = 11,
-    crash_at: int = 12,
-    check_properties: bool = True,
-) -> Dict[str, Dict[Tuple[str, str], ExperimentResult]]:
-    """The leader-lease grid: protocol × lease mode × coordinator fate.
-
-    Per mode (``None`` = the seed's commit-everything read path, or anything
-    :class:`~repro.consensus.LeasePolicy` accepts), two scenarios run at
-    ``replication_factor=3`` + majority + ``consensus_factor=3``: ``steady``
-    (fault-free baseline) and ``leader-crash`` — the lease holder fail-stops
-    mid-run, so the grid crosses the read fast path with an election.  With
-    leases on, read-only coordinator requests (``get-tag-arr``) are served
-    locally under a quorum-proven window instead of round-tripping through
-    the replicated log; protocols whose coordinator requests all mutate
-    (OCC's ``get-ts`` mints a timestamp) pin the null effect — the knob
-    changes nothing.  Returns ``{protocol: {(mode, scenario): result}}``.
-    """
-    from ..faults.scenarios import coordinator_failover
-
-    if modes is None:
-        modes = {"none": None, "leased": True}
-    workload = workload or WorkloadSpec(
-        reads_per_reader=6, writes_per_writer=3, read_size=num_objects, write_size=num_objects, seed=seed
-    )
-    scenarios: Dict[str, FaultPlan] = {
-        "steady": FaultPlan.none(),
-        "leader-crash": coordinator_failover(leader="coor", at=crash_at, seed=seed),
-    }
-    grid: Dict[str, Dict[Tuple[str, str], ExperimentResult]] = {}
-    for protocol in protocols:
-        row: Dict[Tuple[str, str], ExperimentResult] = {}
-        for mode_name, leases in modes.items():
-            for scenario_name, plan in scenarios.items():
-                config = ExperimentConfig(
-                    protocol=protocol,
-                    num_readers=num_readers,
-                    num_writers=num_writers,
-                    num_objects=num_objects,
-                    workload=workload,
-                    scheduler="chaos",
-                    seed=seed,
-                    check_properties=check_properties,
-                    faults=plan,
-                    replication_factor=3,
-                    quorum="majority",
-                    consensus_factor=3,
-                    leases=leases,
-                )
-                row[(mode_name, scenario_name)] = run_experiment(config)
-        grid[protocol] = row
-    return grid
-
-
-def lease_grid_rows(
-    grid: Mapping[str, Mapping[Tuple[str, str], ExperimentResult]],
-) -> List[Dict[str, Any]]:
-    """Flatten a lease grid into JSON-ready rows.
-
-    One row per protocol × lease mode × scenario: the SNOW verdict and
-    Lemma-20 column (``max_read_rounds``) the fast path must not disturb,
-    the commit-latency aggregate the leased read latency is compared
-    against, and the lease block (acquisitions/renewals/expiries, local
-    reads vs read applies, the commit-bypass latency histogram's summary) —
-    the machine-readable record tracked across PRs via ``BENCH_lease.json``.
-    """
-    rows: List[Dict[str, Any]] = []
-    for protocol, cells in grid.items():
-        for (mode, scenario), result in cells.items():
-            metrics = result.metrics
-            faults = metrics.faults
-            consensus = metrics.consensus
-            row: Dict[str, Any] = {
-                "protocol": protocol,
-                "leases": mode,
-                "scenario": scenario,
-                "snow": result.property_string(),
-                "consistent": result.snow.satisfies_s if result.snow is not None else None,
-                "max_read_rounds": metrics.max_read_rounds(),
-                "total_messages": metrics.total_messages,
-                "client_read_latency_mean": round(metrics.read_latency_steps.mean, 2)
-                if metrics.read_latency_steps.count
-                else None,
-            }
-            if faults is not None:
-                row["availability"] = round(faults.availability, 4)
-            else:
-                row["availability"] = 1.0
-            if consensus is not None:
-                row["elections"] = consensus.elections
-                row["max_term"] = consensus.max_term
-                row["commit_latency_mean"] = (
-                    round(consensus.commit_latency.mean, 2)
-                    if consensus.commit_latency.count
-                    else None
-                )
-                row["commit_latency_p95"] = (
-                    round(consensus.commit_latency.p95, 2)
-                    if consensus.commit_latency.count
-                    else None
-                )
-                row.update(
-                    {
-                        key: value
-                        for key, value in consensus.as_dict().items()
-                        if key.startswith(("lease_", "local_read", "read_applies"))
-                    }
-                )
-            rows.append(row)
-    return rows
-
-
-def sweep_reconfig(
-    protocols: Sequence[str] = ("algorithm-a", "algorithm-b"),
-    replication_factor: int = 3,
-    quorum: str = "majority",
-    num_readers: int = 2,
-    num_writers: int = 2,
-    num_objects: int = 2,
-    workload: Optional[WorkloadSpec] = None,
-    seed: int = 13,
-    loss_rates: Sequence[float] = (0.05, 0.15, 0.30),
-    check_properties: bool = True,
-) -> Dict[str, Dict[str, ExperimentResult]]:
-    """The reconfiguration grid: protocol × membership scenario.
-
-    Per protocol at ``replication_factor=3`` + majority:
-
-    * ``none`` — fixed membership, the baseline every verdict is compared to;
-    * ``replace-dead-replica`` — the last replica of the first object's group
-      fail-stops, then a joint-consensus change swaps in a fresh replica (the
-      "replace a dead replica is an experiment, not an outage" scenario);
-    * ``grow-group`` — the first object's group grows rf 3 → 5 mid-run,
-      fault-free (state transfer before commit);
-    * ``lossy-replace-pNN`` (one per entry of ``loss_rates``) — the
-      replace-dead-replica change under uniform message loss, the axis that
-      shows epoch retries and the unavailability window growing with the
-      drop probability while the verdict columns stay put.
-
-    Returns ``{protocol: {scenario: result}}``.
-    """
-    from dataclasses import replace as dc_replace
-
-    from ..faults.plan import DropPolicy, RetryPolicy
-    from ..faults.scenarios import grow_group_mid_run, replace_dead_replica
-    from ..txn.objects import object_names
-
-    workload = workload or WorkloadSpec(
-        reads_per_reader=6, writes_per_writer=3, read_size=num_objects, write_size=num_objects, seed=seed
-    )
-    first_object = object_names(num_objects)[0]
-    scenarios: Dict[str, Tuple[Optional[FaultPlan], Any]] = {
-        "none": (None, None),
-        "replace-dead-replica": replace_dead_replica(
-            first_object, replication_factor, seed=seed
-        ),
-        "grow-group": grow_group_mid_run(first_object, replication_factor),
-    }
-    for probability in loss_rates:
-        plan, reconfig = replace_dead_replica(first_object, replication_factor, seed=seed)
-        name = f"lossy-replace-p{round(probability * 100):02d}"
-        scenarios[name] = (
-            dc_replace(
-                plan,
-                name=name,
-                drops=DropPolicy(probability=probability, max_consecutive=4),
-                retry=RetryPolicy(timeout_steps=10, max_attempts=8),
-            ),
-            reconfig,
         )
-    grid: Dict[str, Dict[str, ExperimentResult]] = {}
-    for protocol in protocols:
-        row: Dict[str, ExperimentResult] = {}
-        for scenario_name, (plan, reconfig) in scenarios.items():
-            config = ExperimentConfig(
-                protocol=protocol,
-                num_readers=num_readers,
-                num_writers=num_writers,
-                num_objects=num_objects,
-                workload=workload,
-                scheduler="chaos",
-                seed=seed,
-                check_properties=check_properties,
-                faults=plan,
-                replication_factor=replication_factor,
-                quorum=quorum,
-                reconfig=reconfig,
-            )
-            row[scenario_name] = run_experiment(config)
-        grid[protocol] = row
-    return grid
+    return {"faults": plan, "persistence": _PERSISTENCE_MODES[mode]}
 
 
-def reconfig_grid_rows(
-    grid: Mapping[str, Mapping[str, ExperimentResult]],
-) -> List[Dict[str, Any]]:
-    """Flatten a reconfiguration grid into JSON-ready rows.
-
-    One row per protocol × scenario, carrying the SNOW verdict, availability,
-    the loss accounting of the lossy cells (drops and retransmissions grow
-    with the drop probability; ``total_messages`` counts unique protocol
-    messages, so it stays flat), and the reconfiguration accounting (epochs,
-    transfer volume, epoch retries, unavailability window) — the
-    machine-readable record tracked across PRs via ``BENCH_reconfig.json``.
-    """
-    rows: List[Dict[str, Any]] = []
-    for protocol, cells in grid.items():
-        for scenario, result in cells.items():
-            metrics = result.metrics
-            faults = metrics.faults
-            row: Dict[str, Any] = {
-                "protocol": protocol,
-                "scenario": scenario,
-                "snow": result.property_string(),
-                "consistent": result.snow.satisfies_s if result.snow is not None else None,
-                "max_read_rounds": metrics.max_read_rounds(),
-                "total_messages": metrics.total_messages,
-            }
-            if faults is not None:
-                row["availability"] = round(faults.availability, 4)
-                row["messages_dropped"] = faults.messages_dropped
-                row["retransmissions"] = faults.retransmissions
-            else:
-                row["availability"] = 1.0
-            if metrics.replication is not None:
-                row["replication_factor"] = metrics.replication.replication_factor
-                row["quorum"] = metrics.replication.quorum
-            if metrics.reconfig is not None:
-                row.update(metrics.reconfig.as_dict())
-            rows.append(row)
-    return rows
+#: The durability grid: protocol × persistence mode × member fate.
+PERSIST = Suite(
+    name="persist",
+    protocols=_COORDINATOR_PROTOCOLS,
+    seed=11,
+    axes={"persistence": tuple(_PERSISTENCE_MODES), "scenario": ("none", "amnesia-member")},
+    shared={**_GRID_CELL, "consensus_factor": 3},
+    vary=_amnesia,
+    columns=("total_messages",),
+    blocks=(
+        ("faults", ("availability",)),
+        ("consensus", ("elections", "max_term")),
+        ("persistence", None),
+    ),
+)
 
 
-def sweep_controller(
-    protocols: Sequence[str] = (
+def _leased(seed: int, mode: str, scenario: str) -> Dict[str, Any]:
+    """``leader-crash`` fail-stops the lease holder mid-run, crossing the
+    read fast path with an election."""
+    plan = FaultPlan.none()
+    if scenario == "leader-crash":
+        plan = coordinator_failover(leader="coor", at=12, seed=seed)
+    return {"faults": plan, "leases": True if mode == "leased" else None}
+
+
+#: The leader-lease grid: protocol × lease mode × coordinator fate, fully
+#: replicated.  Protocols whose coordinator requests all mutate (OCC's
+#: ``get-ts`` mints a timestamp) pin the null effect — the knob changes
+#: nothing, and the lease columns (present only on lease activity) are absent.
+LEASE = Suite(
+    name="lease",
+    protocols=_COORDINATOR_PROTOCOLS,
+    seed=11,
+    axes={"leases": ("none", "leased"), "scenario": ("steady", "leader-crash")},
+    shared={**_GRID_CELL, "replication_factor": 3, "quorum": "majority", "consensus_factor": 3},
+    vary=_leased,
+    columns=("max_read_rounds", "total_messages", "client_read_latency_mean"),
+    blocks=(
+        ("faults", ("availability",)),
+        (
+            "consensus",
+            (
+                "elections",
+                "max_term",
+                "commit_latency_mean",
+                "commit_latency_p95",
+                "lease_acquisitions",
+                "lease_renewals",
+                "lease_expiries",
+                "local_reads",
+                "read_applies",
+                "local_read_ratio",
+                "lease_read_latency_mean",
+                "lease_read_latency_p95",
+            ),
+        ),
+    ),
+)
+
+#: drop probability of each ``lossy-replace-pNN`` scenario
+_LOSSY_REPLACE = {f"lossy-replace-p{round(p * 100):02d}": p for p in (0.05, 0.15, 0.30)}
+
+
+def _membership_change(seed: int, scenario: str) -> Dict[str, Any]:
+    """``replace-dead-replica``: the last replica of the first object's group
+    fail-stops, then a joint-consensus change swaps in a fresh one;
+    ``grow-group``: the group grows rf 3 → 5 mid-run, fault-free;
+    ``lossy-replace-pNN``: the replacement under uniform message loss."""
+    if scenario == "none":
+        return {}
+    if scenario == "grow-group":
+        plan, reconfig = grow_group_mid_run(_FIRST_OBJECT, 3)
+    else:
+        plan, reconfig = replace_dead_replica(_FIRST_OBJECT, 3, seed=seed)
+    if scenario in _LOSSY_REPLACE:
+        plan = replace(
+            plan,
+            name=scenario,
+            drops=DropPolicy(probability=_LOSSY_REPLACE[scenario], max_consecutive=4),
+            retry=RetryPolicy(timeout_steps=10, max_attempts=8),
+        )
+    return {"faults": plan, "reconfig": reconfig}
+
+
+#: what the membership grids share: three replicas per object, majority quorums
+_REPLICATED_CELL = {**_GRID_CELL, "replication_factor": 3, "quorum": "majority"}
+
+#: The reconfiguration grid: protocol × membership scenario.  Along the loss
+#: axis drops and retransmissions grow while ``total_messages`` (unique
+#: protocol messages) and the verdict columns stay put.
+RECONFIG = Suite(
+    name="reconfig",
+    protocols=("algorithm-a", "algorithm-b"),
+    seed=13,
+    axes={"scenario": ("none", "replace-dead-replica", "grow-group", *_LOSSY_REPLACE)},
+    shared=_REPLICATED_CELL,
+    vary=_membership_change,
+    columns=("max_read_rounds", "total_messages"),
+    blocks=(
+        ("faults", ("availability", "messages_dropped", "retransmissions")),
+        ("replication", ("replication_factor", "quorum")),
+        ("reconfig", None),
+    ),
+)
+
+
+def _self_healing(seed: int, scenario: str) -> Dict[str, Any]:
+    """``none``: the controller probes but must derive nothing;
+    ``auto-heal-dead-replica``: a replica fail-stops with no hand-authored
+    plan and the controller must restore full group strength on its own."""
+    if scenario == "none":
+        return {"controller": ControllerPolicy()}
+    plan, policy = auto_heal(_FIRST_OBJECT, 3, seed=seed)
+    return {"faults": plan, "controller": policy}
+
+
+#: The self-healing grid: protocol family × controller scenario.  s2pl is
+#: absent by design: its lock rounds block on a fail-stopped replica (giving
+#: up N is its defining property) whatever the membership machinery does.
+CONTROLLER = Suite(
+    name="controller",
+    protocols=(
         "algorithm-a",
         "algorithm-b",
         "algorithm-c",
@@ -775,134 +475,71 @@ def sweep_controller(
         "eiger",
         "naive-snow",
     ),
-    replication_factor: int = 3,
-    quorum: str = "majority",
-    num_readers: int = 2,
-    num_writers: int = 2,
-    num_objects: int = 2,
-    workload: Optional[WorkloadSpec] = None,
-    seed: int = 17,
-    check_properties: bool = True,
-) -> Dict[str, Dict[str, ExperimentResult]]:
-    """The self-healing grid: protocol family × controller scenario.
+    seed=17,
+    axes={"scenario": ("none", "auto-heal-dead-replica")},
+    shared=_REPLICATED_CELL,
+    vary=_self_healing,
+    columns=("max_read_rounds", "total_messages"),
+    blocks=(
+        ("faults", ("availability",)),
+        ("replication", ("replication_factor", "quorum")),
+        ("reconfig", None),
+        ("controller", None),
+    ),
+)
 
-    Two scenarios run per protocol at ``replication_factor=3`` + majority,
-    both with the rebalancing controller installed:
+#: the suites that own a ``BENCH_<name>.json``
+GRID_SUITES: Tuple[Suite, ...] = (
+    FAULTS, REPLICATION, FAILOVER, PERSIST, LEASE, RECONFIG, CONTROLLER
+)
 
-    * ``none`` — fault-free; the controller probes but derives nothing (its
-      zero-plan behaviour is itself an acceptance criterion);
-    * ``auto-heal-dead-replica`` — the last replica of the first object's
-      group fail-stops with **no hand-authored plan**; the controller must
-      detect it and restore full group strength autonomously.
+# ----------------------------------------------------------------------
+# The series suites (one axis, read through SuiteResult.series())
+# ----------------------------------------------------------------------
+_WRITER_COUNTS = (1, 2, 4, 6)
 
-    Returns ``{protocol: {scenario: result}}``.  The s2pl baseline is
-    excluded: its lock rounds block on a fail-stopped replica by design
-    (giving up N is its defining property), so dead-replica scenarios stall
-    regardless of membership machinery.
-    """
-    from ..consensus.controller import ControllerPolicy
-    from ..faults.scenarios import auto_heal
-    from ..txn.objects import object_names
+#: Algorithm C's reply sizes as concurrent WRITE transactions grow (the
+#: ``|W|`` bound of Figure 1(b) and Section 9).
+VERSIONS_VS_WRITERS = Suite(
+    name="versions vs writers",
+    protocols=("algorithm-c",),
+    seed=5,
+    axes={"writers": _WRITER_COUNTS},
+    shared=dict(
+        num_readers=1,
+        num_objects=3,
+        workload=WorkloadSpec(reads_per_reader=6, writes_per_writer=3, read_size=3, write_size=3),
+        scheduler="random",
+        check_properties=False,
+    ),
+    vary=lambda seed, writers: {"num_writers": writers},
+)
 
-    workload = workload or WorkloadSpec(
-        reads_per_reader=6, writes_per_writer=3, read_size=num_objects, write_size=num_objects, seed=seed
-    )
-    first_object = object_names(num_objects)[0]
-    plan, policy = auto_heal(first_object, replication_factor, seed=seed)
-    scenarios: Dict[str, Tuple[Optional[FaultPlan], Any]] = {
-        "none": (None, ControllerPolicy()),
-        "auto-heal-dead-replica": (plan, policy),
-    }
-    grid: Dict[str, Dict[str, ExperimentResult]] = {}
-    for protocol in protocols:
-        row: Dict[str, ExperimentResult] = {}
-        for scenario_name, (fault_plan, controller) in scenarios.items():
-            config = ExperimentConfig(
-                protocol=protocol,
-                num_readers=num_readers,
-                num_writers=num_writers,
-                num_objects=num_objects,
-                workload=workload,
-                scheduler="chaos",
-                seed=seed,
-                check_properties=check_properties,
-                faults=fault_plan,
-                replication_factor=replication_factor,
-                quorum=quorum,
-                controller=controller,
-            )
-            row[scenario_name] = run_experiment(config)
-        grid[protocol] = row
-    return grid
+#: The unbounded-round baseline's collect count as write contention grows,
+#: versus the constant two rounds of algorithm B and one of algorithms A/C.
+ROUNDS_VS_CONTENTION = Suite(
+    name="rounds vs contention",
+    protocols=("algorithm-b", "algorithm-c", "occ-double-collect"),
+    seed=13,
+    axes={"writers": _WRITER_COUNTS},
+    shared=dict(
+        num_readers=1,
+        workload=WorkloadSpec(reads_per_reader=6, writes_per_writer=4, read_size=2, write_size=2),
+        scheduler="random",
+        check_properties=False,
+    ),
+    vary=lambda seed, writers: {"num_writers": writers},
+)
 
-
-def controller_grid_rows(
-    grid: Mapping[str, Mapping[str, ExperimentResult]],
-) -> List[Dict[str, Any]]:
-    """Flatten a self-healing grid into JSON-ready rows.
-
-    One row per protocol × scenario, carrying the SNOW verdict,
-    availability, the controller accounting (probes, detections, derived
-    plans, time-to-heal, convergence) and the reconfiguration columns —
-    the machine-readable record tracked across PRs via
-    ``BENCH_controller.json``.
-    """
-    rows: List[Dict[str, Any]] = []
-    for protocol, cells in grid.items():
-        for scenario, result in cells.items():
-            metrics = result.metrics
-            faults = metrics.faults
-            row: Dict[str, Any] = {
-                "protocol": protocol,
-                "scenario": scenario,
-                "snow": result.property_string(),
-                "consistent": result.snow.satisfies_s if result.snow is not None else None,
-                "max_read_rounds": metrics.max_read_rounds(),
-                "total_messages": metrics.total_messages,
-            }
-            if faults is not None:
-                row["availability"] = round(faults.availability, 4)
-            else:
-                row["availability"] = 1.0
-            if metrics.replication is not None:
-                row["replication_factor"] = metrics.replication.replication_factor
-                row["quorum"] = metrics.replication.quorum
-            if metrics.reconfig is not None:
-                row.update(metrics.reconfig.as_dict())
-            if metrics.controller is not None:
-                row.update(metrics.controller.as_dict())
-            rows.append(row)
-    return rows
-
-
-def sweep_read_size(
-    protocols: Sequence[str] = ("simple-rw", "algorithm-a", "algorithm-b", "algorithm-c", "s2pl"),
-    read_sizes: Sequence[int] = (1, 2, 4, 6),
-    num_objects: int = 6,
-    scheduler: str = "fifo",
-    seed: int = 0,
-) -> Dict[str, SweepResult]:
-    """Read latency as the number of shards per READ transaction grows."""
-    sweeps: Dict[str, SweepResult] = {}
-    for protocol in protocols:
-        sweep = SweepResult(name=f"{protocol}: latency vs read fan-out", x_label="objects per read")
-        for size in read_sizes:
-            config = ExperimentConfig(
-                protocol=protocol,
-                num_readers=1 if protocol == "algorithm-a" else 2,
-                num_writers=2,
-                num_objects=num_objects,
-                workload=WorkloadSpec(
-                    reads_per_reader=5,
-                    writes_per_writer=3,
-                    read_size=size,
-                    write_size=min(2, num_objects),
-                    seed=seed,
-                ),
-                scheduler=scheduler,
-                seed=seed,
-                check_properties=False,
-            )
-            sweep.points.append(SweepPoint(x=size, result=run_experiment(config)))
-        sweeps[protocol] = sweep
-    return sweeps
+#: Read latency as READ transactions span more shards (algorithm A runs its
+#: single reader — the runner clamps it).
+READ_SIZE = Suite(
+    name="latency vs read fan-out",
+    protocols=("simple-rw", "algorithm-a", "algorithm-b", "algorithm-c", "s2pl"),
+    seed=0,
+    axes={"objects per read": (1, 2, 4, 6)},
+    shared=dict(num_objects=6, check_properties=False),
+    vary=lambda seed, size: {
+        "workload": WorkloadSpec(reads_per_reader=5, writes_per_writer=3, read_size=size, write_size=2)
+    },
+)

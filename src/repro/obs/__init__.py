@@ -46,7 +46,7 @@ from .monitor import (
     offline_lease_violations,
     watch_trace,
 )
-from .plane import ObservabilityPlane
+from .plane import ObservabilityPlane, derive_registry
 from .profiler import KernelProfiler
 from .registry import Counter, Gauge, Histogram, MetricsRegistry
 from .sampling import TraceMode, sampling_stats
@@ -75,6 +75,7 @@ __all__ = [
     "chrome_trace_json",
     "default_monitors",
     "derive_health",
+    "derive_registry",
     "derive_spans",
     "joint_quorums_intersect",
     "offline_lease_violations",

@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Any, Optional, Union
 
 from ..ioa.actions import Action, ActionKind
+from ..ioa.trace import Trace, TraceError
 from .health import HealthPlane, HealthView, SLOPolicy
 from .monitor import MonitorSuite
 from .profiler import KernelProfiler
@@ -171,3 +172,26 @@ class ObservabilityPlane:
             steps = self.simulation.steps_taken if self.simulation is not None else 0
             lines.append(self.profiler.report(steps=steps))
         return "\n".join(lines)
+
+
+def derive_registry(trace: Trace) -> MetricsRegistry:
+    """Post-mortem registry: replay a finished run's trace through a fresh
+    detached plane — what a live plane would have counted, for a run that
+    had none (the metric collectors' source; cache it per trace through
+    :meth:`Trace.derived`).  Kernel-side instruments that need the
+    simulation (channel classes, probe RTTs, mailbox depths) stay empty.
+
+    A partial record would give counters that are wrong, not merely
+    incomplete, so it is refused like :meth:`Trace.prefix` refuses it.
+    """
+    if not trace.is_full():
+        raise TraceError(
+            f"derive_registry() needs a full-mode trace (this one is "
+            f"{trace.mode.describe()}): counters replayed from the retained "
+            "records would miss every dropped one; run with observe=True so "
+            "a live plane counts each action as it is appended"
+        )
+    plane = ObservabilityPlane()
+    for action in trace:
+        plane.on_action(action)
+    return plane.registry

@@ -1,10 +1,12 @@
-"""The perf-trajectory rule of ``benchmarks/check_bench_regression.py``."""
+"""The row-identity and perf-trajectory rules of ``benchmarks/check_bench_regression.py``."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 BENCHMARKS = Path(__file__).resolve().parents[2] / "benchmarks"
 _spec = importlib.util.spec_from_file_location("check_bench_regression", BENCHMARKS / "check_bench_regression.py")
@@ -47,3 +49,52 @@ def test_the_committed_trajectory_is_exact():
     payload = json.loads((BENCHMARKS / "results" / "BENCH_perf.json").read_text(encoding="utf-8"))
     assert gate.simulated_column_drift(payload) == []
     assert {r["pr"] for r in payload["grid"]} >= {11, 12, 13}
+
+
+def test_rows_are_indexed_by_the_axes_the_payload_declares():
+    payload = {
+        "axes": ["protocol", "leases"],
+        "grid": [
+            {"protocol": "algorithm-b", "leases": "none", "availability": 1.0},
+            {"protocol": "algorithm-b", "leases": "leased", "availability": 0.5},
+        ],
+    }
+    indexed = gate.index_rows(payload, "BENCH_x.json")
+    assert len(indexed) == 2
+    key = (("protocol", "algorithm-b"), ("leases", "leased"))
+    assert indexed[key]["availability"] == 0.5
+
+
+def test_an_axis_a_row_omits_takes_the_payloads_value():
+    payload = {"axes": ["workload", "seed"], "seed": 17, "grid": [row(13), row(13, seed=3)]}
+    assert set(gate.index_rows(payload, "BENCH_perf.json")) == {
+        (("workload", "chaos"), ("seed", 17)),
+        (("workload", "chaos"), ("seed", 3)),
+    }
+
+
+def test_a_payload_without_axes_fails_loudly():
+    with pytest.raises(ValueError, match="BENCH_x.json declares no 'axes'"):
+        gate.index_rows({"grid": [{"protocol": "algorithm-b"}]}, "BENCH_x.json")
+
+
+def test_two_rows_with_one_identity_fail_loudly():
+    """A suite that gained an axis its file does not declare: last-write-wins
+    would keep one row and hide whichever of the two regressed."""
+    payload = {
+        "axes": ["protocol", "scenario"],
+        "grid": [
+            {"protocol": "algorithm-b", "scenario": "none", "leases": "none"},
+            {"protocol": "algorithm-b", "scenario": "none", "leases": "leased"},
+        ],
+    }
+    with pytest.raises(ValueError, match="two rows share the identity.*'scenario': 'none'"):
+        gate.index_rows(payload, "BENCH_x.json")
+
+
+def test_every_committed_file_declares_a_unique_identity():
+    files = sorted((BENCHMARKS / "results").glob("BENCH_*.json"))
+    assert len(files) >= 10
+    for path in files:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert len(gate.index_rows(payload, path.name)) == len(payload["grid"]), path.name

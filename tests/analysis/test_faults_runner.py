@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis import (
     ExperimentConfig,
     WorkloadSpec,
-    fault_grid_rows,
     make_scheduler,
     run_experiment,
+    run_suite,
     scheduler_names,
-    sweep_fault_grid,
+    suite_rows,
 )
+from repro.analysis.sweep import FAULTS
 from repro.faults import ChaosScheduler, FaultPlan, fail_stop, lossy_network
 
 
@@ -109,15 +112,16 @@ class TestRunnerWithFaults:
         assert slow_lat.mean > base_lat.mean + 40
 
 
+def fault_suite(*protocols):
+    """The chaos grid on this module's workload and seed."""
+    return replace(
+        FAULTS, protocols=protocols, seed=5, shared={**FAULTS.shared, "workload": WORKLOAD}
+    )
+
+
 class TestFaultGrid:
     def test_grid_shape_and_rows(self):
-        grid = sweep_fault_grid(
-            protocols=("simple-rw", "algorithm-b"),
-            num_objects=2,
-            workload=WORKLOAD,
-            seed=5,
-        )
-        rows = fault_grid_rows(grid)
+        rows = suite_rows(run_suite(fault_suite("simple-rw", "algorithm-b")))
         protocols = {row["protocol"] for row in rows}
         scenarios = {row["scenario"] for row in rows}
         assert protocols == {"simple-rw", "algorithm-b"}
@@ -127,6 +131,6 @@ class TestFaultGrid:
             assert "availability" in row and "snow" in row
 
     def test_default_crash_scenario_targets_a_real_server(self):
-        grid = sweep_fault_grid(protocols=("simple-rw",), num_objects=2, workload=WORKLOAD, seed=5)
-        crash_row = [r for r in fault_grid_rows(grid) if r["scenario"] == "crash-recover"][0]
+        rows = suite_rows(run_suite(fault_suite("simple-rw")))
+        crash_row = [r for r in rows if r["scenario"] == "crash-recover"][0]
         assert crash_row["crashes"] == 1  # the crash actually happened

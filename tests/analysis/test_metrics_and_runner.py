@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -21,10 +22,9 @@ from repro.analysis import (
     percentile,
     run_experiment,
     run_many,
-    sweep_read_size,
-    sweep_rounds_vs_contention,
-    sweep_versions_vs_writers,
+    run_suite,
 )
+from repro.analysis.sweep import READ_SIZE, ROUNDS_VS_CONTENTION, VERSIONS_VS_WRITERS
 from repro.ioa import FIFOScheduler, LIFOScheduler, RandomScheduler
 from tests.conftest import build_system, run_simple_workload
 
@@ -161,21 +161,40 @@ class TestReporting:
 
 class TestSweeps:
     def test_versions_vs_writers_sweep_is_monotone_ish(self):
-        sweep = sweep_versions_vs_writers(writer_counts=(1, 3), writes_per_writer=3, reads_per_reader=4)
+        suite = replace(
+            VERSIONS_VS_WRITERS,
+            seed=1,
+            axes={"writers": (1, 3)},
+            shared={
+                **VERSIONS_VS_WRITERS.shared,
+                "workload": WorkloadSpec(reads_per_reader=4, writes_per_writer=3, read_size=3, write_size=3),
+            },
+        )
+        (sweep,) = run_suite(suite).series().values()
         series = sweep.max_versions_series()
         assert len(series) == 2
         assert series[1][1] >= series[0][1]
 
     def test_rounds_vs_contention_sweep_shapes(self):
-        sweeps = sweep_rounds_vs_contention(
-            protocols=("algorithm-b", "occ-double-collect"), writer_counts=(1, 3)
+        suite = replace(
+            ROUNDS_VS_CONTENTION,
+            protocols=("algorithm-b", "occ-double-collect"),
+            seed=2,
+            axes={"writers": (1, 3)},
         )
+        sweeps = run_suite(suite).series()
         b_rounds = dict(sweeps["algorithm-b"].max_rounds_series())
         occ_rounds = dict(sweeps["occ-double-collect"].max_rounds_series())
         assert set(b_rounds.values()) == {2}
         assert occ_rounds[3] >= occ_rounds[1] >= 2
 
     def test_read_size_sweep_includes_all_protocols(self):
-        sweeps = sweep_read_size(protocols=("simple-rw", "algorithm-b"), read_sizes=(1, 2), num_objects=3)
+        suite = replace(
+            READ_SIZE,
+            protocols=("simple-rw", "algorithm-b"),
+            axes={"objects per read": (1, 2)},
+            shared={**READ_SIZE.shared, "num_objects": 3},
+        )
+        sweeps = run_suite(suite).series()
         assert set(sweeps) == {"simple-rw", "algorithm-b"}
         assert len(sweeps["simple-rw"].mean_read_latency_series()) == 2

@@ -1,6 +1,6 @@
 """Consensus-under-chaos grids (ROADMAP open item).
 
-``sweep_consensus_factor``-style executions crossed with the fault scenario
+failover-suite-style executions crossed with the fault scenario
 library — message loss, a partition isolating one member, crash-with-amnesia
 of a member and of the leader — across ≥5 seeds, asserting the safety
 invariants (via the shared checker in ``tests/invariants.py``) and full

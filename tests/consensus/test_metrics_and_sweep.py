@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.analysis import (
     ExperimentConfig,
     WorkloadSpec,
-    consensus_grid_rows,
     run_experiment,
-    sweep_consensus_factor,
+    run_suite,
+    suite_rows,
 )
+from repro.analysis.sweep import FAILOVER
 from repro.faults import coordinator_failover
 
 
@@ -54,13 +57,13 @@ def test_consensus_metrics_under_failover():
     assert metrics.leader_elected_at  # vtimes recorded for window analysis
 
 
-def test_sweep_consensus_factor_rows_tell_the_story():
-    grid = sweep_consensus_factor(
+def test_failover_suite_rows_tell_the_story():
+    suite = replace(
+        FAILOVER,
         protocols=("algorithm-b",),
-        factors=(1, 3),
-        workload=WorkloadSpec(reads_per_reader=4, writes_per_writer=2, seed=11),
+        shared={**FAILOVER.shared, "workload": WorkloadSpec(reads_per_reader=4, writes_per_writer=2)},
     )
-    rows = consensus_grid_rows(grid)
+    rows = suite_rows(run_suite(suite))
     cells = {(r["consensus_factor"], r["scenario"]): r for r in rows}
     assert set(cells) == {(1, "none"), (1, "crash-leader"), (3, "none"), (3, "crash-leader")}
 

@@ -1,9 +1,12 @@
 """The plane's registry agrees with the trace it observed.
 
-The analysis collectors read the registry when a plane is present and walk
-the trace otherwise; these tests pin the two paths to *equal* results on
-the very same simulation — the registry is a cache of the trace, never a
-second source of truth.
+The analysis collectors have one source, a metrics registry: the live
+plane's when the run had one, else the same registry *replayed* from the
+retained trace through a detached plane
+(:func:`repro.obs.derive_registry`).  These tests pin the two to equal
+blocks on the very same simulation — what a live plane counted is what a
+replay of its trace counts, so a block never depends on whether the run was
+observed — and the kernel-side counters to the trace they were fed from.
 """
 
 from __future__ import annotations
@@ -26,14 +29,14 @@ def chaos_fifo():
 
 
 def both_collector_paths(collector, simulation, *extra):
-    """Run a gated collector through the registry path and the walk path."""
-    from_registry = collector(simulation, *extra)
+    """Run a collector off the live registry, then off the replayed one."""
+    live = collector(simulation, *extra)
     plane, simulation.obs = simulation.obs, None
     try:
-        from_walk = collector(simulation, *extra)
+        replayed = collector(simulation, *extra)
     finally:
         simulation.obs = plane
-    return from_registry, from_walk
+    return live, replayed
 
 
 def test_kernel_event_counters_match_the_trace():
@@ -92,19 +95,18 @@ def test_consensus_block_from_registry_equals_trace_walk():
         consensus_factor=3,
         run_to_completion=False,
     )
-    from_registry, from_walk = both_collector_paths(
+    live, replayed = both_collector_paths(
         _collect_consensus_metrics, handle.simulation
     )
-    assert from_registry is not None
-    assert from_registry == from_walk
-    assert from_registry.entries_applied > 0
+    assert live is not None
+    assert live == replayed
+    assert live.entries_applied > 0
 
 
 def test_consensus_block_parity_holds_with_leases_on():
-    """The lease counters and the read-latency histogram extend *both*
-    collector paths identically: a leased run's consensus block from the
-    registry equals the one from the trace walk, and the lease activity is
-    really in it."""
+    """The lease counters and the read-latency histogram are in the live and
+    the replayed registry alike: a leased run's consensus block is the same
+    from either, and the lease activity is really in it."""
     handle, _plane = run_observed(
         "algorithm-b",
         scheduler=chaos_fifo(),
@@ -113,15 +115,15 @@ def test_consensus_block_parity_holds_with_leases_on():
         leases=True,
         run_to_completion=False,
     )
-    from_registry, from_walk = both_collector_paths(
+    live, replayed = both_collector_paths(
         _collect_consensus_metrics, handle.simulation
     )
-    assert from_registry is not None
-    assert from_registry == from_walk
-    assert from_registry.lease_acquisitions >= 1
-    assert from_registry.local_reads >= 1
-    assert from_registry.lease_read_latency.count == from_registry.local_reads
-    assert from_registry.local_read_ratio == 1.0  # every read served locally
+    assert live is not None
+    assert live == replayed
+    assert live.lease_acquisitions >= 1
+    assert live.local_reads >= 1
+    assert live.lease_read_latency.count == live.local_reads
+    assert live.local_read_ratio == 1.0  # every read served locally
 
 
 def test_controller_block_from_registry_equals_trace_walk():
@@ -136,15 +138,15 @@ def test_controller_block_from_registry_equals_trace_walk():
         controller=policy,
         run_to_completion=False,
     )
-    from_registry, from_walk = both_collector_paths(
+    live, replayed = both_collector_paths(
         _collect_controller_metrics, handle.simulation, handle.directory
     )
-    assert from_registry is not None
-    assert from_registry == from_walk
-    assert from_registry.healed >= 1  # the scenario's whole point
+    assert live is not None
+    assert live == replayed
+    assert live.healed >= 1  # the scenario's whole point
     # probe RTTs: one observation per delivered ack, all non-negative
     rtts = plane.registry.histogram_values("controller.probe_rtt")
-    assert len(rtts) == from_registry.acks
+    assert len(rtts) == live.acks
     assert all(value >= 0 for value in rtts)
 
 

@@ -230,6 +230,42 @@ def test_run_experiment_refuses_property_checks_on_partial_records():
     assert len(result.metrics.transactions) > 0
 
 
+def test_consensus_block_under_a_ring_is_exact_or_refused():
+    """Algorithm B at cf=3 under ``ring(64)``: with a plane the consensus
+    block equals the full-trace run's; without one there is no exact source
+    left (the ring forgot most ``apply`` actions — counting the retained ones
+    used to report 5 applied entries of 54), so the runner refuses up front
+    and the replay helper refuses on its own."""
+    from dataclasses import replace
+
+    from repro.analysis import ExperimentConfig, WorkloadSpec, run_experiment
+
+    full = ExperimentConfig(
+        protocol="algorithm-b",
+        consensus_factor=3,
+        scheduler="chaos",
+        seed=11,
+        workload=WorkloadSpec(reads_per_reader=6, writes_per_writer=3, read_size=2, write_size=2, seed=11),
+        check_properties=False,
+    )
+    expected = run_experiment(full).metrics.consensus
+    assert expected.entries_applied == expected.commit_latency.count == 54
+
+    ring = replace(full, trace_mode=TraceMode.ring(64))
+    assert run_experiment(replace(ring, observe=True)).metrics.consensus == expected
+    with pytest.raises(ValueError, match="observe=True"):
+        run_experiment(ring)
+
+    from repro.analysis.metrics import collect_metrics
+    from repro.obs import derive_registry
+
+    handle = run_mode(TraceMode.ring(64), consensus_factor=3)
+    with pytest.raises(TraceError, match="observe=True"):
+        derive_registry(handle.simulation.trace)
+    with pytest.raises(TraceError, match="full-mode"):
+        collect_metrics(handle.simulation, protocol_name="algorithm-b")
+
+
 def test_sampling_stats_partitions_total_appended():
     from repro.obs import sampling_stats
 

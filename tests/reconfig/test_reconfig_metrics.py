@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis import (
     ExperimentConfig,
     ReconfigMetrics,
     WorkloadSpec,
-    reconfig_grid_rows,
     run_experiment,
-    sweep_reconfig,
+    run_suite,
+    suite_rows,
 )
+from repro.analysis.sweep import RECONFIG
 from repro.faults import grow_group_mid_run, replace_dead_replica
 
 
@@ -90,14 +93,14 @@ class TestReconfigMetrics:
 class TestSweep:
     @pytest.fixture(scope="class")
     def grid(self):
-        return sweep_reconfig(
-            protocols=("algorithm-b",),
-            workload=WorkloadSpec(reads_per_reader=4, writes_per_writer=2, read_size=2, write_size=2, seed=13),
+        workload = WorkloadSpec(reads_per_reader=4, writes_per_writer=2, read_size=2, write_size=2)
+        return run_suite(
+            replace(RECONFIG, protocols=("algorithm-b",), shared={**RECONFIG.shared, "workload": workload})
         )
 
     def test_grid_shape(self, grid):
-        assert set(grid) == {"algorithm-b"}
-        assert set(grid["algorithm-b"]) == {
+        assert {protocol for protocol, _scenario in grid.cells} == {"algorithm-b"}
+        assert {scenario for _protocol, scenario in grid.cells} == {
             "none",
             "replace-dead-replica",
             "grow-group",
@@ -107,7 +110,7 @@ class TestSweep:
         }
 
     def test_rows_carry_reconfig_columns(self, grid):
-        rows = reconfig_grid_rows(grid)
+        rows = suite_rows(grid)
         by_scenario = {r["scenario"]: r for r in rows}
         assert "epochs" not in by_scenario["none"]
         assert by_scenario["replace-dead-replica"]["epochs"] == 2
@@ -115,7 +118,7 @@ class TestSweep:
 
     def test_acceptance_row(self, grid):
         """The acceptance criteria of the reconfiguration layer, as data."""
-        rows = reconfig_grid_rows(grid)
+        rows = suite_rows(grid)
         by_scenario = {r["scenario"]: r for r in rows}
         replaced = by_scenario["replace-dead-replica"]
         assert replaced["availability"] == 1.0

@@ -10,9 +10,12 @@ experiments showed; the contrast is the point.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.analysis import replication_grid_rows, sweep_replication_factor
+from repro.analysis import run_suite, suite_rows
+from repro.analysis.sweep import REPLICATION
 from repro.faults import ChaosScheduler, FaultInjector, FaultPlan
 from repro.faults.plan import CrashEvent
 from repro.ioa import FIFOScheduler
@@ -91,8 +94,12 @@ def test_algorithm_a_survives_even_a_primary_crash():
 
 def test_replication_sweep_grid_shape_and_story():
     """The sweep emits machine-readable rf × scenario rows with the story."""
-    grid = sweep_replication_factor(protocols=("algorithm-b",), factors=(1, 3))
-    rows = replication_grid_rows(grid)
+    suite = replace(
+        REPLICATION,
+        protocols=("algorithm-b",),
+        axes={**REPLICATION.axes, "replication_factor": (1, 3)},
+    )
+    rows = suite_rows(run_suite(suite))
     cells = {(r["replication_factor"], r["scenario"]): r for r in rows}
     assert set(cells) == {(1, "none"), (1, "crash-replica"), (3, "none"), (3, "crash-replica")}
     assert cells[(1, "crash-replica")]["availability"] < 1.0
