@@ -36,6 +36,12 @@ transaction, completed share) are exact at a fixed seed, so within one
 workload every row measured at the same seed must carry identical values —
 a PR that only claims speed and moved one of them did not only change speed
 (ROADMAP item 1(c): deterministic cost columns are gated for equality).
+And committed evidence is a gate on speed too: a row that carries a
+``parent`` block (the parent commit as re-measured in the same alternating
+campaign) fails when one of its host columns — the end-to-end metrics of
+``BENCHMARK.json`` that are not simulated: ``setup_s``, ``txns_per_s``,
+``experiment_s``, ``peak_rss_mb`` — is worse than the parent's by more than
+that metric's ``bound`` there.
 
 Usage: ``python benchmarks/check_bench_regression.py`` from the repo root
 (or anywhere inside the repository — paths are derived from this file).
@@ -99,6 +105,41 @@ def simulated_column_drift(payload: Dict[str, Any]) -> List[str]:
     return problems
 
 
+def host_bounds() -> Dict[str, Tuple[str, float]]:
+    """``column -> (better, bound)`` for the host-clock end-to-end metrics,
+    as ``BENCHMARK.json`` declares them."""
+    spec = json.loads((REPO_ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return {
+        metric["name"]: (metric["better"], metric["bound"])
+        for metric in spec["end_to_end"]
+        if metric["name"] not in SIMULATED_COLUMNS
+    }
+
+
+def host_column_regressions(
+    payload: Dict[str, Any], bounds: Dict[str, Tuple[str, float]]
+) -> List[str]:
+    """Rows whose host columns are worse than their own ``parent`` block's by
+    more than the metric's bound (relative to the parent's value)."""
+    problems: List[str] = []
+    for row in payload.get("grid", []):
+        parent = row.get("parent")
+        if parent is None:
+            continue
+        for column, (better, bound) in bounds.items():
+            before, after = parent.get(column), row.get(column)
+            if not isinstance(before, (int, float)) or not isinstance(after, (int, float)) or before <= 0:
+                continue
+            worse = (after - before) / before if better == "lower" else (before - after) / before
+            if worse > bound:
+                problems.append(
+                    f"PR {row.get('pr')} workload {row.get('workload')!r} seed "
+                    f"{row.get('seed', payload.get('seed'))}: {column} {before!r} -> {after!r} is "
+                    f"{worse:.0%} worse than its parent ({better} is better, bound {bound:.0%})"
+                )
+    return problems
+
+
 def committed_version(path: Path) -> Optional[Dict[str, Any]]:
     """The file's content at HEAD, or None when it is new there."""
     rel = path.relative_to(REPO_ROOT).as_posix()
@@ -159,6 +200,9 @@ def main() -> int:
         current = json.loads(path.read_text(encoding="utf-8"))
         if path.name == "BENCH_perf.json":
             failures.extend(f"{path.name} {problem}" for problem in simulated_column_drift(current))
+            failures.extend(
+                f"{path.name} {problem}" for problem in host_column_regressions(current, host_bounds())
+            )
         try:
             new_rows = index_rows(current, path.name)
             baseline = committed_version(path)

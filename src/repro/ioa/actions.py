@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
@@ -65,34 +66,78 @@ class ActionKind(enum.Enum):
         return self in (ActionKind.SEND, ActionKind.RESPOND)
 
 
-_message_counter = itertools.count()
+#: ids of messages built outside a kernel (unit tests, proofs): a
+#: ``Simulation`` numbers its own from zero, these count down from -1
+_message_counter = itertools.count(-1, -1)
+
+Items = Tuple[Tuple[str, Any], ...]
 
 
-def _freeze_payload(payload: Mapping[str, Any]) -> Tuple[Tuple[str, Any], ...]:
+def _freeze_value(value: Any) -> Any:
+    if isinstance(value, list):
+        return tuple(value)
+    if isinstance(value, set):
+        return frozenset(value)
+    return tuple(sorted(value.items())) if isinstance(value, dict) else value
+
+
+def _freeze_payload(payload: Mapping[str, Any]) -> Items:
     """Freeze a payload mapping into a sorted tuple of items.
 
     Values are left untouched (they may be tuples, frozensets, numbers or
-    strings); mutable values are tolerated but discouraged because they break
-    hashability of the message.
+    strings) unless one is a ``list``/``set``/``dict`` (or a subclass) —
+    rare, so the per-value pass runs only when a probe finds one.
     """
     if not payload:
         return ()
     # Keys are unique, so sorting the items never compares values.
-    items = sorted(payload.items())
-    for i, (key, value) in enumerate(items):
+    items = tuple(sorted(payload.items()))
+    for _, value in items:
         if isinstance(value, (list, set, dict)):
-            if isinstance(value, list):
-                value = tuple(value)
-            elif isinstance(value, set):
-                value = frozenset(value)
-            else:
-                value = tuple(sorted(value.items()))
-            items[i] = (key, value)
-    return tuple(items)
+            return tuple((key, _freeze_value(value)) for key, value in items)
+    return items
 
 
-@dataclass(frozen=True)
-class Message:
+class FrozenRecord:
+    """Base of the per-event records: a frozen dataclass (same ``==``,
+    ``hash``, ``repr``; assignment and deletion raise) without the instance
+    ``__dict__`` and the generated ``__init__`` — a full trace keeps every
+    record, so their construction and the GC's walk over them are hot.  A
+    subclass names its fields in ``__slots__``, sets ``_fields`` to their
+    ``attrgetter`` and fills them in ``__init__`` through :func:`slot_setters`.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields(self) == self._fields(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        values = zip(self.__slots__, self._fields(self))
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in values)})"
+
+    def __reduce__(self):
+        return (type(self), self._fields(self))
+
+
+def slot_setters(cls: type):
+    """The ``__set__`` of each slot of ``cls``: how a record's own ``__init__``
+    (and nothing else but ``Trace._store``) writes its fields."""
+    return (getattr(cls, name).__set__ for name in cls.__slots__)
+
+
+class Message(FrozenRecord):
     """A single message in flight between two automata.
 
     Attributes
@@ -106,21 +151,26 @@ class Message:
     items:
         Frozen payload as a tuple of ``(key, value)`` pairs.
     msg_id:
-        Globally unique identifier assigned at construction; used by the
-        kernel to match ``send`` and ``recv`` actions of the same message and
-        by adversary scripts to refer to specific messages.
+        Identifier unique within one simulation, passed in by the kernel
+        (``None``, a message built outside one, draws a negative id); used
+        to match ``send`` and ``recv`` actions of the same message and by
+        adversary scripts to refer to specific messages.
     """
 
-    msg_type: str
-    src: str
-    dst: str
-    items: Tuple[Tuple[str, Any], ...] = ()
-    msg_id: int = field(default_factory=lambda: next(_message_counter))
+    __slots__ = ("msg_type", "src", "dst", "items", "msg_id")
+    _fields = attrgetter(*__slots__)
+
+    def __init__(self, msg_type: str, src: str, dst: str, items: Items = (), msg_id: Optional[int] = None) -> None:
+        _set_msg_type(self, msg_type)
+        _set_src(self, src)
+        _set_dst(self, dst)
+        _set_items(self, items)
+        _set_msg_id(self, next(_message_counter) if msg_id is None else msg_id)
 
     @classmethod
     def make(cls, msg_type: str, src: str, dst: str, payload: Optional[Mapping[str, Any]] = None) -> "Message":
         """Construct a message, freezing ``payload``."""
-        return cls(msg_type=msg_type, src=src, dst=dst, items=_freeze_payload(payload or {}))
+        return cls(msg_type, src, dst, _freeze_payload(payload or {}))
 
     @property
     def payload(self) -> Mapping[str, Any]:
@@ -148,8 +198,10 @@ class Message:
         return self.describe()
 
 
-@dataclass(frozen=True)
-class Action:
+_set_msg_type, _set_src, _set_dst, _set_items, _set_msg_id = slot_setters(Message)
+
+
+class Action(FrozenRecord):
     """One step of an execution.
 
     ``index`` is the position of the action in the global trace (assigned by
@@ -159,11 +211,17 @@ class Action:
     interesting data lives in ``info``.
     """
 
-    kind: ActionKind
-    actor: str
-    message: Optional[Message] = None
-    info: Tuple[Tuple[str, Any], ...] = ()
-    index: int = -1
+    __slots__ = ("kind", "actor", "message", "info", "index")
+    _fields = attrgetter(*__slots__)
+
+    def __init__(
+        self, kind: ActionKind, actor: str, message: Optional[Message] = None, info: Items = (), index: int = -1
+    ) -> None:
+        _set_kind(self, kind)
+        _set_actor(self, actor)
+        _set_message(self, message)
+        _set_info(self, info)
+        _set_index(self, index)
 
     @classmethod
     def make(
@@ -174,7 +232,7 @@ class Action:
         info: Optional[Mapping[str, Any]] = None,
         index: int = -1,
     ) -> "Action":
-        return cls(kind=kind, actor=actor, message=message, info=_freeze_payload(info or {}), index=index)
+        return cls(kind, actor, message, _freeze_payload(info or {}), index)
 
     @property
     def info_map(self) -> Mapping[str, Any]:
@@ -192,7 +250,7 @@ class Action:
 
     def with_index(self, index: int) -> "Action":
         """Return a copy of the action positioned at ``index``."""
-        return Action(kind=self.kind, actor=self.actor, message=self.message, info=self.info, index=index)
+        return Action(self.kind, self.actor, self.message, self.info, index)
 
     def is_external(self) -> bool:
         return self.kind.is_external()
@@ -230,6 +288,9 @@ class Action:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.describe()
+
+
+_set_kind, _set_actor, _set_message, _set_info, _set_index = slot_setters(Action)
 
 
 def send_action(message: Message, info: Optional[Mapping[str, Any]] = None) -> Action:

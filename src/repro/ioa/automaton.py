@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Mapping, Optional, Sequence, Tuple
 
-from .actions import Message
+from .actions import Items, Message
 from .errors import SessionError
 
 
@@ -319,6 +319,8 @@ class SessionState:
     sends: int = 0
     finished: bool = False
     result: Any = None
+    #: the info shared by every ``recv`` action this session collects
+    recv_info: Items = ()
 
     def matches(self, message: Message) -> bool:
         if self.pending_await is None:

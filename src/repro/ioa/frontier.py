@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import heapq
 from bisect import insort
-from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .scheduler import PendingDelivery, PendingEvent, PendingInvocation, PendingTimeout
@@ -153,7 +152,7 @@ class EventFrontier:
         current = self._deliveries.get(seq)
         if current is None or current.flight:
             return delivery
-        stamped = replace(current, flight=flight)
+        stamped = PendingDelivery(current.message, seq, current.ready_at, flight)
         self._deliveries[seq] = stamped
         self._flights.setdefault(flight, []).append(seq)
         return stamped

@@ -55,6 +55,11 @@ class Topology:
     allow_server_to_server: bool = True
     extra_forbidden: FrozenSet[Tuple[str, str]] = field(default_factory=frozenset)
 
+    def __setattr__(self, name: str, value: Any) -> None:
+        object.__setattr__(self, name, value)
+        if not name.startswith("_"):  # a rule changed: forget the pairs cleared under the old ones
+            object.__setattr__(self, "_cleared", set())
+
     def __post_init__(self) -> None:
         self._kinds: Dict[str, str] = {}
         self._replica_groups: Dict[str, Tuple[str, ...]] = {}
@@ -69,6 +74,7 @@ class Topology:
         """Record the kind of a named automaton (called by the kernel)."""
         self._kinds[automaton.name] = automaton.kind
         self._removed_kinds.pop(automaton.name, None)
+        self._cleared.clear()
 
     def unregister(self, name: str) -> None:
         """Forget a retired automaton (the reconfiguration layer's removal).
@@ -85,6 +91,7 @@ class Topology:
             raise UnknownProcessError(name)
         self._removed_kinds[name] = self._kinds[name]
         del self._kinds[name]
+        self._cleared.clear()
         self._replica_groups = {
             obj: tuple(s for s in group if s != name)
             for obj, group in self._replica_groups.items()
@@ -165,7 +172,11 @@ class Topology:
 
     # ------------------------------------------------------------------
     def check_send(self, src: str, dst: str) -> None:
-        """Raise if a send from ``src`` to ``dst`` violates the topology."""
+        """Raise if a send from ``src`` to ``dst`` violates the topology (the
+        kernel asks on every send: a pair that passed is remembered until the
+        membership or a rule changes)."""
+        if (src, dst) in self._cleared:
+            return
         if src not in self._kinds:
             raise UnknownProcessError(src)
         if dst not in self._kinds:
@@ -184,6 +195,7 @@ class Topology:
             raise CommunicationNotAllowedError(
                 src, dst, "server-to-server communication is disallowed in this setting"
             )
+        self._cleared.add((src, dst))
 
     def allows(self, src: str, dst: str) -> bool:
         """Boolean form of :meth:`check_send`."""

@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .actions import Message
+from .actions import FrozenRecord, Message, slot_setters
 from .errors import SchedulerError
 
 
-@dataclass(frozen=True)
-class PendingDelivery:
+class PendingDelivery(FrozenRecord):
     """A sent-but-not-yet-delivered message.
 
     ``ready_at`` is a virtual-time stamp (in kernel steps) assigned by an
@@ -44,15 +44,22 @@ class PendingDelivery:
     unless a protocol explicitly opted into batching — means unbatched.
     """
 
-    message: Message
-    enqueued_at: int
-    ready_at: int = 0
-    flight: int = 0
+    __slots__ = ("message", "enqueued_at", "ready_at", "flight")
+    _fields = attrgetter(*__slots__)
+
+    def __init__(self, message: Message, enqueued_at: int, ready_at: int = 0, flight: int = 0) -> None:
+        _set_message(self, message)
+        _set_enqueued_at(self, enqueued_at)
+        _set_ready_at(self, ready_at)
+        _set_flight(self, flight)
 
     def describe(self) -> str:
         when = f", ready @{self.ready_at}" if self.ready_at else ""
         grouped = f", flight #{self.flight}" if self.flight else ""
         return f"deliver {self.message.describe()} (enqueued @{self.enqueued_at}{when}{grouped})"
+
+
+_set_message, _set_enqueued_at, _set_ready_at, _set_flight = slot_setters(PendingDelivery)
 
 
 @dataclass(frozen=True)

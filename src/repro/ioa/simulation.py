@@ -36,12 +36,12 @@ from typing import Any, Deque, Dict, Iterable, List, Mapping, Optional, Sequence
 from .actions import (
     Action,
     ActionKind,
+    Items,
     Message,
+    _freeze_payload,
     internal_action,
     invoke_action,
-    recv_action,
     respond_action,
-    send_action,
 )
 from .automaton import (
     Automaton,
@@ -94,6 +94,8 @@ class TransactionRecord:
     #: so "latency under fault" must be measured on this clock instead.
     invoke_vtime: Optional[int] = None
     respond_vtime: Optional[int] = None
+    #: transaction ids that must have responded before this one is invoked
+    after: Tuple[Any, ...] = ()
 
     @property
     def complete(self) -> bool:
@@ -118,13 +120,6 @@ class TransactionRecord:
     def describe(self) -> str:
         status = "complete" if self.complete else ("running" if self.invoked else "queued")
         return f"{self.txn_id} @ {self.client}: {status}, rounds={self.rounds}, result={self.result!r}"
-
-
-@dataclass
-class _QueuedTransaction:
-    txn: Any
-    txn_id: Any
-    after: Tuple[Any, ...] = ()
 
 
 class Simulation:
@@ -172,7 +167,7 @@ class Simulation:
         #: idle-advanced clock for timer ripeness when no fault plane is
         #: installed (see :meth:`now`); never moves backwards.
         self._timeout_clock = 0
-        self._client_queues: Dict[str, Deque[_QueuedTransaction]] = {}
+        self._client_queues: Dict[str, Deque[TransactionRecord]] = {}
         #: client -> registration index; ready invocations are presented in
         #: this order (= the old per-step iteration over ``_client_queues``).
         self._client_order: Dict[str, int] = {}
@@ -189,6 +184,11 @@ class Simulation:
         self._txn_order: List[Any] = []
         self._txn_counter = itertools.count(1)
         self._enqueue_counter = itertools.count(1)
+        #: message ids are a function of the simulation, not the interpreter
+        self._msg_ids = itertools.count()
+        #: the info of ``send`` actions, ``(("phase", p),)``: one shared tuple
+        #: per phase label (a few literals) instead of one per message
+        self._phase_info: Dict[str, Items] = {"": ()}
         #: fan-out batching (flights): open collectors capturing deliveries
         #: enqueued inside a ``flight_scope``; ids come from the counter.
         self._flight_counter = itertools.count(1)
@@ -304,11 +304,11 @@ class Simulation:
             txn_id = f"T{next(self._txn_counter)}"
         if txn_id in self._records:
             raise WellFormednessError(f"transaction id {txn_id!r} submitted twice")
-        record = TransactionRecord(txn_id=txn_id, txn=txn, client=client, submitted_at=next(self._enqueue_counter))
+        record = TransactionRecord(txn_id, txn, client, next(self._enqueue_counter), after=tuple(after))
         self._records[txn_id] = record
         self._txn_order.append(txn_id)
         queue = self._client_queues[client]
-        queue.append(_QueuedTransaction(txn=txn, txn_id=txn_id, after=tuple(after)))
+        queue.append(record)
         if len(queue) == 1:
             self._watch_head(client)
         # A head waiting on this (previously unknown, hence trivially
@@ -518,9 +518,7 @@ class Simulation:
         ``ready_at`` is the virtual-time stamp honoured by latency-aware
         schedulers; the reliable path always uses ``0``.
         """
-        delivery = PendingDelivery(
-            message=message, enqueued_at=next(self._enqueue_counter), ready_at=ready_at
-        )
+        delivery = PendingDelivery(message, next(self._enqueue_counter), ready_at)
         self._frontier.add_delivery(delivery)
         if self._flight_collectors:
             self._flight_collectors[-1].append(delivery)
@@ -620,9 +618,12 @@ class Simulation:
         self, src: str, dst: str, msg_type: str, payload: Mapping[str, Any], phase: str = ""
     ) -> Message:
         self.topology.check_send(src, dst)
-        message = Message.make(msg_type, src, dst, payload)
-        info = {"phase": phase} if phase else None
-        self.trace.append(send_action(message, info))
+        message = Message(msg_type, src, dst, _freeze_payload(payload), next(self._msg_ids))
+        try:
+            info = self._phase_info[phase]
+        except KeyError:
+            info = self._phase_info[phase] = (("phase", phase),)
+        self.trace.append(Action(ActionKind.SEND, src, message, info))
         if self.fault_plane is None:
             self.enqueue_delivery(message)
         else:
@@ -672,15 +673,13 @@ class Simulation:
             return
         automaton = self.automaton(dst)
         session = self._sessions.get(dst)
-        info: Dict[str, Any] = {}
         if session is not None and session.matches(message):
-            info["session"] = str(session.txn_id)
-            self.trace.append(recv_action(message, info))
+            self.trace.append(Action(ActionKind.RECV, dst, message, session.recv_info))
             session.collected.append(message)
             if session.ready():
                 self._resume_session(session)
             return
-        self.trace.append(recv_action(message, info or None))
+        self.trace.append(Action(ActionKind.RECV, dst, message))
         ctx = self._contexts[dst]
         if isinstance(automaton, ClientAutomaton) and not automaton.unmatched_goes_to_handler():
             return
@@ -750,7 +749,7 @@ class Simulation:
             record.invoke_vtime = self.fault_plane.now(self)
         ctx = self._contexts[client]
         generator = automaton.run_transaction(txn, ctx)
-        session = SessionState(txn=txn, txn_id=txn_id, client=client, generator=generator)
+        session = SessionState(txn, txn_id, client, generator, recv_info=(("session", str(txn_id)),))
         self._sessions[client] = session
         # The invoked txn left the queue: watch the next head (it cannot be
         # ready while this session runs — one outstanding txn per client).

@@ -87,6 +87,10 @@ _SAMPLABLE_KINDS = (ActionKind.SEND, ActionKind.RECV)
 
 View = TypeVar("View")
 
+#: the one sanctioned write to a (frozen) action: :meth:`Trace._store` stamps
+#: a fresh, never-shared action's index in place
+_stamp_index = Action.index.__set__
+
 
 def _projections(trace: "Trace") -> Dict[str, Tuple[Action, ...]]:
     """Every ``trace|actor`` in one pass (the view behind :meth:`Trace.project`)."""
@@ -190,7 +194,7 @@ class Trace:
         index = self._total
         self._total = index + 1
         if action.index == -1:
-            object.__setattr__(action, "index", index)
+            _stamp_index(action, index)
             stamped = action
         else:
             stamped = action.with_index(index)
@@ -299,10 +303,12 @@ class Trace:
     def signature(self) -> Tuple[Tuple[Any, ...], ...]:
         """A canonical, ``msg_id``-free projection of the whole trace.
 
-        Message ids come from a process-global counter, so two *separate*
-        simulations of the same system never produce equal :class:`Action`
-        records even when they took exactly the same steps.  The signature
-        keeps everything observable about each action except the ids —
+        Message ids are numbered per simulation, so two runs of one
+        ``(config, seed)`` under the same transaction ids produce equal
+        :class:`Action` records; the signature is for comparisons that must
+        not depend on the numbering (a fault-free run against one that sent
+        extra messages first, a hand-built trace against a simulated one).
+        It keeps everything observable about each action except the ids —
         ``(kind, actor, msg_type, src, dst, payload, info)`` — which makes
         cross-run determinism and golden-trace assertions possible
         (e.g. "a run with ``FaultPlan.none()`` equals a run with no fault

@@ -234,7 +234,7 @@ class AlgorithmCReader(ReaderAutomaton):
                 keys = dict(reply.get("keys", ()))
             if reply.msg_type == "read-vals-reply":
                 versions_by_object.setdefault(reply.get("object"), {}).update(
-                    {key: value for key, value in reply.get("versions", ())}
+                    reply.get("versions", ())
                 )
         if tag is None or not keys:
             raise SimulationError(f"reader {self.name} never received the tag array for {txn.txn_id}")

@@ -136,7 +136,7 @@ class DirectoryAwareServer:
         different storage shape (OCC's latest-version registers, Eiger's
         interval versions) override this together with :meth:`install_sync`.
         """
-        return tuple((v.key, v.value) for v in self.store.all_versions())
+        return self.store.pairs()
 
     def install_sync(self, versions: Sequence[Any]) -> int:
         """Install a retained replica's streamed state; returns the number of
@@ -310,7 +310,7 @@ class ReplicatedStorageServer(DirectoryAwareServer, ServerAutomaton):
 
     def handle_read_vals(self, message: Message, ctx: Context) -> None:
         """Whole-``Vals`` read (algorithm C); subclasses may extend the payload."""
-        versions = tuple((v.key, v.value) for v in self.store.all_versions())
+        versions = self.store.pairs()
         payload: Dict[str, Any] = {
             "txn": message.get("txn"),
             "object": self.object_id,

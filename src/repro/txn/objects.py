@@ -72,6 +72,8 @@ class VersionStore:
         initial = Version(object_id=object_id, value=initial_value, key=Key.initial())
         self._by_key[initial.key] = initial
         self._order.append(initial.key)
+        #: :meth:`pairs`, built on the first request after a :meth:`put`
+        self._pairs: Optional[Tuple[Tuple[Key, Any], ...]] = None
 
     # ------------------------------------------------------------------
     def put(self, key: Key, value: Any) -> Version:
@@ -80,6 +82,7 @@ class VersionStore:
         if key not in self._by_key:
             self._order.append(key)
         self._by_key[key] = version
+        self._pairs = None
         return version
 
     def get(self, key: Key) -> Optional[Version]:
@@ -96,6 +99,13 @@ class VersionStore:
     def all_versions(self) -> Tuple[Version, ...]:
         """Every version, in insertion order (the ``Vals`` set)."""
         return tuple(self._by_key[k] for k in self._order)
+
+    def pairs(self) -> Tuple[Tuple[Key, Any], ...]:
+        """``Vals`` as the ``(key, value)`` pairs a reply ships: algorithm C
+        sends them on every read, so they are built once per write."""
+        if self._pairs is None:
+            self._pairs = tuple((v.key, v.value) for v in self.all_versions())
+        return self._pairs
 
     def keys(self) -> Tuple[Key, ...]:
         return tuple(self._order)

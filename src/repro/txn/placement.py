@@ -218,6 +218,7 @@ class Placement:
                 object_of[server] = obj
         object.__setattr__(self, "_by_object", by_object)
         object.__setattr__(self, "_object_of", object_of)
+        object.__setattr__(self, "_trivial", all(len(group) == 1 for _, group in frozen))
 
     # ------------------------------------------------------------------
     @classmethod
@@ -263,7 +264,7 @@ class Placement:
 
     def is_trivial(self) -> bool:
         """Whether every group has a single replica (the paper's assumption)."""
-        return all(len(group) == 1 for _, group in self.groups)
+        return self._trivial
 
     @property
     def replication_factor(self) -> int:

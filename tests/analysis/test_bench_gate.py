@@ -51,6 +51,45 @@ def test_the_committed_trajectory_is_exact():
     assert {r["pr"] for r in payload["grid"]} >= {11, 12, 13}
 
 
+def measured(**host):
+    return {"setup_s": 0.2, "txns_per_s": 5000.0, "experiment_s": 3.0, "peak_rss_mb": 80.0, **host}
+
+
+def test_a_row_slower_than_its_parent_beyond_the_benchmark_bound_is_caught():
+    bounds = gate.host_bounds()
+    spec = json.loads((BENCHMARKS.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert bounds == {
+        m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"] if m["name"] not in gate.SIMULATED_COLUMNS
+    }
+    assert set(bounds) == {"setup_s", "txns_per_s", "experiment_s", "peak_rss_mb"}
+    bound = bounds["txns_per_s"][1]
+
+    def payload(**host):
+        return {"seed": 17, "grid": [row(16, **measured(**host), parent=row(15, **measured()))]}
+
+    assert gate.host_column_regressions(payload(), bounds) == []
+    # better, or worse within the bound: passes
+    inside = payload(txns_per_s=5000.0 * (1 - bound) + 1, experiment_s=2.0, peak_rss_mb=80.0 * 1.1)
+    assert gate.host_column_regressions(inside, bounds) == []
+    # the doctored row: throughput down and memory up beyond their bounds
+    (slow, fat) = gate.host_column_regressions(
+        payload(txns_per_s=5000.0 * (1 - bound) - 1, peak_rss_mb=80.0 * (1 + bounds["peak_rss_mb"][1]) + 1), bounds
+    )
+    assert "txns_per_s" in slow and "PR 16 workload 'chaos' seed 17" in slow and "higher is better" in slow
+    assert "peak_rss_mb" in fat and "lower is better" in fat
+    # lower-is-better seconds
+    (late,) = gate.host_column_regressions(payload(setup_s=0.2 * (1 + bounds["setup_s"][1]) + 0.01), bounds)
+    assert "setup_s" in late
+    # rows without a parent block (PR 11, 12) have nothing to be held to
+    assert gate.host_column_regressions({"grid": [row(11, **measured(txns_per_s=1.0))]}, bounds) == []
+
+
+def test_no_committed_row_is_slower_than_its_parent_beyond_the_bound():
+    payload = json.loads((BENCHMARKS / "results" / "BENCH_perf.json").read_text(encoding="utf-8"))
+    assert gate.host_column_regressions(payload, gate.host_bounds()) == []
+    assert sum("parent" in r for r in payload["grid"]) >= 6
+
+
 def test_rows_are_indexed_by_the_axes_the_payload_declares():
     payload = {
         "axes": ["protocol", "leases"],

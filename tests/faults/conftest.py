@@ -1,9 +1,10 @@
 """Shared helpers for the fault-plane tests.
 
-Trace comparisons across runs must use ``Trace.signature()`` (message and
-transaction ids come from process-global counters), and the workload must use
-*explicit* transaction ids so two runs in the same process submit identical
-transactions.
+Trace comparisons across runs use ``Trace.signature()`` (id-free: generated
+transaction ids come from a process-global counter, and runs that send a
+different number of messages number them differently), and the workload must
+use *explicit* transaction ids so two runs in the same process submit
+identical transactions.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ def outcome(handle):
     return (
         handle.trace().signature(),
         plane.stats.as_dict(),
-        # msg_ids are process-global: compare parked mail by content, in order
+        # compare parked mail by content, in order (not by msg_id)
         tuple((m.msg_type, m.src, m.dst, m.items) for m in plane.held_messages()),
     )
 

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.ioa.automaton import ReaderAutomaton, ServerAutomaton, WriterAutomaton
+from repro.ioa.automaton import Context, ReaderAutomaton, ServerAutomaton, WriterAutomaton
 from repro.ioa.errors import CommunicationNotAllowedError, UnknownProcessError
 from repro.ioa.network import SystemSetting, Topology, standard_settings
+from repro.ioa.simulation import Simulation
 
 
 def make_topology(allow_c2c: bool = True, allow_s2s: bool = True) -> Topology:
@@ -78,6 +79,59 @@ class TestTopology:
     def test_describe_mentions_c2c(self):
         assert "disallowed" in make_topology(allow_c2c=False).describe()
         assert "allowed" in make_topology(allow_c2c=True).describe()
+
+
+class TestClearedPairsAreForgotten:
+    """``check_send`` remembers the pairs it has cleared; membership and rule
+    changes must void that memory."""
+
+    def test_a_retired_peer_is_unknown_to_a_pair_that_sent_before(self):
+        simulation = Simulation()
+        simulation.add_automata([ReaderAutomaton("r1"), ServerAutomaton("sx"), ServerAutomaton("sy")])
+        simulation.start()
+        reader = Context(simulation, "r1")
+        reader.send("sx", "ping")
+        reader.send("sx", "ping")  # served from the memo
+        simulation.remove_automaton("sx", force=True)  # reconfig removal, mid-run
+        for _ in range(2):
+            with pytest.raises(UnknownProcessError):
+                reader.send("sx", "ping")
+        reader.send("sy", "ping")  # the other pair is untouched
+        simulation.add_automaton(ServerAutomaton("sx"))  # the name re-registers
+        assert reader.send("sx", "ping").dst == "sx"
+
+    def test_a_disallowed_pair_raises_on_every_call(self):
+        topology = make_topology(allow_c2c=False)
+        topology.check_send("w1", "sx")
+        for _ in range(3):
+            with pytest.raises(CommunicationNotAllowedError):
+                topology.check_send("w1", "r1")
+            with pytest.raises(CommunicationNotAllowedError):
+                topology.check_send("sx", "sx")
+
+    def test_rule_changes_after_a_successful_send_are_honoured(self):
+        topology = make_topology()
+        topology.check_send("w1", "r1")
+        topology.check_send("sx", "sy")
+        topology.check_send("r1", "sx")
+        topology.allow_client_to_client = False
+        with pytest.raises(CommunicationNotAllowedError):
+            topology.check_send("w1", "r1")
+        topology.allow_server_to_server = False
+        with pytest.raises(CommunicationNotAllowedError):
+            topology.check_send("sx", "sy")
+        topology.extra_forbidden = frozenset({("r1", "sx")})
+        with pytest.raises(CommunicationNotAllowedError):
+            topology.check_send("r1", "sx")
+        topology.allow_client_to_client = True
+        topology.check_send("w1", "r1")
+
+    def test_a_name_re_registered_under_another_kind_is_re_judged(self):
+        topology = make_topology(allow_c2c=False)
+        topology.check_send("w1", "sx")
+        topology.register(ReaderAutomaton("sx"))  # same name, now a client
+        with pytest.raises(CommunicationNotAllowedError):
+            topology.check_send("w1", "sx")
 
 
 class TestSystemSetting:
