@@ -11,6 +11,7 @@ those dimensions.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -98,21 +99,28 @@ def generate_workload(
     writers: Sequence[str],
     objects: Sequence[str],
 ) -> GeneratedWorkload:
-    """Generate the transactions of a workload (deterministic in ``spec.seed``)."""
+    """Generate the transactions of a workload (deterministic in ``spec.seed``).
+
+    Transaction ids are numbered per call (``R1…Rn`` then ``W<n+1>…``, as in
+    a fresh interpreter), so equal arguments give equal workloads, ids
+    included, wherever in a process they are generated; two of them submitted
+    to *one* simulation collide, which ``Simulation.submit`` refuses loudly.
+    """
     rng = random.Random(spec.seed)
+    ids = itertools.count(1)
     reads: List[Tuple[str, ReadTransaction]] = []
     writes: List[Tuple[str, WriteTransaction]] = []
     for reader in readers:
         for _ in range(spec.reads_per_reader):
             targets = _pick_objects(rng, objects, spec.read_size, spec.zipf_s)
-            reads.append((reader, make_read(*targets)))
+            reads.append((reader, make_read(*targets, txn_id=f"R{next(ids)}")))
     for writer_index, writer in enumerate(writers, start=1):
         for sequence in range(1, spec.writes_per_writer + 1):
             targets = _pick_objects(rng, objects, spec.write_size, spec.zipf_s)
             updates = tuple(
                 (obj, f"{spec.value_prefix}-{writer}-{sequence}-{obj}") for obj in targets
             )
-            writes.append((writer, write_pairs(updates)))
+            writes.append((writer, write_pairs(updates, txn_id=f"W{next(ids)}")))
     return GeneratedWorkload(reads=tuple(reads), writes=tuple(writes))
 
 

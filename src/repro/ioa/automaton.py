@@ -21,6 +21,7 @@ Two styles of automata live on top of the simulation kernel:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Mapping, Optional, Sequence, Tuple
 
@@ -221,23 +222,24 @@ class Context:
     """Capability object through which automata interact with the kernel.
 
     Only the operations of the model are exposed: sending messages (subject
-    to the topology), recording internal actions, reading the logical time
-    (the current trace length) and annotating the currently-executing
-    transaction with protocol metrics (rounds, versions, ...).
+    to the topology), recording internal actions, reading the virtual clock
+    and annotating the currently-executing transaction with protocol metrics
+    (rounds, versions, ...).
+
+    The kernel owns its contexts; a context refers back to it *weakly*, so no
+    reference cycle runs through the simulation and a dropped one — trace
+    included — is freed at once by reference counting, not by some later
+    collector pass.  Used after its simulation is gone, a context raises
+    :class:`ReferenceError`.
     """
 
     def __init__(self, kernel: Any, actor: str) -> None:
-        self._kernel = kernel
+        self._kernel = weakref.proxy(kernel)
         self._actor = actor
 
     @property
     def actor(self) -> str:
         return self._actor
-
-    @property
-    def now(self) -> int:
-        """Current logical time = number of actions in the trace so far."""
-        return len(self._kernel.trace)
 
     @property
     def vtime(self) -> int:

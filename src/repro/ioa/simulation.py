@@ -25,6 +25,7 @@ Guarantees provided (matching the paper's model, Section 2):
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 from collections import deque
@@ -484,12 +485,35 @@ class Simulation:
 
         Without a budget the loop only stops when the system is idle or the
         kernel's ``max_steps`` guard trips (raising :class:`LivenessError`).
+
+        The cyclic garbage collector is paused while the loop runs: a run
+        builds no reference cycles per event (this paragraph is pinned by
+        ``tests/ioa/test_collector_contract.py``), so its passes over the
+        growing trace find nothing and cost up to a third of a long run.  Every
+        exit path leaves the collector as it was found, after handing the
+        run's survivors to the oldest generation so the next young passes do
+        not walk the finished trace.  A caller that disabled the collector
+        itself (a nested ``run()`` included) and a loop over :meth:`step` are
+        left alone.  Cycles a user automaton does build are reclaimed only
+        after ``run()`` returns.
         """
-        executed = 0
-        while max_new_steps is None or executed < max_new_steps:
-            if not self.step():
-                break
-            executed += 1
+        paused = gc.isenabled()
+        if paused:
+            gc.disable()
+        try:
+            executed = 0
+            while max_new_steps is None or executed < max_new_steps:
+                if not self.step():
+                    break
+                executed += 1
+        finally:
+            if paused:
+                # O(1) hand-over to the oldest generation (via the permanent
+                # one), unless the host keeps frozen objects of its own there
+                if not gc.get_freeze_count():
+                    gc.freeze()
+                    gc.unfreeze()
+                gc.enable()
         return self.trace
 
     def run_to_completion(self) -> Trace:

@@ -25,6 +25,7 @@ Three faces:
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
@@ -72,7 +73,7 @@ class HealthPlane:
 
     def __init__(self, slo: Optional[SLOPolicy] = None) -> None:
         self.slo = slo if slo is not None else SLOPolicy()
-        self.simulation: Optional[Any] = None
+        self._simulation: Optional[weakref.ref] = None
         #: txn id -> (kind, invoke vtime) while in flight
         self._inflight: Dict[str, Tuple[str, int]] = {}
         #: per-kind latency distributions plus SLO verdict counts
@@ -91,21 +92,31 @@ class HealthPlane:
             "errors": 0,
             "stalls": 0,
         }
-        #: replay clock for detached (post-mortem) feeding
+        #: the last clock read: the replay clock of detached (post-mortem)
+        #: feeding, and what a report shows once the simulation is gone
         self._clock = 0
 
     # -- wiring ----------------------------------------------------------
     def on_attach(self, simulation: Any) -> None:
-        self.simulation = simulation
+        self._simulation = weakref.ref(simulation)
+
+    @property
+    def simulation(self) -> Optional[Any]:
+        """The simulation whose clock this plane reads, held weakly like
+        :attr:`ObservabilityPlane.simulation`; ``None`` when detached."""
+        return self._simulation() if self._simulation is not None else None
 
     def now(self) -> int:
-        if self.simulation is not None:
-            return self.simulation.now()
+        """The simulation's clock; detached (a replay, or the simulation has
+        been dropped) the clock of the last observed action or query."""
+        simulation = self.simulation
+        if simulation is not None:
+            self._clock = simulation.now()
         return self._clock
 
     # -- the per-event hook ---------------------------------------------
     def on_action(self, action: Action) -> None:
-        if self.simulation is None:
+        if self._simulation is None:
             # Post-mortem replay: reconstruct the clock from the vtime
             # stamps internal actions carry, falling back to the stamped
             # trace index (monotone, deterministic).

@@ -17,6 +17,7 @@ out of snapshots, span trees and exports.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Optional, Union
 
 from ..ioa.actions import Action, ActionKind
@@ -61,7 +62,15 @@ class ObservabilityPlane:
         elif isinstance(health, SLOPolicy):
             health = HealthPlane(slo=health)
         self.health: Optional[HealthPlane] = health or None
-        self.simulation: Optional[Any] = None
+        self._simulation: Optional[weakref.ref] = None
+
+    @property
+    def simulation(self) -> Optional[Any]:
+        """The observed simulation (``None`` before attach).  Held weakly: the
+        simulation owns its plane, so dropping it frees it and its trace by
+        reference counting — this then reads ``None`` again, while registry,
+        monitors and health stay readable."""
+        return self._simulation() if self._simulation is not None else None
 
     @property
     def health_view(self) -> Optional[HealthView]:
@@ -70,12 +79,12 @@ class ObservabilityPlane:
 
     # -- kernel wiring ---------------------------------------------------
     def on_attach(self, simulation: Any) -> None:
-        if self.simulation is not None and self.simulation is not simulation:
+        if self._simulation is not None and self._simulation() is not simulation:
             raise ValueError(
                 "an ObservabilityPlane instance observes exactly one simulation; "
                 "build a fresh plane per run"
             )
-        self.simulation = simulation
+        self._simulation = weakref.ref(simulation)
         simulation.trace.set_observer(self.on_action)
         if self.health is not None:
             self.health.on_attach(simulation)
@@ -106,9 +115,10 @@ class ObservabilityPlane:
             if message.msg_type == "ctl-ack":
                 registry.counter("controller.acks").inc()
                 sent = message.get("sent")
-                if isinstance(sent, int) and self.simulation is not None:
+                simulation = self.simulation
+                if isinstance(sent, int) and simulation is not None:
                     registry.histogram("controller.probe_rtt").observe(
-                        max(0, self.simulation.now() - sent)
+                        max(0, simulation.now() - sent)
                     )
         elif action.kind is ActionKind.INTERNAL and action.info:
             self._on_internal(dict(action.info))
@@ -169,7 +179,8 @@ class ObservabilityPlane:
         if self.health is not None:
             lines.append(HealthView(self.health).render())
         if self.profiler is not None:
-            steps = self.simulation.steps_taken if self.simulation is not None else 0
+            simulation = self.simulation
+            steps = simulation.steps_taken if simulation is not None else 0
             lines.append(self.profiler.report(steps=steps))
         return "\n".join(lines)
 

@@ -1,41 +1,26 @@
-"""The perf benchmark's ``chaos`` cell, run in-process with replayable ids.
+"""The perf benchmark's ``chaos`` cell, run in-process.
 
 ``benchmarks/perf/workloads.py`` is imported, not copied: the cell built here
 is the one ``BENCHMARK.json`` measures (B at rf=3/cf=3, leases, persistence,
 ``ChaosScheduler``, the ``chaos_plan`` fault schedule, monitors + health).
-Generated transactions take their ids from a process-global counter, so the
-load runs under :func:`stable_txn_ids` — otherwise a trace signature would
-depend on how many transactions earlier tests created.
+``generate_workload`` numbers its transactions per call, so the trace
+signature does not depend on what ran earlier in the process.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict
 
 from repro.faults import FaultInjector
-from repro.txn import transactions
 
 PERF_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "perf"
 if str(PERF_DIR) not in sys.path:
     sys.path.insert(0, str(PERF_DIR))
 
 import workloads  # noqa: E402  (benchmarks/perf/workloads.py)
-
-
-@contextmanager
-def stable_txn_ids():
-    """Number generated transactions from 1 inside the block."""
-    saved = transactions._txn_counter
-    transactions._txn_counter = itertools.count(1)
-    try:
-        yield
-    finally:
-        transactions._txn_counter = saved
 
 
 def signature_hash(handle) -> str:
@@ -52,8 +37,7 @@ def run_chaos_cell(seed: int, scale: int, injector_cls=FaultInjector):
     workload = workloads.WORKLOADS["chaos"]
     (cell,) = workload.cells
     handle = workloads.build_cell(workload, cell, seed, scale, _Parts())
-    with stable_txn_ids():
-        workloads.load_cell(handle, cell, seed, scale)
+    workloads.load_cell(handle, cell, seed, scale)
     handle.run()
     return handle
 

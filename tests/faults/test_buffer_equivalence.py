@@ -27,7 +27,7 @@ from repro.faults import (
 )
 from repro.protocols import get_protocol, protocol_names
 
-from tests.faults.perf_chaos_cell import run_chaos_cell, stable_txn_ids, workloads
+from tests.faults.perf_chaos_cell import run_chaos_cell, workloads
 from tests.faults.reference_injector import ReferenceFaultInjector
 
 SEEDS = (1, 2, 3, 4, 5)
@@ -53,10 +53,7 @@ def run(protocol_name, injector_cls, plan, seed, spec, scheduler_cls=ChaosSchedu
         fault_plane=injector_cls(plan, seed=seed),
         **build,
     )
-    with stable_txn_ids():
-        submit_workload(
-            handle, generate_workload(spec, handle.readers, handle.writers, handle.objects)
-        )
+    submit_workload(handle, generate_workload(spec, handle.readers, handle.writers, handle.objects))
     handle.run()
     return handle
 
