@@ -31,6 +31,18 @@ invocations — so every golden-signature, chaos-grid and determinism test
 passes unchanged (``tests/ioa/test_frontier.py`` pins frontier == rebuild
 under random interleavings of every mutating operation).
 
+Presentation is not the only way out.  Building that list every step was
+itself O(in-flight events), so the kernel asks two questions that never do:
+:meth:`EventFrontier.idle` (would ``events()`` be empty?) and
+:meth:`EventFrontier.oldest` (which event of ``events()`` has the smallest
+enqueue stamp — ``FIFOScheduler``'s pick).  Stamps come from one kernel-wide
+counter, so deliveries (dict insertion order; ``reflight`` replaces a value in
+its slot) and ripe timers (a sorted list) are each already ascending: only
+their two heads and the ready invocations, at most one per client, can be the
+minimum.  The same interleaving test holds both to the list after every
+operation.  A policy that needs the whole list (random, chaos, adversarial)
+still gets it: see :meth:`repro.ioa.scheduler.Scheduler.pick`.
+
 Flights
 -------
 A *flight* groups several pending deliveries so that one scheduler event
@@ -254,6 +266,31 @@ class EventFrontier:
     # ------------------------------------------------------------------
     # The frontier
     # ------------------------------------------------------------------
+    def idle(self, now_fn) -> bool:
+        """Whether :meth:`events` would be empty, without building it."""
+        if self._deliveries or self._ready:
+            return False
+        if self._timeouts:
+            self._ripen(now_fn())
+        return not self._ripe
+
+    def oldest(self, now_fn) -> Optional[PendingEvent]:
+        """The event of :meth:`events` with the smallest enqueue stamp, or
+        ``None`` when idle: the heads of the deliveries and of the ripe timers
+        and the ready invocations compete (see the module docstring); stamps
+        are globally unique, so there is no tie to break."""
+        best: Optional[PendingEvent] = next(iter(self._deliveries.values()), None)
+        if self._timeouts:
+            self._ripen(now_fn())
+        if self._ripe:
+            timeout = self._timeouts[self._ripe[0]]
+            if best is None or timeout.enqueued_at < best.enqueued_at:
+                best = timeout
+        for invocation in self._ready.values():
+            if best is None or invocation.enqueued_at < best.enqueued_at:
+                best = invocation
+        return best
+
     def events(self, now_fn) -> List[PendingEvent]:
         """The choosable events, in the canonical order: deliveries in
         enqueue order, ripe timeouts in arming order, ready invocations in

@@ -101,11 +101,33 @@ PendingEvent = Union[PendingDelivery, PendingInvocation, PendingTimeout]
 
 
 class Scheduler:
-    """Base scheduler interface."""
+    """Base scheduler interface.  The kernel only ever asks :meth:`pick`.
+
+    * Override :meth:`choose` and you are asked on every step with the list of
+      pending events in the canonical order (deliveries, ripe timeouts, ready
+      invocations): the inherited :meth:`pick` builds it for you.
+    * Override :meth:`pick` and you answer from the frontier's indexes, no
+      list is built, and you must return the very event your ``choose`` would
+      have indexed (:class:`FIFOScheduler` does; ``tests/ioa/test_frontier.py``
+      pins the two equal).
+
+    A subclass that redefines ``choose`` alone gets the list-based ``pick``
+    back, so a fast ``pick`` inherited from its parent can never bypass it.
+    """
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        if "choose" in cls.__dict__ and "pick" not in cls.__dict__:
+            cls.pick = Scheduler.pick
 
     def choose(self, pending: Sequence[PendingEvent], kernel: Any) -> int:
         """Return the index (into ``pending``) of the event to execute next."""
         raise NotImplementedError
+
+    def pick(self, frontier: Any, kernel: Any) -> PendingEvent:
+        """Return the event of ``frontier`` (non-idle) to execute next."""
+        pending = frontier.events(kernel.now)
+        return pending[self.choose(pending, kernel)]
 
     def reset(self) -> None:
         """Hook called when a simulation starts (schedulers may keep state)."""
@@ -142,6 +164,12 @@ class FIFOScheduler(Scheduler):
             if at < oldest_at:
                 oldest, oldest_at = index, at
         return oldest
+
+    def pick(self, frontier: Any, kernel: Any) -> PendingEvent:
+        event = frontier.oldest(kernel.now)
+        if event is None:
+            raise SchedulerError("pick() called with no pending events")
+        return event
 
 
 class LIFOScheduler(Scheduler):

@@ -423,52 +423,52 @@ class Simulation:
 
     def step(self) -> bool:
         """Execute one scheduler-chosen event.  Returns ``False`` if idle."""
-        self.start()
-        profiler = self._profiler
+        if not self._started:
+            self.start()
+        profiler, plane, frontier = self._profiler, self.fault_plane, self._frontier
         stamp = perf_counter() if profiler is not None else 0.0
-        if self.fault_plane is not None:
-            self.fault_plane.before_step(self)
-        pending = self.pending_events()
-        if not pending and self.fault_plane is not None and self.fault_plane.on_idle(self):
-            pending = self.pending_events()
-        if not pending and self.fault_plane is None and self._frontier.has_timeouts():
+        if plane is not None:
+            plane.before_step(self)
+        idle = frontier.idle(self.now)
+        if idle and plane is not None:
+            idle = not plane.on_idle(self) or frontier.idle(self.now)
+        elif idle and frontier.has_timeouts():
             # Idle but timers are armed: fast-forward to the earliest one
             # (with a fault plane installed, on_idle above does this jump
             # boundary-by-boundary so faults stay ordered with timers).
-            earliest = self._frontier.next_timeout_ready()
+            earliest = frontier.next_timeout_ready()
             if earliest is not None:
                 self._timeout_clock = max(self._timeout_clock, earliest)
-                pending = self.pending_events()
+                idle = frontier.idle(self.now)
         if profiler is not None:
             profiler.add("poll", perf_counter() - stamp)
-        if not pending:
+        if idle:
             return False
         if self._steps_taken >= self.max_steps:
             raise LivenessError(
-                f"simulation exceeded max_steps={self.max_steps} with {len(pending)} pending events"
-                + self._stuck_line()
+                f"simulation exceeded max_steps={self.max_steps} with {len(self.pending_events())} "
+                "pending events" + self._stuck_line()
             )
         if profiler is not None:
             stamp = perf_counter()
-        choice = self.scheduler.choose(pending, self)
+        event = self.scheduler.pick(frontier, self)
         if profiler is not None:
             now = perf_counter()
             profiler.add("choose", now - stamp)
             stamp = now
-        event = pending[choice]
         self._steps_taken += 1
-        if isinstance(event, PendingDelivery):
-            self._frontier.remove_delivery(event)
+        if type(event) is PendingDelivery:
+            frontier.remove_delivery(event)
             if self.obs is not None:
                 self.obs.on_dequeue(event.message)
             if event.flight:
                 self._deliver_flight(event)
             else:
                 self._deliver(event.message)
-        elif isinstance(event, PendingTimeout):
-            self._frontier.remove_timeout(event)
+        elif type(event) is PendingTimeout:
+            frontier.remove_timeout(event)
             self._fire_timeout(event)
-        elif isinstance(event, PendingInvocation):
+        elif type(event) is PendingInvocation:
             queue = self._client_queues[event.client]
             if not queue or queue[0].txn_id != event.txn_id:
                 raise SimulationError("scheduler chose a stale invocation event")
@@ -689,13 +689,16 @@ class Simulation:
 
     def _deliver(self, message: Message) -> None:
         dst = message.dst
-        if self.fault_plane is not None and self.fault_plane.suppress_delivery(message, self):
+        plane = self.fault_plane
+        if plane is not None and plane.suppress_delivery(message, self):
             # A duplicated (or redundantly retransmitted) copy: the delivery
             # consumed a scheduler step but the automaton keeps at-most-once
             # processing, and no trace action is recorded so that the SNOW
             # checkers see exactly the protocol-level exchange.
             return
-        automaton = self.automaton(dst)
+        automaton = self._automata.get(dst)
+        if automaton is None:
+            raise UnknownProcessError(dst)
         session = self._sessions.get(dst)
         if session is not None and session.matches(message):
             self.trace.append(Action(ActionKind.RECV, dst, message, session.recv_info))
@@ -704,10 +707,9 @@ class Simulation:
                 self._resume_session(session)
             return
         self.trace.append(Action(ActionKind.RECV, dst, message))
-        ctx = self._contexts[dst]
         if isinstance(automaton, ClientAutomaton) and not automaton.unmatched_goes_to_handler():
             return
-        automaton.on_message(message, ctx)
+        automaton.on_message(message, self._contexts[dst])
 
     # -- dependency-triggered invocation readiness ----------------------
     def _watch_head(self, client: str) -> None:

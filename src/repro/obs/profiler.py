@@ -1,7 +1,9 @@
 """Opt-in wall-clock profiling of the kernel hot loop.
 
-The profiler times the three stages of :meth:`Simulation.step` — assembling
-the pending-event set (``poll``), the scheduler's pick (``choose``) and
+The profiler times the three stages of :meth:`Simulation.step` — the fault
+plane's ``before_step`` plus the frontier's idle test (``poll``), the
+scheduler's ``pick`` (``choose``: for a policy that answers through
+``choose(pending, kernel)`` this includes materialising the pending list) and
 executing the chosen event (``dispatch``) — plus every ``trace_append``
 (installed as an instance-level wrapper around the trace's retained-record
 path, so the bucket also covers the metrics observer riding on retained
@@ -16,6 +18,7 @@ path" work and for ``benchmarks/bench_throughput.py``.
 
 from __future__ import annotations
 
+import weakref
 from time import perf_counter
 from typing import Any, Dict, List, Tuple
 
@@ -42,14 +45,17 @@ class KernelProfiler:
         run actually performed (and its count stays ``len(trace)`` in every
         mode)."""
         trace = simulation.trace
-        original = trace._store
+        # The shim lives on the trace, so it reaches the trace weakly: the
+        # bound ``trace._store`` would close a trace <-> shim cycle and leave
+        # a profiled run's trace to the cyclic collector.
+        store, weak_trace = type(trace)._store, weakref.proxy(trace)
 
-        def timed_store(action, _original=original, _profiler=self):
+        def timed_store(action):
             started = perf_counter()
             try:
-                return _original(action)
+                return store(weak_trace, action)
             finally:
-                _profiler.add("trace_append", perf_counter() - started)
+                self.add("trace_append", perf_counter() - started)
 
         trace._store = timed_store
 

@@ -21,8 +21,9 @@ Span derivation is a pure function of a finished simulation:
   ``commit`` (and likewise for the consensus-group variant).
 
 Everything is keyed on trace indices and payload fields — never ``msg_id``
-values (process-global, so unequal across runs) and never wall-clock time —
-so the :meth:`SpanTree.signature` of two runs of the same configuration is
+values (numbered per simulation since PR 16, but negative and process-wide
+for a message built outside a kernel) and never wall-clock time — so the
+:meth:`SpanTree.signature` of two runs of the same configuration is
 identical.  That is the determinism contract the tests pin.
 """
 

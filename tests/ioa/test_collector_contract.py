@@ -135,11 +135,7 @@ def test_dropping_the_handle_frees_the_simulation_by_reference_count(stack):
         obs = handle.obs
         health = obs.health_view.report() if obs is not None else None
         del handle
-        assert simulation() is None
-        if obs is None or obs.profiler is None:
-            # (the profiler's timing shim on ``trace._store`` is a cycle of
-            # its own through the trace; only ``profile=True`` runs pay it)
-            assert trace() is None
+        assert simulation() is None and trace() is None
         if obs is not None:
             assert obs.simulation is None and obs.registry.snapshot()
             assert obs.health.simulation is None

@@ -10,12 +10,20 @@ ground-truth state would produce.
 
 The main test here is a randomized interleaving driver: it interleaves every
 operation that mutates the frontier (submit with ``after`` dependencies,
-steps, timer arming, ``extract_deliveries``, mid-run add/remove of automata)
-and re-derives the pending list independently after **every** operation.
-The re-derivation deliberately does not consult the frontier's internals for
-ripeness, readiness or ordering — only the raw views and the kernel's
-queues/records — so any drift between the incremental index and the ground
-truth fails loudly with the operation sequence that produced it.
+steps, timer arming, flights, ``extract_deliveries``, mid-run add/remove of
+automata) and re-derives the pending list independently after **every**
+operation.  The re-derivation deliberately does not consult the frontier's
+internals for ripeness, readiness or ordering — only the raw views and the
+kernel's queues/records — so any drift between the incremental index and the
+ground truth fails loudly with the operation sequence that produced it.
+
+Since PR 19 the list is no longer the only way out: the kernel tests emptiness
+with ``EventFrontier.idle`` and ``FIFOScheduler.pick`` answers with
+``EventFrontier.oldest``, neither building the list.  The same driver pins
+both to the list after every operation (``idle`` == "the rebuild is empty",
+``oldest`` **is** the event ``FIFOScheduler.choose`` indexes), and a cell per
+protocol and stack pins the whole trace: FIFO by ``pick`` == FIFO forced
+through ``choose``.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ import random
 
 import pytest
 
+from repro.analysis.workload import WorkloadSpec, generate_workload, submit_workload
 from repro.ioa import (
     Await,
     ClientAutomaton,
@@ -32,11 +41,15 @@ from repro.ioa import (
     PendingInvocation,
     PendingTimeout,
     RandomScheduler,
+    Scheduler,
     Send,
     ServerAutomaton,
     Simulation,
     expect_type,
 )
+from repro.protocols import get_protocol, protocol_names
+
+from tests.conftest import build_system
 
 
 class EchoServer(ServerAutomaton):
@@ -49,14 +62,27 @@ class GossipServer(ServerAutomaton):
     """A server whose timers send messages to whichever peers are alive.
 
     ``peers`` is a callable so the randomized driver can retire gossip
-    servers mid-run: a firing timer only targets survivors.
+    servers mid-run: a firing timer only targets survivors.  ``flight`` says
+    how a round is sent: ``None`` = message by message, else inside
+    ``ctx.flight(per_destination=flight())`` — so deliveries are re-stamped in
+    place (``reflight``) and one step lands a whole flight (``take_flight``).
     """
 
-    def __init__(self, name, peers):
+    def __init__(self, name, peers, flight=lambda: None):
         super().__init__(name)
         self.peers = peers
+        self.flight = flight
 
     def on_timeout(self, info, ctx):
+        flight = self.flight()
+        if flight is None:
+            self.gossip(ctx)
+        else:
+            with ctx.flight(per_destination=flight):
+                self.gossip(ctx)
+                self.gossip(ctx)  # two per peer, so per-destination flights form too
+
+    def gossip(self, ctx):
         for peer in self.peers(self.name):
             ctx.send(peer, "gossip", {"from": self.name})
 
@@ -116,6 +142,25 @@ def frontier_rows(sim):
     return rows
 
 
+def assert_frontier_matches_rebuild(sim, client_order, list_first):
+    """Every way out of the frontier agrees with the independent rebuild.
+
+    ``list_first`` alternates who gets to ripen the timers: the list, or the
+    two queries that do not build it."""
+    rebuilt = rebuild_pending(sim, client_order)
+    if list_first:
+        assert frontier_rows(sim) == rebuilt
+    frontier = sim._frontier
+    assert frontier.idle(sim.now) == (not rebuilt)
+    oldest = frontier.oldest(sim.now)
+    events = sim.pending_events()
+    assert frontier_rows(sim) == rebuilt
+    if events:
+        assert oldest is events[FIFOScheduler().choose(events, sim)]
+    else:
+        assert oldest is None
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7, 23, 91])
 def test_random_interleaving_matches_rebuild(seed):
     rng = random.Random(seed)
@@ -129,8 +174,11 @@ def test_random_interleaving_matches_rebuild(seed):
     def live_peers(me):
         return [g for g in gossip_alive if g != me]
 
+    def flight():
+        return rng.choice((None, False, True))
+
     for name in tuple(gossip_alive):
-        sim.add_automaton(GossipServer(name, live_peers))
+        sim.add_automaton(GossipServer(name, live_peers, flight))
     client_order = []
     for client in clients:
         sim.add_automaton(PingClient(client, rng.choice(servers)))
@@ -140,8 +188,8 @@ def test_random_interleaving_matches_rebuild(seed):
     reserved = [f"X{i}" for i in range(8)]  # ids usable as future deps
     spare_counter = 0
 
-    assert frontier_rows(sim) == rebuild_pending(sim, client_order)
-    for _ in range(250):
+    assert_frontier_matches_rebuild(sim, client_order, list_first=True)
+    for turn in range(250):
         op = rng.randrange(8)
         if op <= 2:  # weighted towards stepping
             if sim.pending_events():
@@ -173,21 +221,56 @@ def test_random_interleaving_matches_rebuild(seed):
             if len(gossip_alive) < 4:
                 spare_counter += 1
                 name = f"g{2 + spare_counter}"
-                sim.add_automaton(GossipServer(name, live_peers))
+                sim.add_automaton(GossipServer(name, live_peers, flight))
                 gossip_alive.append(name)
         else:  # retire a gossip server mid-run (in-flight mail dies with it)
             if len(gossip_alive) > 1:
                 name = gossip_alive.pop(rng.randrange(len(gossip_alive)))
                 assert sim.remove_automaton(name, force=True)
-        assert frontier_rows(sim) == rebuild_pending(sim, client_order)
+        assert_frontier_matches_rebuild(sim, client_order, list_first=turn % 2)
 
     # Drain what remains; the equivalence must hold through completion too.
     guard = 0
-    while sim.pending_events():
+    while not sim._frontier.idle(sim.now):
         sim.step()
-        assert frontier_rows(sim) == rebuild_pending(sim, client_order)
+        assert_frontier_matches_rebuild(sim, client_order, list_first=guard % 2)
         guard += 1
         assert guard < 10_000
+    assert sim.pending_events() == [] and sim._frontier.oldest(sim.now) is None
+
+
+class ListPathFIFO(FIFOScheduler):
+    """FIFO that answers through ``choose``: redefining it puts the list-based
+    ``pick`` back (the rule in :class:`~repro.ioa.Scheduler`'s docstring)."""
+
+    def choose(self, pending, kernel):
+        return super().choose(pending, kernel)
+
+
+STACKS = {
+    "plain": lambda protocol: {},
+    "rf3-cf3": lambda protocol: dict(
+        replication_factor=3, quorum="majority", consensus_factor=3 if protocol.has_coordinator else 1
+    ),
+    "fanout-batching": lambda protocol: dict(replication_factor=3, quorum="majority", fanout_batching=True),
+}
+
+
+@pytest.mark.parametrize("stack", sorted(STACKS))
+@pytest.mark.parametrize("protocol", protocol_names())
+def test_fifo_by_pick_runs_the_trace_fifo_by_choose_runs(protocol, stack):
+    assert ListPathFIFO.pick is Scheduler.pick and FIFOScheduler.pick is not Scheduler.pick
+    traces = []
+    for scheduler in (FIFOScheduler(), ListPathFIFO()):
+        handle = build_system(
+            protocol, 2, 2, 3, scheduler=scheduler, seed=11, **STACKS[stack](get_protocol(protocol))
+        )
+        spec = WorkloadSpec(reads_per_reader=12, writes_per_writer=6, seed=11)
+        submit_workload(handle, generate_workload(spec, handle.readers, handle.writers, handle.objects))
+        handle.run_to_completion()
+        traces.append(list(handle.trace()))
+    by_pick, by_choose = traces
+    assert by_pick == by_choose and len(by_pick) > 150  # ids included: a trace is a function of the run
 
 
 class TestDependencyTriggeredReadiness:

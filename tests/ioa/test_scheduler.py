@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.faults import ChaosScheduler
 from repro.ioa.actions import Message
 from repro.ioa.errors import SchedulerError
 from repro.ioa.scheduler import (
@@ -15,10 +16,12 @@ from repro.ioa.scheduler import (
     PendingInvocation,
     PriorityScheduler,
     RandomScheduler,
+    Scheduler,
     holds_invocation,
     holds_message,
     never,
 )
+from repro.protocols import get_protocol
 
 
 def deliveries(count: int, msg_type: str = "m", dst: str = "sx"):
@@ -165,3 +168,74 @@ class TestAdversarialScheduler:
         scheduler = AdversarialScheduler(rules=[rule], base=LIFOScheduler())
         choice = scheduler.choose(pending, FakeKernel())
         assert choice == 4  # newest among the eligible (write) events
+
+
+class TestPickOrChoose:
+    """The kernel only asks ``pick``; a policy that answers through ``choose``
+    must still be asked on every step, whatever fast ``pick`` its base has."""
+
+    @staticmethod
+    def run_with(scheduler):
+        handle = get_protocol("simple-rw").build(scheduler=scheduler, seed=5)
+        for index in range(6):
+            handle.submit_write({obj: index for obj in handle.objects}, txn_id=f"W{index}")
+            handle.submit_read(handle.objects, txn_id=f"R{index}")
+        handle.run_to_completion()
+        assert handle.simulation.steps_taken > 40
+        return handle.simulation
+
+    @pytest.mark.parametrize("base", (FIFOScheduler, ChaosScheduler, LIFOScheduler))
+    def test_a_subclass_overriding_only_choose_is_asked_on_every_step(self, base):
+        class Counting(base):
+            asked = 0
+
+            def choose(self, pending, kernel):
+                self.asked += 1
+                assert list(pending) == kernel.pending_events()
+                return super().choose(pending, kernel)
+
+        class Grandchild(Counting):
+            """Redefines neither: stays on its parent's list path."""
+
+        assert Counting.pick is Scheduler.pick and Grandchild.pick is Scheduler.pick
+        for scheduler in (Counting(), Grandchild()):
+            assert self.run_with(scheduler).steps_taken == scheduler.asked
+
+    def test_a_subclass_overriding_only_pick_is_asked_on_every_step(self):
+        class Picking(FIFOScheduler):
+            asked = 0
+
+            def pick(self, frontier, kernel):
+                self.asked += 1
+                event = super().pick(frontier, kernel)
+                pending = kernel.pending_events()
+                assert event is pending[self.choose(pending, kernel)]
+                return event
+
+            def choose(self, pending, kernel):
+                return super().choose(pending, kernel)
+
+        class PickOnly(FIFOScheduler):
+            asked = 0
+
+            def pick(self, frontier, kernel):
+                self.asked += 1
+                return super().pick(frontier, kernel)
+
+        assert Picking.pick is not Scheduler.pick  # defining both keeps its own
+        for scheduler in (Picking(), PickOnly()):
+            assert self.run_with(scheduler).steps_taken == scheduler.asked
+
+    def test_a_subclass_overriding_neither_keeps_the_fast_pick(self):
+        class Renamed(FIFOScheduler):
+            pass
+
+        assert Renamed.pick is FIFOScheduler.pick is not Scheduler.pick
+        assert self.run_with(Renamed()).trace.signature() == self.run_with(FIFOScheduler()).trace.signature()
+
+    def test_pick_on_an_idle_frontier_raises_like_choose(self):
+        simulation = self.run_with(FIFOScheduler())
+        with pytest.raises(SchedulerError, match="no pending events"):
+            simulation.scheduler.pick(simulation._frontier, simulation)
+        with pytest.raises(SchedulerError, match="no pending events"):
+            LIFOScheduler().pick(simulation._frontier, simulation)
