@@ -1,9 +1,9 @@
-"""Setuptools shim.
+"""The package's only build configuration (there is no ``pyproject.toml``).
 
-The project is configured through ``pyproject.toml``; this file exists so
-that environments with older setuptools/pip tooling (no PEP 660 editable
-support, no ``wheel`` package) can still do ``python setup.py develop`` or a
-legacy ``pip install -e .``.
+Nothing in the repository needs an install: the tests, benchmarks and
+examples all run off ``PYTHONPATH=src``.  This file exists for environments
+that want ``repro`` importable without that, through ``pip install -e .`` or
+``python setup.py develop``.
 """
 
 from setuptools import find_packages, setup

@@ -34,6 +34,12 @@ class ChaosScheduler(Scheduler):
     wants schedule diversity on top of fault timing — but any scheduler
     (including the adversarial one) can be plugged in, which is how "drop
     messages *and* order them adversarially" experiments are built.
+
+    The kernel asks :meth:`pick`, which hands the base policy the ripe events
+    straight from :meth:`EventFrontier.ripe`.  :meth:`choose` decides the same
+    event from the full list: it is what a subclass overriding ``choose`` (and
+    anything that wraps this scheduler to observe it) is asked through, and
+    what ``pick`` itself falls back to when nothing is ripe.
     """
 
     def __init__(self, base: Optional[Scheduler] = None, seed: int = 0) -> None:
@@ -48,31 +54,46 @@ class ChaosScheduler(Scheduler):
     def reset(self) -> None:
         self.base.reset()
 
+    def _clock(self, kernel: Any) -> int:
+        plane = getattr(kernel, "fault_plane", None)
+        return plane.now(kernel) if plane is not None else int(kernel.steps_taken)
+
+    def _count_step(self, kernel: Any, ripe: int, now: int) -> None:
+        """Cheap ripeness telemetry for the observability plane: how much of
+        the pending set the latency model made choosable this step."""
+        obs = getattr(kernel, "obs", None)
+        if obs is None:
+            return
+        registry = obs.registry
+        if registry is not self._registry:
+            self._registry = registry
+            self._steps = registry.counter("scheduler.chaos_steps")
+            self._ripe_events = registry.counter("scheduler.chaos_ripe_events")
+        self._steps.inc()
+        self._ripe_events.inc(ripe)
+        if not ripe:
+            registry.counter("scheduler.chaos_fastforwards").inc()
+            health = getattr(obs, "health", None)
+            if health is not None:
+                # A fast-forward means the latency model stalled every
+                # pending delivery past "now" — the health plane counts it
+                # toward the rolling stall rate.
+                health.note_stall(now)
+
+    def pick(self, frontier: Any, kernel: Any) -> PendingEvent:
+        now = self._clock(kernel)
+        ripe = frontier.ripe(now, kernel.now)
+        if not ripe:  # rare: the list path counts the step and fast-forwards
+            return Scheduler.pick(self, frontier, kernel)
+        self._count_step(kernel, len(ripe), now)
+        return ripe[self.base.choose(ripe, kernel)]
+
     def choose(self, pending: Sequence[PendingEvent], kernel: Any) -> int:
         if not pending:
             return self.validate_choice(0, pending)  # raises the standard error
-        plane = getattr(kernel, "fault_plane", None)
-        now = plane.now(kernel) if plane is not None else int(kernel.steps_taken)
+        now = self._clock(kernel)
         ripe = [i for i in range(len(pending)) if _ready_at(pending[i]) <= now]
-        obs = getattr(kernel, "obs", None)
-        if obs is not None:
-            # Cheap ripeness telemetry for the observability plane: how much
-            # of the pending set the latency model made choosable this step.
-            registry = obs.registry
-            if registry is not self._registry:
-                self._registry = registry
-                self._steps = registry.counter("scheduler.chaos_steps")
-                self._ripe_events = registry.counter("scheduler.chaos_ripe_events")
-            self._steps.inc()
-            self._ripe_events.inc(len(ripe))
-            if not ripe:
-                obs.registry.counter("scheduler.chaos_fastforwards").inc()
-                health = getattr(obs, "health", None)
-                if health is not None:
-                    # A fast-forward means the latency model stalled every
-                    # pending delivery past "now" — the health plane counts it
-                    # toward the rolling stall rate.
-                    health.note_stall(now)
+        self._count_step(kernel, len(ripe), now)
         if not ripe:
             # Nothing deliverable yet.  With a fault injector installed this
             # is unreachable: its before_step advances the virtual clock

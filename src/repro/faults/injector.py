@@ -32,13 +32,15 @@ from __future__ import annotations
 
 import heapq
 import random
+import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..ioa.actions import Message, internal_action
 from ..ioa.errors import UnknownProcessError
 from ..ioa.network import FaultPlane
-from .plan import FaultPlan
+from .plan import FaultPlan, Partition
 
 
 @dataclass
@@ -141,7 +143,20 @@ class _TransportBuffer:
 
 
 class FaultInjector(FaultPlane):
-    """Stateful enforcement of one :class:`FaultPlan` over one simulation."""
+    """Stateful enforcement of one :class:`FaultPlan` over one simulation.
+
+    **Span invariant.**  The plan's windows open and close only at its edges
+    (crash ``at``/``recover``, partition ``start``/``heal``), so between two
+    consecutive edges the open partitions and the down servers (each with its
+    release: the latest recovery, ``None`` = never) do not change.  They are
+    cached for the span ``_lo <= now < _hi``; every reader checks its own
+    ``now`` against the span, and the first to find it outside re-derives the
+    cache (:meth:`_enter_span`) — the plan is scanned once per span, not per
+    send and per step.  The kernel counts a step *after* ``before_step``, so
+    that first reader can be a send, mid-step: its mail is parked for a
+    server that is down by then, and ``_transitions_due`` stays set until the
+    next ``before_step`` records the onset or recovery.
+    """
 
     def __init__(self, plan: FaultPlan, seed: int = 0) -> None:
         self.plan = plan
@@ -155,6 +170,15 @@ class FaultInjector(FaultPlane):
         self._crashed: Set[str] = set()
         self._crash_onset: Dict[str, int] = {}  # server -> when its current outage began
         self._removed: Set[str] = set()  # retired mid-run (reconfiguration)
+        # the span cache (class docstring); crash edges alone bound a clock jump
+        crash_edges = {t for c in plan.crashes for t in (c.at, c.recover) if t is not None}
+        edges = {t for p in plan.partitions for t in (p.start, p.heal) if t is not None}
+        self._crash_edges = sorted(crash_edges)
+        self._edges = sorted(edges | crash_edges)
+        self._lo = self._hi = 0  # empty: the first reader enters a span
+        self._open_partitions: Tuple[Partition, ...] = ()
+        self._down: Dict[str, Optional[int]] = {}
+        self._transitions_due = True  # crash onsets/recoveries not yet applied
         self._attached = False
         self._names_validated = False
 
@@ -170,7 +194,8 @@ class FaultInjector(FaultPlane):
         self._attached = True
 
     def now(self, kernel: Any) -> int:
-        return max(int(kernel.steps_taken), self._virtual_now)
+        steps, virtual = kernel.steps_taken, self._virtual_now
+        return steps if steps > virtual else virtual
 
     def advance_to(self, step: int) -> None:
         self._virtual_now = max(self._virtual_now, int(step))
@@ -227,10 +252,15 @@ class FaultInjector(FaultPlane):
         held messages stay parked and their transactions count as
         unavailable).  Returns whether the kernel has pending events now.
         """
+        timers = self._buffer._timers  # peeked: on most steps nothing is due
         while True:
             now = self.now(kernel)
-            self._apply_crash_transitions(kernel, now)
-            self._release_due(kernel, now)
+            if not self._lo <= now < self._hi:
+                self._enter_span(now)
+            if self._transitions_due:
+                self._apply_crash_transitions(kernel, now)
+            if timers and timers[0][0] <= now:
+                self._release_due(kernel, now)
             if (
                 kernel.has_pending_invocations()
                 or kernel.has_ripe_delivery(now)
@@ -251,10 +281,9 @@ class FaultInjector(FaultPlane):
                 )
                 if boundary is not None
             ]
-            for crash in self.plan.crashes:
-                boundaries.extend(
-                    t for t in (crash.at, crash.recover) if t is not None and t > now
-                )
+            edge = bisect_right(self._crash_edges, now)
+            if edge < len(self._crash_edges):
+                boundaries.append(self._crash_edges[edge])
             if not boundaries:
                 return False
             self.advance_to(min(boundaries))
@@ -362,6 +391,22 @@ class FaultInjector(FaultPlane):
     # ------------------------------------------------------------------
     # Blocking conditions
     # ------------------------------------------------------------------
+    def _enter_span(self, now: int) -> None:
+        """Re-derive the cached windows for the span of edges holding ``now``."""
+        edges = self._edges
+        index = bisect_right(edges, now)
+        self._lo = edges[index - 1] if index else 0
+        self._hi = edges[index] if index < len(edges) else sys.maxsize
+        self._open_partitions = tuple(p for p in self.plan.partitions if p.active(now))
+        down: Dict[str, Optional[int]] = {}
+        for crash in self.plan.crashes:
+            if crash.crashed(now):
+                latest = down.get(crash.server, 0)
+                forever = latest is None or crash.recover is None
+                down[crash.server] = None if forever else max(latest, crash.recover)
+        self._down = down
+        self._transitions_due = True
+
     def _partition_release(self, src: str, dst: str, now: int) -> Any:
         """Earliest step at which the link is open again, or ``_NOT_BLOCKED``.
 
@@ -369,8 +414,10 @@ class FaultInjector(FaultPlane):
         all of them, so the release time is the latest finite heal; any
         permanent blocking window means the message is held forever (None).
         """
+        if not self._lo <= now < self._hi:
+            self._enter_span(now)
         release: Any = _NOT_BLOCKED
-        for partition in self.plan.partitions:
+        for partition in self._open_partitions:
             if not partition.blocks(src, dst, now):
                 continue
             if partition.heal is None:
@@ -380,14 +427,9 @@ class FaultInjector(FaultPlane):
 
     def _crash_release(self, dst: str, now: int) -> Any:
         """Latest recovery of ``dst`` if it is currently crashed."""
-        release: Any = _NOT_BLOCKED
-        for crash in self.plan.crashes:
-            if crash.server != dst or not crash.crashed(now):
-                continue
-            if crash.recover is None:
-                return None
-            release = crash.recover if release is _NOT_BLOCKED else max(release, crash.recover)
-        return release
+        if not self._lo <= now < self._hi:
+            self._enter_span(now)
+        return self._down.get(dst, _NOT_BLOCKED)
 
     # ------------------------------------------------------------------
     # Timers and transitions
@@ -400,9 +442,8 @@ class FaultInjector(FaultPlane):
         network into the transport buffer (held until recovery).  Transitions
         are recorded as internal actions so traces stay self-describing.
         """
-        currently = {
-            c.server for c in self.plan.crashes if c.crashed(now) and c.server not in self._removed
-        }
+        self._transitions_due = False
+        currently = self._down.keys() - self._removed
         for server in sorted(currently - self._crashed):
             self.stats.crashes += 1
             self._crash_onset[server] = now

@@ -40,8 +40,9 @@ counter, so deliveries (dict insertion order; ``reflight`` replaces a value in
 its slot) and ripe timers (a sorted list) are each already ascending: only
 their two heads and the ready invocations, at most one per client, can be the
 minimum.  The same interleaving test holds both to the list after every
-operation.  A policy that needs the whole list (random, chaos, adversarial)
-still gets it: see :meth:`repro.ioa.scheduler.Scheduler.pick`.
+operation, and :meth:`EventFrontier.ripe` (the chaos scheduler's candidates)
+to the list filtered.  A policy that needs the whole list (random,
+adversarial) still gets it: see :meth:`repro.ioa.scheduler.Scheduler.pick`.
 
 Flights
 -------
@@ -302,6 +303,26 @@ class EventFrontier:
             if self._ripe:
                 alive = self._timeouts
                 events.extend(alive[seq] for seq in self._ripe)
+        if self._ready_order:
+            ready = self._ready
+            events.extend(ready[client] for _, client in self._ready_order)
+        return events
+
+    def ripe(self, now: int, now_fn) -> List[PendingEvent]:
+        """The events of :meth:`events` stamped ``ready_at <= now`` (an
+        invocation has no stamp and always is), in the same order, built in
+        one pass — what :class:`~repro.faults.ChaosScheduler` picks among.
+        ``now`` is the scheduler's clock; ``now_fn`` still ripens the timers,
+        and the two differ when no fault plane keeps the clock."""
+        if len(self._deliveries) == self._immediate:
+            events: List[PendingEvent] = list(self._deliveries.values())
+        else:
+            events = [d for d in self._deliveries.values() if d.ready_at <= now]
+        if self._timeouts:
+            self._ripen(now_fn())
+            if self._ripe:
+                alive = self._timeouts
+                events.extend(alive[seq] for seq in self._ripe if alive[seq].ready_at <= now)
         if self._ready_order:
             ready = self._ready
             events.extend(ready[client] for _, client in self._ready_order)

@@ -41,7 +41,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..ioa.actions import Action, ActionKind
 
@@ -104,9 +104,15 @@ class OnlineMonitor:
     Subclasses implement :meth:`observe`, returning ``None`` while the rule
     holds and a violation message the moment it breaks.  State must be
     O(1)-updatable per event; the suite handles alert packaging.
+
+    ``kinds`` is the subscription: the action kinds the suite hands to
+    :meth:`observe` (``None``, the default, = every action).  A monitor that
+    declares kinds is never asked about the others, so its ``observe`` must
+    return ``None`` for them anyway — direct callers still pass everything.
     """
 
     name = "abstract"
+    kinds: Optional[FrozenSet[ActionKind]] = None
 
     def observe(self, action: Action, index: int) -> Optional[str]:
         raise NotImplementedError
@@ -115,10 +121,14 @@ class OnlineMonitor:
         return self.name
 
 
+_INTERNAL = frozenset({ActionKind.INTERNAL})
+
+
 class ElectionSafetyMonitor(OnlineMonitor):
     """At most one leader per term (dict term → first elected member)."""
 
     name = "election-safety"
+    kinds = _INTERNAL
 
     def __init__(self) -> None:
         self._leader_of_term: Dict[Any, str] = {}
@@ -156,6 +166,7 @@ class LogMatchingMonitor(OnlineMonitor):
     """
 
     name = "log-matching"
+    kinds = _INTERNAL
 
     def __init__(self) -> None:
         self._canon: Dict[Any, List[Tuple[Any, Any]]] = {}
@@ -205,6 +216,7 @@ class QuorumIntersectionMonitor(OnlineMonitor):
     """
 
     name = "quorum-intersection"
+    kinds = _INTERNAL
 
     def __init__(self) -> None:
         self._policy: Optional[Any] = None
@@ -237,6 +249,7 @@ class ConfigInFlightMonitor(OnlineMonitor):
     them globally) must strictly alternate."""
 
     name = "config-in-flight"
+    kinds = _INTERNAL
 
     def __init__(self) -> None:
         self._in_flight = False
@@ -282,6 +295,7 @@ class LeaseSafetyMonitor(OnlineMonitor):
     """
 
     name = "lease-safety"
+    kinds = _INTERNAL
 
     def __init__(self) -> None:
         #: member -> (term, start, until) of its newest announced window
@@ -401,6 +415,10 @@ class MonitorSuite:
     the offending event); otherwise alerts accumulate in :attr:`alerts` for
     end-of-run assertions.  ``suffix_window`` bounds the causal suffix
     attached to each alert.
+
+    Every action is counted and enters the suffix; a monitor is asked only
+    about the kinds it subscribed to (:attr:`OnlineMonitor.kinds` — the five
+    shipped monitors read ``INTERNAL`` actions alone), in suite order.
     """
 
     def __init__(
@@ -412,6 +430,10 @@ class MonitorSuite:
         self.monitors: Tuple[OnlineMonitor, ...] = (
             tuple(monitors) if monitors is not None else default_monitors()
         )
+        self._subscribers: Dict[ActionKind, Tuple[OnlineMonitor, ...]] = {
+            kind: tuple(m for m in self.monitors if m.kinds is None or kind in m.kinds)
+            for kind in ActionKind
+        }
         self.halt_on_violation = halt_on_violation
         self.alerts: List[InvariantViolation] = []
         self._suffix: Deque[Action] = deque(maxlen=max(1, suffix_window))
@@ -432,7 +454,7 @@ class MonitorSuite:
         index = action.index if action.index >= 0 else self._seen
         self._seen += 1
         self._suffix.append(action)
-        for monitor in self.monitors:
+        for monitor in self._subscribers[action.kind]:
             message = monitor.observe(action, index)
             if message is None:
                 continue

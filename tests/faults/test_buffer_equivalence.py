@@ -1,7 +1,9 @@
-"""The indexed transport buffer executes exactly what the seed's list did.
+"""The indexed transport buffer and the window spans execute exactly what
+the scans they replaced did.
 
 Every run is made twice — once with :class:`FaultInjector`, once with
-:class:`ReferenceFaultInjector` (the seed's two full scans of parked mail,
+:class:`ReferenceFaultInjector` (the seed's two full scans of parked mail and
+the per-call scans of the plan that PR 21's span cache replaced,
 ``tests/faults/reference_injector.py``) — and must agree on the trace
 signature, on every :class:`FaultStats` counter and on the *order* of
 ``held_messages()`` at the end.  Re-admission order decides every later RNG

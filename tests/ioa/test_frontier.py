@@ -24,6 +24,13 @@ both to the list after every operation (``idle`` == "the rebuild is empty",
 ``oldest`` **is** the event ``FIFOScheduler.choose`` indexes), and a cell per
 protocol and stack pins the whole trace: FIFO by ``pick`` == FIFO forced
 through ``choose``.
+
+Since PR 21 ``ChaosScheduler.pick`` answers from ``EventFrontier.ripe`` — the
+list filtered by ``ready_at``, built in one pass.  The driver injects
+latency-stamped deliveries, and after every operation holds ``ripe`` to the
+filtered list for a clock on either side of every stamp, and two identically
+seeded chaos schedulers (one asked through ``pick``, one through ``choose``)
+to the same event, the same telemetry counters and the same stall reports.
 """
 
 from __future__ import annotations
@@ -33,10 +40,12 @@ import random
 import pytest
 
 from repro.analysis.workload import WorkloadSpec, generate_workload, submit_workload
+from repro.faults import ChaosScheduler
 from repro.ioa import (
     Await,
     ClientAutomaton,
     FIFOScheduler,
+    Message,
     PendingDelivery,
     PendingInvocation,
     PendingTimeout,
@@ -47,6 +56,7 @@ from repro.ioa import (
     Simulation,
     expect_type,
 )
+from repro.obs.registry import MetricsRegistry
 from repro.protocols import get_protocol, protocol_names
 
 from tests.conftest import build_system
@@ -142,11 +152,68 @@ def frontier_rows(sim):
     return rows
 
 
-def assert_frontier_matches_rebuild(sim, client_order, list_first):
+class ChaosKernel:
+    """The kernel as ``ChaosScheduler`` reads it — no fault plane, so its clock
+    is ``steps_taken``, set by the test — with a registry and a health plane of
+    its own, so that each of two schedulers is counted separately."""
+
+    fault_plane = None
+
+    def __init__(self, sim):
+        self.now = sim.now
+        self.steps_taken = 0
+        self.obs = self
+        self.health = self
+        self.registry = MetricsRegistry()
+        self.stalls = []
+
+    def note_stall(self, now):
+        self.stalls.append(now)
+
+    def counted(self):
+        return self.registry.snapshot()["counters"], self.stalls
+
+
+class ChaosPair:
+    """Two identically seeded chaos schedulers: one is asked through ``pick``,
+    the other through ``choose`` over the list.  Each draws once from its own
+    RNG per question, so they stay in step exactly as long as they agree."""
+
+    def __init__(self, sim, seed):
+        self.by_pick, self.by_choose = ChaosScheduler(seed=seed), ChaosScheduler(seed=seed)
+        self.pick_kernel, self.choose_kernel = ChaosKernel(sim), ChaosKernel(sim)
+
+    def assert_same_event(self, sim, clock):
+        self.pick_kernel.steps_taken = self.choose_kernel.steps_taken = clock
+        events = sim.pending_events()
+        if not events:
+            return
+        picked = self.by_pick.pick(sim._frontier, self.pick_kernel)
+        assert picked is events[self.by_choose.choose(events, self.choose_kernel)]
+        assert self.pick_kernel.counted() == self.choose_kernel.counted()
+
+
+def ready_at(event):
+    return getattr(event, "ready_at", 0)
+
+
+def assert_ripe_is_the_filtered_list(sim, chaos):
+    """``ripe(clock)`` is ``events()`` filtered by stamp, element for element,
+    for the kernel's clock and a clock on either side of every stamp."""
+    stamps = {ready_at(e) for e in (*sim.pending_deliveries(), *sim.pending_timeouts())}
+    for clock in sorted({sim.now(), *(max(0, stamp + d) for stamp in stamps for d in (-1, 0, 1))}):
+        ripe = sim._frontier.ripe(clock, sim.now)
+        assert [id(e) for e in ripe] == [id(e) for e in sim.pending_events() if ready_at(e) <= clock]
+        chaos.assert_same_event(sim, clock)
+
+
+def assert_frontier_matches_rebuild(sim, client_order, list_first, chaos):
     """Every way out of the frontier agrees with the independent rebuild.
 
     ``list_first`` alternates who gets to ripen the timers: the list, or the
-    two queries that do not build it."""
+    queries that do not build it."""
+    if not list_first:
+        assert_ripe_is_the_filtered_list(sim, chaos)
     rebuilt = rebuild_pending(sim, client_order)
     if list_first:
         assert frontier_rows(sim) == rebuilt
@@ -159,6 +226,8 @@ def assert_frontier_matches_rebuild(sim, client_order, list_first):
         assert oldest is events[FIFOScheduler().choose(events, sim)]
     else:
         assert oldest is None
+    if list_first:
+        assert_ripe_is_the_filtered_list(sim, chaos)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 23, 91])
@@ -188,10 +257,14 @@ def test_random_interleaving_matches_rebuild(seed):
     reserved = [f"X{i}" for i in range(8)]  # ids usable as future deps
     spare_counter = 0
 
-    assert_frontier_matches_rebuild(sim, client_order, list_first=True)
+    chaos = ChaosPair(sim, seed)
+    assert_frontier_matches_rebuild(sim, client_order, True, chaos)
     for turn in range(250):
-        op = rng.randrange(8)
-        if op <= 2:  # weighted towards stepping
+        op = rng.randrange(9)
+        if op == 8:  # a latency-stamped delivery, as a fault plane would enqueue it
+            message = Message.make("gossip", "s1", rng.choice(gossip_alive), {"from": "s1"})
+            sim.enqueue_delivery(message, ready_at=sim.now() + rng.randrange(0, 6))
+        elif op <= 2:  # weighted towards stepping
             if sim.pending_events():
                 sim.step()
         elif op == 3:  # submit, sometimes under a (possibly future) dep
@@ -227,16 +300,18 @@ def test_random_interleaving_matches_rebuild(seed):
             if len(gossip_alive) > 1:
                 name = gossip_alive.pop(rng.randrange(len(gossip_alive)))
                 assert sim.remove_automaton(name, force=True)
-        assert_frontier_matches_rebuild(sim, client_order, list_first=turn % 2)
+        assert_frontier_matches_rebuild(sim, client_order, turn % 2, chaos)
 
     # Drain what remains; the equivalence must hold through completion too.
     guard = 0
     while not sim._frontier.idle(sim.now):
         sim.step()
-        assert_frontier_matches_rebuild(sim, client_order, list_first=guard % 2)
+        assert_frontier_matches_rebuild(sim, client_order, guard % 2, chaos)
         guard += 1
         assert guard < 10_000
     assert sim.pending_events() == [] and sim._frontier.oldest(sim.now) is None
+    counters, stalls = chaos.pick_kernel.counted()
+    assert counters["scheduler.chaos_fastforwards"] == len(stalls) > 0  # the nothing-ripe path ran too
 
 
 class ListPathFIFO(FIFOScheduler):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.faults import ChaosScheduler
+from repro.faults import ChaosScheduler, FaultInjector, FaultPlan, UniformLatency
 from repro.ioa.actions import Message
 from repro.ioa.errors import SchedulerError
 from repro.ioa.scheduler import (
@@ -175,8 +175,8 @@ class TestPickOrChoose:
     must still be asked on every step, whatever fast ``pick`` its base has."""
 
     @staticmethod
-    def run_with(scheduler):
-        handle = get_protocol("simple-rw").build(scheduler=scheduler, seed=5)
+    def run_with(scheduler, **build):
+        handle = get_protocol("simple-rw").build(scheduler=scheduler, seed=5, **build)
         for index in range(6):
             handle.submit_write({obj: index for obj in handle.objects}, txn_id=f"W{index}")
             handle.submit_read(handle.objects, txn_id=f"R{index}")
@@ -200,6 +200,31 @@ class TestPickOrChoose:
         assert Counting.pick is Scheduler.pick and Grandchild.pick is Scheduler.pick
         for scheduler in (Counting(), Grandchild()):
             assert self.run_with(scheduler).steps_taken == scheduler.asked
+
+    def test_a_choose_only_chaos_subclass_is_asked_with_the_unripe_events_too(self):
+        """``ChaosScheduler.pick`` hands its base the ripe events alone; a
+        subclass that redefines ``choose`` is asked with the full list, and
+        both ways decide the same run."""
+
+        class Counting(ChaosScheduler):
+            asked = unripe = 0
+
+            def choose(self, pending, kernel):
+                self.asked += 1
+                assert list(pending) == kernel.pending_events()
+                self.unripe += any(getattr(e, "ready_at", 0) > kernel.now() for e in pending)
+                return super().choose(pending, kernel)
+
+        assert ChaosScheduler.pick is not Scheduler.pick and Counting.pick is Scheduler.pick
+
+        def under_latency(scheduler):
+            plane = FaultInjector(FaultPlan(latency=UniformLatency(0, 6), seed=5), seed=5)
+            return self.run_with(scheduler, fault_plane=plane)
+
+        counting = Counting(seed=5)
+        by_choose = under_latency(counting)
+        assert by_choose.steps_taken == counting.asked and counting.unripe > 10
+        assert by_choose.trace.signature() == under_latency(ChaosScheduler(seed=5)).trace.signature()
 
     def test_a_subclass_overriding_only_pick_is_asked_on_every_step(self):
         class Picking(FIFOScheduler):

@@ -13,8 +13,10 @@ import pytest
 from repro.ioa import FIFOScheduler, Trace
 from repro.ioa.actions import Action, ActionKind
 from repro.obs import (
+    InvariantViolation,
     InvariantViolationError,
     MonitorSuite,
+    OnlineMonitor,
     default_monitors,
     watch_trace,
 )
@@ -232,6 +234,119 @@ def test_default_monitors_are_fresh_instances():
         "lease-safety",
     }
     assert all(x is not y for x, y in zip(a, b))
+
+
+# ----------------------------------------------------------------------
+# Subscriptions: a monitor is asked about the kinds it declared
+# ----------------------------------------------------------------------
+class AskEveryMonitorSuite(MonitorSuite):
+    """The suite before ``kinds`` existed, its loop verbatim: every monitor
+    is asked about every action."""
+
+    def on_action(self, action):
+        index = action.index if action.index >= 0 else self._seen
+        self._seen += 1
+        self._suffix.append(action)
+        for monitor in self.monitors:
+            message = monitor.observe(action, index)
+            if message is None:
+                continue
+            violation = InvariantViolation(
+                monitor=monitor.name,
+                trace_index=index,
+                actor=action.actor,
+                message=message,
+                suffix=tuple(a.describe() for a in self._suffix),
+            )
+            self.alerts.append(violation)
+            if self.halt_on_violation:
+                raise InvariantViolationError(violation)
+
+
+class Census(OnlineMonitor):
+    """Counts what it is shown; ``kinds`` is left to the subclass."""
+
+    name = "census"
+
+    def __init__(self):
+        self.seen = []
+
+    def observe(self, action, index):
+        self.seen.append((index, action.kind))
+        return None
+
+
+class SendCensus(Census):
+    kinds = frozenset({ActionKind.SEND})
+
+
+def leased_run(monitors):
+    return run_observed(
+        "algorithm-b",
+        monitors=monitors,
+        scheduler=FIFOScheduler(),
+        replication_factor=3,
+        quorum="majority",
+        consensus_factor=3,
+        leases=True,
+    )
+
+
+def test_a_monitor_that_declares_no_kinds_still_sees_every_action():
+    everything, sends = Census(), SendCensus()
+    handle, _plane = leased_run(MonitorSuite(monitors=(everything, *default_monitors(), sends)))
+    actions = list(handle.trace())
+    assert everything.seen == [(a.index, a.kind) for a in actions]
+    assert {kind for _, kind in everything.seen} == set(ActionKind)
+    assert sends.seen == [(a.index, a.kind) for a in actions if a.kind is ActionKind.SEND]
+    assert 0 < len(sends.seen) < len(actions)
+
+
+def poisoned_stream():
+    """A real leased run's actions (every kind, in trace order) with one
+    election and one lease violation forged into the middle of it."""
+    handle, _plane = leased_run(None)
+    actions = list(handle.trace())
+    assert any(a.get("consensus") == "local-read" for a in actions)
+    middle = len(actions) // 2
+    forged = [
+        leader("forged-a", 999),
+        leader("forged-b", 999),  # a second leader for term 999
+        internal("forged-c", consensus="local-read", member="forged-c", term=1, vtime=5, request="r"),
+    ]
+    return [*actions[:middle], *forged, *actions[middle:]], middle
+
+
+def test_alerts_are_those_of_a_suite_that_asks_every_monitor_everything():
+    """Same alerts, field for field: monitor, trace index, message and the
+    causal suffix (which must still hold the actions nobody subscribed to)."""
+    stream, middle = poisoned_stream()
+    by_kind, everything = MonitorSuite(), AskEveryMonitorSuite()
+    for action in stream:
+        by_kind.on_action(action)
+        everything.on_action(action)
+    assert by_kind.alerts == everything.alerts and by_kind._seen == everything._seen == len(stream)
+    # a forged election also lands inside the run's live lease window
+    assert [(a.monitor, a.trace_index - middle) for a in by_kind.alerts] == [
+        ("lease-safety", 0),
+        ("election-safety", 1),
+        ("lease-safety", 1),
+        ("lease-safety", 2),
+    ]
+    window = stream[middle - 15 : middle + 1]
+    assert by_kind.alerts[0].suffix == tuple(a.describe() for a in window)
+    assert len({a.kind for a in window}) > 1
+
+
+def test_halt_on_violation_raises_at_the_action_the_ask_everything_suite_raises_at():
+    stream, middle = poisoned_stream()
+    raised = []
+    for suite in (MonitorSuite(halt_on_violation=True), AskEveryMonitorSuite(halt_on_violation=True)):
+        with pytest.raises(InvariantViolationError) as excinfo:
+            for fed, action in enumerate(stream):
+                suite.on_action(action)
+        raised.append((fed, excinfo.value.violation, suite._seen))
+    assert raised[0] == raised[1] and raised[0][0] == middle
 
 
 # ----------------------------------------------------------------------
