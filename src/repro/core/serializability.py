@@ -25,10 +25,10 @@ transaction-complete ones.
 
 Cost, for ``n`` complete transactions: Lemma 20's ``P1–P4`` take
 O(n log n) — each condition is a sort plus one probe per transaction — and
-the semantic search takes O(n log n) plus O(w log w) per explored state,
-``w`` being the number of transactions concurrent with one transaction
-(about ``n`` states when the protocol really serialized the history,
-exponential in ``w`` at worst).
+the semantic search, run once per ``History`` object however many checkers
+ask, takes O(n log n) plus O(w log w) per explored state, ``w`` being the
+transactions concurrent with one transaction (about ``n`` states when the
+protocol really serialized the history, exponential in ``w`` at worst).
 """
 
 from __future__ import annotations
@@ -38,14 +38,13 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..txn.datatype import OTState, apply_transaction
 from ..txn.history import History, HistoryEntry
 from ..txn.transactions import ReadResult, ReadTransaction, WriteTransaction
 
 
-@dataclass
+@dataclass(frozen=True)
 class SerializabilityResult:
-    """Outcome of a strict-serializability check."""
+    """Outcome of a strict-serializability check (immutable: callers share it)."""
 
     ok: bool
     witness_order: Tuple[str, ...] = ()
@@ -74,10 +73,44 @@ def _observed_read_map(entry: HistoryEntry) -> Optional[Dict[str, Any]]:
     return None
 
 
-def check_strict_serializability(
-    history: History,
-    max_states: int = 2_000_000,
-) -> SerializabilityResult:
+def check_strict_serializability(history: History, max_states: int = 2_000_000) -> SerializabilityResult:
+    """The verdict of :func:`_search`, run once per history: a history is
+    immutable and the search deterministic, so the finished result is kept in
+    ``history.views`` and answers every later call (``check_snow``'s S, a
+    direct call and :func:`check_lemma20`'s cross-check are one search).  The
+    search aborts iff it explores more than ``max_states`` states, so a kept
+    verdict answers exactly the bounds it fits; an aborted one is not kept."""
+    kept = history.views.get(check_strict_serializability)
+    if kept is not None and kept.explored_states <= max_states:
+        return kept
+    result = _search(history, max_states)
+    if result.explored_states <= max_states:  # ran to its end
+        history.views[check_strict_serializability] = result
+    return result
+
+
+def _pairs(entry: HistoryEntry, position: Mapping[str, int]) -> Any:
+    """``(position in the state tuple, value)`` pairs: what a READ observed
+    (``()`` for no report, ``None`` when its keys are not the READ's objects:
+    no state matches) or what a WRITE stores.  An error the sequential
+    specification (:mod:`repro.txn.datatype`) would raise is returned instead,
+    and raised only if the search gets as far as this transaction."""
+    txn = entry.txn
+    is_read = isinstance(txn, ReadTransaction)
+    if not is_read and not isinstance(txn, WriteTransaction):
+        return TypeError(f"not a transaction: {txn!r}")
+    for obj in txn.objects:
+        if obj not in position:
+            return KeyError(f"READ of unknown object {obj!r}" if is_read else f"unknown object {obj!r}")
+    if not is_read:
+        return tuple((position[obj], value) for obj, value in txn.updates)
+    observed = _observed_read_map(entry)
+    if observed is not None and observed.keys() != set(txn.objects):
+        return None
+    return tuple((position[obj], value) for obj, value in (observed or {}).items())
+
+
+def _search(history: History, max_states: int) -> SerializabilityResult:
     """Search for a legal strict serialization of ``history``.
 
     The search walks the DAG of "sets of already-serialized transactions":
@@ -85,7 +118,10 @@ def check_strict_serializability(
     real-time predecessors are already serialized, provided a READ's observed
     values match the current abstract state.  Memoisation is on the pair
     ``(set of placed transactions, abstract state)`` — two different orders
-    of the same writes that produce the same state are explored once.
+    of the same writes that produce the same state are explored once.  The
+    state is the tuple of values in ``history.objects`` order and every
+    transaction is precomputed against it (:func:`_pairs`): a candidate test
+    is an index compare per observed value, placing a WRITE one list copy.
 
     Real-time order is an interval order, so "every predecessor is placed"
     is a window test: a transaction is eligible iff it was invoked no later
@@ -101,7 +137,7 @@ def check_strict_serializability(
     states; the worst case is exponential in the number of *concurrent*
     transactions, and ``max_states`` bounds the work defensively.
     """
-    entries = list(history.complete_entries())
+    entries = history.complete_entries()
     if not entries:
         return SerializabilityResult(ok=True, witness_order=(), explored_states=0)
 
@@ -110,13 +146,12 @@ def check_strict_serializability(
     n = len(entries)
     ranked = sorted(range(n), key=lambda position: entries[position].invoke_index)
     ids = [entries[position].txn_id for position in ranked]
-    txns = [entries[position].txn for position in ranked]
     invoke = [entries[position].invoke_index for position in ranked]
     respond = [entries[position].respond_index for position in ranked]
-    is_read = [isinstance(txn, ReadTransaction) for txn in txns]
-    observed = [
-        _observed_read_map(entries[position]) if read else None for position, read in zip(ranked, is_read)
-    ]
+    is_read = [isinstance(entries[position].txn, ReadTransaction) for position in ranked]
+    position_of = {obj: position for position, obj in enumerate(history.objects)}
+    pairs = [_pairs(entries[position], position_of) for position in ranked]
+    expects = [found if read else () for found, read in zip(pairs, is_read)]
     # earliest response among ranks >= r; it can undercut a window member's
     # invocation only in a hand-written history whose entries respond before
     # they are invoked, but then it must, to keep the predecessor test exact
@@ -124,7 +159,7 @@ def check_strict_serializability(
     for rank in range(n - 1, -1, -1):
         respond_from[rank] = min(respond[rank], respond_from[rank + 1])
 
-    def candidates(lo: int, beyond: int, state: OTState) -> List[int]:
+    def candidates(lo: int, beyond: int, state: Tuple[Any, ...]) -> List[int]:
         """Eligible ranks whose observed values match ``state``, in history
         order.  ``lo`` is the first unplaced rank; bit ``i`` of ``beyond``
         says rank ``lo + 1 + i`` is placed."""
@@ -146,23 +181,28 @@ def check_strict_serializability(
             others = second if respond[rank] == first else first
             if invoke[rank] > others or invoke[rank] > rest:
                 continue
-            if is_read[rank]:
-                expected = state.read(txns[rank].objects)
-                if observed[rank] is not None and observed[rank] != expected:
-                    continue
-            out.append(rank)
+            expected = expects[rank]
+            if expected is None:
+                continue
+            if expected.__class__ is not tuple:
+                raise expected
+            for position, value in expected:
+                if state[position] is not value and state[position] != value:  # as dicts compare
+                    break
+            else:
+                out.append(rank)
         out.sort(key=ranked.__getitem__)
         return out
 
-    initial_state = OTState.initial(history.objects, history.initial_value)
-    visited: Set[Tuple[int, int, OTState]] = {(0, 0, initial_state)}
+    initial_state = (history.initial_value,) * len(history.objects)
+    visited: Set[Tuple[int, int, Tuple[Any, ...]]] = {(0, 0, initial_state)}
     explored = 0
 
     # Iterative depth-first search with an explicit stack so deep histories
     # cannot blow the Python recursion limit.  A frame is (first unplaced
     # rank, placed ranks beyond it, state, rank placed to get here, untried
     # candidates); the ranks placed along the stack are the serial order.
-    stack: List[Tuple[int, int, OTState, int, List[int]]] = [
+    stack: List[Tuple[int, int, Tuple[Any, ...], int, List[int]]] = [
         (0, 0, initial_state, -1, candidates(0, 0, initial_state))
     ]
     while stack:
@@ -174,7 +214,14 @@ def check_strict_serializability(
             stack.pop()
             continue
         rank = cands.pop()
-        next_state = state if is_read[rank] else apply_transaction(state, txns[rank])[1]
+        next_state = state
+        if not is_read[rank]:
+            if pairs[rank].__class__ is not tuple:
+                raise pairs[rank]
+            cells = list(state)
+            for position, value in pairs[rank]:
+                cells[position] = value
+            next_state = tuple(cells)
         if rank != lo:
             next_lo, next_beyond = lo, beyond | 1 << (rank - lo - 1)
         else:

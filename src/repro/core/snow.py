@@ -21,7 +21,7 @@ pass over the trace — the :class:`~repro.core.traffic.TrafficIndex`, built on
 first use and cached on the trace — so :func:`blocking_servers_for`,
 :func:`round_trips_per_server` and :func:`versions_in_replies` are lookups
 proportional to the transaction's own messages, and :func:`check_snow` is
-linear in the trace plus the serializability search.
+linear in the trace plus one serializability search per ``History`` object.
 """
 
 from __future__ import annotations
@@ -280,8 +280,8 @@ def check_snow(
     Cost: N and O are one pass over the trace (shared with
     ``collect_metrics`` through the cached :class:`~repro.core.traffic.TrafficIndex`)
     plus a lookup per READ; W's conflicting-write probe is O(reads × writes)
-    interval comparisons, stopping at the first conflict; S is the search of
-    :func:`~repro.core.serializability.check_strict_serializability`.
+    interval comparisons, stopping at the first conflict; S is the verdict of
+    ``check_strict_serializability(history)``: one search, kept on ``history``.
     """
     if not simulation.trace.is_full():
         raise TraceError(
@@ -296,7 +296,7 @@ def check_snow(
     notes: List[str] = []
 
     # S ------------------------------------------------------------------
-    serializability = check_strict_serializability(history.restricted_to_complete())
+    serializability = check_strict_serializability(history)
 
     # W ------------------------------------------------------------------
     write_entries = history.writes()

@@ -125,7 +125,7 @@ def run_figure5(initial_value: str = "init") -> EigerExampleResult:
     history = handle.history()
     read_record = handle.simulation.transaction_record(read_id)
     report = check_snow(handle.simulation, history)
-    serializability = check_strict_serializability(history.restricted_to_complete())
+    serializability = check_strict_serializability(history)
     return EigerExampleResult(
         history=history,
         snow_report=report,

@@ -66,12 +66,18 @@ class HistoryEntry:
 
 
 class History:
-    """An ordered collection of :class:`HistoryEntry` records."""
+    """An ordered, immutable collection of :class:`HistoryEntry` records: a
+    changed history is a *new* ``History`` (see :meth:`restricted_to_complete`),
+    so what an analysis derives from one is kept in its :attr:`views` (today
+    the verdict of :mod:`repro.core.serializability`) for every later caller.
+    Two histories with equal entries share nothing."""
 
     def __init__(self, entries: Iterable[HistoryEntry], objects: Sequence[str], initial_value: Any = 0) -> None:
         self._entries: List[HistoryEntry] = list(entries)
         self.objects = tuple(objects)
         self.initial_value = initial_value
+        #: derived views by owning function: read-only, never stale (nothing here changes)
+        self.views: Dict[Any, Any] = {}
         self._by_id: Dict[str, HistoryEntry] = {e.txn_id: e for e in self._entries}
         if len(self._by_id) != len(self._entries):
             raise ValueError("duplicate transaction ids in history")

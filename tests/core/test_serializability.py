@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.serializability import check_strict_serializability
+from repro.txn.datatype import run_serial
 from repro.txn.history import History, HistoryEntry
-from repro.txn.transactions import ReadResult, WRITE_OK, read, write
+from repro.txn.transactions import ReadResult, WRITE_OK, read, write, write_pairs
+
+from tests.core import reference_serializability as reference
 
 
 def entry(txn, client, invoke, respond, result=None):
@@ -205,3 +209,136 @@ class TestSearchBehaviour:
         result = check_strict_serializability(h, max_states=3)
         assert not result.ok
         assert any("aborted" in v for v in result.violations)
+
+
+# ----------------------------------------------------------------------
+# The positional search equals the seed's OTState search
+# ----------------------------------------------------------------------
+#: deliberately not in sorted order: the state tuple follows ``history.objects``
+OBJECTS = ("o2", "o3", "o1")
+UNBOUNDED = 2_000_000
+#: equal to nothing, itself included — but a READ that returns this very object
+#: matches the state holding it, because dicts (the oracle's comparison) and
+#: the positional compare both try identity first
+NAN = float("nan")
+
+
+def reshaped(draw, txn, correct):
+    """``correct`` (object -> value, what the serial order returns) in one of
+    the forms a history may carry a READ's result in, right or wrong."""
+    form = draw(
+        st.sampled_from(
+            ("result", "mapping", "floats", "positional", "none", "missing", "extra", "short", "long", "wrong")
+        )
+    )
+    if form == "result":
+        return ReadResult.from_mapping(correct)
+    if form == "mapping":
+        return dict(correct)
+    if form == "floats":  # equal to what was written, not identical to it
+        return {obj: float(value) for obj, value in correct.items()}
+    if form == "positional":
+        return [correct[obj] for obj in txn.objects]
+    if form == "none":
+        return None
+    if form == "missing":  # the remaining values are right: only the key set tells
+        return {obj: correct[obj] for obj in txn.objects[1:]}
+    if form == "extra":
+        return {**correct, draw(st.sampled_from(("ghost",) + OBJECTS)): 0}
+    if form == "short":
+        return tuple(correct[obj] for obj in txn.objects[:-1])
+    if form == "long":  # zip stops at the READ's objects: the surplus is ignored
+        return [correct[obj] for obj in txn.objects] + [7]
+    changed = draw(st.sampled_from(txn.objects))
+    return ReadResult.from_mapping({**correct, changed: correct[changed] + 1})
+
+
+@st.composite
+def searched_histories(draw):
+    """``(entries, objects)`` of a history built from a serial order over three
+    objects whose WRITEs store 0, 1 or ``NAN`` — the initial value included, so
+    distinct write orders reach equal states — stretched in real time until up
+    to six transactions overlap.  READ results take every form :func:`reshaped`
+    knows; some READs name an object outside ``history.objects``; some entries
+    respond before they are invoked; history order is a permutation."""
+    count = draw(st.integers(min_value=1, max_value=7))
+    txns = []
+    for index in range(count):
+        subset = draw(st.lists(st.sampled_from(OBJECTS), min_size=1, max_size=3, unique=True))
+        if draw(st.booleans()):
+            txns.append(read(*subset, txn_id=f"T{index}"))
+        else:
+            txns.append(write_pairs(tuple((obj, draw(st.sampled_from((0, 1, 1, NAN)))) for obj in subset), txn_id=f"T{index}"))
+    responses, _ = run_serial(txns, OBJECTS, initial_value=0)
+    reach = draw(st.sampled_from((2, 15, 30)))  # 30: six neighbours overlap
+    entries = []
+    for position, (txn, response) in enumerate(zip(txns, responses)):
+        result = reshaped(draw, txn, response.as_dict) if txn.is_read() else WRITE_OK
+        invoke = 10 * position - draw(st.integers(0, reach))
+        respond = 10 * position + draw(st.integers(1, reach))
+        if draw(st.integers(0, 9)) == 0:
+            invoke, respond = respond, invoke
+        entries.append(entry(txn, f"c{position % 3}", invoke, respond, result))
+    if draw(st.booleans()):
+        ghost = read(*draw(st.sampled_from((("ghost",), ("o1", "ghost"), ("ghost", "o3")))), txn_id="Tghost")
+        at = 10 * draw(st.integers(0, count))
+        result = draw(st.sampled_from((None, {"ghost": 0}, [0, 0])))
+        entries.append(entry(ghost, "cg", at - draw(st.integers(0, reach)), at + draw(st.integers(1, reach)), result))
+    return draw(st.permutations(entries)), OBJECTS
+
+
+def outcome(check, entries, objects, max_states):
+    """What ``check`` says about a fresh history (nothing kept from an earlier
+    call): the result's fields, or the exception's type and text."""
+    try:
+        result = check(History(entries, objects=objects, initial_value=0), max_states)
+    except Exception as error:  # noqa: BLE001 - the oracle decides what is legal
+        return type(error), str(error)
+    return result.ok, result.witness_order, result.explored_states, result.violations
+
+
+@settings(max_examples=400, deadline=None)
+@given(searched_histories(), st.one_of(st.integers(min_value=1, max_value=12), st.just(UNBOUNDED)))
+def test_positional_search_equals_the_otstate_oracle(drawn, max_states):
+    """``src/`` searches over a tuple of values with per-transaction
+    ``(position, value)`` pairs; ``reference_serializability`` keeps the
+    seed's search over ``OTState``.  Verdict, witness order, explored-state
+    count, violation text and any exception (type and text) must be equal.
+
+    Mutants of ``repro.core.serializability`` this must kill (each was run):
+    the key-set test dropped from a READ's expectation (a mapping with a
+    missing key then matches on the values it has); a WRITE's positions taken
+    from ``sorted(history.objects)`` while a READ's follow ``history.objects``
+    (renumbering *both* alike only relabels the state tuple — an equivalent
+    mutant); the unknown-object error raised while precomputing rather than
+    when the search reaches the READ; the value compare reduced to ``is not``
+    alone (``1.0`` for a written ``1``) or to ``!=`` alone (``NAN``).  The two
+    mutants of the *reuse rule* (``<`` for ``<=``; an aborted result kept) die
+    in ``test_one_verdict_per_history.py``.
+    """
+    entries, objects = drawn
+    assert outcome(check_strict_serializability, entries, objects, max_states) == outcome(
+        reference.check_strict_serializability, entries, objects, max_states
+    )
+
+
+def test_generated_histories_cover_the_cases_the_property_names():
+    """The generator really produces what the property's docstring lists."""
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(searched_histories())
+    def collect(drawn):
+        entries, objects = drawn
+        result_or_error = outcome(reference.check_strict_serializability, entries, objects, UNBOUNDED)
+        seen.add("raises" if isinstance(result_or_error[0], type) else ("ok" if result_or_error[0] else "rejected"))
+        if any(e.respond_index < e.invoke_index for e in entries):
+            seen.add("responds-before-invoked")
+        if max(sum(1 for other in entries if other.overlaps(e)) for e in entries) >= 6:
+            seen.add("window-of-six")
+        for e in entries:
+            if e.txn.is_read() and isinstance(e.result, dict) and set(e.result) != set(e.txn.objects):
+                seen.add("key-set-mismatch")
+
+    collect()
+    assert seen >= {"raises", "ok", "rejected", "responds-before-invoked", "window-of-six", "key-set-mismatch"}
