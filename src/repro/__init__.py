@@ -1,6 +1,15 @@
 """repro — a Python reproduction of *SNOW Revisited* (Konwar, Lloyd, Lu, Lynch).
 
-The package is organised in layers:
+The package is organised in layers, and a process loads the ones it uses:
+``import repro`` imports no subpackage, each of the ten below is imported when
+it is first touched (``repro.core``, ``from repro import obs``), and inside
+each a public name resolves on first access (:mod:`repro._lazy`) — except
+:mod:`repro.ioa` and :mod:`repro.txn`, the kernel every build executes, which
+load whole.  The optional planes are imported where they attach:
+``get_protocol`` imports the one protocol asked for, ``Protocol.build`` the
+consensus members, leases, stable storage and reconfiguration driver of a build
+that asks for them, an ``ObservabilityPlane`` the listeners it is given.  No
+import happens inside ``Simulation.run``.
 
 * :mod:`repro.ioa` — deterministic I/O-automata-style simulation substrate
   (messages, traces, automata, schedulers/adversaries, the kernel);
@@ -25,7 +34,9 @@ The package is organised in layers:
 * :mod:`repro.obs` — the observability plane: causal span trees derived
   from kernel traces, a virtual-time metrics registry fed by trace/mailbox
   hooks, an opt-in wall-clock kernel profiler, and Chrome trace-event /
-  text-timeline exporters; off by default and trace-invisible when enabled.
+  text-timeline exporters; off by default and trace-invisible when enabled;
+* :mod:`repro.persist` — stable storage for consensus members (the in-sim
+  store and a hash-chained on-disk journal); without it members are volatile.
 
 Quickstart::
 
@@ -39,8 +50,15 @@ Quickstart::
     print(handle.snow_report().describe())
 """
 
-from . import core, faults, ioa, protocols, txn
+from ._lazy import lazy_exports
 
 __version__ = "1.1.0"
 
-__all__ = ["core", "faults", "ioa", "protocols", "txn", "__version__"]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    dict.fromkeys(
+        ("analysis", "consensus", "core", "faults", "ioa", "obs", "persist", "proofs", "protocols", "txn"),
+        (),
+    ),
+)
+__all__.append("__version__")

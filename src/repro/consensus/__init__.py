@@ -32,65 +32,27 @@ by the build seed, so consensus executions are as replayable as everything
 else in the repository.
 """
 
-from .controller import CONTROLLER_NAME, ControllerPolicy, ReconfigController
-from .coordinator import (
-    CONFIG,
-    DEFAULT_ELECTION_TIMEOUT,
-    RECONFIG,
-    ReplicatedCoordinator,
-    consensus_members,
-)
-from .election import CANDIDATE, FOLLOWER, LEADER, LeaderElection
-from .lease import LeaderLeaseState, LeasePolicy
-from .log import NOOP, CompactedLogError, ConsensusLog, LogEntry
-from .machines import (
-    CoordinatorList,
-    CoordinatorStateMachine,
-    ListStateMachine,
-    TimestampStateMachine,
-)
-from .reconfig import (
-    ADMIN_NAME,
-    CONSENSUS_GROUP,
-    REPLICA_GROUP,
-    PlacementDirectory,
-    ReconfigDriver,
-    ReconfigPlan,
-    ReconfigRequest,
-    set_consensus_group,
-    set_replica_group,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CONFIG",
-    "CONTROLLER_NAME",
-    "ControllerPolicy",
-    "ReconfigController",
-    "DEFAULT_ELECTION_TIMEOUT",
-    "RECONFIG",
-    "ReplicatedCoordinator",
-    "consensus_members",
-    "ADMIN_NAME",
-    "CONSENSUS_GROUP",
-    "REPLICA_GROUP",
-    "PlacementDirectory",
-    "ReconfigDriver",
-    "ReconfigPlan",
-    "ReconfigRequest",
-    "set_consensus_group",
-    "set_replica_group",
-    "CANDIDATE",
-    "FOLLOWER",
-    "LEADER",
-    "LeaderElection",
-    "LeaderLeaseState",
-    "LeasePolicy",
-    "NOOP",
-    "CompactedLogError",
-    "ConsensusLog",
-    "LogEntry",
-    "CoordinatorList",
-    "CoordinatorStateMachine",
-    "ListStateMachine",
-    "TimestampStateMachine",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "controller": ("CONTROLLER_NAME", "ControllerPolicy", "ReconfigController"),
+        "coordinator": (
+            "CONFIG", "DEFAULT_ELECTION_TIMEOUT", "RECONFIG", "ReplicatedCoordinator",
+            "consensus_members",
+        ),
+        "election": ("CANDIDATE", "FOLLOWER", "LEADER", "LeaderElection"),
+        "lease": ("LeaderLeaseState", "LeasePolicy"),
+        "log": ("NOOP", "CompactedLogError", "ConsensusLog", "LogEntry"),
+        "machines": (
+            "CoordinatorList", "CoordinatorStateMachine", "ListStateMachine",
+            "TimestampStateMachine",
+        ),
+        "reconfig": (
+            "ADMIN_NAME", "CONSENSUS_GROUP", "REPLICA_GROUP", "PlacementDirectory",
+            "ReconfigDriver", "ReconfigPlan", "ReconfigRequest", "set_consensus_group",
+            "set_replica_group",
+        ),
+    },
+)

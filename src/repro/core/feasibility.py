@@ -34,8 +34,10 @@ from ..ioa.scheduler import (
     FIFOScheduler,
     RandomScheduler,
     holds_message,
+    until_message_delivered,
     until_transaction_done,
 )
+from ..txn.objects import server_for_object
 from .snow import SnowReport
 
 
@@ -111,9 +113,6 @@ def _fracture_scheduler(first_write_id: str, first_read_id: str, objects: Sequen
     latest-value read then observes the write on one server and misses it on
     the other (a fractured read).
     """
-    from ..ioa.scheduler import until_message_delivered
-    from ..txn.objects import server_for_object
-
     first_server = server_for_object(objects[0])
     last_server = server_for_object(objects[-1])
     rules = [
@@ -142,6 +141,7 @@ def run_protocol_once(
     seed: int = 0,
 ) -> SnowReport:
     """Run one protocol in one setting under one scheduler and report SNOW."""
+    # the checkers and the Figure 1 tables load without the protocol layer; running a cell loads it
     from ..protocols.registry import get_protocol
 
     protocol = get_protocol(protocol_name)
@@ -200,6 +200,7 @@ def find_violation_in_impossible_cell(
     checked = 0
 
     # Targeted adversary first: deterministic and fast.
+    # the checkers and the Figure 1 tables load without the protocol layer; running a cell loads it
     from ..protocols.registry import get_protocol
 
     protocol = get_protocol("naive-snow")
@@ -325,6 +326,7 @@ def bounded_snw_matrix(
     seeds: Sequence[int] = (0, 1, 2),
 ) -> List[BoundedSnwRow]:
     """Measure rounds/versions/SNW for the Figure 1(b) protocols."""
+    # the checkers and the Figure 1 tables load without the protocol layer; running a cell loads it
     from ..protocols.registry import get_protocol
 
     rows: List[BoundedSnwRow] = []

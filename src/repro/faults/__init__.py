@@ -19,75 +19,24 @@ byte-for-byte identical to the reliable kernel — the golden-trace tests under
 ``tests/faults`` pin that down — so the paper-faithful results are untouched.
 """
 
-from .chaos import ChaosScheduler
-from .injector import FaultInjector, FaultStats
-from .plan import (
-    BimodalLatency,
-    CrashEvent,
-    DropPolicy,
-    DuplicatePolicy,
-    FaultPlan,
-    FixedLatency,
-    LatencyModel,
-    Partition,
-    RetryPolicy,
-    UniformLatency,
-)
-from .adversary import (
-    chaos_adversarial_scheduler,
-    fracture_rules,
-    hunt_s_violations,
-)
-from .scenarios import (
-    auto_heal,
-    coordinator_failover,
-    crash_amnesia,
-    crash_recover,
-    duplicating_network,
-    fail_stop,
-    flaky_everything,
-    grow_group_mid_run,
-    healed_partition,
-    lossy_network,
-    partition_grid_scenarios,
-    replace_dead_replica,
-    shrink_consensus_group_mid_run,
-    slow_network,
-    standard_fault_scenarios,
-    tail_latency,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ChaosScheduler",
-    "FaultInjector",
-    "FaultStats",
-    "BimodalLatency",
-    "CrashEvent",
-    "DropPolicy",
-    "DuplicatePolicy",
-    "FaultPlan",
-    "FixedLatency",
-    "LatencyModel",
-    "Partition",
-    "RetryPolicy",
-    "UniformLatency",
-    "chaos_adversarial_scheduler",
-    "fracture_rules",
-    "hunt_s_violations",
-    "auto_heal",
-    "coordinator_failover",
-    "crash_amnesia",
-    "crash_recover",
-    "duplicating_network",
-    "fail_stop",
-    "flaky_everything",
-    "grow_group_mid_run",
-    "healed_partition",
-    "lossy_network",
-    "partition_grid_scenarios",
-    "replace_dead_replica",
-    "shrink_consensus_group_mid_run",
-    "slow_network",
-    "standard_fault_scenarios",
-    "tail_latency",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "chaos": ("ChaosScheduler",),
+        "injector": ("FaultInjector", "FaultStats"),
+        "plan": (
+            "BimodalLatency", "CrashEvent", "DropPolicy", "DuplicatePolicy", "FaultPlan",
+            "FixedLatency", "LatencyModel", "Partition", "RetryPolicy", "UniformLatency",
+        ),
+        "adversary": ("chaos_adversarial_scheduler", "fracture_rules", "hunt_s_violations"),
+        "scenarios": (
+            "auto_heal", "coordinator_failover", "crash_amnesia", "crash_recover",
+            "duplicating_network", "fail_stop", "flaky_everything", "grow_group_mid_run",
+            "healed_partition", "lossy_network", "partition_grid_scenarios",
+            "replace_dead_replica", "shrink_consensus_group_mid_run", "slow_network",
+            "standard_fault_scenarios", "tail_latency",
+        ),
+    },
+)

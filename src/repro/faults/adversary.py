@@ -126,6 +126,7 @@ def hunt_s_violations(
     paper's algorithms must not, drops or no drops — that asymmetry is the
     experiment's point.
     """
+    # the fault plane loads without the protocol layer; a hunt builds systems, so it loads it
     from ..protocols.registry import get_protocol
 
     plan = plan if plan is not None else lossy_network()
@@ -164,6 +165,7 @@ def hunt_s_violations(
 
 
 def _injector(plan: FaultPlan, seed: int):
+    # the rule builders above need no injector; it loads with the first hunt
     from .injector import FaultInjector
 
     return FaultInjector(plan.with_seed(seed), seed=seed)

@@ -132,6 +132,7 @@ def replace_dead_replica(
     Returns ``(FaultPlan, ReconfigPlan)`` — pass them as the ``faults`` and
     ``reconfig`` arguments of one experiment.
     """
+    # a plain fault scenario loads neither the reconfiguration plane nor txn; this one names both
     from ..consensus.reconfig import ReconfigPlan, set_replica_group
     from ..txn.placement import next_replica_names, replica_names
 
@@ -173,6 +174,7 @@ def auto_heal(
     Returns ``(FaultPlan, ControllerPolicy)`` — pass them as the ``faults``
     and ``controller`` arguments of one experiment.
     """
+    # a plain fault scenario loads neither the reconfiguration plane nor txn; this one names both
     from ..consensus.controller import ControllerPolicy
     from ..txn.placement import replica_names
 
@@ -200,6 +202,7 @@ def grow_group_mid_run(
     by the grown group never miss a completed write.  Returns
     ``(FaultPlan.none(), ReconfigPlan)``.
     """
+    # a plain fault scenario loads neither the reconfiguration plane nor txn; this one names both
     from ..consensus.reconfig import ReconfigPlan, set_replica_group
     from ..txn.placement import next_replica_names, replica_names
 
@@ -231,6 +234,7 @@ def shrink_consensus_group_mid_run(
     members elect a successor when the next coordinator request needs one.
     Returns ``(FaultPlan.none(), ReconfigPlan)``.
     """
+    # a plain fault scenario loads neither the reconfiguration plane nor txn; this one names both
     from ..consensus.reconfig import ReconfigPlan, set_consensus_group
     from ..txn.placement import coordinator_group_names
 

@@ -28,58 +28,24 @@ included) a run's trace stays byte-identical — everything here listens,
 nothing acts — and all derived artifacts are deterministic across runs.
 """
 
-from .export import (
-    chrome_trace_events,
-    chrome_trace_json,
-    render_timeline,
-    write_chrome_trace,
-)
-from .health import HealthPlane, HealthView, SLOPolicy, derive_health
-from .monitor import (
-    InvariantViolation,
-    InvariantViolationError,
-    LeaseSafetyMonitor,
-    MonitorSuite,
-    OnlineMonitor,
-    default_monitors,
-    joint_quorums_intersect,
-    offline_lease_violations,
-    watch_trace,
-)
-from .plane import ObservabilityPlane, derive_registry
-from .profiler import KernelProfiler
-from .registry import Counter, Gauge, Histogram, MetricsRegistry
-from .sampling import TraceMode, sampling_stats
-from .spans import CausalEdge, Span, SpanTree, derive_spans
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CausalEdge",
-    "Counter",
-    "Gauge",
-    "HealthPlane",
-    "HealthView",
-    "Histogram",
-    "InvariantViolation",
-    "InvariantViolationError",
-    "KernelProfiler",
-    "LeaseSafetyMonitor",
-    "MetricsRegistry",
-    "MonitorSuite",
-    "ObservabilityPlane",
-    "OnlineMonitor",
-    "SLOPolicy",
-    "Span",
-    "SpanTree",
-    "TraceMode",
-    "chrome_trace_events",
-    "chrome_trace_json",
-    "default_monitors",
-    "derive_health",
-    "derive_registry",
-    "derive_spans",
-    "joint_quorums_intersect",
-    "offline_lease_violations",
-    "render_timeline",
-    "sampling_stats",
-    "watch_trace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "export": (
+            "chrome_trace_events", "chrome_trace_json", "render_timeline", "write_chrome_trace",
+        ),
+        "health": ("HealthPlane", "HealthView", "SLOPolicy", "derive_health"),
+        "monitor": (
+            "InvariantViolation", "InvariantViolationError", "LeaseSafetyMonitor",
+            "MonitorSuite", "OnlineMonitor", "default_monitors", "joint_quorums_intersect",
+            "offline_lease_violations", "watch_trace",
+        ),
+        "plane": ("ObservabilityPlane", "derive_registry"),
+        "profiler": ("KernelProfiler",),
+        "registry": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+        "sampling": ("TraceMode", "sampling_stats"),
+        "spans": ("CausalEdge", "Span", "SpanTree", "derive_spans"),
+    },
+)

@@ -18,14 +18,16 @@ out of snapshots, span trees and exports.
 from __future__ import annotations
 
 import weakref
-from typing import Any, Optional, Union
+from typing import TYPE_CHECKING, Any, Optional, Union
 
 from ..ioa.actions import Action, ActionKind
 from ..ioa.trace import Trace, TraceError
-from .health import HealthPlane, HealthView, SLOPolicy
-from .monitor import MonitorSuite
-from .profiler import KernelProfiler
 from .registry import HeldInstruments, MetricsRegistry
+
+if TYPE_CHECKING:  # each listener's module is imported by the plane that asks for it
+    from .health import HealthPlane, HealthView, SLOPolicy
+    from .monitor import MonitorSuite
+    from .profiler import KernelProfiler
 
 
 class ObservabilityPlane:
@@ -53,14 +55,23 @@ class ObservabilityPlane:
         self._sent = HeldInstruments(self.registry, "counter", "kernel.messages_sent", "type")
         self._channels = HeldInstruments(self.registry, "counter", "kernel.messages_channel", "channel")
         self._mailboxes = HeldInstruments(self.registry, "gauge", "kernel.mailbox_depth", "automaton")
-        self.profiler: Optional[KernelProfiler] = KernelProfiler() if profile else None
+        self.profiler: Optional[KernelProfiler] = None
+        if profile:
+            from .profiler import KernelProfiler
+
+            self.profiler = KernelProfiler()
         if monitors is True:
+            from .monitor import MonitorSuite
+
             monitors = MonitorSuite()
         self.monitors: Optional[MonitorSuite] = monitors or None
-        if health is True:
-            health = HealthPlane()
-        elif isinstance(health, SLOPolicy):
-            health = HealthPlane(slo=health)
+        if health:
+            from .health import HealthPlane, SLOPolicy
+
+            if health is True:
+                health = HealthPlane()
+            elif isinstance(health, SLOPolicy):
+                health = HealthPlane(slo=health)
         self.health: Optional[HealthPlane] = health or None
         self._simulation: Optional[weakref.ref] = None
 
@@ -75,7 +86,11 @@ class ObservabilityPlane:
     @property
     def health_view(self) -> Optional[HealthView]:
         """The query API over :attr:`health` (``None`` when health is off)."""
-        return HealthView(self.health) if self.health is not None else None
+        if self.health is None:
+            return None
+        from .health import HealthView
+
+        return HealthView(self.health)
 
     # -- kernel wiring ---------------------------------------------------
     def on_attach(self, simulation: Any) -> None:
@@ -177,7 +192,7 @@ class ObservabilityPlane:
         if self.monitors is not None:
             lines.append(self.monitors.describe())
         if self.health is not None:
-            lines.append(HealthView(self.health).render())
+            lines.append(self.health_view.render())
         if self.profiler is not None:
             simulation = self.simulation
             steps = simulation.steps_taken if simulation is not None else 0

@@ -6,17 +6,13 @@ See :mod:`repro.persist.store` for the interface and the in-sim backend,
 (``BuildConfig(persistence=...)``).
 """
 
-from .filestore import FileStableStore, IntegrityError, decode_value, encode_value
-from .plane import PersistencePlane, PersistencePolicy
-from .store import SimStableStore, StableStore
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FileStableStore",
-    "IntegrityError",
-    "PersistencePlane",
-    "PersistencePolicy",
-    "SimStableStore",
-    "StableStore",
-    "decode_value",
-    "encode_value",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "filestore": ("FileStableStore", "IntegrityError", "decode_value", "encode_value"),
+        "plane": ("PersistencePlane", "PersistencePolicy"),
+        "store": ("SimStableStore", "StableStore"),
+    },
+)

@@ -1,38 +1,19 @@
 """Mechanical replays of the paper's constructions (Figures 2-5)."""
 
-from .eiger_example import EigerExampleResult, run_figure5
-from .fragments import (
-    CommuteCheck,
-    ReadFragments,
-    can_commute,
-    commute_adjacent,
-    extract_read_fragments,
-    indistinguishable_fragments,
-    returned_value,
-)
-from .symbolic import ProofReplay, ProofStep, SymbolicExecution, SymbolicFragment, fragment
-from .three_client import alpha_chain_names, build_alpha2, replay_theorem1
-from .two_client import build_beta, c2c_breaks_the_chain, replay_theorem2
+from .._lazy import lazy_exports
 
-__all__ = [
-    "EigerExampleResult",
-    "run_figure5",
-    "CommuteCheck",
-    "ReadFragments",
-    "can_commute",
-    "commute_adjacent",
-    "extract_read_fragments",
-    "indistinguishable_fragments",
-    "returned_value",
-    "ProofReplay",
-    "ProofStep",
-    "SymbolicExecution",
-    "SymbolicFragment",
-    "fragment",
-    "alpha_chain_names",
-    "build_alpha2",
-    "replay_theorem1",
-    "build_beta",
-    "c2c_breaks_the_chain",
-    "replay_theorem2",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "eiger_example": ("EigerExampleResult", "run_figure5"),
+        "fragments": (
+            "CommuteCheck", "ReadFragments", "can_commute", "commute_adjacent",
+            "extract_read_fragments", "indistinguishable_fragments", "returned_value",
+        ),
+        "symbolic": (
+            "ProofReplay", "ProofStep", "SymbolicExecution", "SymbolicFragment", "fragment",
+        ),
+        "three_client": ("alpha_chain_names", "build_alpha2", "replay_theorem1"),
+        "two_client": ("build_beta", "c2c_breaks_the_chain", "replay_theorem2"),
+    },
+)

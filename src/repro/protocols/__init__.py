@@ -1,73 +1,27 @@
 """Protocol implementations: the paper's algorithms A, B, C plus baselines."""
 
-from .algorithm_a import AlgorithmA, AlgorithmAReader, AlgorithmAServer, AlgorithmAWriter
-from .algorithm_b import AlgorithmB, AlgorithmBReader
-from .algorithm_c import AlgorithmC, AlgorithmCReader
-from .base import BuildConfig, Protocol, SystemHandle, reader_names, writer_names
-from .blocking import LockingProtocol, LockingReader, LockingServer, LockingWriter
-from .coordinated import CoordinatedServer, CoordinatedWriter, coordinator_name
-from .eiger import EigerProtocol, EigerReader, EigerServer, EigerVersion, EigerWriter
-from .naive_snow import NaiveReader, NaiveServer, NaiveSnowCandidate, NaiveWriter
-from .occ import OccProtocol, OccReader, OccServer, OccWriter
-from .replication import (
-    ReplicatedStorageServer,
-    emit_sends,
-    key_read_round,
-    per_object_reply_await,
-    write_value_round,
-)
-from .registry import (
-    all_protocols,
-    bounded_snw_protocols,
-    get_protocol,
-    protocol_names,
-    register_protocol,
-)
-from .simple_rw import SimpleReadWrite
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AlgorithmA",
-    "AlgorithmAReader",
-    "AlgorithmAServer",
-    "AlgorithmAWriter",
-    "AlgorithmB",
-    "AlgorithmBReader",
-    "AlgorithmC",
-    "AlgorithmCReader",
-    "BuildConfig",
-    "Protocol",
-    "SystemHandle",
-    "reader_names",
-    "writer_names",
-    "LockingProtocol",
-    "LockingReader",
-    "LockingServer",
-    "LockingWriter",
-    "CoordinatedServer",
-    "CoordinatedWriter",
-    "coordinator_name",
-    "EigerProtocol",
-    "EigerReader",
-    "EigerServer",
-    "EigerVersion",
-    "EigerWriter",
-    "NaiveReader",
-    "NaiveServer",
-    "NaiveSnowCandidate",
-    "NaiveWriter",
-    "OccProtocol",
-    "OccReader",
-    "OccServer",
-    "OccWriter",
-    "ReplicatedStorageServer",
-    "emit_sends",
-    "key_read_round",
-    "per_object_reply_await",
-    "write_value_round",
-    "all_protocols",
-    "bounded_snw_protocols",
-    "get_protocol",
-    "protocol_names",
-    "register_protocol",
-    "SimpleReadWrite",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "algorithm_a": ("AlgorithmA", "AlgorithmAReader", "AlgorithmAServer", "AlgorithmAWriter"),
+        "algorithm_b": ("AlgorithmB", "AlgorithmBReader"),
+        "algorithm_c": ("AlgorithmC", "AlgorithmCReader"),
+        "base": ("BuildConfig", "Protocol", "SystemHandle", "reader_names", "writer_names"),
+        "blocking": ("LockingProtocol", "LockingReader", "LockingServer", "LockingWriter"),
+        "coordinated": ("CoordinatedServer", "CoordinatedWriter", "coordinator_name"),
+        "eiger": ("EigerProtocol", "EigerReader", "EigerServer", "EigerVersion", "EigerWriter"),
+        "naive_snow": ("NaiveReader", "NaiveServer", "NaiveSnowCandidate", "NaiveWriter"),
+        "occ": ("OccProtocol", "OccReader", "OccServer", "OccWriter"),
+        "replication": (
+            "ReplicatedStorageServer", "emit_sends", "key_read_round", "per_object_reply_await",
+            "write_value_round",
+        ),
+        "registry": (
+            "all_protocols", "bounded_snw_protocols", "get_protocol", "protocol_names",
+            "register_protocol",
+        ),
+        "simple_rw": ("SimpleReadWrite",),
+    },
+)

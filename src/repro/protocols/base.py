@@ -26,16 +26,8 @@ Conventions shared by all protocol implementations:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from ..consensus.controller import ControllerPolicy, ReconfigController
-from ..consensus.reconfig import (
-    CONSENSUS_GROUP,
-    REPLICA_GROUP,
-    PlacementDirectory,
-    ReconfigDriver,
-    ReconfigPlan,
-)
 from ..ioa.automaton import Automaton
 from ..ioa.network import FaultPlane, Topology
 from ..ioa.scheduler import Scheduler
@@ -50,6 +42,10 @@ from ..txn.placement import (
     quorum_policy,
 )
 from ..txn.transactions import ReadTransaction, WriteTransaction, read as make_read, write_pairs
+
+if TYPE_CHECKING:  # the reconfiguration plane is imported where it attaches (_install_reconfig)
+    from ..consensus.controller import ControllerPolicy
+    from ..consensus.reconfig import PlacementDirectory, ReconfigPlan
 
 
 def reader_names(count: int) -> Tuple[str, ...]:
@@ -232,7 +228,7 @@ class SystemHandle:
         return self._history[1]
 
     def snow_report(self):
-        """Full SNOW property report (lazy import to avoid package cycles)."""
+        """Full SNOW property report (the checkers load when a verdict is asked for)."""
         from ..core.snow import check_snow
 
         return check_snow(self.simulation, self.history())
@@ -403,6 +399,9 @@ class Protocol:
                     f"protocol {self.name} does not support membership reconfiguration "
                     "(its client rounds are not epoch-aware)"
                 )
+            # already loaded: the plan's own module
+            from ..consensus.reconfig import CONSENSUS_GROUP, REPLICA_GROUP
+
             if any(r.kind == REPLICA_GROUP for r in config.reconfig.requests) and (
                 type(self).make_replica is Protocol.make_replica
             ):
@@ -633,6 +632,8 @@ class Protocol:
         clients and storage replicas — and the admin driver is registered
         with the factories it needs to spawn replicas / consensus members.
         """
+        from ..consensus.reconfig import PlacementDirectory, ReconfigDriver, ReconfigPlan
+
         directory = PlacementDirectory(
             placement, config.quorum_policy(), config.consensus_group()
         )
@@ -692,6 +693,8 @@ class Protocol:
         )
         simulation.add_automaton(driver)
         if config.controller is not None:
+            from ..consensus.controller import ReconfigController
+
             health = None
             if config.controller.use_health:
                 # Existence validated in validate_config; the view is the

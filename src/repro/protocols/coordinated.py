@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..consensus.coordinator import DEFAULT_ELECTION_TIMEOUT, consensus_members
 from ..consensus.machines import CoordinatorList
 from ..ioa.actions import Message
 from ..ioa.automaton import Await, Context, ServerAutomaton, Send, WriterAutomaton
@@ -97,6 +96,9 @@ def consensus_members_for(config, machine_factory) -> List[Any]:
     group = config.consensus_group()
     if not group:
         return []
+    # the member automaton loads with the first build that has a group
+    from ..consensus.coordinator import DEFAULT_ELECTION_TIMEOUT, consensus_members
+
     timeout = config.election_timeout or DEFAULT_ELECTION_TIMEOUT
     return consensus_members(
         group, machine_factory, seed=config.seed, election_timeout=timeout

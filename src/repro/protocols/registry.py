@@ -2,32 +2,28 @@
 
 The analysis harness, the benchmarks and the examples all refer to protocols
 by their string names (``"algorithm-a"``, ``"algorithm-b"``, …); the registry
-maps those names to fresh protocol instances.
+maps those names to fresh protocol instances.  A built-in protocol's module is
+imported when the name is first asked for, so listing the names, or building
+one protocol, does not load the other seven.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple, Union
 
-from .algorithm_a import AlgorithmA
-from .algorithm_b import AlgorithmB
-from .algorithm_c import AlgorithmC
+from .._lazy import load
 from .base import Protocol
-from .blocking import LockingProtocol
-from .eiger import EigerProtocol
-from .naive_snow import NaiveSnowCandidate
-from .occ import OccProtocol
-from .simple_rw import SimpleReadWrite
 
-_FACTORIES: Dict[str, Callable[[], Protocol]] = {
-    AlgorithmA.name: AlgorithmA,
-    AlgorithmB.name: AlgorithmB,
-    AlgorithmC.name: AlgorithmC,
-    EigerProtocol.name: EigerProtocol,
-    NaiveSnowCandidate.name: NaiveSnowCandidate,
-    LockingProtocol.name: LockingProtocol,
-    OccProtocol.name: OccProtocol,
-    SimpleReadWrite.name: SimpleReadWrite,
+#: name -> ``(module, class)`` of a built-in not yet loaded, or the factory
+_FACTORIES: Dict[str, Union[Tuple[str, str], Callable[[], Protocol]]] = {
+    "algorithm-a": ("algorithm_a", "AlgorithmA"),
+    "algorithm-b": ("algorithm_b", "AlgorithmB"),
+    "algorithm-c": ("algorithm_c", "AlgorithmC"),
+    "eiger": ("eiger", "EigerProtocol"),
+    "naive-snow": ("naive_snow", "NaiveSnowCandidate"),
+    "s2pl": ("blocking", "LockingProtocol"),
+    "occ-double-collect": ("occ", "OccProtocol"),
+    "simple-rw": ("simple_rw", "SimpleReadWrite"),
 }
 
 
@@ -43,6 +39,9 @@ def get_protocol(name: str) -> Protocol:
     except KeyError:
         known = ", ".join(protocol_names())
         raise KeyError(f"unknown protocol {name!r}; known protocols: {known}") from None
+    if isinstance(factory, tuple):
+        module, cls = factory
+        factory = _FACTORIES[name] = getattr(load(f"{__package__}.{module}"), cls)
     return factory()
 
 

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,8 +68,6 @@ def pytest_runtest_makereport(item, call):
         # from the retained trace — a red cell arrives with its SLO/error
         # picture next to the schedule.
         try:
-            import json
-
             from repro.obs import HealthView, derive_health
 
             plane = getattr(getattr(handle, "obs", None), "health", None)
@@ -125,6 +126,25 @@ def run_simple_workload(handle, rounds: int = 2, sequential: bool = False):
             read_ids.append(handle.submit_read(handle.objects, reader=reader, after=after))
     handle.run_to_completion()
     return read_ids, write_ids
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """``fresh_python(code)``: run ``code`` in a new interpreter on this
+    checkout's ``src`` and return the JSON document on its last output line.
+    What a process imports can only be asked of a process that has imported
+    nothing yet; the test session itself has loaded nearly everything."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+
+    def run(code: str):
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, cwd=root, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout.splitlines()[-1])
+
+    return run
 
 
 @pytest.fixture

@@ -51,6 +51,56 @@ class TestRegistry:
         with pytest.raises(ValueError):
             register_protocol("algorithm-a", lambda: get_protocol("algorithm-a"))
 
+    def test_table_keys_are_the_classes_own_names(self):
+        """The table's keys are literals now; they must not drift from ``.name``."""
+        assert protocol_names() == (
+            "algorithm-a", "algorithm-b", "algorithm-c", "eiger",
+            "naive-snow", "occ-double-collect", "s2pl", "simple-rw",
+        )
+        for name in protocol_names():
+            assert type(get_protocol(name)).name == name
+
+    def test_unknown_protocol_message_is_the_seeds(self):
+        with pytest.raises(KeyError) as excinfo:
+            get_protocol("nope")
+        assert excinfo.value.args == (
+            "unknown protocol 'nope'; known protocols: algorithm-a, algorithm-b, algorithm-c, "
+            "eiger, naive-snow, occ-double-collect, s2pl, simple-rw",
+        )
+
+    def test_names_and_refusals_need_no_protocol_module(self, fresh_python):
+        """In a fresh interpreter: listing the names loads no protocol, a
+        built-in name is refused before its module was ever loaded, and asking
+        for one protocol loads that one."""
+        report = fresh_python(
+            """
+import json, sys
+from repro.protocols import get_protocol, protocol_names, register_protocol
+
+def protocol_modules():
+    loaded = {m.rpartition(".")[2] for m in sys.modules if m.startswith("repro.protocols.")}
+    return sorted(loaded - {"base", "registry"})
+
+report = {"names": len(protocol_names()), "after_names": protocol_modules()}
+try:
+    register_protocol("eiger", object)
+except ValueError as error:
+    report["refused"] = str(error)
+report["after_refusal"] = protocol_modules()
+get_protocol("simple-rw")
+report["after_get"] = protocol_modules()
+print(json.dumps(report))
+"""
+        )
+        assert report == {
+            "names": 8,
+            "after_names": [],
+            "refused": "protocol name 'eiger' is already registered",
+            "after_refusal": [],
+            # simple-rw subclasses the naive candidate, which builds on the replication rounds
+            "after_get": ["naive_snow", "replication", "simple_rw"],
+        }
+
     def test_register_and_use_custom_protocol(self):
         class Custom(Protocol):
             name = "custom-test-protocol"
