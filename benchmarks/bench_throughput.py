@@ -65,32 +65,7 @@ def throughput_cells():
     return cells
 
 
-def batched_cells():
-    """The high-fan-out cells re-run with the batching knobs on.
-
-    These rows land in a separate ``batched`` section of the JSON payload —
-    deliberately outside ``grid`` so the bounded-drift gate (which keys on
-    (protocol, rf, cf) and reads only ``grid``) keeps comparing like with
-    like: unbatched against unbatched."""
-    cells = []
-    for name in protocol_names():
-        cells.append((name, 3, 1, True, False))
-        if get_protocol(name).has_coordinator:
-            cells.append((name, 3, 3, True, True))
-    return cells
-
-
-def run_cell(
-    protocol_name,
-    rf,
-    cf,
-    spec,
-    reps=REPS,
-    obs=None,
-    fanout_batching=False,
-    consensus_batching=False,
-    leases=None,
-):
+def run_cell(protocol_name, rf, cf, spec, reps=REPS, obs=None, leases=None):
     """Build + run one cell ``reps`` times; returns (row, handle)."""
     protocol = get_protocol(protocol_name)
     best_rate, elapsed_best, handle = 0.0, None, None
@@ -106,10 +81,6 @@ def run_cell(
             kwargs.update(replication_factor=rf, quorum="majority")
         if cf > 1:
             kwargs.update(consensus_factor=cf)
-        if fanout_batching:
-            kwargs.update(fanout_batching=True)
-        if consensus_batching:
-            kwargs.update(consensus_batching=True)
         if leases is not None:
             kwargs.update(leases=leases)
         if obs is not None:
@@ -127,8 +98,6 @@ def run_cell(
         "protocol": protocol_name,
         "replication_factor": rf,
         "consensus_factor": cf,
-        "fanout_batching": fanout_batching,
-        "consensus_batching": consensus_batching,
         "txns": len(handle.transaction_records()),
         "events": handle.simulation.steps_taken,
         "actions": len(handle.trace()),
@@ -142,10 +111,6 @@ def run_cell(
 def regenerate(spec=None, reps=REPS):
     spec = spec or WorkloadSpec(reads_per_reader=6, writes_per_writer=6, seed=SEED)
     rows = [run_cell(name, rf, cf, spec, reps=reps)[0] for name, rf, cf in throughput_cells()]
-    batched_rows = [
-        run_cell(name, rf, cf, spec, reps=reps, fanout_batching=fb, consensus_batching=cb)[0]
-        for name, rf, cf, fb, cb in batched_cells()
-    ]
 
     # One profiled run (obs plane + wall-clock profiler) for the bucket
     # breakdown; separate from the timed reps so instrumentation overhead
@@ -154,30 +119,28 @@ def regenerate(spec=None, reps=REPS):
     _, profiled = run_cell("algorithm-b", 3, 1, spec, reps=1, obs=plane)
     profile_report = plane.profiler.report(steps=profiled.simulation.steps_taken)
 
-    headers = [
-        "protocol", "rf", "cf", "batch", "txns", "events", "actions", "msgs", "events/sec",
-    ]
+    headers = ["protocol", "rf", "cf", "txns", "events", "actions", "msgs", "events/sec"]
+    table = format_table(
+        headers,
+        [
+            [
+                r["protocol"], r["replication_factor"], r["consensus_factor"],
+                r["txns"], r["events"], r["actions"], r["total_messages"],
+                f"{r['events_per_sec']:,.0f}",
+            ]
+            for r in rows
+        ],
+    )
+    return rows, table, profile_report
 
-    def table_row(r):
-        knobs = ("f" if r["fanout_batching"] else "") + ("c" if r["consensus_batching"] else "")
-        return [
-            r["protocol"], r["replication_factor"], r["consensus_factor"],
-            knobs or "-", r["txns"], r["events"], r["actions"], r["total_messages"],
-            f"{r['events_per_sec']:,.0f}",
-        ]
 
-    table = format_table(headers, [table_row(r) for r in rows + batched_rows])
-    return rows, batched_rows, table, profile_report
-
-
-def emit_throughput_json(rows, batched_rows):
+def emit_throughput_json(rows):
     emit_json(
         "throughput",
         {
             # the columns identifying a ``grid`` row, for the bench gate
             "axes": ["protocol", "replication_factor", "consensus_factor"],
             "grid": rows,
-            "batched": batched_rows,
             "reps": REPS,
             "workload": {"reads_per_reader": 6, "writes_per_writer": 6, "seed": SEED},
         },
@@ -185,13 +148,10 @@ def emit_throughput_json(rows, batched_rows):
 
 
 def test_kernel_throughput(benchmark):
-    rows, batched_rows, table, profile_report = benchmark.pedantic(
-        regenerate, rounds=1, iterations=1
-    )
+    rows, table, profile_report = benchmark.pedantic(regenerate, rounds=1, iterations=1)
     emit("throughput", table + "\n\n" + profile_report)
-    emit_throughput_json(rows, batched_rows)
+    emit_throughput_json(rows)
     assert len(rows) == len(throughput_cells())
-    assert len(batched_rows) == len(batched_cells())
     for row in rows:
         # run_to_completion already guarantees liveness; pin the shape too.
         assert row["events"] > 0 and row["txns"] > 0, row
@@ -263,6 +223,6 @@ if __name__ == "__main__":
         if alerts:
             raise SystemExit(1)
     else:
-        rows, batched_rows, table, profile_report = regenerate()
+        rows, table, profile_report = regenerate()
         emit("throughput", table + "\n\n" + profile_report)
-        emit_throughput_json(rows, batched_rows)
+        emit_throughput_json(rows)

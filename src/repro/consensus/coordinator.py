@@ -43,7 +43,7 @@ from ..ioa.automaton import Context, ServerAutomaton
 from ..ioa.errors import SimulationError
 from .election import DEFAULT_TIMEOUT_RANGE, LeaderElection
 from .lease import LeaderLeaseState, LeasePolicy
-from .log import BATCH, NOOP, ConsensusLog, LogEntry
+from .log import NOOP, ConsensusLog, LogEntry
 from .machines import CoordinatorStateMachine
 
 #: Re-exported under the name the rest of the repository uses.
@@ -75,22 +75,11 @@ class _PendingRequest:
 
 
 class ReplicatedCoordinator(ServerAutomaton):
-    """One member of the replicated coordinator group."""
+    """One member of the replicated coordinator group.
 
-    #: When set (``BuildConfig.consensus_batching``), a leader with a commit
-    #: round in flight buffers further client requests and packs everything
-    #: buffered into **one** :data:`~repro.consensus.log.BATCH` entry when the
-    #: round lands — one replication round commits the whole burst.  Sub-
-    #: requests keep their own ``request_id``, so exactly-once application and
-    #: reply memoization are unchanged.  Off by default: batching coalesces
-    #: log entries and so perturbs seeded schedules (golden traces pin the
-    #: unbatched shape).
-    append_batching: bool = False
-
-    #: When set (``BuildConfig.fanout_batching``), each replication fan-out
-    #: (one append per peer) is emitted inside a kernel flight, so one
-    #: scheduler event delivers the whole round instead of one per peer.
-    batch_fanout: bool = False
+    Every client request the leader commits is one log entry of its own,
+    and every replication or lease fan-out is one message per peer.
+    """
 
     #: Stable storage (``BuildConfig.persistence``): when attached via
     #: :meth:`attach_store`, term/vote/log/commit write through before they
@@ -153,9 +142,6 @@ class ReplicatedCoordinator(ServerAutomaton):
         self._handoff_pending = False
         #: buffered client requests not yet known committed (insertion order)
         self.pending: "OrderedDict[str, _PendingRequest]" = OrderedDict()
-        #: leader-side batch buffer (``append_batching`` only): requests that
-        #: arrived while a commit round was in flight, awaiting the flush
-        self._batch: "OrderedDict[str, _PendingRequest]" = OrderedDict()
         #: request_id -> (client, reply_type, reply_payload) for every applied
         #: request — the RSM reply cache that makes re-application idempotent
         self.applied_replies: Dict[str, Tuple[str, str, Dict[str, Any]]] = {}
@@ -316,7 +302,6 @@ class ReplicatedCoordinator(ServerAutomaton):
         self.log = ConsensusLog()
         self.leader = None
         self.pending = OrderedDict()
-        self._batch = OrderedDict()
         self.applied_replies = {}
         self.next_index = {}
         self.match_index = {}
@@ -384,12 +369,6 @@ class ReplicatedCoordinator(ServerAutomaton):
         reply) and no trace records are appended."""
         for _index, entry in self.log.take_unapplied():
             if entry.is_noop():
-                continue
-            if entry.msg_type == BATCH:
-                for request_id, msg_type, payload, client in entry.batch_requests():
-                    if request_id not in self.applied_replies:
-                        reply_type, reply_payload = self.machine.apply(msg_type, dict(payload))
-                        self.applied_replies[request_id] = (client, reply_type, reply_payload)
                 continue
             if entry.msg_type == CONFIG:
                 payload = dict(entry.payload)
@@ -488,7 +467,7 @@ class ReplicatedCoordinator(ServerAutomaton):
                 self._send_reply(request_id, ctx)
             return
         if self.election.is_leader:
-            if self.log.contains_request(request_id) or request_id in self._batch:
+            if self.log.contains_request(request_id):
                 return
             if (
                 self.lease_policy is not None
@@ -515,15 +494,6 @@ class ReplicatedCoordinator(ServerAutomaton):
                     ctx=ctx,
                 )
                 return
-            if self.append_batching:
-                # Buffer while a commit round is in flight; the flush at the
-                # end of that round packs the whole buffer into one entry.
-                self._batch[request_id] = _PendingRequest(
-                    message.msg_type, _freeze_payload(message.payload), message.src
-                )
-                if self.log.commit_index == self.log.last_index:
-                    self._flush_batch(ctx)
-                return
             self.log.append(
                 LogEntry(
                     term=self.election.term,
@@ -549,56 +519,7 @@ class ReplicatedCoordinator(ServerAutomaton):
     # ------------------------------------------------------------------
     # Replication (leader side)
     # ------------------------------------------------------------------
-    def _append_requests(
-        self, requests: Sequence[Tuple[str, str, Tuple[Tuple[str, Any], ...], str]], ctx: Context
-    ) -> None:
-        """Append buffered ``(request_id, msg_type, payload, client)`` tuples:
-        one ordinary entry for a single request, one BATCH entry otherwise."""
-        if not requests:
-            return
-        if len(requests) == 1:
-            request_id, msg_type, payload, client = requests[0]
-            self.log.append(
-                LogEntry(
-                    term=self.election.term,
-                    request_id=request_id,
-                    msg_type=msg_type,
-                    payload=payload,
-                    client=client,
-                    proposed_at=ctx.vtime,
-                )
-            )
-            return
-        self.log.append(
-            LogEntry(
-                term=self.election.term,
-                request_id=f"{BATCH}/{self.election.term}.{self.log.last_index + 1}",
-                msg_type=BATCH,
-                payload=(("requests", tuple(requests)),),
-                proposed_at=ctx.vtime,
-            )
-        )
-
-    def _flush_batch(self, ctx: Context) -> None:
-        """Pack everything in the batch buffer into one log entry and start
-        its replication round (leader, ``append_batching`` only)."""
-        if not self._batch:
-            return
-        requests = tuple(
-            (request_id, request.msg_type, request.payload, request.client)
-            for request_id, request in self._batch.items()
-        )
-        self._batch = OrderedDict()
-        self._append_requests(requests, ctx)
-        self._replicate(ctx)
-        self._maybe_commit(ctx)
-
     def _replicate(self, ctx: Context) -> None:
-        if self.batch_fanout and len(self.peers) > 1:
-            with ctx.flight():
-                for peer in self.peers:
-                    self._send_append(peer, ctx)
-            return
         for peer in self.peers:
             self._send_append(peer, ctx)
 
@@ -660,14 +581,6 @@ class ReplicatedCoordinator(ServerAutomaton):
         self._apply_committed(ctx)
         if self.log.commit_index > before:
             self._replicate(ctx)
-        if (
-            self._batch
-            and self.election.is_leader
-            and self.log.commit_index == self.log.last_index
-        ):
-            # The in-flight round landed: open the next one with everything
-            # that queued up behind it, packed into a single entry.
-            self._flush_batch(ctx)
         if self.lease_policy is not None and self.log.commit_index > before:
             # An advanced commit may satisfy the current-term guard that
             # parked reads were waiting on.
@@ -793,13 +706,8 @@ class ReplicatedCoordinator(ServerAutomaton):
         served = tuple(lease.notify)
         lease.notify = []
         payload = {"term": self.election.term, "at": lease.round_sent_at, "served": served}
-        if self.batch_fanout and len(self.peers) > 1:
-            with ctx.flight():
-                for peer in self.peers:
-                    ctx.send(peer, "cns-lease", payload, phase="consensus")
-        else:
-            for peer in self.peers:
-                ctx.send(peer, "cns-lease", payload, phase="consensus")
+        for peer in self.peers:
+            ctx.send(peer, "cns-lease", payload, phase="consensus")
         self._refresh_lease(ctx)  # single-member groups prove instantly
 
     def _refresh_lease(self, ctx: Context) -> None:
@@ -1082,7 +990,6 @@ class ReplicatedCoordinator(ServerAutomaton):
                 proposed_at=ctx.vtime,
             )
         )
-        batchable: List[Tuple[str, str, Tuple[Tuple[str, Any], ...], str]] = []
         for request_id, request in self.pending.items():
             if self.log.contains_request(request_id) or request_id in self.applied_replies:
                 continue
@@ -1102,12 +1009,6 @@ class ReplicatedCoordinator(ServerAutomaton):
                     ctx=ctx,
                 )
                 continue
-            if self.append_batching:
-                # Re-proposals ride in one packed entry too.
-                batchable.append(
-                    (request_id, request.msg_type, request.payload, request.client)
-                )
-                continue
             self.log.append(
                 LogEntry(
                     term=self.election.term,
@@ -1118,7 +1019,6 @@ class ReplicatedCoordinator(ServerAutomaton):
                     proposed_at=ctx.vtime,
                 )
             )
-        self._append_requests(batchable, ctx)
         self._maybe_advance_config(ctx)
         self._replicate(ctx)
         self._maybe_commit(ctx)
@@ -1127,18 +1027,10 @@ class ReplicatedCoordinator(ServerAutomaton):
         was_leader = self.election.is_leader
         self.election.step_down(term)
         self.leader = leader
-        if self._batch:
-            # A deposed leader's unflushed batch joins its follower buffer —
-            # the requests were never appended, so if the new leader also
-            # lacks them (clients broadcast, but copies can still be in
-            # flight) they are re-proposed from here at the next election.
-            for request_id, request in self._batch.items():
-                self.pending.setdefault(request_id, request)
-            self._batch = OrderedDict()
         if self._lease is not None:
-            # Unserved parked reads survive a deposition the same way: they
-            # join the follower buffer and are re-proposed (as ordinary
-            # committed entries) if no other copy reaches the new leader.
+            # Unserved parked reads survive a deposition: they join the
+            # follower buffer and are re-proposed (as ordinary committed
+            # entries) if no other copy reaches the new leader.
             for request_id, (request, _arrived_at) in self._lease.reads.items():
                 self.pending.setdefault(request_id, request)
             self._lease = None
@@ -1239,31 +1131,6 @@ class ReplicatedCoordinator(ServerAutomaton):
     def _apply_committed(self, ctx: Context) -> None:
         for index, entry in self.log.take_unapplied():
             if entry.is_noop():
-                continue
-            if entry.msg_type == BATCH:
-                # Unpack and apply each sub-request exactly as if it had its
-                # own entry: per-sub-id dedup, memoized replies, one apply
-                # record each — client-visible behaviour is unchanged.
-                for request_id, msg_type, payload, client in entry.batch_requests():
-                    if request_id not in self.applied_replies:
-                        reply_type, reply_payload = self.machine.apply(
-                            msg_type, dict(payload)
-                        )
-                        self.applied_replies[request_id] = (client, reply_type, reply_payload)
-                    self.pending.pop(request_id, None)
-                    self._batch.pop(request_id, None)
-                    info = dict(
-                        consensus="apply",
-                        index=index,
-                        term=entry.term,
-                        request=request_id,
-                        commit_latency=max(0, ctx.vtime - entry.proposed_at),
-                    )
-                    if self.lease_policy is not None and msg_type in self.machine.read_only_types:
-                        info["read"] = True
-                    ctx.internal(**info)
-                    if self.election.is_leader:
-                        self._send_reply(request_id, ctx)
                 continue
             if entry.msg_type == CONFIG:
                 self._apply_config(entry, ctx)

@@ -42,13 +42,6 @@ class CompactedLogError(SimulationError):
 #: own term, so it commits the no-op and everything before it).
 NOOP = "noop"
 
-#: Entry type carrying a *batch* of coordinator requests: the leader packs
-#: every request queued since the last round into one entry, so one commit
-#: round applies them all (see ``ReplicatedCoordinator.append_batching``).
-#: The entry's payload holds a ``requests`` tuple of
-#: ``(request_id, msg_type, payload, client)`` sub-requests.
-BATCH = "cns-batch"
-
 
 @dataclass(frozen=True)
 class LogEntry:
@@ -71,23 +64,6 @@ class LogEntry:
 
     def is_noop(self) -> bool:
         return self.msg_type == NOOP
-
-    def batch_requests(self) -> Tuple[Tuple[Any, ...], ...]:
-        """The ``(request_id, msg_type, payload, client)`` sub-requests of a
-        :data:`BATCH` entry (empty for ordinary entries)."""
-        if self.msg_type != BATCH:
-            return ()
-        for key, value in self.payload:
-            if key == "requests":
-                return value
-        return ()
-
-    def request_ids(self) -> Tuple[str, ...]:
-        """Every dedup key the entry answers for: its own id plus, for a
-        :data:`BATCH` entry, the ids of the packed sub-requests."""
-        if self.msg_type != BATCH:
-            return (self.request_id,)
-        return (self.request_id,) + tuple(r[0] for r in self.batch_requests())
 
     def describe(self) -> str:
         return f"[t{self.term} {self.request_id}]"
@@ -122,17 +98,15 @@ class ConsensusLog:
 
     def _register(self, entry: LogEntry) -> None:
         ids = self._request_ids
-        for request_id in entry.request_ids():
-            ids[request_id] = ids.get(request_id, 0) + 1
+        ids[entry.request_id] = ids.get(entry.request_id, 0) + 1
 
     def _unregister(self, entry: LogEntry) -> None:
         ids = self._request_ids
-        for request_id in entry.request_ids():
-            count = ids.get(request_id, 0) - 1
-            if count > 0:
-                ids[request_id] = count
-            else:
-                ids.pop(request_id, None)
+        count = ids.get(entry.request_id, 0) - 1
+        if count > 0:
+            ids[entry.request_id] = count
+        else:
+            ids.pop(entry.request_id, None)
 
     # ------------------------------------------------------------------
     # Introspection

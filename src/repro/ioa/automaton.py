@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Generator, List, Mapping, Optional
 
 from .actions import Items, Message
 from .errors import SessionError
@@ -44,23 +44,6 @@ class Send:
     msg_type: str
     payload: Mapping[str, Any] = field(default_factory=dict)
     phase: str = ""
-
-
-@dataclass
-class SendBatch:
-    """Send several messages as one kernel *flight* and continue immediately.
-
-    Without a fault plane the whole batch is delivered by a single scheduler
-    event, and the replies each destination produces while the flight lands
-    are grouped into one reply event per destination — a quorum round costs
-    roughly two events instead of two per replica.  With a fault plane
-    installed the batch degrades to ordinary per-message sends (latency and
-    drop stamps are per-message).  Purely a performance knob: protocols only
-    yield it when fan-out batching is enabled, and enabling it changes event
-    counts, never results.
-    """
-
-    sends: Sequence[Send] = ()
 
 
 @dataclass
@@ -99,7 +82,7 @@ class Mark:
     info: Mapping[str, Any] = field(default_factory=dict)
 
 
-SessionEffect = Any  # Send | SendBatch | Await | Mark
+SessionEffect = Any  # Send | Await | Mark
 SessionGenerator = Generator[SessionEffect, Any, Any]
 
 
@@ -190,12 +173,6 @@ class ClientAutomaton(Automaton):
 
     kind = "client"
 
-    #: fan-out batching knob (see :class:`SendBatch`): when set — via
-    #: ``BuildConfig.fanout_batching`` — quorum-round helpers emit their
-    #: request fan-outs as flights.  Off by default: the default event
-    #: stream stays byte-identical to the unbatched kernel.
-    batch_fanout: bool = False
-
     def run_transaction(self, txn: Any, ctx: "Context") -> SessionGenerator:
         raise NotImplementedError
 
@@ -268,13 +245,6 @@ class Context:
     def internal(self, **info: Any) -> None:
         """Record an internal action at this automaton."""
         self._kernel._record_internal(self._actor, info)
-
-    def flight(self, per_destination: bool = False):
-        """Context manager grouping the messages sent inside it into one
-        kernel flight (see :class:`SendBatch`); a no-op under a fault plane.
-        Reactive automata (servers, the consensus layer) use this for their
-        fan-outs; session code yields :class:`SendBatch` instead."""
-        return self._kernel.flight_scope(per_destination)
 
     def annotate_transaction(self, txn_id: Any, **fields: Any) -> None:
         """Attach protocol-reported metrics to a transaction record."""

@@ -36,22 +36,13 @@ itself O(in-flight events), so the kernel asks two questions that never do:
 :meth:`EventFrontier.idle` (would ``events()`` be empty?) and
 :meth:`EventFrontier.oldest` (which event of ``events()`` has the smallest
 enqueue stamp — ``FIFOScheduler``'s pick).  Stamps come from one kernel-wide
-counter, so deliveries (dict insertion order; ``reflight`` replaces a value in
-its slot) and ripe timers (a sorted list) are each already ascending: only
-their two heads and the ready invocations, at most one per client, can be the
-minimum.  The same interleaving test holds both to the list after every
-operation, and :meth:`EventFrontier.ripe` (the chaos scheduler's candidates)
-to the list filtered.  A policy that needs the whole list (random,
-adversarial) still gets it: see :meth:`repro.ioa.scheduler.Scheduler.pick`.
-
-Flights
--------
-A *flight* groups several pending deliveries so that one scheduler event
-delivers them all (see ``Simulation.flight_scope`` and the ``SendBatch``
-session effect).  The frontier only tracks membership — flight ids map to
-the member stamps; delivery order and removal semantics are unchanged.
-Flights exist only when a protocol explicitly opts into fan-out batching,
-so the default event stream is byte-identical to the pre-frontier kernel.
+counter, so deliveries (dict insertion order) and ripe timers (a sorted list)
+are each already ascending: only their two heads and the ready invocations,
+at most one per client, can be the minimum.  The same interleaving test holds
+both to the list after every operation, and :meth:`EventFrontier.ripe` (the
+chaos scheduler's candidates) to the list filtered.  A policy that needs the
+whole list (random, adversarial) still gets it: see
+:meth:`repro.ioa.scheduler.Scheduler.pick`.
 """
 
 from __future__ import annotations
@@ -70,7 +61,6 @@ class EventFrontier:
         "_deliveries",
         "_immediate",
         "_delayed",
-        "_flights",
         "_timeouts",
         "_timer_heap",
         "_ripe",
@@ -87,8 +77,6 @@ class EventFrontier:
         #: entries whose seq has left ``_deliveries`` are discarded lazily
         #: (stamps are never reused, so staleness is unambiguous).
         self._delayed: List[Tuple[int, int]] = []
-        #: flight id -> enqueue stamps of the deliveries batched into it.
-        self._flights: Dict[int, List[int]] = {}
         #: enqueue stamp -> timeout, in arming order.
         self._timeouts: Dict[int, PendingTimeout] = {}
         #: ``(ready_at, seq)`` min-heap over armed-but-not-yet-ripe timers.
@@ -112,22 +100,8 @@ class EventFrontier:
             heapq.heappush(self._delayed, (delivery.ready_at, seq))
         else:
             self._immediate += 1
-        if delivery.flight:
-            self._flights.setdefault(delivery.flight, []).append(seq)
 
     def remove_delivery(self, delivery: PendingDelivery) -> None:
-        self._discard_delivery(delivery)
-        if delivery.flight:
-            members = self._flights.get(delivery.flight)
-            if members is not None:
-                try:
-                    members.remove(delivery.enqueued_at)
-                except ValueError:
-                    pass
-                if not members:
-                    del self._flights[delivery.flight]
-
-    def _discard_delivery(self, delivery: PendingDelivery) -> None:
         del self._deliveries[delivery.enqueued_at]
         if not delivery.ready_at:
             self._immediate -= 1
@@ -152,37 +126,6 @@ class EventFrontier:
     def has_ripe_delivery(self, now: int) -> bool:
         ready = self.next_delivery_ready()
         return ready is not None and ready <= now
-
-    # -- flights -------------------------------------------------------
-    def reflight(self, delivery: PendingDelivery, flight: int) -> PendingDelivery:
-        """Stamp an in-frontier delivery with a flight id, in place.
-
-        The enqueue stamp (and hence presentation order) is unchanged; only
-        the dict value is replaced, so observability hooks — keyed on the
-        message, which is shared — are unaffected.
-        """
-        seq = delivery.enqueued_at
-        current = self._deliveries.get(seq)
-        if current is None or current.flight:
-            return delivery
-        stamped = PendingDelivery(current.message, seq, current.ready_at, flight)
-        self._deliveries[seq] = stamped
-        self._flights.setdefault(flight, []).append(seq)
-        return stamped
-
-    def take_flight(self, flight: int) -> List[PendingDelivery]:
-        """Pop the remaining deliveries of ``flight``, in enqueue order."""
-        members = self._flights.pop(flight, None)
-        if not members:
-            return []
-        taken: List[PendingDelivery] = []
-        for seq in sorted(members):
-            delivery = self._deliveries.get(seq)
-            if delivery is None:
-                continue
-            self._discard_delivery(delivery)
-            taken.append(delivery)
-        return taken
 
     # ------------------------------------------------------------------
     # Timeouts

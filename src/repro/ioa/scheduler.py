@@ -37,29 +37,22 @@ class PendingDelivery(FrozenRecord):
     installed fault plane's latency model; ``0`` (the default, and always the
     value on the reliable path) means "deliverable immediately".  Only
     latency-aware schedulers such as the chaos scheduler consult it.
-
-    ``flight`` groups deliveries batched by fan-out batching (see
-    ``Simulation.flight_scope``): choosing any member delivers the whole
-    flight in one kernel event.  ``0`` — the default, and always the value
-    unless a protocol explicitly opted into batching — means unbatched.
     """
 
-    __slots__ = ("message", "enqueued_at", "ready_at", "flight")
+    __slots__ = ("message", "enqueued_at", "ready_at")
     _fields = attrgetter(*__slots__)
 
-    def __init__(self, message: Message, enqueued_at: int, ready_at: int = 0, flight: int = 0) -> None:
+    def __init__(self, message: Message, enqueued_at: int, ready_at: int = 0) -> None:
         _set_message(self, message)
         _set_enqueued_at(self, enqueued_at)
         _set_ready_at(self, ready_at)
-        _set_flight(self, flight)
 
     def describe(self) -> str:
         when = f", ready @{self.ready_at}" if self.ready_at else ""
-        grouped = f", flight #{self.flight}" if self.flight else ""
-        return f"deliver {self.message.describe()} (enqueued @{self.enqueued_at}{when}{grouped})"
+        return f"deliver {self.message.describe()} (enqueued @{self.enqueued_at}{when})"
 
 
-_set_message, _set_enqueued_at, _set_ready_at, _set_flight = slot_setters(PendingDelivery)
+_set_message, _set_enqueued_at, _set_ready_at = slot_setters(PendingDelivery)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ import gc
 import itertools
 import random
 from collections import deque
-from contextlib import contextmanager
 from time import perf_counter
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
@@ -51,7 +50,6 @@ from .automaton import (
     Context,
     Mark,
     Send,
-    SendBatch,
     SessionState,
 )
 from .errors import (
@@ -190,10 +188,6 @@ class Simulation:
         #: the info of ``send`` actions, ``(("phase", p),)``: one shared tuple
         #: per phase label (a few literals) instead of one per message
         self._phase_info: Dict[str, Items] = {"": ()}
-        #: fan-out batching (flights): open collectors capturing deliveries
-        #: enqueued inside a ``flight_scope``; ids come from the counter.
-        self._flight_counter = itertools.count(1)
-        self._flight_collectors: List[List[PendingDelivery]] = []
         self._steps_taken = 0
         self._started = False
 
@@ -461,10 +455,7 @@ class Simulation:
             frontier.remove_delivery(event)
             if self.obs is not None:
                 self.obs.on_dequeue(event.message)
-            if event.flight:
-                self._deliver_flight(event)
-            else:
-                self._deliver(event.message)
+            self._deliver(event.message)
         elif type(event) is PendingTimeout:
             frontier.remove_timeout(event)
             self._fire_timeout(event)
@@ -544,67 +535,9 @@ class Simulation:
         """
         delivery = PendingDelivery(message, next(self._enqueue_counter), ready_at)
         self._frontier.add_delivery(delivery)
-        if self._flight_collectors:
-            self._flight_collectors[-1].append(delivery)
         if self.obs is not None:
             self.obs.on_enqueue(delivery)
         return delivery
-
-    @contextmanager
-    def flight_scope(self, per_destination: bool = False):
-        """Batch the deliveries enqueued inside into kernel *flights*.
-
-        A flight is delivered by a single scheduler event (see
-        :meth:`_deliver_flight`), cutting per-message event overhead for
-        quorum fan-out.  ``per_destination`` groups by recipient (one flight
-        per destination — the fan-in shape) instead of one flight overall.
-        Under a fault plane this is a no-op: latency/drop stamps are
-        per-message, so joint delivery would reorder faults — batching
-        silently degrades to ordinary per-message events.  Scopes nest;
-        each delivery joins only the innermost open scope.
-        """
-        if self.fault_plane is not None:
-            yield
-            return
-        collector: List[PendingDelivery] = []
-        self._flight_collectors.append(collector)
-        try:
-            yield
-        finally:
-            self._flight_collectors.pop()
-            self._assign_flights(collector, per_destination)
-
-    def _assign_flights(self, collected: List[PendingDelivery], per_destination: bool) -> None:
-        fresh = [d for d in collected if d.flight == 0]
-        if per_destination:
-            groups: Dict[str, List[PendingDelivery]] = {}
-            for delivery in fresh:
-                groups.setdefault(delivery.message.dst, []).append(delivery)
-            batches: Iterable[List[PendingDelivery]] = groups.values()
-        else:
-            batches = [fresh]
-        for batch in batches:
-            if len(batch) < 2:
-                continue  # a singleton gains nothing from a flight
-            flight = next(self._flight_counter)
-            for delivery in batch:
-                self._frontier.reflight(delivery, flight)
-
-    def _deliver_flight(self, event: PendingDelivery) -> None:
-        """Deliver a whole flight in one kernel event.
-
-        The chosen delivery lands first, then its remaining flight siblings
-        in enqueue order.  Replies enqueued while the flight lands are
-        themselves grouped per destination into fresh flights, so a quorum
-        round's fan-in also costs one event per replica set.
-        """
-        siblings = self._frontier.take_flight(event.flight)
-        with self.flight_scope(per_destination=True):
-            self._deliver(event.message)
-            for delivery in siblings:
-                if self.obs is not None:
-                    self.obs.on_dequeue(delivery.message)
-                self._deliver(delivery.message)
 
     def set_timeout(self, owner: str, delay: int, info: Mapping[str, Any]) -> PendingTimeout:
         """Arm a timer for ``owner`` to fire ``delay`` virtual-time steps from
@@ -805,13 +738,6 @@ class Simulation:
                 send_value = None
                 if isinstance(effect, Send):
                     self._send_from(session.client, effect.dst, effect.msg_type, effect.payload, effect.phase)
-                    continue
-                if isinstance(effect, SendBatch):
-                    with self.flight_scope():
-                        for send in effect.sends:
-                            self._send_from(
-                                session.client, send.dst, send.msg_type, send.payload, send.phase
-                            )
                     continue
                 if isinstance(effect, Mark):
                     self._record_internal(session.client, dict(effect.info))

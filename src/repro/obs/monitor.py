@@ -153,24 +153,21 @@ class ElectionSafetyMonitor(OnlineMonitor):
 
 
 class LogMatchingMonitor(OnlineMonitor):
-    """Applied entries agree across members, position by position.
+    """Applied entries agree across members and across re-applies.
 
     This is the streaming face of both offline log checkers (log matching
-    and state-machine safety): members apply committed entries in log order,
-    so the ``(term, request)`` sequence applied *at each log index* — a
-    batched entry unpacks to several sub-requests at one index — must be a
-    prefix-consistent match across members.  The first member to reach a
-    position defines the canonical entry; every later member is compared
-    against it.  State: one canon list per log index plus one position
-    counter per (member, index) — O(1) per event.
+    and state-machine safety): a log index holds one entry, so every apply
+    at that index — by any member, and again by a member that re-applies
+    its log after amnesia — must name the same ``(term, request)``.  The
+    first apply defines the canonical entry; every later one is compared
+    against it.  State: one canonical pair per log index — O(1) per event.
     """
 
     name = "log-matching"
     kinds = _INTERNAL
 
     def __init__(self) -> None:
-        self._canon: Dict[Any, List[Tuple[Any, Any]]] = {}
-        self._position: Dict[Tuple[str, Any], int] = {}
+        self._canon: Dict[Any, Tuple[Any, Any]] = {}
 
     def observe(self, action: Action, index: int) -> Optional[str]:
         if action.kind is not ActionKind.INTERNAL:
@@ -179,21 +176,13 @@ class LogMatchingMonitor(OnlineMonitor):
             return None
         log_index = action.get("index")
         entry = (action.get("term"), action.get("request"))
-        member = str(action.get("member", action.actor))
-        key = (member, log_index)
-        position = self._position.get(key, 0)
-        self._position[key] = position + 1
-        canon = self._canon.setdefault(log_index, [])
-        if position >= len(canon):
-            canon.append(entry)
-            return None
-        expected = self._canon[log_index][position]
+        expected = self._canon.setdefault(log_index, entry)
         if expected != entry:
+            member = str(action.get("member", action.actor))
             return (
-                f"log index {log_index} (sub-entry {position}) applied as "
-                f"term={expected[0]} request={expected[1]!r} by an earlier "
-                f"member but as term={entry[0]} request={entry[1]!r} at "
-                f"{member}"
+                f"log index {log_index} applied as term={expected[0]} "
+                f"request={expected[1]!r} earlier but as term={entry[0]} "
+                f"request={entry[1]!r} at {member}"
             )
         return None
 

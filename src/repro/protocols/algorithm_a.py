@@ -122,7 +122,7 @@ class AlgorithmAReader(ReaderAutomaton):
         # one version per reply, first hit per object within the quorum.
         values, replies = yield from key_read_round(
             txn.txn_id, chosen, self.placement, self.policy,
-            directory=self.directory, ctx=ctx, batch=self.batch_fanout,
+            directory=self.directory, ctx=ctx,
         )
         annotations: Dict[str, Any] = {"tag": tag, "protocol": "algorithm-a"}
         if not self.placement.is_trivial():
@@ -163,7 +163,7 @@ class AlgorithmAWriter(WriterAutomaton):
         # write-value phase (a write quorum per written object) --------------
         yield from write_value_round(
             txn.txn_id, tuple(txn.updates), key, self.placement, self.policy,
-            directory=self.directory, ctx=ctx, batch=self.batch_fanout,
+            directory=self.directory, ctx=ctx,
         )
         # info-reader phase (client-to-client!) ------------------------------
         bits = tuple((obj, 1 if obj in dict(txn.updates) else 0) for obj in self.objects)

@@ -40,7 +40,7 @@ from .coordinated import (
     coordinator_targets,
     live_coordinator_targets,
 )
-from .replication import default_policy, emit_sends, key_read_round, placement_or_single_copy
+from .replication import default_policy, key_read_round, placement_or_single_copy
 
 
 class AlgorithmBReader(ReaderAutomaton):
@@ -72,18 +72,15 @@ class AlgorithmBReader(ReaderAutomaton):
             raise SimulationError(f"reader {self.name} received a non-READ transaction {txn!r}")
         # Round 1: get-tag-array (broadcast to the coordinator group; the
         # first — and with consensus, only committed — reply wins) -------------
-        yield from emit_sends(
-            [
-                Send(
-                    dst=target,
-                    msg_type="get-tag-arr",
-                    payload={"txn": txn.txn_id, "read_set": tuple(txn.objects)},
-                    phase="get-tag-array",
-                )
-                for target in live_coordinator_targets(self.directory, self.coordinator_group)
-            ],
-            self.batch_fanout,
-        )
+        yield from [
+            Send(
+                dst=target,
+                msg_type="get-tag-arr",
+                payload={"txn": txn.txn_id, "read_set": tuple(txn.objects)},
+                phase="get-tag-array",
+            )
+            for target in live_coordinator_targets(self.directory, self.coordinator_group)
+        ]
         replies = yield Await(
             matcher=lambda m, txn_id=txn.txn_id: m.msg_type == "tag-arr-reply" and m.get("txn") == txn_id,
             count=1,
@@ -95,7 +92,7 @@ class AlgorithmBReader(ReaderAutomaton):
         chosen = {object_id: keys[object_id] for object_id in txn.objects}
         values, value_replies = yield from key_read_round(
             txn.txn_id, chosen, self.placement, self.policy,
-            directory=self.directory, ctx=ctx, batch=self.batch_fanout,
+            directory=self.directory, ctx=ctx,
         )
         annotations: Dict[str, Any] = {"tag": tag, "protocol": "algorithm-b"}
         if not self.placement.is_trivial():

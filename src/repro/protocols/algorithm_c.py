@@ -54,7 +54,6 @@ from .coordinated import (
 )
 from .replication import (
     default_policy,
-    emit_sends,
     epoch_quorum_round,
     key_read_round,
     per_object_reply_await,
@@ -132,7 +131,7 @@ class AlgorithmCReader(ReaderAutomaton):
                         phase="read-values-and-tags",
                     )
                 )
-        yield from emit_sends(sends, self.batch_fanout)
+        yield from sends
         replies = yield per_object_reply_await(
             txn.txn_id,
             read_set,
@@ -212,7 +211,6 @@ class AlgorithmCReader(ReaderAutomaton):
             extra_ready=_tag_seen,
             description="values and tag array",
             unfiltered_types=("tag-arr-reply",),
-            batch=self.batch_fanout,
         )
         return replies
 
@@ -263,7 +261,6 @@ class AlgorithmCReader(ReaderAutomaton):
                 phase="read-value-fallback",
                 directory=self.directory,
                 ctx=ctx,
-                batch=self.batch_fanout,
             )
             values.update(fallback_values)
 

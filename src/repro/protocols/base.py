@@ -94,15 +94,6 @@ class BuildConfig:
     #: :class:`~repro.ioa.trace.TraceMode` — ``sampled``/``ring`` keep
     #: counters and streaming monitors exact while recording fewer actions)
     trace_mode: Optional[Any] = None
-    #: batch each quorum fan-out into one kernel flight (one scheduler event
-    #: delivers the whole round; see :func:`repro.protocols.replication.
-    #: emit_sends`).  Off by default: batching coalesces events, so every
-    #: golden-pinned trace is recorded with it off.
-    fanout_batching: bool = False
-    #: pack queued consensus requests into one log entry per commit round
-    #: (see :attr:`repro.consensus.coordinator.ReplicatedCoordinator.
-    #: append_batching`); needs ``consensus_factor >= 2``.  Off by default.
-    consensus_batching: bool = False
     #: stable storage for consensus members (a
     #: :class:`~repro.persist.PersistencePolicy` or ready-made
     #: :class:`~repro.persist.PersistencePlane`); needs ``consensus_factor
@@ -346,11 +337,6 @@ class Protocol:
                 f"protocol {self.name} has no coordinator/metadata service to replicate "
                 f"(consensus_factor={config.consensus_factor} needs one)"
             )
-        if config.consensus_batching and config.consensus_factor < 2:
-            raise ValueError(
-                "consensus_batching packs replicated-coordinator log entries; "
-                "it needs consensus_factor >= 2 (there is no log at factor 1)"
-            )
         if config.persistence is not None:
             if config.consensus_factor < 2:
                 raise ValueError(
@@ -465,8 +451,6 @@ class Protocol:
         controller: Optional[ControllerPolicy] = None,
         obs: Optional[Any] = None,
         trace_mode: Optional[Any] = None,
-        fanout_batching: bool = False,
-        consensus_batching: bool = False,
         persistence: Optional[Any] = None,
         leases: Optional[Any] = None,
     ) -> SystemHandle:
@@ -520,8 +504,6 @@ class Protocol:
             controller=controller,
             obs=obs,
             trace_mode=trace_mode,
-            fanout_batching=fanout_batching,
-            consensus_batching=consensus_batching,
             persistence=persistence,
             leases=leases,
         )
@@ -549,8 +531,6 @@ class Protocol:
                 # rule to judge joint configurations as they open.
                 monitors.set_quorum_policy(config.quorum_policy())
         simulation.add_automata(self.make_automata(config))
-        if config.fanout_batching or config.consensus_batching:
-            self._apply_batching(config, simulation)
         if config.leases is not None:
             self._apply_leases(config, simulation)
         persistence_plane = None
@@ -571,24 +551,10 @@ class Protocol:
             persistence=persistence_plane,
         )
 
-    def _apply_batching(self, config: BuildConfig, simulation: Simulation) -> None:
-        """Flip the batching knobs on the freshly built automata.
-
-        Post-build injection (like the placement directory): clients carrying
-        a ``batch_fanout`` attribute get the fan-out knob, consensus members
-        carrying ``append_batching`` get the log-packing knob — automata
-        without the attribute (servers, drivers) are untouched, so protocols
-        opt in simply by reading the class attributes.
-        """
-        for automaton in simulation.automata():
-            if config.fanout_batching and hasattr(automaton, "batch_fanout"):
-                automaton.batch_fanout = True
-            if config.consensus_batching and hasattr(automaton, "append_batching"):
-                automaton.append_batching = True
-
     def _apply_leases(self, config: BuildConfig, simulation: Simulation) -> None:
         """Install the lease policy on every consensus member (post-build
-        injection, like batching): automata exposing ``lease_policy`` —
+        injection, like the placement directory): automata exposing
+        ``lease_policy`` —
         exactly the :class:`~repro.consensus.coordinator.
         ReplicatedCoordinator` members — get the normalized policy; every
         member holds the same one, so leader and promisers agree on the
@@ -602,7 +568,7 @@ class Protocol:
 
     def _apply_persistence(self, config: BuildConfig, simulation: Simulation):
         """Attach a stable store to every consensus member (post-build
-        injection, like batching): automata exposing ``stable_store`` —
+        injection, like the leases): automata exposing ``stable_store`` —
         exactly the :class:`~repro.consensus.coordinator.
         ReplicatedCoordinator` members — get their per-name store from the
         plane.  Passing a plane whose stores already hold state (a rebuild
@@ -665,12 +631,10 @@ class Protocol:
                     election_timeout=timeout,
                     bootstrap_leader=bootstrap,
                 )
-                # Mid-run members inherit the build's batching knobs.
-                member.append_batching = config.consensus_batching
-                member.batch_fanout = config.fanout_batching
                 if config.leases is not None:
-                    # ... and the lease policy: a spawned member promises
-                    # (and may later hold) leases like a founding one.
+                    # Mid-run members inherit the lease policy: a spawned
+                    # member promises (and may later hold) leases like a
+                    # founding one.
                     from ..consensus.lease import LeasePolicy
 
                     member.lease_policy = LeasePolicy.of(config.leases)

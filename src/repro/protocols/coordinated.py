@@ -49,7 +49,6 @@ from ..txn.transactions import WriteTransaction, WRITE_OK
 from .replication import (
     ReplicatedStorageServer,
     default_policy,
-    emit_sends,
     placement_or_single_copy,
     write_value_round,
 )
@@ -151,23 +150,20 @@ class CoordinatedWriter(WriterAutomaton):
         # write-value phase (a write quorum per written object) --------------
         yield from write_value_round(
             txn.txn_id, tuple(txn.updates), key, self.placement, self.policy,
-            directory=self.directory, ctx=ctx, batch=self.batch_fanout,
+            directory=self.directory, ctx=ctx,
         )
         # update-coor phase (broadcast to the coordinator group; only the
         # consensus leader answers, once the entry committed) -----------------
         bits = tuple((obj, 1 if obj in dict(txn.updates) else 0) for obj in self.objects)
-        yield from emit_sends(
-            [
-                Send(
-                    dst=target,
-                    msg_type="update-coor",
-                    payload={"txn": txn.txn_id, "key": key, "bits": bits},
-                    phase="update-coor",
-                )
-                for target in self._coordinator_targets()
-            ],
-            self.batch_fanout,
-        )
+        yield from [
+            Send(
+                dst=target,
+                msg_type="update-coor",
+                payload={"txn": txn.txn_id, "key": key, "bits": bits},
+                phase="update-coor",
+            )
+            for target in self._coordinator_targets()
+        ]
         acks = yield Await(
             matcher=lambda m, txn_id=txn.txn_id: m.msg_type == "ack-coor" and m.get("txn") == txn_id,
             count=1,

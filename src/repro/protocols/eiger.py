@@ -47,7 +47,6 @@ from .replication import (
     _note_epoch_retry,
     check_epoch_retry_budget,
     default_policy,
-    emit_sends,
     epoch_quorum_round,
     per_object_reply_await,
     placement_or_single_copy,
@@ -263,7 +262,6 @@ class EigerWriter(WriterAutomaton):
                     obj: directory.write_needed(obj) for obj, _ in updates
                 },
                 description="write acks",
-                batch=self.batch_fanout,
             )
             self.clock = max([self.clock] + [int(a.get("ts", 0)) for a in acks]) + 1
             return WRITE_OK
@@ -278,7 +276,7 @@ class EigerWriter(WriterAutomaton):
             for replica in self.placement.group(object_id)
         ]
         sends = len(write_sends)
-        yield from emit_sends(write_sends, self.batch_fanout)
+        yield from write_sends
         acks = yield Await(
             matcher=lambda m, txn_id=txn.txn_id: m.msg_type == "eiger-write-ack" and m.get("txn") == txn_id,
             count=sends,
@@ -376,7 +374,6 @@ class EigerReader(ReaderAutomaton):
                 },
                 description="round-1 replies",
                 start_attempt=attempt,
-                batch=self.batch_fanout,
             )
             self.clock = max([self.clock] + [int(r.get("ts", 0)) for r in replies]) + 1
             values, intervals, chosen_replica = self._select_round1(replies)
@@ -441,19 +438,16 @@ class EigerReader(ReaderAutomaton):
             result = yield from self._run_epoch(txn, ctx)
             return result
         # Round 1: latest values with validity intervals --------------------------
-        yield from emit_sends(
-            [
-                Send(
-                    dst=replica,
-                    msg_type="eiger-read",
-                    payload={"txn": txn.txn_id, "object": object_id, "ts": self.clock},
-                    phase="read-round-1",
-                )
-                for object_id in txn.objects
-                for replica in self.placement.group(object_id)
-            ],
-            self.batch_fanout,
-        )
+        yield from [
+            Send(
+                dst=replica,
+                msg_type="eiger-read",
+                payload={"txn": txn.txn_id, "object": object_id, "ts": self.clock},
+                phase="read-round-1",
+            )
+            for object_id in txn.objects
+            for replica in self.placement.group(object_id)
+        ]
         replies = yield per_object_reply_await(
             txn.txn_id,
             tuple(txn.objects),

@@ -37,7 +37,6 @@ from .base import BuildConfig, Protocol
 from .replication import (
     ReplicatedStorageServer,
     default_policy,
-    emit_sends,
     epoch_quorum_round,
     per_object_reply_await,
     placement_or_single_copy,
@@ -87,7 +86,7 @@ class NaiveWriter(WriterAutomaton):
         key = Key(self.z, self.name)
         yield from write_value_round(
             txn.txn_id, tuple(txn.updates), key, self.placement, self.policy, phase="write",
-            directory=self.directory, ctx=ctx, batch=self.batch_fanout,
+            directory=self.directory, ctx=ctx,
         )
         return WRITE_OK
 
@@ -144,23 +143,19 @@ class NaiveReader(ReaderAutomaton):
                     obj: directory.read_needed(obj) for obj in read_set
                 },
                 description="read replies",
-                batch=self.batch_fanout,
             )
             replies = [m for m in replies if m.msg_type == "read-latest-reply"]
         else:
-            yield from emit_sends(
-                [
-                    Send(
-                        dst=replica,
-                        msg_type="read-latest",
-                        payload={"txn": txn.txn_id, "object": object_id},
-                        phase="read",
-                    )
-                    for object_id in txn.objects
-                    for replica in self.placement.group(object_id)
-                ],
-                self.batch_fanout,
-            )
+            yield from [
+                Send(
+                    dst=replica,
+                    msg_type="read-latest",
+                    payload={"txn": txn.txn_id, "object": object_id},
+                    phase="read",
+                )
+                for object_id in txn.objects
+                for replica in self.placement.group(object_id)
+            ]
             replies = yield per_object_reply_await(
                 txn.txn_id,
                 tuple(txn.objects),

@@ -58,7 +58,6 @@ from .base import BuildConfig, Protocol
 from .coordinated import consensus_members_for, coordinator_targets, live_coordinator_targets
 from .replication import (
     DirectoryAwareServer,
-    emit_sends,
     epoch_quorum_round,
     placement_or_single_copy,
 )
@@ -192,18 +191,15 @@ class OccWriter(WriterAutomaton):
     def run_transaction(self, txn: WriteTransaction, ctx: Context):
         if not isinstance(txn, WriteTransaction):
             raise SimulationError(f"writer {self.name} received a non-WRITE transaction {txn!r}")
-        yield from emit_sends(
-            [
-                Send(
-                    dst=target,
-                    msg_type="get-ts",
-                    payload={"txn": txn.txn_id},
-                    phase="get-timestamp",
-                )
-                for target in live_coordinator_targets(self.directory, self.timestamp_group)
-            ],
-            self.batch_fanout,
-        )
+        yield from [
+            Send(
+                dst=target,
+                msg_type="get-ts",
+                payload={"txn": txn.txn_id},
+                phase="get-timestamp",
+            )
+            for target in live_coordinator_targets(self.directory, self.timestamp_group)
+        ]
         replies = yield Await(
             matcher=lambda m, txn_id=txn.txn_id: m.msg_type == "ts-reply" and m.get("txn") == txn_id,
             count=1,
@@ -232,7 +228,7 @@ class OccWriter(WriterAutomaton):
             for replica in self.placement.group(object_id)
         ]
         installs = len(sends)
-        yield from emit_sends(sends, self.batch_fanout)
+        yield from sends
         yield Await(
             matcher=lambda m, txn_id=txn.txn_id: m.msg_type == "install-ack" and m.get("txn") == txn_id,
             count=installs,
@@ -279,7 +275,6 @@ class OccWriter(WriterAutomaton):
             reply_types=("install-ack",),
             needs_factory=lambda: {obj: directory.write_needed(obj) for obj, _ in updates},
             description="install acks",
-            batch=self.batch_fanout,
         )
 
 
@@ -328,7 +323,7 @@ class OccReader(ReaderAutomaton):
             for replica in self.placement.group(object_id)
         ]
         targets = len(sends)
-        yield from emit_sends(sends, self.batch_fanout)
+        yield from sends
         replies = yield Await(
             matcher=lambda m, txn_id=txn.txn_id, a=attempt: m.msg_type == "collect-reply"
             and m.get("txn") == txn_id
@@ -387,7 +382,6 @@ class OccReader(ReaderAutomaton):
             },
             description=f"collect (from #{start_attempt + 1})",
             start_attempt=start_attempt,
-            batch=self.batch_fanout,
         )
         snapshot: Dict[str, Dict[str, Any]] = {}
         for reply in replies:

@@ -38,7 +38,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..ioa.actions import Message
-from ..ioa.automaton import Await, Context, Send, SendBatch, ServerAutomaton
+from ..ioa.automaton import Await, Context, Send, ServerAutomaton
 from ..ioa.errors import SimulationError
 from ..txn.objects import Key, VersionStore
 from ..txn.placement import Placement, QuorumPolicy, ReadOneWriteAll
@@ -328,23 +328,6 @@ class ReplicatedStorageServer(DirectoryAwareServer, ServerAutomaton):
 # ----------------------------------------------------------------------
 # Quorum round helpers (client-session side)
 # ----------------------------------------------------------------------
-def emit_sends(sends: Sequence[Send], batch: bool):
-    """Yield a fan-out: one :class:`SendBatch` flight when batching, else the
-    sends one by one.
-
-    The single statement of the fan-out-batching contract
-    (``BuildConfig.fanout_batching``): a batched fan-out's deliveries ride one
-    kernel flight, so the scheduler spends one event on the whole round
-    instead of one per replica.  ``batch=False`` (the default everywhere) is
-    byte-identical to the plain loop.
-    """
-    if batch and len(sends) > 1:
-        yield SendBatch(sends=tuple(sends))
-        return
-    for send in sends:
-        yield send
-
-
 def _count_by_object(messages: Sequence[Message], placement: Placement) -> Dict[str, int]:
     """Per-object message counts; acks from single-copy groups carry no
     ``object`` field, so fall back to resolving the sender's object (which
@@ -449,7 +432,6 @@ def write_value_round(
     phase: str = "write-value",
     directory=None,
     ctx=None,
-    batch: bool = False,
 ):
     """Generator: install ``(key, value)`` at every replica, await W per object.
 
@@ -464,19 +446,16 @@ def write_value_round(
     directory the round is byte-identical to the placement-layer seed.
     """
     if directory is None:
-        yield from emit_sends(
-            [
-                Send(
-                    dst=replica,
-                    msg_type="write-val",
-                    payload={"txn": txn_id, "object": object_id, "key": key, "value": value},
-                    phase=phase,
-                )
-                for object_id, value in updates
-                for replica in placement.group(object_id)
-            ],
-            batch,
-        )
+        yield from [
+            Send(
+                dst=replica,
+                msg_type="write-val",
+                payload={"txn": txn_id, "object": object_id, "key": key, "value": value},
+                phase=phase,
+            )
+            for object_id, value in updates
+            for replica in placement.group(object_id)
+        ]
         acks = yield write_quorum_await(
             txn_id, [obj for obj, _ in updates], placement, policy
         )
@@ -488,26 +467,23 @@ def write_value_round(
         check_epoch_retry_budget("write", txn_id, attempt)
         epoch = directory.epoch
         needs = {obj: directory.write_needed(obj) for obj, _ in updates}
-        yield from emit_sends(
-            [
-                Send(
-                    dst=replica,
-                    msg_type="write-val",
-                    payload={
-                        "txn": txn_id,
-                        "object": object_id,
-                        "key": key,
-                        "value": value,
-                        "epoch": epoch,
-                        "attempt": attempt,
-                    },
-                    phase=phase,
-                )
-                for object_id, value in updates
-                for replica in directory.targets(object_id)
-            ],
-            batch,
-        )
+        yield from [
+            Send(
+                dst=replica,
+                msg_type="write-val",
+                payload={
+                    "txn": txn_id,
+                    "object": object_id,
+                    "key": key,
+                    "value": value,
+                    "epoch": epoch,
+                    "attempt": attempt,
+                },
+                phase=phase,
+            )
+            for object_id, value in updates
+            for replica in directory.targets(object_id)
+        ]
         matcher = (
             lambda m, t=txn_id, a=attempt: m.msg_type in ("ack-write", "epoch-mismatch")
             and m.get("txn") == t
@@ -576,7 +552,6 @@ def key_read_round(
     read_repair: bool = True,
     directory=None,
     ctx=None,
-    batch: bool = False,
 ):
     """Generator: fetch exact keys from every replica, await an R-quorum.
 
@@ -602,22 +577,19 @@ def key_read_round(
     """
     if directory is not None:
         result = yield from _epoch_key_read_round(
-            txn_id, chosen_keys, directory, phase, read_repair, ctx, batch
+            txn_id, chosen_keys, directory, phase, read_repair, ctx
         )
         return result
-    yield from emit_sends(
-        [
-            Send(
-                dst=replica,
-                msg_type="read-val",
-                payload={"txn": txn_id, "object": object_id, "key": key},
-                phase=phase,
-            )
-            for object_id, key in chosen_keys.items()
-            for replica in placement.group(object_id)
-        ],
-        batch,
-    )
+    yield from [
+        Send(
+            dst=replica,
+            msg_type="read-val",
+            payload={"txn": txn_id, "object": object_id, "key": key},
+            phase=phase,
+        )
+        for object_id, key in chosen_keys.items()
+        for replica in placement.group(object_id)
+    ]
     replies = yield key_read_await(txn_id, tuple(chosen_keys), placement, policy)
     values: Dict[str, Any] = {}
     for reply in replies:
@@ -656,7 +628,6 @@ def _epoch_key_read_round(
     phase: str,
     read_repair: bool,
     ctx,
-    batch: bool = False,
 ):
     """The epoch-aware body of :func:`key_read_round` (directory installed)."""
     attempt = 0
@@ -665,25 +636,22 @@ def _epoch_key_read_round(
         check_epoch_retry_budget("read", txn_id, attempt)
         epoch = directory.epoch
         needs = {obj: directory.read_needed(obj) for obj in chosen_keys}
-        yield from emit_sends(
-            [
-                Send(
-                    dst=replica,
-                    msg_type="read-val",
-                    payload={
-                        "txn": txn_id,
-                        "object": object_id,
-                        "key": key,
-                        "epoch": epoch,
-                        "attempt": attempt,
-                    },
-                    phase=phase,
-                )
-                for object_id, key in chosen_keys.items()
-                for replica in directory.targets(object_id)
-            ],
-            batch,
-        )
+        yield from [
+            Send(
+                dst=replica,
+                msg_type="read-val",
+                payload={
+                    "txn": txn_id,
+                    "object": object_id,
+                    "key": key,
+                    "epoch": epoch,
+                    "attempt": attempt,
+                },
+                phase=phase,
+            )
+            for object_id, key in chosen_keys.items()
+            for replica in directory.targets(object_id)
+        ]
 
         def ready(collected, n=needs):
             hits = {m.get("object") for m in collected if m.msg_type == "read-val-reply"}
@@ -740,7 +708,6 @@ def epoch_quorum_round(
     description: str = "replies",
     start_attempt: int = 0,
     unfiltered_types: Tuple[str, ...] = (),
-    batch: bool = False,
 ):
     """Generator: one epoch-aware fan-out round with bounded mismatch retries.
 
@@ -770,7 +737,7 @@ def epoch_quorum_round(
         check_epoch_retry_budget("round for", txn_id, attempt - start_attempt)
         epoch = directory.epoch
         needs = needs_factory()
-        yield from emit_sends(tuple(send_factory(epoch, attempt)), batch)
+        yield from send_factory(epoch, attempt)
         matcher = (
             lambda m, t=txn_id, a=attempt,
             ts=reply_types + ("epoch-mismatch",), us=unfiltered_types:

@@ -64,7 +64,7 @@ SEED_ALL = {
     "repro.ioa": """
         Action ActionKind Message actions_at internal_action invoke_action recv_action
         respond_action send_action Automaton Await ClientAutomaton Context Mark ReaderAutomaton
-        Send SendBatch EventFrontier ServerAutomaton SessionState WriterAutomaton expect_type
+        Send EventFrontier ServerAutomaton SessionState WriterAutomaton expect_type
         expect_types CommunicationNotAllowedError DuplicateProcessError LivenessError
         SchedulerError SessionError SimulationError TraceError UnknownProcessError
         WellFormednessError FaultPlane SystemSetting Topology standard_settings
@@ -97,7 +97,7 @@ SEED_ALL = {
         reader_names writer_names LockingProtocol LockingReader LockingServer LockingWriter
         CoordinatedServer CoordinatedWriter coordinator_name EigerProtocol EigerReader
         EigerServer EigerVersion EigerWriter NaiveReader NaiveServer NaiveSnowCandidate
-        NaiveWriter OccProtocol OccReader OccServer OccWriter ReplicatedStorageServer emit_sends
+        NaiveWriter OccProtocol OccReader OccServer OccWriter ReplicatedStorageServer
         key_read_round per_object_reply_await write_value_round all_protocols
         bounded_snw_protocols get_protocol protocol_names register_protocol SimpleReadWrite
     """,

@@ -52,4 +52,3 @@ class PendingDelivery:
     message: Any
     enqueued_at: int
     ready_at: int = 0
-    flight: int = 0

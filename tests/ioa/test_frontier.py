@@ -10,7 +10,7 @@ ground-truth state would produce.
 
 The main test here is a randomized interleaving driver: it interleaves every
 operation that mutates the frontier (submit with ``after`` dependencies,
-steps, timer arming, flights, ``extract_deliveries``, mid-run add/remove of
+steps, timer arming, ``extract_deliveries``, mid-run add/remove of
 automata) and re-derives the pending list independently after **every**
 operation.  The re-derivation deliberately does not consult the frontier's
 internals for ripeness, readiness or ordering — only the raw views and the
@@ -72,27 +72,14 @@ class GossipServer(ServerAutomaton):
     """A server whose timers send messages to whichever peers are alive.
 
     ``peers`` is a callable so the randomized driver can retire gossip
-    servers mid-run: a firing timer only targets survivors.  ``flight`` says
-    how a round is sent: ``None`` = message by message, else inside
-    ``ctx.flight(per_destination=flight())`` — so deliveries are re-stamped in
-    place (``reflight``) and one step lands a whole flight (``take_flight``).
+    servers mid-run: a firing timer only targets survivors.
     """
 
-    def __init__(self, name, peers, flight=lambda: None):
+    def __init__(self, name, peers):
         super().__init__(name)
         self.peers = peers
-        self.flight = flight
 
     def on_timeout(self, info, ctx):
-        flight = self.flight()
-        if flight is None:
-            self.gossip(ctx)
-        else:
-            with ctx.flight(per_destination=flight):
-                self.gossip(ctx)
-                self.gossip(ctx)  # two per peer, so per-destination flights form too
-
-    def gossip(self, ctx):
         for peer in self.peers(self.name):
             ctx.send(peer, "gossip", {"from": self.name})
 
@@ -243,11 +230,8 @@ def test_random_interleaving_matches_rebuild(seed):
     def live_peers(me):
         return [g for g in gossip_alive if g != me]
 
-    def flight():
-        return rng.choice((None, False, True))
-
     for name in tuple(gossip_alive):
-        sim.add_automaton(GossipServer(name, live_peers, flight))
+        sim.add_automaton(GossipServer(name, live_peers))
     client_order = []
     for client in clients:
         sim.add_automaton(PingClient(client, rng.choice(servers)))
@@ -294,7 +278,7 @@ def test_random_interleaving_matches_rebuild(seed):
             if len(gossip_alive) < 4:
                 spare_counter += 1
                 name = f"g{2 + spare_counter}"
-                sim.add_automaton(GossipServer(name, live_peers, flight))
+                sim.add_automaton(GossipServer(name, live_peers))
                 gossip_alive.append(name)
         else:  # retire a gossip server mid-run (in-flight mail dies with it)
             if len(gossip_alive) > 1:
@@ -327,7 +311,7 @@ STACKS = {
     "rf3-cf3": lambda protocol: dict(
         replication_factor=3, quorum="majority", consensus_factor=3 if protocol.has_coordinator else 1
     ),
-    "fanout-batching": lambda protocol: dict(replication_factor=3, quorum="majority", fanout_batching=True),
+    "rf3": lambda protocol: dict(replication_factor=3, quorum="majority"),
 }
 
 

@@ -43,7 +43,7 @@ def actions(draw):
 @st.composite
 def deliveries(draw):
     message, twin = draw(messages)
-    stamps = draw(st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 2)))
+    stamps = draw(st.tuples(st.integers(0, 3), st.integers(0, 2)))
     return PendingDelivery(message, *stamps), reference.PendingDelivery(twin, *stamps)
 
 
@@ -77,7 +77,7 @@ MESSAGE = Message("read-val", "r1", "sx", (("txn", "R1"),), 7)
 RECORDS = [
     MESSAGE,
     Action(ActionKind.RECV, "sx", MESSAGE, (("session", "R1"),), 3),
-    PendingDelivery(MESSAGE, 4, 9, 2),
+    PendingDelivery(MESSAGE, 4, 9),
 ]
 
 
@@ -104,13 +104,14 @@ def test_keyword_and_positional_construction():
     )
     bare = Action(ActionKind.START, "a")
     assert (bare.message, bare.info, bare.index) == (None, (), -1)
-    assert PendingDelivery(message=message, enqueued_at=1, ready_at=2, flight=3) == PendingDelivery(message, 1, 2, 3)
-    assert (PendingDelivery(message, 1).ready_at, PendingDelivery(message, 1).flight) == (0, 0)
+    assert PendingDelivery(message=message, enqueued_at=1, ready_at=2) == PendingDelivery(message, 1, 2)
+    assert PendingDelivery(message, 1).ready_at == 0
+    assert PendingDelivery.__slots__ == ("message", "enqueued_at", "ready_at")
 
 
 def test_repr_names_every_field():
     assert repr(MESSAGE) == "Message(msg_type='read-val', src='r1', dst='sx', items=(('txn', 'R1'),), msg_id=7)"
-    assert repr(RECORDS[2]) == f"PendingDelivery(message={MESSAGE!r}, enqueued_at=4, ready_at=9, flight=2)"
+    assert repr(RECORDS[2]) == f"PendingDelivery(message={MESSAGE!r}, enqueued_at=4, ready_at=9)"
     assert repr(Action(ActionKind.START, "sx")) == (
         "Action(kind=<ActionKind.START: 'start'>, actor='sx', message=None, info=(), index=-1)"
     )

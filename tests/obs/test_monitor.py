@@ -8,9 +8,13 @@ and the ``halt_on_violation`` path out of ``Trace.append``.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
-from repro.ioa import FIFOScheduler, Trace
+from repro.faults import ChaosScheduler, FaultPlan
+from repro.faults.plan import CrashEvent
+from repro.ioa import FIFOScheduler, RandomScheduler, Trace
 from repro.ioa.actions import Action, ActionKind
 from repro.obs import (
     InvariantViolation,
@@ -77,13 +81,46 @@ def test_log_matching_accepts_agreeing_members():
         assert monitor.observe(apply_entry(member, 2, 1, "W2"), 1) is None
 
 
-def test_log_matching_accepts_batched_entries_at_one_index():
-    """consensus_batching applies several sub-requests at the same log
-    index; position-wise agreement must not be read as a conflict."""
+def test_log_matching_flags_a_different_reapply_at_one_index():
+    """A log index holds one entry: a member applying a second, different
+    request at an index it already applied is a conflict, not a sub-entry."""
     monitor = LogMatchingMonitor()
-    for member in ("m1", "m2"):
-        assert monitor.observe(apply_entry(member, 5, 2, "Wa"), 0) is None
-        assert monitor.observe(apply_entry(member, 5, 2, "Wb"), 1) is None
+    assert monitor.observe(apply_entry("m1", 5, 2, "Wa"), 0) is None
+    assert monitor.observe(apply_entry("m2", 5, 2, "Wa"), 1) is None
+    message = monitor.observe(apply_entry("m1", 5, 2, "Wb"), 2)
+    assert message is not None and "log index 5" in message and "'Wb'" in message
+
+
+def test_log_matching_accepts_an_amnesiac_members_identical_reapply():
+    """A volatile consensus member that crashes with amnesia re-applies its
+    log once it recovers; the repeat applies are compared against the first
+    ones and agree, so the cell runs with no alert."""
+    plan = FaultPlan(
+        name="amnesia",
+        crashes=(CrashEvent("coor.2", at=60, recover=160, preserve_state=False),),
+        seed=0,
+    )
+    handle, plane = run_observed(
+        "algorithm-b",
+        monitors=True,
+        plan=plan,
+        scheduler=ChaosScheduler(base=RandomScheduler(seed=0), seed=0),
+        seed=0,
+        replication_factor=3,
+        quorum="majority",
+        consensus_factor=3,
+        run_to_completion=False,
+    )
+    applies = Counter(
+        (action.actor, action.get("index"))
+        for action in handle.trace()
+        if action.get("consensus") == "apply"
+    )
+    assert any(actor == "coor.2" and count > 1 for (actor, _), count in applies.items()), (
+        "coor.2 never re-applied an index — the cell no longer exercises amnesia"
+    )
+    assert plane.monitors.alerts == []
+    assert all(record.complete for record in handle.transaction_records())
 
 
 def test_log_matching_flags_divergent_entries():

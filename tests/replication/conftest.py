@@ -46,8 +46,6 @@ def run_fixed_workload(
     controller=None,
     obs=None,
     trace_mode=None,
-    fanout_batching: bool = False,
-    consensus_batching: bool = False,
     persistence=None,
     leases=None,
     run_to_completion: bool = True,
@@ -70,8 +68,6 @@ def run_fixed_workload(
         controller=controller,
         obs=obs,
         trace_mode=trace_mode,
-        fanout_batching=fanout_batching,
-        consensus_batching=consensus_batching,
         persistence=persistence,
         leases=leases,
         fault_plane=FaultInjector(plan, seed=seed) if plan is not None else None,
