@@ -14,9 +14,9 @@ The gate has two halves, and this script is the **wall-clock** one:
   below, same SNOW verdict, consistency not degraded, unavailability window
   and lease read latency not above).
 * *Wall-clock columns live here*, under a **bounded-drift** rule:
-  ``events_per_sec`` in ``BENCH_throughput.json`` and ``BENCH_obs.json`` may
-  fluctuate with the machine, but falling below ``DRIFT_FLOOR`` × the
-  committed baseline fails the gate — runner variance passes, an
+  ``events_per_sec`` in ``BENCH_throughput.json`` may fluctuate with the
+  machine, but falling below ``DRIFT_FLOOR`` × the committed baseline fails
+  the gate — runner variance passes, an
   order-of-magnitude kernel slowdown does not.
 
 Two more rules apply to every file.  Rows are matched on the identity
@@ -65,7 +65,6 @@ RESULTS = BENCH_DIR / "results"
 DRIFT_FLOOR = 0.25
 DRIFT_COLUMNS: Dict[str, Tuple[str, ...]] = {
     "BENCH_throughput.json": ("events_per_sec",),
-    "BENCH_obs.json": ("events_per_sec",),
 }
 
 

@@ -120,10 +120,9 @@ class ExperimentConfig:
     #: :class:`~repro.persist.PersistencePolicy` or plane); None keeps the
     #: seed's volatile members (see :mod:`repro.persist`)
     persistence: Optional[Any] = None
-    #: leader leases for the consensus read fast path (``True`` or a
-    #: :class:`~repro.consensus.LeasePolicy`); None keeps the seed's
-    #: commit-everything read path (see :mod:`repro.consensus.lease`)
-    leases: Optional[Any] = None
+    #: leader leases for the consensus read fast path (``True``); None keeps
+    #: the seed's commit-everything read path (see :mod:`repro.consensus.lease`)
+    leases: Optional[bool] = None
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
         return replace(self, seed=seed, workload=replace(self.workload, seed=seed))
@@ -160,9 +159,7 @@ class ExperimentConfig:
         if self.persistence is not None:
             base += f" [{self.persistence.describe()}]"
         if self.leases is not None:
-            from ..consensus import LeasePolicy
-
-            base += f" [{LeasePolicy.of(self.leases).describe()}]"
+            base += " [leases]"
         return base
 
 

@@ -43,7 +43,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "consensus_members",
         ),
         "election": ("CANDIDATE", "FOLLOWER", "LEADER", "LeaderElection"),
-        "lease": ("LeaderLeaseState", "LeasePolicy"),
+        "lease": ("LeaderLeaseState",),
         "log": ("NOOP", "CompactedLogError", "ConsensusLog", "LogEntry"),
         "machines": (
             "CoordinatorList", "CoordinatorStateMachine", "ListStateMachine",

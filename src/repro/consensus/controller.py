@@ -25,11 +25,11 @@ plane (``reconfig-submit``).  Two rules are implemented:
 * **grow-on-latency** — when the read-quorum probe round-trip of a group
   (the R-th fastest ack) exceeds ``latency_bound`` for ``fail_after``
   consecutive windows, the group is grown by one replica (up to
-  ``grow_limit``), the "replicas absorb stragglers" lever.
+  :data:`GROW_LIMIT`), the "replicas absorb stragglers" lever.
 
 Everything is deterministic: probes ride kernel virtual-time timeouts, all
 observation state lives in the controller, and the probing horizon is
-bounded (``max_ticks``) so runs still quiesce.  The controller never touches
+bounded (:data:`MAX_TICKS`) so runs still quiesce.  The controller never touches
 the safety machinery — derived changes travel through the same
 joint-consensus driver (and the same at-most-one-in-flight rule) as
 hand-authored plans, so every safety invariant of the reconfiguration layer
@@ -49,58 +49,44 @@ from .reconfig import ADMIN_NAME, REPLICA_GROUP, PlacementDirectory
 #: The controller automaton's well-known name.
 CONTROLLER_NAME = "reconfig-controller"
 
+#: The grow-on-latency rule never grows a group past this many members.
+GROW_LIMIT = 5
+
+#: The virtual-time cadence of liveness probes.
+PROBE_INTERVAL = 20
+
+#: The probing horizon in ticks, so runs quiesce.
+MAX_TICKS = 24
+
 
 @dataclass(frozen=True)
 class ControllerPolicy:
     """The knobs of the rebalancing control loop.
 
-    ``probe_interval`` is the virtual-time cadence of liveness probes;
-    ``fail_after`` the number of consecutive unanswered windows before a
-    replica is declared fail-stopped (and the breach streak the latency rule
-    requires); ``max_ticks`` bounds the probing horizon so runs quiesce.
+    Probes go out every :data:`PROBE_INTERVAL` steps for :data:`MAX_TICKS`
+    ticks.  ``fail_after`` is the number of consecutive unanswered windows
+    before a replica is declared fail-stopped (and the breach streak the
+    latency rule requires).
     ``latency_bound`` (virtual-time steps; ``None`` disables the rule) is
     the read-quorum probe round-trip above which a group is grown, up to
-    ``grow_limit`` members.  ``max_actions`` is a safety valve on the number
-    of derived changes per run.
-
-    ``use_health`` (default off, golden-pinned) lets the controller consume
-    the observability plane's :class:`~repro.obs.health.HealthView` as a
-    corroborating detector input: a suspect whose health score is at or
-    below ``health_floor`` (staleness-derived, on the virtual clock) is
-    declared dead after **one** suspect evaluation instead of the usual two
-    — the probe verdict and the passive health signal are independent
-    witnesses, so requiring both replaces the second probe window.  It
-    needs a built system whose plane has health enabled
-    (``obs=ObservabilityPlane(health=True)``).
+    :data:`GROW_LIMIT` members.  ``max_actions`` is a safety valve on the
+    number of derived changes per run.
     """
 
-    probe_interval: int = 20
     fail_after: int = 3
-    max_ticks: int = 24
     latency_bound: Optional[int] = None
-    grow_limit: int = 5
     max_actions: int = 4
-    use_health: bool = False
-    health_floor: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.probe_interval < 1:
-            raise ValueError("probe_interval must be >= 1")
         if self.fail_after < 1:
             raise ValueError("fail_after must be >= 1")
-        if self.max_ticks < 1:
-            raise ValueError("max_ticks must be >= 1")
-        if not (0.0 <= self.health_floor <= 1.0):
-            raise ValueError("health_floor must be in [0, 1]")
 
     def describe(self) -> str:
         rules = ["replace-dead"]
         if self.latency_bound is not None:
             rules.append(f"grow>{self.latency_bound}")
-        if self.use_health:
-            rules.append(f"health<={self.health_floor}")
         return (
-            f"controller(every {self.probe_interval}, fail_after={self.fail_after}, "
+            f"controller(every {PROBE_INTERVAL}, fail_after={self.fail_after}, "
             f"{'+'.join(rules)})"
         )
 
@@ -127,15 +113,10 @@ class ReconfigController(Automaton):
         policy: ControllerPolicy,
         directory: PlacementDirectory,
         name: str = CONTROLLER_NAME,
-        health: Optional[Any] = None,
     ) -> None:
         super().__init__(name)
         self.policy = policy
         self.directory = directory
-        #: optional :class:`~repro.obs.health.HealthView` corroboration
-        #: input (only wired when ``policy.use_health``; None is the
-        #: golden-pinned probe-only behaviour)
-        self._health = health if policy.use_health else None
         #: replica -> tick of its first probe / newest probe tick it acked,
         #: plus the vtime of its most recent ack (reported in diagnostics)
         self._first_probed_tick: Dict[str, int] = {}
@@ -164,7 +145,7 @@ class ReconfigController(Automaton):
 
     # ------------------------------------------------------------------
     def on_start(self, ctx: Context) -> None:
-        ctx.set_timeout(self.policy.probe_interval, tick=1)
+        ctx.set_timeout(PROBE_INTERVAL, tick=1)
 
     def on_message(self, message: Message, ctx: Context) -> None:
         if message.msg_type != "ctl-ack":
@@ -182,7 +163,7 @@ class ReconfigController(Automaton):
         tick = int(info["tick"])
         self._note_healed(ctx)
         self._detect_and_derive(tick, ctx)
-        if tick > self.policy.max_ticks:
+        if tick > MAX_TICKS:
             ctx.internal(controller="stopped", tick=tick, vtime=ctx.vtime)
             return
         probes = self._send_probes(tick, ctx)
@@ -193,7 +174,7 @@ class ReconfigController(Automaton):
             acks=self._acks,
             vtime=ctx.vtime,
         )
-        ctx.set_timeout(self.policy.probe_interval, tick=tick + 1)
+        ctx.set_timeout(PROBE_INTERVAL, tick=tick + 1)
 
     # ------------------------------------------------------------------
     # Observe
@@ -271,17 +252,9 @@ class ReconfigController(Automaton):
                     continue
                 if self._is_dead(m, group):
                     self._suspect[m] = self._suspect.get(m, 0) + 1
-                    # A probe verdict normally needs two consecutive windows
-                    # (a starved ack recovers within one).  A corroborating
-                    # health signal — the replica's passive activity score
-                    # collapsed too — stands in for the second window.
-                    needed = 2
-                    if (
-                        self._health is not None
-                        and self._health.replica_health(m) <= self.policy.health_floor
-                    ):
-                        needed = 1
-                    if self._suspect[m] >= needed:
+                    # A probe verdict needs two consecutive windows (a
+                    # starved ack recovers within one).
+                    if self._suspect[m] >= 2:
                         dead.append(m)
                 else:
                     self._suspect.pop(m, None)
@@ -343,7 +316,7 @@ class ReconfigController(Automaton):
             return
         if (
             self._breaches[object_id] >= self.policy.fail_after
-            and len(group) < self.policy.grow_limit
+            and len(group) < GROW_LIMIT
             and self._may_act(object_id)
         ):
             added = next_replica_names(object_id, self._taken_names(object_id))

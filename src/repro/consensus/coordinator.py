@@ -42,7 +42,7 @@ from ..ioa.actions import Message
 from ..ioa.automaton import Context, ServerAutomaton
 from ..ioa.errors import SimulationError
 from .election import DEFAULT_TIMEOUT_RANGE, LeaderElection
-from .lease import LeaderLeaseState, LeasePolicy
+from .lease import LeaderLeaseState
 from .log import NOOP, ConsensusLog, LogEntry
 from .machines import CoordinatorStateMachine
 
@@ -93,13 +93,13 @@ class ReplicatedCoordinator(ServerAutomaton):
     #: (``PersistencePolicy.compact_every``).
     compact_every: Optional[int] = None
 
-    #: When set (``BuildConfig.leases``), the leader answers read-only
+    #: When on (``BuildConfig.leases``), the leader answers read-only
     #: requests (``machine.read_only_types``) locally from its applied state
     #: machine under a quorum-proven lease instead of committing a log entry
     #: — see :mod:`repro.consensus.lease`.  Off by default: the lease fast
     #: path adds messages, payload fields and trace actions, so golden
     #: traces pin the lease-free shape.
-    lease_policy: Optional[LeasePolicy] = None
+    leases: bool = False
 
     def __init__(
         self,
@@ -165,7 +165,7 @@ class ReplicatedCoordinator(ServerAutomaton):
         self.recoveries = 0
         #: checkpoints this member took (stats)
         self.checkpoints = 0
-        # Lease state (all inert unless ``lease_policy`` is installed):
+        # Lease state (all inert unless ``leases`` is on):
         #: leader-side lease bookkeeping, created lazily on the first read
         self._lease: Optional[LeaderLeaseState] = None
         #: first log index of this member's current leadership term; local
@@ -470,7 +470,7 @@ class ReplicatedCoordinator(ServerAutomaton):
             if self.log.contains_request(request_id):
                 return
             if (
-                self.lease_policy is not None
+                self.leases
                 and message.msg_type in self.machine.read_only_types
             ):
                 self._on_read_request(request_id, message, ctx)
@@ -581,7 +581,7 @@ class ReplicatedCoordinator(ServerAutomaton):
         self._apply_committed(ctx)
         if self.log.commit_index > before:
             self._replicate(ctx)
-        if self.lease_policy is not None and self.log.commit_index > before:
+        if self.leases and self.log.commit_index > before:
             # An advanced commit may satisfy the current-term guard that
             # parked reads were waiting on.
             self._lease_pump(ctx)
@@ -615,10 +615,12 @@ class ReplicatedCoordinator(ServerAutomaton):
             self._send_append(peer, ctx)
 
     # ------------------------------------------------------------------
-    # Leader leases (lease_policy only; see repro.consensus.lease)
+    # Leader leases (``leases`` only; see repro.consensus.lease)
     # ------------------------------------------------------------------
     def _lease_duration(self) -> int:
-        return self.lease_policy.resolve(self.election_timeout)
+        """The low end of the election-timeout range: a lease lapses before
+        any successor's election timer can fire."""
+        return max(1, int(self.election_timeout[0]))
 
     def _lease_state(self) -> LeaderLeaseState:
         if self._lease is None:
@@ -743,7 +745,7 @@ class ReplicatedCoordinator(ServerAutomaton):
         virtual clock is skew-free, so receive time >= send time and the
         promise provably covers the leader's window), drop the broadcast
         copies of locally-served reads, and acknowledge."""
-        if self.lease_policy is None:
+        if not self.leases:
             return
         term = int(message.get("term", 0))
         at = int(message.get("at", 0))
@@ -901,7 +903,7 @@ class ReplicatedCoordinator(ServerAutomaton):
             # the old lease out.  (The holder itself may reclaim: a
             # same-member re-election cannot produce a stale read.)
             and not (
-                self.lease_policy is not None
+                self.leases
                 and self._promise_until > ctx.vtime
                 and candidate != self._promise_holder
             )
@@ -1054,7 +1056,7 @@ class ReplicatedCoordinator(ServerAutomaton):
         if self.name not in self.group:
             return  # removed from the config: never campaign, await retirement
         if (
-            self.lease_policy is not None
+            self.leases
             and self._promise_until > ctx.vtime
             and self._promise_holder != self.name
         ):
@@ -1155,7 +1157,7 @@ class ReplicatedCoordinator(ServerAutomaton):
                 request=entry.request_id,
                 commit_latency=max(0, ctx.vtime - entry.proposed_at),
             )
-            if self.lease_policy is not None and entry.msg_type in self.machine.read_only_types:
+            if self.leases and entry.msg_type in self.machine.read_only_types:
                 info["read"] = True
             ctx.internal(**info)
             if self.election.is_leader:

@@ -25,57 +25,17 @@ on the leader and the single quorum evaluation that closes the round proves
 the window for all of them at once.
 
 ``leases=None`` (the default) leaves every message, field and trace action
-byte-identical to the seed; the fast path exists only when a
-:class:`LeasePolicy` is installed.
+byte-identical to the seed; the fast path exists only under ``leases=True``.
+The lease duration is not a setting: it is always the election timeout's low
+bound, the longest lease that is still safe.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-__all__ = ["LeasePolicy", "LeaderLeaseState"]
-
-
-@dataclass(frozen=True)
-class LeasePolicy:
-    """Knob enabling lease-based leader reads on the replicated coordinator.
-
-    ``duration`` is the virtual-time length of one lease grant.  ``None``
-    (the default) derives the safe bound from the member's election-timeout
-    range at install time; an explicit duration is clamped to that bound —
-    a lease longer than the earliest possible election timeout could
-    overlap a successor's term, which is exactly the unsafety leases must
-    exclude.
-    """
-
-    duration: Optional[int] = None
-
-    @classmethod
-    def of(cls, value: Any) -> Optional["LeasePolicy"]:
-        """Normalize the ``leases`` knob: None | True | int | LeasePolicy."""
-        if value is None:
-            return None
-        if value is True:
-            return cls()
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, int) and not isinstance(value, bool):
-            if value <= 0:
-                raise ValueError(f"lease duration must be positive, got {value}")
-            return cls(duration=value)
-        raise TypeError(f"leases must be None, True, an int or a LeasePolicy, got {value!r}")
-
-    def resolve(self, timeout_range: Tuple[int, int]) -> int:
-        """The effective lease duration under ``timeout_range``'s low bound."""
-        low = int(timeout_range[0])
-        if self.duration is None:
-            return max(1, low)
-        return max(1, min(int(self.duration), low))
-
-    def describe(self) -> str:
-        return "leases" if self.duration is None else f"leases({self.duration})"
+__all__ = ["LeaderLeaseState"]
 
 
 class LeaderLeaseState:

@@ -272,8 +272,8 @@ def check_snow(
     """Run every SNOW property checker against a finished simulation.
 
     Needs a full-mode trace: the N and O checkers read per-message
-    ``SEND``/``RECV`` records, and a ``sampled``/``ring`` trace retains only
-    some of them — the verdict would be *wrong* (phantom blocking servers,
+    ``SEND``/``RECV`` records, and a ``ring`` trace retains only the newest
+    of them — the verdict would be *wrong* (phantom blocking servers,
     zero replies seen), not merely incomplete, so a partial record is
     refused loudly, mirroring :meth:`Trace.prefix`.
 

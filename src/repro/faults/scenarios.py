@@ -157,9 +157,6 @@ def auto_heal(
     replication_factor: int = 3,
     crash_at: int = 8,
     seed: int = 0,
-    probe_interval: int = 20,
-    fail_after: int = 3,
-    max_ticks: int = 24,
 ) -> Tuple[FaultPlan, Any]:
     """Fail-stop the last replica of one group and let the *controller* heal it.
 
@@ -184,10 +181,7 @@ def auto_heal(
         crashes=(CrashEvent(server=dead, at=crash_at, recover=None),),
         seed=seed,
     )
-    policy = ControllerPolicy(
-        probe_interval=probe_interval, fail_after=fail_after, max_ticks=max_ticks
-    )
-    return plan, policy
+    return plan, ControllerPolicy()
 
 
 def grow_group_mid_run(

@@ -133,7 +133,7 @@ class FrozenRecord:
 
 def slot_setters(cls: type):
     """The ``__set__`` of each slot of ``cls``: how a record's own ``__init__``
-    (and nothing else but ``Trace._store``) writes its fields."""
+    (and nothing else but ``Trace.append``) writes its fields."""
     return (getattr(cls, name).__set__ for name in cls.__slots__)
 
 

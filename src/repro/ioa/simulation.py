@@ -140,10 +140,9 @@ class Simulation:
         self.rng = random.Random(seed)
         #: ``trace_mode`` selects record retention (see
         #: :class:`~repro.ioa.trace.TraceMode`); ``None``/``full`` keeps
-        #: every action and is byte-identical to the pre-knob kernel.  The
-        #: sampler's RNG lives inside the trace — kernel scheduling state
-        #: (``self.rng``) is untouched, so the *executed* run is identical
-        #: in every mode; only what gets recorded changes.
+        #: every action.  Retention never touches scheduling state, so the
+        #: *executed* run is identical in every mode; only what gets
+        #: recorded changes.
         self.trace = Trace(mode=trace_mode)
         self.fault_plane = fault_plane
         if fault_plane is not None:

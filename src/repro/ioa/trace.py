@@ -13,8 +13,6 @@ vocabulary with the simulator.
 
 from __future__ import annotations
 
-import math
-import random
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
@@ -27,35 +25,23 @@ from .errors import TraceError
 class TraceMode:
     """How a :class:`Trace` retains action records.
 
-    ``full`` (the default) keeps every action and is byte-identical to the
-    pre-knob behaviour — every golden-pinned run records with it.  The other
-    two modes exist for long throughput runs where the *record* is the cost
-    (ROADMAP item 2: ``trace_append`` is the second-largest profiler bucket):
+    ``full`` (the default) keeps every action — every golden-pinned run
+    records with it.  ``ring(capacity)`` records every action but keeps only
+    the newest ``capacity`` records (a flight recorder), for long runs where
+    the *record* is the cost.
 
-    * ``sampled(rate, seed)`` — ``SEND``/``RECV`` records are retained with
-      probability ``rate`` by a dedicated deterministic RNG (same seed ⇒
-      byte-identical sample); ``INVOKE``/``RESPOND``/``INTERNAL``/``START``
-      are always retained, so transaction records, spans and reconfig/
-      consensus markers survive intact;
-    * ``ring(capacity)`` — every action is recorded but only the newest
-      ``capacity`` records are kept (a flight recorder).
-
-    In every mode the trace observer still sees **every** appended action, so
+    In both modes the trace observer sees **every** appended action, so
     metrics counters and the streaming invariant monitors stay exact; only
     the retained records change.  Retained actions always carry their true
     global index.
     """
 
     kind: str = "full"
-    rate: float = 1.0
-    seed: int = 0
     capacity: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("full", "sampled", "ring"):
-            raise ValueError(f"unknown trace mode {self.kind!r}")
-        if self.kind == "sampled" and not (0.0 < self.rate <= 1.0):
-            raise ValueError(f"sampled trace rate must be in (0, 1], got {self.rate}")
+        if self.kind not in ("full", "ring"):
+            raise ValueError(f"unknown trace mode {self.kind!r} (known: 'full', 'ring')")
         if self.kind == "ring" and self.capacity < 1:
             raise ValueError(f"ring trace capacity must be >= 1, got {self.capacity}")
 
@@ -64,30 +50,18 @@ class TraceMode:
         return cls()
 
     @classmethod
-    def sampled(cls, rate: float, seed: int = 0) -> "TraceMode":
-        return cls(kind="sampled", rate=rate, seed=seed)
-
-    @classmethod
     def ring(cls, capacity: int) -> "TraceMode":
         return cls(kind="ring", capacity=capacity)
 
     def describe(self) -> str:
-        if self.kind == "sampled":
-            return f"sampled(rate={self.rate}, seed={self.seed})"
         if self.kind == "ring":
             return f"ring(capacity={self.capacity})"
         return "full"
 
 
-#: kinds eligible for dropping under ``sampled`` — the bulk of any trace.
-#: Everything else is structural: the kernel reads the stamped index of
-#: INVOKE/RESPOND back out of ``append``, and spans/monitors/reconfig
-#: markers live on INTERNAL/START actions.
-_SAMPLABLE_KINDS = (ActionKind.SEND, ActionKind.RECV)
-
 View = TypeVar("View")
 
-#: the one sanctioned write to a (frozen) action: :meth:`Trace._store` stamps
+#: the one sanctioned write to a (frozen) action: :meth:`Trace.append` stamps
 #: a fresh, never-shared action's index in place
 _stamp_index = Action.index.__set__
 
@@ -111,7 +85,7 @@ class Trace:
     ``mode`` selects the retention policy (see :class:`TraceMode`); the
     default ``full`` mode keeps every action, and all position-dependent
     queries (``between``, ``prefix``, …) rely on index == list position only
-    in that mode — the non-full modes answer them by index scan or refuse
+    in that mode — ring mode answers them by index scan or refuses
     loudly where a renumbered copy would lie.
     """
 
@@ -125,25 +99,10 @@ class Trace:
             self._actions: List[Action] = deque(maxlen=self.mode.capacity)  # type: ignore[assignment]
         else:
             self._actions = []
-        #: The sampler is a geometric-skip Bernoulli sampler: instead of one
-        #: RNG draw per samplable action, one draw per *retained* sample
-        #: yields the count of drops preceding it (inversion of the
-        #: geometric CDF) — the drop path, taken for ~``1-rate`` of all
-        #: send/recv records, is then a decrement-and-compare.  ``_skip`` is
-        #: the drops left before the next keep; ``-1`` means "never drop"
-        #: (full/ring modes, and ``rate == 1``), keeping the hot append path
-        #: on one integer compare.
-        self._sample_rng: Optional[random.Random] = None
-        self._skip = -1
-        if self.mode.kind == "sampled" and self.mode.rate < 1.0:
-            self._sample_rng = random.Random(self.mode.seed)
-            self._log_drop = math.log(1.0 - self.mode.rate)
-            self._skip = self._draw_skip()
         #: total actions ever appended (== len(self) only in full mode)
         self._total = 0
         #: optional append observer (the observability plane's metrics hook);
-        #: called with each appended action — including, under ``sampled``,
-        #: the dropped ones (still carrying index ``-1``), so counters and
+        #: called with every appended action, retained or not, so counters and
         #: streaming monitors stay exact in every mode.
         self._observer: Optional[Callable[[Action], None]] = None
         #: derived views (see :meth:`derived`), valid while ``_total`` still
@@ -169,28 +128,7 @@ class Trace:
         place instead of copied — the kernel appends one per trace action, so
         the copy was pure overhead.  Actions that already carry an index
         (fragment replays, trace copies) still get a fresh stamped copy.
-
-        Under ``TraceMode.sampled`` a dropped ``SEND``/``RECV`` never reaches
-        :meth:`_store` — it skips the stamp, the store *and* the profiler's
-        ``trace_append`` bucket (that is the saving) — and is returned, and
-        shown to the observer, still carrying index ``-1``.
         """
-        skip = self._skip
-        if skip >= 0 and action.kind in _SAMPLABLE_KINDS:
-            if skip:
-                self._skip = skip - 1
-                self._total += 1
-                if self._observer is not None:
-                    self._observer(action)
-                return action
-            self._skip = self._draw_skip()
-        return self._store(action)
-
-    def _store(self, action: Action) -> Action:
-        """The retained-record path: stamp, keep, notify.  This — not the
-        sampling gate in :meth:`append` — is what the kernel profiler wraps
-        as ``trace_append``, so the bucket measures record-keeping actually
-        performed."""
         index = self._total
         self._total = index + 1
         if action.index == -1:
@@ -227,24 +165,12 @@ class Trace:
         """Actions ever appended — equals ``len(self)`` only in full mode."""
         return self._total
 
-    def _draw_skip(self) -> int:
-        """Geometric draw: samplable records to drop before the next keep
-        (``floor(ln U / ln(1-rate))``, the inversion-method geometric)."""
-        return int(math.log(1.0 - self._sample_rng.random()) / self._log_drop)
-
-    @property
-    def sampled_out(self) -> int:
-        """SEND/RECV records dropped by the ``sampled`` mode's sampler."""
-        if self.mode.kind != "sampled":
-            return 0
-        return self._total - len(self._actions)
-
     @property
     def last_index(self) -> int:
         """Global index of the newest retained action (``-1`` when empty).
 
-        In full mode this is ``len(self) - 1``; the non-full modes need it
-        because retained indices are sparse (sampled) or windowed (ring).
+        In full mode this is ``len(self) - 1``; ring mode needs it because
+        retained indices are windowed.
         """
         return self._actions[-1].index if self._actions else -1
 
@@ -339,9 +265,8 @@ class Trace:
         Iterates by index instead of slicing: the property checkers call
         this in inner loops, and ``self._actions[start:]`` copied the whole
         tail of the trace on every call.  ``start`` is a *global* trace
-        index; in the non-full modes (sparse/windowed retention) the scan
-        compares against each action's stamped index instead of assuming
-        index == position.
+        index; in ring mode (windowed retention) the scan compares against
+        each action's stamped index instead of assuming index == position.
         """
         actions = self._actions
         if not self.is_full():
@@ -373,9 +298,9 @@ class Trace:
 
         ``append`` stamps each action with its list position, so in full
         mode the window is a direct slice — O(window) instead of the
-        full-trace scan this used to be.  Non-full modes (where retained
-        indices are sparse or windowed) fall back to the index scan and
-        return whatever was retained inside the window.
+        full-trace scan this used to be.  Ring mode (where retained indices
+        are windowed) falls back to the index scan and returns whatever was
+        retained inside the window.
         """
         if start_index > end_index:
             raise TraceError(f"between({start_index}, {end_index}): start after end")
@@ -410,7 +335,7 @@ class Trace:
         A plain slice: the returned tuple is a copy by contract, and list
         slicing materialises the tail at memcpy speed (an ``islice`` variant
         measured ~100x slower — it must *iterate* to ``index`` first).
-        Non-full modes scan by stamped index instead.
+        Ring mode scans by stamped index instead.
         """
         if not self.is_full():
             return tuple(a for a in self._actions if a.index > action.index)

@@ -15,9 +15,6 @@ The coordinated pieces (see ISSUEs 6 and 8 / ROADMAP items 2, 3 and 5):
 * :mod:`repro.obs.health` — the **health/SLO plane**: virtual-clock latency
   SLOs, rolling timeout/error rates, per-replica health scores, and the
   deterministic end-of-run health report (text + JSON);
-* :mod:`repro.obs.sampling` — the **sampling trace mode** helpers
-  (:class:`~repro.ioa.TraceMode`): long runs keep counters/monitors exact
-  while recording only a deterministic sample of action records;
 * :mod:`repro.obs.profiler` — opt-in wall-clock profiling of the kernel hot
   loop, kept strictly out of every deterministic artifact;
 * :mod:`repro.obs.export` — Chrome trace-event JSON (open in Perfetto) and
@@ -45,7 +42,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "plane": ("ObservabilityPlane", "derive_registry"),
         "profiler": ("KernelProfiler",),
         "registry": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
-        "sampling": ("TraceMode", "sampling_stats"),
         "spans": ("CausalEdge", "Span", "SpanTree", "derive_spans"),
     },
 )

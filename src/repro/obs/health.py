@@ -13,9 +13,7 @@ Three faces:
   ``ObservabilityPlane(health=True)`` or a custom :class:`SLOPolicy`);
 * :class:`HealthView` — the query API (``replica_health``, ``suspects``,
   SLO attainment, rolling rates) plus the deterministic end-of-run report
-  exporter (dict → JSON, and a text rendering).  This is the detector input
-  :class:`~repro.consensus.controller.ReconfigController` can optionally
-  consume (``ControllerPolicy.use_health``, default-off and golden-pinned);
+  exporter (dict → JSON, and a text rendering);
 * :func:`derive_health` — the post-mortem form: replay a finished run's
   retained trace through a fresh plane.  Its clock is reconstructed from
   the vtime stamps internal actions carry (falling back to trace indices),

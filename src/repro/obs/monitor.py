@@ -31,9 +31,9 @@ chaos run at the first offending event instead of thousands later.
 
 The suite is a pure listener: it never appends actions, never touches the
 scheduler or RNG, so a monitored run's trace stays byte-identical (pinned by
-the golden-signature tests).  It also keeps its own running event count, so
-alerts carry true global indices even under a ``sampled`` trace mode where
-dropped records are never stamped.
+the golden-signature tests).  Alerts carry each action's global trace index;
+an action fed without one (straight to :meth:`MonitorSuite.on_action`) is
+numbered by the suite's own running event count.
 """
 
 from __future__ import annotations
@@ -385,6 +385,10 @@ def offline_lease_violations(actions: Sequence[Any]) -> List[Tuple[int, str]]:
     return violations
 
 
+#: actions of causal suffix attached to each alert (newest last)
+SUFFIX_WINDOW = 16
+
+
 def default_monitors() -> Tuple[OnlineMonitor, ...]:
     """Fresh instances of all five streaming invariant automata."""
     return (
@@ -402,8 +406,8 @@ class MonitorSuite:
     ``halt_on_violation`` raises :class:`InvariantViolationError` from the
     observer at the first broken rule (for chaos runs that should stop at
     the offending event); otherwise alerts accumulate in :attr:`alerts` for
-    end-of-run assertions.  ``suffix_window`` bounds the causal suffix
-    attached to each alert.
+    end-of-run assertions.  Each alert carries the last
+    :data:`SUFFIX_WINDOW` actions as its causal suffix.
 
     Every action is counted and enters the suffix; a monitor is asked only
     about the kinds it subscribed to (:attr:`OnlineMonitor.kinds` — the five
@@ -414,7 +418,6 @@ class MonitorSuite:
         self,
         monitors: Optional[Sequence[OnlineMonitor]] = None,
         halt_on_violation: bool = False,
-        suffix_window: int = 16,
     ) -> None:
         self.monitors: Tuple[OnlineMonitor, ...] = (
             tuple(monitors) if monitors is not None else default_monitors()
@@ -425,10 +428,9 @@ class MonitorSuite:
         }
         self.halt_on_violation = halt_on_violation
         self.alerts: List[InvariantViolation] = []
-        self._suffix: Deque[Action] = deque(maxlen=max(1, suffix_window))
-        #: running count of *observed* actions == the global trace index of
-        #: the next one; kept locally because a sampled trace never stamps
-        #: the records it drops.
+        self._suffix: Deque[Action] = deque(maxlen=SUFFIX_WINDOW)
+        #: running count of *observed* actions: the index given to an action
+        #: fed unstamped, i.e. not through a trace.
         self._seen = 0
 
     # -- wiring ----------------------------------------------------------
@@ -483,7 +485,7 @@ def watch_trace(trace: Any, suite: Optional[MonitorSuite] = None) -> MonitorSuit
 
     Note the replay sees only *retained* records — attach before running
     (or use :class:`~repro.obs.ObservabilityPlane`, which attaches at build
-    time) for exact monitoring under a sampling trace mode.
+    time) for exact monitoring under a ``ring`` trace mode.
     """
     suite = suite if suite is not None else MonitorSuite()
     for action in trace:

@@ -5,9 +5,8 @@ plane's ``before_step`` plus the frontier's idle test (``poll``), the
 scheduler's ``pick`` (``choose``: for a policy that answers through
 ``choose(pending, kernel)`` this includes materialising the pending list) and
 executing the chosen event (``dispatch``) — plus every ``trace_append``
-(installed as an instance-level wrapper around the trace's retained-record
-path, so the bucket also covers the metrics observer riding on retained
-appends; records dropped by a sampling trace mode bypass it).
+(installed as an instance-level wrapper around ``Trace.append``, so the
+bucket also covers the metrics observer riding on each append).
 
 Wall-clock numbers are **measurement of the simulator, not of the simulated
 system**: they never appear in traces, metric snapshots, span trees or any
@@ -37,27 +36,22 @@ class KernelProfiler:
         entry[1] += seconds
 
     def install(self, simulation: Any) -> None:
-        """Wrap the trace's retained-record path with a timing shim.
-
-        The shim goes on ``Trace._store`` — the stamp-and-keep step — rather
-        than on ``append``: under a sampling trace mode, dropped records
-        never reach ``_store``, so the bucket measures the record-keeping a
-        run actually performed (and its count stays ``len(trace)`` in every
-        mode)."""
+        """Wrap ``Trace.append`` with a timing shim (its count is the number
+        of actions the run appended)."""
         trace = simulation.trace
         # The shim lives on the trace, so it reaches the trace weakly: the
-        # bound ``trace._store`` would close a trace <-> shim cycle and leave
+        # bound ``trace.append`` would close a trace <-> shim cycle and leave
         # a profiled run's trace to the cyclic collector.
-        store, weak_trace = type(trace)._store, weakref.proxy(trace)
+        append, weak_trace = type(trace).append, weakref.proxy(trace)
 
-        def timed_store(action):
+        def timed_append(action):
             started = perf_counter()
             try:
-                return store(weak_trace, action)
+                return append(weak_trace, action)
             finally:
                 self.add("trace_append", perf_counter() - started)
 
-        trace._store = timed_store
+        trace.append = timed_append
 
     # -- reading ---------------------------------------------------------
     def buckets(self) -> Tuple[str, ...]:

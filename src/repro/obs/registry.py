@@ -138,11 +138,14 @@ class HeldInstruments(dict):
 #: the label set high-cardinality instruments overflow into (see below)
 OVERFLOW_LABELS: Tuple[Tuple[str, Any], ...] = (("label_overflow", "true"),)
 
+#: distinct label sets per metric name and instrument type before overflow
+MAX_LABEL_SETS = 512
+
 
 class MetricsRegistry:
     """Get-or-create store of named, labelled instruments.
 
-    ``max_label_sets`` caps the distinct label sets **per metric name and
+    :data:`MAX_LABEL_SETS` caps the distinct label sets **per metric name and
     instrument type** — a million-object workload labelling a histogram by
     object id must not blow up registry memory.  Once a metric name hits the
     cap, further *new* label sets all route to one shared overflow
@@ -152,10 +155,7 @@ class MetricsRegistry:
     Existing label sets keep resolving to their own instruments.
     """
 
-    def __init__(self, max_label_sets: int = 512) -> None:
-        if max_label_sets < 1:
-            raise ValueError("max_label_sets must be >= 1")
-        self.max_label_sets = max_label_sets
+    def __init__(self) -> None:
         self._counters: Dict[MetricKey, Counter] = {}
         self._gauges: Dict[MetricKey, Gauge] = {}
         self._histograms: Dict[MetricKey, Histogram] = {}
@@ -166,7 +166,7 @@ class MetricsRegistry:
         """Key to actually store under: ``key`` while under the cap, the
         overflow key after.  Counts the admission and screams on overflow."""
         count = self._cardinality.get((family, name), 0)
-        if count >= self.max_label_sets:
+        if count >= MAX_LABEL_SETS:
             # Bypass the capped path for the alarm counter itself (it has
             # one label set per overflowing metric name — bounded).
             alarm_key = _key("obs.label_overflow", {"metric": name})

@@ -229,8 +229,8 @@ def derive_spans(simulation: Simulation) -> SpanTree:
     txn_span_ids: Dict[str, str] = {}
 
     # -- transaction spans + their quorum-round children ----------------
-    # The newest *global* index, not len()-1: under a sampled or ring trace
-    # retained indices are sparse/windowed, and len() would undershoot.
+    # The newest *global* index, not len()-1: under a ring trace retained
+    # indices are windowed, and len() would undershoot.
     last_index = getattr(trace, "last_index", len(trace) - 1)
     for record in records:
         if record.invoke_index is None:

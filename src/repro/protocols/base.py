@@ -91,8 +91,8 @@ class BuildConfig:
     #: see :mod:`repro.obs`)
     obs: Optional[Any] = None
     #: trace record retention (None = full, byte-identical to seed; see
-    #: :class:`~repro.ioa.trace.TraceMode` — ``sampled``/``ring`` keep
-    #: counters and streaming monitors exact while recording fewer actions)
+    #: :class:`~repro.ioa.trace.TraceMode` — ``ring`` keeps counters and
+    #: streaming monitors exact while recording only the newest actions)
     trace_mode: Optional[Any] = None
     #: stable storage for consensus members (a
     #: :class:`~repro.persist.PersistencePolicy` or ready-made
@@ -100,12 +100,12 @@ class BuildConfig:
     #: >= 2``.  None (the default) keeps the seed's volatile members,
     #: byte-identical.
     persistence: Optional[Any] = None
-    #: leader leases for the replicated coordinator (``True``, a duration,
-    #: or a :class:`~repro.consensus.lease.LeasePolicy`): the lease holder
-    #: answers read-only coordinator requests locally instead of committing
-    #: a log entry; needs ``consensus_factor >= 2``.  None (the default)
-    #: keeps the commit-round read path, byte-identical.
-    leases: Optional[Any] = None
+    #: leader leases for the replicated coordinator (``True``): the lease
+    #: holder answers read-only coordinator requests locally instead of
+    #: committing a log entry, under a lease as long as the election
+    #: timeout's low bound; needs ``consensus_factor >= 2``.  None (the
+    #: default) keeps the commit-round read path, byte-identical.
+    leases: Optional[bool] = None
 
     def objects(self) -> Tuple[str, ...]:
         return object_names(self.num_objects)
@@ -348,23 +348,16 @@ class Protocol:
 
             PersistencePlane.of(config.persistence)  # raises on a bad value
         if config.leases is not None:
+            if config.leases is not True:
+                raise TypeError(
+                    f"leases is on or off: pass True or None, got {config.leases!r} "
+                    "(the lease duration is always the election timeout's low bound)"
+                )
             if config.consensus_factor < 2:
                 raise ValueError(
                     "leases let the replicated coordinator's lease holder "
                     "serve reads locally; they need consensus_factor >= 2 "
                     "(the factor-1 designated server already answers locally)"
-                )
-            from ..consensus.lease import LeasePolicy
-
-            LeasePolicy.of(config.leases)  # raises on a bad value
-        if config.controller is not None and getattr(config.controller, "use_health", False):
-            health = getattr(config.obs, "health", None) if config.obs is not None else None
-            if health is None:
-                raise ValueError(
-                    "ControllerPolicy.use_health consumes the observability "
-                    "plane's health signals, but this build has none — pass "
-                    "obs=ObservabilityPlane(health=True) (or a custom "
-                    "SLOPolicy) alongside the controller"
                 )
         if config.controller is not None:
             if not self.supports_reconfig:
@@ -452,7 +445,7 @@ class Protocol:
         obs: Optional[Any] = None,
         trace_mode: Optional[Any] = None,
         persistence: Optional[Any] = None,
-        leases: Optional[Any] = None,
+        leases: Optional[bool] = None,
     ) -> SystemHandle:
         """Instantiate the protocol as a ready-to-run system.
 
@@ -479,9 +472,9 @@ class Protocol:
         every action).  ``persistence`` attaches stable storage to every
         consensus member (:mod:`repro.persist`): term/vote/log survive
         crash-with-amnesia, and with ``compact_every`` set the members
-        checkpoint their state machines and compact their logs.  ``leases``
-        installs a :class:`~repro.consensus.lease.LeasePolicy` on every
-        consensus member: the leader answers read-only coordinator requests
+        checkpoint their state machines and compact their logs.
+        ``leases=True`` turns leases on for every consensus member: the
+        leader answers read-only coordinator requests
         locally under a quorum-proven lease instead of committing a log
         entry.  The defaults reproduce the paper's one-server-per-object,
         single-coordinator system byte-for-byte.
@@ -552,19 +545,13 @@ class Protocol:
         )
 
     def _apply_leases(self, config: BuildConfig, simulation: Simulation) -> None:
-        """Install the lease policy on every consensus member (post-build
-        injection, like the placement directory): automata exposing
-        ``lease_policy`` —
+        """Turn leases on at every consensus member (post-build injection,
+        like the placement directory): automata exposing ``leases`` —
         exactly the :class:`~repro.consensus.coordinator.
-        ReplicatedCoordinator` members — get the normalized policy; every
-        member holds the same one, so leader and promisers agree on the
-        lease duration by construction."""
-        from ..consensus.lease import LeasePolicy
-
-        policy = LeasePolicy.of(config.leases)
+        ReplicatedCoordinator` members."""
         for automaton in simulation.automata():
-            if hasattr(automaton, "lease_policy"):
-                automaton.lease_policy = policy
+            if hasattr(automaton, "leases"):
+                automaton.leases = True
 
     def _apply_persistence(self, config: BuildConfig, simulation: Simulation):
         """Attach a stable store to every consensus member (post-build
@@ -632,12 +619,10 @@ class Protocol:
                     bootstrap_leader=bootstrap,
                 )
                 if config.leases is not None:
-                    # Mid-run members inherit the lease policy: a spawned
-                    # member promises (and may later hold) leases like a
-                    # founding one.
-                    from ..consensus.lease import LeasePolicy
-
-                    member.lease_policy = LeasePolicy.of(config.leases)
+                    # Mid-run members inherit leases: a spawned member
+                    # promises (and may later hold) leases like a founding
+                    # one.
+                    member.leases = True
                 if persistence_plane is not None:
                     # ... and its durability: a spawned member persists (and
                     # recovers) exactly like a founding one.
@@ -659,17 +644,8 @@ class Protocol:
         if config.controller is not None:
             from ..consensus.controller import ReconfigController
 
-            health = None
-            if config.controller.use_health:
-                # Existence validated in validate_config; the view is the
-                # read-only query API over the plane's health accumulator.
-                from ..obs.health import HealthView
-
-                health = HealthView(config.obs.health)
             simulation.add_automaton(
-                ReconfigController(
-                    policy=config.controller, directory=directory, health=health
-                )
+                ReconfigController(policy=config.controller, directory=directory)
             )
         return directory
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.consensus import LeasePolicy
 from repro.faults import ChaosScheduler, FaultPlan
 from repro.faults.plan import Partition, RetryPolicy
 from repro.ioa import FIFOScheduler, RandomScheduler
@@ -48,25 +47,27 @@ def lease_internals(handle, *kinds):
 # ----------------------------------------------------------------------
 # The lease policy knob
 # ----------------------------------------------------------------------
-def test_lease_policy_normalisation():
-    assert LeasePolicy.of(True) == LeasePolicy()
-    assert LeasePolicy.of(25) == LeasePolicy(duration=25)
-    policy = LeasePolicy(duration=7)
-    assert LeasePolicy.of(policy) is policy
+@pytest.mark.parametrize("bad", [False, 0, 1, 25, 40.0, "long"])
+def test_leases_are_on_or_off(bad):
+    """``leases`` takes ``True`` or ``None``; a duration, or anything else,
+    is refused at build time — the lease length is not a setting."""
+    with pytest.raises(TypeError, match="True or None"):
+        run_consensus_workload("algorithm-b", leases=bad)
 
 
-def test_lease_policy_rejects_nonsense():
-    for bad in (0, -3, False, "long"):
-        with pytest.raises((TypeError, ValueError)):
-            LeasePolicy.of(bad)
+def test_lease_policy_is_gone():
+    with pytest.raises(ImportError):
+        from repro.consensus import LeasePolicy  # noqa: F401
 
 
-def test_lease_duration_never_exceeds_the_election_timeout():
+def test_lease_duration_is_the_election_timeouts_low_bound():
     """The safety linchpin: a promise must outlive any window it helped
-    prove, so the duration is capped at the election timeout's low bound."""
-    assert LeasePolicy().resolve((40, 80)) == 40
-    assert LeasePolicy(duration=25).resolve((40, 80)) == 25
-    assert LeasePolicy(duration=500).resolve((40, 80)) == 40
+    prove, so every granted window is exactly the election timeout's low
+    bound long."""
+    handle = run_consensus_workload("algorithm-b", leases=True, election_timeout=(40, 80))
+    grants = lease_internals(handle, "lease-acquired", "lease-renewed")
+    assert grants
+    assert {int(info["until"]) - int(info["start"]) for info in grants} == {40}
 
 
 def test_leases_require_consensus_members():

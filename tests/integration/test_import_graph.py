@@ -41,7 +41,7 @@ SEED_ALL = {
         RECONFIG ReplicatedCoordinator consensus_members ADMIN_NAME CONSENSUS_GROUP
         REPLICA_GROUP PlacementDirectory ReconfigDriver ReconfigPlan ReconfigRequest
         set_consensus_group set_replica_group CANDIDATE FOLLOWER LEADER LeaderElection
-        LeaderLeaseState LeasePolicy NOOP CompactedLogError ConsensusLog LogEntry
+        LeaderLeaseState NOOP CompactedLogError ConsensusLog LogEntry
         CoordinatorList CoordinatorStateMachine ListStateMachine TimestampStateMachine
     """,
     "repro.core": """
@@ -76,10 +76,9 @@ SEED_ALL = {
     "repro.obs": """
         CausalEdge Counter Gauge HealthPlane HealthView Histogram InvariantViolation
         InvariantViolationError KernelProfiler LeaseSafetyMonitor MetricsRegistry MonitorSuite
-        ObservabilityPlane OnlineMonitor SLOPolicy Span SpanTree TraceMode chrome_trace_events
+        ObservabilityPlane OnlineMonitor SLOPolicy Span SpanTree chrome_trace_events
         chrome_trace_json default_monitors derive_health derive_registry derive_spans
-        joint_quorums_intersect offline_lease_violations render_timeline sampling_stats
-        watch_trace
+        joint_quorums_intersect offline_lease_violations render_timeline watch_trace
     """,
     "repro.persist": """
         FileStableStore IntegrityError PersistencePlane PersistencePolicy SimStableStore

@@ -119,16 +119,20 @@ def test_held_instruments_are_the_registrys_own_and_fetched_lazily():
 def test_held_instruments_stop_holding_once_the_metric_overflows():
     """Every touch routed to the overflow instrument must still be counted,
     exactly as when each touch goes through the registry."""
-    from repro.obs.registry import HeldInstruments
+    from repro.obs.registry import MAX_LABEL_SETS, OVERFLOW_LABELS, HeldInstruments
+
+    admitted = [f"a{i}" for i in range(MAX_LABEL_SETS)]
+    touches = admitted + ["c", "c", "d", admitted[0], "c"]
 
     def touch(get):
-        for value in ("a", "b", "c", "c", "d", "a", "c"):
+        for value in touches:
             get(value).inc()
 
-    direct, through_held = MetricsRegistry(max_label_sets=2), MetricsRegistry(max_label_sets=2)
+    direct, through_held = MetricsRegistry(), MetricsRegistry()
     touch(lambda value: direct.gauge("depth", automaton=value))
     held = HeldInstruments(through_held, "gauge", "depth", "automaton")
     touch(lambda value: held[value])
     assert through_held.snapshot() == direct.snapshot()
     assert direct.counter_value("obs.label_overflow", metric="depth") == 4
-    assert set(held) == {"a", "b"}
+    assert direct.gauge_value("depth", **dict(OVERFLOW_LABELS)) == 4
+    assert set(held) == set(admitted)

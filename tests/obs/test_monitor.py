@@ -242,14 +242,16 @@ def test_halt_on_violation_raises_out_of_append():
 
 
 def test_suite_suffix_window_is_bounded():
+    from repro.obs.monitor import SUFFIX_WINDOW
+
     trace = Trace()
-    suite = MonitorSuite(suffix_window=4)
-    watch_trace(trace, suite)
-    for term in range(1, 10):
+    suite = watch_trace(trace)
+    for term in range(1, SUFFIX_WINDOW + 5):
         trace.append(leader("m1", term))
-    trace.append(leader("m2", 9))
+    trace.append(leader("m2", SUFFIX_WINDOW + 4))
     assert len(suite.alerts) == 1
-    assert len(suite.alerts[0].suffix) == 4
+    assert len(suite.alerts[0].suffix) == SUFFIX_WINDOW
+    assert suite.alerts[0].suffix[0] == trace[-SUFFIX_WINDOW].describe()
 
 
 def test_watch_trace_replays_already_retained_actions():

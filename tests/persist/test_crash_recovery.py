@@ -124,6 +124,23 @@ def test_crashed_member_recovers_state_not_just_safety(protocol):
         assert stored[index] == member.log.entry(index), index
 
 
+def test_fsynced_file_backend_recovers_an_amnesiac_member(tmp_path):
+    """One matrix cell on the durable spelling: journals on disk, each
+    write flushed with ``fsync`` — same availability and verdicts as the
+    uninterrupted run, and the crashed member took the recovery path."""
+    baseline = run_cell("algorithm-b", 1, faults=None, persistence=None)
+    recovered = run_cell(
+        "algorithm-b",
+        1,
+        amnesia_plan("coor.2", at=10, recover=45, seed=1),
+        PersistencePolicy(backend="file", root=str(tmp_path), fsync=True),
+    )
+    assert recovered.metrics.faults.availability == 1.0
+    assert recovered.snow.property_string() == baseline.snow.property_string()
+    assert recovered.metrics.persistence.recoveries >= 1
+    assert (tmp_path / "coor.2.wal").stat().st_size > 0
+
+
 # ----------------------------------------------------------------------
 # Cross-build recovery: restart-from-storage
 # ----------------------------------------------------------------------

@@ -215,6 +215,36 @@ class TestFileBackend:
         assert reopened.load_commit() == 40
 
 
+    def test_fsync_round_trip(self, tmp_path, monkeypatch):
+        """``fsync=True``: every journal append and the compacting rewrite
+        reach ``os.fsync``, and the rewritten chain reopens and verifies."""
+        import repro.persist.filestore as filestore
+
+        synced = []
+        real_fsync = filestore.os.fsync
+        monkeypatch.setattr(filestore.os, "fsync", lambda fd: (synced.append(fd), real_fsync(fd)))
+        path = tmp_path / "m.wal"
+        store = FileStableStore(path, fsync=True)
+        store.save_meta(1, "coor")
+        for i in range(1, 6):
+            store.log_append(i, entry(1, f"r{i}"))
+        store.save_commit(5)
+        appended = len(synced)
+        assert appended == 7  # meta + five entries + commit
+        store.save_snapshot({"index": 4, "term": 1, "machine": 4, "replies": {}})
+        assert len(synced) > appended  # the rewrite syncs before its rename
+        before, after = store.last_rewrite
+        assert after < before
+        store.log_append(6, entry(1, "r6"))
+        store.close()
+        reopened = FileStableStore(path, fsync=True)  # the chain verifies
+        assert not reopened.recovered_tail
+        assert reopened.load_meta() == (1, "coor")
+        assert reopened.load_snapshot()["index"] == 4
+        assert [i for i, _ in reopened.load_entries()] == [5, 6]
+        assert reopened.load_commit() == 5
+
+
 # ----------------------------------------------------------------------
 # Policy / plane plumbing
 # ----------------------------------------------------------------------

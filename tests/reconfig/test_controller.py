@@ -132,7 +132,7 @@ class TestGrowOnLatency:
     def test_slow_network_grows_the_groups(self):
         plan = FaultPlan(name="slow", latency=UniformLatency(8, 16), seed=5)
         policy = ControllerPolicy(
-            latency_bound=4, probe_interval=20, fail_after=2, max_ticks=24, max_actions=2
+            latency_bound=4, fail_after=2, max_actions=2
         )
         handle = run_controlled("algorithm-b", plan=plan, policy=policy, seed=5)
         grows = controller_events(handle, "plan-grow")
@@ -144,9 +144,7 @@ class TestGrowOnLatency:
 
     def test_fast_network_stays_at_rf3(self):
         plan = FaultPlan(name="fastish", latency=UniformLatency(0, 2), seed=5)
-        policy = ControllerPolicy(
-            latency_bound=50, probe_interval=20, fail_after=2, max_ticks=24
-        )
+        policy = ControllerPolicy(latency_bound=50, fail_after=2)
         handle = run_controlled("algorithm-b", plan=plan, policy=policy, seed=5)
         assert controller_events(handle, "plan-grow") == []
         assert handle.directory.group("ox") == ("sx", "sx.2", "sx.3")
@@ -195,12 +193,8 @@ class TestProtectedCoordinator:
 
 class TestPolicyAndMetrics:
     def test_policy_validation(self):
-        with pytest.raises(ValueError, match="probe_interval"):
-            ControllerPolicy(probe_interval=0)
         with pytest.raises(ValueError, match="fail_after"):
             ControllerPolicy(fail_after=0)
-        with pytest.raises(ValueError, match="max_ticks"):
-            ControllerPolicy(max_ticks=0)
 
     def test_controller_requires_reconfig_support(self):
         from repro.protocols import NaiveSnowCandidate
@@ -245,53 +239,17 @@ class TestPolicyAndMetrics:
         assert result.metrics.reconfig.unavailability_window == 0
 
 
-class TestHealthCorroboration:
-    """``ControllerPolicy.use_health``: the observability plane's passive
-    staleness score as a corroborating detector input — default-off and
-    golden-pinned, so everything here opts in explicitly."""
+class TestProbeOnlyDetection:
+    """The controller's detector is the probe loop alone: there is no
+    health-corroborated mode to opt into, and an attached health plane is a
+    passive listener."""
 
-    def test_use_health_requires_a_health_plane(self):
-        with pytest.raises(ValueError, match=r"ObservabilityPlane\(health=True\)"):
-            get_protocol("algorithm-b").build(
-                num_readers=2,
-                num_writers=2,
-                num_objects=2,
-                replication_factor=3,
-                quorum="majority",
-                controller=ControllerPolicy(use_health=True),
-            )
+    def test_use_health_is_refused(self):
+        with pytest.raises(TypeError, match="use_health"):
+            ControllerPolicy(use_health=True)
+        assert "health" not in ControllerPolicy().describe()
 
-    def test_health_floor_validation(self):
-        with pytest.raises(ValueError, match="health_floor"):
-            ControllerPolicy(use_health=True, health_floor=1.5)
-        assert "health<=" in ControllerPolicy(use_health=True).describe()
-        assert "health<=" not in ControllerPolicy().describe()
-
-    def test_corroborated_heal_reaches_the_same_outcome(self):
-        """With the health signal corroborating the probe verdict, the dead
-        replica is still detected and replaced — the signal agrees with the
-        witness-based detector on a genuinely dead replica."""
-        from dataclasses import replace
-
-        from repro.obs import ObservabilityPlane
-
-        plan, policy = auto_heal("ox", 3, crash_at=8, seed=3)
-        handle = run_controlled(
-            "algorithm-b",
-            plan=plan,
-            policy=replace(policy, use_health=True),
-            obs=ObservabilityPlane(health=True),
-        )
-        assert [e["replica"] for e in controller_events(handle, "replica-dead")] == ["sx.3"]
-        assert handle.directory.group("ox") == ("sx", "sx.2", "sx.4")
-        assert not handle.simulation.incomplete_transactions()
-
-    def test_attached_health_plane_without_use_health_is_byte_identical(self):
-        """The other directions of the default-off contract: a health plane
-        that nobody consumes — and a consumed one — leave the controller
-        run's trace byte-identical (the plane only listens)."""
-        from dataclasses import replace
-
+    def test_attached_health_plane_is_byte_identical(self):
         from repro.obs import ObservabilityPlane
 
         plan, policy = auto_heal("ox", 3, crash_at=8, seed=3)
@@ -300,12 +258,3 @@ class TestHealthCorroboration:
             "algorithm-b", plan=plan, policy=policy, obs=ObservabilityPlane(health=True)
         )
         assert watched.trace().signature() == bare.trace().signature()
-        consumed = run_controlled(
-            "algorithm-b",
-            plan=plan,
-            policy=replace(policy, use_health=True),
-            obs=ObservabilityPlane(health=True),
-        )
-        # corroboration reads health scores but never perturbs the schedule
-        # when probe and health verdicts agree
-        assert consumed.trace().signature() == bare.trace().signature()
