@@ -38,7 +38,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..ioa.actions import Message
+from ..ioa.actions import Message, _freeze_payload
 from ..ioa.automaton import Context, ServerAutomaton
 from ..ioa.errors import SimulationError
 from .election import DEFAULT_TIMEOUT_RANGE, LeaderElection
@@ -57,10 +57,6 @@ RECONFIG = "cns-reconfig"
 #: (Raft's rule), not when they commit; while the latest config entry is a
 #: joint one, elections and commits need majorities in both configurations.
 CONFIG = "cns-config"
-
-
-def _freeze_payload(payload: Mapping[str, Any]) -> Tuple[Tuple[str, Any], ...]:
-    return tuple(sorted(payload.items(), key=lambda kv: kv[0]))
 
 
 class _PendingRequest:
@@ -499,7 +495,7 @@ class ReplicatedCoordinator(ServerAutomaton):
                     term=self.election.term,
                     request_id=request_id,
                     msg_type=message.msg_type,
-                    payload=_freeze_payload(message.payload),
+                    payload=message.items,
                     client=message.src,
                     proposed_at=ctx.vtime,
                 )
@@ -512,7 +508,7 @@ class ReplicatedCoordinator(ServerAutomaton):
         # timer is what converts the buffered copy into a re-proposal.
         self.pending.setdefault(
             request_id,
-            _PendingRequest(message.msg_type, _freeze_payload(message.payload), message.src),
+            _PendingRequest(message.msg_type, message.items, message.src),
         )
         self._ensure_timer(ctx)
 
@@ -645,7 +641,7 @@ class ReplicatedCoordinator(ServerAutomaton):
                 vtime=ctx.vtime,
             )
         lease.reads[request_id] = (
-            _PendingRequest(message.msg_type, _freeze_payload(message.payload), message.src),
+            _PendingRequest(message.msg_type, message.items, message.src),
             ctx.vtime,
         )
         self._lease_pump(ctx)

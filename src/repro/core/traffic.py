@@ -60,17 +60,10 @@ class TrafficIndex:
             message = action.message
             if message is None:
                 continue
-            txn = repair = None
-            versions = 1
-            for key, value in message.items:
-                if key == "txn":
-                    txn = value
-                elif key == "repair":
-                    repair = value
-                elif key == "num_versions":
-                    versions = value
+            txn = message.get("txn")
             if txn is None:
                 continue
+            repair = message.get("repair")
             if kind is recv:
                 if not repair:
                     self.requests.setdefault((actor, message.src, txn), []).append(clock)
@@ -80,6 +73,7 @@ class TrafficIndex:
             if not repair:
                 per_dst = self.sent.setdefault((message.src, txn), {})
                 per_dst[message.dst] = per_dst.get(message.dst, 0) + 1
+            versions = message.get("num_versions", 1)
             per_src = self.answered.setdefault((message.dst, txn), {})
             stats = per_src.get(message.src)
             if stats is None:

@@ -11,9 +11,13 @@ replay consumes those records.
 Design notes
 ------------
 
-* ``Message`` is immutable.  Payloads are stored as a tuple of ``(key, value)``
-  pairs so that messages are hashable and can be used in sets/dicts by the
-  schedulers and adversaries; ``payload`` exposes them as a read-only mapping.
+* ``Message`` is immutable.  A payload is stored as two tuples, its sorted
+  ``keys`` and the ``values`` in the same order, so that messages are
+  hashable and can be used in sets/dicts by the schedulers and adversaries.
+  A full trace keeps every message, so a simulation interns one ``keys``
+  tuple per key set (:class:`PayloadLayouts`) and the per-message cost is
+  the values tuple alone; ``items`` (the ``(key, value)`` pairs) and
+  ``payload`` (a read-only mapping) are views built on request.
 * ``Action`` carries the acting automaton (``actor``), the kind, the message
   (for ``send``/``recv``) and a free-form ``info`` mapping used to tag
   transaction identifiers, phases and protocol-specific annotations (for
@@ -26,9 +30,9 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import FrozenInstanceError
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from types import MappingProxyType
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 
 class ActionKind(enum.Enum):
@@ -71,6 +75,11 @@ class ActionKind(enum.Enum):
 _message_counter = itertools.count(-1, -1)
 
 Items = Tuple[Tuple[str, Any], ...]
+Keys = Tuple[str, ...]
+ValuesGetter = Callable[[Mapping[str, Any]], Tuple[Any, ...]]
+
+#: the value types a freeze copies (subclasses included); the rest are kept
+_MUTABLE = (list, set, dict)
 
 
 def _freeze_value(value: Any) -> Any:
@@ -93,7 +102,7 @@ def _freeze_payload(payload: Mapping[str, Any]) -> Items:
     # Keys are unique, so sorting the items never compares values.
     items = tuple(sorted(payload.items()))
     for _, value in items:
-        if isinstance(value, (list, set, dict)):
+        if isinstance(value, _MUTABLE):
             return tuple((key, _freeze_value(value)) for key, value in items)
     return items
 
@@ -133,7 +142,8 @@ class FrozenRecord:
 
 def slot_setters(cls: type):
     """The ``__set__`` of each slot of ``cls``: how a record's own ``__init__``
-    (and nothing else but ``Trace.append``) writes its fields."""
+    (and nothing else but ``Trace.append`` and :meth:`PayloadLayouts.message`)
+    writes its fields."""
     return (getattr(cls, name).__set__ for name in cls.__slots__)
 
 
@@ -148,23 +158,33 @@ class Message(FrozenRecord):
         the paper.
     src, dst:
         Names of the sending and receiving automata.
-    items:
-        Frozen payload as a tuple of ``(key, value)`` pairs.
+    keys:
+        The payload's keys, sorted (for a message built from ``items``, in
+        the order given).  Every message one simulation sends with the same
+        key set holds the same tuple (:class:`PayloadLayouts`).
+    values:
+        The payload's values in ``keys`` order, ``list``/``set``/``dict``
+        values frozen one level deep.
     msg_id:
         Identifier unique within one simulation, passed in by the kernel
         (``None``, a message built outside one, draws a negative id); used
         to match ``send`` and ``recv`` actions of the same message and by
         adversary scripts to refer to specific messages.
+
+    The constructor takes the payload as ``items``, a tuple of ``(key,
+    value)`` pairs, and ``items`` (built on each read), ``repr`` and
+    pickling show it in that form.
     """
 
-    __slots__ = ("msg_type", "src", "dst", "items", "msg_id")
+    __slots__ = ("msg_type", "src", "dst", "keys", "values", "msg_id")
     _fields = attrgetter(*__slots__)
 
     def __init__(self, msg_type: str, src: str, dst: str, items: Items = (), msg_id: Optional[int] = None) -> None:
         _set_msg_type(self, msg_type)
         _set_src(self, src)
         _set_dst(self, dst)
-        _set_items(self, items)
+        _set_keys(self, tuple([key for key, _ in items]))
+        _set_values(self, tuple([value for _, value in items]))
         _set_msg_id(self, next(_message_counter) if msg_id is None else msg_id)
 
     @classmethod
@@ -173,20 +193,24 @@ class Message(FrozenRecord):
         return cls(msg_type, src, dst, _freeze_payload(payload or {}))
 
     @property
+    def items(self) -> Items:
+        """The payload as a tuple of ``(key, value)`` pairs, built on each
+        read; look a key up with :meth:`get`."""
+        return tuple(zip(self.keys, self.values))
+
+    @property
     def payload(self) -> Mapping[str, Any]:
         """Read-only mapping view of the payload."""
-        return MappingProxyType(dict(self.items))
+        return MappingProxyType(dict(zip(self.keys, self.values)))
 
     def get(self, key: str, default: Any = None) -> Any:
         """Return ``payload[key]`` or ``default``."""
-        for item_key, value in self.items:
-            if item_key == key:
-                return value
-        return default
+        keys = self.keys
+        return self.values[keys.index(key)] if key in keys else default
 
     def with_payload(self, **updates: Any) -> "Message":
         """Return a copy with payload keys updated (new ``msg_id``)."""
-        merged: Dict[str, Any] = dict(self.items)
+        merged: Dict[str, Any] = dict(zip(self.keys, self.values))
         merged.update(updates)
         return Message.make(self.msg_type, self.src, self.dst, merged)
 
@@ -194,11 +218,70 @@ class Message(FrozenRecord):
         """Human-readable one-line description used in reports and errors."""
         return f"{self.msg_type}[{self.src}->{self.dst}]#{self.msg_id}"
 
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(msg_type={self.msg_type!r}, src={self.src!r}, "
+            f"dst={self.dst!r}, items={self.items!r}, msg_id={self.msg_id!r})"
+        )
+
+    def __reduce__(self):
+        return (type(self), (self.msg_type, self.src, self.dst, self.items, self.msg_id))
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.describe()
 
 
-_set_msg_type, _set_src, _set_dst, _set_items, _set_msg_id = slot_setters(Message)
+_set_msg_type, _set_src, _set_dst, _set_keys, _set_values, _set_msg_id = slot_setters(Message)
+_new_message = object.__new__
+
+
+def _values_getter(keys: Keys) -> ValuesGetter:
+    """A C-level getter of a payload's values in ``keys`` order (a tuple
+    whatever the count, which ``itemgetter`` alone gives from two keys on)."""
+    if len(keys) > 1:
+        return itemgetter(*keys)
+    if keys:
+        key = keys[0]
+        return lambda payload: (payload[key],)
+    return lambda payload: ()
+
+
+class PayloadLayouts(dict):
+    """One simulation's payload layouts, interned as its messages are sent.
+
+    Maps a payload's keys in insertion order to ``(keys, take)``: the sorted
+    key tuple that every message with that key set holds, and the getter of
+    the values in that order.  Every insertion order of one key set maps to
+    the same pair, so a key set is sorted once per simulation rather than
+    once per message.
+    """
+
+    def __missing__(self, order: Keys) -> Tuple[Keys, ValuesGetter]:
+        keys = tuple(sorted(order))
+        layout = self.get(keys)
+        if layout is None:
+            layout = self[keys] = (keys, _values_getter(keys))
+        self[order] = layout
+        return layout
+
+    def message(self, msg_type: str, src: str, dst: str, payload: Mapping[str, Any], msg_id: int) -> Message:
+        """The message a simulation sends: equal to
+        ``Message(msg_type, src, dst, _freeze_payload(payload), msg_id)``,
+        holding its layout's shared ``keys``."""
+        keys, take = self[tuple(payload)]
+        values = take(payload)
+        for value in values:
+            if isinstance(value, _MUTABLE):
+                values = tuple(map(_freeze_value, values))
+                break
+        message = _new_message(Message)
+        _set_msg_type(message, msg_type)
+        _set_src(message, src)
+        _set_dst(message, dst)
+        _set_keys(message, keys)
+        _set_values(message, values)
+        _set_msg_id(message, msg_id)
+        return message
 
 
 class Action(FrozenRecord):

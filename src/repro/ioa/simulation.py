@@ -38,7 +38,7 @@ from .actions import (
     ActionKind,
     Items,
     Message,
-    _freeze_payload,
+    PayloadLayouts,
     internal_action,
     invoke_action,
     respond_action,
@@ -187,6 +187,8 @@ class Simulation:
         #: the info of ``send`` actions, ``(("phase", p),)``: one shared tuple
         #: per phase label (a few literals) instead of one per message
         self._phase_info: Dict[str, Items] = {"": ()}
+        #: the key layouts of sent payloads: one shared keys tuple per key set
+        self._layouts = PayloadLayouts()
         self._steps_taken = 0
         self._started = False
 
@@ -574,7 +576,7 @@ class Simulation:
         self, src: str, dst: str, msg_type: str, payload: Mapping[str, Any], phase: str = ""
     ) -> Message:
         self.topology.check_send(src, dst)
-        message = Message(msg_type, src, dst, _freeze_payload(payload), next(self._msg_ids))
+        message = self._layouts.message(msg_type, src, dst, payload, next(self._msg_ids))
         try:
             info = self._phase_info[phase]
         except KeyError:

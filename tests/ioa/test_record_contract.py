@@ -10,16 +10,20 @@ frozen dataclasses with the same fields, so "same ``==``, ``hash`` and
 from __future__ import annotations
 
 import copy
+import gc
 import pickle
+import random
 from collections import OrderedDict, defaultdict
 from dataclasses import FrozenInstanceError
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.ioa import Action, ActionKind, Message, PendingDelivery
+from repro.analysis.workload import WorkloadSpec, generate_workload, submit_workload
+from repro.ioa import Action, ActionKind, ClientAutomaton, Message, PendingDelivery, ServerAutomaton, Simulation
 from repro.ioa.actions import _freeze_payload
+from repro.protocols import get_protocol
 from tests.ioa import reference_freeze as reference
 
 names = st.sampled_from(["r1", "w1", "sx", "sy"])
@@ -159,3 +163,96 @@ def test_freeze_payload_equals_the_seed(pairs, rng):
         assert frozen == expected
         assert [type(v) for _, v in frozen] == [type(v) for _, v in expected]
         assert [k for k, _ in frozen] == sorted(payload)
+
+
+# ----------------------------------------------------------------------
+# a message the kernel sends == one built from the seed's freeze
+# ----------------------------------------------------------------------
+class Tags(list):
+    pass
+
+
+class Marks(set):
+    pass
+
+
+payload_values = st.one_of(
+    leaves,
+    mutable,
+    st.lists(leaves, max_size=2).map(Tags),
+    st.sets(st.integers(0, 3), max_size=2).map(Marks),
+)
+payloads = st.lists(st.tuples(keys, payload_values), max_size=5, unique_by=lambda kv: kv[0])
+
+
+def kernel():
+    simulation = Simulation()
+    simulation.add_automaton(ClientAutomaton("r1"))
+    simulation.add_automaton(ServerAutomaton("sx"))
+    return simulation
+
+
+def hash_or_error(record):
+    try:
+        return hash(record)
+    except TypeError:  # a nested mutable survives the one-level freeze
+        return TypeError
+
+
+@settings(max_examples=300, deadline=None)
+@given(payloads, st.randoms())
+@example([], random.Random(0))
+@example([("txn", "R1")], random.Random(0))
+@example([("z", [1]), ("txn", {"b": 1, "a": 2}), ("key", {3, 1})], random.Random(1))
+def test_a_sent_message_equals_one_built_from_the_seed_freeze(pairs, rng):
+    simulation = kernel()
+    orders = [dict(pairs)]
+    rng.shuffle(pairs)  # the same key set in another insertion order
+    orders.append(dict(pairs))
+    for payload in orders:
+        sent = simulation._send_from("r1", "sx", "read-val", payload)
+        frozen = reference.reference_freeze_payload(payload)
+        built = Message("read-val", "r1", "sx", frozen, sent.msg_id)
+        twin = reference.Message("read-val", "r1", "sx", frozen, sent.msg_id)
+        assert sent == built and not sent != built
+        assert hash_or_error(sent) == hash_or_error(built)
+        assert (hash_or_error(twin) is TypeError) == (hash_or_error(sent) is TypeError)
+        assert repr(sent) == repr(built) == repr(twin)
+        assert sent.items == frozen
+        assert [type(v) for _, v in sent.items] == [type(v) for _, v in frozen]
+        assert sent.payload == dict(frozen)
+        for key in ("txn", "z", "absent"):
+            assert sent.get(key) == dict(frozen).get(key)
+            assert sent.get(key, "default") == dict(frozen).get(key, "default")
+        updated, other = sent.with_payload(z=[1, 2], extra=2), built.with_payload(z=[1, 2], extra=2)
+        assert updated.items == other.items == reference.reference_freeze_payload({**dict(frozen), "z": [1, 2], "extra": 2})
+        assert (updated.msg_type, updated.src, updated.dst) == ("read-val", "r1", "sx")
+        for clone in (copy.copy(sent), copy.deepcopy(sent), pickle.loads(pickle.dumps(sent))):
+            assert clone == sent and repr(clone) == repr(sent)
+            assert hash_or_error(clone) == hash_or_error(sent)
+
+
+def test_a_simulation_shares_each_key_set_and_keeps_no_pairs():
+    """What a retained message costs: its values, not one pair per key."""
+    simulation = kernel()
+    first = simulation._send_from("r1", "sx", "m", {"txn": "R1", "object": "x"})
+    again = simulation._send_from("r1", "sx", "m", {"object": "y", "txn": "R2"})
+    assert first.keys == ("object", "txn") and again.keys is first.keys
+    assert kernel()._send_from("r1", "sx", "m", {"txn": "R3", "object": "z"}).keys is not first.keys
+
+    protocol = get_protocol("algorithm-b")
+    handle = protocol.build(num_readers=2, num_writers=2, num_objects=3, seed=7)
+    spec = WorkloadSpec(reads_per_reader=20, writes_per_writer=5, seed=7)
+    submit_workload(handle, generate_workload(spec, handle.readers, handle.writers, handle.objects))
+    handle.run()
+    shared = {}
+    messages = [action.message for action in handle.simulation.trace if action.message is not None]
+    assert messages
+    for message in messages:
+        assert shared.setdefault(frozenset(message.keys), message.keys) is message.keys
+        for referent in gc.get_referents(message):
+            if isinstance(referent, tuple):
+                assert not any(
+                    type(element) is tuple and len(element) == 2 and element[0] in message.keys
+                    for element in referent
+                ), referent
