@@ -38,10 +38,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "controller": ("CONTROLLER_NAME", "ControllerPolicy", "ReconfigController"),
-        "coordinator": (
-            "CONFIG", "DEFAULT_ELECTION_TIMEOUT", "RECONFIG", "ReplicatedCoordinator",
-            "consensus_members",
-        ),
+        "coordinator": ("CONFIG", "DEFAULT_ELECTION_TIMEOUT", "RECONFIG", "ReplicatedCoordinator"),
         "election": ("CANDIDATE", "FOLLOWER", "LEADER", "LeaderElection"),
         "lease": ("LeaderLeaseState",),
         "log": ("NOOP", "CompactedLogError", "ConsensusLog", "LogEntry"),

@@ -11,6 +11,19 @@ copies they receive: if the leader dies before committing, the buffered
 requests are what the next leader re-proposes, so no request is lost with the
 crashed leader.
 
+How a member is made
+--------------------
+One function builds every member: ``Protocol.make_consensus_member``
+(:mod:`repro.protocols.base`), called by the coordinator protocols'
+``make_automata`` for the founding group and by the reconfiguration driver
+for each member it spawns mid-run.  Everything a build decides about a member
+— its own state-machine copy, the election window, the bootstrap leader,
+``leases``, its stable store and ``compact_every`` — is a constructor
+argument, so a spawned member cannot differ from a founding one and nothing
+writes to a member after it is built.  A member handed a store that already
+holds state (surviving storage a rebuilt system was pointed at) recovers from
+it inside the constructor.
+
 Exactly-once application
 ------------------------
 A request may legally appear twice in the log (an old leader appended it, a
@@ -36,12 +49,12 @@ leader is replaced within a bounded number of timeout windows (the
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..ioa.actions import Message, _freeze_payload
 from ..ioa.automaton import Context, ServerAutomaton
 from ..ioa.errors import SimulationError
-from .election import DEFAULT_TIMEOUT_RANGE, LeaderElection
+from .election import CANDIDATE, DEFAULT_TIMEOUT_RANGE, LEADER, LeaderElection
 from .lease import LeaderLeaseState
 from .log import NOOP, ConsensusLog, LogEntry
 from .machines import CoordinatorStateMachine
@@ -77,26 +90,6 @@ class ReplicatedCoordinator(ServerAutomaton):
     and every replication or lease fan-out is one message per peer.
     """
 
-    #: Stable storage (``BuildConfig.persistence``): when attached via
-    #: :meth:`attach_store`, term/vote/log/commit write through before they
-    #: take effect, and ``forget()`` recovers from the store instead of
-    #: coming back blank — crash-with-amnesia degrades to ordinary
-    #: crash-recovery, restoring Raft's persistence assumption.
-    stable_store: Optional[Any] = None
-
-    #: When set, checkpoint the state machine and compact the log every
-    #: time the applied-but-uncompacted prefix reaches this many entries
-    #: (``PersistencePolicy.compact_every``).
-    compact_every: Optional[int] = None
-
-    #: When on (``BuildConfig.leases``), the leader answers read-only
-    #: requests (``machine.read_only_types``) locally from its applied state
-    #: machine under a quorum-proven lease instead of committing a log entry
-    #: — see :mod:`repro.consensus.lease`.  Off by default: the lease fast
-    #: path adds messages, payload fields and trace actions, so golden
-    #: traces pin the lease-free shape.
-    leases: bool = False
-
     def __init__(
         self,
         name: str,
@@ -105,29 +98,72 @@ class ReplicatedCoordinator(ServerAutomaton):
         seed: int = 0,
         election_timeout: Tuple[int, int] = DEFAULT_ELECTION_TIMEOUT,
         bootstrap_leader: Optional[str] = None,
+        leases: bool = False,
+        stable_store: Optional[Any] = None,
+        compact_every: Optional[int] = None,
     ) -> None:
         super().__init__(name)
-        self.group: Tuple[str, ...] = tuple(group)
-        if name not in self.group:
-            raise SimulationError(f"consensus member {name!r} is not in its group {self.group}")
+        group = tuple(group)
+        if name not in group:
+            raise SimulationError(f"consensus member {name!r} is not in its group {group}")
         self.machine = machine
         self.seed = seed
         self.election_timeout = tuple(election_timeout)
         #: the configuration this member was constructed with; the live
         #: ``self.group`` is re-derived from the newest config entry in the
         #: log (``_refresh_config``) and falls back to this one.
-        self._initial_group: Tuple[str, ...] = self.group
-        #: ``(old, new)`` while the newest config entry in the log is joint
-        self.joint: Optional[Tuple[Tuple[str, ...], Tuple[str, ...]]] = None
+        self._initial_group: Tuple[str, ...] = group
         #: a late-joining member names a *current* member as its bootstrap
         #: leader so it never believes itself leader of term 1
-        self.bootstrap_leader = bootstrap_leader if bootstrap_leader is not None else self.group[0]
+        self.bootstrap_leader = bootstrap_leader if bootstrap_leader is not None else group[0]
+        #: When on (``BuildConfig.leases``), the leader answers read-only
+        #: requests (``machine.read_only_types``) locally from its applied state
+        #: machine under a quorum-proven lease instead of committing a log entry
+        #: — see :mod:`repro.consensus.lease`.  Off by default: the lease fast
+        #: path adds messages, payload fields and trace actions, so golden
+        #: traces pin the lease-free shape.
+        self.leases = leases
+        #: Stable storage (``BuildConfig.persistence``): term/vote/log/commit
+        #: write through before they take effect, and ``forget()`` recovers
+        #: from the store instead of coming back blank — crash-with-amnesia
+        #: degrades to ordinary crash-recovery, restoring Raft's persistence
+        #: assumption.
+        self.stable_store = stable_store
+        #: When set, checkpoint the state machine and compact the log every
+        #: time the applied-but-uncompacted prefix reaches this many entries
+        #: (``PersistencePolicy.compact_every``).
+        self.compact_every = None if compact_every is None else int(compact_every)
+        #: times this member recovered from stable storage (stats)
+        self.recoveries = 0
+        #: checkpoints this member took (stats)
+        self.checkpoints = 0
+        # election-timer bookkeeping (at most one live timer per member)
+        self._armed_at = 0
+        self._last_heard = 0
+        self._wipe()
+        if stable_store is None:
+            return
+        if stable_store.is_empty():
+            # Seal the bootstrap vote, so a crash before any mutation still
+            # recovers it; every later mutation writes through.
+            stable_store.save_meta(self.election.term, self.election.voted_for)
+            self.election.attach_store(stable_store)
+            self.log.attach_store(stable_store)
+        else:
+            self._recover()
+
+    def _wipe(self) -> None:
+        """Set every volatile field to its initial value: the state a member
+        is built with, and what crash-with-amnesia leaves behind."""
+        self.group = self._initial_group
+        #: ``(old, new)`` while the newest config entry in the log is joint
+        self.joint: Optional[Tuple[Tuple[str, ...], Tuple[str, ...]]] = None
         self.election = LeaderElection(
-            member=name,
-            index=self.group.index(name),
+            member=self.name,
+            index=self.group.index(self.name),
             group_size=len(self.group),
             initial_leader=self.bootstrap_leader,
-            seed=seed,
+            seed=self.seed,
             timeout_range=self.election_timeout,
         )
         self.log = ConsensusLog()
@@ -144,10 +180,8 @@ class ReplicatedCoordinator(ServerAutomaton):
         # leader-side replication cursors
         self.next_index: Dict[str, int] = {}
         self.match_index: Dict[str, int] = {}
-        # election-timer bookkeeping (at most one live timer per member)
+        self.machine.reset()
         self._timer_live = False
-        self._armed_at = 0
-        self._last_heard = 0
         #: set when this member refused a vote to a candidate with an
         #: inferior log while no leader is known: the group needs a healthy
         #: member to campaign (and re-replicate) or the stale candidate
@@ -157,10 +191,6 @@ class ReplicatedCoordinator(ServerAutomaton):
         #: checkpoint, a leader-installed one, or the recovered one); the
         #: log's compacted prefix is exactly what this covers
         self._snapshot: Optional[Dict[str, Any]] = None
-        #: times this member recovered from stable storage (stats)
-        self.recoveries = 0
-        #: checkpoints this member took (stats)
-        self.checkpoints = 0
         # Lease state (all inert unless ``leases`` is on):
         #: leader-side lease bookkeeping, created lazily on the first read
         self._lease: Optional[LeaderLeaseState] = None
@@ -211,23 +241,26 @@ class ReplicatedCoordinator(ServerAutomaton):
             self.joint = (old, new)
             self.group = old + tuple(m for m in new if m not in old)
 
+    def _config_at(self, through: int) -> Optional[Tuple[Tuple[str, Any], ...]]:
+        """The configuration in force at index ``through``: the newest
+        CONFIG payload at an index <= ``through``, falling back to the one
+        the snapshot carries (None: the construction-time group)."""
+        _index, entry = self.log.newest(CONFIG, through)
+        if entry is not None:
+            return entry.payload
+        return self._snapshot.get("config") if self._snapshot is not None else None
+
     def _refresh_config(self) -> None:
-        """Adopt the newest configuration entry in the log (Raft's rule:
-        a configuration takes effect when it is appended, not committed).
-        A compacted log falls back to the configuration its snapshot
-        carries, then to the construction-time group."""
-        for entry in reversed(self.log.entries):
-            if entry.msg_type != CONFIG:
-                continue
-            self._adopt_config(dict(entry.payload))
-            return
-        if self._snapshot is not None and self._snapshot.get("config") is not None:
-            self._adopt_config(dict(self._snapshot["config"]))
+        """Adopt the newest configuration in the log (Raft's rule: a
+        configuration takes effect when it is appended, not committed)."""
+        config = self._config_at(self.log.last_index)
+        if config is not None:
+            self._adopt_config(dict(config))
             return
         self.group = self._initial_group
         self.joint = None
 
-    def _append_config_entry(
+    def _append_config(
         self,
         request_id: str,
         phase: str,
@@ -235,9 +268,8 @@ class ReplicatedCoordinator(ServerAutomaton):
         client: str,
         ctx: Context,
     ) -> None:
-        """Append one configuration entry and adopt it (no replication —
-        shared by the leader proposal path and the post-election re-propose
-        loop, which replicates once after all re-proposals)."""
+        """Append one configuration entry and adopt it (the caller
+        replicates)."""
         self.log.append(
             LogEntry(
                 term=self.election.term,
@@ -257,19 +289,6 @@ class ReplicatedCoordinator(ServerAutomaton):
             group=",".join(self.joint[1] if self.joint else self.group),
         )
 
-    def _append_config(
-        self,
-        request_id: str,
-        phase: str,
-        payload: Mapping[str, Any],
-        client: str,
-        ctx: Context,
-    ) -> None:
-        """Append a configuration entry, adopt it, and replicate."""
-        self._append_config_entry(request_id, phase, payload, client, ctx)
-        self._replicate(ctx)
-        self._maybe_commit(ctx)
-
     def forget(self) -> None:
         """Crash-with-amnesia hook: lose *all* volatile state.
 
@@ -277,60 +296,21 @@ class ReplicatedCoordinator(ServerAutomaton):
         amnesiac member can double-vote, so replicated-coordinator systems
         model crash-recovery with durable state.  Without a stable store
         this hook keeps the fault plane's contract honest (tests document
-        the hazard); with one attached (``BuildConfig.persistence``) the
-        volatile wipe is followed by :meth:`_recover`, and amnesia degrades
-        to ordinary crash-recovery.
+        the hazard); with one (``BuildConfig.persistence``) the volatile
+        wipe is followed by :meth:`_recover`, and amnesia degrades to
+        ordinary crash-recovery.
         """
-        self.group = self._initial_group
-        self.joint = None
-        self._handoff_pending = False
-        self.election = LeaderElection(
-            member=self.name,
-            index=self.group.index(self.name),
-            group_size=len(self.group),
-            initial_leader=self.bootstrap_leader,
-            seed=self.seed,
-            timeout_range=self.election_timeout,
-        )
+        self._wipe()
+        self.leader = None
         if self.name == self.bootstrap_leader:
             # A blank bootstrap leader must not resume leading: it lost its log.
             self.election.step_down(self.election.term)
-        self.log = ConsensusLog()
-        self.leader = None
-        self.pending = OrderedDict()
-        self.applied_replies = {}
-        self.next_index = {}
-        self.match_index = {}
-        self.machine.reset()
-        self._timer_live = False
-        self._repair = False
-        self._snapshot = None
-        self._lease = None
-        self._term_start_index = 0
-        self._promise_until = 0
-        self._promise_holder = None
         if self.stable_store is not None:
             self._recover()
 
     # ------------------------------------------------------------------
     # Stable storage (persistence plane)
     # ------------------------------------------------------------------
-    def attach_store(self, store: Any, compact_every: Optional[int] = None) -> None:
-        """Attach durable storage; all later term/vote/log mutations write
-        through *before* they take effect.  An empty store is sealed with
-        the current election state (so a crash before any mutation still
-        recovers the bootstrap vote); a non-empty one — surviving storage a
-        rebuilt system was pointed at — is recovered from immediately."""
-        self.stable_store = store
-        if compact_every is not None:
-            self.compact_every = int(compact_every)
-        if store.is_empty():
-            store.save_meta(self.election.term, self.election.voted_for)
-            self.election.attach_store(store)
-            self.log.attach_store(store)
-        else:
-            self._recover()
-
     def _recover(self) -> None:
         """Reload term/vote/log from the stable store and replay the
         committed prefix into the (reset) state machine.  Trace-invisible:
@@ -343,16 +323,13 @@ class ReplicatedCoordinator(ServerAutomaton):
         self.election.attach_store(store)
         self.leader = None
         snapshot = store.load_snapshot()
+        index = term = 0
         if snapshot is not None:
             self._snapshot = snapshot
             self.machine.restore(snapshot["machine"])
             self.applied_replies = dict(snapshot["replies"])
-            self.log.restore(
-                int(snapshot["index"]), int(snapshot["term"]),
-                store.load_entries(), store.load_commit(),
-            )
-        else:
-            self.log.restore(0, 0, store.load_entries(), store.load_commit())
+            index, term = int(snapshot["index"]), int(snapshot["term"])
+        self.log.restore(index, term, store.load_entries(), store.load_commit())
         self.log.attach_store(store)
         self._refresh_config()
         self._replay_committed()
@@ -366,39 +343,16 @@ class ReplicatedCoordinator(ServerAutomaton):
         for _index, entry in self.log.take_unapplied():
             if entry.is_noop():
                 continue
-            if entry.msg_type == CONFIG:
-                payload = dict(entry.payload)
-                if payload.get("phase") == "new":
-                    request_id = str(payload.get("request", ""))
-                    if request_id and request_id not in self.applied_replies:
-                        self.applied_replies[request_id] = (
-                            entry.client,
-                            "cns-reconfig-done",
-                            {
-                                "reconfig": int(request_id.rsplit("/", 1)[-1]),
-                                "group": tuple(payload.get("group", ())),
-                            },
-                        )
+            if entry.msg_type != CONFIG:
+                self._apply_request(entry.request_id, entry)
                 continue
-            if entry.request_id not in self.applied_replies:
-                reply_type, reply_payload = self.machine.apply(
-                    entry.msg_type, dict(entry.payload)
-                )
-                self.applied_replies[entry.request_id] = (entry.client, reply_type, reply_payload)
+            payload = dict(entry.payload)
+            if payload.get("phase") == "new":
+                self._memoize_reconfig_done(entry, payload)
 
     # ------------------------------------------------------------------
     # Checkpointing / log compaction
     # ------------------------------------------------------------------
-    def _config_at(self, through: int) -> Optional[Tuple[Tuple[str, Any], ...]]:
-        """The configuration a snapshot at ``through`` must carry: the
-        newest CONFIG payload at an index <= ``through``, falling back to
-        the previous snapshot's."""
-        for index in range(through, self.log.snapshot_index, -1):
-            entry = self.log.entry(index)
-            if entry.msg_type == CONFIG:
-                return entry.payload
-        return self._snapshot.get("config") if self._snapshot is not None else None
-
     def checkpoint(self) -> int:
         """Snapshot the applied state machine and compact the log through
         ``last_applied``; returns the number of entries discarded.
@@ -450,6 +404,36 @@ class ReplicatedCoordinator(ServerAutomaton):
         elif msg_type == "cns-lease-ack":
             self._on_lease_ack(message, ctx)
 
+    def _heed_leader(self, message: Message, ctx: Context) -> bool:
+        """Raft's rule for a message from a leader (append, snapshot,
+        lease): a stale term is refused — False, and the caller answers so —
+        while a current or newer one makes this member the sender's
+        follower, which also counts as a sign of life for the election
+        timer."""
+        term = int(message.get("term", 0))
+        if term < self.election.term:
+            return False
+        if term > self.election.term or not self.election.is_follower:
+            self._step_down(term, leader=message.src, ctx=ctx)
+        self.leader = message.src
+        self._last_heard = ctx.vtime
+        self._repair = False  # a live leader is doing the re-replication
+        return True
+
+    def _reply_in_term(self, message: Message, role: str, ctx: Context) -> bool:
+        """Whether a reply (an ack or a vote) answers the term this member
+        holds ``role`` in.  A newer term deposes this member first; a stale
+        reply, or one that finds the member in another role, is ignored."""
+        term = int(message.get("term", 0))
+        if term > self.election.term:
+            self._step_down(term, leader=None, ctx=ctx)
+            return False
+        return term == self.election.term and self.election.role == role
+
+    def _send(self, peer: str, msg_type: str, ctx: Context, **fields: Any) -> None:
+        """Send a consensus message: every one carries the sender's term."""
+        ctx.send(peer, msg_type, {"term": self.election.term, **fields}, phase="consensus")
+
     # ------------------------------------------------------------------
     # Client requests
     # ------------------------------------------------------------------
@@ -471,35 +455,12 @@ class ReplicatedCoordinator(ServerAutomaton):
             ):
                 self._on_read_request(request_id, message, ctx)
                 return
-            if message.msg_type == RECONFIG:
-                if self.joint is not None:
-                    raise SimulationError(
-                        "a second membership change arrived while C_old,new is "
-                        "in flight: at most one configuration change at a time"
-                    )
-                # A membership change enters the log as the joint
-                # configuration C_old,new (adopted on append).
-                self._append_config(
-                    request_id,
-                    "joint",
-                    {
-                        "old": tuple(message.get("old", ())),
-                        "new": tuple(message.get("new", ())),
-                    },
-                    client=message.src,
-                    ctx=ctx,
+            if message.msg_type == RECONFIG and self.joint is not None:
+                raise SimulationError(
+                    "a second membership change arrived while C_old,new is "
+                    "in flight: at most one configuration change at a time"
                 )
-                return
-            self.log.append(
-                LogEntry(
-                    term=self.election.term,
-                    request_id=request_id,
-                    msg_type=message.msg_type,
-                    payload=message.items,
-                    client=message.src,
-                    proposed_at=ctx.vtime,
-                )
-            )
+            self._propose(request_id, message.msg_type, message.items, message.src, ctx)
             self._replicate(ctx)
             self._maybe_commit(ctx)
             return
@@ -511,6 +472,38 @@ class ReplicatedCoordinator(ServerAutomaton):
             _PendingRequest(message.msg_type, message.items, message.src),
         )
         self._ensure_timer(ctx)
+
+    def _propose(
+        self,
+        request_id: str,
+        msg_type: str,
+        payload: Tuple[Tuple[str, Any], ...],
+        client: str,
+        ctx: Context,
+    ) -> None:
+        """Append one client request to the log (the caller replicates): a
+        membership change enters as the joint configuration C_old,new,
+        adopted on append; any other request as an entry of its own."""
+        if msg_type == RECONFIG:
+            request = dict(payload)
+            self._append_config(
+                request_id,
+                "joint",
+                {"old": tuple(request.get("old", ())), "new": tuple(request.get("new", ()))},
+                client,
+                ctx,
+            )
+            return
+        self.log.append(
+            LogEntry(
+                term=self.election.term,
+                request_id=request_id,
+                msg_type=msg_type,
+                payload=payload,
+                client=client,
+                proposed_at=ctx.vtime,
+            )
+        )
 
     # ------------------------------------------------------------------
     # Replication (leader side)
@@ -528,17 +521,14 @@ class ReplicatedCoordinator(ServerAutomaton):
             self._send_snapshot(peer, ctx)
             return
         prev_index = next_index - 1
-        ctx.send(
+        self._send(
             peer,
             "cns-append",
-            {
-                "term": self.election.term,
-                "prev_index": prev_index,
-                "prev_term": self.log.term_at(prev_index) if prev_index <= self.log.last_index else 0,
-                "entries": self.log.entries_from(next_index),
-                "commit": self.log.commit_index,
-            },
-            phase="consensus",
+            ctx,
+            prev_index=prev_index,
+            prev_term=self.log.term_at(prev_index) if prev_index <= self.log.last_index else 0,
+            entries=self.log.entries_from(next_index),
+            commit=self.log.commit_index,
         )
 
     def _send_snapshot(self, peer: str, ctx: Context) -> None:
@@ -546,12 +536,7 @@ class ReplicatedCoordinator(ServerAutomaton):
             raise SimulationError(
                 f"{self.name} compacted its log without retaining a snapshot"
             )
-        ctx.send(
-            peer,
-            "cns-snapshot",
-            {"term": self.election.term, "snapshot": self._snapshot},
-            phase="consensus",
-        )
+        self._send(peer, "cns-snapshot", ctx, snapshot=self._snapshot)
 
     def _maybe_commit(self, ctx: Context) -> None:
         """Advance the commit index to the highest current-term entry
@@ -577,10 +562,10 @@ class ReplicatedCoordinator(ServerAutomaton):
         self._apply_committed(ctx)
         if self.log.commit_index > before:
             self._replicate(ctx)
-        if self.leases and self.log.commit_index > before:
-            # An advanced commit may satisfy the current-term guard that
-            # parked reads were waiting on.
-            self._lease_pump(ctx)
+            if self.leases:
+                # An advanced commit may satisfy the current-term guard that
+                # parked reads were waiting on.
+                self._lease_pump(ctx)
         if self._handoff_pending and self.election.is_leader:
             # This leader committed a C_new that excludes it: the commit has
             # been broadcast above, so abdicate — the remaining members hold
@@ -592,11 +577,7 @@ class ReplicatedCoordinator(ServerAutomaton):
             self._step_down(self.election.term, leader=None, ctx=ctx)
 
     def _on_append_ack(self, message: Message, ctx: Context) -> None:
-        term = int(message.get("term", 0))
-        if term > self.election.term:
-            self._step_down(term, leader=None, ctx=ctx)
-            return
-        if not self.election.is_leader or term < self.election.term:
+        if not self._reply_in_term(message, LEADER, ctx):
             return
         peer = message.src
         if message.get("ok"):
@@ -655,8 +636,7 @@ class ReplicatedCoordinator(ServerAutomaton):
         the reply is memoized like a committed one (retransmissions dedup)
         and the request id queues for the next ``cns-lease`` notify round so
         followers drop their broadcast copies and quiesce."""
-        reply_type, reply_payload = self.machine.apply(request.msg_type, dict(request.payload))
-        self.applied_replies[request_id] = (request.client, reply_type, reply_payload)
+        self._apply_request(request_id, request)
         self.pending.pop(request_id, None)
         lease = self._lease
         lease.notify.append(request_id)
@@ -692,10 +672,8 @@ class ReplicatedCoordinator(ServerAutomaton):
         self._maybe_start_lease_round(ctx)
 
     def _maybe_start_lease_round(self, ctx: Context) -> None:
-        lease = self._lease
-        if lease is None or lease.round_open or not self.election.is_leader:
-            return
-        if not lease.reads and not lease.notify:
+        lease = self._lease  # a leader's: only _lease_pump calls this
+        if lease.round_open or not (lease.reads or lease.notify):
             return
         lease.round_open = True
         lease.round_sent_at = ctx.vtime
@@ -703,9 +681,8 @@ class ReplicatedCoordinator(ServerAutomaton):
         lease.record_ack(self.name, ctx.vtime)
         served = tuple(lease.notify)
         lease.notify = []
-        payload = {"term": self.election.term, "at": lease.round_sent_at, "served": served}
         for peer in self.peers:
-            ctx.send(peer, "cns-lease", payload, phase="consensus")
+            self._send(peer, "cns-lease", ctx, at=lease.round_sent_at, served=served)
         self._refresh_lease(ctx)  # single-member groups prove instantly
 
     def _refresh_lease(self, ctx: Context) -> None:
@@ -743,40 +720,17 @@ class ReplicatedCoordinator(ServerAutomaton):
         copies of locally-served reads, and acknowledge."""
         if not self.leases:
             return
-        term = int(message.get("term", 0))
         at = int(message.get("at", 0))
-        if term < self.election.term:
-            ctx.send(
-                message.src,
-                "cns-lease-ack",
-                {"term": self.election.term, "at": at, "ok": False},
-                phase="consensus",
-            )
-            return
-        if term > self.election.term or not self.election.is_follower:
-            self._step_down(term, leader=message.src, ctx=ctx)
-        self.leader = message.src
-        self._last_heard = ctx.vtime
-        self._repair = False
-        until = ctx.vtime + self._lease_duration()
-        if until > self._promise_until:
-            self._promise_until = until
-        self._promise_holder = message.src
-        for request_id in tuple(message.get("served", ())):
-            self.pending.pop(request_id, None)
-        ctx.send(
-            message.src,
-            "cns-lease-ack",
-            {"term": self.election.term, "at": at, "ok": True},
-            phase="consensus",
-        )
+        heeded = self._heed_leader(message, ctx)
+        if heeded:
+            self._promise_until = max(self._promise_until, ctx.vtime + self._lease_duration())
+            self._promise_holder = message.src
+            for request_id in tuple(message.get("served", ())):
+                self.pending.pop(request_id, None)
+        self._send(message.src, "cns-lease-ack", ctx, at=at, ok=heeded)
 
     def _on_lease_ack(self, message: Message, ctx: Context) -> None:
-        term = int(message.get("term", 0))
-        if term > self.election.term:
-            self._step_down(term, leader=None, ctx=ctx)
-            return
-        if not self.election.is_leader or term < self.election.term:
+        if not self._reply_in_term(message, LEADER, ctx):
             return
         if self._lease is None or not message.get("ok"):
             return
@@ -787,29 +741,11 @@ class ReplicatedCoordinator(ServerAutomaton):
     # Replication (follower side)
     # ------------------------------------------------------------------
     def _on_append(self, message: Message, ctx: Context) -> None:
-        term = int(message.get("term", 0))
-        if term < self.election.term:
-            ctx.send(
-                message.src,
-                "cns-append-ack",
-                {"term": self.election.term, "ok": False, "match": self.log.commit_index},
-                phase="consensus",
-            )
-            return
-        if term > self.election.term or not self.election.is_follower:
-            self._step_down(term, leader=message.src, ctx=ctx)
-        self.leader = message.src
-        self._last_heard = ctx.vtime
-        self._repair = False  # a live leader is doing the re-replication
         prev_index = int(message.get("prev_index", 0))
-        prev_term = int(message.get("prev_term", 0))
-        if not self.log.matches(prev_index, prev_term):
-            ctx.send(
-                message.src,
-                "cns-append-ack",
-                {"term": self.election.term, "ok": False, "match": self.log.commit_index},
-                phase="consensus",
-            )
+        if not self._heed_leader(message, ctx) or not self.log.matches(
+            prev_index, int(message.get("prev_term", 0))
+        ):
+            self._send(message.src, "cns-append-ack", ctx, ok=False, match=self.log.commit_index)
             return
         entries = tuple(message.get("entries", ()))
         if entries:
@@ -827,37 +763,16 @@ class ReplicatedCoordinator(ServerAutomaton):
         # entries below it were skipped as already-committed, and acking
         # less would walk the leader's next_index into the compacted prefix
         # forever.
-        ctx.send(
-            message.src,
-            "cns-append-ack",
-            {
-                "term": self.election.term,
-                "ok": True,
-                "match": max(prev_index + len(entries), self.log.snapshot_index),
-            },
-            phase="consensus",
-        )
+        match = max(prev_index + len(entries), self.log.snapshot_index)
+        self._send(message.src, "cns-append-ack", ctx, ok=True, match=match)
 
     def _on_snapshot(self, message: Message, ctx: Context) -> None:
         """Install a leader-shipped snapshot (the compacted counterpart of
         :meth:`_on_append`): adopt machine state, reply cache and config as
         of the snapshot index, then ack so ordinary appends resume."""
-        term = int(message.get("term", 0))
-        if term < self.election.term:
-            ctx.send(
-                message.src,
-                "cns-append-ack",
-                {"term": self.election.term, "ok": False, "match": self.log.commit_index},
-                phase="consensus",
-            )
-            return
-        if term > self.election.term or not self.election.is_follower:
-            self._step_down(term, leader=message.src, ctx=ctx)
-        self.leader = message.src
-        self._last_heard = ctx.vtime
-        self._repair = False
+        heeded = self._heed_leader(message, ctx)
         snapshot = dict(message.get("snapshot") or {})
-        if int(snapshot.get("index", 0)) > self.log.snapshot_index:
+        if heeded and int(snapshot.get("index", 0)) > self.log.snapshot_index:
             if self.log.install_snapshot(snapshot):
                 self.machine.restore(snapshot["machine"])
                 self.applied_replies = dict(snapshot["replies"])
@@ -870,12 +785,7 @@ class ReplicatedCoordinator(ServerAutomaton):
             self._refresh_config()
             for request_id in [r for r in self.pending if r in self.applied_replies]:
                 self.pending.pop(request_id, None)
-        ctx.send(
-            message.src,
-            "cns-append-ack",
-            {"term": self.election.term, "ok": True, "match": self.log.commit_index},
-            phase="consensus",
-        )
+        self._send(message.src, "cns-append-ack", ctx, ok=heeded, match=self.log.commit_index)
 
     # ------------------------------------------------------------------
     # Elections
@@ -893,26 +803,12 @@ class ReplicatedCoordinator(ServerAutomaton):
             and self.log.up_to_date(
                 int(message.get("last_index", 0)), int(message.get("last_term", 0))
             )
-            # Lease promise: while this member vouches for a lease holder it
-            # elects nobody else — by quorum intersection no election can
-            # complete inside a proven lease window, so the candidate waits
-            # the old lease out.  (The holder itself may reclaim: a
-            # same-member re-election cannot produce a stale read.)
-            and not (
-                self.leases
-                and self._promise_until > ctx.vtime
-                and candidate != self._promise_holder
-            )
+            and not self._promised_away(candidate, ctx)
         )
         if granted:
             self.election.grant(candidate)
             self._last_heard = ctx.vtime  # a live candidacy counts as liveness
-        ctx.send(
-            candidate,
-            "cns-vote",
-            {"term": self.election.term, "granted": granted},
-            phase="consensus",
-        )
+        self._send(candidate, "cns-vote", ctx, granted=granted)
         if not granted and self.name in self.group and not self.election.is_leader:
             # A stale member (e.g. back from a healed partition, campaigning
             # on requests the group long committed) can depose a quiescent
@@ -929,14 +825,16 @@ class ReplicatedCoordinator(ServerAutomaton):
                 self._repair = True
                 self._ensure_timer(ctx)
 
+    def _promised_away(self, candidate: str, ctx: Context) -> bool:
+        """Lease promise: while this member vouches for a lease holder it
+        elects nobody else — by quorum intersection no election can complete
+        inside a proven lease window, so a candidate waits the old lease out.
+        (The holder itself may reclaim: a same-member re-election cannot
+        produce a stale read.)"""
+        return self.leases and self._promise_until > ctx.vtime and candidate != self._promise_holder
+
     def _on_vote(self, message: Message, ctx: Context) -> None:
-        term = int(message.get("term", 0))
-        if term > self.election.term:
-            self._step_down(term, leader=None, ctx=ctx)
-            return
-        if not self.election.is_candidate or term < self.election.term:
-            return
-        if message.get("granted"):
+        if self._reply_in_term(message, CANDIDATE, ctx) and message.get("granted"):
             self.election.record_vote(message.src)
             if self._quorum_ok(self.election.votes):
                 self._become_leader(ctx)
@@ -946,15 +844,8 @@ class ReplicatedCoordinator(ServerAutomaton):
         self.leader = None
         ctx.internal(consensus="candidacy", term=term, member=self.name)
         for peer in self.peers:
-            ctx.send(
-                peer,
-                "cns-vote-req",
-                {
-                    "term": term,
-                    "last_index": self.log.last_index,
-                    "last_term": self.log.last_term,
-                },
-                phase="consensus",
+            self._send(
+                peer, "cns-vote-req", ctx, last_index=self.log.last_index, last_term=self.log.last_term
             )
         self.election.record_vote(self.name)
         if self._quorum_ok(self.election.votes):  # single-survivor groups
@@ -991,32 +882,9 @@ class ReplicatedCoordinator(ServerAutomaton):
         for request_id, request in self.pending.items():
             if self.log.contains_request(request_id) or request_id in self.applied_replies:
                 continue
-            if request.msg_type == RECONFIG:
-                if self.joint is not None:
-                    continue  # another change is mid-flight; stays buffered
-                # Re-propose a buffered membership change as its joint entry.
-                payload = dict(request.payload)
-                self._append_config_entry(
-                    request_id,
-                    "joint",
-                    {
-                        "old": tuple(payload.get("old", ())),
-                        "new": tuple(payload.get("new", ())),
-                    },
-                    client=request.client,
-                    ctx=ctx,
-                )
-                continue
-            self.log.append(
-                LogEntry(
-                    term=self.election.term,
-                    request_id=request_id,
-                    msg_type=request.msg_type,
-                    payload=request.payload,
-                    client=request.client,
-                    proposed_at=ctx.vtime,
-                )
-            )
+            if request.msg_type == RECONFIG and self.joint is not None:
+                continue  # another change is mid-flight; stays buffered
+            self._propose(request_id, request.msg_type, request.payload, request.client, ctx)
         self._maybe_advance_config(ctx)
         self._replicate(ctx)
         self._maybe_commit(ctx)
@@ -1051,13 +919,9 @@ class ReplicatedCoordinator(ServerAutomaton):
             return  # nothing blocked on a leader: quiesce
         if self.name not in self.group:
             return  # removed from the config: never campaign, await retirement
-        if (
-            self.leases
-            and self._promise_until > ctx.vtime
-            and self._promise_holder != self.name
-        ):
-            # A live lease promise: campaigning now would be refused by the
-            # promiser quorum anyway — wait the old lease out, then retry.
+        if self._promised_away(self.name, ctx):
+            # Campaigning now would be refused by the promiser quorum
+            # anyway — wait the old lease out, then retry.
             self._ensure_timer(ctx)
             return
         if self.election.is_follower and self._last_heard >= self._armed_at:
@@ -1077,38 +941,32 @@ class ReplicatedCoordinator(ServerAutomaton):
         between committing the joint entry and proposing C_new)."""
         if not self.election.is_leader or self.joint is None:
             return
-        # Scan stops at the snapshot: checkpoint() never compacts while the
-        # newest config is joint, so a joint entry is always in the suffix.
-        for index in range(self.log.last_index, self.log.snapshot_index, -1):
-            entry = self.log.entry(index)
-            if entry.msg_type != CONFIG:
-                continue
-            payload = dict(entry.payload)
-            if payload.get("phase") != "joint":
-                return  # newest config is already C_new
-            if index > self.log.commit_index:
-                return  # joint entry not committed yet
-            if self.log.contains_request(f"{entry.request_id}/new"):
-                return
-            self._append_config(
-                f"{entry.request_id}/new",
-                "new",
-                {"group": tuple(payload["new"]), "request": entry.request_id},
-                client=entry.client,
-                ctx=ctx,
-            )
+        # The scan stops at the snapshot: checkpoint() never compacts while
+        # the newest config is joint, so a joint entry is always in the suffix.
+        index, entry = self.log.newest(CONFIG, self.log.last_index)
+        if entry is None:
             return
-
-    def _apply_config(self, entry: LogEntry, ctx: Context) -> None:
-        """Apply a committed configuration entry (both phases are config-
-        only: the coordinator state machine never sees them)."""
         payload = dict(entry.payload)
-        if payload.get("phase") == "joint":
-            self._maybe_advance_config(ctx)
+        if (
+            payload.get("phase") != "joint"  # newest config is already C_new
+            or index > self.log.commit_index  # joint entry not committed yet
+            or self.log.contains_request(f"{entry.request_id}/new")
+        ):
             return
-        # C_new committed: answer the original cns-reconfig request exactly
-        # once (the reply is memoized under the *request's* id, so a re-sent
-        # request after failover gets the same done message back).
+        self._append_config(
+            f"{entry.request_id}/new",
+            "new",
+            {"group": tuple(payload["new"]), "request": entry.request_id},
+            client=entry.client,
+            ctx=ctx,
+        )
+        self._replicate(ctx)
+        self._maybe_commit(ctx)
+
+    def _memoize_reconfig_done(self, entry: LogEntry, payload: Mapping[str, Any]) -> str:
+        """Memoize the answer to the ``cns-reconfig`` request a committed
+        C_new completes, under the *request's* id (so a request re-sent
+        after failover gets the same done message back); returns that id."""
         request_id = str(payload.get("request", ""))
         if request_id and request_id not in self.applied_replies:
             self.applied_replies[request_id] = (
@@ -1119,6 +977,17 @@ class ReplicatedCoordinator(ServerAutomaton):
                     "group": tuple(payload.get("group", ())),
                 },
             )
+        return request_id
+
+    def _apply_config(self, entry: LogEntry, ctx: Context) -> None:
+        """Apply a committed configuration entry (both phases are config-
+        only: the coordinator state machine never sees them)."""
+        payload = dict(entry.payload)
+        if payload.get("phase") == "joint":
+            self._maybe_advance_config(ctx)
+            return
+        # C_new committed: answer the original cns-reconfig request once.
+        request_id = self._memoize_reconfig_done(entry, payload)
         self.pending.pop(request_id, None)
         if self.election.is_leader:
             if request_id:
@@ -1126,26 +995,18 @@ class ReplicatedCoordinator(ServerAutomaton):
             if self.name not in tuple(payload.get("group", ())):
                 self._handoff_pending = True
 
+    def _apply_request(self, request_id: str, request) -> None:
+        """Run a request (a log entry or a parked read) through the state
+        machine once: the reply is memoized under ``request_id``, and a
+        later application of the same id only finds the memo."""
+        if request_id not in self.applied_replies:
+            reply_type, reply_payload = self.machine.apply(request.msg_type, dict(request.payload))
+            self.applied_replies[request_id] = (request.client, reply_type, reply_payload)
+
     def _apply_committed(self, ctx: Context) -> None:
         for index, entry in self.log.take_unapplied():
             if entry.is_noop():
                 continue
-            if entry.msg_type == CONFIG:
-                self._apply_config(entry, ctx)
-                ctx.internal(
-                    consensus="apply",
-                    index=index,
-                    term=entry.term,
-                    request=entry.request_id,
-                    commit_latency=max(0, ctx.vtime - entry.proposed_at),
-                )
-                continue
-            if entry.request_id not in self.applied_replies:
-                reply_type, reply_payload = self.machine.apply(
-                    entry.msg_type, dict(entry.payload)
-                )
-                self.applied_replies[entry.request_id] = (entry.client, reply_type, reply_payload)
-            self.pending.pop(entry.request_id, None)
             info = dict(
                 consensus="apply",
                 index=index,
@@ -1153,6 +1014,13 @@ class ReplicatedCoordinator(ServerAutomaton):
                 request=entry.request_id,
                 commit_latency=max(0, ctx.vtime - entry.proposed_at),
             )
+            if entry.msg_type == CONFIG:
+                # a configuration's reply goes out before its apply record
+                self._apply_config(entry, ctx)
+                ctx.internal(**info)
+                continue
+            self._apply_request(entry.request_id, entry)
+            self.pending.pop(entry.request_id, None)
             if self.leases and entry.msg_type in self.machine.read_only_types:
                 info["read"] = True
             ctx.internal(**info)
@@ -1176,26 +1044,3 @@ class ReplicatedCoordinator(ServerAutomaton):
             f"{self.name}: {self.election.describe().split(': ', 1)[1]}, "
             f"{self.log.describe()}, pending={len(self.pending)}, {self.machine.describe()}"
         )
-
-
-def consensus_members(
-    group: Sequence[str],
-    machine_factory,
-    seed: int = 0,
-    election_timeout: Tuple[int, int] = DEFAULT_ELECTION_TIMEOUT,
-) -> List[ReplicatedCoordinator]:
-    """Build one :class:`ReplicatedCoordinator` per name in ``group``.
-
-    ``machine_factory`` is called once per member so every member applies its
-    *own* copy of the state machine (shared state would fake agreement).
-    """
-    return [
-        ReplicatedCoordinator(
-            name=member,
-            group=group,
-            machine=machine_factory(),
-            seed=seed,
-            election_timeout=election_timeout,
-        )
-        for member in group
-    ]

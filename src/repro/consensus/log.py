@@ -154,6 +154,16 @@ class ConsensusLog:
         """The committed *retained* entries (above the snapshot)."""
         return tuple(self._entries[: max(0, self.commit_index - self.snapshot_index)])
 
+    def newest(self, msg_type: str, through: int) -> Tuple[int, Optional[LogEntry]]:
+        """The newest retained entry of ``msg_type`` at an index <= ``through``,
+        as ``(index, entry)``; ``(0, None)`` when the suffix holds none."""
+        base = self.snapshot_index
+        for position in range(through - base - 1, -1, -1):
+            entry = self._entries[position]
+            if entry.msg_type == msg_type:
+                return base + position + 1, entry
+        return 0, None
+
     # ------------------------------------------------------------------
     # Leader-side append
     # ------------------------------------------------------------------

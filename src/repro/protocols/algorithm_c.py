@@ -48,7 +48,6 @@ from .base import BuildConfig, Protocol
 from .coordinated import (
     CoordinatedServer,
     CoordinatedWriter,
-    consensus_members_for,
     coordinator_targets,
     live_coordinator_targets,
 )
@@ -342,7 +341,6 @@ class AlgorithmC(Protocol):
                         group=group,
                     )
                 )
-        automata.extend(
-            consensus_members_for(config, lambda: self.make_consensus_machine(config))
-        )
+        consensus = config.consensus_group()
+        automata.extend(self.make_consensus_member(config, name, consensus) for name in consensus)
         return automata

@@ -96,9 +96,9 @@ class BuildConfig:
     trace_mode: Optional[Any] = None
     #: stable storage for consensus members (a
     #: :class:`~repro.persist.PersistencePolicy` or ready-made
-    #: :class:`~repro.persist.PersistencePlane`); needs ``consensus_factor
-    #: >= 2``.  None (the default) keeps the seed's volatile members,
-    #: byte-identical.
+    #: :class:`~repro.persist.PersistencePlane`, normalised to a plane by
+    #: ``Protocol.build``); needs ``consensus_factor >= 2``.  None (the
+    #: default) keeps the seed's volatile members, byte-identical.
     persistence: Optional[Any] = None
     #: leader leases for the replicated coordinator (``True``): the lease
     #: holder answers read-only coordinator requests locally instead of
@@ -314,6 +314,31 @@ class Protocol:
         (None for protocols without a coordinator)."""
         return None
 
+    def make_consensus_member(
+        self, config: BuildConfig, name: str, group: Tuple[str, ...]
+    ) -> Automaton:
+        """Build one replicated-coordinator member of ``group``: the one
+        place a member is made.  :meth:`make_automata` makes the founding
+        group here and the reconfiguration driver every member it spawns
+        mid-run, so each gets its own state machine, the build's leases and
+        its stable store (``config.persistence``, a plane once
+        :meth:`build` normalised it) the same way."""
+        # the member automaton loads with the first build that has a group
+        from ..consensus.coordinator import DEFAULT_ELECTION_TIMEOUT, ReplicatedCoordinator
+
+        plane = config.persistence
+        return ReplicatedCoordinator(
+            name=name,
+            group=group,
+            machine=self.make_consensus_machine(config),
+            seed=config.seed,
+            election_timeout=config.election_timeout or DEFAULT_ELECTION_TIMEOUT,
+            bootstrap_leader=config.consensus_group()[0],
+            leases=config.leases is not None,
+            stable_store=None if plane is None else plane.store_for(name),
+            compact_every=None if plane is None else plane.policy.compact_every,
+        )
+
     def default_c2c(self) -> bool:
         return self.requires_c2c
 
@@ -337,16 +362,12 @@ class Protocol:
                 f"protocol {self.name} has no coordinator/metadata service to replicate "
                 f"(consensus_factor={config.consensus_factor} needs one)"
             )
-        if config.persistence is not None:
-            if config.consensus_factor < 2:
-                raise ValueError(
-                    "persistence attaches stable storage to replicated-"
-                    "coordinator members; it needs consensus_factor >= 2 "
-                    "(there is no member state to persist at factor 1)"
-                )
-            from ..persist import PersistencePlane
-
-            PersistencePlane.of(config.persistence)  # raises on a bad value
+        if config.persistence is not None and config.consensus_factor < 2:
+            raise ValueError(
+                "persistence attaches stable storage to replicated-"
+                "coordinator members; it needs consensus_factor >= 2 "
+                "(there is no member state to persist at factor 1)"
+            )
         if config.leases is not None:
             if config.leases is not True:
                 raise TypeError(
@@ -501,6 +522,12 @@ class Protocol:
             leases=leases,
         )
         self.validate_config(config)
+        if config.persistence is not None:
+            from ..persist import PersistencePlane
+
+            # the one normalisation (raises on a bad value): members take
+            # their stores from the plane as they are made
+            config.persistence = PersistencePlane.of(config.persistence)
         allow_c2c = config.c2c if config.c2c is not None else self.default_c2c()
         topology = Topology(allow_client_to_client=allow_c2c)
         placement = config.placement()
@@ -524,59 +551,24 @@ class Protocol:
                 # rule to judge joint configurations as they open.
                 monitors.set_quorum_policy(config.quorum_policy())
         simulation.add_automata(self.make_automata(config))
-        if config.leases is not None:
-            self._apply_leases(config, simulation)
-        persistence_plane = None
-        if config.persistence is not None:
-            persistence_plane = self._apply_persistence(config, simulation)
         directory = None
         if (
             config.reconfig is not None and config.reconfig.requests
         ) or config.controller is not None:
-            directory = self._install_reconfig(
-                config, placement, simulation, persistence_plane
-            )
+            directory = self._install_reconfig(config, placement, simulation)
         return SystemHandle(
             protocol=self,
             simulation=simulation,
             config=config,
             directory=directory,
-            persistence=persistence_plane,
+            persistence=config.persistence,
         )
-
-    def _apply_leases(self, config: BuildConfig, simulation: Simulation) -> None:
-        """Turn leases on at every consensus member (post-build injection,
-        like the placement directory): automata exposing ``leases`` —
-        exactly the :class:`~repro.consensus.coordinator.
-        ReplicatedCoordinator` members."""
-        for automaton in simulation.automata():
-            if hasattr(automaton, "leases"):
-                automaton.leases = True
-
-    def _apply_persistence(self, config: BuildConfig, simulation: Simulation):
-        """Attach a stable store to every consensus member (post-build
-        injection, like the leases): automata exposing ``stable_store`` —
-        exactly the :class:`~repro.consensus.coordinator.
-        ReplicatedCoordinator` members — get their per-name store from the
-        plane.  Passing a plane whose stores already hold state (a rebuild
-        over surviving storage) makes every member recover during attach."""
-        from ..persist import PersistencePlane
-
-        plane = PersistencePlane.of(config.persistence)
-        for automaton in simulation.automata():
-            if hasattr(automaton, "stable_store"):
-                automaton.attach_store(
-                    plane.store_for(automaton.name),
-                    compact_every=plane.policy.compact_every,
-                )
-        return plane
 
     def _install_reconfig(
         self,
         config: BuildConfig,
         placement: Placement,
         simulation: Simulation,
-        persistence_plane=None,
     ) -> PlacementDirectory:
         """Wire the reconfiguration layer onto a freshly built system.
 
@@ -599,46 +591,17 @@ class Protocol:
         for automaton in simulation.automata():
             if hasattr(automaton, "directory"):
                 automaton.directory = directory
-        consensus_member_factory = None
-        if config.consensus_factor > 1:
-            from ..consensus.coordinator import (
-                DEFAULT_ELECTION_TIMEOUT,
-                ReplicatedCoordinator,
-            )
-
-            timeout = tuple(config.election_timeout or DEFAULT_ELECTION_TIMEOUT)
-            bootstrap = config.consensus_group()[0]
-
-            def consensus_member_factory(name, union, _protocol=self):
-                member = ReplicatedCoordinator(
-                    name=name,
-                    group=union,
-                    machine=_protocol.make_consensus_machine(config),
-                    seed=config.seed,
-                    election_timeout=timeout,
-                    bootstrap_leader=bootstrap,
-                )
-                if config.leases is not None:
-                    # Mid-run members inherit leases: a spawned member
-                    # promises (and may later hold) leases like a founding
-                    # one.
-                    member.leases = True
-                if persistence_plane is not None:
-                    # ... and its durability: a spawned member persists (and
-                    # recovers) exactly like a founding one.
-                    member.attach_store(
-                        persistence_plane.store_for(name),
-                        compact_every=persistence_plane.policy.compact_every,
-                    )
-                return member
-
         driver = ReconfigDriver(
             plan=config.reconfig if config.reconfig is not None else ReconfigPlan(),
             directory=directory,
             replica_factory=lambda obj, name, group: self.make_replica(
                 config, obj, name, group
             ),
-            consensus_member_factory=consensus_member_factory,
+            consensus_member_factory=(
+                (lambda name, union: self.make_consensus_member(config, name, union))
+                if config.consensus_factor > 1
+                else None
+            ),
         )
         simulation.add_automaton(driver)
         if config.controller is not None:

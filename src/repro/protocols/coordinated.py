@@ -31,8 +31,7 @@ This module provides:
   with the coordinator role (``update-coor``, ``get-tag-arr``, tag
   piggy-backing on ``read-vals``);
 * :func:`coordinator_name` / :func:`coordinator_targets` — the conventions
-  designating the coordinator (single server or consensus group);
-* :func:`consensus_members_for` — the consensus-group automata of a build.
+  designating the coordinator (single server or consensus group).
 """
 
 from __future__ import annotations
@@ -88,20 +87,6 @@ def coordinator_targets(config) -> Tuple[str, ...]:
     if group:
         return group
     return (coordinator_name(config.servers()),)
-
-
-def consensus_members_for(config, machine_factory) -> List[Any]:
-    """The consensus-group automata of a build (empty at consensus_factor=1)."""
-    group = config.consensus_group()
-    if not group:
-        return []
-    # the member automaton loads with the first build that has a group
-    from ..consensus.coordinator import DEFAULT_ELECTION_TIMEOUT, consensus_members
-
-    timeout = config.election_timeout or DEFAULT_ELECTION_TIMEOUT
-    return consensus_members(
-        group, machine_factory, seed=config.seed, election_timeout=timeout
-    )
 
 
 class CoordinatedWriter(WriterAutomaton):

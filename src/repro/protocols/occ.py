@@ -55,7 +55,7 @@ from ..txn.objects import Key, server_for_object
 from ..txn.placement import Placement
 from ..txn.transactions import ReadResult, ReadTransaction, WriteTransaction, WRITE_OK
 from .base import BuildConfig, Protocol
-from .coordinated import consensus_members_for, coordinator_targets, live_coordinator_targets
+from .coordinated import coordinator_targets, live_coordinator_targets
 from .replication import (
     DirectoryAwareServer,
     epoch_quorum_round,
@@ -570,7 +570,6 @@ class OccProtocol(Protocol):
                         group=group,
                     )
                 )
-        automata.extend(
-            consensus_members_for(config, lambda: self.make_consensus_machine(config))
-        )
+        consensus = config.consensus_group()
+        automata.extend(self.make_consensus_member(config, name, consensus) for name in consensus)
         return automata
