@@ -11,10 +11,10 @@ columns the regression gate pins), election churn, and the new persistence
 block — recoveries taken, checkpoints cut, compaction ratio, retained-vs-
 total log length.
 
-Two non-gated wall-clock series ride along: ``recovery`` (time to rebuild a
-full member group from a populated plane — the restart-from-storage path)
-and ``journal`` (file-backend compaction: journal bytes before/after the
-snapshot rewrite).
+Two non-gated deterministic series ride along: ``recovery`` (member
+recoveries taken over repeated rebuilds of a full member group from a
+populated plane — the restart-from-storage path) and ``journal``
+(file-backend compaction: journal bytes before/after the snapshot rewrite).
 
 Expected shape: every durable cell matches the fault-free verdicts with
 availability 1.0; the volatile amnesia cells stay safe on these schedules
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import shutil
 import tempfile
-import time
 
 from repro.analysis import bench_payload, format_table, run_suite, suite_rows
 from repro.analysis.sweep import PERSIST
@@ -113,26 +112,21 @@ def build_members(persistence, tag: str = "a"):
 
 
 def recovery_microbench(rounds: int = 20):
-    """Wall-clock restart-from-storage: rebuild the member group from a
-    populated plane.  Recovery runs inside ``build`` (attaching a non-empty
-    store replays meta/log/commit into the member), so a plain build is the
-    restart path; no workload is replayed — the storage tier is fresh, only
-    consensus members are durable.  Not gated — recorded for the trajectory
-    only."""
+    """Restart-from-storage: rebuild the member group from a populated plane
+    ``rounds`` times and count the member recoveries taken.  Recovery runs
+    inside ``build`` (attaching a non-empty store replays meta/log/commit into
+    the member), so a plain build is the restart path; no workload is
+    replayed — the storage tier is fresh, only consensus members are
+    durable."""
     plane = PersistencePlane(PersistencePolicy())
     build_members(plane, tag="seed")
-    start = time.perf_counter()
+    recoveries = 0
     for _ in range(rounds):
         handle = build_system(plane)
-        assert all(
-            handle.simulation.automaton(name).recoveries >= 1
-            for name in handle.consensus_group
-        ), "rebuild did not take the recovery path"
-    elapsed = time.perf_counter() - start
-    return {
-        "rounds": rounds,
-        "mean_rebuild_seconds": round(elapsed / rounds, 6),
-    }
+        members = [handle.simulation.automaton(name) for name in handle.consensus_group]
+        assert all(member.recoveries >= 1 for member in members), "rebuild did not take the recovery path"
+        recoveries += sum(member.recoveries for member in members)
+    return {"rounds": rounds, "recoveries": recoveries}
 
 
 def journal_compaction_stats():
@@ -194,4 +188,4 @@ def test_persistence_sweep(benchmark):
     assert journal and all(
         s["rewrite_after_bytes"] < s["rewrite_before_bytes"] for s in journal
     )
-    assert recovery["mean_rebuild_seconds"] > 0
+    assert recovery["recoveries"] >= recovery["rounds"]

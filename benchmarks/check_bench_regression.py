@@ -1,36 +1,25 @@
 #!/usr/bin/env python3
 """Bench-regression gate: diff regenerated BENCH_*.json against HEAD.
 
-The bench-smoke CI job reruns the sweep and throughput scripts, which
-rewrites ``benchmarks/results/BENCH_*.json`` in the working tree; this script
-then compares each file with the version committed at ``HEAD``.
+The bench-smoke CI job reruns the sweep scripts, which rewrites
+``benchmarks/results/BENCH_*.json`` in the working tree; this script then
+compares each file with the version committed at ``HEAD``.  Every column of
+the seven sweep files is deterministic per seed and pinned for equality by
+tier-1 (``tests/analysis/test_suite_golden.py``), so what is left here is
+row identity and the perf trajectory.
 
-The gate has two halves, and this script is the **wall-clock** one:
+*Row identity*, for every file.  Rows are matched on the identity columns
+the file itself declares under ``axes`` (an axis a row does not carry takes
+the payload's top-level value, e.g. the perf trajectory's ``seed``); a
+payload without ``axes``, or two rows with one identity, fail loudly — a
+hand-kept identity list that misses a new axis would collapse rows and hide
+whichever regressed.  A row present at HEAD but missing from the regenerated
+grid is a failure too — a silently dropped cell hides regressions.
+Brand-new files and brand-new rows pass (they have no baseline yet).
 
-* *Exact columns live in tier-1.*  The seven sweep files are deterministic
-  per seed, so ``tests/analysis/test_suite_golden.py`` pins every column of
-  their ``grid`` arrays to the committed files for equality — which implies
-  the directional rules this script used to apply to them (availability not
-  below, same SNOW verdict, consistency not degraded, unavailability window
-  and lease read latency not above).
-* *Wall-clock columns live here*, under a **bounded-drift** rule:
-  ``events_per_sec`` in ``BENCH_throughput.json`` may fluctuate with the
-  machine, but falling below ``DRIFT_FLOOR`` × the committed baseline fails
-  the gate — runner variance passes, an
-  order-of-magnitude kernel slowdown does not.
-
-Two more rules apply to every file.  Rows are matched on the identity
-columns the file itself declares under ``axes`` (an axis a row does not
-carry takes the payload's top-level value, e.g. the perf trajectory's
-``seed``); a payload without ``axes``, or two rows with one identity, fail
-loudly — a hand-kept identity list that misses a new axis would collapse
-rows and hide whichever regressed.  And a row present at HEAD but missing
-from the regenerated grid is a failure too — a silently dropped cell hides
-regressions.  Brand-new files and brand-new rows pass (they have no baseline
-yet).
-
-``BENCH_perf.json`` (the per-PR trajectory of ``benchmarks/perf``) gets one
-rule of its own, checked on the working-tree file alone: the simulated
+*The perf trajectory.*  ``BENCH_perf.json`` (the per-PR rows of
+``benchmarks/perf``, the one place wall-clock time is measured) is checked
+on the working-tree file alone: the simulated
 end-to-end columns (latency in steps, rounds, messages and events per
 transaction, completed share) are exact at a fixed seed, so within one
 workload every row measured at the same seed must carry identical values —
@@ -58,15 +47,6 @@ from typing import Any, Dict, List, Optional, Tuple
 BENCH_DIR = Path(__file__).resolve().parent
 REPO_ROOT = BENCH_DIR.parent
 RESULTS = BENCH_DIR / "results"
-
-#: wall-clock columns gated per file: new >= DRIFT_FLOOR * baseline.  The
-#: floor is deliberately loose — CI runners differ from the machines that
-#: committed the baselines; this catches collapses, not noise.
-DRIFT_FLOOR = 0.25
-DRIFT_COLUMNS: Dict[str, Tuple[str, ...]] = {
-    "BENCH_throughput.json": ("events_per_sec",),
-}
-
 
 #: BENCH_perf.json columns that repeat exactly under a fixed seed
 SIMULATED_COLUMNS = (
@@ -176,22 +156,6 @@ def index_rows(payload: Dict[str, Any], name: str) -> Dict[Tuple, Dict[str, Any]
     return indexed
 
 
-def compare_cell(
-    old: Dict[str, Any], new: Dict[str, Any], drift_columns: Tuple[str, ...] = ()
-) -> List[str]:
-    problems: List[str] = []
-    for column in drift_columns:
-        before, after = old.get(column), new.get(column)
-        if not isinstance(before, (int, float)) or before <= 0:
-            continue
-        if not isinstance(after, (int, float)) or after < DRIFT_FLOOR * before:
-            problems.append(
-                f"{column}: {before!r} -> {after!r} "
-                f"(below the {DRIFT_FLOOR:.0%} drift floor)"
-            )
-    return problems
-
-
 def main() -> int:
     failures: List[str] = []
     checked = 0
@@ -212,16 +176,10 @@ def main() -> int:
         except ValueError as error:
             failures.append(str(error))
             continue
-        drift_columns = DRIFT_COLUMNS.get(path.name, ())
-        for key, old_row in old_rows.items():
+        for key in old_rows:
             checked += 1
-            label = f"{path.name} {dict(key)}"
-            new_row = new_rows.get(key)
-            if new_row is None:
-                failures.append(f"{label}: row disappeared from the regenerated grid")
-                continue
-            for problem in compare_cell(old_row, new_row, drift_columns):
-                failures.append(f"{label}: {problem}")
+            if key not in new_rows:
+                failures.append(f"{path.name} {dict(key)}: row disappeared from the regenerated grid")
         for key in new_rows:
             if key not in old_rows:
                 print(f"[bench-regression] {path.name}: new row {dict(key)} (no baseline)")
@@ -231,7 +189,7 @@ def main() -> int:
         for failure in failures:
             print(f"  - {failure}", file=sys.stderr)
         return 1
-    print("[bench-regression] ok — no row disappeared, no drift-gated column regressed")
+    print("[bench-regression] ok — no row disappeared, the perf trajectory holds")
     return 0
 
 

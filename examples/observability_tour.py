@@ -1,6 +1,6 @@
 """A tour of the observability plane on a chaotic reconfiguration run.
 
-``repro.obs`` gives every simulation five coordinated views, all derived
+``repro.obs`` gives every simulation four coordinated views, all derived
 from the same deterministic trace:
 
 1. a **causal span tree** — one span per transaction, child spans per
@@ -15,9 +15,7 @@ from the same deterministic trace:
    online automata (election safety, log matching, quorum intersection,
    config-in-flight), alerting at the exact offending trace index;
 4. a **health/SLO plane** — per-kind latency SLOs, rolling timeout/error
-   rates and staleness-derived replica health, all on the virtual clock;
-5. an opt-in **wall-clock profiler** of the kernel hot loop, whose numbers
-   never enter any deterministic artifact.
+   rates and staleness-derived replica health, all on the virtual clock.
 
 The scenario here is PR 4's acceptance story under chaos: a replica of one
 object fail-stops mid-run and a joint-consensus change replaces it — with
@@ -65,7 +63,7 @@ def main() -> None:
     args = parser.parse_args()
 
     plan, reconfig = replace_dead_replica()
-    plane = ObservabilityPlane(profile=True, monitors=True, health=True)
+    plane = ObservabilityPlane(monitors=True, health=True)
     protocol = get_protocol(args.protocol)
     handle = protocol.build(
         num_readers=2 if protocol.supports_multiple_readers else 1,
@@ -101,9 +99,6 @@ def main() -> None:
     print()
     print("=== end-of-run health/SLO report (virtual clock) ===")
     print(plane.health_view.render())
-    print()
-    print("=== kernel profile (wall clock — never part of results) ===")
-    print(plane.profiler.report(steps=handle.simulation.steps_taken))
 
     if args.inject_violation:
         print()

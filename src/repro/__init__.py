@@ -33,8 +33,9 @@ import happens inside ``Simulation.run``.
   OCC; ``consensus_factor=1`` leaves everything byte-identical to the seed;
 * :mod:`repro.obs` — the observability plane: causal span trees derived
   from kernel traces, a virtual-time metrics registry fed by trace/mailbox
-  hooks, an opt-in wall-clock kernel profiler, and Chrome trace-event /
-  text-timeline exporters; off by default and trace-invisible when enabled;
+  hooks, streaming invariant monitors, a health/SLO plane, and Chrome
+  trace-event / text-timeline exporters; off by default and trace-invisible
+  when enabled;
 * :mod:`repro.persist` — stable storage for consensus members (the in-sim
   store and a hash-chained on-disk journal); without it members are volatile.
 

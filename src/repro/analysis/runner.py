@@ -105,9 +105,6 @@ class ExperimentConfig:
     #: keeps the consensus/controller blocks exact under a partial
     #: ``trace_mode``.
     observe: bool = False
-    #: also enable the wall-clock kernel profiler (implies ``observe``);
-    #: profiler output never enters deterministic results.
-    profile: bool = False
     #: attach the streaming invariant monitors (implies ``observe``); the
     #: run's alerts are readable via ``result.obs.monitors.alerts``.
     monitors: bool = False
@@ -145,8 +142,7 @@ class ExperimentConfig:
         extras = [
             flag
             for flag, on in (
-                ("observe", self.observe and not self.profile),
-                ("observe+profile", self.profile),
+                ("observe", self.observe),
                 ("monitors", self.monitors),
                 ("health", self.health),
             )
@@ -173,7 +169,7 @@ class ExperimentResult:
     history: History
     read_ids: Tuple[str, ...]
     write_ids: Tuple[str, ...]
-    #: the run's observability plane; None unless ``config.observe``/``profile``
+    #: the run's observability plane; None unless ``config.observe``/``monitors``/``health``
     obs: Optional[Any] = None
 
     @property
@@ -218,7 +214,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             "check_properties=False for retention-mode runs (counters, "
             "monitors and the health plane stay exact)"
         )
-    observed = config.observe or config.profile or config.monitors or config.health
+    observed = config.observe or config.monitors or config.health
     if partial_trace and not observed and (
         config.consensus_factor > 1 or config.reconfig is not None or config.controller is not None
     ):
@@ -256,11 +252,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if observed:
         from ..obs import ObservabilityPlane
 
-        build_kwargs["obs"] = ObservabilityPlane(
-            profile=config.profile,
-            monitors=config.monitors,
-            health=config.health,
-        )
+        build_kwargs["obs"] = ObservabilityPlane(monitors=config.monitors, health=config.health)
     if config.trace_mode is not None:
         build_kwargs["trace_mode"] = config.trace_mode
     handle = protocol.build(**build_kwargs)

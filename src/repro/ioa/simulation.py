@@ -29,7 +29,6 @@ import gc
 import itertools
 import random
 from collections import deque
-from time import perf_counter
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -152,10 +151,8 @@ class Simulation:
         #: actions and never touches scheduler or RNG state, so the trace is
         #: identical with or without it.  ``None`` skips every hook.
         self.obs = obs
-        self._profiler = None
         if obs is not None:
             obs.on_attach(self)
-            self._profiler = getattr(obs, "profiler", None)
 
         self._automata: Dict[str, Automaton] = {}
         self._contexts: Dict[str, Context] = {}
@@ -420,8 +417,7 @@ class Simulation:
         """Execute one scheduler-chosen event.  Returns ``False`` if idle."""
         if not self._started:
             self.start()
-        profiler, plane, frontier = self._profiler, self.fault_plane, self._frontier
-        stamp = perf_counter() if profiler is not None else 0.0
+        plane, frontier = self.fault_plane, self._frontier
         if plane is not None:
             plane.before_step(self)
         idle = frontier.idle(self.now)
@@ -435,8 +431,6 @@ class Simulation:
             if earliest is not None:
                 self._timeout_clock = max(self._timeout_clock, earliest)
                 idle = frontier.idle(self.now)
-        if profiler is not None:
-            profiler.add("poll", perf_counter() - stamp)
         if idle:
             return False
         if self._steps_taken >= self.max_steps:
@@ -444,13 +438,7 @@ class Simulation:
                 f"simulation exceeded max_steps={self.max_steps} with {len(self.pending_events())} "
                 "pending events" + self._stuck_line()
             )
-        if profiler is not None:
-            stamp = perf_counter()
         event = self.scheduler.pick(frontier, self)
-        if profiler is not None:
-            now = perf_counter()
-            profiler.add("choose", now - stamp)
-            stamp = now
         self._steps_taken += 1
         if type(event) is PendingDelivery:
             frontier.remove_delivery(event)
@@ -468,8 +456,6 @@ class Simulation:
             self._invoke(event.client, event.txn, event.txn_id)
         else:  # pragma: no cover - defensive
             raise SimulationError(f"unknown pending event {event!r}")
-        if profiler is not None:
-            profiler.add("dispatch", perf_counter() - stamp)
         return True
 
     def run(self, max_new_steps: Optional[int] = None) -> Trace:

@@ -1,4 +1,4 @@
-"""The observability plane: registry + profiler wired onto one simulation.
+"""The observability plane: registry, monitors and health on one simulation.
 
 ``ObservabilityPlane`` is the single object the build surface threads
 through (``Protocol.build(obs=...)`` / ``ExperimentConfig(observe=True)``).
@@ -10,9 +10,9 @@ to a run without it (pinned by the golden-signature tests).  All it does is
 action, and the kernel calls two mailbox hooks on enqueue/dequeue.
 
 Everything in the registry is derived from simulation-visible values
-(virtual clock, payload stamps, action kinds) — wall-clock time only exists
-inside the optional :class:`KernelProfiler`, whose report is kept strictly
-out of snapshots, span trees and exports.
+(virtual clock, payload stamps, action kinds), never from wall-clock time:
+that measures the simulator, not the simulated system, and is measured by
+the perf benchmark (``benchmarks/perf/run.py``) alone.
 """
 
 from __future__ import annotations
@@ -27,11 +27,10 @@ from .registry import HeldInstruments, MetricsRegistry
 if TYPE_CHECKING:  # each listener's module is imported by the plane that asks for it
     from .health import HealthPlane, HealthView, SLOPolicy
     from .monitor import MonitorSuite
-    from .profiler import KernelProfiler
 
 
 class ObservabilityPlane:
-    """Deterministic metrics (plus optional wall-clock profiling) for one run.
+    """Deterministic metrics for one run.
 
     ``monitors`` attaches the streaming invariant monitors
     (:mod:`repro.obs.monitor`): ``True`` for the default suite, or a
@@ -45,7 +44,6 @@ class ObservabilityPlane:
 
     def __init__(
         self,
-        profile: bool = False,
         monitors: Union[None, bool, MonitorSuite] = None,
         health: Union[None, bool, SLOPolicy, HealthPlane] = None,
     ) -> None:
@@ -55,11 +53,6 @@ class ObservabilityPlane:
         self._sent = HeldInstruments(self.registry, "counter", "kernel.messages_sent", "type")
         self._channels = HeldInstruments(self.registry, "counter", "kernel.messages_channel", "channel")
         self._mailboxes = HeldInstruments(self.registry, "gauge", "kernel.mailbox_depth", "automaton")
-        self.profiler: Optional[KernelProfiler] = None
-        if profile:
-            from .profiler import KernelProfiler
-
-            self.profiler = KernelProfiler()
         if monitors is True:
             from .monitor import MonitorSuite
 
@@ -103,8 +96,6 @@ class ObservabilityPlane:
         simulation.trace.set_observer(self.on_action)
         if self.health is not None:
             self.health.on_attach(simulation)
-        if self.profiler is not None:
-            self.profiler.install(simulation)
 
     def on_enqueue(self, delivery: Any) -> None:
         """A message entered the kernel's pending-delivery set."""
@@ -193,10 +184,6 @@ class ObservabilityPlane:
             lines.append(self.monitors.describe())
         if self.health is not None:
             lines.append(self.health_view.render())
-        if self.profiler is not None:
-            simulation = self.simulation
-            steps = simulation.steps_taken if simulation is not None else 0
-            lines.append(self.profiler.report(steps=steps))
         return "\n".join(lines)
 
 

@@ -4,8 +4,6 @@ Every value in the registry is derived from *simulation-visible* quantities —
 trace actions, virtual-clock stamps, payload fields — never from wall-clock
 time, so a registry snapshot is as deterministic as the trace it was fed
 from: the same configuration run twice yields byte-identical snapshots.
-(Wall-clock measurement lives in :mod:`repro.obs.profiler` and is kept
-strictly out of snapshots and exports.)
 
 Metrics are addressed by ``(name, labels)`` the way Prometheus-style
 registries are, e.g. ``registry.counter("kernel.events", kind="send")``.

@@ -486,11 +486,11 @@ class Protocol:
         membership changes from observed failures and latency and feeds them
         to the same driver.  ``obs`` installs an
         :class:`~repro.obs.ObservabilityPlane` (kernel metrics registry,
-        streaming invariant monitors, health/SLO plane, optional wall-clock
-        profiler); the plane only listens, so even an enabled plane leaves
-        the trace byte-identical.  ``trace_mode`` selects trace record
-        retention (:class:`~repro.ioa.TraceMode`; ``None``/``full`` keeps
-        every action).  ``persistence`` attaches stable storage to every
+        streaming invariant monitors, health/SLO plane); the plane only
+        listens, so even an enabled plane leaves the trace byte-identical.
+        ``trace_mode`` selects trace record retention
+        (:class:`~repro.ioa.TraceMode`; ``None``/``full`` keeps every
+        action).  ``persistence`` attaches stable storage to every
         consensus member (:mod:`repro.persist`): term/vote/log survive
         crash-with-amnesia, and with ``compact_every`` set the members
         checkpoint their state machines and compact their logs.

@@ -133,7 +133,40 @@ def test_two_rows_with_one_identity_fail_loudly():
 
 def test_every_committed_file_declares_a_unique_identity():
     files = sorted((BENCHMARKS / "results").glob("BENCH_*.json"))
-    assert len(files) >= 9
+    # the seven sweep goldens and the perf trajectory
+    assert [path.name for path in files] == [
+        "BENCH_controller.json",
+        "BENCH_failover.json",
+        "BENCH_faults.json",
+        "BENCH_lease.json",
+        "BENCH_perf.json",
+        "BENCH_persist.json",
+        "BENCH_reconfig.json",
+        "BENCH_replication.json",
+    ]
     for path in files:
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert len(gate.index_rows(payload, path.name)) == len(payload["grid"]), path.name
+
+
+def keys_of(node):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield key
+            yield from keys_of(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from keys_of(value)
+
+
+def test_only_the_perf_trajectory_records_wall_clock_time():
+    """A sweep file holds simulated columns and counts, so regenerating it
+    gives the same bytes; wall-clock time is recorded in BENCH_perf.json."""
+    sweeps = sorted(set((BENCHMARKS / "results").glob("BENCH_*.json")) - {BENCHMARKS / "results" / "BENCH_perf.json"})
+    assert len(sweeps) == 7
+    for path in sweeps:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        timed = [key for key in keys_of(payload) if key.endswith(("seconds", "_s"))]
+        assert timed == [], path.name
+    persist = json.loads((BENCHMARKS / "results" / "BENCH_persist.json").read_text(encoding="utf-8"))
+    assert persist["recovery"]["recoveries"] >= persist["recovery"]["rounds"]

@@ -24,7 +24,9 @@ ROOT = Path(__file__).resolve().parents[2]
 #: hand (PR 22), copied once.  Compared as sets: a table yields its names in
 #: table order, and three of the hand-kept lists interleaved their modules.
 #: Since copied, ``repro.consensus`` lost ``consensus_members``: members are
-#: made in one place, ``Protocol.make_consensus_member``.
+#: made in one place, ``Protocol.make_consensus_member``.  ``repro.obs`` lost
+#: ``KernelProfiler``: wall-clock time is measured by the perf harness
+#: (``benchmarks/perf/run.py``) only.
 SEED_ALL = {
     name: names.split()
     for name, names in {
@@ -77,7 +79,7 @@ SEED_ALL = {
     """,
     "repro.obs": """
         CausalEdge Counter Gauge HealthPlane HealthView Histogram InvariantViolation
-        InvariantViolationError KernelProfiler LeaseSafetyMonitor MetricsRegistry MonitorSuite
+        InvariantViolationError LeaseSafetyMonitor MetricsRegistry MonitorSuite
         ObservabilityPlane OnlineMonitor SLOPolicy Span SpanTree chrome_trace_events
         chrome_trace_json default_monitors derive_health derive_registry derive_spans
         joint_quorums_intersect offline_lease_violations render_timeline watch_trace

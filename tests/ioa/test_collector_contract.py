@@ -86,7 +86,7 @@ def reconfig_and_controller():
 
 
 def fully_observed():
-    return plain(obs=ObservabilityPlane(profile=True, monitors=True, health=True))
+    return plain(obs=ObservabilityPlane(monitors=True, health=True))
 
 
 STACKS = {
@@ -94,7 +94,7 @@ STACKS = {
     "replicated": lambda: perf_cell("replicated-stack", 12),
     "chaos": lambda: perf_cell("chaos", 6),
     "reconfig+controller": reconfig_and_controller,
-    "profile+monitors+health": fully_observed,
+    "monitors+health": fully_observed,
 }
 
 

@@ -28,17 +28,11 @@ def invariant_autocheck():
     invariants.check_registered()
 
 
-def run_observed(
-    protocol_name: str,
-    profile: bool = False,
-    monitors=None,
-    health=None,
-    **kwargs,
-):
+def run_observed(protocol_name: str, monitors=None, health=None, **kwargs):
     """Run the fixed workload with a fresh plane; returns ``(handle, plane)``.
 
     ``monitors``/``health`` thread through to :class:`ObservabilityPlane`
     (``True`` for defaults, or a pre-built suite/policy/plane)."""
-    plane = ObservabilityPlane(profile=profile, monitors=monitors, health=health)
+    plane = ObservabilityPlane(monitors=monitors, health=health)
     handle = run_fixed_workload(protocol_name, obs=plane, **kwargs)
     return handle, plane

@@ -64,20 +64,6 @@ def test_determinism_holds_under_chaos_and_a_leader_crash():
     assert run_once() == run_once()
 
 
-def test_profiling_never_perturbs_the_deterministic_artifacts():
-    """A profiled run and an unprofiled run export the very same artifacts —
-    wall clock exists only in the profiler's own report."""
-    profiled_handle, profiled_plane = run_observed(
-        "algorithm-b", profile=True, scheduler=FIFOScheduler(), num_objects=2
-    )
-    plain_handle, plain_plane = run_observed(
-        "algorithm-b", profile=False, scheduler=FIFOScheduler(), num_objects=2
-    )
-    assert artifacts(profiled_handle, profiled_plane) == artifacts(
-        plain_handle, plain_plane
-    )
-
-
 def test_span_derivation_is_idempotent():
     handle, _plane = run_observed("algorithm-b", num_objects=2)
     assert (

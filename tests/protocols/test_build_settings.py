@@ -1,10 +1,10 @@
 """The ratchet on the build's settings and the options nested inside them.
 
 ``BuildConfig`` and ``Protocol.build`` list the same settings, one field and
-one keyword each.  This test pins that list, and one level down the fields of
-the policy objects those settings take: adding, renaming or removing a
-setting or an option means editing the pins here on purpose, in the same
-change.
+one keyword each.  This test pins that list, ``ExperimentConfig``'s fields,
+and one level down the fields of the policy objects those settings take:
+adding, renaming or removing a setting or an option means editing the pins
+here on purpose, in the same change.
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ import inspect
 
 import pytest
 
+from repro.analysis import ExperimentConfig
 from repro.consensus import ControllerPolicy, ReconfigController
 from repro.ioa import TraceMode
-from repro.obs import MetricsRegistry, MonitorSuite, SLOPolicy
+from repro.obs import MetricsRegistry, MonitorSuite, ObservabilityPlane, SLOPolicy
 from repro.persist import PersistencePolicy
 from repro.protocols import BuildConfig, Protocol, get_protocol
 
@@ -52,6 +53,38 @@ def test_build_keywords_are_the_build_config_fields():
     assert keywords == set(SETTINGS)
 
 
+#: the declarative experiment: the build settings it forwards, the workload
+#: and checks around them, and the three listener switches of the obs plane
+EXPERIMENT_FIELDS = (
+    "protocol",
+    "num_readers",
+    "num_writers",
+    "num_objects",
+    "workload",
+    "scheduler",
+    "seed",
+    "c2c",
+    "initial_value",
+    "check_properties",
+    "faults",
+    "replication_factor",
+    "quorum",
+    "consensus_factor",
+    "reconfig",
+    "controller",
+    "observe",
+    "monitors",
+    "health",
+    "trace_mode",
+    "persistence",
+    "leases",
+)
+
+
+def test_experiment_config_fields_are_pinned():
+    assert tuple(field.name for field in dataclasses.fields(ExperimentConfig)) == EXPERIMENT_FIELDS
+
+
 #: the fields of each policy object a setting takes
 SUB_OPTIONS = {
     TraceMode: ("kind", "capacity"),
@@ -68,6 +101,7 @@ def test_policy_fields_are_the_pinned_sub_options(policy):
 
 #: the keywords of the plane pieces a setting builds
 CONSTRUCTOR_KEYWORDS = {
+    ObservabilityPlane: ("monitors", "health"),
     MonitorSuite: ("monitors", "halt_on_violation"),
     MetricsRegistry: (),
     ReconfigController: ("policy", "directory", "name"),

@@ -222,7 +222,7 @@ def test_enabled_leases_confine_changes_to_the_read_path():
 def test_explicit_obs_off_matches_seed(protocol):
     """Passing obs=None explicitly changes nothing, for every protocol: the
     observability plane's byte-identity contract — no observer installed,
-    no mailbox hooks, no profiler."""
+    no mailbox hooks."""
     handle = run_fixed_workload(protocol, scheduler=FIFOScheduler(), num_objects=2, obs=None)
     assert handle.simulation.obs is None
     assert signature_hash(handle) == GOLDEN[protocol]["fifo-2obj"], protocol
@@ -230,12 +230,12 @@ def test_explicit_obs_off_matches_seed(protocol):
 
 @pytest.mark.parametrize("protocol", protocol_names())
 def test_enabled_obs_is_trace_invisible(protocol):
-    """The stronger contract: even an *enabled* plane (with the wall-clock
-    profiler on) leaves the trace byte-identical to the seed — the plane
-    only listens, it never appends actions or perturbs the scheduler."""
+    """The stronger contract: even an *enabled* plane (with the monitors and
+    the health plane on) leaves the trace byte-identical to the seed — the
+    plane only listens, it never appends actions or perturbs the scheduler."""
     from repro.obs import ObservabilityPlane
 
-    plane = ObservabilityPlane(profile=True)
+    plane = ObservabilityPlane(monitors=True, health=True)
     handle = run_fixed_workload(
         protocol, scheduler=FIFOScheduler(), num_objects=2, obs=plane
     )
