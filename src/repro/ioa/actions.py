@@ -22,7 +22,12 @@ Design notes
   (for ``send``/``recv``) and a free-form ``info`` mapping used to tag
   transaction identifiers, phases and protocol-specific annotations (for
   example the number of versions carried by a reply, used by the O-property
-  checker).
+  checker).  The info is stored the way a payload is: sorted ``info_keys``,
+  interned by the simulation's :class:`PayloadLayouts`, and ``info_values``;
+  ``info`` (the pairs) and ``info_map`` are views built on request.  The
+  kernel builds every action it appends from a layout (:func:`new_action`,
+  :meth:`PayloadLayouts.action`), so a retained action owns its values tuple
+  and no ``(key, value)`` pair.
 """
 
 from __future__ import annotations
@@ -107,6 +112,15 @@ def _freeze_payload(payload: Mapping[str, Any]) -> Items:
     return items
 
 
+def _freeze_values(values: Tuple[Any, ...]) -> Tuple[Any, ...]:
+    """``values`` with each ``list``/``set``/``dict`` frozen as
+    :func:`_freeze_payload` freezes it (``values`` itself when none is)."""
+    for value in values:
+        if isinstance(value, _MUTABLE):
+            return tuple(map(_freeze_value, values))
+    return values
+
+
 class FrozenRecord:
     """Base of the per-event records: a frozen dataclass (same ``==``,
     ``hash``, ``repr``; assignment and deletion raise) without the instance
@@ -142,8 +156,8 @@ class FrozenRecord:
 
 def slot_setters(cls: type):
     """The ``__set__`` of each slot of ``cls``: how a record's own ``__init__``
-    (and nothing else but ``Trace.append`` and :meth:`PayloadLayouts.message`)
-    writes its fields."""
+    (and nothing else but ``Trace.append``, :meth:`PayloadLayouts.message`
+    and :func:`new_action`) writes its fields."""
     return (getattr(cls, name).__set__ for name in cls.__slots__)
 
 
@@ -232,7 +246,7 @@ class Message(FrozenRecord):
 
 
 _set_msg_type, _set_src, _set_dst, _set_keys, _set_values, _set_msg_id = slot_setters(Message)
-_new_message = object.__new__
+_new_record = object.__new__
 
 
 def _values_getter(keys: Keys) -> ValuesGetter:
@@ -247,13 +261,14 @@ def _values_getter(keys: Keys) -> ValuesGetter:
 
 
 class PayloadLayouts(dict):
-    """One simulation's payload layouts, interned as its messages are sent.
+    """One simulation's payload layouts, interned as its messages are sent
+    and its actions appended.
 
-    Maps a payload's keys in insertion order to ``(keys, take)``: the sorted
-    key tuple that every message with that key set holds, and the getter of
-    the values in that order.  Every insertion order of one key set maps to
-    the same pair, so a key set is sorted once per simulation rather than
-    once per message.
+    Maps a payload's (or an action info's) keys in insertion order to
+    ``(keys, take)``: the sorted key tuple that every message or action with
+    that key set holds, and the getter of the values in that order.  Every
+    insertion order of one key set maps to the same pair, so a key set is
+    sorted once per simulation rather than once per record.
     """
 
     def __missing__(self, order: Keys) -> Tuple[Keys, ValuesGetter]:
@@ -269,19 +284,23 @@ class PayloadLayouts(dict):
         ``Message(msg_type, src, dst, _freeze_payload(payload), msg_id)``,
         holding its layout's shared ``keys``."""
         keys, take = self[tuple(payload)]
-        values = take(payload)
-        for value in values:
-            if isinstance(value, _MUTABLE):
-                values = tuple(map(_freeze_value, values))
-                break
-        message = _new_message(Message)
+        message = _new_record(Message)
         _set_msg_type(message, msg_type)
         _set_src(message, src)
         _set_dst(message, dst)
         _set_keys(message, keys)
-        _set_values(message, values)
+        _set_values(message, _freeze_values(take(payload)))
         _set_msg_id(message, msg_id)
         return message
+
+    def action(
+        self, kind: ActionKind, actor: str, message: Optional[Message], info: Mapping[str, Any]
+    ) -> Action:
+        """An action a simulation appends: equal to
+        ``Action.make(kind, actor, message, info)``, holding its layout's
+        shared ``info_keys``."""
+        keys, take = self[tuple(info)]
+        return new_action(kind, actor, message, keys, _freeze_values(take(info)))
 
 
 class Action(FrozenRecord):
@@ -291,10 +310,16 @@ class Action(FrozenRecord):
     the trace when the action is appended), ``actor`` is the automaton at
     which the action occurs.  For ``SEND``/``RECV`` actions ``message`` holds
     the message; for ``INVOKE``/``RESPOND``/``INTERNAL`` actions the
-    interesting data lives in ``info``.
+    interesting data lives in the info: its sorted ``info_keys`` (one shared
+    tuple per key set within a simulation) and its ``info_values`` in the
+    same order, ``list``/``set``/``dict`` values frozen one level deep.
+
+    The constructor takes the info as ``info``, a tuple of ``(key, value)``
+    pairs, and ``info`` (built on each read), ``repr`` and pickling show it
+    in that form.
     """
 
-    __slots__ = ("kind", "actor", "message", "info", "index")
+    __slots__ = ("kind", "actor", "message", "info_keys", "info_values", "index")
     _fields = attrgetter(*__slots__)
 
     def __init__(
@@ -303,7 +328,8 @@ class Action(FrozenRecord):
         _set_kind(self, kind)
         _set_actor(self, actor)
         _set_message(self, message)
-        _set_info(self, info)
+        _set_info_keys(self, tuple([key for key, _ in info]))
+        _set_info_values(self, tuple([value for _, value in info]))
         _set_index(self, index)
 
     @classmethod
@@ -318,22 +344,28 @@ class Action(FrozenRecord):
         return cls(kind, actor, message, _freeze_payload(info or {}), index)
 
     @property
+    def info(self) -> Items:
+        """The info as a tuple of ``(key, value)`` pairs, built on each read;
+        look a key up with :meth:`get`."""
+        return tuple(zip(self.info_keys, self.info_values))
+
+    @property
     def info_map(self) -> Mapping[str, Any]:
-        """Read-only mapping view of ``info``."""
-        return MappingProxyType(dict(self.info))
+        """Read-only mapping view of the info."""
+        return MappingProxyType(dict(zip(self.info_keys, self.info_values)))
 
     def get(self, key: str, default: Any = None) -> Any:
-        """Look up ``key`` first in ``info`` then in the message payload."""
-        for info_key, value in self.info:
-            if info_key == key:
-                return value
+        """Look up ``key`` first in the info then in the message payload."""
+        keys = self.info_keys
+        if key in keys:
+            return self.info_values[keys.index(key)]
         if self.message is not None:
             return self.message.get(key, default)
         return default
 
     def with_index(self, index: int) -> "Action":
         """Return a copy of the action positioned at ``index``."""
-        return Action(self.kind, self.actor, self.message, self.info, index)
+        return new_action(self.kind, self.actor, self.message, self.info_keys, self.info_values, index)
 
     def is_external(self) -> bool:
         return self.kind.is_external()
@@ -356,7 +388,8 @@ class Action(FrozenRecord):
             self.kind == other.kind
             and self.actor == other.actor
             and self.message == other.message
-            and self.info == other.info
+            and self.info_keys == other.info_keys
+            and self.info_values == other.info_values
         )
 
     def describe(self) -> str:
@@ -364,16 +397,45 @@ class Action(FrozenRecord):
         parts = [f"{self.kind.value}@{self.actor}"]
         if self.message is not None:
             parts.append(self.message.describe())
-        info = dict(self.info)
-        if info:
-            parts.append(str(info))
+        if self.info_keys:
+            parts.append(str(dict(zip(self.info_keys, self.info_values))))
         return " ".join(parts)
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(kind={self.kind!r}, actor={self.actor!r}, "
+            f"message={self.message!r}, info={self.info!r}, index={self.index!r})"
+        )
+
+    def __reduce__(self):
+        return (type(self), (self.kind, self.actor, self.message, self.info, self.index))
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.describe()
 
 
-_set_kind, _set_actor, _set_message, _set_info, _set_index = slot_setters(Action)
+_set_kind, _set_actor, _set_message, _set_info_keys, _set_info_values, _set_index = slot_setters(Action)
+
+
+def new_action(
+    kind: ActionKind,
+    actor: str,
+    message: Optional[Message] = None,
+    info_keys: Keys = (),
+    info_values: Tuple[Any, ...] = (),
+    index: int = -1,
+) -> Action:
+    """The action with these fields, built without the constructor's split
+    of ``info`` pairs: ``info_keys`` sorted (a layout's shared tuple, when
+    the kernel builds it) and ``info_values`` already frozen."""
+    action = _new_record(Action)
+    _set_kind(action, kind)
+    _set_actor(action, actor)
+    _set_message(action, message)
+    _set_info_keys(action, info_keys)
+    _set_info_values(action, info_values)
+    _set_index(action, index)
+    return action
 
 
 def send_action(message: Message, info: Optional[Mapping[str, Any]] = None) -> Action:

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, List, Mapping, Optional
+from typing import Any, Callable, Generator, List, Mapping, Optional, Tuple
 
-from .actions import Items, Message
+from .actions import Message
 from .errors import SessionError
 
 
@@ -291,8 +291,9 @@ class SessionState:
     sends: int = 0
     finished: bool = False
     result: Any = None
-    #: the info shared by every ``recv`` action this session collects
-    recv_info: Items = ()
+    #: the ``info_values`` shared by every ``recv`` action this session
+    #: collects (their ``info_keys`` are the kernel's ``("session",)``)
+    recv_info: Tuple[Any, ...] = ()
 
     def matches(self, message: Message) -> bool:
         if self.pending_await is None:

@@ -32,16 +32,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .actions import (
-    Action,
-    ActionKind,
-    Items,
-    Message,
-    PayloadLayouts,
-    internal_action,
-    invoke_action,
-    respond_action,
-)
+from .actions import ActionKind, Keys, Message, PayloadLayouts, new_action
 from .automaton import (
     Automaton,
     Await,
@@ -72,9 +63,11 @@ from .scheduler import (
 from .trace import Trace, TraceMode
 
 
-@dataclass
+@dataclass(slots=True)
 class TransactionRecord:
-    """Everything the kernel knows about one submitted transaction."""
+    """Everything the kernel knows about one submitted transaction (slotted:
+    a full run keeps one per transaction, and an instance ``__dict__`` would
+    cost more than its fields)."""
 
     txn_id: Any
     txn: Any
@@ -181,11 +174,16 @@ class Simulation:
         self._enqueue_counter = itertools.count(1)
         #: message ids are a function of the simulation, not the interpreter
         self._msg_ids = itertools.count()
-        #: the info of ``send`` actions, ``(("phase", p),)``: one shared tuple
-        #: per phase label (a few literals) instead of one per message
-        self._phase_info: Dict[str, Items] = {"": ()}
-        #: the key layouts of sent payloads: one shared keys tuple per key set
+        #: the key layouts of sent payloads and appended action infos: one
+        #: shared keys tuple per key set
         self._layouts = PayloadLayouts()
+        #: the info of ``send`` actions, ``{"phase": p}``, as ``(info_keys,
+        #: info_values)``: one shared pair of tuples per phase label (a few
+        #: literals) instead of one values tuple per message
+        self._phase_info: Dict[str, Tuple[Keys, Tuple[str, ...]]] = {"": ((), ())}
+        #: the ``info_keys`` of an in-session ``recv`` (its values are the
+        #: session's :attr:`SessionState.recv_info`)
+        self._session_keys = self._layouts[("session",)][0]
         self._steps_taken = 0
         self._started = False
 
@@ -209,7 +207,7 @@ class Simulation:
             self._client_queues[automaton.name] = deque()
             self._client_order[automaton.name] = next(self._client_order_counter)
         if self._started:
-            self.trace.append(Action.make(ActionKind.START, automaton.name))
+            self.trace.append(new_action(ActionKind.START, automaton.name))
             automaton.on_start(self._contexts[automaton.name])
         return automaton
 
@@ -247,7 +245,7 @@ class Simulation:
         self._frontier.remove_timeouts_for_owner(name)
         if self.fault_plane is not None:
             self.fault_plane.on_remove(name, self)
-        self.trace.append(internal_action(name, {"lifecycle": "retired"}))
+        self._record_internal(name, {"lifecycle": "retired"})
         del self._automata[name]
         del self._contexts[name]
         if self._client_queues.pop(name, None) is not None:
@@ -401,7 +399,7 @@ class Simulation:
         self._started = True
         self.scheduler.reset()
         for name, automaton in self._automata.items():
-            self.trace.append(Action.make(ActionKind.START, name))
+            self.trace.append(new_action(ActionKind.START, name))
             automaton.on_start(self._contexts[name])
 
     def pending_events(self) -> List[PendingEvent]:
@@ -555,7 +553,7 @@ class Simulation:
     def _fire_timeout(self, timeout: PendingTimeout) -> None:
         if self.fault_plane is not None and self.fault_plane.suppress_timeout(timeout, self):
             return
-        self.trace.append(internal_action(timeout.owner, {"timeout": True, **dict(timeout.info)}))
+        self._record_internal(timeout.owner, {"timeout": True, **dict(timeout.info)})
         self.automaton(timeout.owner).on_timeout(dict(timeout.info), self._contexts[timeout.owner])
 
     def _send_from(
@@ -564,10 +562,10 @@ class Simulation:
         self.topology.check_send(src, dst)
         message = self._layouts.message(msg_type, src, dst, payload, next(self._msg_ids))
         try:
-            info = self._phase_info[phase]
+            info_keys, info_values = self._phase_info[phase]
         except KeyError:
-            info = self._phase_info[phase] = (("phase", phase),)
-        self.trace.append(Action(ActionKind.SEND, src, message, info))
+            info_keys, info_values = self._phase_info[phase] = (self._layouts[("phase",)][0], (phase,))
+        self.trace.append(new_action(ActionKind.SEND, src, message, info_keys, info_values))
         if self.fault_plane is None:
             self.enqueue_delivery(message)
         else:
@@ -581,7 +579,7 @@ class Simulation:
         return message
 
     def _record_internal(self, actor: str, info: Mapping[str, Any]) -> None:
-        self.trace.append(internal_action(actor, info))
+        self.trace.append(self._layouts.action(ActionKind.INTERNAL, actor, None, info))
 
     def annotate_transaction(self, txn_id: Any, fields: Mapping[str, Any]) -> None:
         """Attach metadata to a transaction record (public form used by
@@ -621,12 +619,12 @@ class Simulation:
             raise UnknownProcessError(dst)
         session = self._sessions.get(dst)
         if session is not None and session.matches(message):
-            self.trace.append(Action(ActionKind.RECV, dst, message, session.recv_info))
+            self.trace.append(new_action(ActionKind.RECV, dst, message, self._session_keys, session.recv_info))
             session.collected.append(message)
             if session.ready():
                 self._resume_session(session)
             return
-        self.trace.append(Action(ActionKind.RECV, dst, message))
+        self.trace.append(new_action(ActionKind.RECV, dst, message))
         if isinstance(automaton, ClientAutomaton) and not automaton.unmatched_goes_to_handler():
             return
         automaton.on_message(message, self._contexts[dst])
@@ -688,14 +686,16 @@ class Simulation:
             raise WellFormednessError(f"client {client!r} already has an outstanding transaction")
         record = self._records[txn_id]
         action = self.trace.append(
-            invoke_action(client, {"txn": str(txn_id), "txn_kind": getattr(txn, "kind", "txn")})
+            self._layouts.action(
+                ActionKind.INVOKE, client, None, {"txn": str(txn_id), "txn_kind": getattr(txn, "kind", "txn")}
+            )
         )
         record.invoke_index = action.index
         if self.fault_plane is not None:
             record.invoke_vtime = self.fault_plane.now(self)
         ctx = self._contexts[client]
         generator = automaton.run_transaction(txn, ctx)
-        session = SessionState(txn, txn_id, client, generator, recv_info=(("session", str(txn_id)),))
+        session = SessionState(txn, txn_id, client, generator, recv_info=(str(txn_id),))
         self._sessions[client] = session
         # The invoked txn left the queue: watch the next head (it cannot be
         # ready while this session runs — one outstanding txn per client).
@@ -745,7 +745,12 @@ class Simulation:
         session.result = result
         record = self._records[session.txn_id]
         action = self.trace.append(
-            respond_action(session.client, {"txn": str(session.txn_id), "result": _freeze_result(result)})
+            self._layouts.action(
+                ActionKind.RESPOND,
+                session.client,
+                None,
+                {"txn": str(session.txn_id), "result": _freeze_result(result)},
+            )
         )
         record.respond_index = action.index
         record.result = result

@@ -126,8 +126,8 @@ class ObservabilityPlane:
                     registry.histogram("controller.probe_rtt").observe(
                         max(0, simulation.now() - sent)
                     )
-        elif action.kind is ActionKind.INTERNAL and action.info:
-            self._on_internal(dict(action.info))
+        elif action.kind is ActionKind.INTERNAL and action.info_keys:
+            self._on_internal(dict(zip(action.info_keys, action.info_values)))
         if self.health is not None:
             self.health.on_action(action)
         # Monitors run last so a halt_on_violation raise (which aborts the

@@ -218,11 +218,10 @@ def derive_spans(simulation: Simulation) -> SpanTree:
                 txn = message.get("txn")
                 if txn is not None:
                     client_recvs.setdefault(str(txn), []).append(action)
-        elif action.kind is ActionKind.INTERNAL and action.info:
-            info = dict(action.info)
-            if "consensus" in info:
+        elif action.kind is ActionKind.INTERNAL:
+            if "consensus" in action.info_keys:
                 consensus_actions.append(action)
-            elif "reconfig" in info:
+            elif "reconfig" in action.info_keys:
                 reconfig_actions.append(action)
 
     spans: List[Span] = []
@@ -264,7 +263,7 @@ def derive_spans(simulation: Simulation) -> SpanTree:
     # -- consensus spans: applied entries and elections ------------------
     candidacies: Dict[Tuple[str, Any], Action] = {}
     for action in consensus_actions:
-        info = dict(action.info)
+        info = action.info_map
         what = info.get("consensus")
         if what == "apply":
             request = str(info.get("request", ""))
@@ -315,7 +314,7 @@ def derive_spans(simulation: Simulation) -> SpanTree:
     # -- reconfiguration spans: joint window → commit --------------------
     open_joint: Dict[Tuple[str, Any], Action] = {}
     for action in reconfig_actions:
-        info = dict(action.info)
+        info = action.info_map
         what = info.get("reconfig")
         if what in ("joint-begin", "cns-joint-begin"):
             scope = "cns" if what.startswith("cns-") else "replica"
@@ -338,7 +337,7 @@ def derive_spans(simulation: Simulation) -> SpanTree:
                 )
             )
     for (scope, _object_id), action in open_joint.items():
-        info = dict(action.info)
+        info = action.info_map
         spans.append(
             Span(
                 span_id=f"reconfig:{scope}@{action.index}",

@@ -11,14 +11,19 @@ The transaction model is exactly the paper's (Sections 2 and 7.1):
 
 Transactions are plain immutable values; the protocol implementations turn
 them into messages, and the histories/checkers consume them together with
-their results.
+their results.  A full run keeps every transaction and every read result, so
+they are slotted frozen dataclasses (no instance ``__dict__``).  A derived
+view (``WriteTransaction.objects``/``values``, ``ReadResult.as_dict``) is a
+property over a private field declared ``init=False, repr=False,
+compare=False``: filled on the first read with ``object.__setattr__`` and
+shared by every later caller (read, don't mutate), while ``==``, ``hash``
+and ``repr`` still see the declared fields only.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 _txn_counter = itertools.count(1)
@@ -28,7 +33,7 @@ def _next_txn_id(prefix: str) -> str:
     return f"{prefix}{next(_txn_counter)}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReadTransaction:
     """``R(o_{i1}, …, o_{iq})``: read the listed objects."""
 
@@ -55,13 +60,17 @@ class ReadTransaction:
         return f"{self.txn_id}=READ({', '.join(self.objects)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WriteTransaction:
     """``W((o_{i1}, v_{i1}), …)``: update the listed objects with new values."""
 
     updates: Tuple[Tuple[str, Any], ...]
     txn_id: str = ""
     kind: str = field(default="write", init=False)
+    #: the caches behind :attr:`objects` and :attr:`values` (``None`` until
+    #: first read; outside ``==``, ``hash`` and ``repr``)
+    _objects: Optional[Tuple[str, ...]] = field(default=None, init=False, repr=False, compare=False)
+    _values: Optional[Mapping[str, Any]] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.updates:
@@ -73,17 +82,23 @@ class WriteTransaction:
             object.__setattr__(self, "txn_id", _next_txn_id("W"))
         object.__setattr__(self, "updates", tuple(tuple(u) for u in self.updates))
 
-    # The derived views below are computed once per instance: a
-    # ``cached_property`` is not a dataclass field, so ``==``, ``hash`` and
-    # ``repr`` still see ``updates`` only.  The cached objects are shared by
-    # every caller — read, don't mutate.
-    @cached_property
+    @property
     def objects(self) -> Tuple[str, ...]:
-        return tuple(obj for obj, _ in self.updates)
+        """The written objects in ``updates`` order, built once and shared."""
+        objects = self._objects
+        if objects is None:
+            objects = tuple(obj for obj, _ in self.updates)
+            object.__setattr__(self, "_objects", objects)
+        return objects
 
-    @cached_property
+    @property
     def values(self) -> Mapping[str, Any]:
-        return dict(self.updates)
+        """Object→value view of ``updates``, built once and shared (read-only)."""
+        values = self._values
+        if values is None:
+            values = dict(self.updates)
+            object.__setattr__(self, "_values", values)
+        return values
 
     def value_for(self, object_id: str) -> Any:
         return self.values[object_id]
@@ -122,21 +137,27 @@ def write_pairs(pairs: Sequence[Tuple[str, Any]], txn_id: str = "") -> WriteTran
     return WriteTransaction(updates=tuple(pairs), txn_id=txn_id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReadResult:
     """The values returned by a READ transaction, one per requested object."""
 
     values: Tuple[Tuple[str, Any], ...]
+    #: the cache behind :attr:`as_dict` (``None`` until first read; outside
+    #: ``==``, ``hash`` and ``repr``)
+    _as_dict: Optional[Dict[str, Any]] = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, Any]) -> "ReadResult":
         return cls(values=tuple(sorted(mapping.items())))
 
-    @cached_property
+    @property
     def as_dict(self) -> Dict[str, Any]:
-        """Object→value view, built once per instance and shared (read-only;
-        not a dataclass field, so ``==``/``hash``/``repr`` are unaffected)."""
-        return dict(self.values)
+        """Object→value view, built once per instance and shared (read-only)."""
+        as_dict = self._as_dict
+        if as_dict is None:
+            as_dict = dict(self.values)
+            object.__setattr__(self, "_as_dict", as_dict)
+        return as_dict
 
     def value_for(self, object_id: str) -> Any:
         return self.as_dict[object_id]

@@ -4,17 +4,23 @@
 classes; everything else in the repository treats them as the frozen
 dataclasses they used to be.  The twins in ``reference_freeze.py`` *are*
 frozen dataclasses with the same fields, so "same ``==``, ``hash`` and
-``repr``" is checked against what ``dataclasses`` generates.
+``repr``" is checked against what ``dataclasses`` generates.  A message the
+kernel sends and an action it appends are built from an interned layout
+(shared sorted keys plus a values tuple) and must equal their twins built
+from the seed's freeze; an ``ast`` pin keeps the ``info`` pair view to the
+few readers that need the pairs themselves.
 """
 
 from __future__ import annotations
 
+import ast
 import copy
 import gc
 import pickle
 import random
 from collections import OrderedDict, defaultdict
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -256,3 +262,118 @@ def test_a_simulation_shares_each_key_set_and_keeps_no_pairs():
                     type(element) is tuple and len(element) == 2 and element[0] in message.keys
                     for element in referent
                 ), referent
+
+
+# ----------------------------------------------------------------------
+# an action the kernel appends == one built from the seed's freeze
+# ----------------------------------------------------------------------
+kinds = st.sampled_from(list(ActionKind))
+
+
+@settings(max_examples=300, deadline=None)
+@given(payloads, st.randoms(), kinds, st.booleans())
+@example([], random.Random(0), ActionKind.INTERNAL, False)
+@example([("txn", "R1"), ("txn_kind", "read")], random.Random(0), ActionKind.INVOKE, False)
+@example([("z", Tags([1])), ("txn", {"b": 1}), ("key", Marks({3}))], random.Random(1), ActionKind.RECV, True)
+def test_an_appended_action_equals_one_built_from_the_seed_freeze(pairs, rng, kind, with_message):
+    simulation = kernel()
+    message = simulation._send_from("r1", "sx", "read-val", {"txn": "R9", "object": "x"}) if with_message else None
+    twin_message = message and reference.Message("read-val", "r1", "sx", message.items, message.msg_id)
+    orders = [dict(pairs)]
+    rng.shuffle(pairs)  # the same key set in another insertion order
+    orders.append(dict(pairs))
+    for info in orders:
+        if kind is ActionKind.INTERNAL and message is None:
+            simulation._record_internal("r1", info)
+            appended = simulation.trace[-1]
+        else:
+            appended = simulation.trace.append(simulation._layouts.action(kind, "r1", message, info))
+        frozen = reference.reference_freeze_payload(info)
+        built = Action(kind, "r1", message, frozen, appended.index)
+        twin = reference.Action(kind, "r1", twin_message, frozen, appended.index)
+        assert appended == built and not appended != built
+        assert hash_or_error(appended) == hash_or_error(built)
+        assert (hash_or_error(twin) is TypeError) == (hash_or_error(appended) is TypeError)
+        assert repr(appended) == repr(built) == repr(twin)
+        assert appended.info == frozen == twin.info
+        assert [type(v) for _, v in appended.info] == [type(v) for _, v in frozen]
+        assert appended.info_map == dict(frozen)
+        payload = message.payload if message is not None else {}
+        for key in ("txn", "z", "object", "absent"):
+            expected = dict(frozen)[key] if key in dict(frozen) else payload.get(key)
+            assert appended.get(key) == expected
+            fallback = dict(frozen)[key] if key in dict(frozen) else payload.get(key, "default")
+            assert appended.get(key, "default") == fallback
+        assert appended.same_step(built.with_index(99)) and built.same_step(appended)
+        moved = appended.with_index(appended.index + 7)
+        assert moved == Action(kind, "r1", message, frozen, appended.index + 7)
+        assert moved.info_keys is appended.info_keys and moved.same_step(appended)
+        for clone in (copy.copy(appended), copy.deepcopy(appended), pickle.loads(pickle.dumps(appended))):
+            assert clone == appended and repr(clone) == repr(appended)
+            assert hash_or_error(clone) == hash_or_error(appended)
+
+
+def test_a_simulation_shares_each_info_key_set_and_keeps_no_pairs():
+    """What a retained action costs: its info values, not one pair per key."""
+    simulation = kernel()
+    simulation._record_internal("r1", {"txn": "R1", "object": "x"})
+    simulation._record_internal("sx", {"object": "y", "txn": "R2"})
+    first, again = simulation.trace[-2], simulation.trace[-1]
+    assert first.info_keys == ("object", "txn") and again.info_keys is first.info_keys
+
+    protocol = get_protocol("algorithm-b")
+    handle = protocol.build(num_readers=2, num_writers=2, num_objects=3, seed=7)
+    spec = WorkloadSpec(reads_per_reader=20, writes_per_writer=5, seed=7)
+    submit_workload(handle, generate_workload(spec, handle.readers, handle.writers, handle.objects))
+    handle.run()
+    shared = {}
+    seen = set()
+    for action in handle.simulation.trace:
+        keys = action.info_keys
+        assert shared.setdefault(frozenset(keys), keys) is keys
+        seen.add((action.kind, keys))
+        for referent in gc.get_referents(action):
+            if isinstance(referent, tuple) and referent is not keys:
+                pairs = (referent,) + tuple(e for e in referent if type(e) is tuple)
+                assert not any(len(p) == 2 and p[0] in keys for p in pairs), referent
+    assert {kind for kind, keys in seen if keys} == {
+        ActionKind.SEND, ActionKind.RECV, ActionKind.INVOKE, ActionKind.RESPOND
+    }
+
+
+# ----------------------------------------------------------------------
+# no per-action code rebuilds the pair view
+# ----------------------------------------------------------------------
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+def info_readers():
+    """Every ``<expr>.info`` read under ``src/repro``, as ``(module,
+    enclosing scope, receiver)``."""
+    found = set()
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    inner = scope + (child.name,)
+                elif isinstance(child, ast.Attribute) and child.attr == "info":
+                    found.add((module, ".".join(scope), ast.unparse(child.value)))
+                visit(child, inner)
+
+        visit(ast.parse(path.read_text(encoding="utf-8")), ())
+    return found
+
+
+def test_only_the_action_and_the_trace_signature_read_the_info_pairs():
+    assert info_readers() == {
+        ("repro/ioa/actions.py", "Action.__repr__", "self"),
+        ("repro/ioa/actions.py", "Action.__reduce__", "self"),
+        ("repro/ioa/trace.py", "Trace.signature", "action"),
+        # not an action's info: a timer's keyword dict and a Mark's mapping
+        ("repro/ioa/simulation.py", "Simulation.reschedule_timeout", "timeout"),
+        ("repro/ioa/simulation.py", "Simulation._fire_timeout", "timeout"),
+        ("repro/ioa/simulation.py", "Simulation._advance_session", "effect"),
+    }
