@@ -1,19 +1,15 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helper for the paper-figure benchmarks.
 
-Every benchmark regenerates one of the paper's tables or figures (or one of
-the extension experiments listed in DESIGN.md).  Besides timing the
-regeneration with pytest-benchmark, each bench *prints* the regenerated
-table/series and also writes it to ``benchmarks/results/<name>.txt`` so the
-outputs survive output capturing and land next to the timing numbers in
-``bench_output.txt`` runs.
+Each figure bench regenerates one of the paper's tables or figures.  Besides
+timing the regeneration with pytest-benchmark, it *prints* the regenerated
+table and also writes it to ``benchmarks/results/<name>.txt`` so the output
+survives output capturing.  The filed suites' ``BENCH_<name>.json`` files are
+written by ``python -m repro.analysis`` instead.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
-from typing import Any
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -24,16 +20,3 @@ def emit(name: str, text: str) -> None:
     print(banner + text + "\n")
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
-
-
-def emit_json(name: str, payload: Any) -> Path:
-    """Persist a machine-readable result as ``benchmarks/results/BENCH_<name>.json``.
-
-    These files are the cross-PR perf/behaviour trajectory: stable keys, sorted,
-    newline-terminated, so diffs between runs stay reviewable.
-    """
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    path = RESULTS_DIR / f"BENCH_{name}.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"[benchutil] wrote {path}")
-    return path

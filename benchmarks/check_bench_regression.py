@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Bench-regression gate: diff regenerated BENCH_*.json against HEAD.
 
-The bench-smoke CI job reruns the sweep scripts, which rewrites
+The bench-smoke CI job runs ``python -m repro.analysis``, which rewrites
 ``benchmarks/results/BENCH_*.json`` in the working tree; this script then
 compares each file with the version committed at ``HEAD``.  Every column of
-the seven sweep files is deterministic per seed and pinned for equality by
+the filed suites' files is deterministic per seed and pinned for equality by
 tier-1 (``tests/analysis/test_suite_golden.py``), so what is left here is
 row identity and the perf trajectory.
 

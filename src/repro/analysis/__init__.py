@@ -1,7 +1,8 @@
 """Experiment harness: workloads, runner, metrics, suites and reporting.
 
-The suite declarations themselves (``FAULTS``, ``FAILOVER``, …) live in
-:mod:`repro.analysis.sweep`.
+The suite declarations themselves (``FAULTS``, ``FAILOVER``, …) and their
+expectation predicates live in :mod:`repro.analysis.sweep`;
+``python -m repro.analysis [NAME ...]`` regenerates the filed suites.
 """
 
 from .._lazy import lazy_exports
@@ -16,15 +17,14 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ),
         "report": (
             "LATENCY_HEADERS", "format_latency_comparison", "format_markdown_table",
-            "format_series", "format_table", "latency_comparison_rows",
+            "format_table", "latency_comparison_rows",
         ),
         "runner": (
             "ExperimentConfig", "ExperimentResult", "compare_protocols", "make_scheduler",
             "register_scheduler", "run_experiment", "run_many", "scheduler_names",
         ),
         "sweep": (
-            "GRID_SUITES", "Suite", "SuiteResult", "SweepPoint", "SweepResult", "bench_payload",
-            "run_suite", "suite_rows",
+            "GRID_SUITES", "Suite", "SuiteResult", "bench_payload", "run_suite", "suite_rows",
         ),
         "workload": (
             "GeneratedWorkload", "WorkloadSpec", "generate_workload", "read_heavy_spec",

@@ -34,7 +34,8 @@ class TransactionMetrics:
     rounds: int
     messages_sent: int
     latency_steps: Optional[int]
-    versions: int = 1
+    #: versions in the largest reply; ``None`` for a READ on a partial trace
+    versions: Optional[int] = 1
     annotations: Tuple[Tuple[str, Any], ...] = ()
 
     def describe(self) -> str:
@@ -503,7 +504,11 @@ class ExperimentMetrics:
     def max_read_rounds(self) -> int:
         return int(self.read_rounds.maximum) if self.read_rounds.count else 0
 
-    def max_versions(self) -> int:
+    def max_versions(self) -> Optional[int]:
+        """Versions in the largest READ reply; ``None`` when some READ's count
+        is unknown (its replies left a partial trace's window)."""
+        if any(t.versions is None for t in self.reads()):
+            return None
         return int(self.read_versions.maximum) if self.read_versions.count else 1
 
     def describe(self) -> str:
@@ -533,11 +538,16 @@ class ExperimentMetrics:
 
 def _versions_for_record(
     simulation: Simulation, record: TransactionRecord, servers: Sequence[str]
-) -> int:
+) -> Optional[int]:
+    """Versions in the READ's largest reply, read off the trace's replies —
+    ``None`` on a partial trace, where the replies may have left the window
+    and "no reply seen" would read as one version."""
     from ..core.snow import versions_in_replies
 
     if not isinstance(record.txn, ReadTransaction):
         return 1
+    if not simulation.trace.is_full():
+        return None
     max_versions, _replies = versions_in_replies(
         simulation.trace, str(record.txn_id), record.client, servers
     )
@@ -790,7 +800,7 @@ def collect_metrics(
             [t.latency_steps for t in reads if t.latency_steps is not None]
         ),
         read_messages=AggregateStats.from_values([t.messages_sent for t in reads]),
-        read_versions=AggregateStats.from_values([t.versions for t in reads]),
+        read_versions=AggregateStats.from_values([t.versions for t in reads if t.versions is not None]),
         write_latency_steps=AggregateStats.from_values(
             [t.latency_steps for t in writes if t.latency_steps is not None]
         ),

@@ -1,16 +1,15 @@
-"""Plain-text table and series rendering for benchmark output.
+"""Plain-text table rendering for benchmark output.
 
-The benchmark harness prints the same kinds of rows the paper reports:
-the Figure 1 matrices, a latency comparison across protocols (the paper's
-"READ transactions should match simple reads" argument made quantitative),
-and parameter-sweep series (versions returned vs. concurrent writers,
-collect rounds vs. contention).  Everything is plain text so the benches can
-``print`` it and the outputs land verbatim in ``bench_output.txt``.
+The benchmarks print the same kinds of rows the paper reports: the Figure 1
+matrices, a latency comparison across protocols (the paper's "READ
+transactions should match simple reads" argument made quantitative), and a
+filed suite's rows (``python -m repro.analysis``).  Everything is plain text
+so it can be ``print``-ed and diffed.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, List, Sequence
 
 from .metrics import ExperimentMetrics
 from .runner import ExperimentResult
@@ -84,29 +83,3 @@ LATENCY_HEADERS = (
 
 def format_latency_comparison(results: Sequence[ExperimentResult], title: str = "READ latency comparison") -> str:
     return format_table(LATENCY_HEADERS, latency_comparison_rows(results), title=title)
-
-
-def format_series(
-    x_label: str,
-    series: Mapping[str, Sequence[Tuple[Any, Any]]],
-    title: str = "",
-) -> str:
-    """Render one or more (x, y) series as an aligned text table.
-
-    ``series`` maps a series name to its (x, y) points; x values are unioned
-    and each series column shows its value at that x (or blank).
-    """
-    xs: List[Any] = []
-    for points in series.values():
-        for x, _ in points:
-            if x not in xs:
-                xs.append(x)
-    headers = [x_label] + list(series)
-    rows = []
-    for x in xs:
-        row: List[Any] = [x]
-        for name in series:
-            value = dict(series[name]).get(x, "")
-            row.append(value)
-        rows.append(row)
-    return format_table(headers, rows, title=title)

@@ -1,29 +1,31 @@
-"""Experiment suites: declared grids, one runner, one row projector.
+"""Experiment suites: declared grids, one runner, one row projector, claims as data.
 
 Everything beyond the paper's two summary matrices reaches the reader as a
 table — SNOW verdict, rounds, versions, availability per protocol × setting.
 A table is declared once as a frozen :class:`Suite` (who runs, on which axes,
 what every cell shares, what an axis value changes, which metric blocks the
-row carries) and produced by the same three steps whatever the plane:
+row carries, and what the rows must show) and produced by the same steps
+whatever the plane:
 
 * :func:`run_suite` — the one grid loop: protocols × axis values, one
   :func:`~repro.analysis.runner.run_experiment` per cell;
-* :func:`suite_rows` — the one projector: a cell's JSON-ready row, tracked
-  across PRs as ``benchmarks/results/BENCH_<suite.name>.json``
-  (:func:`bench_payload`) and pinned column for column by
-  ``tests/analysis/test_suite_golden.py``;
-* :meth:`SuiteResult.series` — a one-axis suite read as per-protocol series
-  (the figure-shaped benchmarks: versions vs. writers, rounds vs. contention,
-  latency vs. read fan-out).
+* :func:`suite_rows` — the one projector: a cell's JSON-ready row, filed as
+  ``benchmarks/results/BENCH_<suite.name>.json`` (:func:`bench_payload`) and
+  pinned column for column by ``tests/analysis/test_suite_golden.py``;
+* :func:`check` — the suite's ``expect`` predicates (:class:`holds`,
+  :class:`paired`, :class:`non_decreasing`, :class:`equal_across`) over those
+  rows: the labels of the claims the rows break.
 
-The declarations are the module constants below (:data:`GRID_SUITES` lists
-the seven that own a BENCH file); a variation for a test or a notebook is
-``dataclasses.replace(SUITE, ...)``.
+``python -m repro.analysis [NAME ...]`` regenerates, prints and checks the
+filed suites.  The declarations are the module constants below
+(:data:`GRID_SUITES` lists the nine that own a BENCH file); a variation for a
+test or a notebook is ``dataclasses.replace(SUITE, ...)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import KW_ONLY, dataclass, field, replace
 from itertools import product
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -58,6 +60,10 @@ RUN_COLUMNS: Dict[str, Callable[[ExperimentResult], Any]] = {
     "completed_reads_mean_latency_steps": lambda result: _read_latency(result, "mean"),
     "completed_reads_p95_latency_steps": lambda result: _read_latency(result, "p95"),
     "client_read_latency_mean": lambda result: _read_latency(result, "mean"),
+    "max_versions": lambda result: result.metrics.max_versions(),
+    "max_concurrent_writes": lambda result: max(
+        (result.history.max_concurrent_writes(entry) for entry in result.history.reads()), default=0
+    ),
 }
 
 
@@ -71,7 +77,8 @@ class Suite:
     and workload alike).  Its row carries the axis values, the SNOW verdict,
     the chosen :data:`RUN_COLUMNS` and, per entry of ``blocks``, the named
     metric block's ``as_dict()`` (all of it, or the listed keys) when the
-    run produced that block.
+    run produced that block.  ``expect`` states what those rows must show,
+    each predicate labelled with the reason it must (see :func:`check`).
     """
 
     #: for a grid suite also its file, ``benchmarks/results/BENCH_<name>.json``
@@ -86,48 +93,7 @@ class Suite:
     vary: Callable[..., Mapping[str, Any]]
     columns: Tuple[str, ...] = ()
     blocks: Tuple[Tuple[str, Optional[Tuple[str, ...]]], ...] = ()
-
-
-@dataclass
-class SweepPoint:
-    """One (x, result) point of a series."""
-
-    x: Any
-    result: ExperimentResult
-
-    @property
-    def metrics(self):
-        return self.result.metrics
-
-
-@dataclass
-class SweepResult:
-    """A named series of sweep points."""
-
-    name: str
-    x_label: str
-    points: List[SweepPoint]
-
-    def series(self, extractor) -> List[Tuple[Any, Any]]:
-        return [(point.x, extractor(point.result)) for point in self.points]
-
-    def max_versions_series(self) -> List[Tuple[Any, int]]:
-        return self.series(lambda r: r.metrics.max_versions())
-
-    def max_rounds_series(self) -> List[Tuple[Any, int]]:
-        return self.series(lambda r: r.metrics.max_read_rounds())
-
-    def mean_rounds_series(self) -> List[Tuple[Any, float]]:
-        return self.series(
-            lambda r: round(r.metrics.read_rounds.mean, 2) if r.metrics.read_rounds.count else 0.0
-        )
-
-    def mean_read_latency_series(self) -> List[Tuple[Any, float]]:
-        return self.series(
-            lambda r: round(r.metrics.read_latency_steps.mean, 1)
-            if r.metrics.read_latency_steps.count
-            else 0.0
-        )
+    expect: Tuple["Expectation", ...] = ()
 
 
 @dataclass
@@ -136,22 +102,6 @@ class SuiteResult:
 
     suite: Suite
     cells: Dict[Tuple[Any, ...], ExperimentResult]
-
-    def series(self) -> Dict[str, SweepResult]:
-        """Per protocol, the cells of a one-axis suite as a series over that axis."""
-        (x_label,) = self.suite.axes
-        return {
-            protocol: SweepResult(
-                name=f"{protocol}: {self.suite.name}",
-                x_label=x_label,
-                points=[
-                    SweepPoint(x=x, result=result)
-                    for (cell_protocol, x), result in self.cells.items()
-                    if cell_protocol == protocol
-                ],
-            )
-            for protocol in self.suite.protocols
-        }
 
 
 def run_suite(suite: Suite) -> SuiteResult:
@@ -212,6 +162,166 @@ def bench_payload(suite: Suite, rows: List[Dict[str, Any]]) -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
+# Expectations: what a suite's rows must show
+# ----------------------------------------------------------------------
+Row = Mapping[str, Any]
+
+_ORDERINGS: Dict[str, Callable[[Any, Any], bool]] = {
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge
+}
+#: the comparisons a predicate may name
+_OPS: Dict[str, Callable[[Any, Any], bool]] = {
+    "==": operator.eq, "!=": operator.ne, "in": lambda value, allowed: value in allowed, **_ORDERINGS
+}
+
+
+def _compare(left: Any, op: str, right: Any) -> bool:
+    """``left op right``; an ordering with a missing cell (``None``) fails."""
+    if op in _ORDERINGS and (left is None or right is None):
+        return False
+    return _OPS[op](left, right)
+
+
+def _selects(row: Row, where: Mapping[str, Any]) -> bool:
+    """Does ``row`` match ``where`` (column → a value, or a tuple of values)?"""
+    return all(
+        row.get(column) in wanted if isinstance(wanted, tuple) else row.get(column) == wanted
+        for column, wanted in where.items()
+    )
+
+
+def _twins(rows: Sequence[Row], where: Mapping[str, Any], identity: Sequence[str], axis: str) -> List[List[Row]]:
+    """The rows matching ``where``, grouped by their identity columns other
+    than ``axis``; a group keeps row order, i.e. the axis's declared order."""
+    groups: Dict[Tuple[Any, ...], List[Row]] = {}
+    for row in rows:
+        if _selects(row, where):
+            key = tuple(row.get(column) for column in identity if column != axis)
+            groups.setdefault(key, []).append(row)
+    return list(groups.values())
+
+
+def _sequences(rows, where, identity, axis: str, column: str) -> List[List[Any]]:
+    """Per group of twins along ``axis`` with more than one row, its ``column``."""
+    return [[row.get(column) for row in group] for group in _twins(rows, where, identity, axis) if len(group) > 1]
+
+
+class Expectation:
+    """A labelled claim over a suite's rows.  It selects cases — rows, pairs
+    of twin rows, or sequences along an axis — and holds when every case
+    passes.  A column a row lacks reads as ``None``; ``where`` maps a column
+    to the value (or tuple of values) a selected row has there."""
+
+    label: str
+
+    def cases(self, rows: Sequence[Row], identity: Sequence[str]) -> List[Any]:
+        raise NotImplementedError
+
+    def passes(self, case: Any) -> bool:
+        raise NotImplementedError
+
+
+@dataclass(frozen=True)
+class col:
+    """``holds``' right-hand side read from another column of the same row."""
+
+    name: str
+
+
+@dataclass(frozen=True)
+class holds(Expectation):
+    """Every row matching ``where``: ``row[column] op value`` (a :class:`col`
+    value reads that column of the row)."""
+
+    column: str
+    op: str
+    value: Any
+    _: KW_ONLY
+    where: Mapping[str, Any] = field(default_factory=dict)
+    label: str
+
+    def cases(self, rows, identity):
+        return [row for row in rows if _selects(row, self.where)]
+
+    def passes(self, row):
+        value = row.get(self.value.name) if isinstance(self.value, col) else self.value
+        return _compare(row.get(self.column), self.op, value)
+
+
+@dataclass(frozen=True)
+class paired(Expectation):
+    """``axis`` is ``(name, mine, theirs)``: each row at ``name == mine``
+    against its twin at ``theirs`` — equal on every other identity column —
+    as ``row[column] op twin[other or column]``."""
+
+    column: str
+    op: str
+    axis: Tuple[str, Any, Any]
+    other: Optional[str] = None
+    _: KW_ONLY
+    where: Mapping[str, Any] = field(default_factory=dict)
+    label: str
+
+    def cases(self, rows, identity):
+        name, mine, theirs = self.axis
+        pairs = []
+        for group in _twins(rows, self.where, identity, name):
+            by_value = {row.get(name): row for row in group}
+            if mine in by_value and theirs in by_value:
+                pairs.append((by_value[mine], by_value[theirs]))
+        return pairs
+
+    def passes(self, pair):
+        row, twin = pair
+        return _compare(row.get(self.column), self.op, twin.get(self.other or self.column))
+
+
+@dataclass(frozen=True)
+class non_decreasing(Expectation):
+    """Along ``along``'s declared order, among twins: ``column`` never decreases."""
+
+    column: str
+    along: str
+    _: KW_ONLY
+    where: Mapping[str, Any] = field(default_factory=dict)
+    label: str
+
+    def cases(self, rows, identity):
+        return _sequences(rows, self.where, identity, self.along, self.column)
+
+    def passes(self, values):
+        return all(_compare(a, "<=", b) for a, b in zip(values, values[1:]))
+
+
+@dataclass(frozen=True)
+class equal_across(Expectation):
+    """Across ``axis``, among twins: ``column`` takes one value."""
+
+    column: str
+    axis: str
+    _: KW_ONLY
+    where: Mapping[str, Any] = field(default_factory=dict)
+    label: str
+
+    def cases(self, rows, identity):
+        return _sequences(rows, self.where, identity, self.axis, self.column)
+
+    def passes(self, values):
+        return all(value == values[0] for value in values)
+
+
+def check(suite: Suite, rows: Sequence[Row]) -> List[str]:
+    """The labels of the ``suite.expect`` claims that ``rows`` break, in
+    declaration order: ``[]`` when every claim holds."""
+    identity = ("protocol", *suite.axes)
+    return [
+        expectation.label
+        for expectation in suite.expect
+        if not all(expectation.passes(case) for case in expectation.cases(rows, identity))
+    ]
+
+
+# ----------------------------------------------------------------------
 # The grid suites (one BENCH file each)
 # ----------------------------------------------------------------------
 #: what every grid cell shares: 2 readers / 2 writers / 2 objects (the
@@ -246,11 +356,16 @@ def _fault_scenarios(seed: int) -> Dict[str, FaultPlan]:
     return scenarios
 
 
+#: the partition scenarios, in declared order: durations ascend
+_PARTITIONS = tuple(name for name in _fault_scenarios(0) if name.startswith("partition-"))
+
 #: The chaos grid: every protocol under every named fault scenario.  The
 #: fault-free ``none`` column doubles as the baseline the degradation numbers
 #: are relative to; ``consistent`` (did S survive, over the completed
 #: transactions) next to ``availability`` (what fraction completed) is the
-#: CAP-style column pair.
+#: CAP-style column pair.  Latency degrades under slow and lossy networks
+#: while availability stays 1.0 (retry heals fair loss); a fail-stop costs
+#: availability; a healed partition costs only latency, more the longer it is.
 FAULTS = Suite(
     name="faults",
     protocols=("simple-rw", "algorithm-b", "algorithm-c", "eiger"),
@@ -266,6 +381,24 @@ FAULTS = Suite(
         "total_messages",
     ),
     blocks=(("faults", None),),
+    expect=(
+        holds("availability", "==", 1.0,
+              where={"scenario": ("none", "slow-network", "tail-latency", "lossy", "dup-happy", "crash-recover")},
+              label="fault-free and heal-able scenarios lose nothing"),
+        holds("availability", "==", 1.0, where={"scenario": _PARTITIONS},
+              label="a healed partition loses nothing: the transport parks messages and redelivers at the heal"),
+        holds("partition_duration", "in", PARTITION_DURATIONS, where={"scenario": _PARTITIONS},
+              label="a partition cell reports its duration"),
+        holds("retransmissions", ">", 0, where={"scenario": "lossy"},
+              label="the lossy network needed the retry layer"),
+        holds("availability", "<", 1.0, where={"scenario": "fail-stop"},
+              label="a dead shard costs availability: reads spanning it never finish"),
+        paired("read_latency_virtual_mean", ">", axis=("scenario", "slow-network", "none"),
+               label="a slow network degrades virtual-clock read latency against the fault-free cell"),
+        non_decreasing("read_latency_virtual_p95", along="scenario",
+                       where={"scenario": tuple(n for n in _PARTITIONS if n.startswith("partition-client-shard-"))},
+                       label="a longer client-shard outage delays completions at least as much as a shorter one"),
+    ),
 )
 
 
@@ -286,7 +419,9 @@ def _replica_crash(seed: int, factor: int, scenario: str) -> Dict[str, Any]:
     }
 
 
-#: The replication grid: protocol × replication factor × replica fate.
+#: The replication grid: protocol × replication factor × replica fate.  At
+#: factor 3 with majority quorums the crash column matches the fault-free
+#: one: SNOW verdicts measured *through* a replica outage.
 REPLICATION = Suite(
     name="replication",
     protocols=("algorithm-a", "algorithm-b", "algorithm-c"),
@@ -296,6 +431,26 @@ REPLICATION = Suite(
     vary=_replica_crash,
     columns=("quorum", "max_read_rounds", "total_messages"),
     blocks=(("faults", _AVAILABILITY), ("replication", None)),
+    expect=(
+        equal_across("snow", "replication_factor", where={"scenario": "none"},
+                     label="fault-free cells give one SNOW verdict at every factor"),
+        holds("availability", "==", 1.0, where={"scenario": "none"},
+              label="fault-free cells are fully available at every factor"),
+        holds("availability", "<", 1.0, where={"replication_factor": 1, "scenario": "crash-replica"},
+              label="factor 1: the crashed replica was the only copy"),
+        holds("availability", "==", 1.0, where={"replication_factor": 3, "scenario": "crash-replica"},
+              label="factor 3: the majority quorum absorbs the outage"),
+        paired("snow", "==", axis=("scenario", "crash-replica", "none"), where={"replication_factor": 3},
+               label="factor 3: the crash cell keeps the fault-free SNOW verdict"),
+        holds("consistent", "==", True, where={"replication_factor": 3, "scenario": "crash-replica"},
+              label="factor 3: the crash cell stays strictly serializable"),
+        holds("read_quorum", "==", 2, where={"replication_factor": 3},
+              label="factor 3: a majority read quorum is 2"),
+        holds("write_quorum", "==", 2, where={"replication_factor": 3},
+              label="factor 3: a majority write quorum is 2"),
+        holds("read_quorum_replies_mean", "!=", None, where={"replication_factor": 3},
+              label="factor 3: a READ's quorum replies are counted"),
+    ),
 )
 
 
@@ -311,7 +466,9 @@ def _leader_crash(seed: int, factor: int, scenario: str) -> Dict[str, Any]:
     return {"faults": plan, "consensus_factor": factor}
 
 
-#: The failover grid: protocol × consensus factor × coordinator fate.
+#: The failover grid: protocol × consensus factor × coordinator fate.  At
+#: factor 3 the survivors elect a new leader after a bounded leaderless
+#: window: coordinator failover with unchanged verdicts.
 FAILOVER = Suite(
     name="failover",
     protocols=_COORDINATOR_PROTOCOLS,
@@ -321,6 +478,28 @@ FAILOVER = Suite(
     vary=_leader_crash,
     columns=("max_read_rounds", "total_messages"),
     blocks=(("faults", _AVAILABILITY), ("consensus", None)),
+    expect=(
+        holds("availability", "==", 1.0, where={"scenario": "none"},
+              label="fault-free cells are fully available at every factor"),
+        holds("elections", "==", 0, where={"consensus_factor": 3, "scenario": "none"},
+              label="factor 3 fault-free: the bootstrap leader just leads, no election"),
+        holds("availability", "<", 1.0, where={"consensus_factor": 1, "scenario": "crash-leader"},
+              label="factor 1: the crashed leader was the single designated coordinator"),
+        holds("availability", "==", 1.0, where={"consensus_factor": 3, "scenario": "crash-leader"},
+              label="factor 3: the survivors elect a new leader and complete every transaction"),
+        paired("snow", "==", axis=("scenario", "crash-leader", "none"), where={"consensus_factor": 3},
+               label="factor 3: the crash cell keeps the fault-free SNOW verdict"),
+        holds("consistent", "==", True, where={"consensus_factor": 3, "scenario": "crash-leader"},
+              label="factor 3: the crash cell stays strictly serializable"),
+        holds("leaders_elected", ">=", 1, where={"consensus_factor": 3, "scenario": "crash-leader"},
+              label="factor 3: a successor leader is elected"),
+        holds("max_term", ">=", 2, where={"consensus_factor": 3, "scenario": "crash-leader"},
+              label="factor 3: the successor leads a later term"),
+        holds("consensus_members", "==", 3, where={"consensus_factor": 3},
+              label="factor 3: three consensus members are counted"),
+        holds("commit_latency_mean", "!=", None, where={"consensus_factor": 3},
+              label="factor 3: the consensus rounds' commit latency is measured"),
+    ),
 )
 
 _PERSISTENCE_MODES: Dict[str, Optional[PersistencePolicy]] = {
@@ -345,7 +524,12 @@ def _amnesia(seed: int, mode: str, scenario: str) -> Dict[str, Any]:
     return {"faults": plan, "persistence": _PERSISTENCE_MODES[mode]}
 
 
-#: The durability grid: protocol × persistence mode × member fate.
+#: The durability grid: protocol × persistence mode × member fate.  Every
+#: cell matches the fault-free verdicts with availability 1.0; the volatile
+#: amnesia cells stay safe on these schedules too (the grid seeds recover
+#: between elections; the *hazard* is the strict xfail in
+#: ``tests/consensus/test_chaos_grid.py``); compaction keeps
+#: ``retained_entries`` bounded.
 PERSIST = Suite(
     name="persist",
     protocols=_COORDINATOR_PROTOCOLS,
@@ -359,6 +543,25 @@ PERSIST = Suite(
         ("consensus", ("elections", "max_term")),
         ("persistence", None),
     ),
+    expect=(
+        equal_across("snow", "persistence", where={"scenario": "none"},
+                     label="attaching a store, with or without compaction, leaves the fault-free verdict unchanged"),
+        holds("availability", "==", 1.0, where={"scenario": "none"},
+              label="fault-free cells are fully available in every mode"),
+        holds("availability", "==", 1.0, where={"scenario": "amnesia-member"},
+              label="an amnesiac crash recovers to full availability in every mode"),
+        paired("snow", "==", axis=("scenario", "amnesia-member", "none"),
+               label="an amnesiac crash keeps the fault-free SNOW verdict"),
+        holds("recoveries", ">=", 1,
+              where={"persistence": ("durable", "durable+compact"), "scenario": "amnesia-member"},
+              label="a durable member took the recovery path"),
+        holds("checkpoints", ">=", 1, where={"persistence": "durable+compact", "scenario": "none"},
+              label="compaction cut a checkpoint"),
+        holds("compacted_entries", ">", 0, where={"persistence": "durable+compact", "scenario": "none"},
+              label="compaction compacted log entries"),
+        holds("retained_entries", "<", col("log_length"), where={"persistence": "durable+compact", "scenario": "none"},
+              label="compaction bounds the retained log suffix"),
+    ),
 )
 
 
@@ -371,9 +574,14 @@ def _leased(seed: int, mode: str, scenario: str) -> Dict[str, Any]:
     return {"faults": plan, "leases": True if mode == "leased" else None}
 
 
+#: the protocols with a read-only coordinator request (``get-tag-arr``) to serve under a lease
+_LEASED_READS = ("algorithm-b", "algorithm-c")
+
 #: The leader-lease grid: protocol × lease mode × coordinator fate, fully
-#: replicated.  Protocols whose coordinator requests all mutate (OCC's
-#: ``get-ts`` mints a timestamp) pin the null effect — the knob changes
+#: replicated.  Where reads reach the coordinator as read-only requests the
+#: leased read latency lands below the unleased commit latency, with every
+#: verdict column unchanged.  Protocols whose coordinator requests all mutate
+#: (OCC's ``get-ts`` mints a timestamp) pin the null effect — the knob changes
 #: nothing, and the lease columns (present only on lease activity) are absent.
 LEASE = Suite(
     name="lease",
@@ -402,6 +610,31 @@ LEASE = Suite(
                 "lease_read_latency_p95",
             ),
         ),
+    ),
+    expect=(
+        paired("snow", "==", axis=("leases", "leased", "none"),
+               label="the fast path leaves the SNOW verdict unchanged"),
+        paired("consistent", "==", axis=("leases", "leased", "none"),
+               label="the fast path leaves strict serializability unchanged"),
+        paired("max_read_rounds", "==", axis=("leases", "leased", "none"),
+               label="the fast path leaves the Lemma-20 read rounds unchanged"),
+        holds("availability", "==", 1.0, label="every cell is fully available, leased or not"),
+        holds("local_reads", ">=", 1, where={"protocol": _LEASED_READS, "leases": "leased"},
+              label="B and C serve reads locally under the lease"),
+        holds("lease_acquisitions", ">=", 1, where={"protocol": _LEASED_READS, "leases": "leased"},
+              label="B's and C's leader acquires a lease"),
+        paired("lease_read_latency_mean", "<", axis=("leases", "leased", "none"), other="commit_latency_mean",
+               where={"protocol": _LEASED_READS},
+               label="a lease-served read skips the commit path: its latency is below the unleased commit latency"),
+        holds("local_read_ratio", "!=", None,
+              where={"protocol": _LEASED_READS, "leases": "leased", "scenario": "steady"},
+              label="fault-free, B's and C's lease-served share is measured"),
+        holds("lease_acquisitions", "==", None, where={"protocol": "occ-double-collect", "leases": "leased"},
+              label="OCC has no read-only coordinator request: no lease round ever starts"),
+        equal_across("commit_latency_mean", "leases", where={"protocol": "occ-double-collect"},
+                     label="OCC's commit latency is the same with the knob on"),
+        equal_across("total_messages", "leases", where={"protocol": "occ-double-collect"},
+                     label="OCC's message count is the same with the knob on"),
     ),
 )
 
@@ -433,9 +666,14 @@ def _membership_change(seed: int, scenario: str) -> Dict[str, Any]:
 #: what the membership grids share: three replicas per object, majority quorums
 _REPLICATED_CELL = {**_GRID_CELL, "replication_factor": 3, "quorum": "majority"}
 
-#: The reconfiguration grid: protocol × membership scenario.  Along the loss
-#: axis drops and retransmissions grow while ``total_messages`` (unique
-#: protocol messages) and the verdict columns stay put.
+_REPLACEMENTS = ("replace-dead-replica", *_LOSSY_REPLACE)
+
+#: The reconfiguration grid: protocol × membership scenario.  Membership
+#: change is a non-event: every change completes at availability 1.0 with
+#: the fault-free verdicts, and grow-group transfers every installed version
+#: to the new replicas before committing.  Along the loss axis drops and
+#: retransmissions grow while ``total_messages`` (unique protocol messages)
+#: and the verdict columns stay put.
 RECONFIG = Suite(
     name="reconfig",
     protocols=("algorithm-a", "algorithm-b"),
@@ -448,6 +686,31 @@ RECONFIG = Suite(
         ("faults", ("availability", "messages_dropped", "retransmissions")),
         ("replication", ("replication_factor", "quorum")),
         ("reconfig", None),
+    ),
+    expect=(
+        holds("availability", "==", 1.0, label="every membership change completes at full availability"),
+        equal_across("snow", "scenario", label="every membership change keeps the fault-free SNOW verdict"),
+        holds("consistent", "==", True, label="every membership change stays strictly serializable"),
+        holds("unavailability_window", "==", 0, where={"scenario": "replace-dead-replica"},
+              label="replacing a dead replica leaves no unavailability window"),
+        holds("reconfigs_completed", "==", 1, where={"scenario": _REPLACEMENTS},
+              label="the replacement completes once, lossy or not"),
+        holds("epochs", "==", 2, where={"scenario": "replace-dead-replica"},
+              label="a replacement is one joint entry plus one commit"),
+        holds("retired_servers", "==", 1, where={"scenario": "replace-dead-replica"},
+              label="a replacement retires the dead replica"),
+        holds("transfer_versions", ">=", 1, where={"scenario": "replace-dead-replica"},
+              label="the new replica synced state before the change committed"),
+        holds("retired_servers", "==", 0, where={"scenario": "grow-group"},
+              label="growing the group retires nobody"),
+        holds("transfer_versions", ">=", 2, where={"scenario": "grow-group"},
+              label="both added replicas synced state before the change committed"),
+        holds("retransmissions", "==", col("messages_dropped"), where={"scenario": tuple(_LOSSY_REPLACE)},
+              label="every dropped message is retransmitted"),
+        non_decreasing("messages_dropped", along="scenario", where={"scenario": tuple(_LOSSY_REPLACE)},
+                       label="drops grow with the drop probability"),
+        holds("messages_dropped", ">", 0, where={"scenario": next(iter(_LOSSY_REPLACE))},
+              label="the lowest drop probability already drops messages"),
     ),
 )
 
@@ -462,9 +725,12 @@ def _self_healing(seed: int, scenario: str) -> Dict[str, Any]:
     return {"faults": plan, "controller": policy}
 
 
-#: The self-healing grid: protocol family × controller scenario.  s2pl is
-#: absent by design: its lock rounds block on a fail-stopped replica (giving
-#: up N is its defining property) whatever the membership machinery does.
+#: The self-healing grid: protocol family × controller scenario.  Self-healing
+#: is a non-event: exactly one detection and one derived replacement, no
+#: unavailability window, and the verdicts of the family's own fault-free
+#: cell.  s2pl is absent by design: its lock rounds block on a fail-stopped
+#: replica (giving up N is its defining property) whatever the membership
+#: machinery does.
 CONTROLLER = Suite(
     name="controller",
     protocols=(
@@ -486,22 +752,47 @@ CONTROLLER = Suite(
         ("reconfig", None),
         ("controller", None),
     ),
+    expect=(
+        holds("availability", "==", 1.0, label="every family completes at full availability, healing or not"),
+        holds("dead_detected", "==", 0, where={"scenario": "none"},
+              label="fault-free, the controller detects no dead replica"),
+        holds("plans_replace", "==", 0, where={"scenario": "none"},
+              label="fault-free, the controller derives no replacement"),
+        holds("plans_grow", "==", 0, where={"scenario": "none"},
+              label="fault-free, the controller derives no growth"),
+        holds("probes", ">", 0, where={"scenario": "none"}, label="fault-free, the controller still probes"),
+        holds("dead_detected", "==", 1, where={"scenario": "auto-heal-dead-replica"},
+              label="the dead replica is detected exactly once"),
+        holds("plans_replace", "==", 1, where={"scenario": "auto-heal-dead-replica"},
+              label="exactly one replacement is derived, with no hand-authored plan"),
+        holds("healed", "==", 1, where={"scenario": "auto-heal-dead-replica"},
+              label="the replacement heals the group"),
+        holds("converged", "==", True, where={"scenario": "auto-heal-dead-replica"},
+              label="the controller converges to the replaced group"),
+        holds("unavailability_window", "==", 0, where={"scenario": "auto-heal-dead-replica"},
+              label="self-healing leaves no unavailability window"),
+        holds("time_to_heal", ">", 0, where={"scenario": "auto-heal-dead-replica"},
+              label="the time to heal is measured and positive"),
+        holds("epochs", "==", 2, where={"scenario": "auto-heal-dead-replica"},
+              label="a replacement is one joint entry plus one commit"),
+        holds("retired_servers", "==", 1, where={"scenario": "auto-heal-dead-replica"},
+              label="the replacement retires the dead replica"),
+        holds("transfer_versions", ">=", 1, where={"scenario": "auto-heal-dead-replica"},
+              label="the replacement synced state before the change committed"),
+        equal_across("snow", "scenario", label="self-healing keeps the family's fault-free SNOW verdict"),
+        equal_across("consistent", "scenario",
+                     label="self-healing keeps the family's fault-free consistency verdict"),
+    ),
 )
 
-#: the suites that own a ``BENCH_<name>.json``
-GRID_SUITES: Tuple[Suite, ...] = (
-    FAULTS, REPLICATION, FAILOVER, PERSIST, LEASE, RECONFIG, CONTROLLER
-)
-
-# ----------------------------------------------------------------------
-# The series suites (one axis, read through SuiteResult.series())
-# ----------------------------------------------------------------------
 _WRITER_COUNTS = (1, 2, 4, 6)
 
 #: Algorithm C's reply sizes as concurrent WRITE transactions grow (the
-#: ``|W|`` bound of Figure 1(b) and Section 9).
+#: ``|W|`` bound of Figure 1(b) and Section 9), beside ``|W|`` itself: the
+#: most WRITEs concurrent with one READ.  The paper's pseudocode never prunes
+#: ``Vals``, so the reply size grows with the writes as well.
 VERSIONS_VS_WRITERS = Suite(
-    name="versions vs writers",
+    name="versions-vs-writers",
     protocols=("algorithm-c",),
     seed=5,
     axes={"writers": _WRITER_COUNTS},
@@ -513,12 +804,20 @@ VERSIONS_VS_WRITERS = Suite(
         check_properties=False,
     ),
     vary=lambda seed, writers: {"num_writers": writers},
+    columns=("max_versions", "max_concurrent_writes"),
+    expect=(
+        non_decreasing("max_versions", along="writers", label="more writers put more versions in flight"),
+        paired("max_versions", ">", axis=("writers", _WRITER_COUNTS[-1], _WRITER_COUNTS[0]),
+               label="the most writers give larger replies than the fewest"),
+        holds("max_versions", ">", 1, where={"writers": _WRITER_COUNTS[-1]},
+              label="under contention a reply carries more than one version"),
+    ),
 )
 
 #: The unbounded-round baseline's collect count as write contention grows,
-#: versus the constant two rounds of algorithm B and one of algorithms A/C.
+#: versus the fixed round budgets of the paper's bounded algorithms.
 ROUNDS_VS_CONTENTION = Suite(
-    name="rounds vs contention",
+    name="rounds-vs-contention",
     protocols=("algorithm-b", "algorithm-c", "occ-double-collect"),
     seed=13,
     axes={"writers": _WRITER_COUNTS},
@@ -529,17 +828,32 @@ ROUNDS_VS_CONTENTION = Suite(
         check_properties=False,
     ),
     vary=lambda seed, writers: {"num_writers": writers},
+    columns=("max_read_rounds",),
+    expect=(
+        holds("max_read_rounds", "==", 2, where={"protocol": "algorithm-b"},
+              label="B stays at its two rounds at every contention level"),
+        holds("max_read_rounds", "<=", 2, where={"protocol": "algorithm-c"},
+              label="C stays within two rounds at every contention level"),
+        holds("max_read_rounds", ">=", 2, where={"protocol": "occ-double-collect", "writers": _WRITER_COUNTS[0]},
+              label="the retry baseline needs at least its two collects"),
+        paired("max_read_rounds", ">=", axis=("writers", _WRITER_COUNTS[-1], _WRITER_COUNTS[0]),
+               where={"protocol": "occ-double-collect"},
+               label="the retry baseline degrades with contention"),
+        holds("max_read_rounds", ">", 2, where={"protocol": "occ-double-collect", "writers": _WRITER_COUNTS[-1]},
+              label="under the most contention the retry baseline exceeds two rounds"),
+    ),
 )
 
-#: Read latency as READ transactions span more shards (algorithm A runs its
-#: single reader — the runner clamps it).
-READ_SIZE = Suite(
-    name="latency vs read fan-out",
-    protocols=("simple-rw", "algorithm-a", "algorithm-b", "algorithm-c", "s2pl"),
-    seed=0,
-    axes={"objects per read": (1, 2, 4, 6)},
-    shared=dict(num_objects=6, check_properties=False),
-    vary=lambda seed, size: {
-        "workload": WorkloadSpec(reads_per_reader=5, writes_per_writer=3, read_size=size, write_size=2)
-    },
+#: the suites filed as ``BENCH_<name>.json``: ``python -m repro.analysis``
+#: regenerates them and tier-1 checks their ``expect`` on the committed files
+GRID_SUITES: Tuple[Suite, ...] = (
+    FAULTS,
+    REPLICATION,
+    FAILOVER,
+    PERSIST,
+    LEASE,
+    RECONFIG,
+    CONTROLLER,
+    VERSIONS_VS_WRITERS,
+    ROUNDS_VS_CONTENTION,
 )

@@ -3,9 +3,9 @@
 These are the columns of the chaos grid: each scenario is a reusable
 :class:`~repro.faults.plan.FaultPlan` shape, parameterised only by seed and
 (for partitions/crashes) by the concrete process names of the built system.
-The benchmark ``bench_faults_sweep`` runs every protocol against every
-scenario and reports availability, latency degradation and the measured SNOW
-verdict side by side.
+The ``FAULTS`` suite (:mod:`repro.analysis.sweep`) runs every protocol
+against every scenario and reports availability, latency degradation and the
+measured SNOW verdict side by side.
 """
 
 from __future__ import annotations

@@ -168,8 +168,9 @@ class Simulation:
         self._head_deps: Dict[str, Tuple[Any, ...]] = {}
         self._dep_waiters: Dict[Any, Set[str]] = {}
         self._sessions: Dict[str, SessionState] = {}
+        #: every submitted transaction's record in submission order (records
+        #: are only ever added, so insertion order is that order)
         self._records: Dict[Any, TransactionRecord] = {}
-        self._txn_order: List[Any] = []
         self._txn_counter = itertools.count(1)
         self._enqueue_counter = itertools.count(1)
         #: message ids are a function of the simulation, not the interpreter
@@ -297,7 +298,6 @@ class Simulation:
             raise WellFormednessError(f"transaction id {txn_id!r} submitted twice")
         record = TransactionRecord(txn_id, txn, client, next(self._enqueue_counter), after=tuple(after))
         self._records[txn_id] = record
-        self._txn_order.append(txn_id)
         queue = self._client_queues[client]
         queue.append(record)
         if len(queue) == 1:
@@ -318,7 +318,7 @@ class Simulation:
         return self._records.get(txn_id)
 
     def transaction_records(self) -> Tuple[TransactionRecord, ...]:
-        return tuple(self._records[t] for t in self._txn_order)
+        return tuple(self._records.values())
 
     def incomplete_transactions(self) -> Tuple[TransactionRecord, ...]:
         return tuple(r for r in self.transaction_records() if not r.complete)

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import GRID_SUITES
+
 BENCHMARKS = Path(__file__).resolve().parents[2] / "benchmarks"
 _spec = importlib.util.spec_from_file_location("check_bench_regression", BENCHMARKS / "check_bench_regression.py")
 gate = importlib.util.module_from_spec(_spec)
@@ -131,20 +133,15 @@ def test_two_rows_with_one_identity_fail_loudly():
         gate.index_rows(payload, "BENCH_x.json")
 
 
+def test_every_filed_suite_has_its_file_and_no_file_is_stray():
+    """The committed files are the filed suites' plus the perf trajectory:
+    a suite without its file fails, and so does a file no suite writes."""
+    files = {path.name for path in (BENCHMARKS / "results").glob("BENCH_*.json")}
+    assert files == {f"BENCH_{suite.name}.json" for suite in GRID_SUITES} | {"BENCH_perf.json"}
+
+
 def test_every_committed_file_declares_a_unique_identity():
-    files = sorted((BENCHMARKS / "results").glob("BENCH_*.json"))
-    # the seven sweep goldens and the perf trajectory
-    assert [path.name for path in files] == [
-        "BENCH_controller.json",
-        "BENCH_failover.json",
-        "BENCH_faults.json",
-        "BENCH_lease.json",
-        "BENCH_perf.json",
-        "BENCH_persist.json",
-        "BENCH_reconfig.json",
-        "BENCH_replication.json",
-    ]
-    for path in files:
+    for path in sorted((BENCHMARKS / "results").glob("BENCH_*.json")):
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert len(gate.index_rows(payload, path.name)) == len(payload["grid"]), path.name
 
@@ -162,11 +159,7 @@ def keys_of(node):
 def test_only_the_perf_trajectory_records_wall_clock_time():
     """A sweep file holds simulated columns and counts, so regenerating it
     gives the same bytes; wall-clock time is recorded in BENCH_perf.json."""
-    sweeps = sorted(set((BENCHMARKS / "results").glob("BENCH_*.json")) - {BENCHMARKS / "results" / "BENCH_perf.json"})
-    assert len(sweeps) == 7
-    for path in sweeps:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+    for suite in GRID_SUITES:
+        payload = json.loads((BENCHMARKS / "results" / f"BENCH_{suite.name}.json").read_text(encoding="utf-8"))
         timed = [key for key in keys_of(payload) if key.endswith(("seconds", "_s"))]
-        assert timed == [], path.name
-    persist = json.loads((BENCHMARKS / "results" / "BENCH_persist.json").read_text(encoding="utf-8"))
-    assert persist["recovery"]["recoveries"] >= persist["recovery"]["rounds"]
+        assert timed == [], suite.name

@@ -1,9 +1,8 @@
-"""Tests for metric aggregation, the experiment runner, sweeps and reporting."""
+"""Tests for metric aggregation, the experiment runner and reporting."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -15,17 +14,14 @@ from repro.analysis import (
     compare_protocols,
     format_latency_comparison,
     format_markdown_table,
-    format_series,
     format_table,
     latency_comparison_rows,
     make_scheduler,
     percentile,
     run_experiment,
     run_many,
-    run_suite,
 )
-from repro.analysis.sweep import READ_SIZE, ROUNDS_VS_CONTENTION, VERSIONS_VS_WRITERS
-from repro.ioa import FIFOScheduler, LIFOScheduler, RandomScheduler
+from repro.ioa import FIFOScheduler, LIFOScheduler, RandomScheduler, TraceMode
 from tests.conftest import build_system, run_simple_workload
 
 
@@ -69,6 +65,21 @@ class TestCollectMetrics:
         run_simple_workload(handle, rounds=2)
         metrics = collect_metrics(handle.simulation, protocol_name="algorithm-c")
         assert metrics.max_versions() > 1
+
+    def test_a_partial_trace_reports_no_version_count(self):
+        """Under a ring trace a READ's replies may have left the window: its
+        version count is unknown (``None``), never a guessed one version."""
+        workload = WorkloadSpec(reads_per_reader=60, writes_per_writer=60)
+        full, ring = (
+            run_experiment(
+                ExperimentConfig(protocol="algorithm-c", workload=workload, trace_mode=mode, check_properties=False)
+            ).metrics
+            for mode in (None, TraceMode.ring(256))
+        )
+        assert full.max_versions() > 1
+        assert ring.max_versions() is None
+        assert {t.versions for t in ring.reads()} == {None}
+        assert ring.read_versions.count == 0
 
     def test_describe_lists_sections(self):
         handle = build_system("algorithm-b", num_readers=1, num_writers=1)
@@ -152,49 +163,3 @@ class TestReporting:
         assert len(rows) == 2
         table = format_latency_comparison(results)
         assert "protocol" in table and "algorithm-b" in table
-
-    def test_format_series(self):
-        text = format_series("x", {"s1": [(1, 10), (2, 20)], "s2": [(1, 5)]}, title="series")
-        assert "series" in text
-        assert "10" in text and "20" in text
-
-
-class TestSweeps:
-    def test_versions_vs_writers_sweep_is_monotone_ish(self):
-        suite = replace(
-            VERSIONS_VS_WRITERS,
-            seed=1,
-            axes={"writers": (1, 3)},
-            shared={
-                **VERSIONS_VS_WRITERS.shared,
-                "workload": WorkloadSpec(reads_per_reader=4, writes_per_writer=3, read_size=3, write_size=3),
-            },
-        )
-        (sweep,) = run_suite(suite).series().values()
-        series = sweep.max_versions_series()
-        assert len(series) == 2
-        assert series[1][1] >= series[0][1]
-
-    def test_rounds_vs_contention_sweep_shapes(self):
-        suite = replace(
-            ROUNDS_VS_CONTENTION,
-            protocols=("algorithm-b", "occ-double-collect"),
-            seed=2,
-            axes={"writers": (1, 3)},
-        )
-        sweeps = run_suite(suite).series()
-        b_rounds = dict(sweeps["algorithm-b"].max_rounds_series())
-        occ_rounds = dict(sweeps["occ-double-collect"].max_rounds_series())
-        assert set(b_rounds.values()) == {2}
-        assert occ_rounds[3] >= occ_rounds[1] >= 2
-
-    def test_read_size_sweep_includes_all_protocols(self):
-        suite = replace(
-            READ_SIZE,
-            protocols=("simple-rw", "algorithm-b"),
-            axes={"objects per read": (1, 2)},
-            shared={**READ_SIZE.shared, "num_objects": 3},
-        )
-        sweeps = run_suite(suite).series()
-        assert set(sweeps) == {"simple-rw", "algorithm-b"}
-        assert len(sweeps["simple-rw"].mean_read_latency_series()) == 2

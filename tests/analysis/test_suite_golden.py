@@ -1,12 +1,12 @@
 """The committed tables are what the code produces.
 
-Every grid suite is deterministic per seed, so its committed
+Every filed suite is deterministic per seed, so its committed
 ``benchmarks/results/BENCH_<name>.json`` is a golden: regenerating the rows
-must reproduce the ``grid`` array column for column.  This is the exact half
-of the bench gate (ROADMAP item 1(c): deterministic columns are gated for
-equality); ``benchmarks/check_bench_regression.py`` keeps the wall-clock
-half.  A PR that moves a column on purpose reruns the ``bench_*_sweep.py``
-script and commits the new file.
+must reproduce the file's payload exactly.  This is the exact half of the
+bench gate (ROADMAP item 1(c): deterministic columns are gated for
+equality); ``benchmarks/check_bench_regression.py`` keeps the row-identity
+half.  A PR that moves a column on purpose reruns
+``python -m repro.analysis NAME`` and commits the new file.
 """
 
 from __future__ import annotations
@@ -25,7 +25,4 @@ RESULTS = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 def test_committed_grid_is_what_the_suite_produces(suite):
     committed = json.loads((RESULTS / f"BENCH_{suite.name}.json").read_text(encoding="utf-8"))
     rows = suite_rows(run_suite(suite))
-    regenerated = json.loads(json.dumps(bench_payload(suite, rows)))
-    assert regenerated["grid"] == committed["grid"]
-    for key in ("axes", "protocols", "seed"):
-        assert regenerated[key] == committed[key], key
+    assert json.loads(json.dumps(bench_payload(suite, rows))) == committed

@@ -26,17 +26,19 @@ ROOT = Path(__file__).resolve().parents[2]
 #: Since copied, ``repro.consensus`` lost ``consensus_members``: members are
 #: made in one place, ``Protocol.make_consensus_member``.  ``repro.obs`` lost
 #: ``KernelProfiler``: wall-clock time is measured by the perf harness
-#: (``benchmarks/perf/run.py``) only.
+#: (``benchmarks/perf/run.py``) only.  ``repro.analysis`` lost ``SweepPoint``,
+#: ``SweepResult`` and ``format_series``: every suite is a filed grid of rows,
+#: checked by its ``expect`` claims, none is read as a series.
 SEED_ALL = {
     name: names.split()
     for name, names in {
     "repro.analysis": """
         AggregateStats ConsensusMetrics ControllerMetrics ExperimentMetrics FaultMetrics
         PersistenceMetrics ReconfigMetrics ReplicationMetrics TransactionMetrics collect_metrics
-        percentile LATENCY_HEADERS format_latency_comparison format_markdown_table format_series
+        percentile LATENCY_HEADERS format_latency_comparison format_markdown_table
         format_table latency_comparison_rows ExperimentConfig ExperimentResult compare_protocols
         make_scheduler register_scheduler run_experiment run_many scheduler_names GRID_SUITES
-        Suite SuiteResult SweepPoint SweepResult bench_payload run_suite suite_rows
+        Suite SuiteResult bench_payload run_suite suite_rows
         GeneratedWorkload WorkloadSpec generate_workload read_heavy_spec submit_workload
         write_heavy_spec
     """,
