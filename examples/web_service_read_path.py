@@ -7,10 +7,11 @@ magnitude more reads than general transactions — where user-visible latency
 is dominated by cross-shard READ transactions.
 
 This example plays a TAO-like read-heavy workload (many multi-shard READ
-transactions, a few WRITE transactions) through every protocol in the
-repository and prints the latency/guarantee trade-off table: who is as fast
-as simple reads, who pays an extra round, who blocks, who retries, and who
-silently gives up strict serializability.
+transactions, a few WRITE transactions) through the protocols of the paper's
+table (the filed ``paper`` suite, ``python -m repro.analysis paper``) and
+prints the latency/guarantee trade-off: who is as fast as simple reads, who
+pays an extra round, who blocks, who retries, and who silently gives up
+strict serializability.
 
 Run with::
 
@@ -19,17 +20,10 @@ Run with::
 
 from __future__ import annotations
 
-from repro.analysis import WorkloadSpec, compare_protocols, format_latency_comparison
+from dataclasses import replace
 
-PROTOCOLS = [
-    "simple-rw",          # the latency floor (no cross-shard guarantees)
-    "algorithm-a",        # SNOW (MWSR + client-to-client)
-    "algorithm-b",        # SNW + one version, two rounds
-    "algorithm-c",        # SNW + one round, |W| versions
-    "eiger",              # bounded latency, but only logical-clock ordering
-    "s2pl",               # blocking lock-based baseline
-    "occ-double-collect", # retry-based baseline, unbounded rounds
-]
+from repro.analysis import WorkloadSpec, format_table
+from repro.analysis.sweep import PAPER, run_suite, suite_rows
 
 
 def main() -> None:
@@ -44,20 +38,18 @@ def main() -> None:
     print("Workload:", workload.describe())
     print()
 
-    results = compare_protocols(
-        PROTOCOLS,
-        workload=workload,
-        num_readers=2,
-        num_writers=2,
-        num_objects=4,
-        scheduler="random",
+    suite = replace(
+        PAPER,
         seed=2024,
+        shared=dict(num_readers=2, num_writers=2, num_objects=4, workload=workload, scheduler="random"),
     )
-
-    print(format_latency_comparison(results, title="READ-transaction designs on a read-heavy workload"))
+    rows = suite_rows(run_suite(suite))
+    headers = list(rows[0])
+    print(format_table(headers, [[row[column] for column in headers] for row in rows],
+                       title="READ-transaction designs on a read-heavy workload"))
     print()
     print("Reading the table:")
-    print("  * 'props' is the SNOW verdict measured on this execution (lowercase = property violated).")
+    print("  * 'snow' is the SNOW verdict measured on this execution (lowercase = property violated).")
     print("  * algorithm-a matches simple-rw's single round while keeping SNOW — but needs MWSR + C2C.")
     print("  * algorithm-b/c are the paper's bounded-latency designs for the general MWMR setting:")
     print("    B pays a second round, C pays multi-version replies.")

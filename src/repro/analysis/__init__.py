@@ -15,13 +15,10 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "FaultMetrics", "PersistenceMetrics", "ReconfigMetrics", "ReplicationMetrics",
             "TransactionMetrics", "collect_metrics", "percentile",
         ),
-        "report": (
-            "LATENCY_HEADERS", "format_latency_comparison", "format_markdown_table",
-            "format_table", "latency_comparison_rows",
-        ),
+        "report": ("format_table",),
         "runner": (
-            "ExperimentConfig", "ExperimentResult", "compare_protocols", "make_scheduler",
-            "register_scheduler", "run_experiment", "run_many", "scheduler_names",
+            "ExperimentConfig", "ExperimentResult", "make_scheduler", "register_scheduler",
+            "run_experiment", "scheduler_names",
         ),
         "sweep": (
             "GRID_SUITES", "Suite", "SuiteResult", "bench_payload", "run_suite", "suite_rows",

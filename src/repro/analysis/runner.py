@@ -10,7 +10,7 @@ benchmark sweeps are declarative lists of configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..core.snow import SnowReport, check_snow
 from ..faults.chaos import ChaosScheduler
@@ -285,36 +285,3 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         write_ids=tuple(write_ids),
         obs=handle.obs,
     )
-
-
-def run_many(configs: Sequence[ExperimentConfig]) -> List[ExperimentResult]:
-    """Run a list of experiment configurations."""
-    return [run_experiment(config) for config in configs]
-
-
-def compare_protocols(
-    protocols: Sequence[str],
-    workload: Optional[WorkloadSpec] = None,
-    num_readers: int = 2,
-    num_writers: int = 2,
-    num_objects: int = 3,
-    scheduler: str = "fifo",
-    seed: int = 0,
-    check_properties: bool = True,
-) -> List[ExperimentResult]:
-    """Run the same workload through several protocols (the latency comparison)."""
-    workload = workload or WorkloadSpec(seed=seed)
-    configs = [
-        ExperimentConfig(
-            protocol=name,
-            num_readers=num_readers,
-            num_writers=num_writers,
-            num_objects=num_objects,
-            workload=workload,
-            scheduler=scheduler,
-            seed=seed,
-            check_properties=check_properties,
-        )
-        for name in protocols
-    ]
-    return run_many(configs)

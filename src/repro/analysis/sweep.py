@@ -1,7 +1,8 @@
 """Experiment suites: declared grids, one runner, one row projector, claims as data.
 
-Everything beyond the paper's two summary matrices reaches the reader as a
-table — SNOW verdict, rounds, versions, availability per protocol × setting.
+Everything but Figure 1(a)'s feasibility matrix reaches the reader as a table
+— the paper's protocol table (:data:`PAPER`), and SNOW verdict, rounds,
+versions, availability per protocol × setting.
 A table is declared once as a frozen :class:`Suite` (who runs, on which axes,
 what every cell shares, what an axis value changes, which metric blocks the
 row carries, and what the rows must show) and produced by the same steps
@@ -18,7 +19,7 @@ whatever the plane:
 
 ``python -m repro.analysis [NAME ...]`` regenerates, prints and checks the
 filed suites.  The declarations are the module constants below
-(:data:`GRID_SUITES` lists the nine that own a BENCH file); a variation for a
+(:data:`GRID_SUITES` lists the ten that own a BENCH file); a variation for a
 test or a notebook is ``dataclasses.replace(SUITE, ...)``.
 """
 
@@ -42,13 +43,14 @@ from ..faults.scenarios import (
 )
 from ..persist import PersistencePolicy
 from ..txn.placement import coordinator_group_names, replica_names
+from .metrics import AggregateStats
 from .runner import ExperimentConfig, ExperimentResult, run_experiment
 from .workload import WorkloadSpec
 
 
-def _read_latency(result: ExperimentResult, stat: str) -> Optional[float]:
-    latency = result.metrics.read_latency_steps
-    return round(getattr(latency, stat), 2) if latency.count else None
+def _rounded(stats: AggregateStats, stat: str = "mean") -> Optional[float]:
+    """One statistic to 2 places; ``None`` when nothing was counted."""
+    return round(getattr(stats, stat), 2) if stats.count else None
 
 
 #: run-level row columns a suite may carry next to the verdict pair
@@ -57,9 +59,11 @@ RUN_COLUMNS: Dict[str, Callable[[ExperimentResult], Any]] = {
     "total_steps": lambda result: result.metrics.total_steps,
     "total_messages": lambda result: result.metrics.total_messages,
     "quorum": lambda result: result.config.quorum,
-    "completed_reads_mean_latency_steps": lambda result: _read_latency(result, "mean"),
-    "completed_reads_p95_latency_steps": lambda result: _read_latency(result, "p95"),
-    "client_read_latency_mean": lambda result: _read_latency(result, "mean"),
+    "completed_reads_mean_latency_steps": lambda result: _rounded(result.metrics.read_latency_steps),
+    "completed_reads_p95_latency_steps": lambda result: _rounded(result.metrics.read_latency_steps, "p95"),
+    "client_read_latency_mean": lambda result: _rounded(result.metrics.read_latency_steps),
+    "read_messages_mean": lambda result: _rounded(result.metrics.read_messages),
+    "write_messages_mean": lambda result: _rounded(result.metrics.write_messages),
     "max_versions": lambda result: result.metrics.max_versions(),
     "max_concurrent_writes": lambda result: max(
         (result.history.max_concurrent_writes(entry) for entry in result.history.reads()), default=0
@@ -844,9 +848,73 @@ ROUNDS_VS_CONTENTION = Suite(
     ),
 )
 
+#: The paper's protocol table: Figure 1(b)'s rounds × versions per algorithm,
+#: and Section 1's argument that simple reads are the latency floor every
+#: READ-transaction design is measured against.  One row per protocol, all on
+#: one contending workload and one schedule seed: A has SNOW in one round with
+#: one version (Theorem 3, one reader with C2C), B has SNW in two rounds
+#: (Theorem 4), C has SNW in one round with up to ``|W|`` versions (Theorem 5),
+#: and the retry baseline pays in rounds.  The message columns show where each
+#: design pays for its coordination: A on the writer's round trip to the
+#: reader, B and C on the coordinator, the baselines on extra read rounds.
+PAPER = Suite(
+    name="paper",
+    protocols=("simple-rw", "algorithm-a", "algorithm-b", "algorithm-c", "eiger", "s2pl", "occ-double-collect"),
+    seed=77,
+    axes={},
+    shared=dict(
+        num_readers=2,
+        num_writers=3,
+        num_objects=3,
+        workload=WorkloadSpec(reads_per_reader=6, writes_per_writer=4, read_size=3, write_size=3),
+        scheduler="random",
+    ),
+    vary=lambda seed: {},
+    columns=(
+        "max_read_rounds",
+        "max_versions",
+        "total_messages",
+        "client_read_latency_mean",
+        "read_messages_mean",
+        "write_messages_mean",
+    ),
+    expect=(
+        holds("max_read_rounds", "==", 1, where={"protocol": ("simple-rw", "algorithm-a")},
+              label="simple reads are the latency floor of one round, and A matches it"),
+        holds("snow", "==", "SNOW", where={"protocol": "algorithm-a"},
+              label="A keeps all four SNOW properties at the floor (Theorem 3)"),
+        holds("snow", "in", ("SNoW", "SNOW"),
+              where={"protocol": ("algorithm-a", "algorithm-b", "algorithm-c", "occ-double-collect")},
+              label="A, B, C and the retry baseline are SNW algorithms"),
+        holds("max_versions", "==", 1, where={"protocol": ("algorithm-a", "algorithm-b", "occ-double-collect")},
+              label="A, B and the retry baseline reply with one version per object"),
+        holds("max_read_rounds", "==", 2, where={"protocol": "algorithm-b"},
+              label="B pays exactly one extra round (Theorem 4)"),
+        holds("max_read_rounds", "<=", 2, where={"protocol": "algorithm-c"},
+              label="C reads in one round, two in its documented fallback corner case"),
+        holds("max_versions", ">", 1, where={"protocol": "algorithm-c"},
+              label="C pays in reply size: under contention a reply carries more than one version (Theorem 5)"),
+        holds("max_read_rounds", ">=", 2, where={"protocol": "occ-double-collect"},
+              label="the retry baseline needs at least its two collects"),
+        holds("max_read_rounds", "<=", 2, where={"protocol": "eiger"},
+              label="Eiger keeps its reads within two rounds"),
+        holds("consistent", "==", True, where={"protocol": ("s2pl", "occ-double-collect")},
+              label="the strong baselines keep S and pay elsewhere: blocking or retries"),
+        paired("write_messages_mean", ">", axis=("protocol", "algorithm-a", "simple-rw"),
+               label="A's writes cost more than the floor's: the info-reader round trip is the price of SNOW reads"),
+        paired("write_messages_mean", ">", axis=("protocol", "algorithm-b", "simple-rw"),
+               label="B's writes cost more than the floor's: they pay a coordinator round trip"),
+        paired("read_messages_mean", ">=", axis=("protocol", "occ-double-collect", "algorithm-b"),
+               label="the retry baseline sends at least as many read messages as B"),
+        paired("read_messages_mean", "<=", axis=("protocol", "simple-rw", "algorithm-b"),
+               label="simple reads are the floor on read messages"),
+    ),
+)
+
 #: the suites filed as ``BENCH_<name>.json``: ``python -m repro.analysis``
 #: regenerates them and tier-1 checks their ``expect`` on the committed files
 GRID_SUITES: Tuple[Suite, ...] = (
+    PAPER,
     FAULTS,
     REPLICATION,
     FAILOVER,

@@ -6,10 +6,9 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "feasibility": (
-            "BoundedSnwRow", "FeasibilityVerdict", "bounded_snw_matrix", "check_setting",
-            "feasibility_matrix", "find_violation_in_impossible_cell",
-            "format_bounded_snw_matrix", "format_feasibility_matrix", "paper_expectation",
-            "run_protocol_once", "verify_possible_cell",
+            "FeasibilityVerdict", "check_setting", "feasibility_matrix",
+            "find_violation_in_impossible_cell", "format_feasibility_matrix",
+            "paper_expectation", "run_protocol_once", "verify_possible_cell",
         ),
         "serializability": (
             "Lemma20Result", "SerializabilityResult", "check_lemma20",

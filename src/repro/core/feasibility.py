@@ -17,15 +17,17 @@ visible:
   accompanying mechanical proof replays in :mod:`repro.proofs` cover the
   actual impossibility argument (Theorems 1 and 2).
 
-Figure 1(b) — *Bounded SNW algorithms* — is reproduced directly by running
-algorithms A, B and C plus the double-collect baseline and measuring rounds
-and versions with the SNOW checkers.
+Figure 1(b) — *Bounded SNW algorithms* — is the filed ``paper`` suite
+(:data:`repro.analysis.sweep.PAPER`, ``python -m repro.analysis paper``):
+algorithms A, B and C plus the double-collect baseline, with rounds and
+versions measured by the SNOW checkers and the paper's claims as its
+``expect``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 from ..ioa.network import SystemSetting, standard_settings
 from ..ioa.scheduler import (
@@ -288,99 +290,5 @@ def format_feasibility_matrix(verdicts: Sequence[FeasibilityVerdict]) -> str:
         lines.append(
             f"{label:<26} {with_c2c.cell() if with_c2c else '?':<11} "
             f"{without_c2c.cell() if without_c2c else '?'}"
-        )
-    return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# Figure 1(b): bounded SNW algorithms
-# ----------------------------------------------------------------------
-@dataclass
-class BoundedSnwRow:
-    """One measured row of the Figure 1(b) matrix."""
-
-    protocol: str
-    setting: str
-    rounds_observed: int
-    versions_observed: int
-    claimed_rounds: Optional[int]
-    claimed_versions: Optional[int]
-    satisfies_snw: bool
-    one_version: bool
-    one_round: bool
-    note: str = ""
-
-    def describe(self) -> str:
-        rounds = "unbounded" if self.claimed_rounds is None else str(self.claimed_rounds)
-        versions = "|W|" if self.claimed_versions is None else str(self.claimed_versions)
-        return (
-            f"{self.protocol:<20} rounds={self.rounds_observed} (claim {rounds}), "
-            f"versions={self.versions_observed} (claim {versions}), SNW={'yes' if self.satisfies_snw else 'NO'}"
-        )
-
-
-def bounded_snw_matrix(
-    num_writers: int = 3,
-    num_objects: int = 3,
-    workload_rounds: int = 3,
-    seeds: Sequence[int] = (0, 1, 2),
-) -> List[BoundedSnwRow]:
-    """Measure rounds/versions/SNW for the Figure 1(b) protocols."""
-    # the checkers and the Figure 1 tables load without the protocol layer; running a cell loads it
-    from ..protocols.registry import get_protocol
-
-    rows: List[BoundedSnwRow] = []
-    specs = [
-        ("algorithm-a", dict(num_readers=1, num_writers=num_writers, c2c=True), "MWSR + C2C"),
-        ("algorithm-b", dict(num_readers=2, num_writers=num_writers, c2c=False), "MWMR, no C2C"),
-        ("algorithm-c", dict(num_readers=2, num_writers=num_writers, c2c=False), "MWMR, no C2C"),
-        ("occ-double-collect", dict(num_readers=2, num_writers=num_writers, c2c=False), "MWMR, no C2C"),
-    ]
-    for name, kwargs, setting_label in specs:
-        max_rounds = 0
-        max_versions = 0
-        snw = True
-        one_round = True
-        one_version = True
-        for seed in seeds:
-            protocol = get_protocol(name)
-            scheduler = FIFOScheduler() if seed == 0 else RandomScheduler(seed=seed)
-            handle = protocol.build(num_objects=num_objects, scheduler=scheduler, seed=seed, **kwargs)
-            _submit_contending_workload(handle, rounds=workload_rounds)
-            handle.run_to_completion()
-            report = handle.snow_report()
-            max_rounds = max(max_rounds, report.max_rounds())
-            max_versions = max(max_versions, report.max_versions())
-            snw = snw and report.satisfies_snw
-            one_round = one_round and report.one_round
-            one_version = one_version and report.one_version
-        protocol = get_protocol(name)
-        rows.append(
-            BoundedSnwRow(
-                protocol=name,
-                setting=setting_label,
-                rounds_observed=max_rounds,
-                versions_observed=max_versions,
-                claimed_rounds=protocol.claimed_read_rounds,
-                claimed_versions=protocol.claimed_versions,
-                satisfies_snw=snw,
-                one_round=one_round,
-                one_version=one_version,
-            )
-        )
-    return rows
-
-
-def format_bounded_snw_matrix(rows: Sequence[BoundedSnwRow]) -> str:
-    """Render the measured Figure 1(b) matrix."""
-    lines = [
-        "Bounded SNW algorithms (rows measured on executions)",
-        f"{'protocol':<22} {'setting':<16} {'rounds':<8} {'versions':<10} SNW",
-        "-" * 66,
-    ]
-    for row in rows:
-        lines.append(
-            f"{row.protocol:<22} {row.setting:<16} {row.rounds_observed:<8} "
-            f"{row.versions_observed:<10} {'yes' if row.satisfies_snw else 'NO'}"
         )
     return "\n".join(lines)

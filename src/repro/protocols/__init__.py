@@ -18,8 +18,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "ReplicatedStorageServer", "key_read_round", "per_object_reply_await", "write_value_round",
         ),
         "registry": (
-            "all_protocols", "bounded_snw_protocols", "get_protocol", "protocol_names",
-            "register_protocol",
+            "all_protocols", "get_protocol", "protocol_names", "register_protocol",
         ),
         "simple_rw": ("SimpleReadWrite",),
     },

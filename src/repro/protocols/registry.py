@@ -55,8 +55,3 @@ def register_protocol(name: str, factory: Callable[[], Protocol]) -> None:
     if name in _FACTORIES:
         raise ValueError(f"protocol name {name!r} is already registered")
     _FACTORIES[name] = factory
-
-
-def bounded_snw_protocols() -> List[Protocol]:
-    """The protocols of the Figure 1(b) matrix (bounded or unbounded SNW designs)."""
-    return [get_protocol(name) for name in ("algorithm-a", "algorithm-b", "algorithm-c", "occ-double-collect")]

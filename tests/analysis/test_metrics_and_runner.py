@@ -11,15 +11,10 @@ from repro.analysis import (
     ExperimentConfig,
     WorkloadSpec,
     collect_metrics,
-    compare_protocols,
-    format_latency_comparison,
-    format_markdown_table,
     format_table,
-    latency_comparison_rows,
     make_scheduler,
     percentile,
     run_experiment,
-    run_many,
 )
 from repro.ioa import FIFOScheduler, LIFOScheduler, RandomScheduler, TraceMode
 from tests.conftest import build_system, run_simple_workload
@@ -129,16 +124,6 @@ class TestRunner:
         assert config.seed == 9
         assert config.workload.seed == 9
 
-    def test_run_many_and_compare(self):
-        results = compare_protocols(
-            ["simple-rw", "algorithm-a"],
-            workload=WorkloadSpec(reads_per_reader=2, writes_per_writer=1, seed=0),
-            num_objects=2,
-            check_properties=False,
-        )
-        assert [r.protocol for r in results] == ["simple-rw", "algorithm-a"]
-        assert all(r.metrics.reads() for r in results)
-
 
 class TestReporting:
     def test_format_table_alignment(self):
@@ -147,19 +132,3 @@ class TestReporting:
         assert lines[0] == "T"
         assert "a" in lines[1] and "bbbb" in lines[1]
         assert len(lines) == 5
-
-    def test_format_markdown_table(self):
-        text = format_markdown_table(["x", "y"], [[1, 2]])
-        assert text.splitlines()[1] == "|---|---|"
-        assert "| 1 | 2 |" in text
-
-    def test_latency_comparison_rows(self):
-        results = compare_protocols(
-            ["simple-rw", "algorithm-b"],
-            workload=WorkloadSpec(reads_per_reader=2, writes_per_writer=1, seed=2),
-            check_properties=True,
-        )
-        rows = latency_comparison_rows(results)
-        assert len(rows) == 2
-        table = format_latency_comparison(results)
-        assert "protocol" in table and "algorithm-b" in table

@@ -51,6 +51,11 @@ def test_every_claim_selects_part_of_its_grid(suite):
 #: per filed suite: one committed cell (its identity), the value it is
 #: flipped to, and the one claim that flip must break
 FLIPS = {
+    "paper": (
+        {"protocol": "algorithm-b"},
+        ("max_read_rounds", 3),
+        "B pays exactly one extra round (Theorem 4)",
+    ),
     "faults": (
         {"protocol": "algorithm-b", "scenario": "lossy"},
         ("retransmissions", 0),

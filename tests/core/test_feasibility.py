@@ -1,14 +1,14 @@
-"""Tests for the Figure 1(a)/1(b) feasibility analyses."""
+"""Tests for the Figure 1(a) feasibility analysis (Figure 1(b) is the filed
+``paper`` suite, checked by ``tests/analysis/test_suite_expectations.py``)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.feasibility import (
-    bounded_snw_matrix,
     check_setting,
+    feasibility_matrix,
     find_violation_in_impossible_cell,
-    format_bounded_snw_matrix,
     format_feasibility_matrix,
     paper_expectation,
     run_protocol_once,
@@ -86,26 +86,13 @@ class TestImpossibleCells:
 
 class TestFormatting:
     def test_feasibility_matrix_rendering(self):
-        verdicts = [check_setting(s, schedules=2 if s.c2c and s.num_readers == 1 else 8) for s in standard_settings()]
+        """Figure 1(a) over all six standard settings: every verdict is the
+        paper's, and the table carries the three population rows."""
+        verdicts = feasibility_matrix(schedules=5)
+        assert [v.setting.name for v in verdicts] == [s.name for s in standard_settings()]
+        for verdict in verdicts:
+            assert verdict.snow_possible == paper_expectation(verdict.setting)[0], verdict.describe()
         table = format_feasibility_matrix(verdicts)
         assert "2 clients" in table
         assert "MWSR" in table
         assert ">= 3 clients" in table
-
-    def test_bounded_snw_matrix_shape(self):
-        rows = bounded_snw_matrix(num_writers=2, num_objects=2, workload_rounds=2, seeds=(0,))
-        names = [row.protocol for row in rows]
-        assert names == ["algorithm-a", "algorithm-b", "algorithm-c", "occ-double-collect"]
-        by_name = {row.protocol: row for row in rows}
-        assert by_name["algorithm-a"].rounds_observed == 1
-        assert by_name["algorithm-a"].versions_observed == 1
-        assert by_name["algorithm-b"].rounds_observed == 2
-        assert by_name["algorithm-b"].versions_observed == 1
-        assert by_name["algorithm-c"].versions_observed >= 2
-        assert all(row.satisfies_snw for row in rows)
-
-    def test_bounded_snw_matrix_rendering(self):
-        rows = bounded_snw_matrix(num_writers=2, num_objects=2, workload_rounds=1, seeds=(0,))
-        table = format_bounded_snw_matrix(rows)
-        assert "algorithm-c" in table
-        assert "rounds" in table

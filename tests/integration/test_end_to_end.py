@@ -7,25 +7,17 @@ results of the paper:
 
 * the Figure 1(a) boundary (algorithm A verified in the possible cells, the
   naive candidate broken in the impossible ones);
-* the Figure 1(b) matrix shape (1 round/1 version for A, 2/1 for B, 1/|W| for
-  C, unbounded/1 for the retry baseline);
-* the Eiger correction of Section 6;
-* the latency-comparison shape (A matches simple reads; B, locking and the
-  retry baseline pay latency in different currencies).
+* the impossibility replays of Theorems 1 and 2;
+* the Eiger correction of Section 6.
+
+The Figure 1(b) matrix and the latency comparison against simple reads are
+the filed ``paper`` suite, whose claims ``tests/analysis`` checks.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.analysis import (
-    ExperimentConfig,
-    WorkloadSpec,
-    compare_protocols,
-    format_latency_comparison,
-    run_experiment,
-)
-from repro.core.feasibility import bounded_snw_matrix, check_setting, paper_expectation
+from repro.analysis import ExperimentConfig, WorkloadSpec, run_experiment
+from repro.core.feasibility import check_setting, paper_expectation
 from repro.ioa.network import SystemSetting, standard_settings
 from repro.proofs import c2c_breaks_the_chain, replay_theorem1, replay_theorem2, run_figure5
 
@@ -61,16 +53,6 @@ class TestFigure1aBoundary:
             assert paper_expectation(setting)[0] == expected[setting.name]
 
 
-class TestFigure1bMatrix:
-    def test_measured_matrix_matches_paper_shape(self):
-        rows = {row.protocol: row for row in bounded_snw_matrix(num_writers=2, num_objects=2, workload_rounds=2, seeds=(0, 1))}
-        assert rows["algorithm-a"].rounds_observed == 1 and rows["algorithm-a"].versions_observed == 1
-        assert rows["algorithm-b"].rounds_observed == 2 and rows["algorithm-b"].versions_observed == 1
-        assert rows["algorithm-c"].versions_observed >= 2
-        assert rows["occ-double-collect"].rounds_observed >= 2
-        assert all(row.satisfies_snw for row in rows.values())
-
-
 class TestImpossibilityReplays:
     def test_theorem1_and_theorem2_replays_reach_contradictions(self):
         assert replay_theorem1().ok
@@ -87,45 +69,6 @@ class TestEigerCorrection:
         assert result.anomaly_reproduced
         assert result.snow_report.non_blocking
         assert not result.snow_report.strict_serializable
-
-
-class TestLatencyComparison:
-    @pytest.fixture(scope="class")
-    def results(self):
-        return compare_protocols(
-            ["simple-rw", "algorithm-a", "algorithm-b", "algorithm-c", "s2pl", "occ-double-collect"],
-            workload=WorkloadSpec(reads_per_reader=4, writes_per_writer=3, read_size=2, write_size=2, seed=7),
-            num_readers=2,
-            num_writers=2,
-            num_objects=2,
-            scheduler="random",
-            seed=7,
-        )
-
-    def test_algorithm_a_matches_simple_read_rounds(self, results):
-        by_name = {r.protocol: r for r in results}
-        assert by_name["algorithm-a"].metrics.max_read_rounds() == by_name["simple-rw"].metrics.max_read_rounds() == 1
-
-    def test_algorithm_b_pays_exactly_one_extra_round(self, results):
-        by_name = {r.protocol: r for r in results}
-        assert by_name["algorithm-b"].metrics.max_read_rounds() == 2
-
-    def test_retry_baseline_has_the_worst_tail(self, results):
-        by_name = {r.protocol: r for r in results}
-        assert (
-            by_name["occ-double-collect"].metrics.max_read_rounds()
-            >= by_name["algorithm-b"].metrics.max_read_rounds()
-        )
-
-    def test_only_weak_protocols_lose_s(self, results):
-        for result in results:
-            if result.protocol in ("simple-rw",):
-                continue
-            assert result.snow.strict_serializable, result.protocol
-
-    def test_table_renders(self, results):
-        table = format_latency_comparison(results)
-        assert "simple-rw" in table and "occ-double-collect" in table
 
 
 class TestRunnerRoundTrip:

@@ -28,16 +28,22 @@ ROOT = Path(__file__).resolve().parents[2]
 #: ``KernelProfiler``: wall-clock time is measured by the perf harness
 #: (``benchmarks/perf/run.py``) only.  ``repro.analysis`` lost ``SweepPoint``,
 #: ``SweepResult`` and ``format_series``: every suite is a filed grid of rows,
-#: checked by its ``expect`` claims, none is read as a series.
+#: checked by its ``expect`` claims, none is read as a series.  The paper's
+#: protocol table is one of those grids (``paper``), so ``repro.analysis`` lost
+#: its second grid loop (``compare_protocols``, ``run_many``) and row projector
+#: (``latency_comparison_rows``, ``LATENCY_HEADERS``,
+#: ``format_latency_comparison``) and the unused ``format_markdown_table``;
+#: ``repro.core`` lost ``BoundedSnwRow``, ``bounded_snw_matrix`` and
+#: ``format_bounded_snw_matrix``, and ``repro.protocols`` lost
+#: ``bounded_snw_protocols``.
 SEED_ALL = {
     name: names.split()
     for name, names in {
     "repro.analysis": """
         AggregateStats ConsensusMetrics ControllerMetrics ExperimentMetrics FaultMetrics
         PersistenceMetrics ReconfigMetrics ReplicationMetrics TransactionMetrics collect_metrics
-        percentile LATENCY_HEADERS format_latency_comparison format_markdown_table
-        format_table latency_comparison_rows ExperimentConfig ExperimentResult compare_protocols
-        make_scheduler register_scheduler run_experiment run_many scheduler_names GRID_SUITES
+        percentile format_table ExperimentConfig ExperimentResult
+        make_scheduler register_scheduler run_experiment scheduler_names GRID_SUITES
         Suite SuiteResult bench_payload run_suite suite_rows
         GeneratedWorkload WorkloadSpec generate_workload read_heavy_spec submit_workload
         write_heavy_spec
@@ -51,8 +57,8 @@ SEED_ALL = {
         CoordinatorList CoordinatorStateMachine ListStateMachine TimestampStateMachine
     """,
     "repro.core": """
-        BoundedSnwRow FeasibilityVerdict bounded_snw_matrix check_setting feasibility_matrix
-        find_violation_in_impossible_cell format_bounded_snw_matrix format_feasibility_matrix
+        FeasibilityVerdict check_setting feasibility_matrix
+        find_violation_in_impossible_cell format_feasibility_matrix
         paper_expectation run_protocol_once verify_possible_cell Lemma20Result
         SerializabilityResult check_lemma20 check_strict_serializability tag_precedes
         ReadTransactionReport SnowReport analyze_read_transaction blocking_servers_for
@@ -104,7 +110,7 @@ SEED_ALL = {
         EigerServer EigerVersion EigerWriter NaiveReader NaiveServer NaiveSnowCandidate
         NaiveWriter OccProtocol OccReader OccServer OccWriter ReplicatedStorageServer
         key_read_round per_object_reply_await write_value_round all_protocols
-        bounded_snw_protocols get_protocol protocol_names register_protocol SimpleReadWrite
+        get_protocol protocol_names register_protocol SimpleReadWrite
     """,
     "repro.txn": """
         OTState apply_transaction consistent_with_serial_order run_serial

@@ -7,7 +7,6 @@ import pytest
 from repro.protocols import (
     Protocol,
     all_protocols,
-    bounded_snw_protocols,
     get_protocol,
     protocol_names,
     register_protocol,
@@ -42,10 +41,6 @@ class TestRegistry:
         protocols = all_protocols()
         assert len(protocols) == len(protocol_names())
         assert all(isinstance(p, Protocol) for p in protocols)
-
-    def test_bounded_snw_protocols_cover_figure_1b(self):
-        names = [p.name for p in bounded_snw_protocols()]
-        assert names == ["algorithm-a", "algorithm-b", "algorithm-c", "occ-double-collect"]
 
     def test_register_protocol_rejects_duplicates(self):
         with pytest.raises(ValueError):
