@@ -26,7 +26,7 @@ from ..ioa.scheduler import (
 from ..protocols.registry import get_protocol
 from ..txn.history import History
 from .metrics import ExperimentMetrics, collect_metrics
-from .workload import GeneratedWorkload, WorkloadSpec, generate_workload, submit_workload
+from .workload import WorkloadSpec, generate_workload, submit_workload
 
 #: Registry of config-addressable schedulers; extend via register_scheduler.
 #: ``chaos+adversarial`` composes the fault-plane-aware chaos scheduler over
@@ -235,6 +235,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         scheduler=make_scheduler(config.scheduler, config.seed),
         seed=config.seed,
         initial_value=config.initial_value,
+        c2c=config.c2c,
         replication_factor=config.replication_factor,
         quorum=config.quorum,
         consensus_factor=config.consensus_factor,
@@ -242,9 +243,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         controller=config.controller,
         persistence=config.persistence,
         leases=config.leases,
+        trace_mode=config.trace_mode,
     )
-    if config.c2c is not None:
-        build_kwargs["c2c"] = config.c2c
     if not protocol.supports_multiple_readers:
         build_kwargs["num_readers"] = 1
     if config.faults is not None:
@@ -253,8 +253,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         from ..obs import ObservabilityPlane
 
         build_kwargs["obs"] = ObservabilityPlane(monitors=config.monitors, health=config.health)
-    if config.trace_mode is not None:
-        build_kwargs["trace_mode"] = config.trace_mode
     handle = protocol.build(**build_kwargs)
 
     workload = generate_workload(config.workload, handle.readers, handle.writers, handle.objects)

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Sequence, Tuple
 
 from ..txn.transactions import ReadTransaction, WriteTransaction, read as make_read, write_pairs
 

@@ -14,9 +14,9 @@ crashed leader.
 How a member is made
 --------------------
 One function builds every member: ``Protocol.make_consensus_member``
-(:mod:`repro.protocols.base`), called by the coordinator protocols'
-``make_automata`` for the founding group and by the reconfiguration driver
-for each member it spawns mid-run.  Everything a build decides about a member
+(:mod:`repro.protocols.base`), called by ``Protocol.make_automata`` for the
+founding group and by the reconfiguration driver for each member it spawns
+mid-run.  Everything a build decides about a member
 — its own state-machine copy, the election window, the bootstrap leader,
 ``leases``, its stable store and ``compact_every`` — is a constructor
 argument, so a spawned member cannot differ from a founding one and nothing

@@ -30,15 +30,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..ioa.network import SystemSetting, standard_settings
-from ..ioa.scheduler import (
-    AdversarialScheduler,
-    DelayRule,
-    FIFOScheduler,
-    RandomScheduler,
-    holds_message,
-    until_message_delivered,
-    until_transaction_done,
-)
+from ..ioa.scheduler import AdversarialScheduler, FIFOScheduler, RandomScheduler, fracture_rules
 from ..txn.objects import server_for_object
 from .snow import SnowReport
 
@@ -104,32 +96,6 @@ def _submit_contending_workload(handle, rounds: int = 3) -> Tuple[List[str], Lis
         for reader in handle.readers:
             read_ids.append(handle.submit_read(handle.objects, reader=reader))
     return read_ids, write_ids
-
-
-def _fracture_scheduler(first_write_id: str, first_read_id: str, objects: Sequence[str]) -> AdversarialScheduler:
-    """A targeted adversary that splits a read across a concurrent write.
-
-    It holds the read request to the first object's server until the write's
-    install message has been applied there, while holding the write's install
-    message to the last object's server until the read has completed — a
-    latest-value read then observes the write on one server and misses it on
-    the other (a fractured read).
-    """
-    first_server = server_for_object(objects[0])
-    last_server = server_for_object(objects[-1])
-    rules = [
-        DelayRule(
-            name="hold-read-at-first-server-until-write-installed-there",
-            holds=holds_message(dst=first_server, predicate=lambda m: m.get("txn") == first_read_id),
-            until=until_message_delivered("write-val", dst=first_server),
-        ),
-        DelayRule(
-            name="hold-write-at-last-server-until-read-done",
-            holds=holds_message(dst=last_server, predicate=lambda m: m.get("txn") == first_write_id),
-            until=until_transaction_done(first_read_id),
-        ),
-    ]
-    return AdversarialScheduler(rules=rules)
 
 
 # ----------------------------------------------------------------------
@@ -216,7 +182,14 @@ def find_violation_in_impossible_cell(
     # Submit the workload first, then wire the adversary to the generated ids
     # (the scheduler is not consulted until the simulation runs).
     read_ids, write_ids = _submit_contending_workload(handle, rounds=workload_rounds)
-    handle.simulation.scheduler = _fracture_scheduler(write_ids[0], read_ids[0], handle.objects)
+    handle.simulation.scheduler = AdversarialScheduler(
+        rules=fracture_rules(
+            read_ids[0],
+            write_ids[0],
+            late_server=server_for_object(handle.objects[0]),
+            early_server=server_for_object(handle.objects[-1]),
+        )
+    )
     handle.run_to_completion()
     report = handle.snow_report()
     checked += 1

@@ -34,9 +34,9 @@ protocol really serialized the history, exponential in ``w`` at worst).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
 from ..txn.history import History, HistoryEntry
 from ..txn.transactions import ReadResult, ReadTransaction, WriteTransaction

@@ -27,12 +27,12 @@ linear in the trace plus one serializability search per ``History`` object.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ioa.simulation import Simulation, TransactionRecord
 from ..ioa.trace import Trace, TraceError
-from ..txn.history import History, HistoryEntry
-from ..txn.transactions import ReadTransaction, WriteTransaction
+from ..txn.history import History
+from ..txn.transactions import ReadTransaction
 from .serializability import SerializabilityResult, check_strict_serializability
 from .traffic import traffic_index
 

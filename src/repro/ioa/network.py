@@ -27,7 +27,7 @@ touching any protocol code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterable, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Mapping, Tuple
 
 from .automaton import Automaton
 from .errors import CommunicationNotAllowedError, UnknownProcessError

@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, List, Mapping, Optional, Sequence, Union
 
 from .actions import FrozenRecord, Message, slot_setters
 from .errors import SchedulerError
@@ -367,6 +367,28 @@ def until_message_delivered(
         return False
 
     return _until
+
+
+def fracture_rules(read_id: str, write_id: str, late_server: str, early_server: str) -> List[DelayRule]:
+    """The fractured-read schedule, as reusable delay rules.
+
+    Hold the READ's request at ``late_server`` until the concurrent WRITE
+    installed there (the read sees the *new* value), and hold the WRITE's
+    install at ``early_server`` until the READ finished (the read saw the
+    *old* value there) — no serial order explains the pair.
+    """
+    return [
+        DelayRule(
+            name=f"read-at-{late_server}-after-write-installed",
+            holds=holds_message(dst=late_server, predicate=lambda m, r=read_id: m.get("txn") == r),
+            until=until_message_delivered("write-val", dst=late_server),
+        ),
+        DelayRule(
+            name=f"write-at-{early_server}-after-read-done",
+            holds=holds_message(dst=early_server, predicate=lambda m, w=write_id: m.get("txn") == w),
+            until=until_transaction_done(read_id),
+        ),
+    ]
 
 
 def never(kernel: Any) -> bool:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import weakref
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, Optional, Tuple
 
 from ..ioa.actions import Action, ActionKind
 from .registry import Histogram

@@ -29,7 +29,7 @@ is checked rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..ioa.actions import Action, ActionKind
 from ..ioa.errors import TraceError

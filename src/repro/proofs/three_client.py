@@ -28,7 +28,7 @@ executions.  Each lemma becomes a scripted step:
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..core.serializability import check_strict_serializability
 from ..txn.history import History, HistoryEntry

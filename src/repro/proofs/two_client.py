@@ -42,7 +42,7 @@ needs the no-C2C assumption".
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 from ..core.serializability import check_strict_serializability
 from ..txn.history import History, HistoryEntry

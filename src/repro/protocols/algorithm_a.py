@@ -37,13 +37,12 @@ used.  This matches the order used in the proof of Theorem 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..ioa.automaton import Await, Context, ReaderAutomaton, Send, ServerAutomaton, WriterAutomaton
+from ..ioa.automaton import Await, Context, ReaderAutomaton, Send, WriterAutomaton
 from ..ioa.actions import Message
 from ..ioa.errors import SimulationError
-from ..txn.objects import Key, VersionStore, server_for_object
+from ..txn.objects import Key
 from ..txn.placement import Placement, QuorumPolicy
 from ..txn.transactions import ReadResult, ReadTransaction, WriteTransaction, WRITE_OK
 from .base import BuildConfig, Protocol
@@ -202,28 +201,18 @@ class AlgorithmA(Protocol):
     name = "algorithm-a"
     description = "Paper's algorithm A: SNOW in the multi-writer single-reader setting using C2C"
     requires_c2c = True
-    supports_reconfig = True
     supports_multiple_readers = False
-    supports_multiple_writers = True
     claimed_properties = "SNOW (Theorem 3)"
     claimed_read_rounds = 1
     claimed_versions = 1
 
-    def make_replica(self, config, object_id, name, group):
-        return AlgorithmAServer(name, object_id, config.initial_value, group=group)
-
-    def make_automata(self, config: BuildConfig) -> Sequence[Any]:
+    def make_clients(self, config: BuildConfig, placement: Placement) -> List[Any]:
         objects = config.objects()
-        placement = config.placement()
         policy = config.quorum_policy()
-        reader_name = config.readers()[0]
-        automata: List[Any] = [AlgorithmAReader(reader_name, objects, placement, policy)]
-        for writer in config.writers():
-            automata.append(AlgorithmAWriter(writer, objects, reader_name, placement, policy))
-        for object_id in objects:
-            group = placement.group(object_id)
-            for replica in group:
-                automata.append(
-                    AlgorithmAServer(replica, object_id, config.initial_value, group=group)
-                )
-        return automata
+        reader = config.readers()[0]
+        return [AlgorithmAReader(reader, objects, placement, policy)] + [
+            AlgorithmAWriter(writer, objects, reader, placement, policy) for writer in config.writers()
+        ]
+
+    def make_server(self, config: BuildConfig, object_id: str, name: str, group, coordinator: bool = False):
+        return AlgorithmAServer(name, object_id, config.initial_value, group=group)

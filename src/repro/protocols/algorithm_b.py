@@ -24,21 +24,14 @@ WRITE transactions are the shared Pseudocode 5 writer
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from ..ioa.automaton import Await, Context, ReaderAutomaton, Send
 from ..ioa.errors import SimulationError
-from ..txn.objects import Key, server_for_object
+from ..txn.objects import Key
 from ..txn.placement import Placement, QuorumPolicy
 from ..txn.transactions import ReadResult, ReadTransaction
-from ..consensus.machines import ListStateMachine
-from .base import BuildConfig, Protocol
-from .coordinated import (
-    CoordinatedServer,
-    CoordinatedWriter,
-    coordinator_targets,
-    live_coordinator_targets,
-)
+from .coordinated import CoordinatedProtocol, live_coordinator_targets
 from .replication import default_policy, key_read_round, placement_or_single_copy
 
 
@@ -100,69 +93,13 @@ class AlgorithmBReader(ReaderAutomaton):
         return ReadResult.from_mapping({obj: values[obj] for obj in txn.objects})
 
 
-class AlgorithmB(Protocol):
+class AlgorithmB(CoordinatedProtocol):
     """SNW + one-version READ transactions in two non-blocking rounds (Theorem 4)."""
 
     name = "algorithm-b"
     description = "Paper's algorithm B: strictly serializable, non-blocking, one-version, two-round reads (MWMR, no C2C)"
     requires_c2c = False
-    has_coordinator = True
-    supports_reconfig = True
-    supports_multiple_readers = True
-    supports_multiple_writers = True
+    reader = AlgorithmBReader
     claimed_properties = "SNW + one-version (Theorem 4)"
     claimed_read_rounds = 2
     claimed_versions = 1
-
-    def make_consensus_machine(self, config: BuildConfig) -> ListStateMachine:
-        return ListStateMachine(config.objects())
-
-    def make_replica(self, config: BuildConfig, object_id: str, name: str, group):
-        # Dynamic replicas are plain storage replicas: the coordinator role
-        # lives on the designated first server (or the consensus group) and
-        # never migrates through a replica-group change.
-        return CoordinatedServer(
-            name,
-            object_id,
-            config.objects(),
-            is_coordinator=False,
-            initial_value=config.initial_value,
-            group=group,
-        )
-
-    def make_automata(self, config: BuildConfig) -> Sequence[Any]:
-        objects = config.objects()
-        placement = config.placement()
-        policy = config.quorum_policy()
-        coordinator_group = coordinator_targets(config)
-        coordinator = coordinator_group[0]
-        replicated_coordinator = len(coordinator_group) > 1
-        automata: List[Any] = []
-        for reader in config.readers():
-            automata.append(
-                AlgorithmBReader(
-                    reader, objects, coordinator, placement, policy, coordinator_group
-                )
-            )
-        for writer in config.writers():
-            automata.append(
-                CoordinatedWriter(
-                    writer, objects, coordinator, placement, policy, coordinator_group
-                )
-            )
-        for object_id in objects:
-            group = placement.group(object_id)
-            for replica in group:
-                automata.append(
-                    CoordinatedServer(
-                        replica,
-                        object_id,
-                        objects,
-                        is_coordinator=(not replicated_coordinator and replica == coordinator),
-                        initial_value=config.initial_value,
-                        group=group,
-                    )
-                )
-        consensus = config.consensus_group()
-        automata.extend(self.make_consensus_member(config, name, consensus) for name in consensus)
-        return automata

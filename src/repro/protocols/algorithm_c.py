@@ -35,22 +35,15 @@ EXPERIMENTS.md).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..ioa.actions import Message
-from ..ioa.automaton import Await, Context, ReaderAutomaton, Send
+from ..ioa.automaton import Context, ReaderAutomaton, Send
 from ..ioa.errors import SimulationError
-from ..txn.objects import Key, server_for_object
+from ..txn.objects import Key
 from ..txn.placement import Placement, QuorumPolicy
 from ..txn.transactions import ReadResult, ReadTransaction
-from ..consensus.machines import ListStateMachine
-from .base import BuildConfig, Protocol
-from .coordinated import (
-    CoordinatedServer,
-    CoordinatedWriter,
-    coordinator_targets,
-    live_coordinator_targets,
-)
+from .coordinated import CoordinatedProtocol, live_coordinator_targets
 from .replication import (
     default_policy,
     epoch_quorum_round,
@@ -278,69 +271,13 @@ class AlgorithmCReader(ReaderAutomaton):
         return ReadResult.from_mapping({obj: values[obj] for obj in read_set})
 
 
-class AlgorithmC(Protocol):
+class AlgorithmC(CoordinatedProtocol):
     """SNW + one-round READ transactions returning up to |W| versions (Theorem 5)."""
 
     name = "algorithm-c"
     description = "Paper's algorithm C: strictly serializable, non-blocking, one-round, multi-version reads (MWMR, no C2C)"
     requires_c2c = False
-    has_coordinator = True
-    supports_reconfig = True
-    supports_multiple_readers = True
-    supports_multiple_writers = True
+    reader = AlgorithmCReader
     claimed_properties = "SNW + one-round (Theorem 5)"
     claimed_read_rounds = 1
     claimed_versions = None  # up to |W|
-
-    def make_consensus_machine(self, config: BuildConfig) -> ListStateMachine:
-        return ListStateMachine(config.objects())
-
-    def make_replica(self, config: BuildConfig, object_id: str, name: str, group):
-        # Dynamic replicas are plain storage replicas: the coordinator role
-        # lives on the designated first server (or the consensus group) and
-        # never migrates through a replica-group change.
-        return CoordinatedServer(
-            name,
-            object_id,
-            config.objects(),
-            is_coordinator=False,
-            initial_value=config.initial_value,
-            group=group,
-        )
-
-    def make_automata(self, config: BuildConfig) -> Sequence[Any]:
-        objects = config.objects()
-        placement = config.placement()
-        policy = config.quorum_policy()
-        coordinator_group = coordinator_targets(config)
-        coordinator = coordinator_group[0]
-        replicated_coordinator = len(coordinator_group) > 1
-        automata: List[Any] = []
-        for reader in config.readers():
-            automata.append(
-                AlgorithmCReader(
-                    reader, objects, coordinator, placement, policy, coordinator_group
-                )
-            )
-        for writer in config.writers():
-            automata.append(
-                CoordinatedWriter(
-                    writer, objects, coordinator, placement, policy, coordinator_group
-                )
-            )
-        for object_id in objects:
-            group = placement.group(object_id)
-            for replica in group:
-                automata.append(
-                    CoordinatedServer(
-                        replica,
-                        object_id,
-                        objects,
-                        is_coordinator=(not replicated_coordinator and replica == coordinator),
-                        initial_value=config.initial_value,
-                        group=group,
-                    )
-                )
-        consensus = config.consensus_group()
-        automata.extend(self.make_consensus_member(config, name, consensus) for name in consensus)
-        return automata

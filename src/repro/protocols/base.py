@@ -25,8 +25,8 @@ Conventions shared by all protocol implementations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..ioa.automaton import Automaton
 from ..ioa.network import FaultPlane, Topology
@@ -34,14 +34,14 @@ from ..ioa.scheduler import Scheduler
 from ..ioa.simulation import Simulation
 from ..ioa.trace import Trace
 from ..txn.history import History
-from ..txn.objects import object_names, server_for_object
+from ..txn.objects import object_names
 from ..txn.placement import (
     Placement,
     QuorumPolicy,
     coordinator_group_names,
     quorum_policy,
 )
-from ..txn.transactions import ReadTransaction, WriteTransaction, read as make_read, write_pairs
+from ..txn.transactions import read as make_read, write_pairs
 
 if TYPE_CHECKING:  # the reconfiguration plane is imported where it attaches (_install_reconfig)
     from ..consensus.controller import ControllerPolicy
@@ -58,7 +58,7 @@ def writer_names(count: int) -> Tuple[str, ...]:
 
 @dataclass
 class BuildConfig:
-    """Parameters of one system instantiation."""
+    """Parameters of one system instantiation: the settings :meth:`Protocol.build` takes."""
 
     num_readers: int = 1
     num_writers: int = 1
@@ -268,8 +268,11 @@ class SystemHandle:
 class Protocol:
     """Base class for protocol packages.
 
-    Subclasses set the class attributes describing the protocol's setting and
-    implement :meth:`make_automata`, returning the automata to register.
+    Every protocol is one instance of the paper's system model, laid out by
+    :meth:`make_automata`: its clients, then one server per replica of each
+    object, then the consensus members.  Subclasses set the class attributes
+    describing the protocol's setting and implement the two hooks that name
+    the automata, :meth:`make_clients` and :meth:`make_server`.
     """
 
     name: str = "abstract"
@@ -279,12 +282,8 @@ class Protocol:
     #: whether the protocol routes through a designated coordinator /
     #: timestamp oracle (the metadata service consensus_factor replicates)
     has_coordinator: bool = False
-    #: whether the protocol supports mid-run membership reconfiguration (its
-    #: client rounds are epoch-aware and it implements :meth:`make_replica`)
-    supports_reconfig: bool = False
-    #: whether the protocol is defined for more than one reader / writer
+    #: whether the protocol is defined for more than one reader
     supports_multiple_readers: bool = True
-    supports_multiple_writers: bool = True
     #: documentation string of the guarantees the paper claims for the protocol
     claimed_properties: str = ""
     #: documented worst-case number of read rounds (None = unbounded)
@@ -293,21 +292,41 @@ class Protocol:
     claimed_versions: Optional[int] = 1
 
     # ------------------------------------------------------------------
-    def make_automata(self, config: BuildConfig) -> Sequence[Automaton]:
+    def make_automata(self, config: BuildConfig) -> List[Automaton]:
+        """The system's automata in registration order: the clients, every
+        replica of every object (object-major, primaries first), then the
+        consensus members.  At ``consensus_factor=1`` a protocol with a
+        coordinator places it on the first server."""
+        placement = config.placement()
+        consensus = config.consensus_group()
+        coordinator = placement.servers()[0] if self.has_coordinator and not consensus else None
+        return (
+            self.make_clients(config, placement)
+            + [
+                self.make_server(config, object_id, name, group, coordinator=name == coordinator)
+                for object_id, group in placement.groups
+                for name in group
+            ]
+            + [self.make_consensus_member(config, name, consensus) for name in consensus]
+        )
+
+    def make_clients(self, config: BuildConfig, placement: Placement) -> List[Automaton]:
+        """The readers, then the writers, of a system laid out by ``placement``."""
         raise NotImplementedError
 
-    def make_replica(
-        self, config: BuildConfig, object_id: str, name: str, group: Tuple[str, ...]
+    def make_server(
+        self,
+        config: BuildConfig,
+        object_id: str,
+        name: str,
+        group: Tuple[str, ...],
+        coordinator: bool = False,
     ) -> Automaton:
-        """Build one storage replica for a mid-run membership change.
-
-        Protocols that set ``supports_reconfig`` override this with exactly
-        the server class :meth:`make_automata` uses, so a spawned replica is
-        indistinguishable from a founding one.
-        """
-        raise NotImplementedError(
-            f"protocol {self.name} does not build dynamic replicas (supports_reconfig=False)"
-        )
+        """Build replica ``name`` of ``object_id``'s ``group``: the one place a
+        replica is made, for the founding system and for every replica a
+        membership change spawns mid-run (the coordinator role never
+        migrates, so a spawned replica has ``coordinator=False``)."""
+        raise NotImplementedError
 
     def make_consensus_machine(self, config: BuildConfig):
         """The coordinator state machine the consensus group replicates
@@ -347,8 +366,6 @@ class Protocol:
             raise ValueError("system needs at least one reader, one writer and one object")
         if config.num_readers > 1 and not self.supports_multiple_readers:
             raise ValueError(f"protocol {self.name} is defined for a single reader (MWSR setting)")
-        if config.num_writers > 1 and not self.supports_multiple_writers:
-            raise ValueError(f"protocol {self.name} is defined for a single writer")
         if config.replication_factor < 1:
             raise ValueError(
                 f"replication_factor must be >= 1, got {config.replication_factor}"
@@ -380,36 +397,10 @@ class Protocol:
                     "serve reads locally; they need consensus_factor >= 2 "
                     "(the factor-1 designated server already answers locally)"
                 )
-        if config.controller is not None:
-            if not self.supports_reconfig:
-                raise ValueError(
-                    f"protocol {self.name} does not support membership reconfiguration "
-                    "(its client rounds are not epoch-aware), so the rebalancing "
-                    "controller cannot drive it"
-                )
-            if type(self).make_replica is Protocol.make_replica:
-                raise ValueError(
-                    f"protocol {self.name} sets supports_reconfig but does not "
-                    "override make_replica; the rebalancing controller cannot "
-                    "spawn its replacement replicas"
-                )
         if config.reconfig is not None and config.reconfig.requests:
-            if not self.supports_reconfig:
-                raise ValueError(
-                    f"protocol {self.name} does not support membership reconfiguration "
-                    "(its client rounds are not epoch-aware)"
-                )
             # already loaded: the plan's own module
-            from ..consensus.reconfig import CONSENSUS_GROUP, REPLICA_GROUP
+            from ..consensus.reconfig import CONSENSUS_GROUP
 
-            if any(r.kind == REPLICA_GROUP for r in config.reconfig.requests) and (
-                type(self).make_replica is Protocol.make_replica
-            ):
-                raise ValueError(
-                    f"protocol {self.name} sets supports_reconfig but does not "
-                    "override make_replica; replica-group changes cannot spawn "
-                    "its servers"
-                )
             if any(r.kind == CONSENSUS_GROUP for r in config.reconfig.requests) and (
                 config.consensus_factor < 2
             ):
@@ -446,81 +437,14 @@ class Protocol:
             )
 
     # ------------------------------------------------------------------
-    def build(
-        self,
-        num_readers: int = 1,
-        num_writers: int = 1,
-        num_objects: int = 2,
-        scheduler: Optional[Scheduler] = None,
-        seed: int = 0,
-        initial_value: Any = 0,
-        c2c: Optional[bool] = None,
-        max_steps: int = 200_000,
-        fault_plane: Optional[FaultPlane] = None,
-        replication_factor: int = 1,
-        quorum: Any = "read-one-write-all",
-        consensus_factor: int = 1,
-        election_timeout: Optional[Tuple[int, int]] = None,
-        reconfig: Optional[ReconfigPlan] = None,
-        controller: Optional[ControllerPolicy] = None,
-        obs: Optional[Any] = None,
-        trace_mode: Optional[Any] = None,
-        persistence: Optional[Any] = None,
-        leases: Optional[bool] = None,
-    ) -> SystemHandle:
+    def build(self, **settings: Any) -> SystemHandle:
         """Instantiate the protocol as a ready-to-run system.
 
-        ``fault_plane`` installs a network-conditions hook (see
-        :mod:`repro.faults`); ``None`` keeps the paper's reliable channels.
-        ``replication_factor`` places each object on a group of N servers and
-        ``quorum`` (a name or a :class:`~repro.txn.placement.QuorumPolicy`)
-        drives the read/write quorum rounds.  ``consensus_factor`` replicates
-        the coordinator / timestamp oracle over N consensus members (see
-        :mod:`repro.consensus`); ``election_timeout`` overrides their
-        randomized election window.  ``reconfig`` installs a
-        :class:`~repro.consensus.reconfig.ReconfigPlan` of mid-run membership
-        changes (a shared epoch-versioned
-        :class:`~repro.consensus.reconfig.PlacementDirectory` plus the admin
-        driver automaton); ``controller`` installs the automated-rebalancing
-        control loop (:mod:`repro.consensus.controller`), which *derives*
-        membership changes from observed failures and latency and feeds them
-        to the same driver.  ``obs`` installs an
-        :class:`~repro.obs.ObservabilityPlane` (kernel metrics registry,
-        streaming invariant monitors, health/SLO plane); the plane only
-        listens, so even an enabled plane leaves the trace byte-identical.
-        ``trace_mode`` selects trace record retention
-        (:class:`~repro.ioa.TraceMode`; ``None``/``full`` keeps every
-        action).  ``persistence`` attaches stable storage to every
-        consensus member (:mod:`repro.persist`): term/vote/log survive
-        crash-with-amnesia, and with ``compact_every`` set the members
-        checkpoint their state machines and compact their logs.
-        ``leases=True`` turns leases on for every consensus member: the
-        leader answers read-only coordinator requests
-        locally under a quorum-proven lease instead of committing a log
-        entry.  The defaults reproduce the paper's one-server-per-object,
-        single-coordinator system byte-for-byte.
+        ``settings`` are :class:`BuildConfig`'s fields (an unknown one is a
+        :class:`TypeError`); the defaults reproduce the paper's
+        one-server-per-object, single-coordinator system byte-for-byte.
         """
-        config = BuildConfig(
-            num_readers=num_readers,
-            num_writers=num_writers,
-            num_objects=num_objects,
-            initial_value=initial_value,
-            seed=seed,
-            c2c=c2c,
-            scheduler=scheduler,
-            max_steps=max_steps,
-            fault_plane=fault_plane,
-            replication_factor=replication_factor,
-            quorum=quorum,
-            consensus_factor=consensus_factor,
-            election_timeout=election_timeout,
-            reconfig=reconfig,
-            controller=controller,
-            obs=obs,
-            trace_mode=trace_mode,
-            persistence=persistence,
-            leases=leases,
-        )
+        config = BuildConfig(**settings)
         self.validate_config(config)
         if config.persistence is not None:
             from ..persist import PersistencePlane
@@ -594,9 +518,7 @@ class Protocol:
         driver = ReconfigDriver(
             plan=config.reconfig if config.reconfig is not None else ReconfigPlan(),
             directory=directory,
-            replica_factory=lambda obj, name, group: self.make_replica(
-                config, obj, name, group
-            ),
+            replica_factory=lambda obj, name, group: self.make_server(config, obj, name, group),
             consensus_member_factory=(
                 (lambda name, union: self.make_consensus_member(config, name, union))
                 if config.consensus_factor > 1

@@ -32,7 +32,7 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 from ..ioa.actions import Message
 from ..ioa.automaton import Await, Context, ReaderAutomaton, Send, ServerAutomaton, WriterAutomaton
 from ..ioa.errors import SimulationError
-from ..txn.objects import Key, VersionStore, server_for_object
+from ..txn.objects import Key, VersionStore
 from ..txn.placement import Placement
 from ..txn.transactions import ReadResult, ReadTransaction, WriteTransaction, WRITE_OK
 from .base import BuildConfig, Protocol
@@ -491,28 +491,15 @@ class LockingProtocol(Protocol):
     name = "s2pl"
     description = "Strict two-phase locking baseline: S and W but neither N nor one-round reads"
     requires_c2c = False
-    supports_multiple_readers = True
-    supports_multiple_writers = True
     claimed_properties = "S, W, one-version; gives up N and one-round"
     claimed_read_rounds = None  # q sequential lock rounds for a q-object read
     claimed_versions = 1
-    supports_reconfig = True
 
-    def make_replica(self, config: BuildConfig, object_id: str, name: str, group):
-        return LockingServer(name, object_id, config.initial_value, group=group)
-
-    def make_automata(self, config: BuildConfig) -> Sequence[Any]:
+    def make_clients(self, config: BuildConfig, placement: Placement) -> List[Any]:
         objects = config.objects()
-        placement = config.placement()
-        automata: List[Any] = []
-        for reader in config.readers():
-            automata.append(LockingReader(reader, objects, placement))
-        for writer in config.writers():
-            automata.append(LockingWriter(writer, objects, placement))
-        for object_id in objects:
-            group = placement.group(object_id)
-            for replica in group:
-                automata.append(
-                    LockingServer(replica, object_id, config.initial_value, group=group)
-                )
-        return automata
+        return [LockingReader(reader, objects, placement) for reader in config.readers()] + [
+            LockingWriter(writer, objects, placement) for writer in config.writers()
+        ]
+
+    def make_server(self, config: BuildConfig, object_id: str, name: str, group, coordinator: bool = False):
+        return LockingServer(name, object_id, config.initial_value, group=group)

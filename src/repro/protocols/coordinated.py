@@ -31,20 +31,23 @@ This module provides:
   with the coordinator role (``update-coor``, ``get-tag-arr``, tag
   piggy-backing on ``read-vals``);
 * :func:`coordinator_name` / :func:`coordinator_targets` — the conventions
-  designating the coordinator (single server or consensus group).
+  designating the coordinator (single server or consensus group);
+* :class:`CoordinatedProtocol` — the protocol package both algorithms are:
+  they differ only in their :attr:`~CoordinatedProtocol.reader` class.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..consensus.machines import CoordinatorList
+from ..consensus.machines import CoordinatorList, ListStateMachine
 from ..ioa.actions import Message
-from ..ioa.automaton import Await, Context, ServerAutomaton, Send, WriterAutomaton
+from ..ioa.automaton import Await, Context, Send, WriterAutomaton
 from ..ioa.errors import SimulationError
-from ..txn.objects import Key, VersionStore, server_for_object
+from ..txn.objects import Key
 from ..txn.placement import Placement, QuorumPolicy
 from ..txn.transactions import WriteTransaction, WRITE_OK
+from .base import BuildConfig, Protocol
 from .replication import (
     ReplicatedStorageServer,
     default_policy,
@@ -75,18 +78,18 @@ def live_coordinator_targets(directory, fallback: Tuple[str, ...]) -> Tuple[str,
     return fallback
 
 
-def coordinator_targets(config) -> Tuple[str, ...]:
+def coordinator_targets(config, placement: Placement) -> Tuple[str, ...]:
     """The processes clients address coordinator requests to.
 
     The consensus group when the metadata service is replicated
-    (``consensus_factor >= 2``), else the designated first storage server —
-    a one-element group, so client code is a single loop either way and
-    ``consensus_factor=1`` sends are byte-identical to the seed.
+    (``consensus_factor >= 2``), else the designated first storage server of
+    ``placement`` — a one-element group, so client code is a single loop
+    either way and ``consensus_factor=1`` sends are byte-identical to the seed.
     """
     group = config.consensus_group()
     if group:
         return group
-    return (coordinator_name(config.servers()),)
+    return (coordinator_name(placement.servers()),)
 
 
 class CoordinatedWriter(WriterAutomaton):
@@ -252,3 +255,38 @@ class CoordinatedServer(ReplicatedStorageServer):
             tag, keys = self.tag_array_for(read_set)
             payload["tag"] = tag
             payload["keys"] = tuple(keys.items())
+
+
+class CoordinatedProtocol(Protocol):
+    """The system of algorithms B and C: ``reader`` clients beside the
+    Pseudocode 5 writers, a :class:`CoordinatedServer` per replica, and the
+    ``List`` as the consensus group's state machine."""
+
+    has_coordinator = True
+    #: the READ transaction automaton, the one thing B and C differ in
+    reader: type
+
+    def make_consensus_machine(self, config: BuildConfig) -> ListStateMachine:
+        return ListStateMachine(config.objects())
+
+    def make_clients(self, config: BuildConfig, placement: Placement) -> List[Any]:
+        objects = config.objects()
+        policy = config.quorum_policy()
+        group = coordinator_targets(config, placement)
+        return [
+            self.reader(reader, objects, group[0], placement, policy, group)
+            for reader in config.readers()
+        ] + [
+            CoordinatedWriter(writer, objects, group[0], placement, policy, group)
+            for writer in config.writers()
+        ]
+
+    def make_server(self, config: BuildConfig, object_id: str, name: str, group, coordinator: bool = False):
+        return CoordinatedServer(
+            name,
+            object_id,
+            config.objects(),
+            is_coordinator=coordinator,
+            initial_value=config.initial_value,
+            group=group,
+        )

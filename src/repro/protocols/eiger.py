@@ -37,7 +37,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..ioa.actions import Message
 from ..ioa.automaton import Await, Context, ReaderAutomaton, Send, ServerAutomaton, WriterAutomaton
 from ..ioa.errors import SimulationError
-from ..txn.objects import server_for_object
 from ..txn.placement import Placement, QuorumPolicy
 from ..txn.transactions import ReadResult, ReadTransaction, WriteTransaction, WRITE_OK
 from .base import BuildConfig, Protocol
@@ -514,29 +513,16 @@ class EigerProtocol(Protocol):
     name = "eiger"
     description = "Eiger-style Lamport-clock read-only transactions (bounded latency, NOT strictly serializable)"
     requires_c2c = False
-    supports_reconfig = True
-    supports_multiple_readers = True
-    supports_multiple_writers = True
     claimed_properties = "NOW + bounded rounds; S claimed by [15] but refuted in Section 6"
     claimed_read_rounds = 2
     claimed_versions = 1
 
-    def make_replica(self, config: BuildConfig, object_id: str, name: str, group):
-        return EigerServer(name, object_id, config.initial_value, group=group)
-
-    def make_automata(self, config: BuildConfig) -> Sequence[Any]:
+    def make_clients(self, config: BuildConfig, placement: Placement) -> List[Any]:
         objects = config.objects()
-        placement = config.placement()
         policy = config.quorum_policy()
-        automata: List[Any] = []
-        for reader in config.readers():
-            automata.append(EigerReader(reader, objects, placement, policy))
-        for writer in config.writers():
-            automata.append(EigerWriter(writer, objects, placement))
-        for object_id in objects:
-            group = placement.group(object_id)
-            for replica in group:
-                automata.append(
-                    EigerServer(replica, object_id, config.initial_value, group=group)
-                )
-        return automata
+        return [EigerReader(reader, objects, placement, policy) for reader in config.readers()] + [
+            EigerWriter(writer, objects, placement) for writer in config.writers()
+        ]
+
+    def make_server(self, config: BuildConfig, object_id: str, name: str, group, coordinator: bool = False):
+        return EigerServer(name, object_id, config.initial_value, group=group)

@@ -28,9 +28,9 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..ioa.actions import Message
-from ..ioa.automaton import Await, Context, ReaderAutomaton, Send, ServerAutomaton, WriterAutomaton
+from ..ioa.automaton import Context, ReaderAutomaton, Send, WriterAutomaton
 from ..ioa.errors import SimulationError
-from ..txn.objects import Key, VersionStore, server_for_object
+from ..txn.objects import Key
 from ..txn.placement import Placement, QuorumPolicy
 from ..txn.transactions import ReadResult, ReadTransaction, WriteTransaction, WRITE_OK
 from .base import BuildConfig, Protocol
@@ -188,29 +188,16 @@ class NaiveSnowCandidate(Protocol):
     name = "naive-snow"
     description = "Latest-value one-round reads: satisfies N, O, W but violates S under contention"
     requires_c2c = False
-    supports_multiple_readers = True
-    supports_multiple_writers = True
     claimed_properties = "NOW (S fails: fractured reads)"
     claimed_read_rounds = 1
     claimed_versions = 1
-    supports_reconfig = True
 
-    def make_replica(self, config: BuildConfig, object_id: str, name: str, group):
-        return NaiveServer(name, object_id, config.initial_value, group=group)
-
-    def make_automata(self, config: BuildConfig) -> Sequence[Any]:
+    def make_clients(self, config: BuildConfig, placement: Placement) -> List[Any]:
         objects = config.objects()
-        placement = config.placement()
         policy = config.quorum_policy()
-        automata: List[Any] = []
-        for reader in config.readers():
-            automata.append(NaiveReader(reader, objects, placement, policy))
-        for writer in config.writers():
-            automata.append(NaiveWriter(writer, objects, placement, policy))
-        for object_id in objects:
-            group = placement.group(object_id)
-            for replica in group:
-                automata.append(
-                    NaiveServer(replica, object_id, config.initial_value, group=group)
-                )
-        return automata
+        return [NaiveReader(reader, objects, placement, policy) for reader in config.readers()] + [
+            NaiveWriter(writer, objects, placement, policy) for writer in config.writers()
+        ]
+
+    def make_server(self, config: BuildConfig, object_id: str, name: str, group, coordinator: bool = False):
+        return NaiveServer(name, object_id, config.initial_value, group=group)

@@ -51,7 +51,6 @@ from ..consensus.machines import TimestampStateMachine
 from ..ioa.actions import Message
 from ..ioa.automaton import Await, Context, ReaderAutomaton, Send, ServerAutomaton, WriterAutomaton
 from ..ioa.errors import SimulationError
-from ..txn.objects import Key, server_for_object
 from ..txn.placement import Placement
 from ..txn.transactions import ReadResult, ReadTransaction, WriteTransaction, WRITE_OK
 from .base import BuildConfig, Protocol
@@ -518,9 +517,6 @@ class OccProtocol(Protocol):
     description = "Validating-retry snapshot reads: SNW + one-version but unbounded rounds under contention"
     requires_c2c = False
     has_coordinator = True  # the timestamp oracle is its metadata service
-    supports_reconfig = True
-    supports_multiple_readers = True
-    supports_multiple_writers = True
     claimed_properties = "S, N, W, one-version; rounds unbounded (Figure 1b, ∞ column)"
     claimed_read_rounds = None
     claimed_versions = 1
@@ -531,45 +527,24 @@ class OccProtocol(Protocol):
     def make_consensus_machine(self, config: BuildConfig) -> TimestampStateMachine:
         return TimestampStateMachine()
 
-    def make_replica(self, config: BuildConfig, object_id: str, name: str, group):
-        # Dynamic replicas never carry the oracle role: the timestamp server
-        # is the designated first server (or the consensus group) and never
-        # migrates through a replica-group change.
+    def make_clients(self, config: BuildConfig, placement: Placement) -> List[Any]:
+        objects = config.objects()
+        timestamp_group = coordinator_targets(config, placement)
+        return [
+            OccReader(reader, objects, max_attempts=self.max_attempts, placement=placement)
+            for reader in config.readers()
+        ] + [
+            OccWriter(writer, objects, timestamp_group[0], placement, timestamp_group)
+            for writer in config.writers()
+        ]
+
+    def make_server(self, config: BuildConfig, object_id: str, name: str, group, coordinator: bool = False):
+        # only a founding server is the timestamp oracle: the role never
+        # migrates through a replica-group change
         return OccServer(
             name,
             object_id,
-            is_timestamp_server=False,
+            is_timestamp_server=coordinator,
             initial_value=config.initial_value,
             group=group,
         )
-
-    def make_automata(self, config: BuildConfig) -> Sequence[Any]:
-        objects = config.objects()
-        placement = config.placement()
-        timestamp_group = coordinator_targets(config)
-        timestamp_server = timestamp_group[0]
-        replicated_oracle = len(timestamp_group) > 1
-        automata: List[Any] = []
-        for reader in config.readers():
-            automata.append(
-                OccReader(reader, objects, max_attempts=self.max_attempts, placement=placement)
-            )
-        for writer in config.writers():
-            automata.append(
-                OccWriter(writer, objects, timestamp_server, placement, timestamp_group)
-            )
-        for object_id in objects:
-            group = placement.group(object_id)
-            for replica in group:
-                automata.append(
-                    OccServer(
-                        replica,
-                        object_id,
-                        is_timestamp_server=(not replicated_oracle and replica == timestamp_server),
-                        initial_value=config.initial_value,
-                        group=group,
-                    )
-                )
-        consensus = config.consensus_group()
-        automata.extend(self.make_consensus_member(config, name, consensus) for name in consensus)
-        return automata

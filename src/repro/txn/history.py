@@ -14,18 +14,10 @@ semantics of the data type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .transactions import (
-    ReadResult,
-    ReadTransaction,
-    Transaction,
-    WriteTransaction,
-    WRITE_OK,
-    is_read_transaction,
-    is_write_transaction,
-)
+from .transactions import ReadResult, Transaction, is_read_transaction, is_write_transaction
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """The ratchet on the build's settings and the options nested inside them.
 
-``BuildConfig`` and ``Protocol.build`` list the same settings, one field and
-one keyword each.  This test pins that list, ``ExperimentConfig``'s fields,
-and one level down the fields of the policy objects those settings take:
-adding, renaming or removing a setting or an option means editing the pins
-here on purpose, in the same change.
+``Protocol.build(**settings)`` takes ``BuildConfig``'s fields, declared once
+there.  This test pins that list, ``ExperimentConfig``'s fields, and one level
+down the fields of the policy objects those settings take: adding, renaming or
+removing a setting or an option means editing the pins here on purpose, in the
+same change.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from repro.consensus import ControllerPolicy, ReconfigController
 from repro.ioa import TraceMode
 from repro.obs import MetricsRegistry, MonitorSuite, ObservabilityPlane, SLOPolicy
 from repro.persist import PersistencePolicy
-from repro.protocols import BuildConfig, Protocol, get_protocol
+from repro.protocols import BuildConfig, get_protocol
 
 SETTINGS = (
     "num_readers",
@@ -48,9 +48,9 @@ def test_build_config_fields_are_the_pinned_settings():
     assert tuple(field.name for field in dataclasses.fields(BuildConfig)) == SETTINGS
 
 
-def test_build_keywords_are_the_build_config_fields():
-    keywords = set(inspect.signature(Protocol.build).parameters) - {"self"}
-    assert keywords == set(SETTINGS)
+def test_build_refuses_a_setting_build_config_lacks():
+    with pytest.raises(TypeError, match="bogus"):
+        get_protocol("naive-snow").build(bogus=1)
 
 
 #: the declarative experiment: the build settings it forwards, the workload

@@ -132,6 +132,10 @@ class TestBuildConfig:
             protocol.build(num_readers=0)
         with pytest.raises(ValueError):
             protocol.build(num_objects=0)
+        with pytest.raises(ValueError, match="consensus_factor must be >= 1"):
+            protocol.build(consensus_factor=0)
+        with pytest.raises(ValueError, match="persistence attaches stable storage.*consensus_factor >= 2"):
+            protocol.build(persistence=object())
 
 
 class TestSystemHandle:

@@ -196,19 +196,6 @@ class TestPolicyAndMetrics:
         with pytest.raises(ValueError, match="fail_after"):
             ControllerPolicy(fail_after=0)
 
-    def test_controller_requires_reconfig_support(self):
-        from repro.protocols import NaiveSnowCandidate
-
-        class FixedMembershipStub(NaiveSnowCandidate):
-            name = "fixed-membership-stub-ctl"
-            supports_reconfig = False
-
-        with pytest.raises(ValueError, match="rebalancing controller"):
-            FixedMembershipStub().build(
-                num_readers=2, num_writers=2, num_objects=2,
-                controller=ControllerPolicy(),
-            )
-
     def test_metrics_block(self):
         from repro.analysis import ExperimentConfig, WorkloadSpec, run_experiment
 

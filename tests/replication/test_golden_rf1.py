@@ -274,30 +274,15 @@ def test_monitors_and_health_are_trace_invisible(protocol):
     assert plane.health_view.report()["totals"]["events"] == len(handle.trace())
 
 
-def test_every_protocol_supports_reconfig():
-    """The universal-reconfiguration contract: every registered protocol's
-    rounds are epoch-aware and every one can spawn dynamic replicas."""
+def test_every_protocol_is_laid_out_by_protocol():
+    """One system layout: every registered protocol leaves the layout loop to
+    ``Protocol.make_automata`` and names only its clients and its server, so a
+    replica spawned mid-run is built by the same ``make_server`` as a founding
+    one."""
     from repro.protocols import Protocol, get_protocol
 
     for name in protocol_names():
-        protocol = get_protocol(name)
-        assert protocol.supports_reconfig, name
-        assert type(protocol).make_replica is not Protocol.make_replica, name
-
-
-def test_reconfig_rejected_without_support():
-    """A protocol whose rounds are not epoch-aware fails loudly instead of
-    silently ignoring a reconfiguration plan (every in-tree protocol now
-    opts in, so the guard is pinned with a minimal stub)."""
-    from repro.consensus.reconfig import ReconfigPlan, set_replica_group
-    from repro.protocols import NaiveSnowCandidate
-
-    class FixedMembershipStub(NaiveSnowCandidate):
-        name = "fixed-membership-stub"
-        supports_reconfig = False
-
-    plan = ReconfigPlan(requests=(set_replica_group("ox", ("sx", "sx.2"), at=5),))
-    with pytest.raises(ValueError, match="does not support membership reconfiguration"):
-        FixedMembershipStub().build(
-            num_readers=2, num_writers=2, num_objects=2, reconfig=plan
-        )
+        cls = type(get_protocol(name))
+        assert cls.make_automata is Protocol.make_automata, name
+        assert cls.make_clients is not Protocol.make_clients, name
+        assert cls.make_server is not Protocol.make_server, name
