@@ -286,3 +286,77 @@ def test_every_protocol_is_laid_out_by_protocol():
         assert cls.make_automata is Protocol.make_automata, name
         assert cls.make_clients is not Protocol.make_clients, name
         assert cls.make_server is not Protocol.make_server, name
+
+
+def _layout_config(protocol, consensus_factor: int = 1):
+    from repro.protocols.base import BuildConfig
+
+    return BuildConfig(
+        num_readers=3 if protocol.supports_multiple_readers else 1,
+        num_writers=3,
+        num_objects=3,
+        replication_factor=3,
+        quorum="majority",
+        consensus_factor=consensus_factor,
+    )
+
+
+@pytest.mark.parametrize("protocol", protocol_names())
+def test_layout_registers_clients_then_replicas_then_members(protocol):
+    """``make_automata`` registers the readers, the writers, every replica in
+    placement order (object-major, primaries first), then the consensus
+    members; the coordinator role goes to the first server only, and only
+    when the protocol has a coordinator that no consensus group replicates."""
+    from repro.protocols import get_protocol
+
+    impl = get_protocol(protocol)
+    factors = (1, 3) if impl.has_coordinator else (1,)
+    for consensus_factor in factors:
+        config = _layout_config(impl, consensus_factor)
+        placement = config.placement()
+        calls = []
+        make_server = impl.make_server
+
+        def spy(config, object_id, name, group, coordinator=False):
+            calls.append((object_id, name, group, coordinator))
+            return make_server(config, object_id, name, group, coordinator=coordinator)
+
+        impl.make_server = spy
+        try:
+            automata = impl.make_automata(config)
+        finally:
+            del impl.make_server
+        assert [a.name for a in automata] == [
+            *config.readers(),
+            *config.writers(),
+            *placement.servers(),
+            *config.consensus_group(),
+        ], (protocol, consensus_factor)
+        assert calls == [
+            (object_id, name, group, impl.has_coordinator and consensus_factor == 1
+             and name == placement.servers()[0])
+            for object_id, group in placement.groups
+            for name in group
+        ], (protocol, consensus_factor)
+
+
+@pytest.mark.parametrize("protocol", protocol_names())
+def test_layout_builds_the_placement_once(protocol, monkeypatch):
+    """One build derives the object → replica-group map once and hands it to
+    both hooks; a hook that re-derived it per client multiplied the cost of
+    every replicated build."""
+    from repro.protocols import get_protocol
+    from repro.protocols.base import BuildConfig
+
+    impl = get_protocol(protocol)
+    config = _layout_config(impl)
+    placements = []
+    placement = BuildConfig.placement
+
+    def counting(self):
+        placements.append(self)
+        return placement(self)
+
+    monkeypatch.setattr(BuildConfig, "placement", counting)
+    impl.make_automata(config)
+    assert len(placements) == 1, protocol
