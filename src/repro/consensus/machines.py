@@ -29,44 +29,69 @@ from ..ioa.errors import SimulationError
 from ..txn.objects import Key
 
 
+Bits = Tuple[Tuple[str, int], ...]
+
+
 class CoordinatorList:
     """The coordinator's append-only ``List`` (1-based positions).
 
     The initial entry stands for the initial versions (``κ₀`` updating every
     object), exactly as in the pseudocode; the tag of a WRITE is the length
     of the list after its entry is appended.
+
+    Each entry is stored once, as the immutable ``(κ, bits)`` pair the
+    checkpoint payload carries: ``bits`` is the sorted ``((object, 0|1), …)``
+    tuple, one shared tuple per distinct pattern (at most ``2**len(objects)``).
+    Entries are never mutated, so :meth:`snapshot` shares them with the live
+    list instead of copying them, and so does every checkpoint or stable-store
+    record built from it.
     """
 
     def __init__(self, objects: Sequence[str]) -> None:
         self.objects = tuple(objects)
-        self.entries: List[Tuple[Key, Dict[str, int]]] = []
+        self._sorted = tuple(sorted(self.objects))
+        self._patterns: Dict[Bits, Bits] = {}
+        self.entries: List[Tuple[Key, Bits]] = []
         self.reset()
+
+    def _bits(self, written: Mapping[str, Any]) -> Bits:
+        """The shared ``bits`` tuple for the objects ``written`` marks."""
+        bits = tuple((obj, int(written.get(obj, 0))) for obj in self._sorted)
+        return self._patterns.setdefault(bits, bits)
 
     def reset(self) -> None:
         """(Re)initialise to the single initial entry — the amnesia hook."""
-        self.entries = [(Key.initial(), {obj: 1 for obj in self.objects})]
+        self.entries = [(Key.initial(), self._bits(dict.fromkeys(self.objects, 1)))]
 
-    def snapshot(self) -> Tuple[Tuple[Key, Tuple[Tuple[str, int], ...]], ...]:
-        """An immutable copy of the list (checkpoint payload)."""
-        return tuple(
-            (key, tuple(sorted(bits.items()))) for key, bits in self.entries
-        )
+    def snapshot(self) -> Tuple[Tuple[Key, Bits], ...]:
+        """The list as a tuple (checkpoint payload), sharing its entries."""
+        return tuple(self.entries)
 
-    def restore(self, state: Sequence[Tuple[Key, Any]]) -> None:
-        """Replace the list with a :meth:`snapshot` payload."""
-        self.entries = [(key, dict(bits)) for key, bits in state]
+    def restore(self, state: Sequence[Tuple[Key, Bits]]) -> None:
+        """Replace the list with a :meth:`snapshot` payload, keeping its
+        entries (another member's, when a leader ships its checkpoint) and
+        their ``bits`` as this list's shared tuples."""
+        patterns: Dict[Bits, Bits] = {}
+        entries = []
+        for entry in state:
+            key, bits = entry
+            shared = patterns.setdefault(bits, bits)
+            entries.append(entry if bits is shared else (key, shared))
+        self._patterns, self.entries = patterns, entries
 
     # ------------------------------------------------------------------
     def append(self, key: Key, bits: Mapping[str, Any]) -> int:
         """Record that the WRITE keyed ``key`` updated ``bits``; returns its tag."""
-        self.entries.append((key, {obj: int(bits.get(obj, 0)) for obj in self.objects}))
+        self.entries.append((key, self._bits(bits)))
         return len(self.entries)
 
     def latest_index_for(self, object_id: str) -> int:
+        """1-based index of the newest entry that wrote ``object_id``."""
+        written = (object_id, 1)
         for position in range(len(self.entries) - 1, -1, -1):
-            if self.entries[position][1].get(object_id, 0) == 1:
+            if written in self.entries[position][1]:
                 return position + 1
-        raise SimulationError(f"coordinator list has no entry for object {object_id!r}")
+        raise SimulationError(f"the List has no entry for object {object_id!r}")
 
     def tag_array_for(self, read_set: Sequence[str]) -> Tuple[int, Dict[str, Key]]:
         """``(t_r, {object: κ})`` for the requested read set."""

@@ -18,7 +18,8 @@ Two invariants keep the rest of the repository sound:
   suppressed (they consume a scheduler step but record no trace action and
   never reach the automaton), so protocols written for reliable channels
   need no dedup logic and the SNOW checkers see exactly the protocol-level
-  exchange.
+  exchange.  The id is registered only while some copy is still in flight
+  or parked (see :class:`FaultInjector`).
 * **Determinism** — all randomness comes from one private RNG seeded from
   ``(plan.seed, injector seed)``; the same plan, seed and scheduler always
   produce the same execution, so every chaos failure is replayable.
@@ -37,7 +38,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
-from ..ioa.actions import Message, internal_action
+from ..ioa.actions import Message
 from ..ioa.errors import UnknownProcessError
 from ..ioa.network import FaultPlane
 from .plan import FaultPlan, Partition
@@ -156,6 +157,16 @@ class FaultInjector(FaultPlane):
     that first reader can be a send, mid-step: its mail is parked for a
     server that is down by then, and ``_transitions_due`` stays set until the
     next ``before_step`` records the onset or recovery.
+
+    **Delivered ids live as long as a copy does.**  ``_copies`` counts each
+    message's copies in the kernel's frontier and in the transport buffer:
+    one enters with every enqueue and every park, one leaves with every
+    delivery (:meth:`suppress_delivery`), every release from the buffer and
+    every discard (the crash sweep moves copies from frontier to buffer and
+    counts neither).  The id of a delivered message stays in
+    ``_delivered_ids`` until its last copy leaves, so at-most-once holds
+    with a set bounded by the messages in flight: a forgotten id has no
+    copy left to suppress.
     """
 
     def __init__(self, plan: FaultPlan, seed: int = 0) -> None:
@@ -165,6 +176,7 @@ class FaultInjector(FaultPlane):
         self._rng = random.Random(((plan.seed & 0xFFFFFFFF) << 17) ^ (seed & 0x1FFFF) ^ 0x5EED)
         self._buffer = _TransportBuffer()
         self._delivered_ids: Set[int] = set()
+        self._copies: Dict[int, int] = {}  # msg_id -> live copies (class docstring)
         self._drop_streak: Dict[int, int] = {}  # msg_id -> consecutive drops
         self._virtual_now = 0
         self._crashed: Set[str] = set()
@@ -289,11 +301,14 @@ class FaultInjector(FaultPlane):
             self.advance_to(min(boundaries))
 
     def suppress_delivery(self, message: Message, kernel: Any) -> bool:
-        if message.msg_id in self._delivered_ids:
+        msg_id = message.msg_id
+        duplicate = msg_id in self._delivered_ids
+        if duplicate:
             self.stats.duplicates_suppressed += 1
-            return True
-        self._delivered_ids.add(message.msg_id)
-        return False
+        elif self._copies[msg_id] > 1:
+            self._delivered_ids.add(msg_id)  # another copy is still out there
+        self._copy_left(msg_id)
+        return duplicate
 
     def suppress_timeout(self, timeout: Any, kernel: Any) -> bool:
         """A crashed owner's timer must not fire mid-outage.
@@ -323,6 +338,7 @@ class FaultInjector(FaultPlane):
         """
         for held in self._buffer.discard(lambda h: name in (h.message.dst, h.message.src)):
             self._drop_streak.pop(held.message.msg_id, None)
+            self._copy_left(held.message.msg_id)
         self._crashed.discard(name)
         self._crash_onset.pop(name, None)
         self._removed.add(name)
@@ -337,13 +353,13 @@ class FaultInjector(FaultPlane):
         release = self._partition_release(message.src, message.dst, now)
         if release is not _NOT_BLOCKED:
             self.stats.held_by_partition += 1
-            self._buffer.park(_HeldMessage(message, release, "partition", attempts))
+            self._park(_HeldMessage(message, release, "partition", attempts))
             return
 
         release = self._crash_release(message.dst, now)
         if release is not _NOT_BLOCKED:
             self.stats.held_by_crash += 1
-            self._buffer.park(_HeldMessage(message, release, "crash", attempts))
+            self._park(_HeldMessage(message, release, "crash", attempts))
             return
 
         if self._should_drop(message, now):
@@ -352,7 +368,7 @@ class FaultInjector(FaultPlane):
             if retry is None or attempts >= retry.max_attempts:
                 self._abandon(message, kernel)
             else:
-                self._buffer.park(
+                self._park(
                     _HeldMessage(message, now + retry.timeout_steps, "retransmit", attempts + 1)
                 )
             return
@@ -368,6 +384,11 @@ class FaultInjector(FaultPlane):
         delay = self.plan.latency.sample(self._rng) if self.plan.latency is not None else 0
         kernel.enqueue_delivery(message, ready_at=now + delay if delay else 0)
         self.stats.delivered_copies += 1
+        self._copy_entered(message.msg_id)
+
+    def _park(self, held: _HeldMessage) -> None:
+        self._buffer.park(held)
+        self._copy_entered(held.message.msg_id)
 
     def _should_drop(self, message: Message, now: int) -> bool:
         drops = self.plan.drops
@@ -387,6 +408,22 @@ class FaultInjector(FaultPlane):
         txn = message.get("txn")
         if txn is not None:
             kernel.annotate_transaction(txn, {"abandoned_messages": 1, "_accumulate": True})
+
+    # ------------------------------------------------------------------
+    # Copy counting (class docstring)
+    # ------------------------------------------------------------------
+    def _copy_entered(self, msg_id: int) -> None:
+        self._copies[msg_id] = self._copies.get(msg_id, 0) + 1
+
+    def _copy_left(self, msg_id: int) -> None:
+        """A copy was delivered, released or discarded; with the last one the
+        id is forgotten, as no copy is left to suppress."""
+        left = self._copies[msg_id] - 1
+        if left:
+            self._copies[msg_id] = left
+        else:
+            del self._copies[msg_id]
+            self._delivered_ids.discard(msg_id)
 
     # ------------------------------------------------------------------
     # Blocking conditions
@@ -447,14 +484,14 @@ class FaultInjector(FaultPlane):
         for server in sorted(currently - self._crashed):
             self.stats.crashes += 1
             self._crash_onset[server] = now
-            kernel.trace.append(internal_action(server, {"fault": "crash"}))
+            kernel._record_internal(server, {"fault": "crash"})
             release = self._crash_release(server, now)
             for delivery in kernel.extract_deliveries(lambda d, s=server: d.message.dst == s):
                 self.stats.held_by_crash += 1
                 self._buffer.park(_HeldMessage(delivery.message, release, "crash"))
         for server in sorted(self._crashed - currently):
             self.stats.recoveries += 1
-            kernel.trace.append(internal_action(server, {"fault": "recover"}))
+            kernel._record_internal(server, {"fault": "recover"})
             onset = self._crash_onset.pop(server, 0)
             if any(
                 crash.server == server
@@ -476,7 +513,7 @@ class FaultInjector(FaultPlane):
                 info = {"fault": "amnesia"}
                 if getattr(automaton, "stable_store", None) is not None:
                     info["durable"] = "recovered"
-                kernel.trace.append(internal_action(server, info))
+                kernel._record_internal(server, info)
         self._crashed = currently
 
     def _release_due(self, kernel: Any, now: int) -> None:
@@ -487,7 +524,10 @@ class FaultInjector(FaultPlane):
                 txn = held.message.get("txn")
                 if txn is not None:
                     kernel.annotate_transaction(txn, {"retransmissions": 1, "_accumulate": True})
+            # re-admit before the released copy leaves, so a delivered id
+            # that gets a new copy is not forgotten in between
             self._admit(held.message, kernel, attempts=held.attempts)
+            self._copy_left(held.message.msg_id)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -75,7 +75,9 @@ class EventFrontier:
         self._immediate: int = 0
         #: ``(ready_at, seq)`` min-heap over latency-stamped deliveries;
         #: entries whose seq has left ``_deliveries`` are discarded lazily
-        #: (stamps are never reused, so staleness is unambiguous).
+        #: (stamps are never reused, so staleness is unambiguous): from the
+        #: top as they surface, and all at once when they outnumber the live
+        #: ones (:meth:`remove_delivery`), so the heap stays O(in flight).
         self._delayed: List[Tuple[int, int]] = []
         #: enqueue stamp -> timeout, in arming order.
         self._timeouts: Dict[int, PendingTimeout] = {}
@@ -102,9 +104,17 @@ class EventFrontier:
             self._immediate += 1
 
     def remove_delivery(self, delivery: PendingDelivery) -> None:
-        del self._deliveries[delivery.enqueued_at]
+        alive = self._deliveries
+        del alive[delivery.enqueued_at]
         if not delivery.ready_at:
             self._immediate -= 1
+            return
+        heap = self._delayed
+        while heap and heap[0][1] not in alive:
+            heapq.heappop(heap)
+        if len(heap) > 2 * (len(alive) - self._immediate):
+            heap[:] = [entry for entry in heap if entry[1] in alive]
+            heapq.heapify(heap)
 
     def deliveries(self) -> Iterable[PendingDelivery]:
         """The pending deliveries, in enqueue order."""

@@ -37,8 +37,9 @@ used.  This matches the order used in the proof of Theorem 3.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
+from ..consensus.machines import CoordinatorList
 from ..ioa.automaton import Await, Context, ReaderAutomaton, Send, WriterAutomaton
 from ..ioa.actions import Message
 from ..ioa.errors import SimulationError
@@ -61,9 +62,11 @@ from .replication import (
 class AlgorithmAReader(ReaderAutomaton):
     """The single reader of algorithm A.
 
-    State: ``List`` — ordered entries ``(key, bits)`` where ``bits`` maps each
-    object to 1 if the corresponding WRITE updated it.  The initial entry is
-    ``(κ₀, all-ones)`` standing for the initial versions.
+    State: ``List`` — ordered entries ``(key, bits)`` where ``bits`` marks each
+    object 1 if the corresponding WRITE updated it.  The initial entry is
+    ``(κ₀, all-ones)`` standing for the initial versions.  It is the same
+    :class:`~repro.consensus.machines.CoordinatorList` the coordinator of
+    algorithms B and C keeps.
     """
 
     #: shared placement directory when built with a reconfiguration plan
@@ -81,18 +84,13 @@ class AlgorithmAReader(ReaderAutomaton):
         self.objects = tuple(objects)
         self.placement = placement_or_single_copy(self.objects, placement)
         self.policy = policy if policy is not None else default_policy()
-        self.entries: List[Tuple[Key, Dict[str, int]]] = [
-            (Key.initial(), {obj: 1 for obj in self.objects})
-        ]
+        self.list = CoordinatorList(self.objects)
 
     # -- info-reader handling (may arrive at any time) --------------------
     def on_message(self, message: Message, ctx: Context) -> None:
         if message.msg_type != "info-reader":
             return
-        key: Key = message.get("key")
-        bits = dict(message.get("bits", ()))
-        self.entries.append((key, {obj: int(bits.get(obj, 0)) for obj in self.objects}))
-        tag = len(self.entries)  # |List| with 1-based counting, matching the pseudocode
+        tag = self.list.append(message.get("key"), dict(message.get("bits", ())))
         ctx.send(
             message.src,
             "ack-info",
@@ -101,22 +99,10 @@ class AlgorithmAReader(ReaderAutomaton):
         )
 
     # -- READ transactions -------------------------------------------------
-    def latest_index_for(self, object_id: str) -> int:
-        """1-based index of the newest list entry that wrote ``object_id``."""
-        for position in range(len(self.entries) - 1, -1, -1):
-            if self.entries[position][1].get(object_id, 0) == 1:
-                return position + 1
-        raise SimulationError(f"reader list has no entry for object {object_id!r}")
-
     def run_transaction(self, txn: ReadTransaction, ctx: Context):
         if not isinstance(txn, ReadTransaction):
             raise SimulationError(f"reader {self.name} received a non-READ transaction {txn!r}")
-        chosen: Dict[str, Key] = {}
-        tag = 1
-        for object_id in txn.objects:
-            index = self.latest_index_for(object_id)
-            tag = max(tag, index)
-            chosen[object_id] = self.entries[index - 1][0]
+        tag, chosen = self.list.tag_array_for(txn.objects)
         # read-value phase: one parallel round over the replica groups,
         # one version per reply, first hit per object within the quorum.
         values, replies = yield from key_read_round(

@@ -191,11 +191,6 @@ class CoordinatedServer(ReplicatedStorageServer):
         # one definition of the metadata transitions for both deployments.
         self.coordinator_list = CoordinatorList(self.objects)
 
-    @property
-    def entries(self) -> List[Tuple[Key, Dict[str, int]]]:
-        """The raw ``List`` entries (kept for introspection and tests)."""
-        return self.coordinator_list.entries
-
     def forget(self) -> None:
         """Amnesia: lose the store *and* (on the coordinator) the ``List``."""
         super().forget()
@@ -204,9 +199,6 @@ class CoordinatedServer(ReplicatedStorageServer):
     # ------------------------------------------------------------------
     # Coordinator-side helpers
     # ------------------------------------------------------------------
-    def latest_index_for(self, object_id: str) -> int:
-        return self.coordinator_list.latest_index_for(object_id)
-
     def tag_array_for(self, read_set: Sequence[str]) -> Tuple[int, Dict[str, Key]]:
         """``(t_r, {object: κ})`` for the requested read set."""
         return self.coordinator_list.tag_array_for(read_set)

@@ -9,9 +9,11 @@ diffed the down set against the last one whether or not anything could have
 changed.  All five loops left ``src/`` and live here verbatim, on a
 :class:`FaultInjector` subclass that never reads the span cache, so the tests
 can assert that buffer and cache produce the same execution: same trace, same
-:class:`FaultStats`, same ``held_messages()`` order.  The admission pipeline
-itself (drop, duplicate, latency, retry) is inherited, i.e. shared with the
-code under test.
+:class:`FaultStats`, same ``held_messages()`` order.  So does the seed's
+at-most-once rule, which kept every delivered id for the whole run where the
+injector now forgets an id with its last live copy: the subclass counts no
+copies and never forgets.  The admission pipeline itself (drop, duplicate,
+latency, retry) is inherited, i.e. shared with the code under test.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterator, List
 
 from repro.faults.injector import _NOT_BLOCKED, FaultInjector, _HeldMessage
-from repro.ioa.actions import internal_action
+from repro.ioa.actions import Message, internal_action
 
 
 class _FlatBuffer:
@@ -41,8 +43,9 @@ class _FlatBuffer:
 
 
 class ReferenceFaultInjector(FaultInjector):
-    """``FaultInjector`` with the seed's two full scans of parked mail and
-    the parent's (PR 19) per-call scans of the plan."""
+    """``FaultInjector`` with the seed's two full scans of parked mail, the
+    per-call scans of the plan that the window spans replaced, and the seed's
+    delivered-id set that never forgets."""
 
     def __init__(self, plan, seed: int = 0) -> None:
         super().__init__(plan, seed=seed)
@@ -56,7 +59,20 @@ class ReferenceFaultInjector(FaultInjector):
     def _held(self, held: List[_HeldMessage]) -> None:
         self._buffer.held = held
 
+    def _copy_entered(self, msg_id: int) -> None:
+        pass  # no copies are counted: the id set below never shrinks
+
+    def _copy_left(self, msg_id: int) -> None:
+        pass
+
     # -- verbatim from the seed -------------------------------------------
+    def suppress_delivery(self, message: Message, kernel: Any) -> bool:
+        if message.msg_id in self._delivered_ids:
+            self.stats.duplicates_suppressed += 1
+            return True
+        self._delivered_ids.add(message.msg_id)
+        return False
+
     def _advance_through_boundaries(self, kernel: Any) -> bool:
         while True:
             now = self.now(kernel)

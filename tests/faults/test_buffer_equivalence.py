@@ -6,10 +6,13 @@ Every run is made twice — once with :class:`FaultInjector`, once with
 the per-call scans of the plan that PR 21's span cache replaced,
 ``tests/faults/reference_injector.py``) — and must agree on the trace
 signature, on every :class:`FaultStats` counter and on the *order* of
-``held_messages()`` at the end.  Re-admission order decides every later RNG
-draw: a buffer that released due mail in ``release_at`` order instead of
-insertion order fails the clock-skipping test below (the kernel's own clock
-visits every release time, so there the two orders coincide).
+``held_messages()`` at the end.  The oracle also keeps the seed's
+never-forgetting delivered-id set, so equal ``duplicates_suppressed`` counts
+and equal traces show that forgetting an id with its last copy suppresses
+exactly what remembering it forever did.  Re-admission order decides every
+later RNG draw: a buffer that released due mail in ``release_at`` order
+instead of insertion order fails the clock-skipping test below (the kernel's
+own clock visits every release time, so there the two orders coincide).
 """
 
 from __future__ import annotations
@@ -31,6 +34,9 @@ from repro.protocols import get_protocol, protocol_names
 
 from tests.faults.perf_chaos_cell import run_chaos_cell, workloads
 from tests.faults.reference_injector import ReferenceFaultInjector
+
+# at-most-once delivery is a safety property: CI's invariants gate runs these
+pytestmark = pytest.mark.invariants
 
 SEEDS = (1, 2, 3, 4, 5)
 

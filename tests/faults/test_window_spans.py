@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults import ChaosScheduler, CrashEvent, FaultInjector, FaultPlan, Partition
-from repro.ioa import ActionKind, FIFOScheduler, Message
+from repro.ioa import ActionKind, FIFOScheduler, Message, internal_action
 from repro.protocols import get_protocol
 
 from tests.faults.reference_injector import ReferenceFaultInjector
@@ -53,6 +53,9 @@ class _Kernel:
 
     def append(self, action):
         self.recorded.append((self.steps_taken, action.actor, action.info))
+
+    def _record_internal(self, actor, info):
+        self.append(internal_action(actor, info))
 
     def enqueue_delivery(self, message, ready_at=0):
         self.enqueued.append((self.steps_taken, message.dst))

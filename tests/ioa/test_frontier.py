@@ -56,6 +56,7 @@ from repro.ioa import (
     Simulation,
     expect_type,
 )
+from repro.ioa.frontier import EventFrontier
 from repro.obs.registry import MetricsRegistry
 from repro.protocols import get_protocol, protocol_names
 
@@ -430,3 +431,31 @@ class TestExtraction:
         sim.submit("c1", "a")
         sim.step()
         assert sim.next_delivery_boundary() == 0  # reliable path: ripe now
+
+
+class TestDelayedHeap:
+    """Removed latency-stamped deliveries leave ``(ready_at, seq)`` entries in
+    the frontier's heap.  While an immediate delivery is pending,
+    ``next_delivery_ready`` answers 0 without looking at the heap, so it never
+    sheds them: removal must, or the heap grows with every delivery made."""
+
+    @pytest.mark.parametrize("order", ("earliest first", "latest first"))
+    def test_heap_stays_within_twice_the_live_delayed_deliveries(self, order):
+        frontier = EventFrontier()
+        immediate = PendingDelivery(Message.make("m", "c1", "s1"), 0)
+        frontier.add_delivery(immediate)
+        delayed = [
+            PendingDelivery(Message.make("m", "c1", "s1"), seq, ready_at=seq)
+            for seq in range(1, 201)
+        ]
+        for delivery in delayed:
+            frontier.add_delivery(delivery)
+        doomed = delayed[:150] if order == "earliest first" else delayed[:49:-1]
+        for removed, delivery in enumerate(doomed, 1):
+            frontier.remove_delivery(delivery)
+            assert len(frontier._delayed) <= 2 * (len(delayed) - removed)
+        assert frontier.next_delivery_ready() == 0
+        frontier.remove_delivery(immediate)
+        gone = {delivery.enqueued_at for delivery in doomed}
+        survivors = [d.ready_at for d in delayed if d.enqueued_at not in gone]
+        assert frontier.next_delivery_ready() == min(survivors)

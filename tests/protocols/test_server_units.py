@@ -75,14 +75,14 @@ class TestAlgorithmAReaderUnit:
     def test_latest_index_tracks_per_object_updates(self):
         reader = AlgorithmAReader("r1", ("ox", "oy"))
         ctx = FakeContext("r1")
-        assert reader.latest_index_for("ox") == 1  # the initial all-ones entry
+        assert reader.list.latest_index_for("ox") == 1  # the initial all-ones entry
         reader.on_message(msg("info-reader", "w1", "r1", txn="W1", key=Key(1, "w1"), bits=(("ox", 1), ("oy", 0))), ctx)
         assert ctx.last().msg_type == "ack-info"
         assert ctx.last().get("tag") == 2
-        assert reader.latest_index_for("ox") == 2
-        assert reader.latest_index_for("oy") == 1
+        assert reader.list.latest_index_for("ox") == 2
+        assert reader.list.latest_index_for("oy") == 1
         reader.on_message(msg("info-reader", "w2", "r1", txn="W2", key=Key(1, "w2"), bits=(("ox", 0), ("oy", 1))), ctx)
-        assert reader.latest_index_for("oy") == 3
+        assert reader.list.latest_index_for("oy") == 3
         assert ctx.last().get("tag") == 3
 
     def test_non_info_messages_ignored(self):
