@@ -15,7 +15,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "naive_snow": ("NaiveReader", "NaiveServer", "NaiveSnowCandidate", "NaiveWriter"),
         "occ": ("OccProtocol", "OccReader", "OccServer", "OccWriter"),
         "replication": (
-            "ReplicatedStorageServer", "key_read_round", "per_object_reply_await", "write_value_round",
+            "ReplicatedStorageServer", "key_read_round", "quorum_round", "write_value_round",
         ),
         "registry": (
             "all_protocols", "get_protocol", "protocol_names", "register_protocol",

@@ -47,19 +47,13 @@ from ..txn.objects import Key
 from ..txn.placement import Placement, QuorumPolicy
 from ..txn.transactions import ReadResult, ReadTransaction, WriteTransaction, WRITE_OK
 from .base import BuildConfig, Protocol
-from .replication import (
-    ReplicatedStorageServer,
-    default_policy,
-    key_read_round,
-    placement_or_single_copy,
-    write_value_round,
-)
+from .replication import ReplicaClient, ReplicatedStorageServer, key_read_round, write_value_round
 
 
 # ----------------------------------------------------------------------
 # Reader
 # ----------------------------------------------------------------------
-class AlgorithmAReader(ReaderAutomaton):
+class AlgorithmAReader(ReplicaClient, ReaderAutomaton):
     """The single reader of algorithm A.
 
     State: ``List`` — ordered entries ``(key, bits)`` where ``bits`` marks each
@@ -69,10 +63,6 @@ class AlgorithmAReader(ReaderAutomaton):
     algorithms B and C keeps.
     """
 
-    #: shared placement directory when built with a reconfiguration plan
-    #: (injected by the build; None keeps the rounds byte-identical)
-    directory = None
-
     def __init__(
         self,
         name: str,
@@ -80,10 +70,7 @@ class AlgorithmAReader(ReaderAutomaton):
         placement: Optional[Placement] = None,
         policy: Optional[QuorumPolicy] = None,
     ) -> None:
-        super().__init__(name)
-        self.objects = tuple(objects)
-        self.placement = placement_or_single_copy(self.objects, placement)
-        self.policy = policy if policy is not None else default_policy()
+        super().__init__(name, objects, placement, policy)
         self.list = CoordinatorList(self.objects)
 
     # -- info-reader handling (may arrive at any time) --------------------
@@ -105,10 +92,7 @@ class AlgorithmAReader(ReaderAutomaton):
         tag, chosen = self.list.tag_array_for(txn.objects)
         # read-value phase: one parallel round over the replica groups,
         # one version per reply, first hit per object within the quorum.
-        values, replies = yield from key_read_round(
-            txn.txn_id, chosen, self.placement, self.policy,
-            directory=self.directory, ctx=ctx,
-        )
+        values, replies = yield from key_read_round(txn.txn_id, chosen, self.view, ctx)
         annotations: Dict[str, Any] = {"tag": tag, "protocol": "algorithm-a"}
         if not self.placement.is_trivial():
             annotations["quorum_replies"] = len(replies)
@@ -119,11 +103,8 @@ class AlgorithmAReader(ReaderAutomaton):
 # ----------------------------------------------------------------------
 # Writer
 # ----------------------------------------------------------------------
-class AlgorithmAWriter(WriterAutomaton):
+class AlgorithmAWriter(ReplicaClient, WriterAutomaton):
     """A writer of algorithm A: write-value phase then info-reader phase."""
-
-    #: shared placement directory when built with a reconfiguration plan
-    directory = None
 
     def __init__(
         self,
@@ -133,11 +114,8 @@ class AlgorithmAWriter(WriterAutomaton):
         placement: Optional[Placement] = None,
         policy: Optional[QuorumPolicy] = None,
     ) -> None:
-        super().__init__(name)
-        self.objects = tuple(objects)
+        super().__init__(name, objects, placement, policy)
         self.reader = reader
-        self.placement = placement_or_single_copy(self.objects, placement)
-        self.policy = policy if policy is not None else default_policy()
         self.z = 0
 
     def run_transaction(self, txn: WriteTransaction, ctx: Context):
@@ -146,10 +124,7 @@ class AlgorithmAWriter(WriterAutomaton):
         self.z += 1
         key = Key(self.z, self.name)
         # write-value phase (a write quorum per written object) --------------
-        yield from write_value_round(
-            txn.txn_id, tuple(txn.updates), key, self.placement, self.policy,
-            directory=self.directory, ctx=ctx,
-        )
+        yield from write_value_round(txn.txn_id, tuple(txn.updates), key, self.view, ctx)
         # info-reader phase (client-to-client!) ------------------------------
         bits = tuple((obj, 1 if obj in dict(txn.updates) else 0) for obj in self.objects)
         yield Send(

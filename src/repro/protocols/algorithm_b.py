@@ -24,40 +24,18 @@ WRITE transactions are the shared Pseudocode 5 writer
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict
 
 from ..ioa.automaton import Await, Context, ReaderAutomaton, Send
 from ..ioa.errors import SimulationError
 from ..txn.objects import Key
-from ..txn.placement import Placement, QuorumPolicy
 from ..txn.transactions import ReadResult, ReadTransaction
-from .coordinated import CoordinatedProtocol, live_coordinator_targets
-from .replication import default_policy, key_read_round, placement_or_single_copy
+from .coordinated import CoordinatedClient, CoordinatedProtocol
+from .replication import key_read_round
 
 
-class AlgorithmBReader(ReaderAutomaton):
+class AlgorithmBReader(CoordinatedClient, ReaderAutomaton):
     """Two-round reader: consult the coordinator, then fetch exact versions."""
-
-    #: shared placement directory when built with a reconfiguration plan
-    directory = None
-
-    def __init__(
-        self,
-        name: str,
-        objects: Sequence[str],
-        coordinator: str,
-        placement: Optional[Placement] = None,
-        policy: Optional[QuorumPolicy] = None,
-        coordinator_group: Optional[Sequence[str]] = None,
-    ) -> None:
-        super().__init__(name)
-        self.objects = tuple(objects)
-        self.coordinator = coordinator
-        self.coordinator_group = (
-            tuple(coordinator_group) if coordinator_group else (coordinator,)
-        )
-        self.placement = placement_or_single_copy(self.objects, placement)
-        self.policy = policy if policy is not None else default_policy()
 
     def run_transaction(self, txn: ReadTransaction, ctx: Context):
         if not isinstance(txn, ReadTransaction):
@@ -71,7 +49,7 @@ class AlgorithmBReader(ReaderAutomaton):
                 payload={"txn": txn.txn_id, "read_set": tuple(txn.objects)},
                 phase="get-tag-array",
             )
-            for target in live_coordinator_targets(self.directory, self.coordinator_group)
+            for target in self.coordinators()
         ]
         replies = yield Await(
             matcher=lambda m, txn_id=txn.txn_id: m.msg_type == "tag-arr-reply" and m.get("txn") == txn_id,
@@ -82,10 +60,7 @@ class AlgorithmBReader(ReaderAutomaton):
         keys: Dict[str, Key] = dict(replies[0].get("keys", ()))
         # Round 2: read-value (a read quorum per replica group) -----------------
         chosen = {object_id: keys[object_id] for object_id in txn.objects}
-        values, value_replies = yield from key_read_round(
-            txn.txn_id, chosen, self.placement, self.policy,
-            directory=self.directory, ctx=ctx,
-        )
+        values, value_replies = yield from key_read_round(txn.txn_id, chosen, self.view, ctx)
         annotations: Dict[str, Any] = {"tag": tag, "protocol": "algorithm-b"}
         if not self.placement.is_trivial():
             annotations["quorum_replies"] = len(value_replies)

@@ -35,87 +35,61 @@ EXPERIMENTS.md).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List
 
-from ..ioa.actions import Message
 from ..ioa.automaton import Context, ReaderAutomaton, Send
 from ..ioa.errors import SimulationError
 from ..txn.objects import Key
-from ..txn.placement import Placement, QuorumPolicy
 from ..txn.transactions import ReadResult, ReadTransaction
-from .coordinated import CoordinatedProtocol, live_coordinator_targets
-from .replication import (
-    default_policy,
-    epoch_quorum_round,
-    key_read_round,
-    per_object_reply_await,
-    placement_or_single_copy,
-)
+from .coordinated import CoordinatedClient, CoordinatedProtocol
+from .replication import key_read_round, quorum_round
 
 
-def _tag_seen(collected: Sequence[Message]) -> bool:
-    return any(m.get("tag") is not None for m in collected)
+#: the read round's one requirement that is not an object: the tag array,
+#: one reply from a server asked for it
+TAG_ARRAY = "tag-array"
 
 
-class AlgorithmCReader(ReaderAutomaton):
+class AlgorithmCReader(CoordinatedClient, ReaderAutomaton):
     """One-round reader: fetch all versions and the tag array concurrently."""
 
-    #: shared placement directory when built with a reconfiguration plan
-    #: (injected by the build; None keeps the rounds byte-identical)
-    directory = None
-
-    def __init__(
-        self,
-        name: str,
-        objects: Sequence[str],
-        coordinator: str,
-        placement: Optional[Placement] = None,
-        policy: Optional[QuorumPolicy] = None,
-        coordinator_group: Optional[Sequence[str]] = None,
-    ) -> None:
-        super().__init__(name)
-        self.objects = tuple(objects)
-        self.coordinator = coordinator
-        self.coordinator_group = (
-            tuple(coordinator_group) if coordinator_group else (coordinator,)
-        )
-        self.placement = placement_or_single_copy(self.objects, placement)
-        self.policy = policy if policy is not None else default_policy()
-
-    def _fixed_membership_round(self, txn: ReadTransaction):
-        """The seed's single round (no directory): byte-identical wire."""
+    def run_transaction(self, txn: ReadTransaction, ctx: Context):
+        if not isinstance(txn, ReadTransaction):
+            raise SimulationError(f"reader {self.name} received a non-READ transaction {txn!r}")
         read_set = tuple(txn.objects)
-        read_targets = {
-            object_id: self.placement.group(object_id) for object_id in read_set
-        }
+        view = self.view
         # Combining the data and tag requests into one message only applies
         # when the coordinator *is* a storage server (the unreplicated
         # deployment); a consensus group holds no objects.
-        replicated_coordinator = len(self.coordinator_group) > 1
-        coordinator_holds_read_object = not replicated_coordinator and any(
-            self.coordinator in group for group in read_targets.values()
-        )
+        single_coordinator = len(self.coordinator_group) == 1
+        # Every server asked for the tag array so far: the tag request is
+        # matched across attempts (a replicated coordinator's memoized reply
+        # cannot echo the attempt), so any of them may answer it.
+        asked = set()
 
-        # Single phase: read-values-and-tags -----------------------------------
-        sends = []
-        for object_id in read_set:
-            for replica in read_targets[object_id]:
-                payload: Dict[str, Any] = {"txn": txn.txn_id, "object": object_id}
-                if coordinator_holds_read_object and replica == self.coordinator:
-                    # combine the data request and the tag-array request
-                    payload["want_tags"] = True
-                    payload["read_set"] = read_set
-                sends.append(
-                    Send(
-                        dst=replica,
-                        msg_type="read-vals",
-                        payload=payload,
-                        phase="read-values-and-tags",
+        def sends(stamp: Dict[str, Any]) -> List[Send]:
+            combined = single_coordinator and any(
+                self.coordinator in view.targets(object_id) for object_id in read_set
+            )
+            out = []
+            for object_id in read_set:
+                for replica in view.targets(object_id):
+                    payload: Dict[str, Any] = {"txn": txn.txn_id, "object": object_id, **stamp}
+                    if combined and replica == self.coordinator:
+                        # combine the data request and the tag-array request
+                        payload["want_tags"] = True
+                        payload["read_set"] = read_set
+                    out.append(
+                        Send(dst=replica, msg_type="read-vals", payload=payload, phase="read-values-and-tags")
                     )
-                )
-        if not coordinator_holds_read_object:
-            for target in self.coordinator_group:
-                sends.append(
+            if combined:
+                asked.add(self.coordinator)
+                return out
+            # Re-broadcast per attempt: idempotent at the single coordinator
+            # (a read), deduplicated by request id at a replicated one.
+            for target in self.coordinators():
+                asked.add(target)
+                out.append(
                     Send(
                         dst=target,
                         msg_type="get-tag-arr",
@@ -123,97 +97,27 @@ class AlgorithmCReader(ReaderAutomaton):
                         phase="read-values-and-tags",
                     )
                 )
-        yield from sends
-        replies = yield per_object_reply_await(
+            return out
+
+        def needs(requirement: str):
+            if requirement == TAG_ARRAY:
+                return ((tuple(asked), 1),)
+            return view.read_needed(requirement)
+
+        # Single phase: read-values-and-tags — a read quorum of ``Vals``
+        # snapshots per object, plus the tag array (from a replicated
+        # coordinator only the leader answers, a failover may answer twice).
+        replies, _ = yield from quorum_round(
             txn.txn_id,
-            read_set,
-            self.placement,
-            self.policy,
-            reply_type="read-vals-reply",
-            description="values and tag array",
-            extra_types=("tag-arr-reply",),
-            extra_count=0 if coordinator_holds_read_object else 1,
-            extra_ready=_tag_seen,
-            # With a replicated coordinator the number of tag replies is not
-            # fixed (only the leader answers; a failover may answer twice), so
-            # a fixed count cannot express readiness — use the predicate form.
-            force_quorum=replicated_coordinator,
-        )
-        return replies
-
-    def _epoch_round(self, txn: ReadTransaction, ctx: Context):
-        """The epoch-aware body of the single read round (directory installed).
-
-        Requests go to ``C_old ∪ C_new`` of every requested object and carry
-        epoch+attempt stamps; readiness needs a read quorum of ``Vals``
-        snapshots per object per active configuration plus the tag array, and
-        an ``epoch-mismatch`` (a retired replica) restarts the round against
-        the refreshed groups.  The tag request is re-broadcast per attempt —
-        idempotent at the single coordinator (a read) and deduplicated by
-        request id at a replicated one.
-        """
-        read_set = tuple(txn.objects)
-        directory = self.directory
-        replicated_coordinator = len(self.coordinator_group) > 1
-
-        def send_factory(epoch: int, attempt: int):
-            sends = []
-            coordinator_holds = not replicated_coordinator and any(
-                self.coordinator in directory.targets(object_id)
-                for object_id in read_set
-            )
-            for object_id in read_set:
-                for replica in directory.targets(object_id):
-                    payload: Dict[str, Any] = {
-                        "txn": txn.txn_id,
-                        "object": object_id,
-                        "epoch": epoch,
-                        "attempt": attempt,
-                    }
-                    if coordinator_holds and replica == self.coordinator:
-                        payload["want_tags"] = True
-                        payload["read_set"] = read_set
-                    sends.append(
-                        Send(
-                            dst=replica,
-                            msg_type="read-vals",
-                            payload=payload,
-                            phase="read-values-and-tags",
-                        )
-                    )
-            if not coordinator_holds:
-                for target in live_coordinator_targets(directory, self.coordinator_group):
-                    sends.append(
-                        Send(
-                            dst=target,
-                            msg_type="get-tag-arr",
-                            payload={"txn": txn.txn_id, "read_set": read_set},
-                            phase="read-values-and-tags",
-                        )
-                    )
-            return sends
-
-        replies, _attempt = yield from epoch_quorum_round(
-            txn.txn_id,
-            directory,
+            view,
             ctx,
-            send_factory,
-            reply_types=("read-vals-reply",),
-            needs_factory=lambda: {obj: directory.read_needed(obj) for obj in read_set},
-            extra_ready=_tag_seen,
+            sends,
+            ("read-vals-reply", "tag-arr-reply"),
+            needs,
+            read_set + (TAG_ARRAY,),
+            unnumbered=("tag-arr-reply",),
             description="values and tag array",
-            unfiltered_types=("tag-arr-reply",),
         )
-        return replies
-
-    def run_transaction(self, txn: ReadTransaction, ctx: Context):
-        if not isinstance(txn, ReadTransaction):
-            raise SimulationError(f"reader {self.name} received a non-READ transaction {txn!r}")
-        read_set = tuple(txn.objects)
-        if self.directory is not None:
-            replies = yield from self._epoch_round(txn, ctx)
-        else:
-            replies = yield from self._fixed_membership_round(txn)
 
         tag = None
         keys: Dict[str, Key] = {}
@@ -248,11 +152,9 @@ class AlgorithmCReader(ReaderAutomaton):
             fallback_values, _fallback_replies = yield from key_read_round(
                 txn.txn_id,
                 {object_id: keys[object_id] for object_id in missing},
-                self.placement,
-                self.policy,
+                view,
+                ctx,
                 phase="read-value-fallback",
-                directory=self.directory,
-                ctx=ctx,
             )
             values.update(fallback_values)
 

@@ -38,9 +38,10 @@ from ..txn.transactions import ReadResult, ReadTransaction, WriteTransaction, WR
 from .base import BuildConfig, Protocol
 from .replication import (
     DirectoryAwareServer,
-    _note_epoch_retry,
+    ReplicaClient,
+    attempt_stamp,
     check_epoch_retry_budget,
-    placement_or_single_copy,
+    note_epoch_retry,
 )
 
 
@@ -207,43 +208,33 @@ class LockingServer(DirectoryAwareServer, ServerAutomaton):
             self._drain_queue(ctx)
 
 
-class LockingReader(ReaderAutomaton):
-    """Acquire read locks in (object, replica) order, then release."""
+class LockingReader(ReplicaClient, ReaderAutomaton):
+    """Acquire read locks in (object, replica) order, then release.
 
-    #: shared placement directory when built with a reconfiguration plan
-    directory = None
+    Lock targets are read from the view per attempt (the union ``C_old ∪
+    C_new`` while a change is joint), so a transaction crossing a membership
+    change locks every live copy; an ``epoch-mismatch`` from a retired
+    replica releases the partial lock set and restarts the transaction.
+    """
 
-    def __init__(
-        self,
-        name: str,
-        objects: Sequence[str],
-        placement: Optional[Placement] = None,
-    ) -> None:
-        super().__init__(name)
-        self.objects = tuple(objects)
-        self.placement = placement_or_single_copy(self.objects, placement)
-
-    def _run_epoch(self, txn: ReadTransaction, ctx: Context):
-        """Epoch-aware strict 2PL read: restart-on-mismatch, then release.
-
-        Lock targets are re-read from the directory per attempt (the union
-        ``C_old ∪ C_new`` while a change is joint), so a transaction crossing
-        a membership change locks every live copy; an ``epoch-mismatch``
-        from a retired replica releases the partial lock set and restarts.
-        """
-        directory = self.directory
+    def run_transaction(self, txn: ReadTransaction, ctx: Context):
+        if not isinstance(txn, ReadTransaction):
+            raise SimulationError(f"reader {self.name} received a non-READ transaction {txn!r}")
+        view = self.view
         attempt = 0
         while True:
             attempt += 1
             check_epoch_retry_budget("read", txn.txn_id, attempt)
+            stamp = attempt_stamp(view, attempt)
+            numbered = stamp.get("attempt")
             values: Dict[str, Any] = {}
             granted: List[Tuple[str, str]] = []
             mismatch = False
             for object_id in sorted(txn.objects):
                 if mismatch:
                     break
-                for replica in directory.targets(object_id):
-                    if directory.is_retired(replica):
+                for replica in view.targets(object_id):
+                    if view.is_retired(replica):
                         # Retired (possibly already removed) between the
                         # targets snapshot and this send: the config moved.
                         mismatch = True
@@ -251,30 +242,29 @@ class LockingReader(ReaderAutomaton):
                     yield Send(
                         dst=replica,
                         msg_type="lock-read",
-                        payload={
-                            "txn": txn.txn_id,
-                            "object": object_id,
-                            "attempt": attempt,
-                        },
+                        payload={"txn": txn.txn_id, "object": object_id, **stamp},
                         phase="lock-read",
                     )
                     replies = yield Await(
-                        matcher=lambda m, t=txn.txn_id, o=object_id, a=attempt: m.msg_type
+                        matcher=lambda m, t=txn.txn_id, o=object_id, a=numbered: m.msg_type
                         in ("lock-read-granted", "epoch-mismatch")
                         and m.get("txn") == t
                         and m.get("object") == o
-                        and m.get("attempt") == a,
+                        and (a is None or m.get("attempt") == a),
                         count=1,
-                        description=f"read lock on {object_id} (epoch)",
+                        description=f"read lock on {object_id}",
                     )
                     if replies[0].msg_type == "epoch-mismatch":
                         mismatch = True
                         break
                     granted.append((object_id, replica))
                     if object_id not in values:
+                        # All replicas hold the same committed value
+                        # (write-all commits); the primary's grant arrives
+                        # first.
                         values[object_id] = replies[0].get("value")
             for object_id, replica in granted:
-                if directory.is_retired(replica):
+                if view.is_retired(replica):
                     continue  # retired since its grant; nothing to release
                 yield Send(
                     dst=replica,
@@ -283,52 +273,20 @@ class LockingReader(ReaderAutomaton):
                     phase="unlock",
                 )
             if mismatch:
-                _note_epoch_retry(txn.txn_id, attempt, directory, ctx)
+                note_epoch_retry(txn.txn_id, attempt, view, ctx)
                 continue
             return ReadResult.from_mapping({obj: values[obj] for obj in txn.objects})
 
-    def run_transaction(self, txn: ReadTransaction, ctx: Context):
-        if not isinstance(txn, ReadTransaction):
-            raise SimulationError(f"reader {self.name} received a non-READ transaction {txn!r}")
-        if self.directory is not None:
-            result = yield from self._run_epoch(txn, ctx)
-            return result
-        values: Dict[str, Any] = {}
-        for object_id in sorted(txn.objects):
-            for replica in self.placement.group(object_id):
-                yield Send(
-                    dst=replica,
-                    msg_type="lock-read",
-                    payload={"txn": txn.txn_id, "object": object_id},
-                    phase="lock-read",
-                )
-                replies = yield Await(
-                    matcher=lambda m, txn_id=txn.txn_id, obj=object_id: m.msg_type == "lock-read-granted"
-                    and m.get("txn") == txn_id
-                    and m.get("object") == obj,
-                    count=1,
-                    description=f"read lock on {object_id}",
-                )
-                if object_id not in values:
-                    # All replicas hold the same committed value (write-all
-                    # commits); the primary's grant arrives first.
-                    values[object_id] = replies[0].get("value")
-        for object_id in sorted(txn.objects):
-            for replica in self.placement.group(object_id):
-                yield Send(
-                    dst=replica,
-                    msg_type="unlock-read",
-                    payload={"txn": txn.txn_id, "object": object_id},
-                    phase="unlock",
-                )
-        return ReadResult.from_mapping({obj: values[obj] for obj in txn.objects})
 
+class LockingWriter(ReplicaClient, WriterAutomaton):
+    """Acquire write locks in (object, replica) order, then commit all values.
 
-class LockingWriter(WriterAutomaton):
-    """Acquire write locks in (object, replica) order, then commit all values."""
-
-    #: shared placement directory when built with a reconfiguration plan
-    directory = None
+    Under a reconfiguration directory a mismatch restarts lock acquisition;
+    commits go to exactly the granted replicas, and a replica retired
+    between its grant and the commit answers the commit with
+    ``epoch-mismatch``, which counts as released (it is leaving the group
+    and its copy is irrelevant from the commit of the change on).
+    """
 
     def __init__(
         self,
@@ -336,52 +294,45 @@ class LockingWriter(WriterAutomaton):
         objects: Sequence[str],
         placement: Optional[Placement] = None,
     ) -> None:
-        super().__init__(name)
-        self.objects = tuple(objects)
-        self.placement = placement_or_single_copy(self.objects, placement)
+        super().__init__(name, objects, placement)
         self.z = 0
 
-    def _run_epoch(self, txn: WriteTransaction, key: Key, ctx: Context):
-        """Epoch-aware strict 2PL write: restart lock acquisition on mismatch.
-
-        Commits go to exactly the granted replicas; a replica retired between
-        its grant and the commit answers the commit with ``epoch-mismatch``,
-        which counts as released (it is leaving the group and its copy is
-        irrelevant from the commit of the change on).
-        """
-        directory = self.directory
+    def run_transaction(self, txn: WriteTransaction, ctx: Context):
+        if not isinstance(txn, WriteTransaction):
+            raise SimulationError(f"writer {self.name} received a non-WRITE transaction {txn!r}")
+        self.z += 1
+        key = Key(self.z, self.name)
+        view = self.view
         updates = dict(txn.updates)
         attempt = 0
         while True:
             attempt += 1
             check_epoch_retry_budget("write", txn.txn_id, attempt)
+            stamp = attempt_stamp(view, attempt)
+            numbered = stamp.get("attempt")
             granted: List[Tuple[str, str]] = []
             mismatch = False
             for object_id in sorted(updates):
                 if mismatch:
                     break
-                for replica in directory.targets(object_id):
-                    if directory.is_retired(replica):
+                for replica in view.targets(object_id):
+                    if view.is_retired(replica):
                         mismatch = True
                         break
                     yield Send(
                         dst=replica,
                         msg_type="lock-write",
-                        payload={
-                            "txn": txn.txn_id,
-                            "object": object_id,
-                            "attempt": attempt,
-                        },
+                        payload={"txn": txn.txn_id, "object": object_id, **stamp},
                         phase="lock-write",
                     )
                     replies = yield Await(
-                        matcher=lambda m, t=txn.txn_id, o=object_id, a=attempt: m.msg_type
+                        matcher=lambda m, t=txn.txn_id, o=object_id, a=numbered: m.msg_type
                         in ("lock-write-granted", "epoch-mismatch")
                         and m.get("txn") == t
                         and m.get("object") == o
-                        and m.get("attempt") == a,
+                        and (a is None or m.get("attempt") == a),
                         count=1,
-                        description=f"write lock on {object_id} (epoch)",
+                        description=f"write lock on {object_id}",
                     )
                     if replies[0].msg_type == "epoch-mismatch":
                         mismatch = True
@@ -394,16 +345,14 @@ class LockingWriter(WriterAutomaton):
                 # hold no lock on — committing to the grant set alone would
                 # leave them permanently missing this write.  Restart so the
                 # refreshed acquisition covers the live target set.
-                for object_id in sorted(updates):
-                    for replica in directory.targets(object_id):
-                        if (object_id, replica) not in held and not directory.is_retired(replica):
-                            mismatch = True
-                            break
-                    if mismatch:
-                        break
+                mismatch = any(
+                    (object_id, replica) not in held and not view.is_retired(replica)
+                    for object_id in sorted(updates)
+                    for replica in view.targets(object_id)
+                )
             if mismatch:
                 for object_id, replica in granted:
-                    if directory.is_retired(replica):
+                    if view.is_retired(replica):
                         continue
                     yield Send(
                         dst=replica,
@@ -411,12 +360,10 @@ class LockingWriter(WriterAutomaton):
                         payload={"txn": txn.txn_id, "object": object_id},
                         phase="unlock",
                     )
-                _note_epoch_retry(txn.txn_id, attempt, directory, ctx)
+                note_epoch_retry(txn.txn_id, attempt, view, ctx)
                 continue
             commit_set = [
-                (object_id, replica)
-                for object_id, replica in granted
-                if not directory.is_retired(replica)
+                (object_id, replica) for object_id, replica in granted if not view.is_retired(replica)
             ]
             for object_id, replica in commit_set:
                 yield Send(
@@ -427,62 +374,20 @@ class LockingWriter(WriterAutomaton):
                         "object": object_id,
                         "key": key,
                         "value": updates[object_id],
-                        "attempt": attempt,
+                        **stamp,
                     },
                     phase="commit",
                 )
-            need = len(commit_set)
-            if need:
+            if commit_set:
                 yield Await(
-                    matcher=lambda m, t=txn.txn_id, a=attempt: m.msg_type
+                    matcher=lambda m, t=txn.txn_id, a=numbered: m.msg_type
                     in ("commit-ack", "epoch-mismatch")
                     and m.get("txn") == t
-                    and m.get("attempt") == a,
-                    until=lambda collected, n=need: len(collected) >= n,
-                    description="commit acks (epoch)",
+                    and (a is None or m.get("attempt") == a),
+                    count=len(commit_set),
+                    description="commit acks",
                 )
             return WRITE_OK
-
-    def run_transaction(self, txn: WriteTransaction, ctx: Context):
-        if not isinstance(txn, WriteTransaction):
-            raise SimulationError(f"writer {self.name} received a non-WRITE transaction {txn!r}")
-        self.z += 1
-        key = Key(self.z, self.name)
-        if self.directory is not None:
-            result = yield from self._run_epoch(txn, key, ctx)
-            return result
-        updates = dict(txn.updates)
-        commit_targets = 0
-        for object_id in sorted(updates):
-            for replica in self.placement.group(object_id):
-                yield Send(
-                    dst=replica,
-                    msg_type="lock-write",
-                    payload={"txn": txn.txn_id, "object": object_id},
-                    phase="lock-write",
-                )
-                yield Await(
-                    matcher=lambda m, txn_id=txn.txn_id, obj=object_id: m.msg_type == "lock-write-granted"
-                    and m.get("txn") == txn_id
-                    and m.get("object") == obj,
-                    count=1,
-                    description=f"write lock on {object_id}",
-                )
-        for object_id in sorted(updates):
-            for replica in self.placement.group(object_id):
-                commit_targets += 1
-                yield Send(
-                    dst=replica,
-                    msg_type="commit-write",
-                    payload={"txn": txn.txn_id, "object": object_id, "key": key, "value": updates[object_id]},
-                    phase="commit",
-                )
-        yield Await(
-            matcher=lambda m, txn_id=txn.txn_id: m.msg_type == "commit-ack" and m.get("txn") == txn_id,
-            count=commit_targets,
-            description="commit acks",
-        )
-        return WRITE_OK
 
 
 class LockingProtocol(Protocol):

@@ -24,8 +24,9 @@ per object.  The ``List`` itself is a metadata service with two deployments:
 
 This module provides:
 
-* :class:`CoordinatedWriter` — the Pseudocode 5 writer (``write-value`` then
-  ``update-coor``);
+* :class:`CoordinatedClient` — the client base that also addresses the
+  coordinator; :class:`CoordinatedWriter` — the Pseudocode 5 writer
+  (``write-value`` then ``update-coor``);
 * :class:`CoordinatedServer` — the storage-replica automaton
   (:class:`~repro.protocols.replication.ReplicatedStorageServer`) extended
   with the coordinator role (``update-coor``, ``get-tag-arr``, tag
@@ -48,12 +49,7 @@ from ..txn.objects import Key
 from ..txn.placement import Placement, QuorumPolicy
 from ..txn.transactions import WriteTransaction, WRITE_OK
 from .base import BuildConfig, Protocol
-from .replication import (
-    ReplicatedStorageServer,
-    default_policy,
-    placement_or_single_copy,
-    write_value_round,
-)
+from .replication import ReplicaClient, ReplicatedStorageServer, write_value_round
 
 
 def coordinator_name(servers: Sequence[str]) -> str:
@@ -61,21 +57,6 @@ def coordinator_name(servers: Sequence[str]) -> str:
     if not servers:
         raise SimulationError("a coordinated system needs at least one server")
     return servers[0]
-
-
-def live_coordinator_targets(directory, fallback: Tuple[str, ...]) -> Tuple[str, ...]:
-    """The coordinator group a client must broadcast to *right now*.
-
-    Under reconfiguration the shared directory's view wins (the union of
-    ``C_old,new`` while a consensus change is joint); without a directory —
-    or when it tracks no consensus group — the build-time targets stand.
-    One definition, used by every coordinator-addressing client.
-    """
-    if directory is not None:
-        targets = directory.coordinator_targets()
-        if targets:
-            return targets
-    return fallback
 
 
 def coordinator_targets(config, placement: Placement) -> Tuple[str, ...]:
@@ -92,7 +73,36 @@ def coordinator_targets(config, placement: Placement) -> Tuple[str, ...]:
     return (coordinator_name(placement.servers()),)
 
 
-class CoordinatedWriter(WriterAutomaton):
+class CoordinatedClient(ReplicaClient):
+    """A :class:`ReplicaClient` that also addresses the coordinator (one
+    server, or the consensus group): the clients of algorithms B and C, and
+    OCC's writer, whose coordinator is the timestamp oracle."""
+
+    def __init__(
+        self,
+        name: str,
+        objects: Sequence[str],
+        coordinator: str,
+        placement: Optional[Placement] = None,
+        policy: Optional[QuorumPolicy] = None,
+        coordinator_group: Optional[Sequence[str]] = None,
+    ) -> None:
+        super().__init__(name, objects, placement, policy)
+        self.coordinator = coordinator
+        self.coordinator_group: Tuple[str, ...] = (
+            tuple(coordinator_group) if coordinator_group else (coordinator,)
+        )
+
+    def coordinators(self) -> Tuple[str, ...]:
+        """The coordinator group to broadcast to right now: under a
+        reconfiguration directory its view wins (the union of ``C_old,new``
+        while a consensus change is joint); on fixed membership — or when
+        the directory tracks no consensus group — the build-time group
+        stands."""
+        return self.view.coordinator_targets() or self.coordinator_group
+
+
+class CoordinatedWriter(CoordinatedClient, WriterAutomaton):
     """Writer of algorithms B and C (Pseudocode 5).
 
     Phases of ``W((o_{i1}, v_{i1}), …)``:
@@ -104,10 +114,6 @@ class CoordinatedWriter(WriterAutomaton):
        await ``(ack, t_w)``; ``t_w`` is the transaction's tag.
     """
 
-    #: shared placement directory when built with a reconfiguration plan
-    #: (injected by the build; None keeps the rounds byte-identical)
-    directory = None
-
     def __init__(
         self,
         name: str,
@@ -117,18 +123,8 @@ class CoordinatedWriter(WriterAutomaton):
         policy: Optional[QuorumPolicy] = None,
         coordinator_group: Optional[Sequence[str]] = None,
     ) -> None:
-        super().__init__(name)
-        self.objects = tuple(objects)
-        self.coordinator = coordinator
-        self.coordinator_group: Tuple[str, ...] = (
-            tuple(coordinator_group) if coordinator_group else (coordinator,)
-        )
-        self.placement = placement_or_single_copy(self.objects, placement)
-        self.policy = policy if policy is not None else default_policy()
+        super().__init__(name, objects, coordinator, placement, policy, coordinator_group)
         self.z = 0
-
-    def _coordinator_targets(self) -> Tuple[str, ...]:
-        return live_coordinator_targets(self.directory, self.coordinator_group)
 
     def run_transaction(self, txn: WriteTransaction, ctx: Context):
         if not isinstance(txn, WriteTransaction):
@@ -136,10 +132,7 @@ class CoordinatedWriter(WriterAutomaton):
         self.z += 1
         key = Key(self.z, self.name)
         # write-value phase (a write quorum per written object) --------------
-        yield from write_value_round(
-            txn.txn_id, tuple(txn.updates), key, self.placement, self.policy,
-            directory=self.directory, ctx=ctx,
-        )
+        yield from write_value_round(txn.txn_id, tuple(txn.updates), key, self.view, ctx)
         # update-coor phase (broadcast to the coordinator group; only the
         # consensus leader answers, once the entry committed) -----------------
         bits = tuple((obj, 1 if obj in dict(txn.updates) else 0) for obj in self.objects)
@@ -150,7 +143,7 @@ class CoordinatedWriter(WriterAutomaton):
                 payload={"txn": txn.txn_id, "key": key, "bits": bits},
                 phase="update-coor",
             )
-            for target in self._coordinator_targets()
+            for target in self.coordinators()
         ]
         acks = yield Await(
             matcher=lambda m, txn_id=txn.txn_id: m.msg_type == "ack-coor" and m.get("txn") == txn_id,

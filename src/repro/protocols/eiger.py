@@ -42,13 +42,11 @@ from ..txn.transactions import ReadResult, ReadTransaction, WriteTransaction, WR
 from .base import BuildConfig, Protocol
 from .replication import (
     DirectoryAwareServer,
-    _has_mismatch,
-    _note_epoch_retry,
+    ReplicaClient,
+    attempt_stamp,
     check_epoch_retry_budget,
-    default_policy,
-    epoch_quorum_round,
-    per_object_reply_await,
-    placement_or_single_copy,
+    note_epoch_retry,
+    quorum_round,
 )
 
 
@@ -200,19 +198,16 @@ class EigerServer(DirectoryAwareServer, ServerAutomaton):
             ctx.send(message.src, "eiger-read-at-reply", payload, phase="read-round-2")
 
 
-class EigerWriter(WriterAutomaton):
+class EigerWriter(ReplicaClient, WriterAutomaton):
     """A write client with a Lamport clock; writes apply independently per replica.
 
     Writes always install at **every** replica (write-all): Eiger's validity
     intervals are per-replica state, so a replica that missed a write would
     answer reads with a stale interval forever.  Under a reconfiguration
-    directory the install becomes an epoch-aware quorum round instead; the
-    reader's largest-``evt``-within-the-quorum rule then rides on quorum
-    intersection to observe every completed write.
+    directory the install becomes a quorum round per active configuration
+    instead; the reader's largest-``evt``-within-the-quorum rule then rides
+    on quorum intersection to observe every completed write.
     """
-
-    #: shared placement directory when built with a reconfiguration plan
-    directory = None
 
     def __init__(
         self,
@@ -220,72 +215,47 @@ class EigerWriter(WriterAutomaton):
         objects: Sequence[str],
         placement: Optional[Placement] = None,
     ) -> None:
-        super().__init__(name)
-        self.objects = tuple(objects)
-        self.placement = placement_or_single_copy(self.objects, placement)
+        super().__init__(name, objects, placement)
         self.clock = 0
 
     def run_transaction(self, txn: WriteTransaction, ctx: Context):
         if not isinstance(txn, WriteTransaction):
             raise SimulationError(f"writer {self.name} received a non-WRITE transaction {txn!r}")
-        if self.directory is not None:
-            directory = self.directory
-            updates = tuple(txn.updates)
-
-            def send_factory(epoch: int, attempt: int):
-                return [
-                    Send(
-                        dst=replica,
-                        msg_type="eiger-write",
-                        payload={
-                            "txn": txn.txn_id,
-                            "object": object_id,
-                            "value": value,
-                            "ts": self.clock,
-                            "epoch": epoch,
-                            "attempt": attempt,
-                        },
-                        phase="write",
-                    )
-                    for object_id, value in updates
-                    for replica in directory.targets(object_id)
-                ]
-
-            acks, _attempt = yield from epoch_quorum_round(
-                txn.txn_id,
-                directory,
-                ctx,
-                send_factory,
-                reply_types=("eiger-write-ack",),
-                needs_factory=lambda: {
-                    obj: directory.write_needed(obj) for obj, _ in updates
-                },
-                description="write acks",
-            )
-            self.clock = max([self.clock] + [int(a.get("ts", 0)) for a in acks]) + 1
-            return WRITE_OK
-        write_sends = [
-            Send(
-                dst=replica,
-                msg_type="eiger-write",
-                payload={"txn": txn.txn_id, "object": object_id, "value": value, "ts": self.clock},
-                phase="write",
-            )
-            for object_id, value in txn.updates
-            for replica in self.placement.group(object_id)
-        ]
-        sends = len(write_sends)
-        yield from write_sends
-        acks = yield Await(
-            matcher=lambda m, txn_id=txn.txn_id: m.msg_type == "eiger-write-ack" and m.get("txn") == txn_id,
-            count=sends,
+        view = self.view
+        updates = tuple(txn.updates)
+        # Write-all on fixed groups (see the class docstring); a write quorum
+        # per configuration under a directory.
+        needs = self.fixed.every_replica if self.directory is None else view.write_needed
+        acks, _ = yield from quorum_round(
+            txn.txn_id,
+            view,
+            ctx,
+            lambda stamp: [
+                Send(
+                    dst=replica,
+                    msg_type="eiger-write",
+                    payload={
+                        "txn": txn.txn_id,
+                        "object": object_id,
+                        "value": value,
+                        "ts": self.clock,
+                        **stamp,
+                    },
+                    phase="write",
+                )
+                for object_id, value in updates
+                for replica in view.targets(object_id)
+            ],
+            ("eiger-write-ack",),
+            needs,
+            [obj for obj, _ in updates],
             description="write acks",
         )
         self.clock = max([self.clock] + [int(a.get("ts", 0)) for a in acks]) + 1
         return WRITE_OK
 
 
-class EigerReader(ReaderAutomaton):
+class EigerReader(ReplicaClient, ReaderAutomaton):
     """Eiger's read-only transaction: validity-interval round, optional catch-up round.
 
     Under replication, round 1 fans out to every replica of each object and
@@ -295,14 +265,10 @@ class EigerReader(ReaderAutomaton):
     whose reply was kept, since validity intervals only mean something on
     the clock of the replica that issued them.
 
-    Under a reconfiguration directory both rounds are epoch-aware: round 1
-    is a quorum round per active configuration, and an ``epoch-mismatch`` in
-    either round (a replica retired under the read) restarts the read
-    against the refreshed groups, bounded by the shared retry budget.
+    Under a reconfiguration directory an ``epoch-mismatch`` in either round
+    (a replica retired under the read) restarts the read against the
+    refreshed groups, bounded by the shared retry budget.
     """
-
-    #: shared placement directory when built with a reconfiguration plan
-    directory = None
 
     def __init__(
         self,
@@ -311,20 +277,16 @@ class EigerReader(ReaderAutomaton):
         placement: Optional[Placement] = None,
         policy: Optional[QuorumPolicy] = None,
     ) -> None:
-        super().__init__(name)
-        self.objects = tuple(objects)
-        self.placement = placement_or_single_copy(self.objects, placement)
-        self.policy = policy if policy is not None else default_policy()
+        super().__init__(name, objects, placement, policy)
         self.clock = 0
 
-    def _select_round1(self, replies) -> Tuple[Dict[str, Any], Dict[str, Tuple[int, int]], Dict[str, str]]:
+    @staticmethod
+    def _select_round1(replies) -> Tuple[Dict[str, Any], Dict[str, Tuple[int, int]], Dict[str, str]]:
         """Per object: keep the reply with the largest ``evt`` (ties: first)."""
         intervals: Dict[str, Tuple[int, int]] = {}
         values: Dict[str, Any] = {}
         chosen_replica: Dict[str, str] = {}
         for reply in replies:
-            if reply.msg_type != "eiger-read-reply":
-                continue
             object_id = reply.get("object")
             evt = int(reply.get("evt", 0))
             if object_id in intervals and evt <= intervals[object_id][0]:
@@ -334,45 +296,36 @@ class EigerReader(ReaderAutomaton):
             chosen_replica[object_id] = reply.src
         return values, intervals, chosen_replica
 
-    def _run_epoch(self, txn: ReadTransaction, ctx: Context):
-        """The epoch-aware read (directory installed): both rounds retryable."""
-        directory = self.directory
+    def run_transaction(self, txn: ReadTransaction, ctx: Context):
+        if not isinstance(txn, ReadTransaction):
+            raise SimulationError(f"reader {self.name} received a non-READ transaction {txn!r}")
+        view = self.view
         read_set = tuple(txn.objects)
         attempt = 0
         restarts = 0
         while True:
             restarts += 1
             check_epoch_retry_budget("read", txn.txn_id, restarts)
-
-            def send_factory(epoch: int, attempt: int):
-                return [
+            # Round 1: latest values with validity intervals ------------------
+            replies, attempt = yield from quorum_round(
+                txn.txn_id,
+                view,
+                ctx,
+                lambda stamp: [
                     Send(
                         dst=replica,
                         msg_type="eiger-read",
-                        payload={
-                            "txn": txn.txn_id,
-                            "object": object_id,
-                            "ts": self.clock,
-                            "epoch": epoch,
-                            "attempt": attempt,
-                        },
+                        payload={"txn": txn.txn_id, "object": object_id, "ts": self.clock, **stamp},
                         phase="read-round-1",
                     )
                     for object_id in read_set
-                    for replica in directory.targets(object_id)
-                ]
-
-            replies, attempt = yield from epoch_quorum_round(
-                txn.txn_id,
-                directory,
-                ctx,
-                send_factory,
-                reply_types=("eiger-read-reply",),
-                needs_factory=lambda: {
-                    obj: directory.read_needed(obj) for obj in read_set
-                },
-                description="round-1 replies",
+                    for replica in view.targets(object_id)
+                ],
+                ("eiger-read-reply",),
+                view.read_needed,
+                read_set,
                 start_attempt=attempt,
+                description="round-1 replies",
             )
             self.clock = max([self.clock] + [int(r.get("ts", 0)) for r in replies]) + 1
             values, intervals, chosen_replica = self._select_round1(replies)
@@ -385,11 +338,12 @@ class EigerReader(ReaderAutomaton):
                 # ET.  A replica chosen in round 1 may have been retired (or
                 # even removed from the kernel after its drain) between the
                 # rounds — restart the read instead of addressing a ghost.
-                if any(directory.is_retired(chosen_replica[obj]) for obj in stale):
-                    _note_epoch_retry(txn.txn_id, attempt, directory, ctx)
+                if any(view.is_retired(chosen_replica[obj]) for obj in stale):
+                    note_epoch_retry(txn.txn_id, attempt, view, ctx)
                     continue
                 rounds = 2
                 attempt += 1
+                stamp = attempt_stamp(view, attempt)
                 for object_id in stale:
                     yield Send(
                         dst=chosen_replica[object_id],
@@ -399,26 +353,25 @@ class EigerReader(ReaderAutomaton):
                             "object": object_id,
                             "effective_time": effective_time,
                             "ts": self.clock,
-                            "attempt": attempt,
+                            **stamp,
                         },
                         phase="read-round-2",
                     )
-                need = len(stale)
+                # a mismatch resumes the session at once, so it is the last reply
                 catch_up = yield Await(
-                    matcher=lambda m, t=txn.txn_id, a=attempt: m.msg_type
+                    matcher=lambda m, t=txn.txn_id, a=stamp.get("attempt"): m.msg_type
                     in ("eiger-read-at-reply", "epoch-mismatch")
                     and m.get("txn") == t
-                    and m.get("attempt") == a,
-                    until=lambda collected, n=need: _has_mismatch(collected)
-                    or sum(1 for m in collected if m.msg_type == "eiger-read-at-reply") >= n,
-                    description="round-2 replies (epoch)",
+                    and (a is None or m.get("attempt") == a),
+                    until=lambda collected, n=len(stale): len(collected) >= n
+                    or collected[-1].msg_type == "epoch-mismatch",
+                    description="round-2 replies",
                 )
-                hits = [m for m in catch_up if m.msg_type == "eiger-read-at-reply"]
-                if len(hits) < need:
-                    _note_epoch_retry(txn.txn_id, attempt, directory, ctx)
+                if catch_up[-1].msg_type == "epoch-mismatch":
+                    note_epoch_retry(txn.txn_id, attempt, view, ctx)
                     continue
-                self.clock = max([self.clock] + [int(r.get("ts", 0)) for r in hits]) + 1
-                for reply in hits:
+                self.clock = max([self.clock] + [int(r.get("ts", 0)) for r in catch_up]) + 1
+                for reply in catch_up:
                     values[reply.get("object")] = reply.get("value")
 
             ctx.annotate_transaction(
@@ -429,82 +382,6 @@ class EigerReader(ReaderAutomaton):
                 accepted_first_round=not stale,
             )
             return ReadResult.from_mapping({obj: values[obj] for obj in read_set})
-
-    def run_transaction(self, txn: ReadTransaction, ctx: Context):
-        if not isinstance(txn, ReadTransaction):
-            raise SimulationError(f"reader {self.name} received a non-READ transaction {txn!r}")
-        if self.directory is not None:
-            result = yield from self._run_epoch(txn, ctx)
-            return result
-        # Round 1: latest values with validity intervals --------------------------
-        yield from [
-            Send(
-                dst=replica,
-                msg_type="eiger-read",
-                payload={"txn": txn.txn_id, "object": object_id, "ts": self.clock},
-                phase="read-round-1",
-            )
-            for object_id in txn.objects
-            for replica in self.placement.group(object_id)
-        ]
-        replies = yield per_object_reply_await(
-            txn.txn_id,
-            tuple(txn.objects),
-            self.placement,
-            self.policy,
-            reply_type="eiger-read-reply",
-            description="round-1 replies",
-        )
-        self.clock = max([self.clock] + [int(r.get("ts", 0)) for r in replies]) + 1
-        intervals: Dict[str, Tuple[int, int]] = {}
-        values: Dict[str, Any] = {}
-        chosen_replica: Dict[str, str] = {}
-        for reply in replies:
-            object_id = reply.get("object")
-            evt = int(reply.get("evt", 0))
-            if object_id in intervals and evt <= intervals[object_id][0]:
-                continue  # keep the reply with the largest evt (first wins ties)
-            values[object_id] = reply.get("value")
-            intervals[object_id] = (evt, int(reply.get("lvt", 0)))
-            chosen_replica[object_id] = reply.src
-
-        effective_time = max(evt for evt, _ in intervals.values())
-        stale = [obj for obj, (evt, lvt) in intervals.items() if lvt < effective_time]
-
-        rounds = 1
-        if stale:
-            # Round 2: ask out-of-date servers for the version valid at ET.
-            rounds = 2
-            for object_id in stale:
-                yield Send(
-                    dst=chosen_replica[object_id],
-                    msg_type="eiger-read-at",
-                    payload={
-                        "txn": txn.txn_id,
-                        "object": object_id,
-                        "effective_time": effective_time,
-                        "ts": self.clock,
-                    },
-                    phase="read-round-2",
-                )
-            catch_up = yield Await(
-                matcher=lambda m, txn_id=txn.txn_id: m.msg_type == "eiger-read-at-reply"
-                and m.get("txn") == txn_id,
-                count=len(stale),
-                description="round-2 replies",
-            )
-            self.clock = max([self.clock] + [int(r.get("ts", 0)) for r in catch_up]) + 1
-            for reply in catch_up:
-                values[reply.get("object")] = reply.get("value")
-
-        ctx.annotate_transaction(
-            txn.txn_id,
-            protocol="eiger",
-            effective_time=effective_time,
-            eiger_rounds=rounds,
-            accepted_first_round=not stale,
-        )
-        return ReadResult.from_mapping({obj: values[obj] for obj in txn.objects})
 
 
 class EigerProtocol(Protocol):

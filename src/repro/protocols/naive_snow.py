@@ -34,14 +34,7 @@ from ..txn.objects import Key
 from ..txn.placement import Placement, QuorumPolicy
 from ..txn.transactions import ReadResult, ReadTransaction, WriteTransaction, WRITE_OK
 from .base import BuildConfig, Protocol
-from .replication import (
-    ReplicatedStorageServer,
-    default_policy,
-    epoch_quorum_round,
-    per_object_reply_await,
-    placement_or_single_copy,
-    write_value_round,
-)
+from .replication import ReplicaClient, ReplicatedStorageServer, quorum_round, write_value_round
 
 
 class NaiveServer(ReplicatedStorageServer):
@@ -59,12 +52,8 @@ class NaiveServer(ReplicatedStorageServer):
         ctx.send(message.src, "ack-write", self._ack_payload(message), phase="write")
 
 
-class NaiveWriter(WriterAutomaton):
+class NaiveWriter(ReplicaClient, WriterAutomaton):
     """Installs each update at a write quorum of its replica group."""
-
-    #: shared placement directory when built with a reconfiguration plan
-    #: (injected by the build; None keeps the rounds byte-identical)
-    directory = None
 
     def __init__(
         self,
@@ -73,10 +62,7 @@ class NaiveWriter(WriterAutomaton):
         placement: Optional[Placement] = None,
         policy: Optional[QuorumPolicy] = None,
     ) -> None:
-        super().__init__(name)
-        self.objects = tuple(objects)
-        self.placement = placement_or_single_copy(self.objects, placement)
-        self.policy = policy if policy is not None else default_policy()
+        super().__init__(name, objects, placement, policy)
         self.z = 0
 
     def run_transaction(self, txn: WriteTransaction, ctx: Context):
@@ -84,86 +70,37 @@ class NaiveWriter(WriterAutomaton):
             raise SimulationError(f"writer {self.name} received a non-WRITE transaction {txn!r}")
         self.z += 1
         key = Key(self.z, self.name)
-        yield from write_value_round(
-            txn.txn_id, tuple(txn.updates), key, self.placement, self.policy, phase="write",
-            directory=self.directory, ctx=ctx,
-        )
+        yield from write_value_round(txn.txn_id, tuple(txn.updates), key, self.view, ctx, phase="write")
         return WRITE_OK
 
 
-class NaiveReader(ReaderAutomaton):
+class NaiveReader(ReplicaClient, ReaderAutomaton):
     """One parallel round of read-latest requests over the replica groups."""
-
-    #: shared placement directory when built with a reconfiguration plan
-    directory = None
-
-    def __init__(
-        self,
-        name: str,
-        objects: Sequence[str],
-        placement: Optional[Placement] = None,
-        policy: Optional[QuorumPolicy] = None,
-    ) -> None:
-        super().__init__(name)
-        self.objects = tuple(objects)
-        self.placement = placement_or_single_copy(self.objects, placement)
-        self.policy = policy if policy is not None else default_policy()
 
     def run_transaction(self, txn: ReadTransaction, ctx: Context):
         if not isinstance(txn, ReadTransaction):
             raise SimulationError(f"reader {self.name} received a non-READ transaction {txn!r}")
-        if self.directory is not None:
-            directory = self.directory
-            read_set = tuple(txn.objects)
-
-            def send_factory(epoch: int, attempt: int):
-                return [
-                    Send(
-                        dst=replica,
-                        msg_type="read-latest",
-                        payload={
-                            "txn": txn.txn_id,
-                            "object": object_id,
-                            "epoch": epoch,
-                            "attempt": attempt,
-                        },
-                        phase="read",
-                    )
-                    for object_id in read_set
-                    for replica in directory.targets(object_id)
-                ]
-
-            replies, _attempt = yield from epoch_quorum_round(
-                txn.txn_id,
-                directory,
-                ctx,
-                send_factory,
-                reply_types=("read-latest-reply",),
-                needs_factory=lambda: {
-                    obj: directory.read_needed(obj) for obj in read_set
-                },
-                description="read replies",
-            )
-            replies = [m for m in replies if m.msg_type == "read-latest-reply"]
-        else:
-            yield from [
+        view = self.view
+        read_set = tuple(txn.objects)
+        replies, _ = yield from quorum_round(
+            txn.txn_id,
+            view,
+            ctx,
+            lambda stamp: [
                 Send(
                     dst=replica,
                     msg_type="read-latest",
-                    payload={"txn": txn.txn_id, "object": object_id},
+                    payload={"txn": txn.txn_id, "object": object_id, **stamp},
                     phase="read",
                 )
-                for object_id in txn.objects
-                for replica in self.placement.group(object_id)
-            ]
-            replies = yield per_object_reply_await(
-                txn.txn_id,
-                tuple(txn.objects),
-                self.placement,
-                self.policy,
-                reply_type="read-latest-reply",
-                description="read replies",
-            )
+                for object_id in read_set
+                for replica in view.targets(object_id)
+            ],
+            ("read-latest-reply",),
+            view.read_needed,
+            read_set,
+            description="read replies",
+        )
         values: Dict[str, Any] = {}
         best_key: Dict[str, Key] = {}
         for reply in replies:

@@ -54,12 +54,12 @@ from ..ioa.errors import SimulationError
 from ..txn.placement import Placement
 from ..txn.transactions import ReadResult, ReadTransaction, WriteTransaction, WRITE_OK
 from .base import BuildConfig, Protocol
-from .coordinated import coordinator_targets, live_coordinator_targets
-from .replication import (
-    DirectoryAwareServer,
-    epoch_quorum_round,
-    placement_or_single_copy,
-)
+from .coordinated import CoordinatedClient, coordinator_targets
+from .replication import DirectoryAwareServer, ReplicaClient, quorum_round
+
+#: how many collects a READ takes before it fails loudly (contention that
+#: never quiesces; every collect after the first is one validation attempt)
+MAX_COLLECTS = 128
 
 
 class OccServer(DirectoryAwareServer, ServerAutomaton):
@@ -156,7 +156,7 @@ class OccServer(DirectoryAwareServer, ServerAutomaton):
             )
 
 
-class OccWriter(WriterAutomaton):
+class OccWriter(CoordinatedClient, WriterAutomaton):
     """Timestamp first, install second (at every replica — write-all).
 
     Timestamp-ordered last-writer-wins only converges when every replica
@@ -164,12 +164,11 @@ class OccWriter(WriterAutomaton):
     except under a reconfiguration directory, where installs become an
     epoch-aware round (a write quorum per active configuration, with
     ``epoch-mismatch`` retries): quorum intersection with the collect
-    quorums then carries the latest install to every read.
+    quorums then carries the latest install to every read.  Retried
+    installs are idempotent at the replicas (a duplicate install only bumps
+    the apply counter, which at worst costs the reader one extra collect).
+    The coordinator it addresses is the timestamp oracle.
     """
-
-    #: shared placement directory when built with a reconfiguration plan
-    #: (injected by the build; None keeps the rounds byte-identical)
-    directory = None
 
     def __init__(
         self,
@@ -179,17 +178,12 @@ class OccWriter(WriterAutomaton):
         placement: Optional[Placement] = None,
         timestamp_group: Optional[Sequence[str]] = None,
     ) -> None:
-        super().__init__(name)
-        self.objects = tuple(objects)
-        self.timestamp_server = timestamp_server
-        self.timestamp_group: Tuple[str, ...] = (
-            tuple(timestamp_group) if timestamp_group else (timestamp_server,)
-        )
-        self.placement = placement_or_single_copy(self.objects, placement)
+        super().__init__(name, objects, timestamp_server, placement, None, timestamp_group)
 
     def run_transaction(self, txn: WriteTransaction, ctx: Context):
         if not isinstance(txn, WriteTransaction):
             raise SimulationError(f"writer {self.name} received a non-WRITE transaction {txn!r}")
+        view = self.view
         yield from [
             Send(
                 dst=target,
@@ -197,7 +191,7 @@ class OccWriter(WriterAutomaton):
                 payload={"txn": txn.txn_id},
                 phase="get-timestamp",
             )
-            for target in live_coordinator_targets(self.directory, self.timestamp_group)
+            for target in self.coordinators()
         ]
         replies = yield Await(
             matcher=lambda m, txn_id=txn.txn_id: m.msg_type == "ts-reply" and m.get("txn") == txn_id,
@@ -205,49 +199,16 @@ class OccWriter(WriterAutomaton):
             description="timestamp",
         )
         timestamp = int(replies[0].get("timestamp"))
-        write_set = tuple(obj for obj, _ in txn.updates)
-        if self.directory is not None:
-            yield from self._epoch_install_round(txn, timestamp, write_set, ctx)
-            ctx.annotate_transaction(txn.txn_id, protocol="occ", timestamp=timestamp)
-            return WRITE_OK
-        sends = [
-            Send(
-                dst=replica,
-                msg_type="install",
-                payload={
-                    "txn": txn.txn_id,
-                    "object": object_id,
-                    "value": value,
-                    "timestamp": timestamp,
-                    "write_set": write_set,
-                },
-                phase="install",
-            )
-            for object_id, value in txn.updates
-            for replica in self.placement.group(object_id)
-        ]
-        installs = len(sends)
-        yield from sends
-        yield Await(
-            matcher=lambda m, txn_id=txn.txn_id: m.msg_type == "install-ack" and m.get("txn") == txn_id,
-            count=installs,
-            description="install acks",
-        )
-        ctx.annotate_transaction(txn.txn_id, protocol="occ", timestamp=timestamp)
-        return WRITE_OK
-
-    def _epoch_install_round(self, txn: WriteTransaction, timestamp: int, write_set, ctx: Context):
-        """Epoch-aware install: a write quorum per object per active config.
-
-        Retried installs are idempotent at the replicas (a duplicate install
-        only bumps the apply counter, which at worst costs the reader one
-        extra collect round).
-        """
-        directory = self.directory
         updates = tuple(txn.updates)
-
-        def send_factory(epoch: int, attempt: int):
-            return [
+        write_set = tuple(obj for obj, _ in updates)
+        # Write-all on fixed groups (see the class docstring); a write quorum
+        # per configuration under a directory.
+        needs = self.fixed.every_replica if self.directory is None else view.write_needed
+        yield from quorum_round(
+            txn.txn_id,
+            view,
+            ctx,
+            lambda stamp: [
                 Send(
                     dst=replica,
                     msg_type="install",
@@ -257,27 +218,23 @@ class OccWriter(WriterAutomaton):
                         "value": value,
                         "timestamp": timestamp,
                         "write_set": write_set,
-                        "epoch": epoch,
-                        "attempt": attempt,
+                        **stamp,
                     },
                     phase="install",
                 )
                 for object_id, value in updates
-                for replica in directory.targets(object_id)
-            ]
-
-        yield from epoch_quorum_round(
-            txn.txn_id,
-            directory,
-            ctx,
-            send_factory,
-            reply_types=("install-ack",),
-            needs_factory=lambda: {obj: directory.write_needed(obj) for obj, _ in updates},
+                for replica in view.targets(object_id)
+            ],
+            ("install-ack",),
+            needs,
+            write_set,
             description="install acks",
         )
+        ctx.annotate_transaction(txn.txn_id, protocol="occ", timestamp=timestamp)
+        return WRITE_OK
 
 
-class OccReader(ReaderAutomaton):
+class OccReader(ReplicaClient, ReaderAutomaton):
     """Collect-validate-retry reader (non-blocking, one-version, unbounded rounds).
 
     Under replication each collect gathers from **every** replica of every
@@ -287,48 +244,45 @@ class OccReader(ReaderAutomaton):
     with the highest timestamp among its replicas (they agree whenever the
     counters are stable and no install is in flight to part of the group).
 
-    Under a reconfiguration directory each collect is instead an epoch-aware
-    quorum round (a read quorum per object per active configuration, with
-    ``epoch-mismatch`` retries); the double-collect validation then runs
-    over the replicas common to both collects, which must still cover a read
-    quorum — intersection with the install quorums keeps the chosen versions
-    current.
+    Under a reconfiguration directory each collect is instead a quorum round
+    per active configuration (with ``epoch-mismatch`` retries); the
+    double-collect validation then runs over the replicas common to both
+    collects, which must still cover a read quorum — intersection with the
+    install quorums keeps the chosen versions current.
     """
 
-    #: shared placement directory when built with a reconfiguration plan
-    directory = None
+    def _collect(self, txn: ReadTransaction, ctx: Context, attempt: int):
+        """One collect; returns ``(snapshot, attempt)``.
 
-    def __init__(
-        self,
-        name: str,
-        objects: Sequence[str],
-        max_attempts: int = 128,
-        placement: Optional[Placement] = None,
-    ) -> None:
-        super().__init__(name)
-        self.objects = tuple(objects)
-        self.placement = placement_or_single_copy(self.objects, placement)
-        self.max_attempts = max_attempts
-
-    def _collect(self, txn: ReadTransaction, attempt: int):
-        sends = [
-            Send(
-                dst=replica,
-                msg_type="collect",
-                payload={"txn": txn.txn_id, "object": object_id, "attempt": attempt},
-                phase="collect",
-            )
-            for object_id in txn.objects
-            for replica in self.placement.group(object_id)
-        ]
-        targets = len(sends)
-        yield from sends
-        replies = yield Await(
-            matcher=lambda m, txn_id=txn.txn_id, a=attempt: m.msg_type == "collect-reply"
-            and m.get("txn") == txn_id
-            and m.get("attempt") == a,
-            count=targets,
-            description=f"collect #{attempt}",
+        Collects are numbered on fixed groups too (the server echoes the
+        number); under a directory the number is the round's attempt
+        counter, global across the transaction's collects, so stale replies
+        of an earlier collect never satisfy a later one.
+        """
+        view = self.view
+        number = attempt + 1
+        # Read-all on fixed groups (see the class docstring); a read quorum
+        # per configuration under a directory.
+        needs = self.fixed.every_replica if self.directory is None else view.read_needed
+        replies, attempt = yield from quorum_round(
+            txn.txn_id,
+            view,
+            ctx,
+            lambda stamp: [
+                Send(
+                    dst=replica,
+                    msg_type="collect",
+                    payload={"txn": txn.txn_id, "object": object_id, "attempt": number, **stamp},
+                    phase="collect",
+                )
+                for object_id in txn.objects
+                for replica in view.targets(object_id)
+            ],
+            ("collect-reply",),
+            needs,
+            txn.objects,
+            start_attempt=attempt,
+            description="collect",
         )
         # Keyed by replica server: the double-collect validation is a
         # per-replica counter comparison (at replication factor 1 the key is
@@ -342,66 +296,16 @@ class OccReader(ReaderAutomaton):
                 "write_set": tuple(reply.get("write_set", ())),
                 "counter": int(reply.get("counter", 0)),
             }
-        return snapshot
-
-    def _collect_epoch(self, txn: ReadTransaction, ctx: Context, start_attempt: int):
-        """One epoch-aware collect over the directory's current targets.
-
-        Returns ``(snapshot, attempt)``; the attempt counter is global across
-        the transaction's collects so stale replies of an earlier collect can
-        never satisfy a later collect's await.
-        """
-        directory = self.directory
-
-        def send_factory(epoch: int, attempt: int):
-            return [
-                Send(
-                    dst=replica,
-                    msg_type="collect",
-                    payload={
-                        "txn": txn.txn_id,
-                        "object": object_id,
-                        "attempt": attempt,
-                        "epoch": epoch,
-                    },
-                    phase="collect",
-                )
-                for object_id in txn.objects
-                for replica in directory.targets(object_id)
-            ]
-
-        replies, attempt = yield from epoch_quorum_round(
-            txn.txn_id,
-            directory,
-            ctx,
-            send_factory,
-            reply_types=("collect-reply",),
-            needs_factory=lambda: {
-                obj: directory.read_needed(obj) for obj in txn.objects
-            },
-            description=f"collect (from #{start_attempt + 1})",
-            start_attempt=start_attempt,
-        )
-        snapshot: Dict[str, Dict[str, Any]] = {}
-        for reply in replies:
-            if reply.msg_type != "collect-reply":
-                continue
-            snapshot[reply.src] = {
-                "object": reply.get("object"),
-                "value": reply.get("value"),
-                "timestamp": int(reply.get("timestamp", 0)),
-                "write_set": tuple(reply.get("write_set", ())),
-                "counter": int(reply.get("counter", 0)),
-            }
         return snapshot, attempt
 
     def _common_covers_quorum(self, common, read_set: Sequence[str]) -> bool:
         """Whether the replicas answering *both* collects still cover a read
         quorum per object per active configuration — the stability check's
         footing when membership moved between the collects."""
+        view = self.view
         for object_id in read_set:
-            for group, need in self.directory.read_needed(object_id):
-                if sum(1 for replica in group if replica in common) < need:
+            for group, need in view.read_needed(object_id):
+                if len(common.intersection(group)) < need:
                     return False
         return True
 
@@ -414,14 +318,11 @@ class OccReader(ReaderAutomaton):
 
         Group order breaks ties, which keeps the choice deterministic.
         """
+        view = self.view
         chosen: Dict[str, Dict[str, Any]] = {}
         for object_id in read_set:
-            if self.directory is not None:
-                candidates = self.directory.targets(object_id)
-            else:
-                candidates = self.placement.group(object_id)
             best: Optional[Dict[str, Any]] = None
-            for replica in candidates:
+            for replica in view.targets(object_id):
                 info = snapshot.get(replica)
                 if info is None:
                     continue
@@ -449,41 +350,12 @@ class OccReader(ReaderAutomaton):
     def run_transaction(self, txn: ReadTransaction, ctx: Context):
         if not isinstance(txn, ReadTransaction):
             raise SimulationError(f"reader {self.name} received a non-READ transaction {txn!r}")
-        if self.directory is not None:
-            result = yield from self._run_epoch(txn, ctx)
-            return result
-        previous = yield from self._collect(txn, attempt=1)
-        attempts = 1
-        while attempts < self.max_attempts:
-            attempts += 1
-            current = yield from self._collect(txn, attempt=attempts)
-            counters_match = all(
-                previous[replica]["counter"] == current[replica]["counter"]
-                for replica in current
-            )
-            chosen = self._chosen_per_object(current, txn.objects)
-            if counters_match and self._write_set_closed(chosen, txn.objects):
-                ctx.annotate_transaction(
-                    txn.txn_id,
-                    protocol="occ",
-                    collects=attempts,
-                    snapshot_timestamp=max(chosen[obj]["timestamp"] for obj in txn.objects),
-                )
-                return ReadResult.from_mapping({obj: chosen[obj]["value"] for obj in txn.objects})
-            previous = current
-        raise SimulationError(
-            f"occ reader {self.name} exhausted {self.max_attempts} collects for {txn.txn_id}: "
-            "write contention never quiesced"
-        )
-
-    def _run_epoch(self, txn: ReadTransaction, ctx: Context):
-        """The epoch-aware collect-validate-retry loop (directory installed)."""
-        previous, attempt = yield from self._collect_epoch(txn, ctx, 0)
+        previous, attempt = yield from self._collect(txn, ctx, 0)
         collects = 1
-        while collects < self.max_attempts:
+        while collects < MAX_COLLECTS:
             collects += 1
-            current, attempt = yield from self._collect_epoch(txn, ctx, attempt)
-            common = set(previous) & set(current)
+            current, attempt = yield from self._collect(txn, ctx, attempt)
+            common = previous.keys() & current.keys()
             counters_match = all(
                 previous[replica]["counter"] == current[replica]["counter"]
                 for replica in common
@@ -500,12 +372,10 @@ class OccReader(ReaderAutomaton):
                     collects=collects,
                     snapshot_timestamp=max(chosen[obj]["timestamp"] for obj in txn.objects),
                 )
-                return ReadResult.from_mapping(
-                    {obj: chosen[obj]["value"] for obj in txn.objects}
-                )
+                return ReadResult.from_mapping({obj: chosen[obj]["value"] for obj in txn.objects})
             previous = current
         raise SimulationError(
-            f"occ reader {self.name} exhausted {self.max_attempts} collects for {txn.txn_id}: "
+            f"occ reader {self.name} exhausted {MAX_COLLECTS} collects for {txn.txn_id}: "
             "write contention never quiesced"
         )
 
@@ -521,9 +391,6 @@ class OccProtocol(Protocol):
     claimed_read_rounds = None
     claimed_versions = 1
 
-    def __init__(self, max_attempts: int = 128) -> None:
-        self.max_attempts = max_attempts
-
     def make_consensus_machine(self, config: BuildConfig) -> TimestampStateMachine:
         return TimestampStateMachine()
 
@@ -531,7 +398,7 @@ class OccProtocol(Protocol):
         objects = config.objects()
         timestamp_group = coordinator_targets(config, placement)
         return [
-            OccReader(reader, objects, max_attempts=self.max_attempts, placement=placement)
+            OccReader(reader, objects, placement)
             for reader in config.readers()
         ] + [
             OccWriter(writer, objects, timestamp_group[0], placement, timestamp_group)

@@ -1,30 +1,44 @@
-"""Shared replica-aware storage machinery for the protocol implementations.
+"""Shared replica-aware machinery for the protocol implementations.
 
 This module is the protocol-side half of the placement layer
 (:mod:`repro.txn.placement`): a common storage-server automaton that serves
-one *replica* of one object, plus the quorum-round helpers the client
-sessions are built from.
+one *replica* of one object, the :class:`ReplicaClient` base of every
+protocol's readers and writers, and :func:`quorum_round`, the one round
+structure their sessions are built from.
+
+Membership views
+----------------
+A client round asks a *membership view* whom to address and how many
+replies to await: a :class:`FixedMembership` over the build's groups, or —
+when the system was built with a reconfiguration plan — the shared
+:class:`~repro.consensus.reconfig.PlacementDirectory`.  Both answer the same
+questions (``targets``, ``read_needed``/``write_needed``, ``is_retired``,
+``epoch``), so every protocol has one round path.
 
 The byte-identity contract
 --------------------------
-With a trivial placement (every group of size one — the paper's setting) the
-helpers emit exactly the sends, payloads and await-resumption points of the
-pre-placement protocols, so ``replication_factor=1`` traces are byte-for-byte
-identical to the single-copy seed (pinned by ``tests/replication``).  Two
-rules implement the contract:
+With a trivial placement (every group of size one — the paper's setting)
+the rounds emit exactly the sends, payloads and await-resumption points of
+the pre-placement protocols, so ``replication_factor=1`` traces are
+byte-for-byte identical to the single-copy seed (pinned by
+``tests/replication``); at any replication factor, a fixed-membership run
+carries no reconfiguration byte.  Three rules implement the contract:
 
+* :class:`FixedMembership` has no epoch, so :func:`quorum_round` stamps no
+  ``epoch``/``attempt`` field and never retries;
 * replies gain replica-only payload fields (``object`` on write acks, ``key``
   on latest-value replies) **only when the serving group has more than one
-  member**, and the ``read-val-miss`` message type exists only in replicated
-  groups (a single-copy server still fails loudly on an unknown key);
-* quorum awaits use a fixed ``count`` when the placement is trivial and an
-  ``until`` predicate otherwise — both resume the session on the same
-  delivery when quorums are of size one.
+  member or a directory is installed**, and the ``read-val-miss`` message
+  type exists only there (a single-copy server still fails loudly on an
+  unknown key);
+* a round whose every target must answer awaits a plain reply count, any
+  other a quorum predicate — both resume the session on the same delivery,
+  because each target answers a request at most once.
 
 Quorum rounds
 -------------
-Requests are always sent to *every* replica of a group and the session
-resumes once a quorum of replies per object arrived; the surplus replies are
+Requests are always sent to *every* target replica and the session resumes
+once a quorum of replies per object arrived; the surplus replies are
 delivered later and ignored (clients drop unmatched messages).  Sending to
 all and awaiting ``R``/``W`` is what makes the rounds fault-tolerant: a
 crashed or partitioned replica simply never replies, and as long as a quorum
@@ -38,7 +52,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..ioa.actions import Message
-from ..ioa.automaton import Await, Context, Send, ServerAutomaton
+from ..ioa.automaton import Await, ClientAutomaton, Context, Send, ServerAutomaton
 from ..ioa.errors import SimulationError
 from ..txn.objects import Key, VersionStore
 from ..txn.placement import Placement, QuorumPolicy, ReadOneWriteAll
@@ -326,64 +340,96 @@ class ReplicatedStorageServer(DirectoryAwareServer, ServerAutomaton):
 
 
 # ----------------------------------------------------------------------
-# Quorum round helpers (client-session side)
+# Membership views and the client base (client-session side)
 # ----------------------------------------------------------------------
-def _count_by_object(messages: Sequence[Message], placement: Placement) -> Dict[str, int]:
-    """Per-object message counts; acks from single-copy groups carry no
-    ``object`` field, so fall back to resolving the sender's object (which
-    keeps mixed-size placements — one replicated group next to a single-copy
-    one — counting correctly)."""
-    counts: Dict[str, int] = {}
-    for message in messages:
-        obj = message.get("object")
-        if obj is None:
-            obj = placement.object_of(message.src)
-        counts[obj] = counts.get(obj, 0) + 1
-    return counts
+class FixedMembership:
+    """The build's replica groups, as a membership view that never moves.
 
+    It answers the read-side questions of
+    :class:`~repro.consensus.reconfig.PlacementDirectory` for a system built
+    without a reconfiguration plan, so a client round has one code path
+    whichever view it is handed:
 
-def write_quorum_await(
-    txn_id: str,
-    objects_written: Sequence[str],
-    placement: Placement,
-    policy: QuorumPolicy,
-    ack_type: str = "ack-write",
-    description: str = "write-value acks",
-) -> Await:
-    """The Await ending a write-value round.
+    * ``targets(object)`` — the object's replica group;
+    * ``read_needed(object)`` / ``write_needed(object)`` — one requirement
+      ``((group, quorum),)``; ``every_replica(object)`` — ``((group,
+      len(group)),)``, the needs of a write-all or read-all round;
+    * ``is_retired(name)`` — never; ``coordinator_targets()`` — none beyond
+      the build's (the caller's own group stands);
+    * ``epoch`` — ``None``, so :func:`quorum_round` stamps nothing and never
+      retries.
 
-    Trivial placement: the seed's fixed-count await (one ack per object).
-    Replicated: resume once every written object has ``W`` acks.
+    Every answer is computed at construction, and each question is a bound
+    dict lookup: the rounds ask them per object, per round.
     """
-    matcher = lambda m, t=txn_id: m.msg_type == ack_type and m.get("txn") == t
-    if placement.is_trivial():
-        return Await(matcher=matcher, count=len(objects_written), description=description)
-    needed = {
-        obj: policy.write_quorum(len(placement.group(obj))) for obj in objects_written
-    }
 
-    def quorum_reached(collected: List[Message]) -> bool:
-        counts = _count_by_object(collected, placement)
-        return all(counts.get(obj, 0) >= need for obj, need in needed.items())
+    epoch = None
 
-    return Await(matcher=matcher, until=quorum_reached, description=description + " (quorum)")
+    def __init__(self, placement: Placement, policy: QuorumPolicy) -> None:
+        groups = placement.groups
+        self.targets = dict(groups).__getitem__
+        self.read_needed = {
+            obj: ((group, policy.read_quorum(len(group))),) for obj, group in groups
+        }.__getitem__
+        self.write_needed = {
+            obj: ((group, policy.write_quorum(len(group))),) for obj, group in groups
+        }.__getitem__
+        self.every_replica = {obj: ((group, len(group)),) for obj, group in groups}.__getitem__
+        self.is_retired = frozenset().__contains__
+
+    def coordinator_targets(self) -> Tuple[str, ...]:
+        return ()
 
 
+class ReplicaClient(ClientAutomaton):
+    """A client whose rounds fan out over replica groups: the base of every
+    protocol's readers and writers.
+
+    It holds what they share: the ``objects``, the ``placement`` (the
+    paper's single-copy map when none is given, so unit tests and proofs can
+    build a client bare), the quorum ``policy`` (read-one-write-all by
+    default) and the membership :attr:`view` every round is driven from.
+    """
+
+    #: the shared :class:`~repro.consensus.reconfig.PlacementDirectory` when
+    #: the system was built with a reconfiguration plan (injected by the
+    #: build); ``None`` — the default — leaves the rounds on :attr:`fixed`.
+    directory = None
+
+    def __init__(
+        self,
+        name: str,
+        objects: Sequence[str],
+        placement: Optional[Placement] = None,
+        policy: Optional[QuorumPolicy] = None,
+    ) -> None:
+        super().__init__(name)
+        self.objects = tuple(objects)
+        self.placement = placement if placement is not None else Placement.single_copy(self.objects)
+        self.policy = policy if policy is not None else ReadOneWriteAll()
+        #: the build's groups: the view whenever no directory is installed
+        self.fixed = FixedMembership(self.placement, self.policy)
+
+    @property
+    def view(self):
+        """The membership the next round addresses."""
+        return self.fixed if self.directory is None else self.directory
+
+
+# ----------------------------------------------------------------------
+# The quorum round
+# ----------------------------------------------------------------------
 #: how many epoch-mismatch retries a round takes before failing loudly —
 #: far above anything a single in-flight reconfiguration can cause.
 MAX_EPOCH_RETRIES = 6
 
 
-def _has_mismatch(collected: Sequence[Message]) -> bool:
-    return any(m.msg_type == "epoch-mismatch" for m in collected)
-
-
 def check_epoch_retry_budget(what: str, txn_id: str, attempts_used: int) -> None:
     """Fail loudly once a round (or transaction) restarted too often.
 
-    One definition of the budget and its diagnostic for every epoch-aware
-    retry loop — the generic round helper, the write/read rounds, Eiger's
-    restartable read and the lock-based transaction restarts.
+    One definition of the budget and its diagnostic for every retry loop:
+    :func:`quorum_round`, Eiger's restartable read and the lock-based
+    transaction restarts.
     """
     if attempts_used > MAX_EPOCH_RETRIES:
         raise SimulationError(
@@ -392,168 +438,177 @@ def check_epoch_retry_budget(what: str, txn_id: str, attempts_used: int) -> None
         )
 
 
-def _group_counts_ok(
-    collected: Sequence[Message],
-    needs: Mapping[str, Tuple[Tuple[Tuple[str, ...], int], ...]],
-    reply_types: Tuple[str, ...],
-) -> bool:
-    """Joint-quorum readiness: per object, per active configuration, at
-    least the required number of ``reply_types`` replies from that group's
-    members (a replica in both configs counts for both)."""
-    for object_id, group_needs in needs.items():
-        for group, need in group_needs:
-            members = set(group)
-            got = sum(
-                1
-                for m in collected
-                if m.msg_type in reply_types
-                and m.get("object") == object_id
-                and m.src in members
-            )
-            if got < need:
+def note_epoch_retry(txn_id: str, attempt: int, directory, ctx: Context) -> None:
+    """Record that ``attempt`` of a round or transaction met a retired replica."""
+    ctx.internal(reconfig="epoch-retry", txn=txn_id, attempt=attempt, vtime=ctx.vtime)
+    directory.note_retry(txn_id, ctx.vtime)
+
+
+def attempt_stamp(view, attempt: int) -> Dict[str, Any]:
+    """The stamp of a request sent to one chosen replica (a lock, a commit,
+    Eiger's catch-up read): its attempt counter under a directory, so the
+    replies of a superseded attempt cannot satisfy a retried await; nothing
+    on fixed membership, which never retries."""
+    return {} if view.epoch is None else {"attempt": attempt}
+
+
+def _quorum_until(requirements, reply_types: Tuple[str, ...], hit: Optional[str], objects):
+    """The ``until`` predicate of a quorum round, folded one reply at a time.
+
+    The kernel asks after each matched delivery, so the predicate reads only
+    the replies it has not seen yet: per requirement, how many replies are
+    still missing (a reply counts for every requirement whose group holds
+    its sender); per object, whether a hit arrived; and whether an
+    ``epoch-mismatch`` did, which resumes the round at once, for a retry.
+    """
+    short = [need for _, need in requirements]
+    unmet = len(short)
+    slots: Dict[str, Tuple[int, ...]] = {}
+    for index, (group, _) in enumerate(requirements):
+        for member in group:
+            slots[member] = slots.get(member, ()) + (index,)
+    unhit = set(objects) if hit is not None else None
+    seen = 0
+
+    def until(collected: List[Message]) -> bool:
+        nonlocal seen, unmet
+        for message in collected[seen:]:
+            msg_type = message.msg_type
+            if msg_type == "epoch-mismatch":
+                return True
+            if msg_type in reply_types:
+                for slot in slots.get(message.src, ()):
+                    short[slot] -= 1
+                    if short[slot] == 0:
+                        unmet -= 1
+                if msg_type == hit:
+                    unhit.discard(message.get("object"))
+        seen = len(collected)
+        return not unmet and not unhit
+
+    return until
+
+
+def _every_target_answers(needs, objects: Sequence[str], hit: Optional[str]) -> bool:
+    """Whether every quorum is its whole group, so that readiness is one
+    reply per request — and, for a round that needs a hit per object, every
+    group is a single copy (which fails loudly rather than answer a miss)."""
+    for obj in objects:
+        for group, need in needs(obj):
+            if need != len(group) or (hit is not None and need != 1):
                 return False
     return True
 
 
-def _note_epoch_retry(txn_id: str, attempt: int, directory, ctx) -> None:
-    if ctx is not None:
-        ctx.internal(reconfig="epoch-retry", txn=txn_id, attempt=attempt, vtime=ctx.vtime)
-        directory.note_retry(txn_id, ctx.vtime)
-    else:  # pragma: no cover - defensive: rounds without a ctx still retry
-        directory.note_retry(txn_id, 0)
+def quorum_round(
+    txn_id: str,
+    view,
+    ctx: Context,
+    sends: Callable[[Dict[str, Any]], List[Send]],
+    reply_types: Tuple[str, ...],
+    needs: Callable[[str], Tuple[Tuple[Tuple[str, ...], int], ...]],
+    objects: Sequence[str],
+    *,
+    hit: Optional[str] = None,
+    unnumbered: Tuple[str, ...] = (),
+    start_attempt: int = 0,
+    description: str = "replies",
+):
+    """Generator: one fan-out round over the replica groups of ``objects``.
+
+    The round structure of every protocol's clients.  ``sends(stamp)``
+    builds the requests, merging ``stamp`` into each one addressed to a
+    replica: ``{}`` on :class:`FixedMembership`, the epoch and attempt under
+    a directory.  The round resumes once, for every object and every
+    configuration ``needs(object)`` names (``((group, quorum), …)``, asked
+    after each attempt's sends), the
+    group's members sent ``quorum`` replies of ``reply_types`` (a replica in
+    both configurations of a joint change counts for both) and, when given,
+    one reply of type ``hit`` arrived per object (the other ``reply_types``
+    are misses, which count towards the quorums only).  ``unnumbered`` are
+    reply types matched on the transaction id alone, because they cannot
+    echo the attempt (a replicated coordinator's memoized tag array).  When
+    every quorum is its whole group, the round awaits a plain count: one
+    reply per request.
+
+    Under a directory an ``epoch-mismatch`` reply (a retired replica)
+    restarts the round against the refreshed groups, at most
+    :data:`MAX_EPOCH_RETRIES` times.  Returns ``(replies, attempt)``: the
+    attempt the round completed on, so multi-round protocols (OCC's repeated
+    collects, Eiger's catch-up round) keep their attempt counters strictly
+    increasing and stale replies of an earlier round never satisfy a later
+    await.
+    """
+    attempt = start_attempt
+    while True:
+        attempt += 1
+        epoch = view.epoch
+        if epoch is None:
+            requests = sends({})
+            yield from requests
+            matcher = lambda m, t=txn_id, ts=reply_types: m.msg_type in ts and m.get("txn") == t
+            if _every_target_answers(needs, objects, hit):
+                replies = yield Await(matcher=matcher, count=len(requests), description=description)
+                return replies, attempt
+        else:
+            check_epoch_retry_budget(description + " of", txn_id, attempt - start_attempt)
+            yield from sends({"epoch": epoch, "attempt": attempt})
+            matcher = (
+                lambda m, t=txn_id, a=attempt, ts=reply_types + ("epoch-mismatch",),
+                us=unnumbered: m.get("txn") == t
+                and ((m.msg_type in ts and m.get("attempt") == a) or m.msg_type in us)
+            )
+        requirements = [requirement for obj in objects for requirement in needs(obj)]
+        until = _quorum_until(requirements, reply_types, hit, objects)
+        replies = yield Await(matcher=matcher, until=until, description=description)
+        # a mismatch resumes the round at once, so it is the last reply
+        if replies[-1].msg_type != "epoch-mismatch":
+            return replies, attempt
+        note_epoch_retry(txn_id, attempt, view, ctx)
 
 
 def write_value_round(
     txn_id: str,
     updates: Sequence[Tuple[str, Any]],
     key: Key,
-    placement: Placement,
-    policy: QuorumPolicy,
+    view,
+    ctx: Context,
     phase: str = "write-value",
-    directory=None,
-    ctx=None,
 ):
-    """Generator: install ``(key, value)`` at every replica, await W per object.
-
-    Returns the collected acks (unused by the callers today, but the count is
-    what quorum metrics annotate).
-
-    With a :class:`~repro.consensus.reconfig.PlacementDirectory` the round is
-    epoch-aware: requests go to ``C_old ∪ C_new`` and carry the current epoch
-    plus an attempt counter, the await needs a write quorum in *every* active
-    configuration, and an ``epoch-mismatch`` reply (a retired replica) makes
-    the round refresh its view of the groups and start over.  Without a
-    directory the round is byte-identical to the placement-layer seed.
-    """
-    if directory is None:
-        yield from [
+    """The round installing ``(key, value)`` at every target replica and
+    awaiting a write quorum per object (per configuration, under a
+    directory): a :func:`quorum_round`, so ``yield from`` it for
+    ``(acks, attempt)``."""
+    return quorum_round(
+        txn_id,
+        view,
+        ctx,
+        lambda stamp: [
             Send(
                 dst=replica,
                 msg_type="write-val",
-                payload={"txn": txn_id, "object": object_id, "key": key, "value": value},
+                payload={"txn": txn_id, "object": object_id, "key": key, "value": value, **stamp},
                 phase=phase,
             )
             for object_id, value in updates
-            for replica in placement.group(object_id)
-        ]
-        acks = yield write_quorum_await(
-            txn_id, [obj for obj, _ in updates], placement, policy
-        )
-        return acks
-
-    attempt = 0
-    while True:
-        attempt += 1
-        check_epoch_retry_budget("write", txn_id, attempt)
-        epoch = directory.epoch
-        needs = {obj: directory.write_needed(obj) for obj, _ in updates}
-        yield from [
-            Send(
-                dst=replica,
-                msg_type="write-val",
-                payload={
-                    "txn": txn_id,
-                    "object": object_id,
-                    "key": key,
-                    "value": value,
-                    "epoch": epoch,
-                    "attempt": attempt,
-                },
-                phase=phase,
-            )
-            for object_id, value in updates
-            for replica in directory.targets(object_id)
-        ]
-        matcher = (
-            lambda m, t=txn_id, a=attempt: m.msg_type in ("ack-write", "epoch-mismatch")
-            and m.get("txn") == t
-            and m.get("attempt") == a
-        )
-        ready = lambda collected, n=needs: _group_counts_ok(collected, n, ("ack-write",))
-        acks = yield Await(
-            matcher=matcher,
-            until=lambda collected, r=ready: _has_mismatch(collected) or r(collected),
-            description="write-value acks (epoch quorum)",
-        )
-        if ready(acks):
-            return acks
-        _note_epoch_retry(txn_id, attempt, directory, ctx)
-
-
-def key_read_await(
-    txn_id: str,
-    read_set: Sequence[str],
-    placement: Placement,
-    policy: QuorumPolicy,
-    description: str = "read-value replies",
-) -> Await:
-    """The Await ending an exact-key read round.
-
-    Trivial placement: the seed's fixed-count await over ``read-val-reply``.
-    Replicated: collect ``read-val-reply``/``read-val-miss`` until every
-    object has ``R`` replies of which at least one is a hit (the hit is
-    guaranteed by quorum intersection; see module docstring).
-    """
-    if placement.is_trivial():
-        return Await(
-            matcher=lambda m, t=txn_id: m.msg_type == "read-val-reply" and m.get("txn") == t,
-            count=len(read_set),
-            description=description,
-        )
-    needed = {obj: policy.read_quorum(len(placement.group(obj))) for obj in read_set}
-
-    def quorum_reached(collected: List[Message]) -> bool:
-        counts: Dict[str, int] = {}
-        hits: Dict[str, int] = {}
-        for m in collected:
-            obj = m.get("object")
-            counts[obj] = counts.get(obj, 0) + 1
-            if m.msg_type == "read-val-reply":
-                hits[obj] = hits.get(obj, 0) + 1
-        return all(
-            counts.get(obj, 0) >= need and hits.get(obj, 0) >= 1
-            for obj, need in needed.items()
-        )
-
-    return Await(
-        matcher=lambda m, t=txn_id: m.msg_type in ("read-val-reply", "read-val-miss")
-        and m.get("txn") == t,
-        until=quorum_reached,
-        description=description + " (quorum)",
+            for replica in view.targets(object_id)
+        ],
+        ("ack-write",),
+        view.write_needed,
+        [obj for obj, _ in updates],
+        description="write-value acks",
     )
 
 
 def key_read_round(
     txn_id: str,
     chosen_keys: Mapping[str, Key],
-    placement: Placement,
-    policy: QuorumPolicy,
+    view,
+    ctx: Context,
     phase: str = "read-value",
-    read_repair: bool = True,
-    directory=None,
-    ctx=None,
 ):
-    """Generator: fetch exact keys from every replica, await an R-quorum.
+    """Generator: fetch exact keys from every target replica, await a read
+    quorum per object of which one reply is a hit.
 
     Returns ``(values, replies)`` — per-object values from the first hit per
     object, plus the raw reply list (for quorum metrics).
@@ -562,259 +617,50 @@ def key_read_round(
     replica diverged from its group (it never installed — or, after a
     crash-with-amnesia, *forgot* — the version the metadata layer named).
     The round ends by writing the freshest version back to each such stale
-    replica (a fire-and-forget ``repair`` install), restoring durability of
-    the named version to the full group: after the repair even a
-    ``read-one-write-all`` read served by the formerly-amnesiac replica finds
-    it.  Single-copy groups never produce misses, so ``replication_factor=1``
-    traces are untouched.
-
-    With a :class:`~repro.consensus.reconfig.PlacementDirectory` the round is
-    epoch-aware, exactly like :func:`write_value_round`: joint configurations
-    need a read quorum per active config (plus at least one hit per object —
-    guaranteed by intersection with the old group, which holds every
-    completed write), and an ``epoch-mismatch`` reply restarts the round
-    against the refreshed groups.
+    replica that is not retired (a fire-and-forget ``repair`` install),
+    restoring durability of the named version to the full group: after the
+    repair even a ``read-one-write-all`` read served by the formerly-amnesiac
+    replica finds it.  Single-copy groups never produce misses, so
+    ``replication_factor=1`` traces are untouched.
     """
-    if directory is not None:
-        result = yield from _epoch_key_read_round(
-            txn_id, chosen_keys, directory, phase, read_repair, ctx
-        )
-        return result
-    yield from [
-        Send(
-            dst=replica,
-            msg_type="read-val",
-            payload={"txn": txn_id, "object": object_id, "key": key},
-            phase=phase,
-        )
-        for object_id, key in chosen_keys.items()
-        for replica in placement.group(object_id)
-    ]
-    replies = yield key_read_await(txn_id, tuple(chosen_keys), placement, policy)
-    values: Dict[str, Any] = {}
-    for reply in replies:
-        if reply.msg_type == "read-val-reply" and reply.get("object") not in values:
-            values[reply.get("object")] = reply.get("value")
-    missing = [obj for obj in chosen_keys if obj not in values]
-    if missing:
-        raise SimulationError(
-            f"read {txn_id} reached its quorum without a value for {missing!r}; "
-            "quorum intersection should make this impossible"
-        )
-    if read_repair:
-        for reply in replies:
-            if reply.msg_type != "read-val-miss":
-                continue
-            object_id = reply.get("object")
-            yield Send(
-                dst=reply.src,
-                msg_type="write-val",
-                payload={
-                    "txn": txn_id,
-                    "object": object_id,
-                    "key": chosen_keys[object_id],
-                    "value": values[object_id],
-                    "repair": True,
-                },
-                phase="read-repair",
-            )
-    return values, replies
-
-
-def _epoch_key_read_round(
-    txn_id: str,
-    chosen_keys: Mapping[str, Key],
-    directory,
-    phase: str,
-    read_repair: bool,
-    ctx,
-):
-    """The epoch-aware body of :func:`key_read_round` (directory installed)."""
-    attempt = 0
-    while True:
-        attempt += 1
-        check_epoch_retry_budget("read", txn_id, attempt)
-        epoch = directory.epoch
-        needs = {obj: directory.read_needed(obj) for obj in chosen_keys}
-        yield from [
+    replies, _ = yield from quorum_round(
+        txn_id,
+        view,
+        ctx,
+        lambda stamp: [
             Send(
                 dst=replica,
                 msg_type="read-val",
-                payload={
-                    "txn": txn_id,
-                    "object": object_id,
-                    "key": key,
-                    "epoch": epoch,
-                    "attempt": attempt,
-                },
+                payload={"txn": txn_id, "object": object_id, "key": key, **stamp},
                 phase=phase,
             )
             for object_id, key in chosen_keys.items()
-            for replica in directory.targets(object_id)
-        ]
-
-        def ready(collected, n=needs):
-            hits = {m.get("object") for m in collected if m.msg_type == "read-val-reply"}
-            if not all(obj in hits for obj in n):
-                return False  # at least one actual value per object
-            return _group_counts_ok(collected, n, ("read-val-reply", "read-val-miss"))
-
-        matcher = (
-            lambda m, t=txn_id, a=attempt: m.msg_type
-            in ("read-val-reply", "read-val-miss", "epoch-mismatch")
-            and m.get("txn") == t
-            and m.get("attempt") == a
-        )
-        replies = yield Await(
-            matcher=matcher,
-            until=lambda collected, r=ready: _has_mismatch(collected) or r(collected),
-            description="read-value replies (epoch quorum)",
-        )
-        if not ready(replies):
-            _note_epoch_retry(txn_id, attempt, directory, ctx)
+            for replica in view.targets(object_id)
+        ],
+        ("read-val-reply", "read-val-miss"),
+        view.read_needed,
+        tuple(chosen_keys),
+        hit="read-val-reply",
+        description="read-value replies",
+    )
+    values: Dict[str, Any] = {}
+    for reply in replies:
+        if reply.msg_type == "read-val-reply":
+            values.setdefault(reply.get("object"), reply.get("value"))
+    for reply in replies:
+        if reply.msg_type != "read-val-miss" or view.is_retired(reply.src):
             continue
-        values: Dict[str, Any] = {}
-        for reply in replies:
-            if reply.msg_type == "read-val-reply" and reply.get("object") not in values:
-                values[reply.get("object")] = reply.get("value")
-        if read_repair:
-            for reply in replies:
-                if reply.msg_type != "read-val-miss" or directory.is_retired(reply.src):
-                    continue
-                object_id = reply.get("object")
-                yield Send(
-                    dst=reply.src,
-                    msg_type="write-val",
-                    payload={
-                        "txn": txn_id,
-                        "object": object_id,
-                        "key": chosen_keys[object_id],
-                        "value": values[object_id],
-                        "repair": True,
-                    },
-                    phase="read-repair",
-                )
-        return values, replies
-
-
-def epoch_quorum_round(
-    txn_id: str,
-    directory,
-    ctx,
-    send_factory: Callable[[int, int], List[Send]],
-    reply_types: Tuple[str, ...],
-    needs_factory: Callable[[], Mapping[str, Tuple[Tuple[Tuple[str, ...], int], ...]]],
-    extra_ready: Optional[Callable[[List[Message]], bool]] = None,
-    description: str = "replies",
-    start_attempt: int = 0,
-    unfiltered_types: Tuple[str, ...] = (),
-):
-    """Generator: one epoch-aware fan-out round with bounded mismatch retries.
-
-    The shape shared by every reconfig-capable protocol round: ``send_factory
-    (epoch, attempt)`` produces the round's sends (stamped with both), the
-    await collects ``reply_types`` plus ``epoch-mismatch`` filtered by the
-    attempt counter, and readiness is a quorum of ``reply_types`` per object
-    per active configuration (``needs_factory`` re-reads the directory each
-    attempt, so a retried round targets the refreshed groups) plus an
-    optional ``extra_ready`` predicate (e.g. "the tag array arrived").  An
-    ``epoch-mismatch`` in the collected set restarts the round; more than
-    :data:`MAX_EPOCH_RETRIES` restarts fail loudly.
-
-    ``unfiltered_types`` are additional reply types matched on the
-    transaction id alone — for replies that cannot echo the attempt counter
-    (a replicated coordinator's memoized ``tag-arr-reply``); they never count
-    towards the per-group quorums, only towards ``extra_ready``.
-
-    Returns ``(replies, attempt)`` — the attempt the round completed on, so
-    multi-round protocols (OCC's repeated collects, Eiger's catch-up round)
-    can keep their attempt counters strictly increasing across rounds and
-    stale replies of an earlier round can never satisfy a later await.
-    """
-    attempt = start_attempt
-    while True:
-        attempt += 1
-        check_epoch_retry_budget("round for", txn_id, attempt - start_attempt)
-        epoch = directory.epoch
-        needs = needs_factory()
-        yield from send_factory(epoch, attempt)
-        matcher = (
-            lambda m, t=txn_id, a=attempt,
-            ts=reply_types + ("epoch-mismatch",), us=unfiltered_types:
-            (m.msg_type in ts and m.get("txn") == t and m.get("attempt") == a)
-            or (m.msg_type in us and m.get("txn") == t)
+        object_id = reply.get("object")
+        yield Send(
+            dst=reply.src,
+            msg_type="write-val",
+            payload={
+                "txn": txn_id,
+                "object": object_id,
+                "key": chosen_keys[object_id],
+                "value": values[object_id],
+                "repair": True,
+            },
+            phase="read-repair",
         )
-
-        def ready(collected, n=needs):
-            if not _group_counts_ok(collected, n, reply_types):
-                return False
-            return extra_ready(collected) if extra_ready is not None else True
-
-        replies = yield Await(
-            matcher=matcher,
-            until=lambda collected, r=ready: _has_mismatch(collected) or r(collected),
-            description=description + " (epoch quorum)",
-        )
-        if ready(replies):
-            return replies, attempt
-        _note_epoch_retry(txn_id, attempt, directory, ctx)
-
-
-def per_object_reply_await(
-    txn_id: str,
-    read_set: Sequence[str],
-    placement: Placement,
-    policy: QuorumPolicy,
-    reply_type: str,
-    description: str,
-    extra_ready: Optional[Callable[[List[Message]], bool]] = None,
-    extra_types: Tuple[str, ...] = (),
-    extra_count: int = 0,
-    force_quorum: bool = False,
-) -> Await:
-    """An Await for one reply round fanned out over replica groups.
-
-    Trivial placement: fixed count ``len(read_set) + extra_count`` over
-    ``reply_type`` plus ``extra_types`` (matching the seed's awaits exactly).
-    Replicated — or whenever ``force_quorum`` is set (a replicated
-    *coordinator* also makes reply counts variable, even over single-copy
-    storage): until every object has ``R`` replies of ``reply_type`` and
-    ``extra_ready`` (if given) is satisfied — used by algorithm C to also
-    require the coordinator's tag array, and by Eiger's first round.
-    """
-    types = (reply_type,) + tuple(extra_types)
-    matcher = lambda m, t=txn_id, ts=types: m.msg_type in ts and m.get("txn") == t
-    if placement.is_trivial() and not force_quorum:
-        return Await(
-            matcher=matcher, count=len(read_set) + extra_count, description=description
-        )
-    needed = {obj: policy.read_quorum(len(placement.group(obj))) for obj in read_set}
-
-    def quorum_reached(collected: List[Message]) -> bool:
-        counts: Dict[str, int] = {}
-        for m in collected:
-            if m.msg_type == reply_type:
-                obj = m.get("object")
-                counts[obj] = counts.get(obj, 0) + 1
-        if not all(counts.get(obj, 0) >= need for obj, need in needed.items()):
-            return False
-        return extra_ready(collected) if extra_ready is not None else True
-
-    return Await(matcher=matcher, until=quorum_reached, description=description + " (quorum)")
-
-
-def default_policy() -> QuorumPolicy:
-    """The policy protocols fall back to when none is supplied."""
-    return ReadOneWriteAll()
-
-
-def placement_or_single_copy(
-    objects: Sequence[str], placement: Optional[Placement]
-) -> Placement:
-    """The placement protocols fall back to: the paper's single-copy map.
-
-    Every client automaton takes an optional ``placement`` so direct
-    construction (unit tests, proofs) keeps working without one; this is the
-    single statement of that default.
-    """
-    return placement if placement is not None else Placement.single_copy(objects)
+    return values, replies

@@ -109,7 +109,7 @@ SEED_ALL = {
         CoordinatedServer CoordinatedWriter coordinator_name EigerProtocol EigerReader
         EigerServer EigerVersion EigerWriter NaiveReader NaiveServer NaiveSnowCandidate
         NaiveWriter OccProtocol OccReader OccServer OccWriter ReplicatedStorageServer
-        key_read_round per_object_reply_await write_value_round all_protocols
+        key_read_round quorum_round write_value_round all_protocols
         get_protocol protocol_names register_protocol SimpleReadWrite
     """,
     "repro.txn": """

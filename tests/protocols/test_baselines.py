@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.ioa import AdversarialScheduler, FIFOScheduler, RandomScheduler
-from repro.protocols import LockingProtocol, NaiveSnowCandidate, OccProtocol, SimpleReadWrite
+from repro.protocols import LockingProtocol, NaiveSnowCandidate, SimpleReadWrite
 from tests.conftest import build_system, run_simple_workload
 
 
@@ -128,11 +128,19 @@ class TestOccBaseline:
                 break
         assert saw_retry
 
-    def test_max_attempts_configurable(self):
-        protocol = OccProtocol(max_attempts=5)
-        handle = protocol.build(num_readers=1, num_writers=1)
-        reader = handle.simulation.automaton(handle.readers[0])
-        assert reader.max_attempts == 5
+    def test_read_that_never_validates_fails_loudly(self, monkeypatch):
+        """A read whose snapshot never validates stops after MAX_COLLECTS
+        collects with a diagnostic instead of collecting forever."""
+        from repro.ioa.errors import SimulationError
+        from repro.protocols.occ import MAX_COLLECTS, OccReader
+
+        monkeypatch.setattr(OccReader, "_write_set_closed", staticmethod(lambda chosen, read_set: False))
+        handle = build_system("occ-double-collect", num_readers=1, num_writers=1)
+        handle.submit_read(txn_id="R1")
+        with pytest.raises(SimulationError, match=f"exhausted {MAX_COLLECTS} collects for R1"):
+            handle.run_to_completion()
+        collects = [a for a in handle.trace() if a.kind.value == "send" and a.message.msg_type == "collect"]
+        assert len(collects) == MAX_COLLECTS * len(handle.objects)
 
     def test_write_timestamps_annotated(self):
         handle = build_system("occ-double-collect", num_readers=1, num_writers=1)
