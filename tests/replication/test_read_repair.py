@@ -136,3 +136,27 @@ def test_no_repair_traffic_at_rf1():
     handle.submit_read(("ox", "oy"), txn_id="R1", after=[w1])
     handle.run()
     assert repair_sends(handle) == []
+
+
+@pytest.mark.parametrize("protocol", ["algorithm-a", "algorithm-b"])
+def test_a_miss_alone_never_completes_a_read_quorum(protocol):
+    """Read-one-write-all reads need one reply per object, and the first to
+    arrive (FIFO: the primary's) is the amnesiac replica's miss: the round
+    must wait for a hit rather than complete without a value."""
+    handle = get_protocol(protocol).build(
+        num_readers=1,
+        num_writers=1,
+        num_objects=2,
+        scheduler=FIFOScheduler(),
+        seed=0,
+        replication_factor=3,
+        quorum="read-one-write-all",
+    )
+    w1 = handle.submit_write({"ox": "v1-ox", "oy": "v1-oy"}, txn_id="W1")
+    handle.run()
+    handle.simulation.automaton("sy").forget()
+    handle.submit_read(("ox", "oy"), txn_id="R1", after=[w1])
+    handle.run()
+    r1 = handle.simulation.transaction_record("R1")
+    assert dict(r1.result.values) == {"ox": "v1-ox", "oy": "v1-oy"}
+    assert [m.dst for m in repair_sends(handle)] == ["sy"]
