@@ -42,6 +42,7 @@ from .replication import (
     attempt_stamp,
     check_epoch_retry_budget,
     note_epoch_retry,
+    stamp_matches,
 )
 
 
@@ -217,6 +218,14 @@ class LockingReader(ReplicaClient, ReaderAutomaton):
     replica releases the partial lock set and restarts the transaction.
     """
 
+    def __init__(
+        self,
+        name: str,
+        objects: Sequence[str],
+        placement: Optional[Placement] = None,
+    ) -> None:
+        super().__init__(name, objects, placement)
+
     def run_transaction(self, txn: ReadTransaction, ctx: Context):
         if not isinstance(txn, ReadTransaction):
             raise SimulationError(f"reader {self.name} received a non-READ transaction {txn!r}")
@@ -226,7 +235,6 @@ class LockingReader(ReplicaClient, ReaderAutomaton):
             attempt += 1
             check_epoch_retry_budget("read", txn.txn_id, attempt)
             stamp = attempt_stamp(view, attempt)
-            numbered = stamp.get("attempt")
             values: Dict[str, Any] = {}
             granted: List[Tuple[str, str]] = []
             mismatch = False
@@ -246,11 +254,11 @@ class LockingReader(ReplicaClient, ReaderAutomaton):
                         phase="lock-read",
                     )
                     replies = yield Await(
-                        matcher=lambda m, t=txn.txn_id, o=object_id, a=numbered: m.msg_type
+                        matcher=lambda m, t=txn.txn_id, o=object_id, s=stamp: m.msg_type
                         in ("lock-read-granted", "epoch-mismatch")
                         and m.get("txn") == t
                         and m.get("object") == o
-                        and (a is None or m.get("attempt") == a),
+                        and stamp_matches(s, m),
                         count=1,
                         description=f"read lock on {object_id}",
                     )
@@ -309,7 +317,6 @@ class LockingWriter(ReplicaClient, WriterAutomaton):
             attempt += 1
             check_epoch_retry_budget("write", txn.txn_id, attempt)
             stamp = attempt_stamp(view, attempt)
-            numbered = stamp.get("attempt")
             granted: List[Tuple[str, str]] = []
             mismatch = False
             for object_id in sorted(updates):
@@ -326,11 +333,11 @@ class LockingWriter(ReplicaClient, WriterAutomaton):
                         phase="lock-write",
                     )
                     replies = yield Await(
-                        matcher=lambda m, t=txn.txn_id, o=object_id, a=numbered: m.msg_type
+                        matcher=lambda m, t=txn.txn_id, o=object_id, s=stamp: m.msg_type
                         in ("lock-write-granted", "epoch-mismatch")
                         and m.get("txn") == t
                         and m.get("object") == o
-                        and (a is None or m.get("attempt") == a),
+                        and stamp_matches(s, m),
                         count=1,
                         description=f"write lock on {object_id}",
                     )
@@ -380,10 +387,10 @@ class LockingWriter(ReplicaClient, WriterAutomaton):
                 )
             if commit_set:
                 yield Await(
-                    matcher=lambda m, t=txn.txn_id, a=numbered: m.msg_type
+                    matcher=lambda m, t=txn.txn_id, s=stamp: m.msg_type
                     in ("commit-ack", "epoch-mismatch")
                     and m.get("txn") == t
-                    and (a is None or m.get("attempt") == a),
+                    and stamp_matches(s, m),
                     count=len(commit_set),
                     description="commit acks",
                 )

@@ -47,6 +47,7 @@ from .replication import (
     check_epoch_retry_budget,
     note_epoch_retry,
     quorum_round,
+    stamp_matches,
 )
 
 
@@ -359,10 +360,10 @@ class EigerReader(ReplicaClient, ReaderAutomaton):
                     )
                 # a mismatch resumes the session at once, so it is the last reply
                 catch_up = yield Await(
-                    matcher=lambda m, t=txn.txn_id, a=stamp.get("attempt"): m.msg_type
+                    matcher=lambda m, t=txn.txn_id, s=stamp: m.msg_type
                     in ("eiger-read-at-reply", "epoch-mismatch")
                     and m.get("txn") == t
-                    and (a is None or m.get("attempt") == a),
+                    and stamp_matches(s, m),
                     until=lambda collected, n=len(stale): len(collected) >= n
                     or collected[-1].msg_type == "epoch-mismatch",
                     description="round-2 replies",

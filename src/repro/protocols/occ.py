@@ -251,13 +251,25 @@ class OccReader(ReplicaClient, ReaderAutomaton):
     install quorums keeps the chosen versions current.
     """
 
+    def __init__(
+        self,
+        name: str,
+        objects: Sequence[str],
+        placement: Optional[Placement] = None,
+    ) -> None:
+        super().__init__(name, objects, placement)
+
     def _collect(self, txn: ReadTransaction, ctx: Context, attempt: int):
         """One collect; returns ``(snapshot, attempt)``.
 
-        Collects are numbered on fixed groups too (the server echoes the
-        number); under a directory the number is the round's attempt
-        counter, global across the transaction's collects, so stale replies
-        of an earlier collect never satisfy a later one.
+        Under a directory the collect's number is the round's attempt
+        counter, global across the transaction's collects, and the round
+        matches only replies that echo it, so stale replies of an earlier
+        collect never satisfy a later one.  On fixed groups the number is
+        sent only because the wire has always carried it; the round matches
+        on the transaction alone, and stale replies are ruled out instead
+        because a collect returns only once every target answered and each
+        target answers a request at most once.
         """
         view = self.view
         number = attempt + 1

@@ -452,6 +452,14 @@ def attempt_stamp(view, attempt: int) -> Dict[str, Any]:
     return {} if view.epoch is None else {"attempt": attempt}
 
 
+def stamp_matches(stamp: Dict[str, Any], message: Message) -> bool:
+    """Whether a reply answers the request sent with ``stamp`` (from
+    :func:`attempt_stamp`): it echoes the stamped attempt, or the request
+    was stamped with none."""
+    attempt = stamp.get("attempt")
+    return attempt is None or message.get("attempt") == attempt
+
+
 def _quorum_until(requirements, reply_types: Tuple[str, ...], hit: Optional[str], objects):
     """The ``until`` predicate of a quorum round, folded one reply at a time.
 

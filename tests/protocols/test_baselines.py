@@ -142,6 +142,28 @@ class TestOccBaseline:
         collects = [a for a in handle.trace() if a.kind.value == "send" and a.message.msg_type == "collect"]
         assert len(collects) == MAX_COLLECTS * len(handle.objects)
 
+    def test_fixed_collect_waits_for_every_replica(self):
+        """On fixed groups a collect's replies are matched on the transaction
+        alone; what keeps an earlier collect's replies out of a later one is
+        that a collect resumes only once every replica it asked answered."""
+        from repro.ioa.automaton import Await, Send
+        from repro.protocols.occ import OccReader
+        from repro.txn import Placement, ReadTransaction
+
+        placement = Placement.for_objects(("ox", "oy"), 3)
+        reader = OccReader("r1", ("ox", "oy"), placement)
+        session = reader._collect(ReadTransaction(objects=("ox", "oy"), txn_id="R1"), None, 0)
+        sends = []
+        step = next(session)
+        while isinstance(step, Send):
+            sends.append(step)
+            step = next(session)
+        assert {(s.dst, s.payload["object"]) for s in sends} == {
+            (replica, obj) for obj in ("ox", "oy") for replica in placement.group(obj)
+        }
+        assert isinstance(step, Await)
+        assert step.until is None and step.count == len(sends) == 6
+
     def test_write_timestamps_annotated(self):
         handle = build_system("occ-double-collect", num_readers=1, num_writers=1)
         w = handle.submit_write({"ox": 1, "oy": 1})
