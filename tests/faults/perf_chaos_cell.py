@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Any, Dict
 
 from repro.faults import FaultInjector
+from repro.obs import HealthView
 
 PERF_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "perf"
 if str(PERF_DIR) not in sys.path:
@@ -50,4 +51,5 @@ def observable_outcome(handle) -> Dict[str, Any]:
         "fault_stats": simulation.fault_plane.stats.as_dict(),
         "alerts": len(simulation.obs.monitors.alerts),
         "registry": simulation.obs.registry.snapshot(),
+        "health": HealthView(simulation.obs.health).report(),
     }

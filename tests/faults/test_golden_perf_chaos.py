@@ -5,7 +5,9 @@ transport buffer and the held registry instruments (PR 12, ``b320e03``), at
 ``--smoke`` scale for the benchmark's seed (17) and the seed its claims are
 repeated on (3).  A change that only makes the fault and observability planes
 faster must reproduce all of it: the trace, every fault counter, zero monitor
-alerts, and the registry snapshot instrument for instrument.
+alerts, and the registry snapshot instrument for instrument.  The health
+report was added later, recorded on the commit before the listeners were made
+to pay once per action; the other four keys stayed byte-identical.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ def test_chaos_cell_matches_the_parent_commit(seed):
     assert outcome["alerts"] == golden["alerts"] == 0
     assert outcome["fault_stats"] == golden["fault_stats"]
     assert outcome["registry"] == golden["registry"]
+    assert outcome["health"] == golden["health"]
     assert outcome["signature"] == golden["signature"]
 
 
