@@ -69,8 +69,8 @@ class ChaosScheduler(Scheduler):
             self._registry = registry
             self._steps = registry.counter("scheduler.chaos_steps")
             self._ripe_events = registry.counter("scheduler.chaos_ripe_events")
-        self._steps.inc()
-        self._ripe_events.inc(ripe)
+        self._steps.value += 1
+        self._ripe_events.value += ripe
         if not ripe:
             registry.counter("scheduler.chaos_fastforwards").inc()
             health = getattr(obs, "health", None)

@@ -31,6 +31,8 @@ from typing import Any, Deque, Dict, Optional, Tuple
 from ..ioa.actions import Action, ActionKind
 from .registry import Histogram
 
+_RECV, _INTERNAL, _INVOKE, _RESPOND = ActionKind.RECV, ActionKind.INTERNAL, ActionKind.INVOKE, ActionKind.RESPOND
+
 
 @dataclass(frozen=True)
 class SLOPolicy:
@@ -82,14 +84,10 @@ class HealthPlane:
         self._last_active: Dict[str, int] = {}
         #: replica -> ctl-probe round-trips (virtual-time steps)
         self._probe_rtt: Dict[str, Histogram] = {}
-        #: rolling (bucket_id, counts) windows, newest last
+        #: rolling (bucket_id, counts) windows, newest last (and held)
         self._buckets: Deque[Tuple[int, Dict[str, int]]] = deque()
-        self._totals: Dict[str, int] = {
-            "events": 0,
-            "timeouts": 0,
-            "errors": 0,
-            "stalls": 0,
-        }
+        self._newest_id, self._newest = None, {}
+        self._totals: Dict[str, int] = dict.fromkeys(("events", "timeouts", "errors", "stalls"), 0)
         #: the last clock read: the replay clock of detached (post-mortem)
         #: feeding, and what a report shows once the simulation is gone
         self._clock = 0
@@ -107,7 +105,7 @@ class HealthPlane:
     def now(self) -> int:
         """The simulation's clock; detached (a replay, or the simulation has
         been dropped) the clock of the last observed action or query."""
-        simulation = self.simulation
+        simulation = self._simulation() if self._simulation is not None else None
         if simulation is not None:
             self._clock = simulation.now()
         return self._clock
@@ -124,14 +122,31 @@ class HealthPlane:
             if action.index > self._clock:
                 self._clock = action.index
         now = self.now()
-        self._bump("events", now)
+        if now // self.slo.window == self._newest_id:
+            self._totals["events"] += 1
+            self._newest["events"] = self._newest.get("events", 0) + 1
+        else:
+            self._bump("events", now)
         self._last_active[action.actor] = now
         kind = action.kind
-        if kind is ActionKind.INVOKE:
+        if kind is _RECV:
+            message = action.message
+            if message is None:
+                return
+            if message.msg_type == "epoch-mismatch":
+                self._bump("errors", now)
+            elif message.msg_type == "ctl-ack":
+                sent = message.get("sent")
+                if isinstance(sent, int):
+                    self._probe_rtt.setdefault(message.src, Histogram()).observe(max(0, now - sent))
+        elif kind is _INTERNAL:
+            if action.get("timeout"):
+                self._bump("timeouts", now)
+        elif kind is _INVOKE:
             txn = action.get("txn")
             if txn is not None:
                 self._inflight[str(txn)] = (str(action.get("txn_kind", "txn")), now)
-        elif kind is ActionKind.RESPOND:
+        elif kind is _RESPOND:
             txn = action.get("txn")
             started = self._inflight.pop(str(txn), None) if txn is not None else None
             if started is not None:
@@ -142,18 +157,6 @@ class HealthPlane:
                     self._slo_ok[txn_kind] = self._slo_ok.get(txn_kind, 0) + 1
                 else:
                     self._slo_breach[txn_kind] = self._slo_breach.get(txn_kind, 0) + 1
-        elif kind is ActionKind.RECV and action.message is not None:
-            message = action.message
-            if message.msg_type == "epoch-mismatch":
-                self._bump("errors", now)
-            elif message.msg_type == "ctl-ack":
-                sent = message.get("sent")
-                if isinstance(sent, int):
-                    self._probe_rtt.setdefault(message.src, Histogram()).observe(
-                        max(0, now - sent)
-                    )
-        elif kind is ActionKind.INTERNAL and action.get("timeout"):
-            self._bump("timeouts", now)
 
     def note_stall(self, now: int) -> None:
         """A scheduler found no ripe event and had to fast-forward the clock
@@ -162,15 +165,13 @@ class HealthPlane:
 
     # -- rolling windows --------------------------------------------------
     def _bump(self, what: str, now: int) -> None:
-        self._totals[what] = self._totals.get(what, 0) + 1
-        bucket_id = now // self.slo.window
-        buckets = self._buckets
-        if not buckets or buckets[-1][0] != bucket_id:
-            buckets.append((bucket_id, {}))
-            while len(buckets) > self.slo.history:
-                buckets.popleft()
-        counts = buckets[-1][1]
-        counts[what] = counts.get(what, 0) + 1
+        self._totals[what] += 1
+        if now // self.slo.window != self._newest_id:
+            self._newest_id, self._newest = now // self.slo.window, {}
+            self._buckets.append((self._newest_id, self._newest))
+            while len(self._buckets) > self.slo.history:
+                self._buckets.popleft()
+        self._newest[what] = self._newest.get(what, 0) + 1
 
     def _window_counts(self) -> Dict[str, int]:
         merged: Dict[str, int] = {}
@@ -205,13 +206,7 @@ class HealthView:
         """Actors whose health score is at or below ``threshold``, sorted."""
         plane = self._plane
         now = plane.now()
-        return tuple(
-            sorted(
-                name
-                for name in plane._last_active
-                if plane.replica_health(name, now=now) <= threshold
-            )
-        )
+        return tuple(sorted(name for name in plane._last_active if plane.replica_health(name, now=now) <= threshold))
 
     def slo_attainment(self, txn_kind: str) -> Optional[float]:
         """Fraction of ``txn_kind`` transactions inside their SLO (``None``
@@ -244,9 +239,7 @@ class HealthView:
         """A plain, JSON-able, deterministically ordered health report."""
         plane = self._plane
         now = plane.now()
-        kinds = sorted(
-            set(plane._latency) | set(plane._slo_ok) | set(plane._slo_breach)
-        )
+        kinds = sorted(set(plane._latency) | set(plane._slo_ok) | set(plane._slo_breach))
         slo: Dict[str, Any] = {}
         for kind in kinds:
             histogram = plane._latency.get(kind)
@@ -257,14 +250,6 @@ class HealthView:
                 "breach": plane._slo_breach.get(kind, 0),
                 "latency": histogram.summary() if histogram is not None else {"count": 0},
             }
-        replicas = {
-            name: {
-                "health": plane.replica_health(name, now=now),
-                "last_active": plane._last_active[name],
-                "probe_rtt": self.probe_rtt(name),
-            }
-            for name in sorted(plane._last_active)
-        }
         return {
             "vtime": now,
             "policy": plane.slo.describe(),
@@ -290,10 +275,7 @@ class HealthView:
             shown = f"{attainment:.2%}" if attainment is not None else "n/a"
             latency = row["latency"]
             if latency["count"]:
-                detail = (
-                    f"p50={latency['p50']:g} p95={latency['p95']:g} "
-                    f"max={latency['max']:g}"
-                )
+                detail = f"p50={latency['p50']:g} p95={latency['p95']:g} max={latency['max']:g}"
             else:
                 detail = "no samples"
             lines.append(
@@ -306,11 +288,7 @@ class HealthView:
             f"timeout_rate={rolling['timeout_rate']:.4f} "
             f"error_rate={rolling['error_rate']:.4f}"
         )
-        totals = report["totals"]
-        lines.append(
-            "  totals: "
-            + " ".join(f"{k}={v}" for k, v in totals.items())
-        )
+        lines.append("  totals: " + " ".join(f"{k}={v}" for k, v in report["totals"].items()))
         if report["suspects"]:
             lines.append(f"  suspects: {', '.join(report['suspects'])}")
         if report["incomplete_txns"]:

@@ -121,20 +121,21 @@ class OnlineMonitor:
         return self.name
 
 
-_INTERNAL = frozenset({ActionKind.INTERNAL})
+_INTERNAL = ActionKind.INTERNAL
+_INTERNAL_ONLY = frozenset({_INTERNAL})
 
 
 class ElectionSafetyMonitor(OnlineMonitor):
     """At most one leader per term (dict term → first elected member)."""
 
     name = "election-safety"
-    kinds = _INTERNAL
+    kinds = _INTERNAL_ONLY
 
     def __init__(self) -> None:
         self._leader_of_term: Dict[Any, str] = {}
 
     def observe(self, action: Action, index: int) -> Optional[str]:
-        if action.kind is not ActionKind.INTERNAL:
+        if action.kind is not _INTERNAL:
             return None
         if action.get("consensus") != "became-leader":
             return None
@@ -164,13 +165,13 @@ class LogMatchingMonitor(OnlineMonitor):
     """
 
     name = "log-matching"
-    kinds = _INTERNAL
+    kinds = _INTERNAL_ONLY
 
     def __init__(self) -> None:
         self._canon: Dict[Any, Tuple[Any, Any]] = {}
 
     def observe(self, action: Action, index: int) -> Optional[str]:
-        if action.kind is not ActionKind.INTERNAL:
+        if action.kind is not _INTERNAL:
             return None
         if action.get("consensus") != "apply":
             return None
@@ -205,7 +206,7 @@ class QuorumIntersectionMonitor(OnlineMonitor):
     """
 
     name = "quorum-intersection"
-    kinds = _INTERNAL
+    kinds = _INTERNAL_ONLY
 
     def __init__(self) -> None:
         self._policy: Optional[Any] = None
@@ -214,7 +215,7 @@ class QuorumIntersectionMonitor(OnlineMonitor):
         self._policy = policy
 
     def observe(self, action: Action, index: int) -> Optional[str]:
-        if action.kind is not ActionKind.INTERNAL or self._policy is None:
+        if action.kind is not _INTERNAL or self._policy is None:
             return None
         what = action.get("reconfig")
         if what not in ("joint-begin", "cns-joint-begin"):
@@ -238,13 +239,13 @@ class ConfigInFlightMonitor(OnlineMonitor):
     them globally) must strictly alternate."""
 
     name = "config-in-flight"
-    kinds = _INTERNAL
+    kinds = _INTERNAL_ONLY
 
     def __init__(self) -> None:
         self._in_flight = False
 
     def observe(self, action: Action, index: int) -> Optional[str]:
-        if action.kind is not ActionKind.INTERNAL:
+        if action.kind is not _INTERNAL:
             return None
         what = action.get("reconfig")
         if what in ("joint-begin", "cns-joint-begin"):
@@ -284,7 +285,7 @@ class LeaseSafetyMonitor(OnlineMonitor):
     """
 
     name = "lease-safety"
-    kinds = _INTERNAL
+    kinds = _INTERNAL_ONLY
 
     def __init__(self) -> None:
         #: member -> (term, start, until) of its newest announced window
@@ -301,7 +302,7 @@ class LeaseSafetyMonitor(OnlineMonitor):
             self._max_until = until
 
     def observe(self, action: Action, index: int) -> Optional[str]:
-        if action.kind is not ActionKind.INTERNAL:
+        if action.kind is not _INTERNAL:
             return None
         kind = action.get("consensus")
         if kind == "local-read":
@@ -422,8 +423,9 @@ class MonitorSuite:
         self.monitors: Tuple[OnlineMonitor, ...] = (
             tuple(monitors) if monitors is not None else default_monitors()
         )
-        self._subscribers: Dict[ActionKind, Tuple[OnlineMonitor, ...]] = {
-            kind: tuple(m for m in self.monitors if m.kinds is None or kind in m.kinds)
+        #: by kind value: hashing an ``ActionKind`` runs Python code
+        self._subscribers: Dict[str, Tuple[OnlineMonitor, ...]] = {
+            kind.value: tuple(m for m in self.monitors if m.kinds is None or kind in m.kinds)
             for kind in ActionKind
         }
         self.halt_on_violation = halt_on_violation
@@ -442,10 +444,13 @@ class MonitorSuite:
 
     # -- the per-event hook ---------------------------------------------
     def on_action(self, action: Action) -> None:
-        index = action.index if action.index >= 0 else self._seen
         self._seen += 1
         self._suffix.append(action)
-        for monitor in self._subscribers[action.kind]:
+        subscribers = self._subscribers[action.kind._value_]
+        if not subscribers:
+            return
+        index = action.index if action.index >= 0 else self._seen - 1
+        for monitor in subscribers:
             message = monitor.observe(action, index)
             if message is None:
                 continue

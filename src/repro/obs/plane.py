@@ -18,15 +18,17 @@ the perf benchmark (``benchmarks/perf/run.py``) alone.
 from __future__ import annotations
 
 import weakref
-from typing import TYPE_CHECKING, Any, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
 
 from ..ioa.actions import Action, ActionKind
 from ..ioa.trace import Trace, TraceError
-from .registry import HeldInstruments, MetricsRegistry
+from .registry import Counter, HeldInstruments, MetricsRegistry
 
 if TYPE_CHECKING:  # each listener's module is imported by the plane that asks for it
     from .health import HealthPlane, HealthView, SLOPolicy
     from .monitor import MonitorSuite
+
+_SEND, _RECV, _INTERNAL, _START = ActionKind.SEND, ActionKind.RECV, ActionKind.INTERNAL, ActionKind.START
 
 
 class ObservabilityPlane:
@@ -53,6 +55,9 @@ class ObservabilityPlane:
         self._sent = HeldInstruments(self.registry, "counter", "kernel.messages_sent", "type")
         self._channels = HeldInstruments(self.registry, "counter", "kernel.messages_channel", "channel")
         self._mailboxes = HeldInstruments(self.registry, "gauge", "kernel.mailbox_depth", "automaton")
+        #: (src, dst) -> its channel class's counter, held until an automaton
+        #: joins or retires (the topology forgets its cleared pairs then too)
+        self._pairs: Dict[Tuple[str, str], Counter] = {}
         if monitors is True:
             from .monitor import MonitorSuite
 
@@ -99,35 +104,38 @@ class ObservabilityPlane:
 
     def on_enqueue(self, delivery: Any) -> None:
         """A message entered the kernel's pending-delivery set."""
-        self._mailboxes[delivery.message.dst].inc()
+        gauge = self._mailboxes[delivery.message.dst]
+        depth = gauge.value = gauge.value + 1
+        if depth > gauge.max_value:
+            gauge.max_value = depth
 
     def on_dequeue(self, message: Any) -> None:
         """A pending delivery left the set (delivered, extracted or dropped
         with a retired automaton)."""
-        self._mailboxes[message.dst].dec()
+        self._mailboxes[message.dst].value -= 1
 
     # -- the trace observer ----------------------------------------------
     def on_action(self, action: Action) -> None:
-        registry = self.registry
-        self._events[action.kind.value].inc()
+        kind = action.kind
+        self._events[kind._value_].value += 1
         message = action.message
-        if action.kind is ActionKind.SEND and message is not None:
-            self._sent[message.msg_type].inc()
-            simulation = self.simulation
-            if simulation is not None:
-                channel = simulation.topology.channel_class(message.src, message.dst)
-                self._channels[channel].inc()
-        elif action.kind is ActionKind.RECV and message is not None:
+        if kind is _SEND and message is not None:
+            self._sent[message.msg_type].value += 1
+            channel = self._pairs.get((message.src, message.dst)) or self._channel(message)
+            if channel is not None:
+                channel.value += 1
+        elif kind is _RECV and message is not None:
             if message.msg_type == "ctl-ack":
+                registry = self.registry
                 registry.counter("controller.acks").inc()
                 sent = message.get("sent")
                 simulation = self.simulation
                 if isinstance(sent, int) and simulation is not None:
-                    registry.histogram("controller.probe_rtt").observe(
-                        max(0, simulation.now() - sent)
-                    )
-        elif action.kind is ActionKind.INTERNAL and action.info_keys:
+                    registry.histogram("controller.probe_rtt").observe(max(0, simulation.now() - sent))
+        elif kind is _INTERNAL and action.info_keys:
             self._on_internal(dict(zip(action.info_keys, action.info_values)))
+        elif kind is _START:
+            self._pairs.clear()
         if self.health is not None:
             self.health.on_action(action)
         # Monitors run last so a halt_on_violation raise (which aborts the
@@ -135,8 +143,22 @@ class ObservabilityPlane:
         if self.monitors is not None:
             self.monitors.on_action(action)
 
+    def _channel(self, message: Any) -> Optional[Counter]:
+        """The channel counter of a pair not held yet (``None`` detached):
+        held unless the touch was routed to the overflow instrument."""
+        simulation = self.simulation
+        if simulation is None:
+            return None
+        channel = simulation.topology.channel_class(message.src, message.dst)
+        counter = self._channels[channel]
+        if channel in self._channels:
+            self._pairs[message.src, message.dst] = counter
+        return counter
+
     def _on_internal(self, info: dict) -> None:
         registry = self.registry
+        if "lifecycle" in info:
+            self._pairs.clear()
         if info.get("timeout"):
             registry.counter("kernel.timeouts_fired").inc()
         consensus = info.get("consensus")
@@ -148,19 +170,13 @@ class ObservabilityPlane:
                 if int(term) > int(gauge.value or 0):
                     gauge.set(int(term))
             if consensus == "became-leader":
-                registry.histogram("consensus.leader_elected_vtime").observe(
-                    int(info.get("vtime", 0))
-                )
+                registry.histogram("consensus.leader_elected_vtime").observe(int(info.get("vtime", 0)))
             elif consensus == "apply" and "commit_latency" in info:
-                registry.histogram("consensus.commit_latency").observe(
-                    int(info["commit_latency"])
-                )
+                registry.histogram("consensus.commit_latency").observe(int(info["commit_latency"]))
                 if info.get("read"):
                     registry.counter("consensus.read_applies").inc()
             elif consensus == "local-read" and "read_latency" in info:
-                registry.histogram("consensus.lease_read_latency").observe(
-                    int(info["read_latency"])
-                )
+                registry.histogram("consensus.lease_read_latency").observe(int(info["read_latency"]))
         reconfig = info.get("reconfig")
         if isinstance(reconfig, str):  # timers carry reconfig=<request index>
             registry.counter("reconfig.events", kind=reconfig).inc()

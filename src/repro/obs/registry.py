@@ -67,12 +67,6 @@ class Gauge:
         if isinstance(value, (int, float)) and value > self.max_value:
             self.max_value = value
 
-    def inc(self, amount: int = 1) -> None:
-        self.set(self.value + amount)
-
-    def dec(self, amount: int = 1) -> None:
-        self.value -= amount
-
 
 class Histogram:
     """A distribution: stores raw observations (runs are small enough that

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+from types import SimpleNamespace
 
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, ObservabilityPlane
 
 
 def test_counter_labels_and_totals():
@@ -28,12 +29,15 @@ def test_counter_value_defaults_to_zero_when_never_touched():
 
 
 def test_gauge_set_inc_dec_and_max_watermark():
-    registry = MetricsRegistry()
+    """A gauge is set; the mailbox gauges are raised and lowered in place by
+    the plane's enqueue/dequeue hooks, which keep the watermark too."""
+    plane = ObservabilityPlane()
+    registry = plane.registry
+    delivery = SimpleNamespace(message=SimpleNamespace(dst="s1"))
+    for _ in range(3):
+        plane.on_enqueue(delivery)
+    plane.on_dequeue(delivery.message)
     gauge = registry.gauge("kernel.mailbox_depth", automaton="s1")
-    gauge.inc()
-    gauge.inc()
-    gauge.inc()
-    gauge.dec()
     assert gauge.value == 2
     assert gauge.max_value == 3  # the watermark survives the drain
     gauge.set(1)
@@ -126,7 +130,7 @@ def test_held_instruments_stop_holding_once_the_metric_overflows():
 
     def touch(get):
         for value in touches:
-            get(value).inc()
+            get(value).value += 1  # in place, as the plane bumps a held instrument
 
     direct, through_held = MetricsRegistry(), MetricsRegistry()
     touch(lambda value: direct.gauge("depth", automaton=value))
