@@ -129,20 +129,7 @@ class HealthPlane:
             self._bump("events", now)
         self._last_active[action.actor] = now
         kind = action.kind
-        if kind is _RECV:
-            message = action.message
-            if message is None:
-                return
-            if message.msg_type == "epoch-mismatch":
-                self._bump("errors", now)
-            elif message.msg_type == "ctl-ack":
-                sent = message.get("sent")
-                if isinstance(sent, int):
-                    self._probe_rtt.setdefault(message.src, Histogram()).observe(max(0, now - sent))
-        elif kind is _INTERNAL:
-            if action.get("timeout"):
-                self._bump("timeouts", now)
-        elif kind is _INVOKE:
+        if kind is _INVOKE:
             txn = action.get("txn")
             if txn is not None:
                 self._inflight[str(txn)] = (str(action.get("txn_kind", "txn")), now)
@@ -157,6 +144,18 @@ class HealthPlane:
                     self._slo_ok[txn_kind] = self._slo_ok.get(txn_kind, 0) + 1
                 else:
                     self._slo_breach[txn_kind] = self._slo_breach.get(txn_kind, 0) + 1
+        elif kind is _RECV and action.message is not None:
+            message = action.message
+            if message.msg_type == "epoch-mismatch":
+                self._bump("errors", now)
+            elif message.msg_type == "ctl-ack":
+                sent = message.get("sent")
+                if isinstance(sent, int):
+                    self._probe_rtt.setdefault(message.src, Histogram()).observe(
+                        max(0, now - sent)
+                    )
+        elif kind is _INTERNAL and action.get("timeout"):
+            self._bump("timeouts", now)
 
     def note_stall(self, now: int) -> None:
         """A scheduler found no ripe event and had to fast-forward the clock
@@ -206,7 +205,13 @@ class HealthView:
         """Actors whose health score is at or below ``threshold``, sorted."""
         plane = self._plane
         now = plane.now()
-        return tuple(sorted(name for name in plane._last_active if plane.replica_health(name, now=now) <= threshold))
+        return tuple(
+            sorted(
+                name
+                for name in plane._last_active
+                if plane.replica_health(name, now=now) <= threshold
+            )
+        )
 
     def slo_attainment(self, txn_kind: str) -> Optional[float]:
         """Fraction of ``txn_kind`` transactions inside their SLO (``None``

@@ -121,21 +121,20 @@ class OnlineMonitor:
         return self.name
 
 
-_INTERNAL = ActionKind.INTERNAL
-_INTERNAL_ONLY = frozenset({_INTERNAL})
+_INTERNAL = frozenset({ActionKind.INTERNAL})
 
 
 class ElectionSafetyMonitor(OnlineMonitor):
     """At most one leader per term (dict term → first elected member)."""
 
     name = "election-safety"
-    kinds = _INTERNAL_ONLY
+    kinds = _INTERNAL
 
     def __init__(self) -> None:
         self._leader_of_term: Dict[Any, str] = {}
 
     def observe(self, action: Action, index: int) -> Optional[str]:
-        if action.kind is not _INTERNAL:
+        if action.kind is not ActionKind.INTERNAL:
             return None
         if action.get("consensus") != "became-leader":
             return None
@@ -165,13 +164,13 @@ class LogMatchingMonitor(OnlineMonitor):
     """
 
     name = "log-matching"
-    kinds = _INTERNAL_ONLY
+    kinds = _INTERNAL
 
     def __init__(self) -> None:
         self._canon: Dict[Any, Tuple[Any, Any]] = {}
 
     def observe(self, action: Action, index: int) -> Optional[str]:
-        if action.kind is not _INTERNAL:
+        if action.kind is not ActionKind.INTERNAL:
             return None
         if action.get("consensus") != "apply":
             return None
@@ -206,7 +205,7 @@ class QuorumIntersectionMonitor(OnlineMonitor):
     """
 
     name = "quorum-intersection"
-    kinds = _INTERNAL_ONLY
+    kinds = _INTERNAL
 
     def __init__(self) -> None:
         self._policy: Optional[Any] = None
@@ -215,7 +214,7 @@ class QuorumIntersectionMonitor(OnlineMonitor):
         self._policy = policy
 
     def observe(self, action: Action, index: int) -> Optional[str]:
-        if action.kind is not _INTERNAL or self._policy is None:
+        if action.kind is not ActionKind.INTERNAL or self._policy is None:
             return None
         what = action.get("reconfig")
         if what not in ("joint-begin", "cns-joint-begin"):
@@ -239,13 +238,13 @@ class ConfigInFlightMonitor(OnlineMonitor):
     them globally) must strictly alternate."""
 
     name = "config-in-flight"
-    kinds = _INTERNAL_ONLY
+    kinds = _INTERNAL
 
     def __init__(self) -> None:
         self._in_flight = False
 
     def observe(self, action: Action, index: int) -> Optional[str]:
-        if action.kind is not _INTERNAL:
+        if action.kind is not ActionKind.INTERNAL:
             return None
         what = action.get("reconfig")
         if what in ("joint-begin", "cns-joint-begin"):
@@ -285,7 +284,7 @@ class LeaseSafetyMonitor(OnlineMonitor):
     """
 
     name = "lease-safety"
-    kinds = _INTERNAL_ONLY
+    kinds = _INTERNAL
 
     def __init__(self) -> None:
         #: member -> (term, start, until) of its newest announced window
@@ -302,7 +301,7 @@ class LeaseSafetyMonitor(OnlineMonitor):
             self._max_until = until
 
     def observe(self, action: Action, index: int) -> Optional[str]:
-        if action.kind is not _INTERNAL:
+        if action.kind is not ActionKind.INTERNAL:
             return None
         kind = action.get("consensus")
         if kind == "local-read":
@@ -423,7 +422,6 @@ class MonitorSuite:
         self.monitors: Tuple[OnlineMonitor, ...] = (
             tuple(monitors) if monitors is not None else default_monitors()
         )
-        #: by kind value: hashing an ``ActionKind`` runs Python code
         self._subscribers: Dict[str, Tuple[OnlineMonitor, ...]] = {
             kind.value: tuple(m for m in self.monitors if m.kinds is None or kind in m.kinds)
             for kind in ActionKind
@@ -446,7 +444,7 @@ class MonitorSuite:
     def on_action(self, action: Action) -> None:
         self._seen += 1
         self._suffix.append(action)
-        subscribers = self._subscribers[action.kind._value_]
+        subscribers = self._subscribers[action.kind._value_]  # an ActionKind's hash is Python code
         if not subscribers:
             return
         index = action.index if action.index >= 0 else self._seen - 1

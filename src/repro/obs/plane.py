@@ -55,8 +55,7 @@ class ObservabilityPlane:
         self._sent = HeldInstruments(self.registry, "counter", "kernel.messages_sent", "type")
         self._channels = HeldInstruments(self.registry, "counter", "kernel.messages_channel", "channel")
         self._mailboxes = HeldInstruments(self.registry, "gauge", "kernel.mailbox_depth", "automaton")
-        #: (src, dst) -> its channel class's counter, held until an automaton
-        #: joins or retires (the topology forgets its cleared pairs then too)
+        #: (src, dst) -> its channel counter, until an automaton joins or retires
         self._pairs: Dict[Tuple[str, str], Counter] = {}
         if monitors is True:
             from .monitor import MonitorSuite
@@ -117,7 +116,7 @@ class ObservabilityPlane:
     # -- the trace observer ----------------------------------------------
     def on_action(self, action: Action) -> None:
         kind = action.kind
-        self._events[kind._value_].value += 1
+        self._events[kind._value_].value += 1  # not .value: a Python-level property
         message = action.message
         if kind is _SEND and message is not None:
             self._sent[message.msg_type].value += 1
@@ -144,8 +143,7 @@ class ObservabilityPlane:
             self.monitors.on_action(action)
 
     def _channel(self, message: Any) -> Optional[Counter]:
-        """The channel counter of a pair not held yet (``None`` detached):
-        held unless the touch was routed to the overflow instrument."""
+        """A pair's channel counter (``None`` detached), held unless overflowed."""
         simulation = self.simulation
         if simulation is None:
             return None
@@ -170,13 +168,19 @@ class ObservabilityPlane:
                 if int(term) > int(gauge.value or 0):
                     gauge.set(int(term))
             if consensus == "became-leader":
-                registry.histogram("consensus.leader_elected_vtime").observe(int(info.get("vtime", 0)))
+                registry.histogram("consensus.leader_elected_vtime").observe(
+                    int(info.get("vtime", 0))
+                )
             elif consensus == "apply" and "commit_latency" in info:
-                registry.histogram("consensus.commit_latency").observe(int(info["commit_latency"]))
+                registry.histogram("consensus.commit_latency").observe(
+                    int(info["commit_latency"])
+                )
                 if info.get("read"):
                     registry.counter("consensus.read_applies").inc()
             elif consensus == "local-read" and "read_latency" in info:
-                registry.histogram("consensus.lease_read_latency").observe(int(info["read_latency"]))
+                registry.histogram("consensus.lease_read_latency").observe(
+                    int(info["read_latency"])
+                )
         reconfig = info.get("reconfig")
         if isinstance(reconfig, str):  # timers carry reconfig=<request index>
             registry.counter("reconfig.events", kind=reconfig).inc()
