@@ -8,8 +8,8 @@ are deterministic per seed (the repository-wide replayability property) while
 different members still draw *different* timeouts, which is what breaks
 split-vote symmetry exactly as Raft's randomized timeouts do in real time.
 
-Timeouts are measured in kernel virtual-time steps (the fault plane's clock,
-or the step counter without one) — there is no wall clock anywhere.
+Timeouts are measured in kernel virtual-time steps (``Simulation.now``, the
+run's one clock) — there is no wall clock anywhere.
 
 Bootstrap convention: the group's first member starts as the leader of term 1
 and every member starts having voted for it, so a fault-free run never holds

@@ -3,12 +3,14 @@
 The repository's other schedulers pick among pending events with no notion of
 *when* a message would plausibly arrive.  The chaos scheduler honours the
 ``ready_at`` virtual-time stamps the fault injector assigns from its latency
-model: an event is *ripe* once its stamp is at or before the fault plane's
-virtual clock, and the base policy picks among ripe events only.  The clock
-itself is advanced by the injector's ``before_step`` — boundary by boundary,
+model: an event is *ripe* once its stamp is at or before the kernel's virtual
+clock (``kernel.now()``, the one clock of the run), and the base policy picks
+among ripe events only.  The scheduler only reads the clock.  The injector's
+``before_step`` moves it with ``kernel.advance_to`` — boundary by boundary,
 so crash onsets and transport timers fire in virtual-time order before any
 later arrival is ripe — a discrete-event simulator's "advance to next timer"
-jump done where the fault schedule can see it.
+jump done where the fault schedule can see it; without a plane the kernel
+jumps to its next timer at idle the same way.
 
 Without a fault plane (or with an inert plan) every stamp is ``0``, so the
 chaos scheduler degrades *exactly* to its base policy — the golden-trace
@@ -54,10 +56,6 @@ class ChaosScheduler(Scheduler):
     def reset(self) -> None:
         self.base.reset()
 
-    def _clock(self, kernel: Any) -> int:
-        plane = getattr(kernel, "fault_plane", None)
-        return plane.now(kernel) if plane is not None else int(kernel.steps_taken)
-
     def _count_step(self, kernel: Any, ripe: int, now: int) -> None:
         """Cheap ripeness telemetry for the observability plane: how much of
         the pending set the latency model made choosable this step."""
@@ -81,8 +79,8 @@ class ChaosScheduler(Scheduler):
                 health.note_stall(now)
 
     def pick(self, frontier: Any, kernel: Any) -> PendingEvent:
-        now = self._clock(kernel)
-        ripe = frontier.ripe(now, kernel.now)
+        now = kernel.now()
+        ripe = frontier.ripe(now)
         if not ripe:  # rare: the list path counts the step and fast-forwards
             return Scheduler.pick(self, frontier, kernel)
         self._count_step(kernel, len(ripe), now)
@@ -91,7 +89,7 @@ class ChaosScheduler(Scheduler):
     def choose(self, pending: Sequence[PendingEvent], kernel: Any) -> int:
         if not pending:
             return self.validate_choice(0, pending)  # raises the standard error
-        now = self._clock(kernel)
+        now = kernel.now()
         ripe = [i for i in range(len(pending)) if _ready_at(pending[i]) <= now]
         self._count_step(kernel, len(ripe), now)
         if not ripe:

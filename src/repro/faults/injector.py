@@ -24,9 +24,10 @@ Two invariants keep the rest of the repository sound:
   ``(plan.seed, injector seed)``; the same plan, seed and scheduler always
   produce the same execution, so every chaos failure is replayable.
 
-The virtual clock is the kernel step counter, fast-forwarded when the system
-would otherwise idle with timers outstanding (:meth:`FaultInjector.on_idle`)
-— exactly like a discrete-event simulator jumping to the next timer.
+The virtual clock is the kernel's (``kernel.now()``); the injector moves it
+with ``kernel.advance_to`` when the system would otherwise idle with timers
+outstanding (:meth:`FaultInjector.on_idle`) — exactly like a discrete-event
+simulator jumping to the next timer.
 """
 
 from __future__ import annotations
@@ -178,7 +179,6 @@ class FaultInjector(FaultPlane):
         self._delivered_ids: Set[int] = set()
         self._copies: Dict[int, int] = {}  # msg_id -> live copies (class docstring)
         self._drop_streak: Dict[int, int] = {}  # msg_id -> consecutive drops
-        self._virtual_now = 0
         self._crashed: Set[str] = set()
         self._crash_onset: Dict[str, int] = {}  # server -> when its current outage began
         self._removed: Set[str] = set()  # retired mid-run (reconfiguration)
@@ -204,13 +204,6 @@ class FaultInjector(FaultPlane):
                 "(its RNG and transport buffers are execution state)"
             )
         self._attached = True
-
-    def now(self, kernel: Any) -> int:
-        steps, virtual = kernel.steps_taken, self._virtual_now
-        return steps if steps > virtual else virtual
-
-    def advance_to(self, step: int) -> None:
-        self._virtual_now = max(self._virtual_now, int(step))
 
     def on_send(self, message: Message, kernel: Any) -> None:
         self.stats.sent += 1
@@ -266,7 +259,7 @@ class FaultInjector(FaultPlane):
         """
         timers = self._buffer._timers  # peeked: on most steps nothing is due
         while True:
-            now = self.now(kernel)
+            now = kernel.now()
             if not self._lo <= now < self._hi:
                 self._enter_span(now)
             if self._transitions_due:
@@ -298,7 +291,7 @@ class FaultInjector(FaultPlane):
                 boundaries.append(self._crash_edges[edge])
             if not boundaries:
                 return False
-            self.advance_to(min(boundaries))
+            kernel.advance_to(min(boundaries))
 
     def suppress_delivery(self, message: Message, kernel: Any) -> bool:
         msg_id = message.msg_id
@@ -317,7 +310,7 @@ class FaultInjector(FaultPlane):
         owner re-evaluates its timers with recovered state).  Fail-stop: the
         timer dies with the server.
         """
-        release = self._crash_release(timeout.owner, self.now(kernel))
+        release = self._crash_release(timeout.owner, kernel.now())
         if release is _NOT_BLOCKED:
             return False
         if release is not None:
@@ -348,7 +341,7 @@ class FaultInjector(FaultPlane):
     # ------------------------------------------------------------------
     def _admit(self, message: Message, kernel: Any, attempts: int) -> None:
         """Run one delivery attempt of ``message`` through the fault pipeline."""
-        now = self.now(kernel)
+        now = kernel.now()
 
         release = self._partition_release(message.src, message.dst, now)
         if release is not _NOT_BLOCKED:

@@ -220,9 +220,9 @@ class Context:
 
     @property
     def vtime(self) -> int:
-        """Virtual time: the fault plane's clock when one is installed,
-        otherwise the kernel's step counter (fast-forwarded past idle gaps
-        when timers are pending) — the clock timeouts are measured on."""
+        """Virtual time: the kernel's one clock (``Simulation.now``), the
+        step counter moved forward past idle gaps to the next timer or fault
+        boundary — the clock timeouts are measured on."""
         return self._kernel.now()
 
     def set_timeout(self, delay: int, **info: Any):

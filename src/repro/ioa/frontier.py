@@ -261,18 +261,17 @@ class EventFrontier:
             events.extend(ready[client] for _, client in self._ready_order)
         return events
 
-    def ripe(self, now: int, now_fn) -> List[PendingEvent]:
+    def ripe(self, now: int) -> List[PendingEvent]:
         """The events of :meth:`events` stamped ``ready_at <= now`` (an
         invocation has no stamp and always is), in the same order, built in
         one pass — what :class:`~repro.faults.ChaosScheduler` picks among.
-        ``now`` is the scheduler's clock; ``now_fn`` still ripens the timers,
-        and the two differ when no fault plane keeps the clock."""
+        ``now`` is the kernel's clock, and it ripens the timers too."""
         if len(self._deliveries) == self._immediate:
             events: List[PendingEvent] = list(self._deliveries.values())
         else:
             events = [d for d in self._deliveries.values() if d.ready_at <= now]
         if self._timeouts:
-            self._ripen(now_fn())
+            self._ripen(now)
             if self._ripe:
                 alive = self._timeouts
                 events.extend(alive[seq] for seq in self._ripe if alive[seq].ready_at <= now)

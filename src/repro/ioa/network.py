@@ -242,17 +242,18 @@ class FaultPlane:
       pending set (crash onsets, partition heals, retransmission timers).
     * :meth:`on_idle` — called when no pending events remain; returning
       ``True`` means the plane injected new work (e.g. released a held
-      message by advancing its virtual clock) and the kernel should re-poll.
+      message after moving the kernel's clock with ``kernel.advance_to``)
+      and the kernel should re-poll.
     * :meth:`suppress_delivery` — called for each delivery about to execute;
       returning ``True`` consumes the scheduler step without activating the
       destination automaton (used for at-most-once dedup of duplicated or
       retransmitted copies, so protocols keep exactly-once processing).
-    * :meth:`now` / :meth:`advance_to` — the plane's virtual clock, measured
-      in kernel steps; schedulers may fast-forward it when every pending
-      event carries a future ``ready_at``.
     * :meth:`describe_stuck` — one line the kernel appends to a
       :class:`~repro.ioa.errors.LivenessError`: what the plane knows about
       why the run cannot progress (crashed servers, mail parked forever).
+
+    A plane keeps no clock of its own: it reads the kernel's ``now()`` and
+    moves it only with ``kernel.advance_to``.
     """
 
     def on_attach(self, kernel: Any) -> None:
@@ -283,13 +284,6 @@ class FaultPlane:
         """Called when the kernel retires an automaton mid-run; the plane
         drops any transport state it holds for the name (held mail, crash
         tracking).  Default: nothing held, nothing to do."""
-
-    def now(self, kernel: Any) -> int:
-        """The plane's virtual clock (in kernel steps)."""
-        return int(kernel.steps_taken)
-
-    def advance_to(self, step: int) -> None:
-        """Fast-forward the virtual clock (no-op for the reliable plane)."""
 
     def describe(self) -> str:
         return type(self).__name__

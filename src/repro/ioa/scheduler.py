@@ -73,9 +73,9 @@ class PendingTimeout:
     """A timer armed by an automaton via ``Context.set_timeout``.
 
     ``ready_at`` is the virtual-time step at which the timer may fire; the
-    kernel only offers a timeout to the scheduler once it is ripe (the fault
-    plane's clock — or, without one, the step counter, fast-forwarded at
-    idle), so under any scheduler a timeout models "this fires only after the
+    kernel only offers a timeout to the scheduler once its clock
+    (``Simulation.now``, which jumps to the next timer at idle) has reached
+    it, so under any scheduler a timeout models "this fires only after the
     delay has elapsed, and certainly once the system would otherwise sit
     still".  Timeouts are what drive the consensus layer's leader elections;
     systems that arm none behave byte-for-byte as before this type existed.

@@ -152,9 +152,9 @@ class Simulation:
         #: the incrementally maintained pending-event index (deliveries,
         #: timers, ready invocations) — see :mod:`repro.ioa.frontier`.
         self._frontier = EventFrontier()
-        #: idle-advanced clock for timer ripeness when no fault plane is
-        #: installed (see :meth:`now`); never moves backwards.
-        self._timeout_clock = 0
+        #: where :meth:`advance_to` last moved the virtual clock (see
+        #: :meth:`now`); never moves backwards.
+        self._clock = 0
         self._client_queues: Dict[str, Deque[TransactionRecord]] = {}
         #: client -> registration index; ready invocations are presented in
         #: this order (= the old per-step iteration over ``_client_queues``).
@@ -336,16 +336,19 @@ class Simulation:
         return tuple(self._frontier.timeouts())
 
     def now(self) -> int:
-        """The virtual clock timeouts are measured on.
+        """The run's one virtual clock: the step counter, or further on where
+        :meth:`advance_to` moved it.  Timers, ``ready_at`` stamps, fault
+        windows and the chaos scheduler all read this clock."""
+        steps, clock = self._steps_taken, self._clock
+        return steps if steps > clock else clock
 
-        With a fault plane installed this is the plane's clock; without one
-        it is the step counter, fast-forwarded at idle so pending timers
-        still fire eventually (the asynchronous-model reading: a timeout is
-        long compared to message delay, but finite).
-        """
-        if self.fault_plane is not None:
-            return self.fault_plane.now(self)
-        return max(self._steps_taken, self._timeout_clock)
+    def advance_to(self, step: int) -> None:
+        """Move the virtual clock forward to ``step`` (never backwards).  The
+        only way time jumps: the kernel's idle jump to the next timer (so a
+        timeout is long compared to message delay, but finite), a fault
+        plane's boundary walk, a scheduler that skips time."""
+        if step > self._clock:
+            self._clock = int(step)
 
     def has_pending_invocations(self) -> bool:
         """Whether any client invocation is currently enabled.
@@ -427,7 +430,7 @@ class Simulation:
             # boundary-by-boundary so faults stay ordered with timers).
             earliest = frontier.next_timeout_ready()
             if earliest is not None:
-                self._timeout_clock = max(self._timeout_clock, earliest)
+                self.advance_to(earliest)
                 idle = frontier.idle(self.now)
         if idle:
             return False
@@ -692,7 +695,7 @@ class Simulation:
         )
         record.invoke_index = action.index
         if self.fault_plane is not None:
-            record.invoke_vtime = self.fault_plane.now(self)
+            record.invoke_vtime = self.now()
         ctx = self._contexts[client]
         generator = automaton.run_transaction(txn, ctx)
         session = SessionState(txn, txn_id, client, generator, recv_info=(str(txn_id),))
@@ -756,7 +759,7 @@ class Simulation:
         record.result = result
         record.rounds = session.rounds
         if self.fault_plane is not None:
-            record.respond_vtime = self.fault_plane.now(self)
+            record.respond_vtime = self.now()
         self._sessions.pop(session.client, None)
         # Completion triggers: wake the heads waiting on this txn (the dep
         # is complete for good, so the reverse-index entry can be dropped)

@@ -75,7 +75,7 @@ class ReferenceFaultInjector(FaultInjector):
 
     def _advance_through_boundaries(self, kernel: Any) -> bool:
         while True:
-            now = self.now(kernel)
+            now = kernel.now()
             self._apply_crash_transitions(kernel, now)
             self._release_due(kernel, now)
             if (
@@ -103,7 +103,7 @@ class ReferenceFaultInjector(FaultInjector):
                 )
             if not boundaries:
                 return False
-            self.advance_to(min(boundaries))
+            kernel.advance_to(min(boundaries))
 
     def _release_due(self, kernel: Any, now: int) -> None:
         """Re-admit every held message whose timer has expired."""

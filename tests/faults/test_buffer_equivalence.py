@@ -109,8 +109,8 @@ def test_perf_chaos_plan_shape_matches_the_list_scan(protocol, seed):
 
 
 class ClockSkippingScheduler(ChaosScheduler):
-    """Fast-forwards the plane's clock by 12 every fifth choice — the public
-    ``FaultPlane.advance_to`` a scheduler may call.  Several release times
+    """Fast-forwards the kernel's clock by 12 every fifth choice — the public
+    ``Simulation.advance_to`` a scheduler may call.  Several release times
     (and crash boundaries) then fall due in one step, which the kernel's own
     boundary-by-boundary clock never produces."""
 
@@ -121,8 +121,7 @@ class ClockSkippingScheduler(ChaosScheduler):
     def choose(self, pending, kernel):
         self._choices += 1
         if self._choices % 5 == 0:
-            plane = kernel.fault_plane
-            plane.advance_to(plane.now(kernel) + 12)
+            kernel.advance_to(kernel.now() + 12)
         return super().choose(pending, kernel)
 
 

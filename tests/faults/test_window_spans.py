@@ -51,6 +51,9 @@ class _Kernel:
         self.trace = self
         self._automata = {name: _Automaton(name, self.forgot) for name in NAMES}
 
+    def now(self):
+        return self.steps_taken
+
     def append(self, action):
         self.recorded.append((self.steps_taken, action.actor, action.info))
 
@@ -85,7 +88,7 @@ PAIRS = tuple((src, dst) for src in NAMES for dst in NAMES if src != dst)
 
 
 def read_clock(injector, kernel, reader):
-    """One read of the injector's clock: a step boundary (``None``), the send
+    """One read of the clock by the injector: a step boundary (``None``), the send
     of a ``(src, dst)`` pair, or the timer of a server firing."""
     if reader is None:
         injector.before_step(kernel)

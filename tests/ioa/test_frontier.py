@@ -28,9 +28,10 @@ through ``choose``.
 Since PR 21 ``ChaosScheduler.pick`` answers from ``EventFrontier.ripe`` — the
 list filtered by ``ready_at``, built in one pass.  The driver injects
 latency-stamped deliveries, and after every operation holds ``ripe`` to the
-filtered list for a clock on either side of every stamp, and two identically
-seeded chaos schedulers (one asked through ``pick``, one through ``choose``)
-to the same event, the same telemetry counters and the same stall reports.
+filtered list for a clock on either side of every stamp (up to the kernel's
+clock), and two identically seeded chaos schedulers (one asked through
+``pick``, one through ``choose``) to the same event, the same telemetry
+counters and the same stall reports.
 """
 
 from __future__ import annotations
@@ -141,19 +142,19 @@ def frontier_rows(sim):
 
 
 class ChaosKernel:
-    """The kernel as ``ChaosScheduler`` reads it — no fault plane, so its clock
-    is ``steps_taken``, set by the test — with a registry and a health plane of
-    its own, so that each of two schedulers is counted separately."""
+    """The kernel as ``ChaosScheduler`` reads it — its clock is the probe
+    clock, set by the test — with a registry and a health plane of its own, so
+    that each of two schedulers is counted separately."""
 
-    fault_plane = None
-
-    def __init__(self, sim):
-        self.now = sim.now
-        self.steps_taken = 0
+    def __init__(self):
+        self.clock = 0
         self.obs = self
         self.health = self
         self.registry = MetricsRegistry()
         self.stalls = []
+
+    def now(self):
+        return self.clock
 
     def note_stall(self, now):
         self.stalls.append(now)
@@ -167,12 +168,12 @@ class ChaosPair:
     the other through ``choose`` over the list.  Each draws once from its own
     RNG per question, so they stay in step exactly as long as they agree."""
 
-    def __init__(self, sim, seed):
+    def __init__(self, seed):
         self.by_pick, self.by_choose = ChaosScheduler(seed=seed), ChaosScheduler(seed=seed)
-        self.pick_kernel, self.choose_kernel = ChaosKernel(sim), ChaosKernel(sim)
+        self.pick_kernel, self.choose_kernel = ChaosKernel(), ChaosKernel()
 
     def assert_same_event(self, sim, clock):
-        self.pick_kernel.steps_taken = self.choose_kernel.steps_taken = clock
+        self.pick_kernel.clock = self.choose_kernel.clock = clock
         events = sim.pending_events()
         if not events:
             return
@@ -187,10 +188,14 @@ def ready_at(event):
 
 def assert_ripe_is_the_filtered_list(sim, chaos):
     """``ripe(clock)`` is ``events()`` filtered by stamp, element for element,
-    for the kernel's clock and a clock on either side of every stamp."""
+    for the kernel's clock and a clock on either side of every stamp up to it.
+    ``ripe`` ripens timers with the clock it is given, so a probe past the
+    kernel's clock would ripen them early, which no caller can do."""
+    now = sim.now()
     stamps = {ready_at(e) for e in (*sim.pending_deliveries(), *sim.pending_timeouts())}
-    for clock in sorted({sim.now(), *(max(0, stamp + d) for stamp in stamps for d in (-1, 0, 1))}):
-        ripe = sim._frontier.ripe(clock, sim.now)
+    probes = {now, *(max(0, stamp + d) for stamp in stamps for d in (-1, 0, 1))}
+    for clock in sorted(c for c in probes if c <= now):
+        ripe = sim._frontier.ripe(clock)
         assert [id(e) for e in ripe] == [id(e) for e in sim.pending_events() if ready_at(e) <= clock]
         chaos.assert_same_event(sim, clock)
 
@@ -242,7 +247,7 @@ def test_random_interleaving_matches_rebuild(seed):
     reserved = [f"X{i}" for i in range(8)]  # ids usable as future deps
     spare_counter = 0
 
-    chaos = ChaosPair(sim, seed)
+    chaos = ChaosPair(seed)
     assert_frontier_matches_rebuild(sim, client_order, True, chaos)
     for turn in range(250):
         op = rng.randrange(9)

@@ -250,10 +250,12 @@ def test_chaos_fastforward_reports_a_stall_to_the_health_plane():
 
     class _Kernel:
         steps_taken = 10
-        fault_plane = None
 
         def __init__(self, obs):
             self.obs = obs
+
+        def now(self):
+            return self.steps_taken
 
     plane = ObservabilityPlane(health=True)
     delivery = PendingDelivery(
