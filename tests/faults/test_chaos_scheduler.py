@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.faults import ChaosScheduler, FaultInjector, FaultPlan, FixedLatency
+from repro.faults import ChaosScheduler
 from repro.ioa import (
     FIFOScheduler,
     LIFOScheduler,
@@ -15,14 +15,17 @@ from repro.ioa import (
 
 
 class _KernelStub:
-    """Just enough kernel surface for Scheduler.choose()."""
+    """Just enough kernel surface for Scheduler.choose(), clock included."""
 
-    def __init__(self, steps_taken=0, fault_plane=None):
+    def __init__(self, steps_taken=0):
         self.steps_taken = steps_taken
-        self.fault_plane = fault_plane
+        self.clock = 0
 
     def now(self):
-        return self.steps_taken
+        return max(self.steps_taken, self.clock)
+
+    def advance_to(self, step):
+        self.clock = max(self.clock, step)
 
 
 def _delivery(enqueued_at, ready_at=0):
@@ -46,10 +49,9 @@ class TestChaosChoice:
         assert chaos.choose(pending, _KernelStub(steps_taken=10)) == 1
 
     def test_picks_earliest_arrival_when_nothing_is_ripe(self):
-        plane = FaultInjector(FaultPlan(latency=FixedLatency(1)), seed=0)
         pending = [_delivery(1, ready_at=90), _delivery(2, ready_at=40)]
         chaos = ChaosScheduler(base=FIFOScheduler())
-        kernel = _KernelStub(steps_taken=10, fault_plane=plane)
+        kernel = _KernelStub(steps_taken=10)
         assert chaos.choose(pending, kernel) == 1
         # choose() must NOT advance the clock itself: time only moves through
         # the injector's boundary walk, or faults scheduled before an arrival
