@@ -189,19 +189,6 @@ class ExperimentResult:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run one experiment to completion and collect all measurements."""
-    if (
-        config.faults is not None
-        and config.faults.latency is not None
-        and not config.scheduler.startswith("chaos")
-    ):
-        # Only the chaos schedulers honour ready_at stamps; any other named
-        # scheduler would silently ignore the latency model while the fault
-        # metrics still report the plan as active — a misconfiguration that
-        # looks like a healthy latency experiment.
-        raise ValueError(
-            f"fault plan {config.faults.name or 'faults'!r} has a latency model, which only the "
-            f"'chaos'-family schedulers honour; got scheduler={config.scheduler!r}"
-        )
     partial_trace = config.trace_mode is not None and config.trace_mode.kind != "full"
     if config.check_properties and partial_trace:
         # The SNOW N/O checkers walk per-message trace records; a partial

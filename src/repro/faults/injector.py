@@ -210,10 +210,19 @@ class FaultInjector(FaultPlane):
         self._admit(message, kernel, attempts=1)
 
     def before_step(self, kernel: Any) -> None:
+        """Apply what is due at the kernel's clock: enter the span holding
+        it, record crash onsets and recoveries, re-admit released mail."""
         if not self._names_validated:
             self._validate_plan_names(kernel)
             self._names_validated = True
-        self._advance_through_boundaries(kernel)
+        now = kernel.now()
+        if not self._lo <= now < self._hi:
+            self._enter_span(now)
+        if self._transitions_due:
+            self._apply_crash_transitions(kernel, now)
+        timers = self._buffer._timers  # peeked: on most steps nothing is due
+        if timers and timers[0][0] <= now:
+            self._release_due(kernel, now)
 
     def _validate_plan_names(self, kernel: Any) -> None:
         """Fail loudly if the plan targets processes the system doesn't have.
@@ -240,58 +249,15 @@ class FaultInjector(FaultPlane):
                 if name not in known:
                     raise UnknownProcessError(name)
 
-    def on_idle(self, kernel: Any) -> bool:
-        return self._advance_through_boundaries(kernel)
-
-    def _advance_through_boundaries(self, kernel: Any) -> bool:
-        """Apply fault transitions in virtual-time order until work is ripe.
-
-        Virtual time may only jump *boundary by boundary*: the next crash
-        onset or recovery, the next transport timer (retransmit / partition
-        heal), the next in-flight arrival — whichever comes first.  Jumping
-        straight to a delivery's arrival stamp would let a message reach a
-        server whose crash was scheduled earlier in virtual time.  Each
-        boundary is applied (crash sweeps, recoveries, timer releases)
-        before the clock moves past it; the loop returns once some pending
-        event is ripe at the current clock, or goes quiescent (permanently
-        held messages stay parked and their transactions count as
-        unavailable).  Returns whether the kernel has pending events now.
-        """
-        timers = self._buffer._timers  # peeked: on most steps nothing is due
-        while True:
-            now = kernel.now()
-            if not self._lo <= now < self._hi:
-                self._enter_span(now)
-            if self._transitions_due:
-                self._apply_crash_transitions(kernel, now)
-            if timers and timers[0][0] <= now:
-                self._release_due(kernel, now)
-            if (
-                kernel.has_pending_invocations()
-                or kernel.has_ripe_delivery(now)
-                or kernel.has_ripe_timeout(now)
-            ):
-                return True
-            # Nothing is ripe: every pending delivery / armed timer has
-            # ready_at > now, so the earliest of each (heap peeks on the
-            # kernel's frontier, not full scans) bounds the next jump.
-            # The transport timer is a heap peek too: ``_release_due`` just
-            # emptied everything due, so the top is the next one after now.
-            boundaries = [
-                boundary
-                for boundary in (
-                    kernel.next_delivery_boundary(),
-                    kernel.next_timeout_boundary(),
-                    self._buffer.next_release(),
-                )
-                if boundary is not None
-            ]
-            edge = bisect_right(self._crash_edges, now)
-            if edge < len(self._crash_edges):
-                boundaries.append(self._crash_edges[edge])
-            if not boundaries:
-                return False
-            kernel.advance_to(min(boundaries))
+    def on_idle(self, kernel: Any) -> Optional[int]:
+        """The next transport timer (retransmit, partition heal, recovery
+        release) or crash edge after now.  Crash edges bound the kernel's
+        jump: a message must not reach a server whose crash comes first."""
+        release = self._buffer.next_release()
+        edge = bisect_right(self._crash_edges, kernel.now())
+        if edge < len(self._crash_edges) and (release is None or self._crash_edges[edge] < release):
+            return self._crash_edges[edge]
+        return release
 
     def suppress_delivery(self, message: Message, kernel: Any) -> bool:
         msg_id = message.msg_id

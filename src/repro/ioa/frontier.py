@@ -133,10 +133,6 @@ class EventFrontier:
             heapq.heappop(heap)
         return heap[0][0] if heap else None
 
-    def has_ripe_delivery(self, now: int) -> bool:
-        ready = self.next_delivery_ready()
-        return ready is not None and ready <= now
-
     # ------------------------------------------------------------------
     # Timeouts
     # ------------------------------------------------------------------
@@ -167,9 +163,6 @@ class EventFrontier:
         """The armed-but-unfired timers, in arming order."""
         return self._timeouts.values()
 
-    def has_timeouts(self) -> bool:
-        return bool(self._timeouts)
-
     def _ripen(self, now: int) -> None:
         heap = self._timer_heap
         alive = self._timeouts
@@ -177,16 +170,6 @@ class EventFrontier:
             _, seq = heapq.heappop(heap)
             if seq in alive:
                 insort(self._ripe, seq)
-
-    def ripe_timeouts(self, now: int) -> List[PendingTimeout]:
-        """The timers ripe at ``now``, in arming order."""
-        self._ripen(now)
-        alive = self._timeouts
-        return [alive[seq] for seq in self._ripe]
-
-    def has_ripe_timeout(self, now: int) -> bool:
-        self._ripen(now)
-        return bool(self._ripe)
 
     def next_timeout_ready(self) -> Optional[int]:
         """Earliest ``ready_at`` among armed timers (ripe or not)."""
@@ -214,26 +197,33 @@ class EventFrontier:
         if self._ready.pop(client, None) is not None:
             self._ready_order.remove((order, client))
 
-    def has_ready_invocation(self) -> bool:
-        return bool(self._ready)
-
     # ------------------------------------------------------------------
     # The frontier
     # ------------------------------------------------------------------
     def idle(self, now_fn) -> bool:
         """Whether :meth:`events` would be empty, without building it."""
-        if self._deliveries or self._ready:
+        if self._immediate or self._ready:
             return False
-        if self._timeouts:
-            self._ripen(now_fn())
+        if not self._deliveries and not self._timeouts:
+            return True
+        now = now_fn()
+        ready = self.next_delivery_ready()
+        if ready is not None and ready <= now:
+            return False
+        self._ripen(now)
         return not self._ripe
 
     def oldest(self, now_fn) -> Optional[PendingEvent]:
         """The event of :meth:`events` with the smallest enqueue stamp, or
-        ``None`` when idle: the heads of the deliveries and of the ripe timers
-        and the ready invocations compete (see the module docstring); stamps
-        are globally unique, so there is no tie to break."""
-        best: Optional[PendingEvent] = next(iter(self._deliveries.values()), None)
+        ``None`` when idle: the first ripe delivery, the head of the ripe
+        timers and the ready invocations compete (see the module docstring);
+        stamps are globally unique, so there is no tie to break."""
+        deliveries = self._deliveries
+        if len(deliveries) == self._immediate:
+            best: Optional[PendingEvent] = next(iter(deliveries.values()), None)
+        else:
+            now = now_fn()
+            best = next((d for d in deliveries.values() if d.ready_at <= now), None)
         if self._timeouts:
             self._ripen(now_fn())
         if self._ripe:
@@ -246,35 +236,21 @@ class EventFrontier:
         return best
 
     def events(self, now_fn) -> List[PendingEvent]:
-        """The choosable events, in the canonical order: deliveries in
+        """The choosable events, in the canonical order: ripe deliveries in
         enqueue order, ripe timeouts in arming order, ready invocations in
-        client-registration order.  ``now_fn`` is only consulted when timers
-        are armed (ripening needs the virtual clock)."""
-        events: List[PendingEvent] = list(self._deliveries.values())
+        client-registration order.  ``now_fn`` is only consulted when some
+        event carries a stamp (a latency-stamped delivery, an armed timer)."""
+        deliveries = self._deliveries
+        if len(deliveries) == self._immediate:
+            events: List[PendingEvent] = list(deliveries.values())
+        else:
+            now = now_fn()
+            events = [d for d in deliveries.values() if d.ready_at <= now]
         if self._timeouts:
             self._ripen(now_fn())
             if self._ripe:
                 alive = self._timeouts
                 events.extend(alive[seq] for seq in self._ripe)
-        if self._ready_order:
-            ready = self._ready
-            events.extend(ready[client] for _, client in self._ready_order)
-        return events
-
-    def ripe(self, now: int) -> List[PendingEvent]:
-        """The events of :meth:`events` stamped ``ready_at <= now`` (an
-        invocation has no stamp and always is), in the same order, built in
-        one pass — what :class:`~repro.faults.ChaosScheduler` picks among.
-        ``now`` is the kernel's clock, and it ripens the timers too."""
-        if len(self._deliveries) == self._immediate:
-            events: List[PendingEvent] = list(self._deliveries.values())
-        else:
-            events = [d for d in self._deliveries.values() if d.ready_at <= now]
-        if self._timeouts:
-            self._ripen(now)
-            if self._ripe:
-                alive = self._timeouts
-                events.extend(alive[seq] for seq in self._ripe if alive[seq].ready_at <= now)
         if self._ready_order:
             ready = self._ready
             events.extend(ready[client] for _, client in self._ready_order)

@@ -27,7 +27,7 @@ touching any protocol code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterable, Mapping, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 from .automaton import Automaton
 from .errors import CommunicationNotAllowedError, UnknownProcessError
@@ -266,9 +266,9 @@ class FaultPlane:
     def before_step(self, kernel: Any) -> None:
         """Called at the top of every kernel step."""
 
-    def on_idle(self, kernel: Any) -> bool:
-        """Called when no events are pending; ``True`` = new work injected."""
-        return False
+    def on_idle(self, kernel: Any) -> Optional[int]:
+        """The plane's next boundary after ``kernel.now()`` (``None`` = none)."""
+        return None
 
     def suppress_delivery(self, message: Any, kernel: Any) -> bool:
         """``True`` = swallow this delivery (duplicate copy); default never."""

@@ -350,32 +350,6 @@ class Simulation:
         if step > self._clock:
             self._clock = int(step)
 
-    def has_pending_invocations(self) -> bool:
-        """Whether any client invocation is currently enabled.
-
-        O(1): the frontier's ready set is maintained by the dependency
-        triggers (txn completion, head change, submit), not re-derived here.
-        """
-        return self._frontier.has_ready_invocation()
-
-    def has_ripe_delivery(self, now: Optional[int] = None) -> bool:
-        """Whether some pending delivery is deliverable at ``now`` (fault
-        planes probe this instead of scanning :meth:`pending_deliveries`)."""
-        return self._frontier.has_ripe_delivery(self.now() if now is None else now)
-
-    def has_ripe_timeout(self, now: Optional[int] = None) -> bool:
-        """Whether some armed timer is ripe at ``now``."""
-        return self._frontier.has_ripe_timeout(self.now() if now is None else now)
-
-    def next_delivery_boundary(self) -> Optional[int]:
-        """Earliest ``ready_at`` among pending deliveries (``0`` = ripe now,
-        ``None`` = none pending) — a heap peek, for fault-plane time jumps."""
-        return self._frontier.next_delivery_ready()
-
-    def next_timeout_boundary(self) -> Optional[int]:
-        """Earliest ``ready_at`` among armed timers (``None`` = none armed)."""
-        return self._frontier.next_timeout_ready()
-
     def extract_deliveries(self, predicate) -> List[PendingDelivery]:
         """Remove and return the pending deliveries matching ``predicate``.
 
@@ -421,19 +395,27 @@ class Simulation:
         plane, frontier = self.fault_plane, self._frontier
         if plane is not None:
             plane.before_step(self)
-        idle = frontier.idle(self.now)
-        if idle and plane is not None:
-            idle = not plane.on_idle(self) or frontier.idle(self.now)
-        elif idle and frontier.has_timeouts():
-            # Idle but timers are armed: fast-forward to the earliest one
-            # (with a fault plane installed, on_idle above does this jump
-            # boundary-by-boundary so faults stay ordered with timers).
-            earliest = frontier.next_timeout_ready()
-            if earliest is not None:
-                self.advance_to(earliest)
-                idle = frontier.idle(self.now)
-        if idle:
-            return False
+        while frontier.idle(self.now):
+            # Nothing is ripe: move the clock to the next boundary (the
+            # earliest arrival, timer or fault-plane edge) and apply what is
+            # due there, so no crash or heal is jumped over.
+            boundaries = [
+                boundary
+                for boundary in (
+                    frontier.next_delivery_ready(),
+                    frontier.next_timeout_ready(),
+                    plane.on_idle(self) if plane is not None else None,
+                )
+                if boundary is not None
+            ]
+            if not boundaries:
+                return False
+            boundary = min(boundaries)
+            if boundary <= self.now():
+                raise SimulationError(f"fault plane {plane.describe()} named boundary {boundary}, not after now")
+            self.advance_to(boundary)
+            if plane is not None:
+                plane.before_step(self)
         if self._steps_taken >= self.max_steps:
             raise LivenessError(
                 f"simulation exceeded max_steps={self.max_steps} with {len(self.pending_events())} "

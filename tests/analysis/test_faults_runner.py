@@ -90,13 +90,6 @@ class TestRunnerWithFaults:
     def test_faulted_config_describe_mentions_the_plan(self):
         assert "lossy" in _config(faults=lossy_network(seed=5)).describe()
 
-    def test_latency_plan_requires_the_chaos_scheduler(self):
-        from repro.faults import FixedLatency
-
-        plan = FaultPlan(name="slow", latency=FixedLatency(50))
-        with pytest.raises(ValueError, match="chaos"):
-            run_experiment(_config(scheduler="fifo", faults=plan))
-
     def test_virtual_latency_sees_the_latency_model(self):
         """Regression: trace-step latency is blind to virtual-time delays;
         the virtual-clock latency must grow with the configured model."""

@@ -18,7 +18,7 @@ latency, retry) is inherited, i.e. shared with the code under test.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, List
+from typing import Any, Callable, Iterator, List, Optional
 
 from repro.faults.injector import _NOT_BLOCKED, FaultInjector, _HeldMessage
 from repro.ioa.actions import Message, internal_action
@@ -73,37 +73,19 @@ class ReferenceFaultInjector(FaultInjector):
         self._delivered_ids.add(message.msg_id)
         return False
 
-    def _advance_through_boundaries(self, kernel: Any) -> bool:
-        while True:
-            now = kernel.now()
-            self._apply_crash_transitions(kernel, now)
-            self._release_due(kernel, now)
-            if (
-                kernel.has_pending_invocations()
-                or kernel.has_ripe_delivery(now)
-                or kernel.has_ripe_timeout(now)
-            ):
-                return True
-            # Nothing is ripe: every pending delivery / armed timer has
-            # ready_at > now, so the earliest of each (heap peeks on the
-            # kernel's frontier, not full scans) bounds the next jump.
-            boundaries = []
-            earliest = kernel.next_delivery_boundary()
-            if earliest is not None:
-                boundaries.append(earliest)
-            earliest = kernel.next_timeout_boundary()
-            if earliest is not None:
-                boundaries.append(earliest)
-            boundaries.extend(
-                h.release_at for h in self._held if h.release_at is not None and h.release_at > now
-            )
-            for crash in self.plan.crashes:
-                boundaries.extend(
-                    t for t in (crash.at, crash.recover) if t is not None and t > now
-                )
-            if not boundaries:
-                return False
-            kernel.advance_to(min(boundaries))
+    def before_step(self, kernel: Any) -> None:
+        now = kernel.now()
+        self._apply_crash_transitions(kernel, now)
+        self._release_due(kernel, now)
+
+    def on_idle(self, kernel: Any) -> Optional[int]:
+        now = kernel.now()
+        boundaries = [
+            h.release_at for h in self._held if h.release_at is not None and h.release_at > now
+        ]
+        for crash in self.plan.crashes:
+            boundaries.extend(t for t in (crash.at, crash.recover) if t is not None and t > now)
+        return min(boundaries, default=None)
 
     def _release_due(self, kernel: Any, now: int) -> None:
         """Re-admit every held message whose timer has expired."""

@@ -75,9 +75,6 @@ class _Kernel:
     def extract_deliveries(self, predicate):
         return []
 
-    def has_pending_invocations(self):
-        return True
-
 
 class _Timeout:
     def __init__(self, owner):

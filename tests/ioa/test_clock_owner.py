@@ -1,11 +1,13 @@
-"""Virtual time has one owner: the kernel.
+"""Virtual time has one owner, and ripeness one rule: the kernel's.
 
 ``Simulation.now()`` is the run's only clock and ``Simulation.advance_to`` the
-only way to move it: the kernel's idle jump to a timer, a fault plane's
-boundary walk and a clock-skipping scheduler all go through it.  The test
-reads ``src/repro`` with :mod:`ast`: no fault plane keeps a clock, no other
-class defines ``advance_to``, the second clocks' fields are gone, and
-``EventFrontier.ripe`` is given one clock.
+only way to move it.  Whether an event is ripe (its stamp reached by the clock)
+is decided by the frontier alone: ``EventFrontier.events`` is given one clock
+and holds the ripe events only, and the kernel's idle loop is the one walk
+that moves the clock when nothing is ripe.  The test reads ``src/repro`` with
+:mod:`ast`: no fault plane keeps a clock or walks it, no other class defines
+``advance_to``, the second clocks' fields are gone, no scheduler filters by
+stamp, and nothing outside ``repro/ioa`` reads a ``ready_at`` back.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from pathlib import Path
 from typing import Dict, List
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
-NODES = [node for path in sorted(SRC.rglob("*.py")) for node in ast.walk(ast.parse(path.read_text("utf-8")))]
+TREES = {path: ast.parse(path.read_text("utf-8")) for path in sorted(SRC.rglob("*.py"))}
+NODES = [node for tree in TREES.values() for node in ast.walk(tree)]
 #: the fields the second clocks lived in
 DELETED_FIELDS = {"_virtual_now", "_timeout_clock"}
 
@@ -57,7 +60,40 @@ def test_the_second_clocks_are_gone():
     assert "_clock" not in {a.attr for a in ast.walk(chaos) if isinstance(a, ast.Attribute)}
 
 
-def test_ripe_is_given_one_clock():
+def test_events_is_given_one_clock():
     (frontier,) = _classes()["EventFrontier"]
-    ripe = _methods(frontier)["ripe"]
-    assert [a.arg for a in ripe.args.args] == ["self", "now"]
+    events = _methods(frontier)["events"]
+    assert [a.arg for a in events.args.args] == ["self", "now_fn"]
+
+
+def test_ripeness_is_decided_by_the_frontier_alone():
+    classes = _classes()
+    (frontier,) = classes["EventFrontier"]
+    (chaos,) = classes["ChaosScheduler"]
+    (injector,) = classes["FaultInjector"]
+    (simulation,) = classes["Simulation"]
+    assert "ripe" not in _methods(frontier)
+    assert "pick" not in _methods(chaos)
+    assert "_advance_through_boundaries" not in _methods(injector)
+    assert not set(_methods(simulation)) & {
+        "has_pending_invocations",
+        "has_ripe_delivery",
+        "has_ripe_timeout",
+        "next_delivery_boundary",
+        "next_timeout_boundary",
+    }
+
+
+def test_no_module_outside_the_kernel_reads_a_stamp():
+    """Passing a stamp in (``enqueue_delivery(message, ready_at=...)``) is
+    fine; reading one back to compare it (``.ready_at``, or ``getattr`` by
+    name) is the kernel's business."""
+    reading = sorted(
+        str(path.relative_to(SRC))
+        for path, tree in TREES.items()
+        if path.parent.name != "ioa"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "ready_at")
+        or (isinstance(node, ast.Constant) and node.value == "ready_at")
+    )
+    assert reading == [], reading

@@ -25,13 +25,10 @@ both to the list after every operation (``idle`` == "the rebuild is empty",
 protocol and stack pins the whole trace: FIFO by ``pick`` == FIFO forced
 through ``choose``.
 
-Since PR 21 ``ChaosScheduler.pick`` answers from ``EventFrontier.ripe`` — the
-list filtered by ``ready_at``, built in one pass.  The driver injects
-latency-stamped deliveries, and after every operation holds ``ripe`` to the
-filtered list for a clock on either side of every stamp (up to the kernel's
-clock), and two identically seeded chaos schedulers (one asked through
-``pick``, one through ``choose``) to the same event, the same telemetry
-counters and the same stall reports.
+Ripeness is the frontier's rule: ``events``, ``idle`` and ``oldest`` hold a
+latency-stamped delivery or a timer only once the kernel's clock has reached
+its stamp.  The driver injects latency-stamped deliveries, and the rebuild
+filters deliveries and timers alike by ``ready_at <= now``.
 """
 
 from __future__ import annotations
@@ -41,7 +38,6 @@ import random
 import pytest
 
 from repro.analysis.workload import WorkloadSpec, generate_workload, submit_workload
-from repro.faults import ChaosScheduler
 from repro.ioa import (
     Await,
     ClientAutomaton,
@@ -58,7 +54,6 @@ from repro.ioa import (
     expect_type,
 )
 from repro.ioa.frontier import EventFrontier
-from repro.obs.registry import MetricsRegistry
 from repro.protocols import get_protocol, protocol_names
 
 from tests.conftest import build_system
@@ -103,16 +98,17 @@ class PingClient(ClientAutomaton):
 def rebuild_pending(sim, client_order):
     """Independently re-derive the canonical pending-event list.
 
-    This is the from-scratch poll the frontier replaced: all deliveries in
-    enqueue order, then the armed timers that are ripe at ``now`` in arming
-    order, then — for every client in registration order — the queue head
+    This is the from-scratch poll the frontier replaced: the deliveries ripe
+    at ``now`` in enqueue order, then the armed timers ripe at ``now`` in
+    arming order, then — for every client in registration order — the queue head
     whose ``after`` dependencies have all completed (an id with no record
     counts as satisfied) while no session is running at that client.
     """
     rows = []
-    for delivery in sorted(sim.pending_deliveries(), key=lambda d: d.enqueued_at):
-        rows.append(("deliver", delivery.enqueued_at))
     now = sim.now()
+    for delivery in sorted(sim.pending_deliveries(), key=lambda d: d.enqueued_at):
+        if delivery.ready_at <= now:
+            rows.append(("deliver", delivery.enqueued_at))
     for timeout in sorted(sim.pending_timeouts(), key=lambda t: t.enqueued_at):
         if timeout.ready_at <= now:
             rows.append(("timeout", timeout.enqueued_at))
@@ -141,72 +137,11 @@ def frontier_rows(sim):
     return rows
 
 
-class ChaosKernel:
-    """The kernel as ``ChaosScheduler`` reads it — its clock is the probe
-    clock, set by the test — with a registry and a health plane of its own, so
-    that each of two schedulers is counted separately."""
-
-    def __init__(self):
-        self.clock = 0
-        self.obs = self
-        self.health = self
-        self.registry = MetricsRegistry()
-        self.stalls = []
-
-    def now(self):
-        return self.clock
-
-    def note_stall(self, now):
-        self.stalls.append(now)
-
-    def counted(self):
-        return self.registry.snapshot()["counters"], self.stalls
-
-
-class ChaosPair:
-    """Two identically seeded chaos schedulers: one is asked through ``pick``,
-    the other through ``choose`` over the list.  Each draws once from its own
-    RNG per question, so they stay in step exactly as long as they agree."""
-
-    def __init__(self, seed):
-        self.by_pick, self.by_choose = ChaosScheduler(seed=seed), ChaosScheduler(seed=seed)
-        self.pick_kernel, self.choose_kernel = ChaosKernel(), ChaosKernel()
-
-    def assert_same_event(self, sim, clock):
-        self.pick_kernel.clock = self.choose_kernel.clock = clock
-        events = sim.pending_events()
-        if not events:
-            return
-        picked = self.by_pick.pick(sim._frontier, self.pick_kernel)
-        assert picked is events[self.by_choose.choose(events, self.choose_kernel)]
-        assert self.pick_kernel.counted() == self.choose_kernel.counted()
-
-
-def ready_at(event):
-    return getattr(event, "ready_at", 0)
-
-
-def assert_ripe_is_the_filtered_list(sim, chaos):
-    """``ripe(clock)`` is ``events()`` filtered by stamp, element for element,
-    for the kernel's clock and a clock on either side of every stamp up to it.
-    ``ripe`` ripens timers with the clock it is given, so a probe past the
-    kernel's clock would ripen them early, which no caller can do."""
-    now = sim.now()
-    stamps = {ready_at(e) for e in (*sim.pending_deliveries(), *sim.pending_timeouts())}
-    probes = {now, *(max(0, stamp + d) for stamp in stamps for d in (-1, 0, 1))}
-    for clock in sorted(c for c in probes if c <= now):
-        ripe = sim._frontier.ripe(clock)
-        assert [id(e) for e in ripe] == [id(e) for e in sim.pending_events() if ready_at(e) <= clock]
-        chaos.assert_same_event(sim, clock)
-
-
-def assert_frontier_matches_rebuild(sim, client_order, list_first, chaos):
+def assert_frontier_matches_rebuild(sim, client_order, list_first):
     """Every way out of the frontier agrees with the independent rebuild.
 
     ``list_first`` alternates who gets to ripen the timers: the list, or the
     queries that do not build it."""
-    if not list_first:
-        assert_ripe_is_the_filtered_list(sim, chaos)
     rebuilt = rebuild_pending(sim, client_order)
     if list_first:
         assert frontier_rows(sim) == rebuilt
@@ -219,8 +154,6 @@ def assert_frontier_matches_rebuild(sim, client_order, list_first, chaos):
         assert oldest is events[FIFOScheduler().choose(events, sim)]
     else:
         assert oldest is None
-    if list_first:
-        assert_ripe_is_the_filtered_list(sim, chaos)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 23, 91])
@@ -247,8 +180,7 @@ def test_random_interleaving_matches_rebuild(seed):
     reserved = [f"X{i}" for i in range(8)]  # ids usable as future deps
     spare_counter = 0
 
-    chaos = ChaosPair(seed)
-    assert_frontier_matches_rebuild(sim, client_order, True, chaos)
+    assert_frontier_matches_rebuild(sim, client_order, True)
     for turn in range(250):
         op = rng.randrange(9)
         if op == 8:  # a latency-stamped delivery, as a fault plane would enqueue it
@@ -290,18 +222,16 @@ def test_random_interleaving_matches_rebuild(seed):
             if len(gossip_alive) > 1:
                 name = gossip_alive.pop(rng.randrange(len(gossip_alive)))
                 assert sim.remove_automaton(name, force=True)
-        assert_frontier_matches_rebuild(sim, client_order, turn % 2, chaos)
+        assert_frontier_matches_rebuild(sim, client_order, turn % 2)
 
-    # Drain what remains; the equivalence must hold through completion too.
+    # Drain what remains, the kernel moving its clock to unripe work; the
+    # equivalence must hold through completion too.
     guard = 0
-    while not sim._frontier.idle(sim.now):
-        sim.step()
-        assert_frontier_matches_rebuild(sim, client_order, guard % 2, chaos)
+    while sim.step():
+        assert_frontier_matches_rebuild(sim, client_order, guard % 2)
         guard += 1
         assert guard < 10_000
-    assert sim.pending_events() == [] and sim._frontier.oldest(sim.now) is None
-    counters, stalls = chaos.pick_kernel.counted()
-    assert counters["scheduler.chaos_fastforwards"] == len(stalls) > 0  # the nothing-ripe path ran too
+    assert sim.pending_deliveries() == () and sim._frontier.oldest(sim.now) is None
 
 
 class ListPathFIFO(FIFOScheduler):
@@ -384,10 +314,10 @@ class TestTimerFrontier:
         sim.add_automaton(TimerServer("t1"))
         sim.set_timeout("t1", 100, {"kind": "far"})
         assert sim.pending_events() == []  # not ripe yet
-        assert sim.next_timeout_boundary() is not None
+        assert sim._frontier.next_timeout_ready() is not None
         assert sim.step()  # idle fast-forward makes it ripe, then fires it
         assert fired == [{"kind": "far"}]
-        assert sim.next_timeout_boundary() is None
+        assert sim._frontier.next_timeout_ready() is None
 
     def test_remove_automaton_drops_owned_timers(self):
         sim = Simulation(scheduler=FIFOScheduler())
@@ -402,7 +332,7 @@ class TestTimerFrontier:
         sim.set_timeout("s1", 4, {"kind": "kept"})
         assert sim.remove_automaton("t1")
         assert [t.owner for t in sim.pending_timeouts()] == ["s1"]
-        assert sim.next_timeout_boundary() == 4
+        assert sim._frontier.next_timeout_ready() == 4
 
 
 class TestExtraction:
@@ -432,10 +362,10 @@ class TestExtraction:
         sim = Simulation(scheduler=FIFOScheduler())
         sim.add_automaton(EchoServer("s1"))
         sim.add_automaton(PingClient("c1", "s1"))
-        assert sim.next_delivery_boundary() is None
+        assert sim._frontier.next_delivery_ready() is None
         sim.submit("c1", "a")
         sim.step()
-        assert sim.next_delivery_boundary() == 0  # reliable path: ripe now
+        assert sim._frontier.next_delivery_ready() == 0  # reliable path: ripe now
 
 
 class TestDelayedHeap:

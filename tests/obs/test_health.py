@@ -238,29 +238,3 @@ def test_failover_timeouts_feed_the_health_plane():
     report = plane.health_view.report()
     assert report["totals"]["timeouts"] > 0
     assert report["incomplete_txns"] == []
-
-
-def test_chaos_fastforward_reports_a_stall_to_the_health_plane():
-    """Unit-level pin of the scheduler→health stall hook: with no fault
-    injector to pre-advance the clock, a pending set with only future
-    ``ready_at`` stamps forces the chaos scheduler to fast-forward, and the
-    health plane counts the stall."""
-    from repro.ioa import PendingDelivery
-    from repro.obs import ObservabilityPlane
-
-    class _Kernel:
-        steps_taken = 10
-
-        def __init__(self, obs):
-            self.obs = obs
-
-        def now(self):
-            return self.steps_taken
-
-    plane = ObservabilityPlane(health=True)
-    delivery = PendingDelivery(
-        message=Message.make("m", "a", "b"), enqueued_at=1, ready_at=50
-    )
-    ChaosScheduler(base=FIFOScheduler()).choose([delivery], _Kernel(plane))
-    assert plane.registry.counter_total("scheduler.chaos_fastforwards") == 1
-    assert HealthView(plane.health).report()["totals"]["stalls"] == 1
