@@ -87,7 +87,7 @@ class HealthPlane:
         #: rolling (bucket_id, counts) windows, newest last (and held)
         self._buckets: Deque[Tuple[int, Dict[str, int]]] = deque()
         self._newest_id, self._newest = None, {}
-        self._totals: Dict[str, int] = dict.fromkeys(("events", "timeouts", "errors", "stalls"), 0)
+        self._totals: Dict[str, int] = dict.fromkeys(("events", "timeouts", "errors"), 0)
         #: the last clock read: the replay clock of detached (post-mortem)
         #: feeding, and what a report shows once the simulation is gone
         self._clock = 0
@@ -156,11 +156,6 @@ class HealthPlane:
                     )
         elif kind is _INTERNAL and action.get("timeout"):
             self._bump("timeouts", now)
-
-    def note_stall(self, now: int) -> None:
-        """A scheduler found no ripe event and had to fast-forward the clock
-        (the chaos scheduler reports these) — a liveness health signal."""
-        self._bump("stalls", now)
 
     # -- rolling windows --------------------------------------------------
     def _bump(self, what: str, now: int) -> None:

@@ -12,7 +12,8 @@ and final ``now()``; it was recorded while the scheduler still kept a clock
 of its own, and reads the same on the kernel's.  That older clock was the raw
 step counter: it missed the kernel's jump, called the ripe timer unripe, and
 reported a fast-forward and a health stall that never happened (12 of these
-15 runs, 1–2 stalls each).  On the one clock neither is ever counted.
+15 runs, 1–2 stalls each).  The kernel now offers a scheduler ripe events
+only, and neither signal exists: no fast-forward counter is ever created.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import pytest
 from repro.analysis.workload import WorkloadSpec, generate_workload, submit_workload
 from repro.faults import ChaosScheduler
 from repro.obs import ObservabilityPlane
-from repro.obs.health import HealthView
 from repro.protocols import get_protocol
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_one_clock.json").read_text())
@@ -71,4 +71,3 @@ def test_a_plane_less_chaos_run_matches_its_golden(protocol, seed):
 def test_a_timer_the_kernel_jumped_to_is_ripe_for_the_scheduler(protocol, seed):
     simulation = run_cell(protocol, seed).simulation
     assert "scheduler.chaos_fastforwards" not in simulation.obs.registry.snapshot()["counters"]
-    assert HealthView(simulation.obs.health).report()["totals"]["stalls"] == 0
