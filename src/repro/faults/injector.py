@@ -9,7 +9,8 @@ set and enforces the active :class:`~repro.faults.plan.FaultPlan`:
 * messages may be dropped (and scheduled for retransmission under the plan's
   retry policy) or duplicated;
 * surviving copies are stamped with a sampled virtual-time latency
-  (``PendingDelivery.ready_at``) that the chaos scheduler honours.
+  (``PendingDelivery.ready_at``); the kernel offers a copy to the scheduler
+  once its clock reaches the stamp.
 
 Two invariants keep the rest of the repository sound:
 
@@ -24,10 +25,11 @@ Two invariants keep the rest of the repository sound:
   ``(plan.seed, injector seed)``; the same plan, seed and scheduler always
   produce the same execution, so every chaos failure is replayable.
 
-The virtual clock is the kernel's (``kernel.now()``); the injector moves it
-with ``kernel.advance_to`` when the system would otherwise idle with timers
-outstanding (:meth:`FaultInjector.on_idle`) — exactly like a discrete-event
-simulator jumping to the next timer.
+The virtual clock is the kernel's (``kernel.now()``) and the injector never
+moves it.  When nothing is ripe the kernel asks :meth:`FaultInjector.on_idle`
+for the next transport timer or crash edge, jumps to the earliest boundary —
+exactly like a discrete-event simulator jumping to the next timer — and
+calls :meth:`FaultInjector.before_step` to apply what is due there.
 """
 
 from __future__ import annotations

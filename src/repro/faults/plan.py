@@ -5,7 +5,8 @@ rest of the repository can only exercise adversarial *orderings*.  A
 :class:`FaultPlan` describes the regime real systems live in instead:
 
 * **latency models** — every delivery is stamped with a sampled virtual-time
-  delay, which the chaos scheduler honours;
+  delay, and the kernel offers it to the scheduler only once the clock has
+  reached that stamp;
 * **drop / duplicate policies** — per-message loss and duplication
   probabilities (fair-loss: a bounded number of consecutive drops of the same
   message, so retransmission guarantees eventual delivery);

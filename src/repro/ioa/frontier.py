@@ -11,9 +11,9 @@ created and consumed:
   unique ``enqueued_at`` stamp, giving O(1) removal while preserving the
   exact enqueue order the old list presented.  A side min-heap over the
   latency-stamped (``ready_at > 0``) deliveries plus a count of the
-  immediately-deliverable ones makes the fault injector's "is anything
-  ripe / what is the next arrival boundary" probes O(1) heap peeks instead
-  of full scans.
+  immediately-deliverable ones makes "is any delivery ripe / what is the
+  next arrival" O(1) heap peeks; only a step with latency-stamped mail in
+  flight filters the dict by stamp.
 * **Timeouts** live in an insertion-ordered dict (arming order) plus a
   ``(ready_at, seq)`` min-heap of armed-but-not-yet-ripe timers.  Because
   the virtual clock never moves backwards, ripeness is monotone: once ripe,
@@ -25,11 +25,17 @@ created and consumed:
   re-derived from every client queue each step; they are presented in
   client-registration order via a sorted ``(registration, client)`` list.
 
-The frontier presents events to ``scheduler.choose`` in exactly the
-canonical order the old rebuild produced — deliveries, ripe timeouts, ready
-invocations — so every golden-signature, chaos-grid and determinism test
-passes unchanged (``tests/ioa/test_frontier.py`` pins frontier == rebuild
-under random interleavings of every mutating operation).
+**Ripeness is the frontier's rule.**  A delivery or a timer is choosable
+once the kernel's clock has reached its ``ready_at`` stamp (an invocation
+has none); ``events``, ``idle`` and ``oldest`` hold ripe events only, so every
+scheduler is offered exactly the enabled events, and when none is ripe the
+kernel moves its clock to the next stamp (:meth:`next_delivery_ready`,
+:meth:`next_timeout_ready`) before it asks.  The frontier presents them to
+``scheduler.choose`` in the canonical order the old rebuild produced —
+deliveries, timeouts, ready invocations — so every golden-signature,
+chaos-grid and determinism test passes unchanged
+(``tests/ioa/test_frontier.py`` pins frontier == rebuild under random
+interleavings of every mutating operation).
 
 Presentation is not the only way out.  Building that list every step was
 itself O(in-flight events), so the kernel asks two questions that never do:
@@ -37,12 +43,11 @@ itself O(in-flight events), so the kernel asks two questions that never do:
 :meth:`EventFrontier.oldest` (which event of ``events()`` has the smallest
 enqueue stamp — ``FIFOScheduler``'s pick).  Stamps come from one kernel-wide
 counter, so deliveries (dict insertion order) and ripe timers (a sorted list)
-are each already ascending: only their two heads and the ready invocations,
-at most one per client, can be the minimum.  The same interleaving test holds
-both to the list after every operation, and :meth:`EventFrontier.ripe` (the
-chaos scheduler's candidates) to the list filtered.  A policy that needs the
-whole list (random, adversarial) still gets it: see
-:meth:`repro.ioa.scheduler.Scheduler.pick`.
+are each already ascending: only the first ripe delivery, the head of the
+ripe timers and the ready invocations, at most one per client, can be the
+minimum.  The same interleaving test holds both to the list after every
+operation.  A policy that needs the whole list (random, adversarial, chaos)
+still gets it: see :meth:`repro.ioa.scheduler.Scheduler.pick`.
 """
 
 from __future__ import annotations
@@ -201,7 +206,8 @@ class EventFrontier:
     # The frontier
     # ------------------------------------------------------------------
     def idle(self, now_fn) -> bool:
-        """Whether :meth:`events` would be empty, without building it."""
+        """Whether :meth:`events` would be empty (nothing is ripe), without
+        building it."""
         if self._immediate or self._ready:
             return False
         if not self._deliveries and not self._timeouts:

@@ -237,13 +237,15 @@ class FaultPlane:
       the plane decides how many copies of ``message`` become pending (0 = the
       message is lost or held) and with what ``ready_at`` stamp, by calling
       ``kernel.enqueue_delivery``.
-    * :meth:`before_step` — called at the top of every kernel step; the plane
-      may move messages between its internal holding areas and the kernel's
-      pending set (crash onsets, partition heals, retransmission timers).
-    * :meth:`on_idle` — called when no pending events remain; returning
-      ``True`` means the plane injected new work (e.g. released a held
-      message after moving the kernel's clock with ``kernel.advance_to``)
-      and the kernel should re-poll.
+    * :meth:`before_step` — called at the top of every kernel step, and again
+      each time the kernel moves its clock; the plane applies what is due at
+      ``kernel.now()``, moving messages between its holding areas and the
+      kernel's pending set (crash onsets, partition heals, retransmissions).
+    * :meth:`on_idle` — called when nothing pending is ripe; returns the
+      plane's next boundary strictly after ``kernel.now()`` (a held
+      message's release, a crash edge), or ``None``.  The kernel moves its
+      clock to the earliest of that, the next arrival and the next timer,
+      then calls :meth:`before_step`.
     * :meth:`suppress_delivery` — called for each delivery about to execute;
       returning ``True`` consumes the scheduler step without activating the
       destination automaton (used for at-most-once dedup of duplicated or
@@ -252,8 +254,8 @@ class FaultPlane:
       :class:`~repro.ioa.errors.LivenessError`: what the plane knows about
       why the run cannot progress (crashed servers, mail parked forever).
 
-    A plane keeps no clock of its own: it reads the kernel's ``now()`` and
-    moves it only with ``kernel.advance_to``.
+    A plane keeps no clock of its own and never moves the kernel's: it reads
+    ``now()``.  Which events are ripe is the kernel's rule, not the plane's.
     """
 
     def on_attach(self, kernel: Any) -> None:

@@ -35,8 +35,8 @@ class PendingDelivery(FrozenRecord):
 
     ``ready_at`` is a virtual-time stamp (in kernel steps) assigned by an
     installed fault plane's latency model; ``0`` (the default, and always the
-    value on the reliable path) means "deliverable immediately".  Only
-    latency-aware schedulers such as the chaos scheduler consult it.
+    value on the reliable path) means "deliverable immediately".  The kernel
+    offers the delivery to a scheduler only once its clock reaches the stamp.
     """
 
     __slots__ = ("message", "enqueued_at", "ready_at")
@@ -97,7 +97,7 @@ class Scheduler:
     """Base scheduler interface.  The kernel only ever asks :meth:`pick`.
 
     * Override :meth:`choose` and you are asked on every step with the list of
-      pending events in the canonical order (deliveries, ripe timeouts, ready
+      ripe events in the canonical order (deliveries, timeouts, ready
       invocations): the inherited :meth:`pick` builds it for you.
     * Override :meth:`pick` and you answer from the frontier's indexes, no
       list is built, and you must return the very event your ``choose`` would

@@ -337,16 +337,15 @@ class Simulation:
 
     def now(self) -> int:
         """The run's one virtual clock: the step counter, or further on where
-        :meth:`advance_to` moved it.  Timers, ``ready_at`` stamps, fault
-        windows and the chaos scheduler all read this clock."""
+        :meth:`advance_to` moved it.  Timers, ``ready_at`` stamps and fault
+        windows all read this clock."""
         steps, clock = self._steps_taken, self._clock
         return steps if steps > clock else clock
 
     def advance_to(self, step: int) -> None:
         """Move the virtual clock forward to ``step`` (never backwards).  The
-        only way time jumps: the kernel's idle jump to the next timer (so a
-        timeout is long compared to message delay, but finite), a fault
-        plane's boundary walk, a scheduler that skips time."""
+        only way time jumps; :meth:`step` moves it when nothing is ripe (so a
+        timeout is long compared to message delay, but finite)."""
         if step > self._clock:
             self._clock = int(step)
 
@@ -382,23 +381,29 @@ class Simulation:
     def pending_events(self) -> List[PendingEvent]:
         """The events the scheduler may choose from right now.
 
-        Presented in the canonical order — deliveries in enqueue order, ripe
-        timeouts in arming order, ready invocations in client-registration
-        order — exactly as the pre-frontier per-step rebuild produced them.
+        Only ripe events (a stamp the clock has reached), in the canonical
+        order — deliveries in enqueue order, timeouts in arming order, ready
+        invocations in client-registration order — exactly as the
+        pre-frontier per-step rebuild produced them.
         """
         return self._frontier.events(self.now)
 
     def step(self) -> bool:
-        """Execute one scheduler-chosen event.  Returns ``False`` if idle."""
+        """Execute one scheduler-chosen event.  Returns ``False`` if idle.
+
+        The scheduler is offered only ripe events.  The fault plane's
+        ``before_step`` applies what is due at the clock; while nothing is
+        ripe, the clock moves to the next boundary (the earliest arrival,
+        timer or :meth:`FaultPlane.on_idle` boundary) and what is due there is
+        applied, so no crash or heal is jumped over.  Idle means nothing is
+        pending and no boundary is left.
+        """
         if not self._started:
             self.start()
         plane, frontier = self.fault_plane, self._frontier
         if plane is not None:
             plane.before_step(self)
         while frontier.idle(self.now):
-            # Nothing is ripe: move the clock to the next boundary (the
-            # earliest arrival, timer or fault-plane edge) and apply what is
-            # due there, so no crash or heal is jumped over.
             boundaries = [
                 boundary
                 for boundary in (
@@ -412,7 +417,7 @@ class Simulation:
                 return False
             boundary = min(boundaries)
             if boundary <= self.now():
-                raise SimulationError(f"fault plane {plane.describe()} named boundary {boundary}, not after now")
+                raise SimulationError(f"{plane.describe()}: next boundary {boundary} is not after now")
             self.advance_to(boundary)
             if plane is not None:
                 plane.before_step(self)
@@ -500,8 +505,9 @@ class Simulation:
     def enqueue_delivery(self, message: Message, ready_at: int = 0) -> PendingDelivery:
         """Make ``message`` a pending delivery (the fault plane calls this).
 
-        ``ready_at`` is the virtual-time stamp honoured by latency-aware
-        schedulers; the reliable path always uses ``0``.
+        ``ready_at`` is the virtual time at which the delivery ripens: the
+        kernel offers it to the scheduler only once :meth:`now` reaches it.
+        The reliable path always uses ``0`` (ripe at once).
         """
         delivery = PendingDelivery(message, next(self._enqueue_counter), ready_at)
         self._frontier.add_delivery(delivery)
