@@ -177,17 +177,13 @@ class EventFrontier:
                 insort(self._ripe, seq)
 
     def next_timeout_ready(self) -> Optional[int]:
-        """Earliest ``ready_at`` among armed timers (ripe or not)."""
-        candidates: List[int] = []
-        alive = self._timeouts
-        if self._ripe:
-            candidates.append(min(alive[seq].ready_at for seq in self._ripe))
+        """Earliest ``ready_at`` among the armed timers not yet ripened — the
+        next timer boundary once :meth:`idle` has ripened all that are due."""
         heap = self._timer_heap
+        alive = self._timeouts
         while heap and heap[0][1] not in alive:
             heapq.heappop(heap)
-        if heap:
-            candidates.append(heap[0][0])
-        return min(candidates) if candidates else None
+        return heap[0][0] if heap else None
 
     # ------------------------------------------------------------------
     # Ready invocations
