@@ -16,7 +16,8 @@ import pytest
 from repro.analysis import ExperimentConfig, WorkloadSpec, run_experiment
 from repro.analysis.workload import generate_workload, submit_workload
 from repro.faults import ChaosScheduler, FaultInjector, FaultPlan, FixedLatency, UniformLatency
-from repro.ioa import FIFOScheduler, Message, ServerAutomaton, Simulation
+from repro.ioa import FIFOScheduler, Message, ServerAutomaton, Simulation, SimulationError
+from repro.ioa.network import FaultPlane
 from repro.ioa.scheduler import (
     AdversarialScheduler,
     LIFOScheduler,
@@ -80,6 +81,21 @@ def test_without_a_plane_the_kernel_moves_the_clock_to_an_unripe_delivery():
     assert simulation.pending_deliveries() == ()
     assert simulation.now() == 50
     assert not simulation.step()
+
+
+def test_a_plane_naming_a_boundary_that_is_not_ahead_fails_loudly():
+    """``on_idle`` names a boundary strictly after now; one that does not
+    (here the old ``bool`` answer, read as boundary 0) would stall the
+    kernel's walk forever, so it raises instead."""
+
+    class Stale(FaultPlane):
+        def on_idle(self, kernel):
+            return False
+
+    simulation = Simulation(scheduler=FIFOScheduler(), fault_plane=Stale())
+    simulation.add_automaton(Sink("s1"))
+    with pytest.raises(SimulationError, match="not after now"):
+        simulation.step()
 
 
 def test_a_latency_plan_runs_under_any_named_scheduler():
