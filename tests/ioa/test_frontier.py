@@ -27,8 +27,8 @@ through ``choose``.
 
 Ripeness is the frontier's rule: ``events``, ``idle`` and ``oldest`` hold a
 latency-stamped delivery or a timer only once the kernel's clock has reached
-its stamp.  The driver injects latency-stamped deliveries, and the rebuild
-filters deliveries and timers alike by ``ready_at <= now``.
+its stamp.  The interleaving test injects latency-stamped deliveries, and the
+rebuild filters deliveries and timers alike by ``ready_at <= now``.
 """
 
 from __future__ import annotations
