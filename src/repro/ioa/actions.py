@@ -25,9 +25,9 @@ Design notes
   checker).  The info is stored the way a payload is: sorted ``info_keys``,
   interned by the simulation's :class:`PayloadLayouts`, and ``info_values``;
   ``info`` (the pairs) and ``info_map`` are views built on request.  The
-  kernel builds every action it appends from a layout (:func:`new_action`,
-  :meth:`PayloadLayouts.action`), so a retained action owns its values tuple
-  and no ``(key, value)`` pair.
+  kernel records every action in one call, :meth:`Trace.record
+  <repro.ioa.trace.Trace.record>`, with a layout's shared keys, so a retained
+  action owns its values tuple and no ``(key, value)`` pair.
 """
 
 from __future__ import annotations
@@ -156,8 +156,10 @@ class FrozenRecord:
 
 def slot_setters(cls: type):
     """The ``__set__`` of each slot of ``cls``: how a record's own ``__init__``
-    (and nothing else but ``Trace.append``, :meth:`PayloadLayouts.message`
-    and :func:`new_action`) writes its fields."""
+    writes its fields, and the only other writers: the builders that skip
+    ``__init__`` (:func:`new_action`, :meth:`PayloadLayouts.message`,
+    ``Trace.record``, and the kernel's pending deliveries and invocations)
+    and ``Trace.append``'s index stamp."""
     return (getattr(cls, name).__set__ for name in cls.__slots__)
 
 
@@ -262,7 +264,7 @@ def _values_getter(keys: Keys) -> ValuesGetter:
 
 class PayloadLayouts(dict):
     """One simulation's payload layouts, interned as its messages are sent
-    and its actions appended.
+    and its actions recorded.
 
     Maps a payload's (or an action info's) keys in insertion order to
     ``(keys, take)``: the sorted key tuple that every message or action with
@@ -284,23 +286,19 @@ class PayloadLayouts(dict):
         ``Message(msg_type, src, dst, _freeze_payload(payload), msg_id)``,
         holding its layout's shared ``keys``."""
         keys, take = self[tuple(payload)]
+        values = take(payload)
+        for value in values:  # _freeze_values, inline: one call less per send
+            if isinstance(value, _MUTABLE):
+                values = tuple(map(_freeze_value, values))
+                break
         message = _new_record(Message)
         _set_msg_type(message, msg_type)
         _set_src(message, src)
         _set_dst(message, dst)
         _set_keys(message, keys)
-        _set_values(message, _freeze_values(take(payload)))
+        _set_values(message, values)
         _set_msg_id(message, msg_id)
         return message
-
-    def action(
-        self, kind: ActionKind, actor: str, message: Optional[Message], info: Mapping[str, Any]
-    ) -> Action:
-        """An action a simulation appends: equal to
-        ``Action.make(kind, actor, message, info)``, holding its layout's
-        shared ``info_keys``."""
-        keys, take = self[tuple(info)]
-        return new_action(kind, actor, message, keys, _freeze_values(take(info)))
 
 
 class Action(FrozenRecord):

@@ -277,9 +277,10 @@ class Context:
         return self._kernel.remove_automaton(name, force=force)
 
 
-@dataclass
+@dataclass(slots=True)
 class SessionState:
-    """Book-keeping for one in-flight client transaction session."""
+    """Book-keeping for one in-flight client transaction session (slotted:
+    the kernel reads and writes it on every collected reply)."""
 
     txn: Any
     txn_id: Any

@@ -58,7 +58,7 @@ class Topology:
     def __setattr__(self, name: str, value: Any) -> None:
         object.__setattr__(self, name, value)
         if not name.startswith("_"):  # a rule changed: forget the pairs cleared under the old ones
-            object.__setattr__(self, "_cleared", set())
+            self.__dict__.setdefault("_cleared", set()).clear()
 
     def __post_init__(self) -> None:
         self._kinds: Dict[str, str] = {}
@@ -172,9 +172,10 @@ class Topology:
 
     # ------------------------------------------------------------------
     def check_send(self, src: str, dst: str) -> None:
-        """Raise if a send from ``src`` to ``dst`` violates the topology (the
-        kernel asks on every send: a pair that passed is remembered until the
-        membership or a rule changes)."""
+        """Raise if a send from ``src`` to ``dst`` violates the topology.  A
+        pair that passed is remembered in ``_cleared`` until the membership
+        or a rule changes (the set is emptied in place, never replaced); the
+        kernel asks only for a pair not in it."""
         if (src, dst) in self._cleared:
             return
         if src not in self._kinds:

@@ -55,17 +55,23 @@ class PendingDelivery(FrozenRecord):
 _set_message, _set_enqueued_at, _set_ready_at = slot_setters(PendingDelivery)
 
 
-@dataclass(frozen=True)
-class PendingInvocation:
+class PendingInvocation(FrozenRecord):
     """An external transaction invocation waiting to be issued to a client."""
 
-    client: str
-    txn: Any
-    txn_id: Any
-    enqueued_at: int
+    __slots__ = ("client", "txn", "txn_id", "enqueued_at")
+    _fields = attrgetter(*__slots__)
+
+    def __init__(self, client: str, txn: Any, txn_id: Any, enqueued_at: int) -> None:
+        _set_client(self, client)
+        _set_txn(self, txn)
+        _set_txn_id(self, txn_id)
+        _set_invocation_enqueued_at(self, enqueued_at)
 
     def describe(self) -> str:
         return f"invoke {self.txn_id} at {self.client} (enqueued @{self.enqueued_at})"
+
+
+_set_client, _set_txn, _set_txn_id, _set_invocation_enqueued_at = slot_setters(PendingInvocation)
 
 
 @dataclass(frozen=True)

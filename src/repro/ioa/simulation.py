@@ -32,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .actions import ActionKind, Keys, Message, PayloadLayouts, new_action
+from .actions import _MUTABLE, ActionKind, Keys, Message, PayloadLayouts, _freeze_value, _freeze_values, slot_setters
 from .automaton import (
     Automaton,
     Await,
@@ -61,6 +61,12 @@ from .scheduler import (
     Scheduler,
 )
 from .trace import Trace, TraceMode
+
+#: the kernel builds its pending deliveries and invocations without a Python
+#: ``__init__`` frame, as :meth:`PayloadLayouts.message` builds a message
+_new_record = object.__new__
+_set_delivered, _set_enqueued_at, _set_ready_at = slot_setters(PendingDelivery)
+_set_client, _set_txn, _set_txn_id, _set_submitted_at = slot_setters(PendingInvocation)
 
 
 @dataclass(slots=True)
@@ -175,16 +181,21 @@ class Simulation:
         self._enqueue_counter = itertools.count(1)
         #: message ids are a function of the simulation, not the interpreter
         self._msg_ids = itertools.count()
-        #: the key layouts of sent payloads and appended action infos: one
+        #: the key layouts of sent payloads and recorded action infos: one
         #: shared keys tuple per key set
-        self._layouts = PayloadLayouts()
+        layouts = self._layouts = PayloadLayouts()
         #: the info of ``send`` actions, ``{"phase": p}``, as ``(info_keys,
         #: info_values)``: one shared pair of tuples per phase label (a few
         #: literals) instead of one values tuple per message
         self._phase_info: Dict[str, Tuple[Keys, Tuple[str, ...]]] = {"": ((), ())}
         #: the ``info_keys`` of an in-session ``recv`` (its values are the
         #: session's :attr:`SessionState.recv_info`)
-        self._session_keys = self._layouts[("session",)][0]
+        self._session_keys = layouts[("session",)][0]
+        #: the ``info_keys`` of every ``INV`` and every ``RESP`` action
+        self._invoke_keys = layouts[("txn", "txn_kind")][0]
+        self._respond_keys = layouts[("txn", "result")][0]
+        #: the pairs ``Topology.check_send`` has cleared (emptied in place)
+        self._cleared_pairs = self.topology._cleared
         self._steps_taken = 0
         self._started = False
 
@@ -208,7 +219,7 @@ class Simulation:
             self._client_queues[automaton.name] = deque()
             self._client_order[automaton.name] = next(self._client_order_counter)
         if self._started:
-            self.trace.append(new_action(ActionKind.START, automaton.name))
+            self.trace.record(ActionKind.START, automaton.name)
             automaton.on_start(self._contexts[automaton.name])
         return automaton
 
@@ -375,7 +386,7 @@ class Simulation:
         self._started = True
         self.scheduler.reset()
         for name, automaton in self._automata.items():
-            self.trace.append(new_action(ActionKind.START, name))
+            self.trace.record(ActionKind.START, name)
             automaton.on_start(self._contexts[name])
 
     def pending_events(self) -> List[PendingEvent]:
@@ -509,7 +520,10 @@ class Simulation:
         kernel offers it to the scheduler only once :meth:`now` reaches it.
         The reliable path always uses ``0`` (ripe at once).
         """
-        delivery = PendingDelivery(message, next(self._enqueue_counter), ready_at)
+        delivery = _new_record(PendingDelivery)
+        _set_delivered(delivery, message)
+        _set_enqueued_at(delivery, next(self._enqueue_counter))
+        _set_ready_at(delivery, ready_at)
         self._frontier.add_delivery(delivery)
         if self.obs is not None:
             self.obs.on_enqueue(delivery)
@@ -550,13 +564,14 @@ class Simulation:
     def _send_from(
         self, src: str, dst: str, msg_type: str, payload: Mapping[str, Any], phase: str = ""
     ) -> Message:
-        self.topology.check_send(src, dst)
+        if (src, dst) not in self._cleared_pairs:
+            self.topology.check_send(src, dst)
         message = self._layouts.message(msg_type, src, dst, payload, next(self._msg_ids))
         try:
             info_keys, info_values = self._phase_info[phase]
         except KeyError:
             info_keys, info_values = self._phase_info[phase] = (self._layouts[("phase",)][0], (phase,))
-        self.trace.append(new_action(ActionKind.SEND, src, message, info_keys, info_values))
+        self.trace.record(ActionKind.SEND, src, message, info_keys, info_values)
         if self.fault_plane is None:
             self.enqueue_delivery(message)
         else:
@@ -570,7 +585,8 @@ class Simulation:
         return message
 
     def _record_internal(self, actor: str, info: Mapping[str, Any]) -> None:
-        self.trace.append(self._layouts.action(ActionKind.INTERNAL, actor, None, info))
+        keys, take = self._layouts[tuple(info)]
+        self.trace.record(ActionKind.INTERNAL, actor, None, keys, _freeze_values(take(info)))
 
     def annotate_transaction(self, txn_id: Any, fields: Mapping[str, Any]) -> None:
         """Attach metadata to a transaction record (public form used by
@@ -582,6 +598,9 @@ class Simulation:
     def _annotate_transaction(self, txn_id: Any, fields: Mapping[str, Any]) -> None:
         record = self._records.get(txn_id)
         if record is None:
+            return
+        if "_accumulate" not in fields:
+            record.annotations.update(fields)
             return
         fields = dict(fields)
         accumulate = bool(fields.pop("_accumulate", False))
@@ -610,12 +629,12 @@ class Simulation:
             raise UnknownProcessError(dst)
         session = self._sessions.get(dst)
         if session is not None and session.matches(message):
-            self.trace.append(new_action(ActionKind.RECV, dst, message, self._session_keys, session.recv_info))
+            self.trace.record(ActionKind.RECV, dst, message, self._session_keys, session.recv_info)
             session.collected.append(message)
             if session.ready():
                 self._resume_session(session)
             return
-        self.trace.append(new_action(ActionKind.RECV, dst, message))
+        self.trace.record(ActionKind.RECV, dst, message)
         if isinstance(automaton, ClientAutomaton) and not automaton.unmatched_goes_to_handler():
             return
         automaton.on_message(message, self._contexts[dst])
@@ -657,15 +676,12 @@ class Simulation:
         head = queue[0]
         records = self._records
         if all(records[dep].complete for dep in head.after if dep in records):
-            self._frontier.set_ready(
-                order,
-                PendingInvocation(
-                    client=client,
-                    txn=head.txn,
-                    txn_id=head.txn_id,
-                    enqueued_at=records[head.txn_id].submitted_at,
-                ),
-            )
+            invocation = _new_record(PendingInvocation)
+            _set_client(invocation, client)
+            _set_txn(invocation, head.txn)
+            _set_txn_id(invocation, head.txn_id)
+            _set_submitted_at(invocation, head.submitted_at)
+            self._frontier.set_ready(order, invocation)
         else:
             self._frontier.clear_ready(order, client)
 
@@ -676,17 +692,18 @@ class Simulation:
         if client in self._sessions:
             raise WellFormednessError(f"client {client!r} already has an outstanding transaction")
         record = self._records[txn_id]
-        action = self.trace.append(
-            self._layouts.action(
-                ActionKind.INVOKE, client, None, {"txn": str(txn_id), "txn_kind": getattr(txn, "kind", "txn")}
-            )
-        )
-        record.invoke_index = action.index
+        txn_kind = getattr(txn, "kind", "txn")
+        if isinstance(txn_kind, _MUTABLE):
+            txn_kind = _freeze_value(txn_kind)
+        name = str(txn_id)
+        record.invoke_index = self.trace.record(
+            ActionKind.INVOKE, client, None, self._invoke_keys, (name, txn_kind)
+        ).index
         if self.fault_plane is not None:
             record.invoke_vtime = self.now()
         ctx = self._contexts[client]
         generator = automaton.run_transaction(txn, ctx)
-        session = SessionState(txn, txn_id, client, generator, recv_info=(str(txn_id),))
+        session = SessionState(txn, txn_id, client, generator, recv_info=(name,))
         self._sessions[client] = session
         # The invoked txn left the queue: watch the next head (it cannot be
         # ready while this session runs — one outstanding txn per client).
@@ -695,7 +712,7 @@ class Simulation:
 
     def _resume_session(self, session: SessionState) -> None:
         pending = session.pending_await
-        collected = list(session.collected)
+        collected = session.collected
         session.pending_await = None
         session.collected = []
         if pending is not None and pending.counts_as_round:
@@ -735,15 +752,11 @@ class Simulation:
         session.finished = True
         session.result = result
         record = self._records[session.txn_id]
-        action = self.trace.append(
-            self._layouts.action(
-                ActionKind.RESPOND,
-                session.client,
-                None,
-                {"txn": str(session.txn_id), "result": _freeze_result(result)},
-            )
-        )
-        record.respond_index = action.index
+        # a dict result becomes its sorted items, a list a tuple, a set a frozenset
+        frozen = _freeze_value(result)
+        record.respond_index = self.trace.record(
+            ActionKind.RESPOND, session.client, None, self._respond_keys, (frozen, str(session.txn_id))
+        ).index
         record.result = result
         record.rounds = session.rounds
         if self.fault_plane is not None:
@@ -768,12 +781,3 @@ class Simulation:
         for record in self.transaction_records():
             lines.append("  " + record.describe())
         return "\n".join(lines)
-
-
-def _freeze_result(result: Any) -> Any:
-    """Make transaction results safe to embed in immutable action info."""
-    if isinstance(result, dict):
-        return tuple(sorted(result.items()))
-    if isinstance(result, list):
-        return tuple(result)
-    return result

@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
-from .actions import Action, ActionKind, Message
+from .actions import Action, ActionKind, Keys, Message, slot_setters
 from .errors import TraceError
 
 
@@ -61,9 +61,10 @@ class TraceMode:
 
 View = TypeVar("View")
 
-#: the one sanctioned write to a (frozen) action: :meth:`Trace.append` stamps
-#: a fresh, never-shared action's index in place
-_stamp_index = Action.index.__set__
+#: how :meth:`Trace.record` fills a new action, and :meth:`Trace.append`
+#: stamps a fresh, never-shared one's index in place
+_set_kind, _set_actor, _set_message, _set_info_keys, _set_info_values, _stamp_index = slot_setters(Action)
+_new_action = object.__new__
 
 
 def _projections(trace: "Trace") -> Dict[str, Tuple[Action, ...]]:
@@ -121,13 +122,33 @@ class Trace:
     # ------------------------------------------------------------------
     # Basic container protocol
     # ------------------------------------------------------------------
+    def record(
+        self, kind: ActionKind, actor: str, message: Optional[Message] = None, info_keys: Keys = (), info_values: Tuple = ()
+    ) -> Action:
+        """Append the action with these fields and return it: equal to
+        ``append(new_action(kind, actor, message, info_keys, info_values))``
+        in one call (the kernel records every action this way), with
+        ``info_keys`` sorted and ``info_values`` already frozen."""
+        index = self._total
+        self._total = index + 1
+        action = _new_action(Action)
+        _set_kind(action, kind)
+        _set_actor(action, actor)
+        _set_message(action, message)
+        _set_info_keys(action, info_keys)
+        _set_info_values(action, info_values)
+        _stamp_index(action, index)
+        self._actions.append(action)
+        if self._observer is not None:
+            self._observer(action)
+        return action
+
     def append(self, action: Action) -> Action:
-        """Append ``action``, re-stamping its index; returns the stored copy.
+        """Append a prebuilt ``action``, re-stamping its index; returns the stored copy.
 
         Freshly built actions (index ``-1``, never shared) are stamped in
-        place instead of copied — the kernel appends one per trace action, so
-        the copy was pure overhead.  Actions that already carry an index
-        (fragment replays, trace copies) still get a fresh stamped copy.
+        place instead of copied.  Actions that already carry an index
+        (fragment replays, trace copies) get a fresh stamped copy.
         """
         index = self._total
         self._total = index + 1

@@ -26,7 +26,7 @@ A broken rule produces a structured :class:`InvariantViolation` carrying the
 global trace index, the automaton, and a bounded causal suffix of the most
 recent actions.  With ``halt_on_violation`` the suite raises
 :class:`InvariantViolationError` from inside the observer — the exception
-propagates out of ``Trace.append`` and out of ``Simulation.step``, halting a
+propagates out of ``Trace.record`` and out of ``Simulation.step``, halting a
 chaos run at the first offending event instead of thousands later.
 
 The suite is a pure listener: it never appends actions, never touches the

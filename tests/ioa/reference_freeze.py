@@ -2,9 +2,10 @@
 
 PR 16 replaced ``repro.ioa.actions._freeze_payload`` (sort, then a per-item
 ``isinstance`` loop on every call) by one C-level sort with the loop behind a
-type probe, and the three per-event records (frozen dataclasses) by slotted
-immutable classes.  ``tests/ioa/test_record_contract.py`` pins the new code to
-these definitions; they go when the equivalence has held for a round.
+type probe, and the per-event records (frozen dataclasses, later
+``PendingInvocation`` too) by slotted immutable classes.
+``tests/ioa/test_record_contract.py`` pins the new code to these definitions;
+they go when the equivalence has held for a round.
 """
 
 from __future__ import annotations
@@ -52,3 +53,11 @@ class PendingDelivery:
     message: Any
     enqueued_at: int
     ready_at: int = 0
+
+
+@dataclass(frozen=True)
+class PendingInvocation:
+    client: str
+    txn: Any
+    txn_id: Any
+    enqueued_at: int

@@ -1,14 +1,14 @@
 """The contract of the per-event records and of the payload freeze.
 
-``Action``, ``Message`` and ``PendingDelivery`` are hand-written slotted
-classes; everything else in the repository treats them as the frozen
-dataclasses they used to be.  The twins in ``reference_freeze.py`` *are*
+``Action``, ``Message``, ``PendingDelivery`` and ``PendingInvocation`` are
+hand-written slotted classes; everything else in the repository treats them
+as the frozen dataclasses they used to be.  The twins in ``reference_freeze.py`` *are*
 frozen dataclasses with the same fields, so "same ``==``, ``hash`` and
 ``repr``" is checked against what ``dataclasses`` generates.  A message the
-kernel sends and an action it appends are built from an interned layout
-(shared sorted keys plus a values tuple) and must equal their twins built
-from the seed's freeze; an ``ast`` pin keeps the ``info`` pair view to the
-few readers that need the pairs themselves.
+kernel sends and an action it records (``Trace.record``) are built from an
+interned layout (shared sorted keys plus a values tuple) and must equal their
+twins built from the seed's freeze; an ``ast`` pin keeps the ``info`` pair
+view to the few readers that need the pairs themselves.
 """
 
 from __future__ import annotations
@@ -27,9 +27,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.workload import WorkloadSpec, generate_workload, submit_workload
-from repro.ioa import Action, ActionKind, ClientAutomaton, Message, PendingDelivery, ServerAutomaton, Simulation
-from repro.ioa.actions import _freeze_payload
+from repro.ioa import (
+    Action,
+    ActionKind,
+    ClientAutomaton,
+    Message,
+    PendingDelivery,
+    PendingInvocation,
+    ServerAutomaton,
+    Simulation,
+    Trace,
+    TraceMode,
+)
+from repro.ioa.actions import _freeze_payload, _freeze_values
 from repro.protocols import get_protocol
+from repro.txn.transactions import ReadResult
 from tests.ioa import reference_freeze as reference
 
 names = st.sampled_from(["r1", "w1", "sx", "sy"])
@@ -57,7 +69,12 @@ def deliveries(draw):
     return PendingDelivery(message, *stamps), reference.PendingDelivery(twin, *stamps)
 
 
-records = st.one_of(messages, actions(), deliveries())
+invocations = st.builds(
+    lambda *fields: (PendingInvocation(*fields), reference.PendingInvocation(*fields)),
+    names, st.one_of(st.none(), st.sampled_from(["read", "write"])), st.sampled_from(["R1", "W2"]), st.integers(0, 2),
+)
+
+records = st.one_of(messages, actions(), deliveries(), invocations)
 
 
 @settings(max_examples=300, deadline=None)
@@ -88,6 +105,7 @@ RECORDS = [
     MESSAGE,
     Action(ActionKind.RECV, "sx", MESSAGE, (("session", "R1"),), 3),
     PendingDelivery(MESSAGE, 4, 9),
+    PendingInvocation("r1", None, "R1", 4),
 ]
 
 
@@ -117,11 +135,14 @@ def test_keyword_and_positional_construction():
     assert PendingDelivery(message=message, enqueued_at=1, ready_at=2) == PendingDelivery(message, 1, 2)
     assert PendingDelivery(message, 1).ready_at == 0
     assert PendingDelivery.__slots__ == ("message", "enqueued_at", "ready_at")
+    assert PendingInvocation(client="r1", txn=None, txn_id="R1", enqueued_at=2) == PendingInvocation("r1", None, "R1", 2)
+    assert PendingInvocation.__slots__ == ("client", "txn", "txn_id", "enqueued_at")
 
 
 def test_repr_names_every_field():
     assert repr(MESSAGE) == "Message(msg_type='read-val', src='r1', dst='sx', items=(('txn', 'R1'),), msg_id=7)"
     assert repr(RECORDS[2]) == f"PendingDelivery(message={MESSAGE!r}, enqueued_at=4, ready_at=9)"
+    assert repr(RECORDS[3]) == "PendingInvocation(client='r1', txn=None, txn_id='R1', enqueued_at=4)"
     assert repr(Action(ActionKind.START, "sx")) == (
         "Action(kind=<ActionKind.START: 'start'>, actor='sx', message=None, info=(), index=-1)"
     )
@@ -287,7 +308,8 @@ def test_an_appended_action_equals_one_built_from_the_seed_freeze(pairs, rng, ki
             simulation._record_internal("r1", info)
             appended = simulation.trace[-1]
         else:
-            appended = simulation.trace.append(simulation._layouts.action(kind, "r1", message, info))
+            keys, take = simulation._layouts[tuple(info)]  # what _record_internal records
+            appended = simulation.trace.record(kind, "r1", message, keys, _freeze_values(take(info)))
         frozen = reference.reference_freeze_payload(info)
         built = Action(kind, "r1", message, frozen, appended.index)
         twin = reference.Action(kind, "r1", twin_message, frozen, appended.index)
@@ -339,6 +361,90 @@ def test_a_simulation_shares_each_info_key_set_and_keeps_no_pairs():
     assert {kind for kind, keys in seen if keys} == {
         ActionKind.SEND, ActionKind.RECV, ActionKind.INVOKE, ActionKind.RESPOND
     }
+
+
+@pytest.mark.parametrize("mode", [TraceMode.full(), TraceMode.ring(3)], ids=lambda mode: mode.describe())
+def test_record_equals_append_of_a_made_action(mode):
+    """``Trace.record`` is ``append(Action.make(...))`` in one call: the same
+    stored action at the same index, the same eviction, one observer call."""
+    steps = [
+        (ActionKind.START, "r1", None, {}),
+        (ActionKind.SEND, "r1", MESSAGE, {"phase": "read"}),
+        (ActionKind.RECV, "sx", MESSAGE, {"session": "R1"}),
+        (ActionKind.INVOKE, "r1", None, {"txn_kind": "read", "txn": "R1"}),
+        (ActionKind.INTERNAL, "sx", None, {"z": [1, 2], "k": {3}}),
+        (ActionKind.RESPOND, "r1", None, {"txn": "R1", "result": (("x", 1),)}),
+    ]
+    recorded, appended = Trace(mode=mode), Trace(mode=mode)
+    recorded_seen, appended_seen = [], []
+    recorded.set_observer(recorded_seen.append)
+    appended.set_observer(appended_seen.append)
+    for count, (kind, actor, message, info) in enumerate(steps, start=1):
+        frozen = _freeze_payload(info)
+        keys, values = tuple(k for k, _ in frozen), tuple(v for _, v in frozen)
+        stored = recorded.record(kind, actor, message, keys, values)
+        expected = appended.append(Action.make(kind, actor, message, info))
+        assert stored == expected and repr(stored) == repr(expected)
+        assert stored.index == expected.index == count - 1
+        assert recorded[-1] is stored
+        assert len(recorded_seen) == len(appended_seen) == count and recorded_seen[-1] is stored
+    assert list(recorded) == list(appended) == appended_seen[-len(recorded):]
+    assert recorded.total_appended == appended.total_appended == len(steps)
+    assert [action.index for action in recorded] == list(range(len(steps)))[-len(recorded):]
+    assert len(recorded) == (3 if mode.kind == "ring" else len(steps))
+
+
+class Returns(ClientAutomaton):
+    """A client whose every transaction responds at once with ``txn.result``."""
+
+    def run_transaction(self, txn, ctx):
+        return txn.result
+        yield  # a generator that yields no effect
+
+
+class Returning:
+    def __init__(self, kind, result):
+        self.kind, self.result = kind, result
+
+
+RESULTS = [
+    {"y": 2, "x": [1]},
+    [3, 1],
+    {4, 2},
+    ReadResult.from_mapping({"y": 5, "x": 6}),
+    frozenset({7}),
+]
+
+
+def test_invocations_and_responses_equal_the_dict_form():
+    """``INV``/``RESP`` infos come from interned key tuples; each equals
+    ``Action.make`` of the info dict the kernel used to build per
+    transaction, whatever the result's type."""
+    simulation = Simulation()
+    simulation.add_automaton(Returns("c1"))
+    txns = [Returning("read", result) for result in RESULTS] + [Returning(["odd"], None)]
+    for number, txn in enumerate(txns):
+        simulation.submit("c1", txn, txn_id=f"T{number}")
+    simulation.run_to_completion()
+    invokes = simulation.trace.of_kind(ActionKind.INVOKE)
+    responds = simulation.trace.of_kind(ActionKind.RESPOND)
+    assert len(invokes) == len(responds) == len(txns)
+    for number, (txn, invoke, respond) in enumerate(zip(txns, invokes, responds)):
+        txn_id = f"T{number}"
+        expected = Action.make(ActionKind.INVOKE, "c1", None, {"txn": txn_id, "txn_kind": txn.kind}, invoke.index)
+        assert invoke == expected and repr(invoke) == repr(expected)
+        result = txn.result
+        if isinstance(result, dict):  # the old per-transaction info dict froze the result first
+            result = tuple(sorted(result.items()))
+        elif isinstance(result, list):
+            result = tuple(result)
+        expected = Action.make(ActionKind.RESPOND, "c1", None, {"txn": txn_id, "result": result}, respond.index)
+        assert respond == expected and repr(respond) == repr(expected)
+        assert [type(v) for v in respond.info_values] == [type(v) for v in expected.info_values]
+        assert simulation.transaction_record(txn_id).result is txn.result
+    assert invokes[0].info_keys is invokes[-1].info_keys
+    assert responds[0].info_keys is responds[-1].info_keys
+    assert hash(responds[2]) == hash(Action.make(ActionKind.RESPOND, "c1", None, {"txn": "T2", "result": {4, 2}}, responds[2].index))
 
 
 # ----------------------------------------------------------------------
