@@ -424,8 +424,8 @@ def new_action(
     index: int = -1,
 ) -> Action:
     """The action with these fields, built without the constructor's split
-    of ``info`` pairs: ``info_keys`` sorted (a layout's shared tuple, when
-    the kernel builds it) and ``info_values`` already frozen."""
+    of ``info`` pairs: ``info_keys`` sorted and ``info_values`` already
+    frozen (``Trace.record`` builds and stores one in a single call)."""
     action = _new_record(Action)
     _set_kind(action, kind)
     _set_actor(action, actor)
