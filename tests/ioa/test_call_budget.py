@@ -33,8 +33,6 @@ CELLS = {
 }
 
 #: ceiling on the kernel's calls over the whole run, and the messages sent
-#: (was 11,291 / 37,095 / 53,167 before sends, receipts, invocations and
-#: responses were recorded through ``Trace.record``)
 BUDGET = {
     "algorithm-a": (8_823, 400),
     "algorithm-c": (29_013, 1_440),
