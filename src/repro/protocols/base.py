@@ -140,6 +140,7 @@ class SystemHandle:
         protocol: "Protocol",
         simulation: Simulation,
         config: BuildConfig,
+        placement: Placement,
         directory=None,
         persistence=None,
     ) -> None:
@@ -157,9 +158,9 @@ class SystemHandle:
         self.readers = config.readers()
         self.writers = config.writers()
         self.objects = config.objects()
-        self.placement = config.placement()
+        self.placement = placement
         self.quorum_policy = config.quorum_policy()
-        self.servers = config.servers()
+        self.servers = placement.servers()
         self.consensus_group = config.consensus_group()
         self.initial_value = config.initial_value
         self._round_robin_reader = 0
@@ -292,12 +293,11 @@ class Protocol:
     claimed_versions: Optional[int] = 1
 
     # ------------------------------------------------------------------
-    def make_automata(self, config: BuildConfig) -> List[Automaton]:
+    def make_automata(self, config: BuildConfig, placement: Placement) -> List[Automaton]:
         """The system's automata in registration order: the clients, every
-        replica of every object (object-major, primaries first), then the
-        consensus members.  At ``consensus_factor=1`` a protocol with a
-        coordinator places it on the first server."""
-        placement = config.placement()
+        replica of every object of ``placement`` (object-major, primaries
+        first), then the consensus members.  At ``consensus_factor=1`` a
+        protocol with a coordinator places it on the first server."""
         consensus = config.consensus_group()
         coordinator = placement.servers()[0] if self.has_coordinator and not consensus else None
         return (
@@ -361,7 +361,7 @@ class Protocol:
     def default_c2c(self) -> bool:
         return self.requires_c2c
 
-    def validate_config(self, config: BuildConfig) -> None:
+    def validate_config(self, config: BuildConfig, placement: Placement) -> None:
         if config.num_readers < 1 or config.num_writers < 1 or config.num_objects < 1:
             raise ValueError("system needs at least one reader, one writer and one object")
         if config.num_readers > 1 and not self.supports_multiple_readers:
@@ -413,7 +413,7 @@ class Protocol:
                 # object; retiring it through a replica-group change would
                 # strand every coordinator round (the coordinator role does
                 # not migrate). Replicate the coordinator first.
-                coordinator = config.servers()[0]
+                coordinator = placement.servers()[0]
                 first_object = config.objects()[0]
                 for request in config.reconfig.requests:
                     if (
@@ -428,7 +428,7 @@ class Protocol:
                             "first"
                         )
         # Quorum intersection must hold for every replica group.
-        config.placement().validate_policy(config.quorum_policy())
+        placement.validate_policy(config.quorum_policy())
         c2c = config.c2c if config.c2c is not None else self.default_c2c()
         if self.requires_c2c and not c2c:
             raise ValueError(
@@ -445,7 +445,8 @@ class Protocol:
         one-server-per-object, single-coordinator system byte-for-byte.
         """
         config = BuildConfig(**settings)
-        self.validate_config(config)
+        placement = config.placement()  # derived once: every hook below takes it
+        self.validate_config(config, placement)
         if config.persistence is not None:
             from ..persist import PersistencePlane
 
@@ -454,7 +455,6 @@ class Protocol:
             config.persistence = PersistencePlane.of(config.persistence)
         allow_c2c = config.c2c if config.c2c is not None else self.default_c2c()
         topology = Topology(allow_client_to_client=allow_c2c)
-        placement = config.placement()
         topology.set_replica_groups(
             {obj: placement.group(obj) for obj in placement.objects()}
         )
@@ -474,7 +474,7 @@ class Protocol:
                 # The quorum-intersection monitor needs the build's quorum
                 # rule to judge joint configurations as they open.
                 monitors.set_quorum_policy(config.quorum_policy())
-        simulation.add_automata(self.make_automata(config))
+        simulation.add_automata(self.make_automata(config, placement))
         directory = None
         if (
             config.reconfig is not None and config.reconfig.requests
@@ -484,6 +484,7 @@ class Protocol:
             protocol=self,
             simulation=simulation,
             config=config,
+            placement=placement,
             directory=directory,
             persistence=config.persistence,
         )
@@ -511,7 +512,7 @@ class Protocol:
             # changes: at consensus_factor=1 the designated first server must
             # never be retired by a *derived* change (planned changes are
             # rejected at validation already).
-            directory.protected.add(config.servers()[0])
+            directory.protected.add(placement.servers()[0])
         for automaton in simulation.automata():
             if hasattr(automaton, "directory"):
                 automaton.directory = directory

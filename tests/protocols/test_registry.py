@@ -100,8 +100,8 @@ print(json.dumps(report))
         class Custom(Protocol):
             name = "custom-test-protocol"
 
-            def make_automata(self, config):
-                return get_protocol("naive-snow").make_automata(config)
+            def make_automata(self, config, placement):
+                return get_protocol("naive-snow").make_automata(config, placement)
 
         try:
             register_protocol("custom-test-protocol", Custom)

@@ -323,7 +323,7 @@ def test_layout_registers_clients_then_replicas_then_members(protocol):
 
         impl.make_server = spy
         try:
-            automata = impl.make_automata(config)
+            automata = impl.make_automata(config, placement)
         finally:
             del impl.make_server
         assert [a.name for a in automata] == [
@@ -343,20 +343,25 @@ def test_layout_registers_clients_then_replicas_then_members(protocol):
 @pytest.mark.parametrize("protocol", protocol_names())
 def test_layout_builds_the_placement_once(protocol, monkeypatch):
     """One build derives the object → replica-group map once and hands it to
-    both hooks; a hook that re-derived it per client multiplied the cost of
-    every replicated build."""
+    every hook (validation, the automata, the reconfiguration layer, the
+    handle); each re-derivation multiplied the cost of every build."""
+    from dataclasses import asdict
+
+    from repro.faults import grow_group_mid_run
     from repro.protocols import get_protocol
-    from repro.protocols.base import BuildConfig
+    from repro.txn.placement import Placement
 
     impl = get_protocol(protocol)
-    config = _layout_config(impl)
-    placements = []
-    placement = BuildConfig.placement
+    settings = asdict(_layout_config(impl))
+    derived = []
+    for_objects = Placement.for_objects.__func__
 
-    def counting(self):
-        placements.append(self)
-        return placement(self)
+    def counting(cls, objects, replication_factor=1):
+        derived.append(objects)
+        return for_objects(cls, objects, replication_factor)
 
-    monkeypatch.setattr(BuildConfig, "placement", counting)
-    impl.make_automata(config)
-    assert len(placements) == 1, protocol
+    monkeypatch.setattr(Placement, "for_objects", classmethod(counting))
+    handle = impl.build(**settings)
+    assert len(derived) == 1 and handle.placement.servers() == handle.servers, protocol
+    impl.build(**{**settings, "reconfig": grow_group_mid_run("o2", at=20)[1]})
+    assert len(derived) == 2, protocol

@@ -123,8 +123,8 @@ def test_mixed_group_sizes_complete():
     protocol = AlgorithmB()
     config = MixedConfig(num_readers=1, num_writers=1, num_objects=2)
     simulation = Simulation(topology=Topology(allow_client_to_client=False), scheduler=FIFOScheduler())
-    simulation.add_automata(protocol.make_automata(config))
-    handle = SystemHandle(protocol=protocol, simulation=simulation, config=config)
+    simulation.add_automata(protocol.make_automata(config, mixed))
+    handle = SystemHandle(protocol=protocol, simulation=simulation, config=config, placement=mixed)
 
     w1 = handle.submit_write({"ox": "v1", "oy": "v1"}, txn_id="W1")
     handle.submit_read(("ox", "oy"), txn_id="R1", after=[w1])
