@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..ioa.simulation import Simulation, TransactionRecord
+from ..ioa.simulation import Simulation
 from ..txn.transactions import ReadTransaction
 
 
@@ -536,24 +536,6 @@ class ExperimentMetrics:
         return "\n".join(lines)
 
 
-def _versions_for_record(
-    simulation: Simulation, record: TransactionRecord, servers: Sequence[str]
-) -> Optional[int]:
-    """Versions in the READ's largest reply, read off the trace's replies —
-    ``None`` on a partial trace, where the replies may have left the window
-    and "no reply seen" would read as one version."""
-    from ..core.snow import versions_in_replies
-
-    if not isinstance(record.txn, ReadTransaction):
-        return 1
-    if not simulation.trace.is_full():
-        return None
-    max_versions, _replies = versions_in_replies(
-        simulation.trace, str(record.txn_id), record.client, servers
-    )
-    return max_versions
-
-
 def _collect_fault_metrics(simulation: Simulation) -> Optional[FaultMetrics]:
     """Build the availability/fault block when a fault injector is installed."""
     from ..faults.injector import FaultInjector
@@ -770,23 +752,36 @@ def collect_metrics(
     block; ``directory`` (optional) the reconfiguration block; pass them
     from the built system's handle.
     """
+    # looked up per call, not per module: a test serves it from a reference walker
+    from ..core.snow import versions_in_replies
+
+    trace = simulation.trace
+    # a READ's versions are read off the trace's replies: ``None`` on a partial
+    # trace, where they may have left the window and "no reply seen" would
+    # read as one version
+    full = trace.is_full()
+    servers = frozenset(simulation.servers())
     transactions: List[TransactionMetrics] = []
     total_messages = 0
-    servers = simulation.servers()
     for record in simulation.transaction_records():
-        kind = "read" if isinstance(record.txn, ReadTransaction) else "write"
-        versions = _versions_for_record(simulation, record, servers)
+        txn_id = str(record.txn_id)
+        if isinstance(record.txn, ReadTransaction):
+            kind = "read"
+            versions = versions_in_replies(trace, txn_id, record.client, servers)[0] if full else None
+        else:
+            kind, versions = "write", 1
         total_messages += record.messages_sent
+        invoke, respond, annotations = record.invoke_index, record.respond_index, record.annotations
         transactions.append(
             TransactionMetrics(
-                txn_id=str(record.txn_id),
-                kind=kind,
-                client=record.client,
-                rounds=record.rounds,
-                messages_sent=record.messages_sent,
-                latency_steps=record.latency_steps(),
-                versions=versions,
-                annotations=tuple(sorted(record.annotations.items())),
+                txn_id,
+                kind,
+                record.client,
+                record.rounds,
+                record.messages_sent,
+                None if invoke is None or respond is None else respond - invoke,  # record.latency_steps(), inline
+                versions,
+                tuple(sorted(annotations.items())) if annotations else (),
             )
         )
 

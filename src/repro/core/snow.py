@@ -27,14 +27,14 @@ linear in the trace plus one serializability search per ``History`` object.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..ioa.simulation import Simulation, TransactionRecord
 from ..ioa.trace import Trace, TraceError
 from ..txn.history import History
 from ..txn.transactions import ReadTransaction
 from .serializability import SerializabilityResult, check_strict_serializability
-from .traffic import traffic_index
+from .traffic import TrafficIndex, traffic_index
 
 
 # ----------------------------------------------------------------------
@@ -187,21 +187,22 @@ def blocking_servers_for(
     the placement layer.  The check for the group is accordingly: if the
     reader addressed the group, some member must have answered.
     """
-    index = traffic_index(trace)
-    group_set = frozenset(consensus_group)
+    return _offenders(traffic_index(trace), txn_id, reader, servers, frozenset(consensus_group))
+
+
+def _offenders(
+    index: TrafficIndex, txn_id: str, reader: str, servers: Sequence[str], group: FrozenSet[str]
+) -> Tuple[str, ...]:
+    """:func:`blocking_servers_for` over an already-built index."""
     offenders: List[str] = [
-        server
-        for server in servers
-        if server not in group_set and index.blocked(server, reader, txn_id)
+        server for server in servers if server not in group and index.blocked(server, reader, txn_id)
     ]
-    if group_set:
-        requested = any(reader in index.answered.get((member, txn_id), ()) for member in group_set)
+    if group:
+        requested = any(reader in index.answered.get((member, txn_id), ()) for member in group)
         # a message the reader sent itself is a request, never the group's answer
-        replied = any(
-            src in group_set and src != reader for src in index.answered.get((reader, txn_id), ())
-        )
+        replied = any(src in group and src != reader for src in index.answered.get((reader, txn_id), ()))
         if requested and not replied:
-            offenders.extend(sorted(group_set))
+            offenders.extend(sorted(group))
     return tuple(offenders)
 
 
@@ -215,8 +216,7 @@ def round_trips_per_server(
     servers: Sequence[str],
 ) -> Dict[str, int]:
     """Number of requests the reader sent to each server for this transaction."""
-    sent = traffic_index(trace).sent.get((reader, txn_id), {})
-    return {dst: count for dst, count in sent.items() if dst in servers}
+    return _o_answers(traffic_index(trace), txn_id, reader, servers)[0]
 
 
 def versions_in_replies(
@@ -226,13 +226,21 @@ def versions_in_replies(
     servers: Sequence[str],
 ) -> Tuple[int, int]:
     """``(max_versions, replies_seen)`` over server replies for this transaction."""
-    max_versions = 0
-    replies = 0
-    for src, (count, versions) in traffic_index(trace).answered.get((reader, txn_id), {}).items():
+    return _o_answers(traffic_index(trace), txn_id, reader, servers)[1:]
+
+
+def _o_answers(
+    index: TrafficIndex, txn_id: str, reader: str, servers: Collection[str]
+) -> Tuple[Dict[str, int], int, int]:
+    """:func:`round_trips_per_server` and :func:`versions_in_replies` over an
+    already-built index."""
+    trips = {dst: count for dst, count in index.sent.get((reader, txn_id), {}).items() if dst in servers}
+    max_versions = replies = 0
+    for src, (count, versions) in index.answered.get((reader, txn_id), {}).items():
         if src in servers:
             replies += count
             max_versions = max(max_versions, versions)
-    return (max_versions if replies else 1), replies
+    return trips, (max_versions if replies else 1), replies
 
 
 # ----------------------------------------------------------------------
@@ -244,23 +252,29 @@ def analyze_read_transaction(
 ) -> ReadTransactionReport:
     """Build the per-READ report for one transaction record."""
     servers = simulation.servers()
-    trace = simulation.trace
+    return _read_report(
+        traffic_index(simulation.trace), record, servers, frozenset(servers), _consensus_group(simulation)
+    )
+
+
+def _consensus_group(simulation: Simulation) -> FrozenSet[str]:
+    return frozenset(getattr(simulation.topology, "consensus_group", lambda: ())())
+
+
+def _read_report(
+    index: TrafficIndex,
+    record: TransactionRecord,
+    servers: Sequence[str],
+    server_set: FrozenSet[str],
+    group: FrozenSet[str],
+) -> ReadTransactionReport:
+    """The per-READ report from the run's index, servers and consensus group."""
     reader = record.client
     txn_id = str(record.txn_id)
-    consensus_group = getattr(simulation.topology, "consensus_group", lambda: ())()
-    offenders = blocking_servers_for(trace, txn_id, reader, servers, consensus_group)
-    trips = round_trips_per_server(trace, txn_id, reader, servers)
-    max_versions, replies = versions_in_replies(trace, txn_id, reader, servers)
+    offenders = _offenders(index, txn_id, reader, servers, group)
+    trips, max_versions, replies = _o_answers(index, txn_id, reader, server_set)
     return ReadTransactionReport(
-        txn_id=txn_id,
-        reader=reader,
-        non_blocking=not offenders,
-        blocking_servers=offenders,
-        rounds=record.rounds,
-        round_trips_per_server=trips,
-        max_versions_in_reply=max_versions,
-        replies_seen=replies,
-        completed=record.complete,
+        txn_id, reader, not offenders, offenders, record.rounds, trips, max_versions, replies, record.complete
     )
 
 
@@ -279,7 +293,8 @@ def check_snow(
 
     Cost: N and O are one pass over the trace (shared with
     ``collect_metrics`` through the cached :class:`~repro.core.traffic.TrafficIndex`)
-    plus a lookup per READ; W's conflicting-write probe is O(reads × writes)
+    plus a lookup per READ, with the index, the servers and the consensus
+    group resolved once per call; W's conflicting-write probe is O(reads × writes)
     interval comparisons, stopping at the first conflict; S is the verdict of
     ``check_strict_serializability(history)``: one search, kept on ``history``.
     """
@@ -300,11 +315,11 @@ def check_snow(
 
     # W ------------------------------------------------------------------
     write_entries = history.writes()
-    writes_complete = all(entry.complete for entry in write_entries)
+    complete_writes = [(entry, frozenset(entry.txn.objects)) for entry in write_entries if entry.complete]
+    writes_complete = len(complete_writes) == len(write_entries)
     if not writes_complete:
         incomplete = [e.txn_id for e in write_entries if not e.complete]
         notes.append("incomplete WRITE transactions: " + ", ".join(incomplete))
-    complete_writes = [(entry, frozenset(entry.txn.objects)) for entry in write_entries if entry.complete]
     conflicting = False
     for read_entry in history.reads():
         if not read_entry.complete:
@@ -318,10 +333,15 @@ def check_snow(
             break
 
     # N and O --------------------------------------------------------------
-    read_reports: List[ReadTransactionReport] = []
-    for record in simulation.transaction_records():
-        if isinstance(record.txn, ReadTransaction) and record.complete:
-            read_reports.append(analyze_read_transaction(simulation, record))
+    index = traffic_index(simulation.trace)
+    servers = simulation.servers()
+    server_set = frozenset(servers)
+    group = _consensus_group(simulation)
+    read_reports = [
+        _read_report(index, record, servers, server_set, group)
+        for record in simulation.transaction_records()
+        if isinstance(record.txn, ReadTransaction) and record.complete
+    ]
 
     non_blocking = all(r.non_blocking for r in read_reports)
     one_round = all(r.one_round for r in read_reports)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .transactions import ReadResult, Transaction, is_read_transaction, is_write_transaction
+from .transactions import ReadResult, ReadTransaction, Transaction, WriteTransaction
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ class History:
         self.initial_value = initial_value
         #: derived views by owning function: read-only, never stale (nothing here changes)
         self.views: Dict[Any, Any] = {}
-        self._by_id: Dict[str, HistoryEntry] = {e.txn_id: e for e in self._entries}
+        self._by_id: Dict[str, HistoryEntry] = {e.txn.txn_id: e for e in self._entries}
         if len(self._by_id) != len(self._entries):
             raise ValueError("duplicate transaction ids in history")
 
@@ -92,13 +92,7 @@ class History:
             txn = record.txn
             touched.update(getattr(txn, "objects", ()))
             entries.append(
-                HistoryEntry(
-                    txn=txn,
-                    client=record.client,
-                    invoke_index=record.invoke_index,
-                    respond_index=record.respond_index,
-                    result=record.result,
-                )
+                HistoryEntry(txn, record.client, record.invoke_index, record.respond_index, record.result)
             )
         if objects is None:
             objects = tuple(sorted(touched))
@@ -140,10 +134,10 @@ class History:
         return tuple(e for e in self._entries if not e.complete)
 
     def reads(self) -> Tuple[HistoryEntry, ...]:
-        return tuple(e for e in self._entries if is_read_transaction(e.txn))
+        return tuple(e for e in self._entries if isinstance(e.txn, ReadTransaction))
 
     def writes(self) -> Tuple[HistoryEntry, ...]:
-        return tuple(e for e in self._entries if is_write_transaction(e.txn))
+        return tuple(e for e in self._entries if isinstance(e.txn, WriteTransaction))
 
     def transactions(self) -> Tuple[Transaction, ...]:
         return tuple(e.txn for e in self._entries)

@@ -3,7 +3,8 @@
 PR 16 replaced ``repro.ioa.actions._freeze_payload`` (sort, then a per-item
 ``isinstance`` loop on every call) by one C-level sort with the loop behind a
 type probe, and the per-event records (frozen dataclasses, later
-``PendingInvocation`` too) by slotted immutable classes.
+``PendingInvocation`` too, and the span tree's ``Span`` and ``CausalEdge``)
+by slotted immutable classes.
 ``tests/ioa/test_record_contract.py`` pins the new code to these definitions;
 they go when the equivalence has held for a round.
 """
@@ -61,3 +62,24 @@ class PendingInvocation:
     txn: Any
     txn_id: Any
     enqueued_at: int
+
+
+@dataclass(frozen=True)
+class Span:
+    span_id: str
+    name: str
+    kind: str
+    actor: str
+    start: int
+    end: int
+    parent: Optional[str] = None
+    attrs: Tuple[Tuple[str, Any], ...] = ()
+
+
+@dataclass(frozen=True)
+class CausalEdge:
+    src: str
+    dst: str
+    send_index: int
+    recv_index: int
+    msg_type: str

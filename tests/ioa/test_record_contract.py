@@ -1,8 +1,9 @@
 """The contract of the per-event records and of the payload freeze.
 
-``Action``, ``Message``, ``PendingDelivery`` and ``PendingInvocation`` are
-hand-written slotted classes; everything else in the repository treats them
-as the frozen dataclasses they used to be.  The twins in ``reference_freeze.py`` *are*
+``Action``, ``Message``, ``PendingDelivery`` and ``PendingInvocation``, and
+the span tree's ``Span`` and ``CausalEdge``, are hand-written slotted classes;
+everything else in the repository treats them as the frozen dataclasses they
+used to be.  The twins in ``reference_freeze.py`` *are*
 frozen dataclasses with the same fields, so "same ``==``, ``hash`` and
 ``repr``" is checked against what ``dataclasses`` generates.  A message the
 kernel sends and an action it records (``Trace.record``) are built from an
@@ -40,6 +41,7 @@ from repro.ioa import (
     TraceMode,
 )
 from repro.ioa.actions import _freeze_payload, _freeze_values
+from repro.obs import CausalEdge, Span
 from repro.protocols import get_protocol
 from repro.txn.transactions import ReadResult
 from tests.ioa import reference_freeze as reference
@@ -74,7 +76,17 @@ invocations = st.builds(
     names, st.one_of(st.none(), st.sampled_from(["read", "write"])), st.sampled_from(["R1", "W2"]), st.integers(0, 2),
 )
 
-records = st.one_of(messages, actions(), deliveries(), invocations)
+spans = st.builds(
+    lambda *fields: (Span(*fields), reference.Span(*fields)),
+    st.sampled_from(["txn:R1", "txn:R1/round1"]), st.sampled_from(["read R1", "read"]),
+    st.sampled_from(["txn", "round"]), names, st.integers(0, 2), st.integers(0, 3), st.one_of(st.none(), st.just("txn:R1")), item_tuples,
+)
+edges = st.builds(
+    lambda *fields: (CausalEdge(*fields), reference.CausalEdge(*fields)),
+    names, names, st.integers(0, 2), st.integers(0, 3), st.sampled_from(["read-val", "ack"]),
+)
+
+records = st.one_of(messages, actions(), deliveries(), invocations, spans, edges)
 
 
 @settings(max_examples=300, deadline=None)
@@ -106,6 +118,8 @@ RECORDS = [
     Action(ActionKind.RECV, "sx", MESSAGE, (("session", "R1"),), 3),
     PendingDelivery(MESSAGE, 4, 9),
     PendingInvocation("r1", None, "R1", 4),
+    Span("txn:R1/round1", "read", "round", "r1", 3, 8, "txn:R1", (("sends", 2), ("replies", 2))),
+    CausalEdge("r1", "sx", 3, 5, "read-val"),
 ]
 
 
@@ -137,12 +151,22 @@ def test_keyword_and_positional_construction():
     assert PendingDelivery.__slots__ == ("message", "enqueued_at", "ready_at")
     assert PendingInvocation(client="r1", txn=None, txn_id="R1", enqueued_at=2) == PendingInvocation("r1", None, "R1", 2)
     assert PendingInvocation.__slots__ == ("client", "txn", "txn_id", "enqueued_at")
+    assert Span(span_id="s", name="n", kind="txn", actor="r1", start=1, end=2, parent="p", attrs=(("k", 1),)) == Span(
+        "s", "n", "txn", "r1", 1, 2, "p", (("k", 1),)
+    )
+    assert (Span("s", "n", "txn", "r1", 1, 2).parent, Span("s", "n", "txn", "r1", 1, 2).attrs) == (None, ())
+    assert CausalEdge(src="a", dst="b", send_index=1, recv_index=2, msg_type="m") == CausalEdge("a", "b", 1, 2, "m")
 
 
 def test_repr_names_every_field():
     assert repr(MESSAGE) == "Message(msg_type='read-val', src='r1', dst='sx', items=(('txn', 'R1'),), msg_id=7)"
     assert repr(RECORDS[2]) == f"PendingDelivery(message={MESSAGE!r}, enqueued_at=4, ready_at=9)"
     assert repr(RECORDS[3]) == "PendingInvocation(client='r1', txn=None, txn_id='R1', enqueued_at=4)"
+    assert repr(RECORDS[4]) == (
+        "Span(span_id='txn:R1/round1', name='read', kind='round', actor='r1', start=3, end=8, "
+        "parent='txn:R1', attrs=(('sends', 2), ('replies', 2)))"
+    )
+    assert repr(RECORDS[5]) == "CausalEdge(src='r1', dst='sx', send_index=3, recv_index=5, msg_type='read-val')"
     assert repr(Action(ActionKind.START, "sx")) == (
         "Action(kind=<ActionKind.START: 'start'>, actor='sx', message=None, info=(), index=-1)"
     )
