@@ -751,6 +751,10 @@ def collect_metrics(
     ``placement`` / ``quorum_policy`` (optional) enable the replication
     block; ``directory`` (optional) the reconfiguration block; pass them
     from the built system's handle.
+
+    Cost: one pass over the transaction records; a READ's versions are a
+    lookup in the trace's :class:`~repro.core.traffic.TrafficIndex`, built
+    here on first use and reused by ``check_snow``.
     """
     # looked up per call, not per module: a test serves it from a reference walker
     from ..core.snow import versions_in_replies

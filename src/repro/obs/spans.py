@@ -28,8 +28,8 @@ identical.  That is the determinism contract the tests pin.
 
 Cost: one walk over the trace, then a pass over the transaction records and
 one over the sent messages; the transaction, round and edge records are built
-from their slots, without a constructor frame.  About 7 ms for a 400-message
-run of algorithm B on a 2-core host.
+from their slots, without a constructor frame.  About 6 ms for algorithm B's
+400-transaction ``verify`` cell (5,607 actions) on a 2-core host.
 """
 
 from __future__ import annotations

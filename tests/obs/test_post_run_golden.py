@@ -168,12 +168,14 @@ def test_the_failover_cell_leaves_messages_undelivered():
 def test_a_repeated_msg_id_pairs_its_last_send_with_its_last_receive():
     simulation = Simulation()
     resent = Message("read", "r1", "s1", (("txn", "R1"),), msg_id=5)
-    lost = Message("read", "r1", "s2", (("txn", "R1"),), msg_id=6)
-    stray = Message("read-val", "s3", "r1", (("txn", "R1"),), msg_id=7)
+    answered = Message("read", "r1", "s2", (("txn", "R1"),), msg_id=6)
+    lost = Message("read", "r1", "s3", (("txn", "R1"),), msg_id=7)
+    stray = Message("read-val", "s3", "r1", (("txn", "R1"),), msg_id=8)
     for action in (
         send_action(resent),
-        recv_action(resent),
+        send_action(answered),
         send_action(lost),
+        recv_action(answered),
         send_action(resent),
         recv_action(stray),
         recv_action(resent),
@@ -181,4 +183,5 @@ def test_a_repeated_msg_id_pairs_its_last_send_with_its_last_receive():
         simulation.trace.append(action)
     tree = derive_spans(simulation)
     assert tree.spans == ()
-    assert tree.signature()[1:] == ((("r1", "s1", 3, 5, "read"),), 1)
+    # edges in the order of their sends: the resent message's counts from its last send
+    assert tree.signature()[1:] == ((("r1", "s2", 1, 3, "read"), ("r1", "s1", 4, 6, "read")), 1)
