@@ -8,7 +8,9 @@ rewrite of these passes for speed must give equal results, not just similar
 ones.  The cells reach every branch of the span builder: quorum rounds (A, B,
 C, Eiger); consensus apply and election spans, and messages never received
 (B at rf=3/cf=3 with leases, its leader fail-stopped); replica
-reconfiguration spans (B growing a replica group mid-run); and drops with
+reconfiguration spans (B growing a replica group mid-run); elections lost
+and a reconfiguration left uncommitted (B with a member cut off for a while
+and a group change whose sync never starts); and drops with
 retransmission and duplicates (B under 10 % of each).  The kernel records no action for a suppressed duplicate or a
 retransmitted copy, so a trace from a run never repeats a ``msg_id``; the
 rule for a hand-built trace that does is pinned separately.
@@ -29,6 +31,7 @@ from repro.faults import (
     DuplicatePolicy,
     FaultInjector,
     FaultPlan,
+    Partition,
     RetryPolicy,
     coordinator_failover,
     grow_group_mid_run,
@@ -61,6 +64,27 @@ def leader_failover():
     }
 
 
+def lost_election_and_stuck_reconfig():
+    """A member cut off from its peers campaigns and loses; a replica-group
+    change whose state sync never reaches a source stays joint to the end."""
+    plan = FaultPlan(
+        name="isolated-member-stuck-sync",
+        partitions=(
+            Partition(left=("reconfig-admin",), right=("s1", "s1.2", "s1.3")),
+            Partition(left=("coor.3",), right=("coor", "coor.2"), start=10, heal=150),
+        ),
+        seed=SEED,
+    )
+    return {
+        "replication_factor": 3,
+        "quorum": "majority",
+        "consensus_factor": 3,
+        "reconfig": grow_group_mid_run("o1", 3, to_factor=4, at=20)[1],
+        "fault_plane": FaultInjector(plan, seed=SEED),
+        "scheduler": ChaosScheduler(base=FIFOScheduler()),
+    }
+
+
 #: cell → protocol, and the build settings on top of 2 readers (1 for A),
 #: 2 writers, 3 objects and FIFO (a function: fault planes keep state)
 CELLS = {
@@ -74,6 +98,7 @@ CELLS = {
         lambda: {"replication_factor": 3, "quorum": "majority", "reconfig": grow_group_mid_run("o1", at=20)[1]},
     ),
     "b-drops-duplicates": ("algorithm-b", drops_and_duplicates),
+    "b-lost-election-stuck-reconfig": ("algorithm-b", lost_election_and_stuck_reconfig),
 }
 
 #: sha256 of the three outputs' reprs, computed before the passes were rewritten
@@ -102,6 +127,11 @@ DIGESTS = {
         "1f7539ab0f9e7879cb137d76984e2de88d88ea152946444489fd544bdb44ff8c",
         "c4e64324b63e2815f0cdd734fc889e353d8d760356077daf9119fdd6cceb9314",
         "84c4550a30dc0133b377c7013dc119151d4c336074b93a62bdb6c4464bfbf9ec",
+    ),
+    "b-lost-election-stuck-reconfig": (
+        "38c91b57c8daf074ea969cd4a0a6edc7b5f0ad4c39af51039a68605bd3eaa6e2",
+        "825987eb8797a8d31db9f8a0139a4e12014a86c522d2311cabc8b43fd5013a65",
+        "b190986540edfd4cad476cc03a8c2b7b92f42514670e8a3727c5b344b2d45276",
     ),
     "b-rf3-cf3-leases-failover": (
         "f2915d8d341d9110b38932d310175d198c5882f1525070187f64e2d4780dd87f",
@@ -159,6 +189,14 @@ def test_the_cells_reach_every_span_kind():
     for cell in CELLS:
         kinds.update(span.kind for span in post_run(cell)[0].spans)
     assert kinds == {"txn", "round", "consensus", "election", "reconfig"}
+
+
+def test_the_isolated_member_loses_and_the_stuck_change_stays_open():
+    spans = post_run("b-lost-election-stuck-reconfig")[0].spans
+    assert {dict(s.attrs)["won"] for s in spans if s.kind == "election"} == {True, False}
+    assert [(s.name, dict(s.attrs)) for s in spans if s.kind == "reconfig"] == [
+        ("replica-change (uncommitted)", {"epoch": 1, "committed": False})
+    ]
 
 
 def test_the_failover_cell_leaves_messages_undelivered():
