@@ -17,7 +17,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ),
         "report": ("format_table",),
         "runner": (
-            "ExperimentConfig", "ExperimentResult", "make_scheduler", "register_scheduler",
+            "ExperimentConfig", "ExperimentResult", "make_scheduler",
             "run_experiment", "scheduler_names",
         ),
         "sweep": (

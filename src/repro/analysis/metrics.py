@@ -38,12 +38,6 @@ class TransactionMetrics:
     versions: Optional[int] = 1
     annotations: Tuple[Tuple[str, Any], ...] = ()
 
-    def describe(self) -> str:
-        return (
-            f"{self.txn_id} ({self.kind}@{self.client}): rounds={self.rounds}, "
-            f"messages={self.messages_sent}, latency={self.latency_steps}, versions={self.versions}"
-        )
-
 
 def percentile(values: Sequence[float], fraction: float) -> float:
     """Nearest-rank percentile (deterministic, no interpolation surprises)."""

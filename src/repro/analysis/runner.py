@@ -50,13 +50,6 @@ def scheduler_names() -> Tuple[str, ...]:
     return tuple(sorted(_SCHEDULER_FACTORIES))
 
 
-def register_scheduler(name: str, factory: Callable[[int], Scheduler]) -> None:
-    """Register an extra named scheduler (``factory`` takes the seed)."""
-    if name in _SCHEDULER_FACTORIES:
-        raise ValueError(f"scheduler name {name!r} is already registered")
-    _SCHEDULER_FACTORIES[name] = factory
-
-
 def make_scheduler(name: str, seed: int = 0) -> Scheduler:
     """Instantiate a scheduler by registry name (see :func:`scheduler_names`)."""
     try:

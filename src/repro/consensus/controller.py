@@ -342,9 +342,3 @@ class ReconfigController(Automaton):
                     group=",".join(target),
                     vtime=ctx.vtime,
                 )
-
-    def describe(self) -> str:
-        return (
-            f"{self.name}: {self.policy.describe()}, actions={self._actions}, "
-            f"dead={sorted(self._dead)}, pending={sorted(self._pending)}"
-        )

@@ -65,9 +65,6 @@ class LogEntry:
     def is_noop(self) -> bool:
         return self.msg_type == NOOP
 
-    def describe(self) -> str:
-        return f"[t{self.term} {self.request_id}]"
-
 
 class ConsensusLog:
     """Append/commit/apply state of one consensus member."""

@@ -738,9 +738,3 @@ class ReconfigDriver(Automaton):
             self._retire_attempts.pop(name, None)
         else:
             ctx.set_timeout(self.drain, retire=name)
-
-    def describe(self) -> str:
-        return (
-            f"{self.name}: {self.plan.describe()}, "
-            f"active={self._active}, done={sorted(self._done)}"
-        )

@@ -34,7 +34,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "scenarios": (
             "auto_heal", "coordinator_failover", "crash_amnesia", "crash_recover",
             "duplicating_network", "fail_stop", "flaky_everything", "grow_group_mid_run",
-            "healed_partition", "lossy_network", "partition_grid_scenarios",
+            "lossy_network", "partition_grid_scenarios",
             "replace_dead_replica", "shrink_consensus_group_mid_run", "slow_network",
             "standard_fault_scenarios", "tail_latency",
         ),

@@ -65,13 +65,6 @@ class HuntResult:
     property_string: str
     retransmissions: int = 0
 
-    def describe(self) -> str:
-        verdict = "consistent" if self.consistent else "S VIOLATED"
-        return (
-            f"{self.protocol} seed={self.seed}: {verdict} ({self.property_string}, "
-            f"retransmissions={self.retransmissions})"
-        )
-
 
 @dataclass
 class Hunt:
@@ -81,11 +74,6 @@ class Hunt:
 
     def violations(self) -> Tuple[HuntResult, ...]:
         return tuple(r for r in self.results if not r.consistent)
-
-    def describe(self) -> str:
-        lines = [r.describe() for r in self.results]
-        lines.append(f"total: {len(self.violations())}/{len(self.results)} runs violated S")
-        return "\n".join(lines)
 
 
 def hunt_s_violations(

@@ -246,17 +246,6 @@ def shrink_consensus_group_mid_run(
     return FaultPlan.none(), reconfig
 
 
-def healed_partition(
-    left: Sequence[str], right: Sequence[str], start: int = 5, heal: int = 40, seed: int = 0
-) -> FaultPlan:
-    """A link cut between two groups that heals after a window."""
-    return FaultPlan(
-        name="partition-heal",
-        partitions=(Partition(left=tuple(left), right=tuple(right), start=start, heal=heal),),
-        seed=seed,
-    )
-
-
 def partition_grid_scenarios(
     clients: Sequence[str],
     servers: Sequence[str],

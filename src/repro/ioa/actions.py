@@ -243,9 +243,6 @@ class Message(FrozenRecord):
     def __reduce__(self):
         return (type(self), (self.msg_type, self.src, self.dst, self.items, self.msg_id))
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.describe()
-
 
 _set_msg_type, _set_src, _set_dst, _set_keys, _set_values, _set_msg_id = slot_setters(Message)
 _new_record = object.__new__
@@ -371,9 +368,6 @@ class Action(FrozenRecord):
     def is_input(self) -> bool:
         return self.kind.is_input()
 
-    def is_output(self) -> bool:
-        return self.kind.is_output()
-
     def same_step(self, other: "Action") -> bool:
         """Equality ignoring the trace index.
 
@@ -407,9 +401,6 @@ class Action(FrozenRecord):
 
     def __reduce__(self):
         return (type(self), (self.kind, self.actor, self.message, self.info, self.index))
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.describe()
 
 
 _set_kind, _set_actor, _set_message, _set_info_keys, _set_info_values, _set_index = slot_setters(Action)

@@ -250,10 +250,6 @@ class Context:
         """Attach protocol-reported metrics to a transaction record."""
         self._kernel._annotate_transaction(txn_id, fields)
 
-    def random(self):
-        """Deterministic per-simulation random source (seeded by the kernel)."""
-        return self._kernel.rng
-
     # -- membership reconfiguration (the admin surface) -----------------
     @property
     def topology(self):

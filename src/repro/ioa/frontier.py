@@ -125,9 +125,6 @@ class EventFrontier:
         """The pending deliveries, in enqueue order."""
         return self._deliveries.values()
 
-    def delivery_count(self) -> int:
-        return len(self._deliveries)
-
     def next_delivery_ready(self) -> Optional[int]:
         """Earliest ``ready_at`` among pending deliveries (``0`` = ripe now)."""
         if self._immediate:

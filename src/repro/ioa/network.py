@@ -131,13 +131,6 @@ class Topology:
         """The replica group registered for ``object_id`` (empty if unknown)."""
         return self._replica_groups.get(object_id, ())
 
-    def replicas_of(self, server: str) -> Tuple[str, ...]:
-        """The peer replicas co-holding ``server``'s object (including it)."""
-        for group in self._replica_groups.values():
-            if server in group:
-                return group
-        return (server,) if server in self._kinds else ()
-
     def kind_of(self, name: str) -> str:
         try:
             return self._kinds[name]

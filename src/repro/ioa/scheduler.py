@@ -47,10 +47,6 @@ class PendingDelivery(FrozenRecord):
         _set_enqueued_at(self, enqueued_at)
         _set_ready_at(self, ready_at)
 
-    def describe(self) -> str:
-        when = f", ready @{self.ready_at}" if self.ready_at else ""
-        return f"deliver {self.message.describe()} (enqueued @{self.enqueued_at}{when})"
-
 
 _set_message, _set_enqueued_at, _set_ready_at = slot_setters(PendingDelivery)
 
@@ -66,9 +62,6 @@ class PendingInvocation(FrozenRecord):
         _set_txn(self, txn)
         _set_txn_id(self, txn_id)
         _set_invocation_enqueued_at(self, enqueued_at)
-
-    def describe(self) -> str:
-        return f"invoke {self.txn_id} at {self.client} (enqueued @{self.enqueued_at})"
 
 
 _set_client, _set_txn, _set_txn_id, _set_invocation_enqueued_at = slot_setters(PendingInvocation)
@@ -91,9 +84,6 @@ class PendingTimeout:
     info: Mapping[str, Any]
     enqueued_at: int
     ready_at: int
-
-    def describe(self) -> str:
-        return f"timeout at {self.owner} (ready @{self.ready_at})"
 
 
 PendingEvent = Union[PendingDelivery, PendingInvocation, PendingTimeout]
@@ -272,9 +262,6 @@ class AdversarialScheduler(Scheduler):
         self.rules: List[DelayRule] = list(rules or [])
         self.base = base or FIFOScheduler()
         self.release_when_stuck = release_when_stuck
-
-    def add_rule(self, rule: DelayRule) -> None:
-        self.rules.append(rule)
 
     def reset(self) -> None:
         for rule in self.rules:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import gc
 import itertools
-import random
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
@@ -126,7 +125,6 @@ class Simulation:
         self,
         topology: Optional[Topology] = None,
         scheduler: Optional[Scheduler] = None,
-        seed: int = 0,
         max_steps: int = 200_000,
         fault_plane: Optional[FaultPlane] = None,
         obs: Optional[Any] = None,
@@ -135,7 +133,6 @@ class Simulation:
         self.topology = topology if topology is not None else Topology()
         self.scheduler = scheduler if scheduler is not None else FIFOScheduler()
         self.max_steps = max_steps
-        self.rng = random.Random(seed)
         #: ``trace_mode`` selects record retention (see
         #: :class:`~repro.ioa.trace.TraceMode`); ``None``/``full`` keeps
         #: every action.  Retention never touches scheduling state, so the

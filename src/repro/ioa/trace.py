@@ -162,10 +162,6 @@ class Trace:
             self._observer(stamped)
         return stamped
 
-    def extend(self, actions: Iterable[Action]) -> None:
-        for action in actions:
-            self.append(action)
-
     def __len__(self) -> int:
         return len(self._actions)
 
@@ -233,9 +229,6 @@ class Trace:
     def external(self) -> Tuple[Action, ...]:
         """The subsequence of external actions (the *trace* in I/O-automata terms)."""
         return tuple(a for a in self._actions if a.is_external())
-
-    def filter(self, predicate: Callable[[Action], bool]) -> Tuple[Action, ...]:
-        return tuple(a for a in self._actions if predicate(a))
 
     def of_kind(self, kind: ActionKind) -> Tuple[Action, ...]:
         return tuple(a for a in self._actions if a.kind == kind)
@@ -455,9 +448,6 @@ class Fragment:
     def __len__(self) -> int:
         return len(self.actions)
 
-    def __iter__(self) -> Iterator[Action]:
-        return iter(self.actions)
-
     @property
     def start_index(self) -> int:
         if not self.actions:
@@ -489,21 +479,11 @@ class Fragment:
     def has_external_actions(self) -> bool:
         return any(a.is_external() for a in self.actions)
 
-    def kinds(self) -> Tuple[ActionKind, ...]:
-        return tuple(a.kind for a in self.actions)
-
     def same_steps(self, other: "Fragment") -> bool:
         """Step-wise equality modulo indices (projection identity)."""
         if len(self.actions) != len(other.actions):
             return False
         return all(a.same_step(b) for a, b in zip(self.actions, other.actions))
-
-    def relabel(self, label: str) -> "Fragment":
-        return Fragment(actions=self.actions, label=label)
-
-    def describe(self) -> str:
-        actors = ",".join(self.actors())
-        return f"Fragment({self.label or 'unnamed'}; {len(self.actions)} actions @ {actors})"
 
 
 def concat_fragments(fragments: Sequence[Fragment]) -> Tuple[Action, ...]:

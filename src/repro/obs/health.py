@@ -11,8 +11,8 @@ Three faces:
 
 * :class:`HealthPlane` — the observer-fed accumulator (enable with
   ``ObservabilityPlane(health=True)`` or a custom :class:`SLOPolicy`);
-* :class:`HealthView` — the query API (``replica_health``, ``suspects``,
-  SLO attainment, rolling rates) plus the deterministic end-of-run report
+* :class:`HealthView` — the query API (``suspects``, SLO attainment,
+  rolling rates) plus the deterministic end-of-run report
   exporter (dict → JSON, and a text rendering);
 * :func:`derive_health` — the post-mortem form: replay a finished run's
   retained trace through a fresh plane.  Its clock is reconstructed from
@@ -193,9 +193,6 @@ class HealthView:
         self._plane = plane
 
     # -- detector inputs -------------------------------------------------
-    def replica_health(self, name: str, now: Optional[int] = None) -> float:
-        return self._plane.replica_health(name, now=now)
-
     def suspects(self, threshold: float = 0.25) -> Tuple[str, ...]:
         """Actors whose health score is at or below ``threshold``, sorted."""
         plane = self._plane

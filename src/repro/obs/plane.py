@@ -197,15 +197,6 @@ class ObservabilityPlane:
             elif controller == "healed" and vtime is not None:
                 registry.gauge("controller.last_heal_vtime").set(int(vtime))
 
-    # -- rendering --------------------------------------------------------
-    def describe(self) -> str:
-        lines = [self.registry.describe()]
-        if self.monitors is not None:
-            lines.append(self.monitors.describe())
-        if self.health is not None:
-            lines.append(self.health_view.render())
-        return "\n".join(lines)
-
 
 def derive_registry(trace: Trace) -> MetricsRegistry:
     """Post-mortem registry: replay a finished run's trace through a fresh

@@ -293,6 +293,3 @@ class FileStableStore(StableStore):
 
     def is_empty(self) -> bool:
         return self._mirror.is_empty()
-
-    def describe(self) -> str:
-        return f"FileStableStore({self.path.name}: {self._mirror.describe()})"

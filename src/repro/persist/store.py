@@ -90,9 +90,6 @@ class StableStore:
     def is_empty(self) -> bool:
         raise NotImplementedError
 
-    def describe(self) -> str:
-        return f"{type(self).__name__}()"
-
 
 class SimStableStore(StableStore):
     """In-simulation stable storage: survives ``forget()``, changes nothing.
@@ -176,11 +173,3 @@ class SimStableStore(StableStore):
             and self._commit == 0
             and self._snapshot is None
         )
-
-    def describe(self) -> str:
-        parts = [f"entries={len(self._entries)}", f"commit={self._commit}"]
-        if self._meta is not None:
-            parts.insert(0, f"term={self._meta[0]}")
-        if self._snapshot is not None:
-            parts.append(f"snapshot@{self._snapshot.get('index', 0)}")
-        return f"SimStableStore({', '.join(parts)})"

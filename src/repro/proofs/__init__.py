@@ -13,7 +13,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "symbolic": (
             "ProofReplay", "ProofStep", "SymbolicExecution", "SymbolicFragment", "fragment",
         ),
-        "three_client": ("alpha_chain_names", "build_alpha2", "replay_theorem1"),
+        "three_client": ("build_alpha2", "replay_theorem1"),
         "two_client": ("build_beta", "c2c_breaks_the_chain", "replay_theorem2"),
     },
 )

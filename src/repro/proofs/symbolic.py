@@ -113,14 +113,8 @@ class SymbolicExecution:
             raise TraceError(f"duplicate fragment names in symbolic execution: {names}")
 
     # ------------------------------------------------------------------
-    def fragments(self) -> Tuple[SymbolicFragment, ...]:
-        return tuple(self._fragments)
-
     def names(self) -> Tuple[str, ...]:
         return tuple(f.name for f in self._fragments)
-
-    def __len__(self) -> int:
-        return len(self._fragments)
 
     def index_of(self, name: str) -> int:
         for index, frag in enumerate(self._fragments):

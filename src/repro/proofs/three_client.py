@@ -28,7 +28,7 @@ executions.  Each lemma becomes a scripted step:
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 from ..core.serializability import check_strict_serializability
 from ..txn.history import History, HistoryEntry
@@ -261,8 +261,3 @@ def replay_theorem1() -> ProofReplay:
         replay.contradiction_found = False
         replay.contradiction_note = "semantic checker unexpectedly accepted the final history"
     return replay
-
-
-def alpha_chain_names() -> List[str]:
-    """The names of the executions in the Figure 3 chain, in order."""
-    return ["alpha0", "alpha1", "alpha2", "alpha3", "alpha4", "alpha5", "alpha6", "alpha7", "alpha8", "alpha9", "alpha10"]

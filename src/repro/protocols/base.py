@@ -366,10 +366,6 @@ class Protocol:
             raise ValueError("system needs at least one reader, one writer and one object")
         if config.num_readers > 1 and not self.supports_multiple_readers:
             raise ValueError(f"protocol {self.name} is defined for a single reader (MWSR setting)")
-        if config.replication_factor < 1:
-            raise ValueError(
-                f"replication_factor must be >= 1, got {config.replication_factor}"
-            )
         if config.consensus_factor < 1:
             raise ValueError(
                 f"consensus_factor must be >= 1, got {config.consensus_factor}"
@@ -462,7 +458,6 @@ class Protocol:
         simulation = Simulation(
             topology=topology,
             scheduler=config.scheduler,
-            seed=config.seed,
             max_steps=config.max_steps,
             fault_plane=config.fault_plane,
             obs=config.obs,

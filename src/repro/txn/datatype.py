@@ -143,12 +143,7 @@ def consistent_with_serial_order(
             seen = observed.get(txn.txn_id)
             if seen is None:
                 continue
-            if isinstance(seen, ReadResult):
-                seen_map = seen.as_dict
-            elif isinstance(seen, Mapping):
-                seen_map = dict(seen)
-            else:
-                seen_map = dict(seen)
+            seen_map = seen.as_dict if isinstance(seen, ReadResult) else dict(seen)
             if seen_map != response.as_dict:
                 return False
     return True

@@ -139,9 +139,6 @@ class History:
     def writes(self) -> Tuple[HistoryEntry, ...]:
         return tuple(e for e in self._entries if isinstance(e.txn, WriteTransaction))
 
-    def transactions(self) -> Tuple[Transaction, ...]:
-        return tuple(e.txn for e in self._entries)
-
     def results(self) -> Dict[str, Any]:
         """Map from txn_id to observed result, for complete transactions."""
         out: Dict[str, Any] = {}

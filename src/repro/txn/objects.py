@@ -116,9 +116,6 @@ class VersionStore:
     def __contains__(self, key: Key) -> bool:
         return key in self._by_key
 
-    def describe(self) -> str:
-        return f"VersionStore({self.object_id}: {[v.describe() for v in self.all_versions()]})"
-
 
 def object_names(count: int, prefix: str = "o") -> Tuple[str, ...]:
     """Standard object naming: ``o1 … ok`` (or ``ox``/``oy`` for two objects)."""

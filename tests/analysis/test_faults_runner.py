@@ -36,12 +36,6 @@ class TestSchedulerRegistry:
         for name in scheduler_names():
             assert name in message
 
-    def test_register_scheduler_rejects_duplicates(self):
-        from repro.analysis import register_scheduler
-
-        with pytest.raises(ValueError):
-            register_scheduler("fifo", lambda seed: None)
-
 
 WORKLOAD = WorkloadSpec(reads_per_reader=4, writes_per_writer=2, read_size=2, write_size=2, seed=5)
 

@@ -7,6 +7,7 @@ import pytest
 from repro.core.snow import (
     ReadTransactionReport,
     SnowReport,
+    analyze_read_transaction,
     blocking_servers_for,
     check_snow,
     round_trips_per_server,
@@ -156,6 +157,17 @@ class TestAggregateCheck:
         report = check_snow(handle.simulation, handle.history())
         assert report.satisfies_snw
         assert not report.one_version
+
+    @pytest.mark.parametrize("protocol", ("algorithm-a", "algorithm-b", "algorithm-c", "eiger"))
+    def test_one_read_analysed_alone_reports_as_in_the_aggregate(self, protocol):
+        handle = build_system(protocol, num_readers=2, num_writers=2)
+        run_simple_workload(handle, rounds=2)
+        reads = [
+            record for record in handle.simulation.transaction_records()
+            if record.txn.is_read() and record.complete
+        ]
+        report = check_snow(handle.simulation, handle.history())
+        assert [analyze_read_transaction(handle.simulation, record) for record in reads] == list(report.read_reports)
 
     def test_report_describe_lists_reads(self):
         handle = build_system("algorithm-a", num_writers=1)

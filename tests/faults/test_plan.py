@@ -148,6 +148,10 @@ class TestFaultPlan:
         for needle in ("kitchen-sink", "uniform", "drop", "duplicate", "partition", "crash", "retry"):
             assert needle in text
 
+    def test_every_latency_model_describes_itself(self):
+        assert FixedLatency(3).describe() == "fixed(3)"
+        assert BimodalLatency(fast=1, slow=9, slow_probability=0.25).describe() == "bimodal(fast=1, slow=9@0.25)"
+
 
 class TestScenarios:
     def test_standard_grid_has_baseline_and_faults(self):
@@ -160,6 +164,12 @@ class TestScenarios:
     def test_crash_scenario_targets_requested_server(self):
         scenarios = standard_fault_scenarios(seed=0, crash_server="s9")
         assert scenarios["crash-recover"].crashes[0].server == "s9"
+
+    def test_a_given_partition_adds_a_healing_scenario(self):
+        partition = Partition(left=("r1",), right=("sx",), start=5, heal=40)
+        scenarios = standard_fault_scenarios(seed=2, partition=partition)
+        assert scenarios["partition-heal"] == FaultPlan(name="partition-heal", partitions=(partition,), seed=2)
+        assert "partition-heal" not in standard_fault_scenarios(seed=2)
 
     def test_lossy_scenarios_carry_a_retry_policy(self):
         scenarios = standard_fault_scenarios(seed=0)

@@ -35,7 +35,10 @@ ROOT = Path(__file__).resolve().parents[2]
 #: ``format_latency_comparison``) and the unused ``format_markdown_table``;
 #: ``repro.core`` lost ``BoundedSnwRow``, ``bounded_snw_matrix`` and
 #: ``format_bounded_snw_matrix``, and ``repro.protocols`` lost
-#: ``bounded_snw_protocols``.
+#: ``bounded_snw_protocols``.  Nothing called ``repro.analysis``'s
+#: ``register_scheduler``, ``repro.proofs``' ``alpha_chain_names`` or
+#: ``repro.faults``' ``healed_partition`` (``standard_fault_scenarios``
+#: builds the same plan), so all three went.
 SEED_ALL = {
     name: names.split()
     for name, names in {
@@ -43,7 +46,7 @@ SEED_ALL = {
         AggregateStats ConsensusMetrics ControllerMetrics ExperimentMetrics FaultMetrics
         PersistenceMetrics ReconfigMetrics ReplicationMetrics TransactionMetrics collect_metrics
         percentile format_table ExperimentConfig ExperimentResult
-        make_scheduler register_scheduler run_experiment scheduler_names GRID_SUITES
+        make_scheduler run_experiment scheduler_names GRID_SUITES
         Suite SuiteResult bench_payload run_suite suite_rows
         GeneratedWorkload WorkloadSpec generate_workload read_heavy_spec submit_workload
         write_heavy_spec
@@ -69,7 +72,7 @@ SEED_ALL = {
         DuplicatePolicy FaultPlan FixedLatency LatencyModel Partition RetryPolicy UniformLatency
         chaos_adversarial_scheduler fracture_rules hunt_s_violations auto_heal
         coordinator_failover crash_amnesia crash_recover duplicating_network fail_stop
-        flaky_everything grow_group_mid_run healed_partition lossy_network
+        flaky_everything grow_group_mid_run lossy_network
         partition_grid_scenarios replace_dead_replica shrink_consensus_group_mid_run
         slow_network standard_fault_scenarios tail_latency
     """,
@@ -99,7 +102,7 @@ SEED_ALL = {
     "repro.proofs": """
         EigerExampleResult run_figure5 CommuteCheck ReadFragments can_commute commute_adjacent
         extract_read_fragments indistinguishable_fragments returned_value ProofReplay ProofStep
-        SymbolicExecution SymbolicFragment fragment alpha_chain_names build_alpha2
+        SymbolicExecution SymbolicFragment fragment build_alpha2
         replay_theorem1 build_beta c2c_breaks_the_chain replay_theorem2
     """,
     "repro.protocols": """

@@ -132,6 +132,10 @@ def test_windowed_queries_scan_by_stamped_index():
     tail = trace.suffix_after(anchor)
     assert all(a.index > anchor.index for a in tail)
     assert len(tail) == len(trace) - 1
+    # ``find`` takes a global index; ``[i:j]`` slices by retained position
+    assert trace.find(lambda a: True, start=low).index == low
+    assert trace.find(lambda a: True, start=trace.last_index + 1) is None
+    assert [a.index for a in trace[2:5]] == [a.index for a in list(trace)[2:5]]
 
 
 def test_check_snow_refuses_on_partial_records():

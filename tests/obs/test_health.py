@@ -95,6 +95,7 @@ def test_attainment_is_none_before_any_completion():
     view = feed(HealthPlane(), invoke("W1", "write", 0))
     assert view.slo_attainment("write") is None
     assert view.report()["incomplete_txns"] == ["W1"]
+    assert view.render().splitlines()[-1] == "  incomplete: W1"
 
 
 def test_unmatched_respond_is_ignored():
@@ -127,6 +128,7 @@ def test_suspects_are_sorted_and_thresholded():
     # sy/sz are 80 steps stale -> health 0.2 <= 0.25; sx is fresh
     assert view.suspects(threshold=0.25) == ("sy", "sz")
     assert view.report()["suspects"] == ["sy", "sz"]
+    assert "  suspects: sy, sz" in view.render().splitlines()
 
 
 # ----------------------------------------------------------------------

@@ -56,6 +56,18 @@ def test_kernel_event_counters_match_the_trace():
     assert registry.counter_total("kernel.messages_channel") == sends
 
 
+def test_a_hand_appended_send_between_unknown_names_counts_as_s2s():
+    """Channel classes come from the topology; a send appended to the trace
+    by hand may name automata the kernel never registered."""
+    from repro.ioa import Message, Simulation, send_action
+    from repro.obs import ObservabilityPlane
+
+    plane = ObservabilityPlane()
+    simulation = Simulation(obs=plane)
+    simulation.trace.append(send_action(Message("read", "r9", "s9", (("txn", "R1"),), msg_id=1)))
+    assert plane.registry.counter_value("kernel.messages_channel", channel="s2s") == 1
+
+
 def test_message_type_counters_match_the_trace():
     handle, plane = run_observed("algorithm-b", num_objects=2)
     by_type = Counter(

@@ -148,6 +148,16 @@ class TestFileBackend:
         assert [i for i, _ in reopened.load_entries()] == [1, 2, 3, 4]
         assert reopened.load_commit() == 3
 
+    def test_reopen_replays_a_conflict_truncation(self, tmp_path):
+        path = tmp_path / "m.wal"
+        populated(path)
+        store = FileStableStore(path)
+        store.log_truncate(3)
+        store.log_append(3, entry(2, "r3b"))
+        store.close()
+        reopened = FileStableStore(path)
+        assert [(i, e.request_id) for i, e in reopened.load_entries()] == [(1, "r1"), (2, "r2"), (3, "r3b")]
+
     def test_torn_tail_recovers_to_last_intact_record(self, tmp_path):
         path = tmp_path / "m.wal"
         populated(path)
@@ -186,6 +196,15 @@ class TestFileBackend:
         populated(path)
         lines = path.read_bytes().splitlines()
         lines[1] = b"\x00\xff not json at all"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(IntegrityError, match="mid-chain corruption"):
+            FileStableStore(path)
+
+    def test_json_that_is_not_a_journal_line_refuses_recovery(self, tmp_path):
+        path = tmp_path / "m.wal"
+        populated(path)
+        lines = path.read_bytes().splitlines()
+        lines[1] = b'{"valid": "json", "but": "no hash"}'
         path.write_bytes(b"\n".join(lines) + b"\n")
         with pytest.raises(IntegrityError, match="mid-chain corruption"):
             FileStableStore(path)

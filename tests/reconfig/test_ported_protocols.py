@@ -14,9 +14,20 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.workload import WorkloadSpec, generate_workload, submit_workload
 from repro.consensus.reconfig import ReconfigPlan, set_consensus_group, set_replica_group
-from repro.faults import grow_group_mid_run, replace_dead_replica
+from repro.faults import (
+    ChaosScheduler,
+    FaultInjector,
+    FaultPlan,
+    UniformLatency,
+    grow_group_mid_run,
+    replace_dead_replica,
+)
+from repro.ioa import RandomScheduler
+from repro.protocols import get_protocol
 
+from tests import invariants
 from tests.reconfig.conftest import final_read_values, run_reconfig_workload
 
 #: the families ported in this PR whose quorum rounds absorb a dead replica
@@ -149,6 +160,87 @@ class TestS2plLiveChanges:
         assert "sx.3" not in handle.simulation.servers()
         assert final_read_values(handle, "R4")["ox"] == "v4-ox"
         assert handle.serializability().ok
+
+    def test_retiring_replica_bounces_the_lock_requests_it_queued(self):
+        """W1 restarts when the swap begins; its second lock request reaches
+        ``sx`` before the first attempt's unlock does, so it queues behind
+        W1's own lock.  The swap then retires ``sx``, and the unlock that
+        arrives next proves ``sx`` is still addressed: the retirement flush
+        bounces the queued request with an epoch mismatch.  Without the flush
+        nothing would ever answer it, and W1 would wait forever."""
+        handle = run_reconfig_workload(
+            "s2pl",
+            reconfig=ReconfigPlan(name="swap", requests=(set_replica_group("ox", ("sx.2", "sx.3", "sx.4"), at=8),)),
+            rounds=4,
+            seed=1,
+            scheduler=ChaosScheduler(base=RandomScheduler(seed=1), seed=1),
+        )
+        at_sx = [
+            (a.kind.value, a.message.msg_type, a.message.get("attempt"))
+            for a in handle.trace()
+            if a.actor == "sx" and a.message is not None and a.message.get("txn") == "W1"
+        ]
+        assert at_sx == [
+            ("recv", "lock-write", 1),
+            ("send", "lock-write-granted", 1),
+            ("recv", "lock-write", 2),  # queued: W1's first attempt still holds the lock
+            ("recv", "unlock-write", None),  # sx has retired by now
+            ("send", "epoch-mismatch", None),
+            ("send", "epoch-mismatch", 2),  # the flush answers the queued request
+        ]
+        assert handle.serializability().ok
+
+
+class TestEigerRound2Restart:
+    """An Eiger READ whose round 1 saw a stale interval asks the replica it
+    chose for the version valid at the effective time.  When the swap
+    retires that replica between the rounds, the READ restarts from round 1
+    instead of waiting on a replica that is gone."""
+
+    @staticmethod
+    def run(seed, at):
+        handle = get_protocol("eiger").build(
+            num_readers=2,
+            num_writers=2,
+            num_objects=2,
+            replication_factor=3,
+            quorum="majority",
+            reconfig=ReconfigPlan(requests=(set_replica_group("ox", ("sx", "sx.2", "sx.4"), at=at),)),
+            fault_plane=FaultInjector(FaultPlan(latency=UniformLatency(0, 8), seed=seed), seed=seed),
+            scheduler=ChaosScheduler(base=RandomScheduler(seed=seed), seed=seed),
+        )
+        spec = WorkloadSpec(6, 6, 2, 2, 0.0, seed)
+        submit_workload(handle, generate_workload(spec, handle.readers, handle.writers, handle.objects))
+        handle.run()
+        invariants.register(handle)
+        assert not handle.simulation.incomplete_transactions()
+        return handle
+
+    @staticmethod
+    def at_reader(handle, txn):
+        return [
+            a.message.msg_type if a.message is not None else a.get("reconfig")
+            for a in handle.trace()
+            if a.actor == "r2" and a.get("txn") == txn and a.kind.value in ("send", "internal")
+        ]
+
+    def test_the_chosen_replica_retired_before_round_2_was_sent(self):
+        handle = self.run(seed=3, at=20)
+        steps = self.at_reader(handle, "R8")
+        retry = steps.index("epoch-retry")
+        assert set(steps[:retry]) == set(steps[retry + 1:]) == {"eiger-read"}
+        assert "sx.3" in handle.directory.retired
+
+    def test_the_chosen_replica_retired_with_round_2_in_flight(self):
+        handle = self.run(seed=0, at=10)
+        steps = self.at_reader(handle, "R7")
+        retry = steps.index("epoch-retry")
+        assert "eiger-read-at" in steps[:retry]
+        mismatches = [
+            a for a in handle.trace()
+            if a.kind.value == "send" and a.actor == "sx.3" and a.message.msg_type == "epoch-mismatch"
+        ]
+        assert [m.message.get("txn") for m in mismatches] == ["R7"]
 
 
 class TestPortedConsensusReconfig:

@@ -15,7 +15,20 @@ from repro.analysis import (
     suite_rows,
 )
 from repro.analysis.sweep import RECONFIG
-from repro.faults import grow_group_mid_run, replace_dead_replica
+from repro.analysis import collect_metrics
+from repro.consensus import ReconfigPlan
+from repro.faults import (
+    ChaosScheduler,
+    CrashEvent,
+    FaultPlan,
+    UniformLatency,
+    grow_group_mid_run,
+    replace_dead_replica,
+)
+from repro.ioa import RandomScheduler
+
+from tests.reconfig.conftest import run_reconfig_workload
+from tests.replication.test_golden_rounds import epoch_swap
 
 
 def run_replace(protocol="algorithm-b", seed=13):
@@ -88,6 +101,68 @@ class TestReconfigMetrics:
         assert block.reconfigs_completed == 1
         assert block.retired_servers == 0
         assert block.transfer_versions >= 2
+
+
+def epoch_retry_cell(plan=None, seed=3):
+    """Algorithm A's cell of the epoch-retry grid (``test_golden_rounds.py``):
+    ``R1`` meets the ``oy`` swap mid-round and retries once.  Returns the
+    handle, its reconfiguration block and the trace's epoch-retry actions."""
+    handle = run_reconfig_workload(
+        "algorithm-a",
+        reconfig=ReconfigPlan(requests=(epoch_swap("algorithm-a"),)),
+        plan=plan,
+        rounds=6,
+        scheduler=ChaosScheduler(base=RandomScheduler(seed=seed), seed=seed),
+        seed=seed,
+        run_to_completion=False,
+    )
+    metrics = collect_metrics(
+        handle.simulation,
+        protocol_name="algorithm-a",
+        placement=handle.placement,
+        quorum_policy=handle.quorum_policy,
+        directory=handle.directory,
+    )
+    retries = [(a.get("txn"), a.get("vtime")) for a in handle.trace() if a.get("reconfig") == "epoch-retry"]
+    return handle, metrics.reconfig, retries
+
+
+def record_of(handle, txn_id):
+    return next(r for r in handle.simulation.transaction_records() if r.txn_id == txn_id)
+
+
+class TestEpochRetryWindow:
+    """The unavailability window is the longest span one transaction spent
+    behind epoch retries: from its first retry (the trace's ``epoch-retry``
+    action) to its response, or to the final clock when it never responds."""
+
+    def test_a_read_that_retries_then_responds(self):
+        handle, block, retries = epoch_retry_cell(plan=FaultPlan(latency=UniformLatency(0, 6), seed=3))
+        assert retries == [("R1", 41)]
+        assert block.epoch_retries == 1
+        assert not handle.simulation.incomplete_transactions()
+        assert block.unavailability_window == record_of(handle, "R1").respond_vtime - 41 == 16
+
+    def test_a_read_that_retries_and_never_responds(self):
+        """The two old ``oy`` replicas left in the new group fail-stop as R1
+        retries, so no read quorum ever answers it again."""
+        plan = FaultPlan(
+            latency=UniformLatency(0, 6),
+            crashes=(CrashEvent("sy", at=41), CrashEvent("sy.2", at=41)),
+            seed=3,
+        )
+        handle, block, retries = epoch_retry_cell(plan=plan)
+        assert retries == [("R1", 41)]
+        assert not record_of(handle, "R1").complete
+        assert block.unavailability_window == handle.simulation.now() - 41 == 28
+
+    def test_without_a_fault_plane_the_window_ends_at_the_last_retry(self):
+        """Without a fault plane no response vtime is recorded, so the span
+        runs from the first retry to the last: one retry, one step."""
+        handle, block, retries = epoch_retry_cell(seed=4)
+        assert retries == [("R1", 45)]
+        assert record_of(handle, "R1").complete
+        assert block.unavailability_window == 1
 
 
 class TestSweep:
