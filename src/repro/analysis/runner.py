@@ -28,7 +28,7 @@ from ..txn.history import History
 from .metrics import ExperimentMetrics, collect_metrics
 from .workload import WorkloadSpec, generate_workload, submit_workload
 
-#: Registry of config-addressable schedulers; extend via register_scheduler.
+#: The config-addressable schedulers, by name (a fixed table: a new one is a new entry).
 #: ``chaos+adversarial`` composes the fault-plane-aware chaos scheduler over
 #: a rule-driven adversary (rules are added to ``scheduler.base`` after the
 #: build, or via :func:`repro.faults.adversary.hunt_s_violations`): the

@@ -455,11 +455,17 @@ class ReplicatedCoordinator(ServerAutomaton):
             ):
                 self._on_read_request(request_id, message, ctx)
                 return
-            if message.msg_type == RECONFIG and self.joint is not None:
-                raise SimulationError(
-                    "a second membership change arrived while C_old,new is "
-                    "in flight: at most one configuration change at a time"
-                )
+            if message.msg_type == RECONFIG:
+                if self.log.contains_request(f"{request_id}/new"):
+                    # A re-sent copy of a change whose C_new is appended: a
+                    # checkpoint may have compacted its joint entry, and
+                    # proposing it again would reopen the change.
+                    return
+                if self.joint is not None:
+                    raise SimulationError(
+                        "a second membership change arrived while C_old,new is "
+                        "in flight: at most one configuration change at a time"
+                    )
             self._propose(request_id, message.msg_type, message.items, message.src, ctx)
             self._replicate(ctx)
             self._maybe_commit(ctx)
@@ -882,8 +888,10 @@ class ReplicatedCoordinator(ServerAutomaton):
         for request_id, request in self.pending.items():
             if self.log.contains_request(request_id) or request_id in self.applied_replies:
                 continue
-            if request.msg_type == RECONFIG and self.joint is not None:
-                continue  # another change is mid-flight; stays buffered
+            if request.msg_type == RECONFIG and (
+                self.joint is not None or self.log.contains_request(f"{request_id}/new")
+            ):
+                continue  # a change is mid-flight (this one past its joint entry); stays buffered
             self._propose(request_id, request.msg_type, request.payload, request.client, ctx)
         self._maybe_advance_config(ctx)
         self._replicate(ctx)

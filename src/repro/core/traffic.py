@@ -38,7 +38,7 @@ class TrafficIndex:
 
     def __init__(self, trace: Trace) -> None:
         #: ``(server, client, txn)`` → input clocks at which ``server``
-        #: received a non-repair message of ``txn`` from ``client``
+        #: got a non-repair message of ``txn`` from ``client``
         self.requests: Dict[Tuple[str, str, Any], List[int]] = {}
         #: ``(server, client, txn)`` → input clocks (non-decreasing) at which
         #: ``server`` sent a message of ``txn`` to ``client``

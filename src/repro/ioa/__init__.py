@@ -23,7 +23,6 @@ from .automaton import (
     Await,
     ClientAutomaton,
     Context,
-    Mark,
     ReaderAutomaton,
     Send,
     ServerAutomaton,
@@ -79,7 +78,6 @@ __all__ = [
     "Await",
     "ClientAutomaton",
     "Context",
-    "Mark",
     "ReaderAutomaton",
     "Send",
     "EventFrontier",

@@ -11,12 +11,12 @@ Two styles of automata live on top of the simulation kernel:
   action.
 
 * **Session automata** (clients): transaction logic is written as a Python
-  generator that yields *effects* (:class:`Send`, :class:`Await`,
-  :class:`Mark`) and finally returns the transaction result.  The kernel
-  drives the generator, recording ``INV``/``RESP`` actions at the right
-  places.  This keeps protocol code extremely close to the paper's
-  pseudocode (phases such as ``write-value`` / ``info-reader`` become
-  straight-line generator code).
+  generator that yields *effects* (:class:`Send`, :class:`Await`) and
+  finally returns the transaction result; it records an internal action
+  through :meth:`Context.internal`.  The kernel drives the generator,
+  recording ``INV``/``RESP`` actions at the right places.  This keeps
+  protocol code extremely close to the paper's pseudocode (phases such as
+  ``write-value`` / ``info-reader`` become straight-line generator code).
 """
 
 from __future__ import annotations
@@ -75,14 +75,7 @@ class Await:
             raise SessionError("Await.count must be >= 1")
 
 
-@dataclass
-class Mark:
-    """Record an internal action at the client with the given info."""
-
-    info: Mapping[str, Any] = field(default_factory=dict)
-
-
-SessionEffect = Any  # Send | Await | Mark
+SessionEffect = Any  # Send | Await
 SessionGenerator = Generator[SessionEffect, Any, Any]
 
 
@@ -185,10 +178,14 @@ class ClientAutomaton(Automaton):
 
 
 class ReaderAutomaton(ClientAutomaton):
+    """A read client: ``Simulation.submit`` hands it ``read`` transactions only."""
+
     kind = "reader"
 
 
 class WriterAutomaton(ClientAutomaton):
+    """A write client: ``Simulation.submit`` hands it ``write`` transactions only."""
+
     kind = "writer"
 
 

@@ -17,7 +17,8 @@ Guarantees provided (matching the paper's model, Section 2):
   it either).
 * **Well-formed clients** — a client has at most one outstanding transaction;
   queued transactions are only offered for invocation once the previous one
-  has responded and any explicit ``after`` dependencies have completed.
+  has responded and any explicit ``after`` dependencies have completed.  A
+  reader is handed only READs and a writer only WRITEs.
 * **Determinism** — given the same automata, workload, scheduler and seed the
   produced trace is identical, which makes every experiment and every failure
   replayable.
@@ -28,7 +29,7 @@ from __future__ import annotations
 import gc
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .actions import _MUTABLE, ActionKind, Keys, Message, PayloadLayouts, _freeze_value, _freeze_values, slot_setters
@@ -37,7 +38,6 @@ from .automaton import (
     Await,
     ClientAutomaton,
     Context,
-    Mark,
     Send,
     SessionState,
 )
@@ -66,6 +66,13 @@ from .trace import Trace, TraceMode
 _new_record = object.__new__
 _set_delivered, _set_enqueued_at, _set_ready_at = slot_setters(PendingDelivery)
 _set_client, _set_txn, _set_txn_id, _set_submitted_at = slot_setters(PendingInvocation)
+
+#: the transaction kind each client kind may be handed (the paper's model:
+#: read clients issue only READs, write clients only WRITEs)
+_RUNS_KIND = {"reader": "read", "writer": "write"}
+#: the prefix of a kernel-chosen transaction id, by transaction kind
+#: (``T`` for anything else)
+_ID_PREFIX = {"read": "R", "write": "W"}
 
 
 @dataclass(slots=True)
@@ -174,6 +181,7 @@ class Simulation:
         #: every submitted transaction's record in submission order (records
         #: are only ever added, so insertion order is that order)
         self._records: Dict[Any, TransactionRecord] = {}
+        #: names every submission that brings no id (``R``/``W``/``T`` share it)
         self._txn_counter = itertools.count(1)
         self._enqueue_counter = itertools.count(1)
         #: message ids are a function of the simulation, not the interpreter
@@ -288,20 +296,37 @@ class Simulation:
     # Workload submission
     # ------------------------------------------------------------------
     def submit(self, client: str, txn: Any, txn_id: Any = None, after: Sequence[Any] = ()) -> Any:
-        """Queue ``txn`` for invocation at ``client``.
+        """Queue ``txn`` for invocation at ``client``; returns its id.
 
         ``after`` lists transaction ids that must have *responded* before this
         transaction may be invoked — this is how experiments express the
         real-time orderings the paper's constructions rely on ("R1 begins
         after W completes").  Within one client, queued transactions are
         invoked in submission order (well-formedness).
+
+        The id is ``txn_id``, else the transaction's own, else the next from
+        this simulation's counter — ``R<n>``, ``W<n>`` or ``T<n>`` by the
+        transaction's ``kind``, one sequence for all three — so a run's ids
+        do not depend on what ran before it in the process.  A transaction
+        whose ``txn_id`` is ``""`` is queued as a copy carrying the chosen
+        id.  A reader is handed only ``read`` transactions and a writer only
+        ``write`` ones; anything else is refused here, before any step.
         """
         if client not in self._client_queues:
             raise UnknownProcessError(client)
+        kind = getattr(txn, "kind", None)
+        client_kind = self._automata[client].kind
+        runs = _RUNS_KIND.get(client_kind)
+        if runs is not None and kind != runs:
+            raise WellFormednessError(
+                f"{client_kind} {client!r} runs only {runs} transactions, not {txn!r}"
+            )
         if txn_id is None:
             txn_id = getattr(txn, "txn_id", None)
-        if txn_id is None:
-            txn_id = f"T{next(self._txn_counter)}"
+        if txn_id is None or txn_id == "":
+            txn_id = f"{_ID_PREFIX.get(kind, 'T')}{next(self._txn_counter)}"
+        if getattr(txn, "txn_id", None) == "":
+            txn = replace(txn, txn_id=txn_id)
         if txn_id in self._records:
             raise WellFormednessError(f"transaction id {txn_id!r} submitted twice")
         record = TransactionRecord(txn_id, txn, client, next(self._enqueue_counter), after=tuple(after))
@@ -730,9 +755,6 @@ class Simulation:
                 send_value = None
                 if isinstance(effect, Send):
                     self._send_from(session.client, effect.dst, effect.msg_type, effect.payload, effect.phase)
-                    continue
-                if isinstance(effect, Mark):
-                    self._record_internal(session.client, dict(effect.info))
                     continue
                 if isinstance(effect, Await):
                     session.pending_await = effect

@@ -29,7 +29,7 @@ is checked rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import AbstractSet, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..ioa.actions import Action, ActionKind
 from ..ioa.errors import TraceError
@@ -194,6 +194,37 @@ class CommuteCheck:
     reason: str
 
 
+class Dependency(NamedTuple):
+    """Why the second of two adjacent fragments cannot move before the first."""
+
+    #: both fragments occur at one automaton
+    same_automaton: bool
+    #: the messages the first fragment sends and the second receives
+    carried: FrozenSet
+
+
+def dependency(
+    first_actor: str,
+    second_actor: str,
+    sent_by_first: AbstractSet,
+    received_by_second: AbstractSet,
+) -> Optional[Dependency]:
+    """The independence rule for two adjacent single-automaton fragments.
+
+    They are independent — ``second ∘ first`` is an execution whenever
+    ``first ∘ second`` is — when they occur at distinct automata and the
+    second receives no message the first sent (the dependency-preserving
+    reordering of Appendix B).  Returns ``None`` then, else what breaks the
+    rule; messages may be named by any hashable (ids, symbolic names).
+    """
+    if first_actor == second_actor:
+        return Dependency(True, frozenset())
+    carried = sent_by_first & received_by_second
+    if carried:
+        return Dependency(False, frozenset(carried))
+    return None
+
+
 def can_commute(first: Fragment, second: Fragment) -> CommuteCheck:
     """Check whether two adjacent fragments may be commuted.
 
@@ -210,26 +241,27 @@ def can_commute(first: Fragment, second: Fragment) -> CommuteCheck:
     — the dependency-preserving reordering of the Claim in Appendix B, which
     is what the paper actually leans on when it commutes two non-blocking
     fragments that each begin with a message receipt (e.g. ``F_{2,x}`` and
-    ``F_{2,y}`` in Lemma 8).
+    ``F_{2,y}`` in Lemma 8).  Distinct automata and (c) together are
+    :func:`dependency`.
     """
     first_actor = first.single_actor()
     second_actor = second.single_actor()
     if first_actor is None or second_actor is None:
         return CommuteCheck(False, "each fragment must occur at a single automaton")
-    if first_actor == second_actor:
+    depends = dependency(
+        first_actor,
+        second_actor,
+        {a.message.msg_id for a in first.actions if a.kind == ActionKind.SEND and a.message is not None},
+        {a.message.msg_id for a in second.actions if a.kind == ActionKind.RECV and a.message is not None},
+    )
+    if depends is not None and depends.same_automaton:
         return CommuteCheck(False, f"both fragments occur at {first_actor}; commuting needs distinct automata")
     no_inputs = not first.has_input_actions() and not second.has_input_actions()
     one_silent = not first.has_external_actions() or not second.has_external_actions()
     if no_inputs or one_silent:
         justification = "no input actions in either fragment" if no_inputs else "one fragment has no external actions"
         return CommuteCheck(True, justification)
-    sent_by_first = {
-        a.message.msg_id for a in first.actions if a.kind == ActionKind.SEND and a.message is not None
-    }
-    received_by_second = {
-        a.message.msg_id for a in second.actions if a.kind == ActionKind.RECV and a.message is not None
-    }
-    if not (sent_by_first & received_by_second):
+    if depends is None:
         return CommuteCheck(True, "no message sent in the first fragment is received in the second (Appendix B)")
     return CommuteCheck(False, "the second fragment receives a message sent by the first")
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..ioa.errors import TraceError
+from .fragments import dependency
 
 
 @dataclass(frozen=True)
@@ -138,18 +139,20 @@ class SymbolicExecution:
         (which subsumes the two cases of Lemma 2): the fragments must occur
         at distinct automata, both must be movable, and no message sent by
         ``left`` may be received by ``right`` (otherwise the reorder would
-        deliver a message before it was sent).
+        deliver a message before it was sent).  The automaton and message
+        clauses are :func:`~repro.proofs.fragments.dependency`.
         """
         if not left.movable or not right.movable:
             return False, "prefix/suffix blocks are pinned"
         if left.actor == "*" or right.actor == "*":
             return False, "opaque blocks cannot be commuted"
-        if left.actor == right.actor:
+        depends = dependency(left.actor, right.actor, left.sends, right.receives)
+        if depends is None:
+            return True, "distinct automata, no message dependency"
+        if depends.same_automaton:
             return False, f"both fragments occur at {left.actor}"
-        if left.sends & right.receives:
-            clash = ", ".join(sorted(left.sends & right.receives))
-            return False, f"{right.name} receives message(s) {clash} sent by {left.name}"
-        return True, "distinct automata, no message dependency"
+        clash = ", ".join(sorted(depends.carried))
+        return False, f"{right.name} receives message(s) {clash} sent by {left.name}"
 
     def swap_adjacent(self, index: int) -> str:
         """Swap the fragments at ``index`` and ``index + 1`` (checked)."""

@@ -42,7 +42,6 @@ from typing import Any, Dict, List, Optional, Sequence
 from ..consensus.machines import CoordinatorList
 from ..ioa.automaton import Await, Context, ReaderAutomaton, Send, WriterAutomaton
 from ..ioa.actions import Message
-from ..ioa.errors import SimulationError
 from ..txn.objects import Key
 from ..txn.placement import Placement, QuorumPolicy
 from ..txn.transactions import ReadResult, ReadTransaction, WriteTransaction, WRITE_OK
@@ -87,8 +86,6 @@ class AlgorithmAReader(ReplicaClient, ReaderAutomaton):
 
     # -- READ transactions -------------------------------------------------
     def run_transaction(self, txn: ReadTransaction, ctx: Context):
-        if not isinstance(txn, ReadTransaction):
-            raise SimulationError(f"reader {self.name} received a non-READ transaction {txn!r}")
         tag, chosen = self.list.tag_array_for(txn.objects)
         # read-value phase: one parallel round over the replica groups,
         # one version per reply, first hit per object within the quorum.
@@ -119,8 +116,6 @@ class AlgorithmAWriter(ReplicaClient, WriterAutomaton):
         self.z = 0
 
     def run_transaction(self, txn: WriteTransaction, ctx: Context):
-        if not isinstance(txn, WriteTransaction):
-            raise SimulationError(f"writer {self.name} received a non-WRITE transaction {txn!r}")
         self.z += 1
         key = Key(self.z, self.name)
         # write-value phase (a write quorum per written object) --------------

@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Any, Dict
 
 from ..ioa.automaton import Await, Context, ReaderAutomaton, Send
-from ..ioa.errors import SimulationError
 from ..txn.objects import Key
 from ..txn.transactions import ReadResult, ReadTransaction
 from .coordinated import CoordinatedClient, CoordinatedProtocol
@@ -38,8 +37,6 @@ class AlgorithmBReader(CoordinatedClient, ReaderAutomaton):
     """Two-round reader: consult the coordinator, then fetch exact versions."""
 
     def run_transaction(self, txn: ReadTransaction, ctx: Context):
-        if not isinstance(txn, ReadTransaction):
-            raise SimulationError(f"reader {self.name} received a non-READ transaction {txn!r}")
         # Round 1: get-tag-array (broadcast to the coordinator group; the
         # first — and with consensus, only committed — reply wins) -------------
         yield from [

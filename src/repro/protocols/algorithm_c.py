@@ -54,8 +54,6 @@ class AlgorithmCReader(CoordinatedClient, ReaderAutomaton):
     """One-round reader: fetch all versions and the tag array concurrently."""
 
     def run_transaction(self, txn: ReadTransaction, ctx: Context):
-        if not isinstance(txn, ReadTransaction):
-            raise SimulationError(f"reader {self.name} received a non-READ transaction {txn!r}")
         read_set = tuple(txn.objects)
         view = self.view
         # Combining the data and tag requests into one message only applies

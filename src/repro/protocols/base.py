@@ -184,8 +184,7 @@ class SystemHandle:
         if reader is None:
             reader = self.readers[self._round_robin_reader % len(self.readers)]
             self._round_robin_reader += 1
-        txn = make_read(*objects, txn_id=txn_id)
-        return self.simulation.submit(reader, txn, txn_id=txn.txn_id, after=after)
+        return self.simulation.submit(reader, make_read(*objects, txn_id=txn_id), after=after)
 
     def submit_write(
         self,
@@ -198,8 +197,7 @@ class SystemHandle:
         if writer is None:
             writer = self.writers[self._round_robin_writer % len(self.writers)]
             self._round_robin_writer += 1
-        txn = write_pairs(tuple(updates.items()), txn_id=txn_id)
-        return self.simulation.submit(writer, txn, txn_id=txn.txn_id, after=after)
+        return self.simulation.submit(writer, write_pairs(tuple(updates.items()), txn_id=txn_id), after=after)
 
     # ------------------------------------------------------------------
     # Execution and results

@@ -115,12 +115,22 @@ class LockingServer(DirectoryAwareServer, ServerAutomaton):
         self._echo_attempt(message, payload)
         ctx.send(message.src, "lock-write-granted", payload, phase="lock-write")
 
-    def _purge_queue(self, src: str, txn: Any) -> None:
-        """Drop deferred requests a restarting client no longer waits for."""
+    def _purge_queue(self, unlock: Message) -> None:
+        """Drop the deferred requests of the attempt ``unlock`` releases.
+
+        Only that attempt's: a restarted transaction's next attempt may have
+        queued a request here before this unlock arrived (channels are not
+        FIFO), and its client waits for that one.
+        """
+        src, txn, attempt = unlock.src, unlock.get("txn"), unlock.get("attempt")
         self.queue = deque(
             pending
             for pending in self.queue
-            if not (pending.message.src == src and pending.message.get("txn") == txn)
+            if not (
+                pending.message.src == src
+                and pending.message.get("txn") == txn
+                and pending.message.get("attempt") == attempt
+            )
         )
 
     def handle_directory_message(self, message: Message, ctx: Context) -> bool:
@@ -179,7 +189,7 @@ class LockingServer(DirectoryAwareServer, ServerAutomaton):
             if message.src in self.read_lock_holders:
                 self.read_lock_holders.remove(message.src)
             if self.directory is not None:
-                self._purge_queue(message.src, message.get("txn"))
+                self._purge_queue(message)
             self._drain_queue(ctx)
         elif message.msg_type == "lock-write":
             if self._can_grant_write():
@@ -188,11 +198,10 @@ class LockingServer(DirectoryAwareServer, ServerAutomaton):
                 self.queue.append(_PendingRequest(message=message, is_write=True))
         elif message.msg_type == "unlock-write":
             # Abort-path release (epoch retries only): drop the lock and any
-            # still-queued requests of the restarting transaction, install
-            # nothing.
+            # still-queued requests of the aborted attempt, install nothing.
             if self.write_locked_by == message.src:
                 self.write_locked_by = None
-            self._purge_queue(message.src, message.get("txn"))
+            self._purge_queue(message)
             self._drain_queue(ctx)
         elif message.msg_type == "commit-write":
             if self.write_locked_by != message.src:
@@ -227,8 +236,6 @@ class LockingReader(ReplicaClient, ReaderAutomaton):
         super().__init__(name, objects, placement)
 
     def run_transaction(self, txn: ReadTransaction, ctx: Context):
-        if not isinstance(txn, ReadTransaction):
-            raise SimulationError(f"reader {self.name} received a non-READ transaction {txn!r}")
         view = self.view
         attempt = 0
         while True:
@@ -272,14 +279,17 @@ class LockingReader(ReplicaClient, ReaderAutomaton):
                         # first.
                         values[object_id] = replies[0].get("value")
             for object_id, replica in granted:
-                if view.is_retired(replica):
-                    continue  # retired since its grant; nothing to release
-                yield Send(
-                    dst=replica,
-                    msg_type="unlock-read",
-                    payload={"txn": txn.txn_id, "object": object_id},
-                    phase="unlock",
-                )
+                # A replica retired since its grant still gets the release
+                # while it exists: the retirement flush the release triggers
+                # bounces the requests queued behind this lock.  One removed
+                # since took its locks along.
+                if not view.is_retired(replica) or ctx.has_automaton(replica):
+                    yield Send(
+                        dst=replica,
+                        msg_type="unlock-read",
+                        payload={"txn": txn.txn_id, "object": object_id, **stamp},
+                        phase="unlock",
+                    )
             if mismatch:
                 note_epoch_retry(txn.txn_id, attempt, view, ctx)
                 continue
@@ -306,8 +316,6 @@ class LockingWriter(ReplicaClient, WriterAutomaton):
         self.z = 0
 
     def run_transaction(self, txn: WriteTransaction, ctx: Context):
-        if not isinstance(txn, WriteTransaction):
-            raise SimulationError(f"writer {self.name} received a non-WRITE transaction {txn!r}")
         self.z += 1
         key = Key(self.z, self.name)
         view = self.view
@@ -359,18 +367,19 @@ class LockingWriter(ReplicaClient, WriterAutomaton):
                 )
             if mismatch:
                 for object_id, replica in granted:
-                    if view.is_retired(replica):
-                        continue
-                    yield Send(
-                        dst=replica,
-                        msg_type="unlock-write",
-                        payload={"txn": txn.txn_id, "object": object_id},
-                        phase="unlock",
-                    )
+                    if not view.is_retired(replica) or ctx.has_automaton(replica):  # as the reader's release
+                        yield Send(
+                            dst=replica,
+                            msg_type="unlock-write",
+                            payload={"txn": txn.txn_id, "object": object_id, **stamp},
+                            phase="unlock",
+                        )
                 note_epoch_retry(txn.txn_id, attempt, view, ctx)
                 continue
             commit_set = [
-                (object_id, replica) for object_id, replica in granted if not view.is_retired(replica)
+                (object_id, replica)
+                for object_id, replica in granted
+                if not view.is_retired(replica) or ctx.has_automaton(replica)
             ]
             for object_id, replica in commit_set:
                 yield Send(

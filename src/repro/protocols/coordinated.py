@@ -127,8 +127,6 @@ class CoordinatedWriter(CoordinatedClient, WriterAutomaton):
         self.z = 0
 
     def run_transaction(self, txn: WriteTransaction, ctx: Context):
-        if not isinstance(txn, WriteTransaction):
-            raise SimulationError(f"writer {self.name} received a non-WRITE transaction {txn!r}")
         self.z += 1
         key = Key(self.z, self.name)
         # write-value phase (a write quorum per written object) --------------

@@ -36,7 +36,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..ioa.actions import Message
 from ..ioa.automaton import Await, Context, ReaderAutomaton, Send, ServerAutomaton, WriterAutomaton
-from ..ioa.errors import SimulationError
 from ..txn.placement import Placement, QuorumPolicy
 from ..txn.transactions import ReadResult, ReadTransaction, WriteTransaction, WRITE_OK
 from .base import BuildConfig, Protocol
@@ -220,8 +219,6 @@ class EigerWriter(ReplicaClient, WriterAutomaton):
         self.clock = 0
 
     def run_transaction(self, txn: WriteTransaction, ctx: Context):
-        if not isinstance(txn, WriteTransaction):
-            raise SimulationError(f"writer {self.name} received a non-WRITE transaction {txn!r}")
         view = self.view
         updates = tuple(txn.updates)
         # Write-all on fixed groups (see the class docstring); a write quorum
@@ -298,8 +295,6 @@ class EigerReader(ReplicaClient, ReaderAutomaton):
         return values, intervals, chosen_replica
 
     def run_transaction(self, txn: ReadTransaction, ctx: Context):
-        if not isinstance(txn, ReadTransaction):
-            raise SimulationError(f"reader {self.name} received a non-READ transaction {txn!r}")
         view = self.view
         read_set = tuple(txn.objects)
         attempt = 0

@@ -29,7 +29,6 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..ioa.actions import Message
 from ..ioa.automaton import Context, ReaderAutomaton, Send, WriterAutomaton
-from ..ioa.errors import SimulationError
 from ..txn.objects import Key
 from ..txn.placement import Placement, QuorumPolicy
 from ..txn.transactions import ReadResult, ReadTransaction, WriteTransaction, WRITE_OK
@@ -66,8 +65,6 @@ class NaiveWriter(ReplicaClient, WriterAutomaton):
         self.z = 0
 
     def run_transaction(self, txn: WriteTransaction, ctx: Context):
-        if not isinstance(txn, WriteTransaction):
-            raise SimulationError(f"writer {self.name} received a non-WRITE transaction {txn!r}")
         self.z += 1
         key = Key(self.z, self.name)
         yield from write_value_round(txn.txn_id, tuple(txn.updates), key, self.view, ctx, phase="write")
@@ -78,8 +75,6 @@ class NaiveReader(ReplicaClient, ReaderAutomaton):
     """One parallel round of read-latest requests over the replica groups."""
 
     def run_transaction(self, txn: ReadTransaction, ctx: Context):
-        if not isinstance(txn, ReadTransaction):
-            raise SimulationError(f"reader {self.name} received a non-READ transaction {txn!r}")
         view = self.view
         read_set = tuple(txn.objects)
         replies, _ = yield from quorum_round(

@@ -181,8 +181,6 @@ class OccWriter(CoordinatedClient, WriterAutomaton):
         super().__init__(name, objects, timestamp_server, placement, None, timestamp_group)
 
     def run_transaction(self, txn: WriteTransaction, ctx: Context):
-        if not isinstance(txn, WriteTransaction):
-            raise SimulationError(f"writer {self.name} received a non-WRITE transaction {txn!r}")
         view = self.view
         yield from [
             Send(
@@ -360,8 +358,6 @@ class OccReader(ReplicaClient, ReaderAutomaton):
         return True
 
     def run_transaction(self, txn: ReadTransaction, ctx: Context):
-        if not isinstance(txn, ReadTransaction):
-            raise SimulationError(f"reader {self.name} received a non-READ transaction {txn!r}")
         previous, attempt = yield from self._collect(txn, ctx, 0)
         collects = 1
         while collects < MAX_COLLECTS:

@@ -111,12 +111,13 @@ def serial_read_expectation(
 ) -> ReadResult:
     """What ``read_txn`` must return if the serial order is ``order``.
 
-    ``order`` must contain ``read_txn``; the expectation is computed by
-    replaying the prefix of ``order`` before ``read_txn``.
+    ``order`` must contain ``read_txn`` (itself, or a transaction with its
+    id when it has one); the expectation is computed by replaying the prefix
+    of ``order`` before it.
     """
     state = OTState.initial(objects, initial_value)
     for txn in order:
-        if txn is read_txn or (hasattr(txn, "txn_id") and txn.txn_id == read_txn.txn_id):
+        if txn is read_txn or (read_txn.txn_id and getattr(txn, "txn_id", None) == read_txn.txn_id):
             response, _ = apply_transaction(state, read_txn)
             return response
         _, state = apply_transaction(state, txn)

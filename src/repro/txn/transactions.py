@@ -7,7 +7,8 @@ The transaction model is exactly the paper's (Sections 2 and 7.1):
 * a **WRITE transaction** ``W((o_{i1}, v_{i1}), …, (o_{ip}, v_{ip}))`` is a
   set of write requests updating a subset of objects and returns ``ok``;
 * read clients issue only READ transactions, write clients only WRITE
-  transactions; there are no aborts and no failures.
+  transactions (``Simulation.submit`` refuses the other kind); there are no
+  aborts and no failures.
 
 Transactions are plain immutable values; the protocol implementations turn
 them into messages, and the histories/checkers consume them together with
@@ -18,19 +19,16 @@ property over a private field declared ``init=False, repr=False,
 compare=False``: filled on the first read with ``object.__setattr__`` and
 shared by every later caller (read, don't mutate), while ``==``, ``hash``
 and ``repr`` still see the declared fields only.
+
+A transaction built without a ``txn_id`` keeps ``""`` until it is submitted:
+``Simulation.submit`` names it from that simulation's own counter (``R<n>``,
+``W<n>``) and queues the named copy, so ids are a function of the run.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
-
-_txn_counter = itertools.count(1)
-
-
-def _next_txn_id(prefix: str) -> str:
-    return f"{prefix}{next(_txn_counter)}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,8 +44,6 @@ class ReadTransaction:
             raise ValueError("a READ transaction must read at least one object")
         if len(set(self.objects)) != len(self.objects):
             raise ValueError("a READ transaction reads distinct objects")
-        if not self.txn_id:
-            object.__setattr__(self, "txn_id", _next_txn_id("R"))
         object.__setattr__(self, "objects", tuple(self.objects))
 
     def is_read(self) -> bool:
@@ -78,8 +74,6 @@ class WriteTransaction:
         objects = [obj for obj, _ in self.updates]
         if len(set(objects)) != len(objects):
             raise ValueError("a WRITE transaction writes distinct objects")
-        if not self.txn_id:
-            object.__setattr__(self, "txn_id", _next_txn_id("W"))
         object.__setattr__(self, "updates", tuple(tuple(u) for u in self.updates))
 
     @property

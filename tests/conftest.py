@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -126,6 +127,12 @@ def run_simple_workload(handle, rounds: int = 2, sequential: bool = False):
             read_ids.append(handle.submit_read(handle.objects, reader=reader, after=after))
     handle.run_to_completion()
     return read_ids, write_ids
+
+
+def trace_digest(handle) -> str:
+    """The digest golden tests pin a run by: sha256 of the repr of its
+    ``Trace.signature()`` (message ids left out, transaction ids kept)."""
+    return hashlib.sha256(repr(handle.trace().signature()).encode("utf-8")).hexdigest()
 
 
 @pytest.fixture(scope="session")

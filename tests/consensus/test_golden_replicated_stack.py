@@ -19,7 +19,6 @@ Regenerate (only after a deliberate behaviour change) with
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import Any, Dict
@@ -31,6 +30,8 @@ from repro.analysis.workload import WorkloadSpec, generate_workload, submit_work
 from repro.ioa import FIFOScheduler
 from repro.persist import PersistencePolicy
 from repro.protocols import get_protocol
+
+from tests.conftest import trace_digest
 
 GOLDEN_PATH = Path(__file__).parent / "golden_replicated_stack.json"
 #: the benchmark's cells: 600 reads per reader and 600 writes per writer
@@ -70,7 +71,7 @@ def run_cell(protocol: str, seed: int):
 def observable_outcome(handle) -> Dict[str, Any]:
     metrics = collect_metrics(handle.simulation, handle.protocol.name)
     return {
-        "signature": hashlib.sha256(repr(handle.trace().signature()).encode("utf-8")).hexdigest(),
+        "signature": trace_digest(handle),
         "consensus": metrics.consensus.as_dict(),
         "persistence": metrics.persistence.as_dict(),
         "stores": {

@@ -9,7 +9,6 @@ signature does not depend on what ran earlier in the process.
 
 from __future__ import annotations
 
-import hashlib
 import sys
 from pathlib import Path
 from typing import Any, Dict
@@ -17,15 +16,13 @@ from typing import Any, Dict
 from repro.faults import FaultInjector
 from repro.obs import HealthView
 
+from tests.conftest import trace_digest
+
 PERF_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "perf"
 if str(PERF_DIR) not in sys.path:
     sys.path.insert(0, str(PERF_DIR))
 
 import workloads  # noqa: E402  (benchmarks/perf/workloads.py)
-
-
-def signature_hash(handle) -> str:
-    return hashlib.sha256(repr(handle.trace().signature()).encode("utf-8")).hexdigest()
 
 
 def run_chaos_cell(seed: int, scale: int, injector_cls=FaultInjector):
@@ -47,7 +44,7 @@ def observable_outcome(handle) -> Dict[str, Any]:
     """Everything a speed-only change to the fault/obs planes must preserve."""
     simulation = handle.simulation
     return {
-        "signature": signature_hash(handle),
+        "signature": trace_digest(handle),
         "fault_stats": simulation.fault_plane.stats.as_dict(),
         "alerts": len(simulation.obs.monitors.alerts),
         "registry": simulation.obs.registry.snapshot(),

@@ -18,7 +18,6 @@ only, and neither signal exists: no fast-forward counter is ever created.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -28,6 +27,8 @@ from repro.analysis.workload import WorkloadSpec, generate_workload, submit_work
 from repro.faults import ChaosScheduler
 from repro.obs import ObservabilityPlane
 from repro.protocols import get_protocol
+
+from tests.conftest import trace_digest
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_one_clock.json").read_text())
 PROTOCOLS = ("algorithm-b", "algorithm-c", "occ-double-collect")
@@ -54,7 +55,7 @@ def run_cell(protocol: str, seed: int):
 def outcome(handle) -> dict:
     simulation = handle.simulation
     return {
-        "signature": hashlib.sha256(repr(handle.trace().signature()).encode("utf-8")).hexdigest(),
+        "signature": trace_digest(handle),
         "steps_taken": simulation.steps_taken,
         "now": simulation.now(),
     }

@@ -78,7 +78,7 @@ SEED_ALL = {
     """,
     "repro.ioa": """
         Action ActionKind Message actions_at internal_action invoke_action recv_action
-        respond_action send_action Automaton Await ClientAutomaton Context Mark ReaderAutomaton
+        respond_action send_action Automaton Await ClientAutomaton Context ReaderAutomaton
         Send EventFrontier ServerAutomaton SessionState WriterAutomaton expect_type
         expect_types CommunicationNotAllowedError DuplicateProcessError LivenessError
         SchedulerError SessionError SimulationError TraceError UnknownProcessError

@@ -1,9 +1,10 @@
 """Every input-validation raise in ``src/`` that no other test reaches.
 
 Each case is a public call with one bad argument, or a client handed the
-wrong kind of transaction through ``Simulation.submit``, and names the error
-type and message it must raise.  The raises that no input can reach are
-listed with their reason in ``tests/unrun/UNRUN.json`` instead.
+wrong kind of transaction, which ``Simulation.submit`` refuses before any
+step, and names the error type and message it must raise.  The raises that
+no input can reach are listed with their reason in
+``tests/unrun/UNRUN.json`` instead.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from repro.faults import (
     partition_grid_scenarios,
     shrink_consensus_group_mid_run,
 )
-from repro.ioa import ActionKind, FIFOScheduler, SimulationError, TraceError
+from repro.ioa import ActionKind, FIFOScheduler, SimulationError, TraceError, WellFormednessError
 from repro.ioa.actions import Action
 from repro.ioa.trace import Fragment, Trace
 from repro.proofs import extract_read_fragments
@@ -96,7 +97,7 @@ def test_a_bad_argument_raises(case):
         call()
 
 
-#: protocol -> the client kinds whose ``run_transaction`` checks what it got
+#: protocol -> its client kinds with a ``run_transaction`` of their own
 CLIENTS = {
     "algorithm-a": ("reader", "writer"),
     "algorithm-b": ("reader", "writer"),
@@ -114,12 +115,14 @@ CLIENTS = {
 def test_a_client_refuses_the_other_transaction_kind(protocol, client):
     handle = get_protocol(protocol).build(scheduler=FIFOScheduler())
     if client == "reader":
-        name, txn, wanted = handle.readers[0], WriteTransaction(updates=(("ox", 1),), txn_id="W1"), "non-READ"
+        name, txn = handle.readers[0], WriteTransaction(updates=(("ox", 1),), txn_id="W1")
     else:
-        name, txn, wanted = handle.writers[0], ReadTransaction(objects=("ox",), txn_id="R1"), "non-WRITE"
-    handle.simulation.submit(name, txn)
-    with pytest.raises(SimulationError, match=f"{name} received a {wanted} transaction"):
-        handle.run_to_completion()
+        name, txn = handle.writers[0], ReadTransaction(objects=("ox",), txn_id="R1")
+    simulation = handle.simulation
+    with pytest.raises(WellFormednessError, match=f"{client} '{name}' runs only"):
+        simulation.submit(name, txn)
+    assert simulation.steps_taken == 0 and len(simulation.trace) == 0
+    assert simulation.transaction_records() == ()
 
 
 def _one_round_read():

@@ -9,7 +9,6 @@ from repro.ioa.automaton import (
     Automaton,
     Await,
     ClientAutomaton,
-    Mark,
     ReaderAutomaton,
     Send,
     ServerAutomaton,
@@ -62,9 +61,6 @@ class TestEffects:
         effect = Await(matcher=lambda m: True)
         assert effect.count == 1
         assert effect.counts_as_round is True
-
-    def test_mark_defaults(self):
-        assert dict(Mark().info) == {}
 
 
 class TestMatchers:

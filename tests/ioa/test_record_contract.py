@@ -502,8 +502,7 @@ def test_only_the_action_and_the_trace_signature_read_the_info_pairs():
         ("repro/ioa/actions.py", "Action.__repr__", "self"),
         ("repro/ioa/actions.py", "Action.__reduce__", "self"),
         ("repro/ioa/trace.py", "Trace.signature", "action"),
-        # not an action's info: a timer's keyword dict and a Mark's mapping
+        # not an action's info: a timer's keyword dict
         ("repro/ioa/simulation.py", "Simulation.reschedule_timeout", "timeout"),
         ("repro/ioa/simulation.py", "Simulation._fire_timeout", "timeout"),
-        ("repro/ioa/simulation.py", "Simulation._advance_session", "effect"),
     }

@@ -5,8 +5,8 @@ records carry no ``__dict__`` and a run keeps a bounded number of GC-tracked
 objects per retained action (every tracked object is walked by each gen-2
 collection — a third of a long full-trace run), so a later change that adds a
 per-event dict or dataclass fails here rather than in a benchmark; and
-message ids are numbered by the simulation and generated transaction ids by
-the workload, not by the interpreter.
+message ids are numbered by the simulation, generated transaction ids by the
+workload and id-less submissions by the simulation, not by the interpreter.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import gc
 import pytest
 
 from repro.analysis.workload import WorkloadSpec, generate_workload, submit_workload
-from repro.ioa import Action, Message, PendingDelivery, WellFormednessError
+from repro.ioa import Action, FIFOScheduler, Message, PendingDelivery, WellFormednessError
 from repro.protocols import get_protocol
 from repro.txn import read as make_read
 
@@ -70,14 +70,32 @@ def test_two_runs_of_one_config_and_seed_are_equal_including_message_ids():
     assert invoked == {f"R{n}" for n in range(1, 161)} | {f"W{n}" for n in range(161, 201)}
 
 
+def run_id_less_cell():
+    """B at 1R/1W/2S: one WRITE then one READ, neither given an id."""
+    handle = get_protocol("algorithm-b").build(num_readers=1, num_writers=1, num_objects=2, scheduler=FIFOScheduler())
+    write = handle.submit_write(dict.fromkeys(handle.objects, 1))
+    handle.submit_read(after=[write])
+    handle.run_to_completion()
+    return handle
+
+
+def test_id_less_submissions_are_numbered_per_simulation():
+    # a second run in the same process numbers from 1 again: W1, R2 both times
+    first, second = run_id_less_cell(), run_id_less_cell()
+    ids = [[r.txn_id for r in h.transaction_records()] for h in (first, second)]
+    assert ids == [["W1", "R2"], ["W1", "R2"]]
+    assert [r.txn.txn_id for r in second.transaction_records()] == ["W1", "R2"]
+    assert first.trace().signature() == second.trace().signature()
+    assert first.snow_report().describe() == second.snow_report().describe()
+
+
 def test_generated_ids_are_per_workload_and_hand_built_ones_are_not():
     spec = WorkloadSpec(reads_per_reader=2, writes_per_writer=2, seed=3)
-    make_read("o1")  # moves the module counter, not the generator's
     first = generate_workload(spec, ("r1",), ("w1",), ("o1", "o2"))
     second = generate_workload(spec, ("r1",), ("w1",), ("o1", "o2"))
     assert first == second
     assert [t.txn_id for _, t in first.reads + first.writes] == ["R1", "R2", "W3", "W4"]
-    assert make_read("o1").txn_id != make_read("o1").txn_id  # module counter, still unique
+    assert make_read("o1").txn_id == ""  # named by the simulation it is submitted to
 
     handle = get_protocol("algorithm-b").build(num_readers=1, num_writers=1, num_objects=2)
     submit_workload(handle, first)

@@ -29,6 +29,7 @@ from repro.persist import PersistencePlane, PersistencePolicy
 from repro.protocols import get_protocol
 
 from tests import invariants
+from tests.conftest import trace_digest
 from tests.consensus.conftest import COORDINATOR_PROTOCOLS, run_consensus_workload
 
 pytestmark = pytest.mark.invariants
@@ -86,7 +87,6 @@ def test_recovered_run_reaches_uninterrupted_verdicts(protocol, target, seed):
 def test_recovered_run_is_replayable(seed):
     """Same cell twice — byte-identical traces: recovery consults only the
     store, never wall clocks or unseeded randomness."""
-    import hashlib
 
     def run_once():
         handle = run_consensus_workload(
@@ -97,7 +97,7 @@ def test_recovered_run_is_replayable(seed):
             seed=seed,
             persistence=PersistencePolicy(compact_every=3),
         )
-        return hashlib.sha256(repr(handle.trace().signature()).encode()).hexdigest()
+        return trace_digest(handle)
 
     assert run_once() == run_once()
 

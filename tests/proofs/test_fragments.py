@@ -8,8 +8,10 @@ from repro.ioa import ActionKind
 from repro.ioa.errors import TraceError
 from repro.ioa.trace import Trace
 from repro.proofs.fragments import (
+    Dependency,
     can_commute,
     commute_adjacent,
+    dependency,
     extract_read_fragments,
     indistinguishable_fragments,
     returned_value,
@@ -76,6 +78,11 @@ class TestExtraction:
 
 
 class TestCommuting:
+    def test_the_independence_rule_checks_the_automaton_before_the_messages(self):
+        assert dependency("sx", "sy", {1, 2}, {3}) is None
+        assert dependency("sx", "sy", {"m1", "m2"}, {"m2"}) == Dependency(False, frozenset({"m2"}))
+        assert dependency("sx", "sx", {1}, {1}) == Dependency(True, frozenset())
+
     def test_fragments_at_distinct_servers_commute(self):
         _, _, fragments = algorithm_a_fragments()
         fx = fragments.fragment_for_server("sx")

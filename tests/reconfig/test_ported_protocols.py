@@ -184,10 +184,40 @@ class TestS2plLiveChanges:
             ("recv", "lock-write", 1),
             ("send", "lock-write-granted", 1),
             ("recv", "lock-write", 2),  # queued: W1's first attempt still holds the lock
-            ("recv", "unlock-write", None),  # sx has retired by now
-            ("send", "epoch-mismatch", None),
+            ("recv", "unlock-write", 1),  # sx has retired by now
+            ("send", "epoch-mismatch", 1),
             ("send", "epoch-mismatch", 2),  # the flush answers the queued request
         ]
+        assert handle.serializability().ok
+
+    def test_a_read_restarts_when_its_first_lock_meets_a_retired_replica(self):
+        """R1's first lock request reaches ``sx`` after the swap retired it:
+        ``sx`` answers with an epoch mismatch, R1 gives up its first
+        attempt (it holds no lock yet) and locks every replica of the new
+        groups in its second.  Every transaction completes."""
+        handle = run_reconfig_workload(
+            "s2pl",
+            reconfig=ReconfigPlan(name="swap", requests=(set_replica_group("ox", ("sx.2", "sx.3", "sx.4"), at=12),)),
+            scheduler=ChaosScheduler(base=RandomScheduler(seed=9), seed=9),
+        )
+        at_r1 = [
+            (a.kind.value, a.get("reconfig"))
+            if a.message is None
+            else (a.kind.value, a.message.msg_type, a.message.src if a.kind.value == "recv" else a.message.dst,
+                  a.message.get("attempt"))
+            for a in handle.trace()
+            if a.actor == "r1" and a.get("txn") == "R1"
+        ]
+        assert at_r1[:5] == [
+            ("invoke", None),
+            ("send", "lock-read", "sx", 1),
+            ("recv", "epoch-mismatch", "sx", 1),
+            ("internal", "epoch-retry"),
+            ("send", "lock-read", "sx.2", 2),
+        ]
+        locked = [row[2] for row in at_r1[4:] if row[1] == "lock-read"]
+        assert locked == ["sx.2", "sx.3", "sx.4", "sy", "sy.2", "sy.3"]
+        assert handle.simulation.incomplete_transactions() == ()
         assert handle.serializability().ok
 
 

@@ -13,7 +13,6 @@ layer leaked into the single-copy wire protocol.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -22,6 +21,7 @@ import pytest
 from repro.ioa import FIFOScheduler, RandomScheduler
 from repro.protocols import protocol_names
 
+from tests.conftest import trace_digest
 from tests.replication.conftest import run_fixed_workload
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_signatures.json").read_text())
@@ -33,9 +33,6 @@ CONFIGS = {
 }
 
 
-def signature_hash(handle) -> str:
-    return hashlib.sha256(repr(handle.trace().signature()).encode("utf-8")).hexdigest()
-
 
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))
 @pytest.mark.parametrize("protocol", protocol_names())
@@ -44,7 +41,7 @@ def test_default_build_matches_pre_placement_seed(protocol, config_name):
     handle = run_fixed_workload(
         protocol, scheduler=scheduler_factory(), num_objects=num_objects
     )
-    assert signature_hash(handle) == GOLDEN[protocol][config_name], (
+    assert trace_digest(handle) == GOLDEN[protocol][config_name], (
         f"{protocol} trace drifted from the pre-placement seed under {config_name}"
     )
 
@@ -60,7 +57,7 @@ def test_explicit_rf1_matches_pre_placement_seed(protocol):
             replication_factor=1,
             quorum=quorum,
         )
-        assert signature_hash(handle) == GOLDEN[protocol]["fifo-2obj"], (protocol, quorum)
+        assert trace_digest(handle) == GOLDEN[protocol]["fifo-2obj"], (protocol, quorum)
 
 
 def test_every_registered_protocol_is_pinned():
@@ -76,7 +73,7 @@ def test_explicit_consensus1_matches_pre_consensus_seed(protocol):
     handle = run_fixed_workload(
         protocol, scheduler=FIFOScheduler(), num_objects=2, consensus_factor=1
     )
-    assert signature_hash(handle) == GOLDEN[protocol]["fifo-2obj"], protocol
+    assert trace_digest(handle) == GOLDEN[protocol]["fifo-2obj"], protocol
 
 
 def test_consensus_factor_rejected_without_coordinator():
@@ -95,7 +92,7 @@ def test_explicit_controller_off_matches_seed(protocol):
         protocol, scheduler=FIFOScheduler(), num_objects=2, controller=None
     )
     assert handle.directory is None
-    assert signature_hash(handle) == GOLDEN[protocol]["fifo-2obj"], protocol
+    assert trace_digest(handle) == GOLDEN[protocol]["fifo-2obj"], protocol
 
 
 @pytest.mark.parametrize("protocol", protocol_names())
@@ -110,7 +107,7 @@ def test_explicit_reconfig_off_matches_seed(protocol):
             protocol, scheduler=FIFOScheduler(), num_objects=2, reconfig=reconfig
         )
         assert handle.directory is None
-        assert signature_hash(handle) == GOLDEN[protocol]["fifo-2obj"], (protocol, reconfig)
+        assert trace_digest(handle) == GOLDEN[protocol]["fifo-2obj"], (protocol, reconfig)
 
 
 @pytest.mark.parametrize("protocol", protocol_names())
@@ -122,7 +119,7 @@ def test_explicit_persistence_off_matches_seed(protocol):
         protocol, scheduler=FIFOScheduler(), num_objects=2, persistence=None
     )
     assert handle.persistence is None
-    assert signature_hash(handle) == GOLDEN[protocol]["fifo-2obj"], protocol
+    assert trace_digest(handle) == GOLDEN[protocol]["fifo-2obj"], protocol
 
 
 def test_enabled_persistence_is_trace_invisible_without_compaction():
@@ -140,7 +137,7 @@ def test_enabled_persistence_is_trace_invisible_without_compaction():
             consensus_factor=3,
             persistence=persistence,
         )
-        return signature_hash(handle)
+        return trace_digest(handle)
 
     assert consensus_signature(PersistencePolicy()) == consensus_signature(None)
 
@@ -151,7 +148,7 @@ def test_explicit_leases_off_matches_seed(protocol):
     the lease layer's byte-identity contract — no lease state allocated, no
     lease rounds on any wire, no new trace actions."""
     handle = run_fixed_workload(protocol, scheduler=FIFOScheduler(), num_objects=2, leases=None)
-    assert signature_hash(handle) == GOLDEN[protocol]["fifo-2obj"], protocol
+    assert trace_digest(handle) == GOLDEN[protocol]["fifo-2obj"], protocol
 
 
 def test_enabled_leases_leave_the_write_path_byte_identical():
@@ -184,7 +181,7 @@ def test_enabled_leases_leave_the_write_path_byte_identical():
             after=[w1],
         )
         handle.run_to_completion()
-        return signature_hash(invariants.register(handle))
+        return trace_digest(invariants.register(handle))
 
     assert write_only_signature(True) == write_only_signature(None)
 
@@ -225,7 +222,7 @@ def test_explicit_obs_off_matches_seed(protocol):
     no mailbox hooks."""
     handle = run_fixed_workload(protocol, scheduler=FIFOScheduler(), num_objects=2, obs=None)
     assert handle.simulation.obs is None
-    assert signature_hash(handle) == GOLDEN[protocol]["fifo-2obj"], protocol
+    assert trace_digest(handle) == GOLDEN[protocol]["fifo-2obj"], protocol
 
 
 @pytest.mark.parametrize("protocol", protocol_names())
@@ -239,7 +236,7 @@ def test_enabled_obs_is_trace_invisible(protocol):
     handle = run_fixed_workload(
         protocol, scheduler=FIFOScheduler(), num_objects=2, obs=plane
     )
-    assert signature_hash(handle) == GOLDEN[protocol]["fifo-2obj"], protocol
+    assert trace_digest(handle) == GOLDEN[protocol]["fifo-2obj"], protocol
     # ... and it actually observed the run.
     assert plane.registry.counter_total("kernel.events") == len(handle.trace())
 
@@ -254,7 +251,7 @@ def test_explicit_full_trace_mode_matches_seed(protocol):
         protocol, scheduler=FIFOScheduler(), num_objects=2, trace_mode=TraceMode.full()
     )
     assert handle.simulation.trace.is_full()
-    assert signature_hash(handle) == GOLDEN[protocol]["fifo-2obj"], protocol
+    assert trace_digest(handle) == GOLDEN[protocol]["fifo-2obj"], protocol
 
 
 @pytest.mark.parametrize("protocol", protocol_names())
@@ -268,7 +265,7 @@ def test_monitors_and_health_are_trace_invisible(protocol):
     handle = run_fixed_workload(
         protocol, scheduler=FIFOScheduler(), num_objects=2, obs=plane
     )
-    assert signature_hash(handle) == GOLDEN[protocol]["fifo-2obj"], protocol
+    assert trace_digest(handle) == GOLDEN[protocol]["fifo-2obj"], protocol
     # ... and both actually watched every appended action.
     assert plane.monitors.ok
     assert plane.health_view.report()["totals"]["events"] == len(handle.trace())

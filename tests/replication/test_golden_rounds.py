@@ -11,7 +11,8 @@ pins what it cannot reach: the client rounds over replica groups.
 * **Under a directory** — a replica-group swap mid-run under latency faults
   and a chaos schedule, sixteen seeds per protocol.  Each protocol has at
   least two cells whose trace holds an ``epoch-retry`` action, so the retry
-  path of every round is pinned, not only its happy path.
+  path of every round is pinned, not only its happy path, and every cell
+  ends with each transaction complete.
 
 The signatures (``golden_round_signatures.json``) are hashes of
 ``Trace.signature()``.  After a deliberate wire change, regenerate them with
@@ -21,7 +22,6 @@ so in the commit.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -33,6 +33,7 @@ from repro.ioa import FIFOScheduler, RandomScheduler
 from repro.protocols import get_protocol, protocol_names
 
 from tests import invariants
+from tests.conftest import trace_digest
 from tests.reconfig.conftest import run_reconfig_workload
 from tests.replication.conftest import run_fixed_workload
 
@@ -59,9 +60,6 @@ COORDINATED_CELLS = {
 }
 EPOCH_SEEDS = range(16)
 
-
-def signature_hash(handle) -> str:
-    return hashlib.sha256(repr(handle.trace().signature()).encode("utf-8")).hexdigest()
 
 
 def fixed_cells(protocol: str):
@@ -111,7 +109,7 @@ FIXED_PARAMS = [(p, cell) for p in protocol_names() for cell in sorted(fixed_cel
 def test_fixed_membership_rounds_match_golden(protocol, cell):
     handle = run_fixed_cell(protocol, cell)
     assert handle.directory is None
-    assert signature_hash(handle) == _golden()["fixed"][protocol][cell], (protocol, cell)
+    assert trace_digest(handle) == _golden()["fixed"][protocol][cell], (protocol, cell)
 
 
 @pytest.mark.parametrize("protocol", protocol_names())
@@ -120,7 +118,8 @@ def test_epoch_rounds_match_golden(protocol):
     retried = []
     for seed in EPOCH_SEEDS:
         handle = run_epoch_cell(protocol, seed)
-        assert signature_hash(handle) == golden[str(seed)], (protocol, seed)
+        assert handle.simulation.incomplete_transactions() == (), (protocol, seed)
+        assert trace_digest(handle) == golden[str(seed)], (protocol, seed)
         if epoch_retries(handle):
             retried.append(seed)
     # the grid must exercise the retry path, not only the happy path
@@ -134,11 +133,11 @@ def test_every_registered_protocol_is_pinned():
 
 def regenerate() -> None:
     fixed = {
-        p: {cell: signature_hash(run_fixed_cell(p, cell)) for cell in sorted(fixed_cells(p))}
+        p: {cell: trace_digest(run_fixed_cell(p, cell)) for cell in sorted(fixed_cells(p))}
         for p in protocol_names()
     }
     epoch = {
-        p: {str(seed): signature_hash(run_epoch_cell(p, seed)) for seed in EPOCH_SEEDS}
+        p: {str(seed): trace_digest(run_epoch_cell(p, seed)) for seed in EPOCH_SEEDS}
         for p in protocol_names()
     }
     invariants.reset()

@@ -33,8 +33,9 @@ class TestReadTransaction:
         with pytest.raises(ValueError):
             read("ox", "ox")
 
-    def test_txn_ids_are_unique_when_auto_assigned(self):
-        assert read("ox").txn_id != read("ox").txn_id
+    def test_an_id_less_transaction_is_unnamed_until_submitted(self):
+        # the simulation it is submitted to names it (Simulation.submit)
+        assert read("ox").txn_id == write(ox=1).txn_id == ""
 
     def test_explicit_txn_id_preserved(self):
         assert read("ox", txn_id="R-explicit").txn_id == "R-explicit"
