@@ -9,7 +9,7 @@ benchmark sweeps are declarative lists of configurations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..core.snow import SnowReport, check_snow
@@ -23,6 +23,7 @@ from ..ioa.scheduler import (
     RandomScheduler,
     Scheduler,
 )
+from ..protocols.base import SystemSpec
 from ..protocols.registry import get_protocol
 from ..txn.history import History
 from .metrics import ExperimentMetrics, collect_metrics
@@ -60,37 +61,22 @@ def make_scheduler(name: str, seed: int = 0) -> Scheduler:
     return factory(seed)
 
 
-@dataclass
-class ExperimentConfig:
-    """Declarative description of one experiment run."""
+@dataclass(kw_only=True)
+class ExperimentConfig(SystemSpec):
+    """Declarative description of one experiment run: the system's settings
+    (:class:`~repro.protocols.base.SystemSpec`, two readers and two writers
+    unless set) and what the recipe adds around them."""
 
     protocol: str
     num_readers: int = 2
     num_writers: int = 2
-    num_objects: int = 2
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
     scheduler: str = "fifo"
-    seed: int = 0
-    c2c: Optional[bool] = None
-    initial_value: Any = 0
     check_properties: bool = True
     #: optional fault plan; None keeps the reliable channels of the paper.
     #: A faulted run executes until idle rather than to completion, so
     #: availability (completed/submitted) becomes a first-class result.
     faults: Optional[FaultPlan] = None
-    #: replicas per object; 1 is the paper's one-server-per-object setting.
-    replication_factor: int = 1
-    #: quorum policy name (see :func:`repro.txn.placement.quorum_policy_names`).
-    quorum: str = "read-one-write-all"
-    #: consensus members replicating the coordinator; 1 is the seed's single
-    #: designated server (see :mod:`repro.consensus`).
-    consensus_factor: int = 1
-    #: scheduled membership changes; None keeps membership fixed for the
-    #: whole run (see :mod:`repro.consensus.reconfig`).
-    reconfig: Optional[Any] = None
-    #: automated-rebalancing policy; None runs without the control loop
-    #: (see :mod:`repro.consensus.controller`).
-    controller: Optional[Any] = None
     #: install the observability plane (kernel metrics registry + causal
     #: spans; see :mod:`repro.obs`).  Purely additive: the trace and every
     #: metric block stay identical — the collectors read the plane's
@@ -104,15 +90,6 @@ class ExperimentConfig:
     #: attach the health/SLO plane (implies ``observe``); read via
     #: ``result.obs.health_view`` (see :mod:`repro.obs.health`).
     health: bool = False
-    #: trace record retention (None = full; see :class:`repro.ioa.TraceMode`)
-    trace_mode: Optional[Any] = None
-    #: stable storage for consensus members (a
-    #: :class:`~repro.persist.PersistencePolicy` or plane); None keeps the
-    #: seed's volatile members (see :mod:`repro.persist`)
-    persistence: Optional[Any] = None
-    #: leader leases for the consensus read fast path (``True``); None keeps
-    #: the seed's commit-everything read path (see :mod:`repro.consensus.lease`)
-    leases: Optional[bool] = None
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
         return replace(self, seed=seed, workload=replace(self.workload, seed=seed))
@@ -208,23 +185,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             "counts each action as it is appended"
         )
     protocol = get_protocol(config.protocol)
-    build_kwargs: Dict[str, Any] = dict(
-        num_readers=config.num_readers,
-        num_writers=config.num_writers,
-        num_objects=config.num_objects,
-        scheduler=make_scheduler(config.scheduler, config.seed),
-        seed=config.seed,
-        initial_value=config.initial_value,
-        c2c=config.c2c,
-        replication_factor=config.replication_factor,
-        quorum=config.quorum,
-        consensus_factor=config.consensus_factor,
-        reconfig=config.reconfig,
-        controller=config.controller,
-        persistence=config.persistence,
-        leases=config.leases,
-        trace_mode=config.trace_mode,
-    )
+    build_kwargs: Dict[str, Any] = {spec.name: getattr(config, spec.name) for spec in fields(SystemSpec)}
+    build_kwargs["scheduler"] = make_scheduler(config.scheduler, config.seed)
     if not protocol.supports_multiple_readers:
         build_kwargs["num_readers"] = 1
     if config.faults is not None:

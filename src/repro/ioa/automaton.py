@@ -130,6 +130,12 @@ class Automaton:
         """Called when a timer this automaton armed via ``ctx.set_timeout``
         fires.  ``info`` is the keyword payload passed at arming time."""
 
+    def on_retire(self, ctx: "Context") -> None:
+        """Called each time the kernel is asked to remove this automaton
+        mid-run, before it looks for pending deliveries: the last chance to
+        answer what it owes.  A message sent here keeps a non-forced removal
+        waiting until it is delivered."""
+
     # -- introspection ---------------------------------------------------
     def is_server(self) -> bool:
         return self.kind == "server"

@@ -236,6 +236,8 @@ class Simulation:
         retired process must die with it too, or its receiver would reply to
         a ghost), unless ``force`` is set (then they are dropped with the
         automaton; the reconfig driver only forces after a drain window).
+        The automaton's :meth:`~repro.ioa.automaton.Automaton.on_retire`
+        runs first, so what it sends there counts as pending.
         Timers owned by the automaton die with it, and the fault plane is
         told to drop any transport state it holds for the name.  Clients
         with queued or in-flight transactions cannot be removed — that
@@ -247,6 +249,7 @@ class Simulation:
                 raise SimulationError(
                     f"cannot retire client {name!r} with queued or in-flight transactions"
                 )
+        automaton.on_retire(self._contexts[name])
         in_flight = [
             d for d in self._frontier.deliveries()
             if d.message.dst == name or d.message.src == name

@@ -57,8 +57,11 @@ def writer_names(count: int) -> Tuple[str, ...]:
 
 
 @dataclass
-class BuildConfig:
-    """Parameters of one system instantiation: the settings :meth:`Protocol.build` takes."""
+class SystemSpec:
+    """The settings that fix one system of the paper's model: its readers,
+    writers and objects, whether clients may talk to each other, and the
+    planes layered on it.  :class:`BuildConfig` adds one run's machinery to
+    them and :class:`~repro.analysis.runner.ExperimentConfig` a recipe's."""
 
     num_readers: int = 1
     num_writers: int = 1
@@ -66,10 +69,6 @@ class BuildConfig:
     initial_value: Any = 0
     seed: int = 0
     c2c: Optional[bool] = None  # None = protocol default
-    scheduler: Optional[Scheduler] = None
-    max_steps: int = 200_000
-    #: optional network-conditions hook (None = the paper's reliable channels)
-    fault_plane: Optional[FaultPlane] = None
     #: replicas per object (1 = the paper's one-server-per-object setting)
     replication_factor: int = 1
     #: quorum policy name or instance (see :mod:`repro.txn.placement`)
@@ -77,19 +76,12 @@ class BuildConfig:
     #: consensus members replicating the coordinator / timestamp oracle
     #: (1 = the seed's single designated server, byte-identical)
     consensus_factor: int = 1
-    #: randomized election timeout window in virtual-time steps (None = the
-    #: consensus layer's default; only meaningful with consensus_factor > 1)
-    election_timeout: Optional[Tuple[int, int]] = None
     #: scheduled membership changes (None = fixed membership, byte-identical
     #: to the seed; see :mod:`repro.consensus.reconfig`)
     reconfig: Optional[ReconfigPlan] = None
     #: automated-rebalancing control loop (None = no controller, byte-
     #: identical; see :mod:`repro.consensus.controller`)
     controller: Optional[ControllerPolicy] = None
-    #: observability plane (None = no metrics/span hooks at all; an enabled
-    #: plane is a passive listener, so the trace stays byte-identical —
-    #: see :mod:`repro.obs`)
-    obs: Optional[Any] = None
     #: trace record retention (None = full, byte-identical to seed; see
     #: :class:`~repro.ioa.trace.TraceMode` — ``ring`` keeps counters and
     #: streaming monitors exact while recording only the newest actions)
@@ -130,6 +122,23 @@ class BuildConfig:
 
     def writers(self) -> Tuple[str, ...]:
         return writer_names(self.num_writers)
+
+
+@dataclass
+class BuildConfig(SystemSpec):
+    """Parameters of one system instantiation: the settings :meth:`Protocol.build` takes."""
+
+    scheduler: Optional[Scheduler] = None
+    max_steps: int = 200_000
+    #: optional network-conditions hook (None = the paper's reliable channels)
+    fault_plane: Optional[FaultPlane] = None
+    #: randomized election timeout window in virtual-time steps (None = the
+    #: consensus layer's default; only meaningful with consensus_factor > 1)
+    election_timeout: Optional[Tuple[int, int]] = None
+    #: observability plane (None = no metrics/span hooks at all; an enabled
+    #: plane is a passive listener, so the trace stays byte-identical —
+    #: see :mod:`repro.obs`)
+    obs: Optional[Any] = None
 
 
 class SystemHandle:

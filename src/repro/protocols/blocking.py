@@ -148,6 +148,12 @@ class LockingServer(DirectoryAwareServer, ServerAutomaton):
             self._flush_retired(ctx)
         return handled
 
+    def on_retire(self, ctx: Context) -> None:
+        # Once removed, no message can reach this server to trigger the
+        # flush above, and a client queued behind a held lock would wait
+        # forever: bounce the queue before the kernel removes it.
+        self._flush_retired(ctx)
+
     def _flush_retired(self, ctx: Context) -> None:
         while self.queue:
             pending = self.queue.popleft()

@@ -1,9 +1,9 @@
 """Shared helpers for the consensus-layer tests.
 
 ``run_consensus_workload`` mirrors ``tests/replication/conftest.py`` — the
-same fixed explicit-id workload — but threads the consensus knobs through
-``Protocol.build`` and defaults to the chaos scheduler (leader-crash plans
-need the virtual clock honoured).
+same fixed explicit-id workload — at three consensus members, under the
+chaos scheduler by default (leader-crash plans need the virtual clock
+honoured).
 
 Every helper-produced handle is registered with the shared invariant checker
 (``tests/invariants.py``), and the autouse ``invariant_autocheck`` fixture
@@ -36,27 +36,20 @@ def invariant_autocheck():
 def run_consensus_workload(
     protocol_name: str,
     consensus_factor: int = 3,
-    plan=None,
     scheduler=None,
-    seed: int = 3,
-    election_timeout=None,
-    reconfig=None,
-    persistence=None,
-    leases=None,
     run_to_completion: bool = False,
+    **settings,
 ):
-    """Build, submit the fixed explicit-id workload, run; returns the handle."""
+    """Build, submit the fixed explicit-id workload, run; returns the handle.
+
+    ``settings`` go on to :func:`run_fixed_workload` (its seed 3, 2R/2W).
+    """
     return run_fixed_workload(
         protocol_name,
         scheduler=scheduler or ChaosScheduler(base=FIFOScheduler()),
-        seed=seed,
         consensus_factor=consensus_factor,
-        election_timeout=election_timeout,
-        plan=plan,
-        reconfig=reconfig,
-        persistence=persistence,
-        leases=leases,
         run_to_completion=run_to_completion,
+        **settings,
     )
 
 

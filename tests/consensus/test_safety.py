@@ -9,10 +9,13 @@ hardest: leader crash + randomized chaos schedules, several seeds.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.faults import ChaosScheduler
 from repro.ioa import RandomScheduler
+from repro.ioa.actions import Action, ActionKind
 
 from tests.consensus.conftest import (
     COORDINATOR_PROTOCOLS,
@@ -51,6 +54,22 @@ def test_safety_invariants_across_seeds(protocol, seed):
     check_state_machine_safety(handle)
     # And the executions stay strictly serializable through the failover.
     assert handle.serializability().ok, (protocol, seed)
+
+
+def test_election_safety_fails_a_term_with_two_leaders():
+    """The post-mortem check is the streaming monitor replayed over the
+    trace, so a forged trace electing two members in one term fails it."""
+    trace = [
+        Action(
+            kind=ActionKind.INTERNAL,
+            actor=member,
+            info=(("consensus", "became-leader"), ("term", 2), ("member", member)),
+        )
+        for member in ("coor", "coor.2")
+    ]
+    handle = SimpleNamespace(trace=lambda: trace)
+    with pytest.raises(AssertionError, match=r"\[1\] term 2 elected both 'coor' and 'coor.2'"):
+        check_election_safety(handle)
 
 
 @pytest.mark.parametrize("seed", SEEDS[:3])

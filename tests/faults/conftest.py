@@ -1,10 +1,9 @@
 """Shared helpers for the fault-plane tests.
 
-Trace comparisons across runs use ``Trace.signature()`` (id-free: generated
-transaction ids come from a process-global counter, and runs that send a
-different number of messages number them differently), and the workload must
-use *explicit* transaction ids so two runs in the same process submit
-identical transactions.
+Trace comparisons across runs use ``Trace.signature()``, which leaves the ids
+out (runs that send a different number of messages number them differently).
+The workload names its transactions itself (``W1``, ``R1``, …), so a test can
+refer to them by name.
 """
 
 from __future__ import annotations

@@ -10,19 +10,21 @@ assertions for free: the test helpers register each finished handle with
 Invariants checked (each skipped automatically when the run has nothing it
 applies to):
 
-* **election safety** — at most one leader is elected per term;
+* **election safety** — at most one leader is elected per term (the
+  streaming :class:`~repro.obs.monitor.ElectionSafetyMonitor` replayed
+  post-mortem);
 * **log matching** — two members' logs agree below any index where their
   terms agree, and committed prefixes agree outright;
 * **state-machine safety** — applied request sequences are prefix-consistent
   across members;
-* **quorum intersection across epochs** *(new)* — for every joint
+* **quorum intersection across epochs** — for every joint
   configuration a run entered, every read quorum of ``C_old,new`` intersects
   every write quorum of ``C_old`` and of ``C_new`` (checked exhaustively
   over minimal quorum subsets);
-* **at-most-one-config-in-flight** *(new)* — the directory's transition log
+* **at-most-one-config-in-flight** — the directory's transition log
   alternates ``joint-begin`` / ``commit`` strictly: no second change starts
   before the previous one commits;
-* **lease safety** *(new)* — no local read outside a proven lease window,
+* **lease safety** — no local read outside a proven lease window,
   no overlap between different members' announced windows, and no election
   completing inside a live foreign window (delegates to the streaming
   :class:`~repro.obs.monitor.LeaseSafetyMonitor` replayed post-mortem —
@@ -34,6 +36,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.obs.monitor import (  # shared with the online monitors
+    ElectionSafetyMonitor,
     joint_quorums_intersect,
     offline_lease_violations,
 )
@@ -109,16 +112,22 @@ def consensus_internals(handle):
 
 
 # ----------------------------------------------------------------------
-# The PR 3 consensus invariants
+# The consensus invariants
 # ----------------------------------------------------------------------
 def check_election_safety(handle):
-    """At most one leader is elected per term."""
-    leaders_per_term = {}
-    for info in consensus_internals(handle):
-        if info["consensus"] == "became-leader":
-            leaders_per_term.setdefault(info["term"], set()).add(info["member"])
-    for term, leaders in leaders_per_term.items():
-        assert len(leaders) <= 1, f"term {term} elected {sorted(leaders)}"
+    """At most one leader is elected per term.
+
+    Replays the trace through a fresh :class:`ElectionSafetyMonitor`, as
+    :func:`check_lease_safety` replays the lease monitor: the post-mortem
+    rule and the streaming one are the same code.
+    """
+    monitor = ElectionSafetyMonitor()
+    violations = [
+        f"[{index}] {message}"
+        for index, action in enumerate(handle.trace())
+        if (message := monitor.observe(action, index)) is not None
+    ]
+    assert not violations, "election safety violated: " + "; ".join(violations)
 
 
 def check_log_matching(handle):
@@ -186,7 +195,7 @@ def check_state_machine_safety(handle):
 
 
 # ----------------------------------------------------------------------
-# The reconfiguration invariants (new in this PR)
+# The reconfiguration invariants
 # ----------------------------------------------------------------------
 # ``joint_quorums_intersect`` now lives in :mod:`repro.obs.monitor` (one
 # implementation shared by this post-mortem checker and the streaming

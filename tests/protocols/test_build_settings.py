@@ -1,10 +1,13 @@
 """The ratchet on the build's settings and the options nested inside them.
 
-``Protocol.build(**settings)`` takes ``BuildConfig``'s fields, declared once
-there.  This test pins that list, ``ExperimentConfig``'s fields, and one level
-down the fields of the policy objects those settings take: adding, renaming or
-removing a setting or an option means editing the pins here on purpose, in the
-same change.
+The settings that fix a system are declared once, on ``SystemSpec``;
+``BuildConfig`` (what ``Protocol.build(**settings)`` takes) and
+``ExperimentConfig`` each add their own fields after them.  This test pins
+both classes' field lists, in that order, and one level down the fields of
+the policy objects those settings take: adding, renaming or removing a
+setting or an option means editing the pins here on purpose, in the same
+change.  It also checks that ``run_experiment`` hands every shared setting
+to the build.
 """
 
 from __future__ import annotations
@@ -14,34 +17,45 @@ import inspect
 
 import pytest
 
-from repro.analysis import ExperimentConfig
+from repro.analysis import ExperimentConfig, run_experiment
 from repro.consensus import ControllerPolicy, ReconfigController
+from repro.consensus.reconfig import ReconfigPlan, set_replica_group
 from repro.ioa import TraceMode
 from repro.obs import MetricsRegistry, MonitorSuite, ObservabilityPlane, SLOPolicy
 from repro.persist import PersistencePolicy
-from repro.protocols import BuildConfig, get_protocol
+from repro.protocols import BuildConfig, Protocol, get_protocol
+from repro.protocols.base import SystemSpec
 
-SETTINGS = (
+#: the settings every system shares, declared on ``SystemSpec``
+SHARED = (
     "num_readers",
     "num_writers",
     "num_objects",
     "initial_value",
     "seed",
     "c2c",
-    "scheduler",
-    "max_steps",
-    "fault_plane",
     "replication_factor",
     "quorum",
     "consensus_factor",
-    "election_timeout",
     "reconfig",
     "controller",
-    "obs",
     "trace_mode",
     "persistence",
     "leases",
 )
+
+#: the shared settings, then the parts of one run
+SETTINGS = SHARED + (
+    "scheduler",
+    "max_steps",
+    "fault_plane",
+    "election_timeout",
+    "obs",
+)
+
+
+def test_system_spec_fields_are_the_pinned_shared_settings():
+    assert tuple(field.name for field in dataclasses.fields(SystemSpec)) == SHARED
 
 
 def test_build_config_fields_are_the_pinned_settings():
@@ -53,36 +67,67 @@ def test_build_refuses_a_setting_build_config_lacks():
         get_protocol("naive-snow").build(bogus=1)
 
 
-#: the declarative experiment: the build settings it forwards, the workload
-#: and checks around them, and the three listener switches of the obs plane
-EXPERIMENT_FIELDS = (
+#: the declarative experiment: the shared settings it forwards, then the
+#: workload and checks around them and the three listener switches of the
+#: obs plane
+EXPERIMENT_FIELDS = SHARED + (
     "protocol",
-    "num_readers",
-    "num_writers",
-    "num_objects",
     "workload",
     "scheduler",
-    "seed",
-    "c2c",
-    "initial_value",
     "check_properties",
     "faults",
-    "replication_factor",
-    "quorum",
-    "consensus_factor",
-    "reconfig",
-    "controller",
     "observe",
     "monitors",
     "health",
-    "trace_mode",
-    "persistence",
-    "leases",
 )
 
 
 def test_experiment_config_fields_are_pinned():
     assert tuple(field.name for field in dataclasses.fields(ExperimentConfig)) == EXPERIMENT_FIELDS
+
+
+#: a value other than ``ExperimentConfig``'s default for each shared setting
+NON_DEFAULT = {
+    "num_readers": 3,
+    "num_writers": 3,
+    "num_objects": 3,
+    "initial_value": "v0",
+    "seed": 7,
+    "c2c": True,
+    "replication_factor": 3,
+    "quorum": "majority",
+    "consensus_factor": 3,
+    "reconfig": ReconfigPlan(requests=(set_replica_group("ox", ("sx", "sx.2"), at=5),)),
+    "controller": ControllerPolicy(),
+    "trace_mode": TraceMode.ring(8),
+    "persistence": PersistencePolicy(),
+    "leases": True,
+}
+
+
+class _Built(Exception):
+    """Raised by the recording ``build`` once it has seen its settings."""
+
+
+@pytest.mark.parametrize("setting", SHARED)
+def test_run_experiment_hands_every_shared_setting_to_the_build(setting, monkeypatch):
+    received = {}
+
+    def build(self, **settings):
+        received.update(settings)
+        raise _Built
+
+    monkeypatch.setattr(Protocol, "build", build)
+    defaults = ExperimentConfig(protocol="algorithm-b")
+    value = NON_DEFAULT[setting]
+    assert value != getattr(defaults, setting)
+    config = ExperimentConfig(protocol="algorithm-b", check_properties=False, **{setting: value})
+    with pytest.raises(_Built):
+        run_experiment(config)
+    assert {name: received[name] for name in SHARED} == {
+        **{name: getattr(defaults, name) for name in SHARED},
+        setting: value,
+    }
 
 
 #: the fields of each policy object a setting takes

@@ -29,39 +29,34 @@ def invariant_autocheck():
 
 def run_reconfig_workload(
     protocol_name: str,
-    reconfig=None,
     plan=None,
     rounds: int = 3,
     replication_factor: int = 3,
     quorum: str = "majority",
-    consensus_factor: int = 1,
-    num_objects: int = 2,
     seed: int = 3,
     scheduler=None,
-    persistence=None,
     run_to_completion: bool = True,
+    **settings,
 ):
     """Build, submit ``rounds`` chained write+read pairs, run; return handle.
 
     Writes are chained (``W2 after W1`` …) and each read follows the latest
     write, so the workload stays alive across the whole reconfiguration
     window and the final read must observe the final write through whatever
-    configuration is current by then.
+    configuration is current by then.  ``settings`` are any other
+    ``Protocol.build`` settings (``reconfig`` above all).
     """
     protocol = get_protocol(protocol_name)
     num_readers = 1 if not protocol.supports_multiple_readers else 2
     handle = protocol.build(
         num_readers=num_readers,
         num_writers=2,
-        num_objects=num_objects,
         scheduler=scheduler or ChaosScheduler(base=FIFOScheduler()),
         seed=seed,
         replication_factor=replication_factor,
         quorum=quorum,
-        consensus_factor=consensus_factor,
-        reconfig=reconfig,
-        persistence=persistence,
         fault_plane=FaultInjector(plan, seed=seed) if plan is not None else None,
+        **settings,
     )
     previous = None
     for index in range(1, rounds + 1):

@@ -124,6 +124,26 @@ class TestDynamicMembership:
         simulation.run()
         assert simulation.automaton("a").seen == []  # the orphan was dropped
 
+    def test_what_on_retire_sends_delays_the_removal(self):
+        """The automaton answers what it owes in ``on_retire``, before the
+        kernel looks for pending mail: its farewell keeps a non-forced
+        removal waiting, and is delivered before the next attempt succeeds."""
+
+        class _Owing(_Echo):
+            def on_retire(self, ctx):
+                if not self.seen:
+                    self.seen.append("retiring")
+                    ctx.send("a", "bye", {})
+
+        simulation = Simulation(scheduler=FIFOScheduler())
+        simulation.add_automaton(_Echo("a"))
+        simulation.add_automaton(_Owing("b"))
+        simulation.start()
+        assert simulation.remove_automaton("b") is False  # the farewell is pending
+        simulation.run()
+        assert simulation.automaton("a").seen == ["bye"]
+        assert simulation.remove_automaton("b") is True
+
     def test_remove_drops_owned_timers(self):
         simulation = self.make_kernel()
         simulation.start()

@@ -220,6 +220,33 @@ class TestS2plLiveChanges:
         assert handle.simulation.incomplete_transactions() == ()
         assert handle.serializability().ok
 
+    @pytest.mark.parametrize(
+        "seed",
+        [
+            pytest.param(59, id="W2-holds-sx-R1-queued"),
+            pytest.param(50, id="R1-holds-sx-W2-queued"),
+        ],
+    )
+    def test_retiring_replica_bounces_its_queue_when_no_message_reaches_it(self, seed):
+        """The swap commits while ``sx`` holds one client's lock with another's
+        request queued behind it, and no later message ever reaches ``sx``:
+        the holder finishes on the new group without it.  Removing ``sx``
+        then would leave the queued client waiting forever, so ``sx``
+        bounces its queue with an epoch mismatch as the driver retires it."""
+        handle = run_reconfig_workload(
+            "s2pl",
+            reconfig=ReconfigPlan(requests=(set_replica_group("ox", ("sx.2", "sx.3", "sx.4"), at=24),)),
+            plan=FaultPlan(latency=UniformLatency(0, 3), seed=seed),
+            rounds=4,
+            seed=seed,
+            scheduler=ChaosScheduler(base=RandomScheduler(seed=seed), seed=seed),
+            run_to_completion=False,
+        )
+        assert "sx" not in handle.simulation.servers()
+        assert handle.simulation.incomplete_transactions() == ()
+        assert len(handle.transaction_records()) == 8
+        assert handle.serializability().ok
+
 
 class TestEigerRound2Restart:
     """An Eiger READ whose round 1 saw a stale interval asks the replica it

@@ -1,7 +1,7 @@
 """Shared helpers for the placement-layer tests.
 
-``run_fixed_workload`` mirrors ``tests/faults/conftest.py`` but threads the
-replication knobs through ``Protocol.build`` — the same explicit-id workload
+``run_fixed_workload`` mirrors ``tests/faults/conftest.py`` but forwards any
+build setting to ``Protocol.build`` — the same explicit-id workload
 the golden signatures were captured with, so signatures are comparable
 across runs *and* across the refactor boundary.
 
@@ -36,41 +36,25 @@ def run_fixed_workload(
     seed: int = 3,
     num_readers: int = 2,
     num_writers: int = 2,
-    num_objects: int = 2,
-    replication_factor: int = 1,
-    quorum: str = "read-one-write-all",
-    consensus_factor: int = 1,
-    election_timeout=None,
     plan=None,
-    reconfig=None,
-    controller=None,
-    obs=None,
-    trace_mode=None,
-    persistence=None,
-    leases=None,
     run_to_completion: bool = True,
+    **settings,
 ):
-    """Build, submit the fixed explicit-id workload, run; returns the handle."""
+    """Build, submit the fixed explicit-id workload, run; returns the handle.
+
+    ``settings`` are any other ``Protocol.build`` settings; ``plan`` is a
+    fault plan, injected with the build's seed.
+    """
     protocol = get_protocol(protocol_name)
     if not protocol.supports_multiple_readers:
         num_readers = 1
     handle = protocol.build(
         num_readers=num_readers,
         num_writers=num_writers,
-        num_objects=num_objects,
         scheduler=scheduler or FIFOScheduler(),
         seed=seed,
-        replication_factor=replication_factor,
-        quorum=quorum,
-        consensus_factor=consensus_factor,
-        election_timeout=election_timeout,
-        reconfig=reconfig,
-        controller=controller,
-        obs=obs,
-        trace_mode=trace_mode,
-        persistence=persistence,
-        leases=leases,
         fault_plane=FaultInjector(plan, seed=seed) if plan is not None else None,
+        **settings,
     )
     w1 = handle.submit_write(
         {obj: f"v1-{obj}" for obj in handle.objects}, writer=handle.writers[0], txn_id="W1"
