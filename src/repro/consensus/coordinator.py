@@ -757,9 +757,9 @@ class ReplicatedCoordinator(ServerAutomaton):
         if entries:
             self.log.merge(prev_index, entries)
             # A merge may have installed *or truncated* a configuration
-            # entry; re-derive the active config from the log (cheap: logs
-            # are short).  Empty appends (heartbeats, commit broadcasts)
-            # cannot change the log, so they skip both.
+            # entry; re-derive the active config from the log (cheap: the
+            # log indexes its entries by type).  Empty appends (heartbeats,
+            # commit broadcasts) cannot change the log, so they skip both.
             self._refresh_config()
         self.log.advance_commit(int(message.get("commit", 0)))
         self._apply_committed(ctx)

@@ -22,6 +22,8 @@ from __future__ import annotations
 import random
 from typing import Any, Optional, Set, Tuple
 
+from ..ioa.scheduler import draw_below
+
 FOLLOWER = "follower"
 CANDIDATE = "candidate"
 LEADER = "leader"
@@ -101,7 +103,8 @@ class LeaderElection:
 
     def next_timeout(self) -> int:
         """A fresh randomized election timeout delay (virtual-time steps)."""
-        return self._rng.randint(*self.timeout_range)
+        low, high = self.timeout_range
+        return low + draw_below(self._rng, high - low + 1)  # = rng.randint(low, high)
 
     # ------------------------------------------------------------------
     # Transitions

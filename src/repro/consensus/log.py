@@ -28,6 +28,7 @@ term/vote/log survive a crash (Raft's persistence rules).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -88,14 +89,20 @@ class ConsensusLog:
         #: legitimately appear twice), making :meth:`contains_request` O(1)
         #: instead of a full-log scan per client request.
         self._request_ids: Dict[str, int] = {}
+        #: msg_type -> the global indices of its entries in ``_entries``,
+        #: ascending: :meth:`newest` bisects instead of scanning back through
+        #: a log that, uncompacted, grows for the whole run
+        self._indices: Dict[str, List[int]] = {}
 
     def attach_store(self, store: Any) -> None:
         """Write every later mutation through to ``store``."""
         self._store = store
 
-    def _register(self, entry: LogEntry) -> None:
+    def _register(self, entry: LogEntry, index: int) -> None:
+        """Index a new last entry (``index`` = its global index)."""
         ids = self._request_ids
         ids[entry.request_id] = ids.get(entry.request_id, 0) + 1
+        self._indices.setdefault(entry.msg_type, []).append(index)
 
     def _unregister(self, entry: LogEntry) -> None:
         ids = self._request_ids
@@ -154,12 +161,12 @@ class ConsensusLog:
     def newest(self, msg_type: str, through: int) -> Tuple[int, Optional[LogEntry]]:
         """The newest retained entry of ``msg_type`` at an index <= ``through``,
         as ``(index, entry)``; ``(0, None)`` when the suffix holds none."""
-        base = self.snapshot_index
-        for position in range(through - base - 1, -1, -1):
-            entry = self._entries[position]
-            if entry.msg_type == msg_type:
-                return base + position + 1, entry
-        return 0, None
+        indices = self._indices.get(msg_type)
+        position = bisect_right(indices, through) if indices else 0
+        if not position:
+            return 0, None
+        index = indices[position - 1]
+        return index, self._entries[index - self.snapshot_index - 1]
 
     # ------------------------------------------------------------------
     # Leader-side append
@@ -167,8 +174,8 @@ class ConsensusLog:
     def append(self, entry: LogEntry) -> int:
         """Append a new entry (leader path); returns its 1-based index."""
         self._entries.append(entry)
-        self._register(entry)
         index = self.last_index
+        self._register(entry, index)
         if self._store is not None:
             self._store.log_append(index, entry)
         return index
@@ -217,10 +224,12 @@ class ConsensusLog:
                 for truncated in self._entries[position:]:
                     self._unregister(truncated)
                 del self._entries[position:]
+                for indices in self._indices.values():
+                    del indices[bisect_left(indices, index):]
                 if self._store is not None:
                     self._store.log_truncate(index)
             self._entries.append(entry)
-            self._register(entry)
+            self._register(entry, index)
             if self._store is not None:
                 self._store.log_append(index, entry)
 
@@ -257,6 +266,8 @@ class ConsensusLog:
         for entry in self._entries[:drop]:
             self._unregister(entry)
         del self._entries[:drop]
+        for indices in self._indices.values():
+            del indices[: bisect_right(indices, through)]
         self.compacted_entries += drop
         return drop
 
@@ -303,6 +314,7 @@ class ConsensusLog:
                 self._unregister(entry)
             self.compacted_entries += len(self._entries)
             self._entries = []
+            self._indices = {}
             if self._store is not None:
                 self._store.log_truncate(index + 1)
         self.snapshot_index = index
@@ -327,6 +339,7 @@ class ConsensusLog:
         snapshot's), so the caller replays the committed suffix."""
         self._entries = []
         self._request_ids = {}
+        self._indices = {}
         self.snapshot_index = int(snapshot_index)
         self.snapshot_term = int(snapshot_term)
         expected = self.snapshot_index + 1
@@ -337,7 +350,7 @@ class ConsensusLog:
                     f"{expected}, got {index}"
                 )
             self._entries.append(entry)
-            self._register(entry)
+            self._register(entry, index)
             expected += 1
         self.commit_index = min(max(int(commit_index), self.snapshot_index), self.last_index)
         self.last_applied = self.snapshot_index

@@ -310,29 +310,37 @@ class FaultInjector(FaultPlane):
     def _admit(self, message: Message, kernel: Any, attempts: int) -> None:
         """Run one delivery attempt of ``message`` through the fault pipeline."""
         now = kernel.now()
+        if not self._lo <= now < self._hi:
+            self._enter_span(now)
 
-        release = self._partition_release(message.src, message.dst, now)
-        if release is not _NOT_BLOCKED:
-            self.stats.held_by_partition += 1
-            self._park(_HeldMessage(message, release, "partition", attempts))
-            return
+        if self._open_partitions:
+            release = self._partition_release(message.src, message.dst, now)
+            if release is not _NOT_BLOCKED:
+                self.stats.held_by_partition += 1
+                self._park(_HeldMessage(message, release, "partition", attempts))
+                return
 
-        release = self._crash_release(message.dst, now)
+        release = self._down.get(message.dst, _NOT_BLOCKED)
         if release is not _NOT_BLOCKED:
             self.stats.held_by_crash += 1
             self._park(_HeldMessage(message, release, "crash", attempts))
             return
 
-        if self._should_drop(message, now):
-            self.stats.dropped += 1
-            retry = self.plan.retry
-            if retry is None or attempts >= retry.max_attempts:
-                self._abandon(message, kernel)
-            else:
-                self._park(
-                    _HeldMessage(message, now + retry.timeout_steps, "retransmit", attempts + 1)
-                )
-            return
+        drops = self.plan.drops
+        if drops is not None and drops.probability > 0.0:
+            streak = self._drop_streak.get(message.msg_id, 0)
+            # fair loss: after max_consecutive drops in a row an attempt is forced through
+            if streak < drops.max_consecutive and self._rng.random() < drops.probability:
+                self._drop_streak[message.msg_id] = streak + 1
+                self.stats.dropped += 1
+                retry = self.plan.retry
+                if retry is None or attempts >= retry.max_attempts:
+                    self._abandon(message, kernel)
+                else:
+                    self._park(
+                        _HeldMessage(message, now + retry.timeout_steps, "retransmit", attempts + 1)
+                    )
+                return
 
         self._drop_streak.pop(message.msg_id, None)
         self._enqueue_copy(message, kernel, now)
@@ -350,18 +358,6 @@ class FaultInjector(FaultPlane):
     def _park(self, held: _HeldMessage) -> None:
         self._buffer.park(held)
         self._copy_entered(held.message.msg_id)
-
-    def _should_drop(self, message: Message, now: int) -> bool:
-        drops = self.plan.drops
-        if drops is None or drops.probability <= 0.0:
-            return False
-        streak = self._drop_streak.get(message.msg_id, 0)
-        if streak >= drops.max_consecutive:
-            return False  # fair loss: this attempt is forced through
-        if self._rng.random() < drops.probability:
-            self._drop_streak[message.msg_id] = streak + 1
-            return True
-        return False
 
     def _abandon(self, message: Message, kernel: Any) -> None:
         self.stats.abandoned += 1
@@ -411,9 +407,8 @@ class FaultInjector(FaultPlane):
         With several overlapping partition windows the message must outlive
         all of them, so the release time is the latest finite heal; any
         permanent blocking window means the message is held forever (None).
+        The caller has entered the span holding ``now``.
         """
-        if not self._lo <= now < self._hi:
-            self._enter_span(now)
         release: Any = _NOT_BLOCKED
         for partition in self._open_partitions:
             if not partition.blocks(src, dst, now):
@@ -446,7 +441,7 @@ class FaultInjector(FaultPlane):
             self.stats.crashes += 1
             self._crash_onset[server] = now
             kernel._record_internal(server, {"fault": "crash"})
-            release = self._crash_release(server, now)
+            release = self._down[server]
             for delivery in kernel.extract_deliveries(lambda d, s=server: d.message.dst == s):
                 self.stats.held_by_crash += 1
                 self._buffer.park(_HeldMessage(delivery.message, release, "crash"))

@@ -30,6 +30,8 @@ import random
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
+from ..ioa.scheduler import draw_below
+
 
 # ----------------------------------------------------------------------
 # Latency models
@@ -69,7 +71,7 @@ class UniformLatency(LatencyModel):
             raise ValueError(f"uniform latency needs 0 <= low <= high, got [{self.low}, {self.high}]")
 
     def sample(self, rng: random.Random) -> int:
-        return rng.randint(self.low, self.high)
+        return self.low + draw_below(rng, self.high - self.low + 1)  # = rng.randint(low, high)
 
     def describe(self) -> str:
         return f"uniform[{self.low},{self.high}]"

@@ -176,6 +176,26 @@ class LIFOScheduler(Scheduler):
         return newest
 
 
+def draw_below(rng: random.Random, n: int) -> int:
+    """A seeded integer in ``[0, n)``: the one integer draw of every plane.
+
+    The rejection loop over ``getrandbits(n.bit_length())`` that CPython 3.11
+    runs for ``rng.randrange(n)``, so it returns the same value and leaves
+    ``rng`` in the same state, without ``randrange``'s two Python frames.
+    Owning the loop also keeps schedules stable across interpreters: Python
+    promises only ``random()``'s sequence between versions, not
+    ``randrange``'s algorithm.
+    """
+    if n < 1:
+        raise ValueError(f"draw_below needs n >= 1, got {n}")  # getrandbits(0) would loop forever
+    getrandbits = rng.getrandbits
+    bits = n.bit_length()
+    drawn = getrandbits(bits)
+    while drawn >= n:
+        drawn = getrandbits(bits)
+    return drawn
+
+
 class RandomScheduler(Scheduler):
     """Seeded uniform random choice among pending events.
 
@@ -191,7 +211,9 @@ class RandomScheduler(Scheduler):
         self._rng = random.Random(self.seed)
 
     def choose(self, pending: Sequence[PendingEvent], kernel: Any) -> int:
-        return self.validate_choice(self._rng.randrange(len(pending)), pending)
+        if not pending:
+            raise SchedulerError("choose() called with no pending events")
+        return draw_below(self._rng, len(pending))  # in range by construction
 
 
 class PriorityScheduler(Scheduler):

@@ -73,6 +73,7 @@ class HealthPlane:
 
     def __init__(self, slo: Optional[SLOPolicy] = None) -> None:
         self.slo = slo if slo is not None else SLOPolicy()
+        self._window = self.slo.window  # read on every action
         self._simulation: Optional[weakref.ref] = None
         #: txn id -> (kind, invoke vtime) while in flight
         self._inflight: Dict[str, Tuple[str, int]] = {}
@@ -112,17 +113,23 @@ class HealthPlane:
 
     # -- the per-event hook ---------------------------------------------
     def on_action(self, action: Action) -> None:
-        if self._simulation is None:
-            # Post-mortem replay: reconstruct the clock from the vtime
-            # stamps internal actions carry, falling back to the stamped
-            # trace index (monotone, deterministic).
-            vtime = action.get("vtime")
-            if isinstance(vtime, int) and vtime > self._clock:
-                self._clock = vtime
-            if action.index > self._clock:
-                self._clock = action.index
-        now = self.now()
-        if now // self.slo.window == self._newest_id:
+        # the clock, read once: what now() returns, without its frame
+        ref = self._simulation
+        simulation = ref() if ref is not None else None
+        if simulation is not None:
+            now = self._clock = simulation.now()
+        else:
+            if ref is None:
+                # Post-mortem replay: reconstruct the clock from the vtime
+                # stamps internal actions carry, falling back to the stamped
+                # trace index (monotone, deterministic).
+                vtime = action.get("vtime")
+                if isinstance(vtime, int) and vtime > self._clock:
+                    self._clock = vtime
+                if action.index > self._clock:
+                    self._clock = action.index
+            now = self._clock
+        if now // self._window == self._newest_id:
             self._totals["events"] += 1
             self._newest["events"] = self._newest.get("events", 0) + 1
         else:
@@ -160,8 +167,8 @@ class HealthPlane:
     # -- rolling windows --------------------------------------------------
     def _bump(self, what: str, now: int) -> None:
         self._totals[what] += 1
-        if now // self.slo.window != self._newest_id:
-            self._newest_id, self._newest = now // self.slo.window, {}
+        if now // self._window != self._newest_id:
+            self._newest_id, self._newest = now // self._window, {}
             self._buckets.append((self._newest_id, self._newest))
             while len(self._buckets) > self.slo.history:
                 self._buckets.popleft()

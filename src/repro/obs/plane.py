@@ -55,6 +55,11 @@ class ObservabilityPlane:
         self._sent = HeldInstruments(self.registry, "counter", "kernel.messages_sent", "type")
         self._channels = HeldInstruments(self.registry, "counter", "kernel.messages_channel", "channel")
         self._mailboxes = HeldInstruments(self.registry, "gauge", "kernel.mailbox_depth", "automaton")
+        # ... and on every consensus event or fired timer (label-less ones by name)
+        self._consensus = HeldInstruments(self.registry, "counter", "consensus.events", "kind")
+        self._counters = HeldInstruments(self.registry, "counter")
+        self._gauges = HeldInstruments(self.registry, "gauge")
+        self._histograms = HeldInstruments(self.registry, "histogram")
         #: (src, dst) -> its channel counter, until an automaton joins or retires
         self._pairs: Dict[Tuple[str, str], Counter] = {}
         if monitors is True:
@@ -70,6 +75,12 @@ class ObservabilityPlane:
             elif isinstance(health, SLOPolicy):
                 health = HealthPlane(slo=health)
         self.health: Optional[HealthPlane] = health or None
+        #: the per-action listeners, bound once: health first, monitors last,
+        #: so a halt_on_violation raise (which aborts the kernel step
+        #: mid-append) never loses the action from metrics or health
+        self._listeners = tuple(
+            listener.on_action for listener in (self.health, self.monitors) if listener is not None
+        )
         self._simulation: Optional[weakref.ref] = None
 
     @property
@@ -135,12 +146,8 @@ class ObservabilityPlane:
             self._on_internal(dict(zip(action.info_keys, action.info_values)))
         elif kind is _START:
             self._pairs.clear()
-        if self.health is not None:
-            self.health.on_action(action)
-        # Monitors run last so a halt_on_violation raise (which aborts the
-        # kernel step mid-append) never loses the action from metrics/health.
-        if self.monitors is not None:
-            self.monitors.on_action(action)
+        for listener in self._listeners:
+            listener(action)
 
     def _channel(self, message: Any) -> Optional[Counter]:
         """A pair's channel counter (``None`` detached), held unless overflowed."""
@@ -158,29 +165,23 @@ class ObservabilityPlane:
         if "lifecycle" in info:
             self._pairs.clear()
         if info.get("timeout"):
-            registry.counter("kernel.timeouts_fired").inc()
+            self._counters["kernel.timeouts_fired"].value += 1
         consensus = info.get("consensus")
         if consensus is not None:
-            registry.counter("consensus.events", kind=str(consensus)).inc()
+            self._consensus[str(consensus)].value += 1
             term = info.get("term")
             if term is not None:
-                gauge = registry.gauge("consensus.max_term")
+                gauge = self._gauges["consensus.max_term"]
                 if int(term) > int(gauge.value or 0):
                     gauge.set(int(term))
             if consensus == "became-leader":
-                registry.histogram("consensus.leader_elected_vtime").observe(
-                    int(info.get("vtime", 0))
-                )
+                self._histograms["consensus.leader_elected_vtime"].observe(int(info.get("vtime", 0)))
             elif consensus == "apply" and "commit_latency" in info:
-                registry.histogram("consensus.commit_latency").observe(
-                    int(info["commit_latency"])
-                )
+                self._histograms["consensus.commit_latency"].observe(int(info["commit_latency"]))
                 if info.get("read"):
-                    registry.counter("consensus.read_applies").inc()
+                    self._counters["consensus.read_applies"].value += 1
             elif consensus == "local-read" and "read_latency" in info:
-                registry.histogram("consensus.lease_read_latency").observe(
-                    int(info["read_latency"])
-                )
+                self._histograms["consensus.lease_read_latency"].observe(int(info["read_latency"]))
         reconfig = info.get("reconfig")
         if isinstance(reconfig, str):  # timers carry reconfig=<request index>
             registry.counter("reconfig.events", kind=reconfig).inc()

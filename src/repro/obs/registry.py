@@ -111,9 +111,15 @@ class HeldInstruments(dict):
     exactly the label sets a run touched, and it stops once the metric name
     has overflowed its cardinality cap: from then on every new value goes
     through the registry, which must count each routed touch.
+
+    Without ``name`` and ``label`` the key is the metric name instead:
+    ``held[name]`` is the label-less ``registry.<family>(name)``, which has
+    one label set and so never overflows.
     """
 
-    def __init__(self, registry: "MetricsRegistry", family: str, name: str, label: str) -> None:
+    def __init__(
+        self, registry: "MetricsRegistry", family: str, name: Optional[str] = None, label: Optional[str] = None
+    ) -> None:
         super().__init__()
         self._registry = registry
         self._fetch = getattr(registry, family)
@@ -121,6 +127,9 @@ class HeldInstruments(dict):
         self._label = label
 
     def __missing__(self, value: Any) -> Any:
+        if self._name is None:
+            instrument = self[value] = self._fetch(value)
+            return instrument
         instrument = self._fetch(self._name, **{self._label: value})
         if not self._registry.counter_value("obs.label_overflow", metric=self._name):
             self[value] = instrument

@@ -230,7 +230,8 @@ class LockingReader(ReplicaClient, ReaderAutomaton):
     Lock targets are read from the view per attempt (the union ``C_old ∪
     C_new`` while a change is joint), so a transaction crossing a membership
     change locks every live copy; an ``epoch-mismatch`` from a retired
-    replica releases the partial lock set and restarts the transaction.
+    replica releases the partial lock set and restarts the transaction, and
+    so does a replica that retired after granting one of the attempt's locks.
     """
 
     def __init__(
@@ -284,6 +285,11 @@ class LockingReader(ReplicaClient, ReaderAutomaton):
                         # (write-all commits); the primary's grant arrives
                         # first.
                         values[object_id] = replies[0].get("value")
+            if not mismatch and any(view.is_retired(replica) for _, replica in granted):
+                # A lock held on a replica that has since retired no longer
+                # excludes the new group's writers: what it granted may be
+                # older than what the rest of this attempt read.
+                mismatch = True
             for object_id, replica in granted:
                 # A replica retired since its grant still gets the release
                 # while it exists: the retirement flush the release triggers

@@ -55,10 +55,11 @@ from ..txn.placement import Placement
 from ..txn.transactions import ReadResult, ReadTransaction, WriteTransaction, WRITE_OK
 from .base import BuildConfig, Protocol
 from .coordinated import CoordinatedClient, coordinator_targets
-from .replication import DirectoryAwareServer, ReplicaClient, quorum_round
+from .replication import DirectoryAwareServer, ReplicaClient, RetryBudgetExhausted, quorum_round
 
-#: how many collects a READ takes before it fails loudly (contention that
-#: never quiesces; every collect after the first is one validation attempt)
+#: how many collects a READ takes before it fails loudly (writes that keep
+#: landing between collects, or a schedule that holds one install back; every
+#: collect after the first is one validation attempt)
 MAX_COLLECTS = 128
 
 
@@ -382,9 +383,13 @@ class OccReader(ReplicaClient, ReaderAutomaton):
                 )
                 return ReadResult.from_mapping({obj: chosen[obj]["value"] for obj in txn.objects})
             previous = current
-        raise SimulationError(
-            f"occ reader {self.name} exhausted {MAX_COLLECTS} collects for {txn.txn_id}: "
-            "write contention never quiesced"
+        raise RetryBudgetExhausted(
+            txn.txn_id,
+            "MAX_COLLECTS",
+            collects,
+            f"occ reader {self.name}: {txn.txn_id} exhausted {MAX_COLLECTS} collects without two "
+            "in a row that validate: writes kept landing between collects, or the schedule "
+            "held an install back (reads take unbounded rounds)",
         )
 
 

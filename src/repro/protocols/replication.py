@@ -424,17 +424,36 @@ class ReplicaClient(ClientAutomaton):
 MAX_EPOCH_RETRIES = 6
 
 
+class RetryBudgetExhausted(SimulationError):
+    """A transaction's retry loop used up its budget and gave up loudly.
+
+    ``budget`` names the limit (``"MAX_EPOCH_RETRIES"``: rounds restarted
+    because a replica retired; ``"MAX_COLLECTS"``: OCC's validating reads)
+    and ``rounds`` is how many rounds ``txn_id`` took before giving up.
+    """
+
+    def __init__(self, txn_id: str, budget: str, rounds: int, message: str) -> None:
+        super().__init__(message)
+        self.txn_id = txn_id
+        self.budget = budget
+        self.rounds = rounds
+
+
 def check_epoch_retry_budget(what: str, txn_id: str, attempts_used: int) -> None:
     """Fail loudly once a round (or transaction) restarted too often.
 
     One definition of the budget and its diagnostic for every retry loop:
     :func:`quorum_round`, Eiger's restartable read and the lock-based
-    transaction restarts.
+    transaction restarts.  ``attempts_used`` counts the attempt about to
+    start, so the rounds taken are one fewer.
     """
     if attempts_used > MAX_EPOCH_RETRIES:
-        raise SimulationError(
+        raise RetryBudgetExhausted(
+            txn_id,
+            "MAX_EPOCH_RETRIES",
+            attempts_used - 1,
             f"{what} {txn_id} exhausted {MAX_EPOCH_RETRIES} epoch retries; "
-            "the configuration should have stabilised long before this"
+            "the configuration should have stabilised long before this",
         )
 
 

@@ -12,14 +12,17 @@ can assert that buffer and cache produce the same execution: same trace, same
 :class:`FaultStats`, same ``held_messages()`` order.  So does the seed's
 at-most-once rule, which kept every delivered id for the whole run where the
 injector now forgets an id with its last live copy: the subclass counts no
-copies and never forgets.  The admission pipeline itself (drop, duplicate,
-latency, retry) is inherited, i.e. shared with the code under test.
+copies and never forgets.  The admission pipeline's entry (blocking checks
+and the drop decision) is kept as it was before an admission entered the span
+once; what follows a decision (enqueue, duplicate, latency sample, park,
+abandon) is inherited, i.e. shared with the code under test.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Iterator, List, Optional
 
+from repro.faults import injector as injector_module
 from repro.faults.injector import _NOT_BLOCKED, FaultInjector, _HeldMessage
 from repro.ioa.actions import Message, internal_action
 
@@ -103,6 +106,53 @@ class ReferenceFaultInjector(FaultInjector):
                 if txn is not None:
                     kernel.annotate_transaction(txn, {"retransmissions": 1, "_accumulate": True})
             self._admit(held.message, kernel, attempts=held.attempts)
+
+    # -- verbatim from before an admission entered the span once -----------
+    def _admit(self, message: Message, kernel: Any, attempts: int) -> None:
+        _HeldMessage = injector_module._HeldMessage  # the record type tests may patch
+        now = kernel.now()
+
+        release = self._partition_release(message.src, message.dst, now)
+        if release is not _NOT_BLOCKED:
+            self.stats.held_by_partition += 1
+            self._park(_HeldMessage(message, release, "partition", attempts))
+            return
+
+        release = self._crash_release(message.dst, now)
+        if release is not _NOT_BLOCKED:
+            self.stats.held_by_crash += 1
+            self._park(_HeldMessage(message, release, "crash", attempts))
+            return
+
+        if self._should_drop(message, now):
+            self.stats.dropped += 1
+            retry = self.plan.retry
+            if retry is None or attempts >= retry.max_attempts:
+                self._abandon(message, kernel)
+            else:
+                self._park(
+                    _HeldMessage(message, now + retry.timeout_steps, "retransmit", attempts + 1)
+                )
+            return
+
+        self._drop_streak.pop(message.msg_id, None)
+        self._enqueue_copy(message, kernel, now)
+        duplicates = self.plan.duplicates
+        if duplicates is not None and self._rng.random() < duplicates.probability:
+            self.stats.duplicated += 1
+            self._enqueue_copy(message, kernel, now)
+
+    def _should_drop(self, message: Message, now: int) -> bool:
+        drops = self.plan.drops
+        if drops is None or drops.probability <= 0.0:
+            return False
+        streak = self._drop_streak.get(message.msg_id, 0)
+        if streak >= drops.max_consecutive:
+            return False  # fair loss: this attempt is forced through
+        if self._rng.random() < drops.probability:
+            self._drop_streak[message.msg_id] = streak + 1
+            return True
+        return False
 
     # -- verbatim from the parent of the window spans (PR 19) --------------
     def _partition_release(self, src: str, dst: str, now: int) -> Any:

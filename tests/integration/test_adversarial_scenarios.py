@@ -76,12 +76,15 @@ class TestFractureAdversary:
         finishes, so the validating retry baseline can never accept a snapshot:
         it burns through its retry budget instead of returning a fractured
         result.  This is the executable meaning of the (1 version, ∞ rounds)
-        cell — safety is preserved, termination is what is given up."""
-        from repro.ioa.errors import SimulationError
+        cell — safety is preserved, termination is what is given up.  No write
+        contention is needed: the one held install is enough."""
+        from repro.protocols.occ import MAX_COLLECTS
+        from repro.protocols.replication import RetryBudgetExhausted
 
-        handle, _read_id, _ = build_with_fracture_adversary("occ-double-collect")
-        with pytest.raises(SimulationError, match="never quiesced"):
+        handle, read_id, _ = build_with_fracture_adversary("occ-double-collect")
+        with pytest.raises(RetryBudgetExhausted, match="held an install back") as error:
             handle.run_to_completion()
+        assert (error.value.txn_id, error.value.budget, error.value.rounds) == (read_id, "MAX_COLLECTS", MAX_COLLECTS)
 
     def test_eiger_under_this_particular_adversary_completes(self):
         """This simple fracture schedule alone does not break Eiger (its round-2

@@ -53,6 +53,13 @@ class TestBasicSchedulers:
         with pytest.raises(SchedulerError):
             FIFOScheduler().choose([], None)
 
+    def test_random_choose_on_empty_raises_without_drawing(self):
+        scheduler = RandomScheduler(seed=5)
+        state = scheduler._rng.getstate()
+        with pytest.raises(SchedulerError, match="no pending events"):
+            scheduler.choose([], None)
+        assert scheduler._rng.getstate() == state
+
     def test_random_is_deterministic_per_seed(self):
         first = RandomScheduler(seed=5)
         second = RandomScheduler(seed=5)

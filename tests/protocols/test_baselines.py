@@ -137,8 +137,9 @@ class TestOccBaseline:
         monkeypatch.setattr(OccReader, "_write_set_closed", staticmethod(lambda chosen, read_set: False))
         handle = build_system("occ-double-collect", num_readers=1, num_writers=1)
         handle.submit_read(txn_id="R1")
-        with pytest.raises(SimulationError, match=f"exhausted {MAX_COLLECTS} collects for R1"):
+        with pytest.raises(SimulationError, match=f"R1 exhausted {MAX_COLLECTS} collects") as error:
             handle.run_to_completion()
+        assert (error.value.txn_id, error.value.budget, error.value.rounds) == ("R1", "MAX_COLLECTS", MAX_COLLECTS)
         collects = [a for a in handle.trace() if a.kind.value == "send" and a.message.msg_type == "collect"]
         assert len(collects) == MAX_COLLECTS * len(handle.objects)
 

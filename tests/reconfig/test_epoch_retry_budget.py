@@ -14,7 +14,7 @@ import pytest
 from repro.consensus import ReconfigPlan, set_replica_group
 from repro.ioa.errors import SimulationError
 from repro.protocols import get_protocol, protocol_names
-from repro.protocols.replication import MAX_EPOCH_RETRIES
+from repro.protocols.replication import MAX_EPOCH_RETRIES, RetryBudgetExhausted
 
 
 def _stuck_system(protocol: str):
@@ -40,7 +40,9 @@ def test_a_target_that_stays_retired_exhausts_the_budget(protocol, kind):
         handle.submit_write({"ox": 1, "oy": 1}, txn_id="T1")
     else:
         handle.submit_read(txn_id="T1")
-    with pytest.raises(SimulationError, match=f"T1 exhausted {MAX_EPOCH_RETRIES} epoch retries"):
+    with pytest.raises(SimulationError, match=f"T1 exhausted {MAX_EPOCH_RETRIES} epoch retries") as error:
         handle.run()
     retries = [txn for txn, _ in handle.directory.retries if txn == "T1"]
     assert len(retries) == MAX_EPOCH_RETRIES, (protocol, kind, retries)
+    assert isinstance(error.value, RetryBudgetExhausted)
+    assert (error.value.txn_id, error.value.budget, error.value.rounds) == ("T1", "MAX_EPOCH_RETRIES", len(retries))

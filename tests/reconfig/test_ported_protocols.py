@@ -247,6 +247,26 @@ class TestS2plLiveChanges:
         assert len(handle.transaction_records()) == 8
         assert handle.serializability().ok
 
+    def test_a_read_restarts_when_a_replica_it_locked_retires(self):
+        """R1 read-locks ``sx`` (v1) under the joint configuration; the swap
+        commits and retires ``sx``; W2 then locks and commits ``sx.2``,
+        ``sx.3`` and ``sx.4`` without touching ``sx``, and R1 locks those
+        three (v2).  Returning ``ox`` from ``sx``, its first grant, beside
+        ``oy='v2-oy'`` would be a value no serial order explains: a lock on
+        a retired replica no longer excludes the new group's writers, so R1
+        restarts its attempt instead."""
+        handle = run_reconfig_workload(
+            "s2pl",
+            reconfig=ReconfigPlan(requests=(set_replica_group("ox", ("sx.2", "sx.3", "sx.4"), at=12),)),
+            rounds=4,
+            scheduler=ChaosScheduler(base=RandomScheduler(seed=64), seed=64),
+            run_to_completion=False,
+        )
+        assert handle.simulation.incomplete_transactions() == ()
+        assert final_read_values(handle, "R1") in ({"ox": "v1-ox", "oy": "v1-oy"}, {"ox": "v2-ox", "oy": "v2-oy"})
+        assert any(a.get("reconfig") == "epoch-retry" and a.get("txn") == "R1" for a in handle.trace())
+        assert handle.serializability().ok
+
 
 class TestEigerRound2Restart:
     """An Eiger READ whose round 1 saw a stale interval asks the replica it
