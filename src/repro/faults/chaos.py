@@ -43,14 +43,25 @@ class ChaosScheduler(Scheduler):
         self.base.reset()
 
     def choose(self, pending: Sequence[PendingEvent], kernel: Any) -> int:
-        obs = getattr(kernel, "obs", None)
-        if obs is not None:
-            # how much of the pending set the latency model made choosable
-            registry = obs.registry
-            if registry is not self._registry:
-                self._registry = registry
-                self._steps = registry.counter("scheduler.chaos_steps")
-                self._ripe_events = registry.counter("scheduler.chaos_ripe_events")
-            self._steps.value += 1
-            self._ripe_events.value += len(pending)
+        self._count(kernel, len(pending))
         return self.base.choose(pending, kernel)
+
+    def pick(self, frontier: Any, kernel: Any) -> PendingEvent:
+        """``pending[choose(pending)]`` without the list when the base policy
+        answers from the frontier (see :class:`~repro.ioa.scheduler.Scheduler`)."""
+        self._count(kernel, frontier.ripe_count(kernel.now()))
+        return self.base.pick(frontier, kernel)
+
+    def _count(self, kernel: Any, ripe: int) -> None:
+        """One step that offered ``ripe`` events: how much of the pending set
+        the latency model made choosable."""
+        obs = getattr(kernel, "obs", None)
+        if obs is None:
+            return
+        registry = obs.registry
+        if registry is not self._registry:
+            self._registry = registry
+            self._steps = registry.counter("scheduler.chaos_steps")
+            self._ripe_events = registry.counter("scheduler.chaos_ripe_events")
+        self._steps.value += 1
+        self._ripe_events.value += ripe

@@ -28,6 +28,12 @@ Design notes
   kernel records every action in one call, :meth:`Trace.record
   <repro.ioa.trace.Trace.record>`, with a layout's shared keys, so a retained
   action owns its values tuple and no ``(key, value)`` pair.
+* Every record is built the one way :class:`FrozenRecord` describes: plain
+  attribute stores on a writable twin of its class, then ``__class__`` set to
+  the frozen class.  A store on the twin is the interpreter's specialised
+  slot store; the frozen class's own ``__setattr__`` (which refuses) would
+  turn that off, and a slot's ``__set__`` method-wrapper costs a call per
+  field.  The frozen class never sees a store.
 """
 
 from __future__ import annotations
@@ -125,12 +131,36 @@ class FrozenRecord:
     """Base of the per-event records: a frozen dataclass (same ``==``,
     ``hash``, ``repr``; assignment and deletion raise) without the instance
     ``__dict__`` and the generated ``__init__`` — a full trace keeps every
-    record, so their construction and the GC's walk over them are hot.  A
-    subclass names its fields in ``__slots__``, sets ``_fields`` to their
-    ``attrgetter`` and fills them in ``__init__`` through :func:`slot_setters`.
+    record, so their construction and the GC's walk over them are hot.
+
+    A subclass names its fields in ``__slots__`` (``_fields`` is set to their
+    ``attrgetter``) and fills them in ``_fill``, which takes the constructor's
+    arguments.  Each subclass gets a *writable twin*, ``_writable``: the same
+    base and slots, and ``object``'s ``__setattr__`` and ``__delattr__``
+    (overriding either one, as this class does, turns off the interpreter's
+    slot-store fast path for the whole type).  Every record, the public
+    constructor's included, is built the one way: allocate the twin, store
+    the fields with plain attribute assignments, then set ``__class__`` to
+    the frozen class.  The hot builders (:func:`new_action`,
+    :meth:`PayloadLayouts.message`, ``Trace.record``, the kernel's pending
+    deliveries, invocations and timers, the span tree's records) do it
+    inline, without a constructor frame.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        if "__setattr__" not in cls.__dict__:  # not the twin itself
+            cls._fields = attrgetter(*cls.__slots__)
+            writable = {"__slots__": cls.__slots__, "__setattr__": object.__setattr__, "__delattr__": object.__delattr__}
+            cls._writable = type(f"{cls.__name__}._writable", cls.__bases__, writable)
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> "FrozenRecord":
+        record = object.__new__(cls._writable)
+        cls._fill(record, *args, **kwargs)
+        record.__class__ = cls
+        return record
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -152,15 +182,6 @@ class FrozenRecord:
 
     def __reduce__(self):
         return (type(self), self._fields(self))
-
-
-def slot_setters(cls: type):
-    """The ``__set__`` of each slot of ``cls``: how a record's own ``__init__``
-    writes its fields, and the only other writers: the builders that skip
-    ``__init__`` (:func:`new_action`, :meth:`PayloadLayouts.message`,
-    ``Trace.record``, and the kernel's pending deliveries and invocations)
-    and ``Trace.append``'s index stamp."""
-    return (getattr(cls, name).__set__ for name in cls.__slots__)
 
 
 class Message(FrozenRecord):
@@ -193,15 +214,14 @@ class Message(FrozenRecord):
     """
 
     __slots__ = ("msg_type", "src", "dst", "keys", "values", "msg_id")
-    _fields = attrgetter(*__slots__)
 
-    def __init__(self, msg_type: str, src: str, dst: str, items: Items = (), msg_id: Optional[int] = None) -> None:
-        _set_msg_type(self, msg_type)
-        _set_src(self, src)
-        _set_dst(self, dst)
-        _set_keys(self, tuple([key for key, _ in items]))
-        _set_values(self, tuple([value for _, value in items]))
-        _set_msg_id(self, next(_message_counter) if msg_id is None else msg_id)
+    def _fill(self, msg_type: str, src: str, dst: str, items: Items = (), msg_id: Optional[int] = None) -> None:
+        self.msg_type = msg_type
+        self.src = src
+        self.dst = dst
+        self.keys = tuple([key for key, _ in items])
+        self.values = tuple([value for _, value in items])
+        self.msg_id = next(_message_counter) if msg_id is None else msg_id
 
     @classmethod
     def make(cls, msg_type: str, src: str, dst: str, payload: Optional[Mapping[str, Any]] = None) -> "Message":
@@ -244,8 +264,8 @@ class Message(FrozenRecord):
         return (type(self), (self.msg_type, self.src, self.dst, self.items, self.msg_id))
 
 
-_set_msg_type, _set_src, _set_dst, _set_keys, _set_values, _set_msg_id = slot_setters(Message)
 _new_record = object.__new__
+_WritableMessage = Message._writable
 
 
 def _values_getter(keys: Keys) -> ValuesGetter:
@@ -288,13 +308,14 @@ class PayloadLayouts(dict):
             if isinstance(value, _MUTABLE):
                 values = tuple(map(_freeze_value, values))
                 break
-        message = _new_record(Message)
-        _set_msg_type(message, msg_type)
-        _set_src(message, src)
-        _set_dst(message, dst)
-        _set_keys(message, keys)
-        _set_values(message, values)
-        _set_msg_id(message, msg_id)
+        message = _new_record(_WritableMessage)
+        message.msg_type = msg_type
+        message.src = src
+        message.dst = dst
+        message.keys = keys
+        message.values = values
+        message.msg_id = msg_id
+        message.__class__ = Message
         return message
 
 
@@ -315,17 +336,16 @@ class Action(FrozenRecord):
     """
 
     __slots__ = ("kind", "actor", "message", "info_keys", "info_values", "index")
-    _fields = attrgetter(*__slots__)
 
-    def __init__(
+    def _fill(
         self, kind: ActionKind, actor: str, message: Optional[Message] = None, info: Items = (), index: int = -1
     ) -> None:
-        _set_kind(self, kind)
-        _set_actor(self, actor)
-        _set_message(self, message)
-        _set_info_keys(self, tuple([key for key, _ in info]))
-        _set_info_values(self, tuple([value for _, value in info]))
-        _set_index(self, index)
+        self.kind = kind
+        self.actor = actor
+        self.message = message
+        self.info_keys = tuple([key for key, _ in info])
+        self.info_values = tuple([value for _, value in info])
+        self.index = index
 
     @classmethod
     def make(
@@ -403,7 +423,7 @@ class Action(FrozenRecord):
         return (type(self), (self.kind, self.actor, self.message, self.info, self.index))
 
 
-_set_kind, _set_actor, _set_message, _set_info_keys, _set_info_values, _set_index = slot_setters(Action)
+_WritableAction = Action._writable
 
 
 def new_action(
@@ -417,13 +437,14 @@ def new_action(
     """The action with these fields, built without the constructor's split
     of ``info`` pairs: ``info_keys`` sorted and ``info_values`` already
     frozen (``Trace.record`` builds and stores one in a single call)."""
-    action = _new_record(Action)
-    _set_kind(action, kind)
-    _set_actor(action, actor)
-    _set_message(action, message)
-    _set_info_keys(action, info_keys)
-    _set_info_values(action, info_values)
-    _set_index(action, index)
+    action = _new_record(_WritableAction)
+    action.kind = kind
+    action.actor = actor
+    action.message = message
+    action.info_keys = info_keys
+    action.info_values = info_values
+    action.index = index
+    action.__class__ = Action
     return action
 
 

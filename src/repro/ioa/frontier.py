@@ -10,10 +10,11 @@ created and consumed:
 * **Deliveries** live in an insertion-ordered dict keyed by their globally
   unique ``enqueued_at`` stamp, giving O(1) removal while preserving the
   exact enqueue order the old list presented.  A side min-heap over the
-  latency-stamped (``ready_at > 0``) deliveries plus a count of the
-  immediately-deliverable ones makes "is any delivery ripe / what is the
-  next arrival" O(1) heap peeks; only a step with latency-stamped mail in
-  flight filters the dict by stamp.
+  latency-stamped (``ready_at > 0``) deliveries not yet found ripe, plus a
+  count of the immediately-deliverable ones and one of the stamped ones
+  found ripe, makes "how many deliveries are ripe / what is the next
+  arrival" O(1) heap peeks; only a step with latency-stamped mail in flight
+  filters the dict by stamp.
 * **Timeouts** live in an insertion-ordered dict (arming order) plus a
   ``(ready_at, seq)`` min-heap of armed-but-not-yet-ripe timers.  Because
   the virtual clock never moves backwards, ripeness is monotone: once ripe,
@@ -46,17 +47,26 @@ counter, so deliveries (dict insertion order) and ripe timers (a sorted list)
 are each already ascending: only the first ripe delivery, the head of the
 ripe timers and the ready invocations, at most one per client, can be the
 minimum.  The same interleaving test holds both to the list after every
-operation.  A policy that needs the whole list (random, adversarial, chaos)
-still gets it: see :meth:`repro.ioa.scheduler.Scheduler.pick`.
+operation.  A uniform draw needs two more answers: :meth:`ripe_count`
+(``len(events())``, from those counts) and :meth:`event_at`
+(``events()[index]``, a C-level walk over the deliveries at worst).  The
+test pins ``RandomScheduler.pick`` and ``ChaosScheduler.pick``, which use
+them, to the list the same way.  A policy that needs the whole list
+(adversarial, priority) still gets it: see
+:meth:`repro.ioa.scheduler.Scheduler.pick`.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import insort
+from itertools import compress, islice
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .scheduler import PendingDelivery, PendingEvent, PendingInvocation, PendingTimeout
+
+_ready_at = attrgetter("ready_at")
 
 
 class EventFrontier:
@@ -66,6 +76,8 @@ class EventFrontier:
         "_deliveries",
         "_immediate",
         "_delayed",
+        "_ripe_mail",
+        "_mail_clock",
         "_timeouts",
         "_timer_heap",
         "_ripe",
@@ -78,12 +90,18 @@ class EventFrontier:
         self._deliveries: Dict[int, PendingDelivery] = {}
         #: how many pending deliveries have ``ready_at == 0`` (always ripe).
         self._immediate: int = 0
-        #: ``(ready_at, seq)`` min-heap over latency-stamped deliveries;
-        #: entries whose seq has left ``_deliveries`` are discarded lazily
-        #: (stamps are never reused, so staleness is unambiguous): from the
-        #: top as they surface, and all at once when they outnumber the live
-        #: ones (:meth:`remove_delivery`), so the heap stays O(in flight).
+        #: ``(ready_at, seq)`` min-heap over the latency-stamped deliveries
+        #: not yet found ripe; entries whose seq has left ``_deliveries`` are
+        #: discarded lazily (stamps are never reused, so staleness is
+        #: unambiguous): from the top as they surface, and all at once when
+        #: they outnumber the live ones (:meth:`remove_delivery`), so the heap
+        #: stays O(in flight).
         self._delayed: List[Tuple[int, int]] = []
+        #: how many latency-stamped deliveries are ripe at ``_mail_clock``,
+        #: the clock :meth:`_ripen_mail` last moved them off the heap at
+        #: (the clock never moves back, so once ripe they stay ripe)
+        self._ripe_mail: int = 0
+        self._mail_clock: int = 0
         #: enqueue stamp -> timeout, in arming order.
         self._timeouts: Dict[int, PendingTimeout] = {}
         #: ``(ready_at, seq)`` min-heap over armed-but-not-yet-ripe timers.
@@ -103,10 +121,12 @@ class EventFrontier:
     def add_delivery(self, delivery: PendingDelivery) -> None:
         seq = delivery.enqueued_at
         self._deliveries[seq] = delivery
-        if delivery.ready_at:
-            heapq.heappush(self._delayed, (delivery.ready_at, seq))
-        else:
+        if not delivery.ready_at:
             self._immediate += 1
+        elif delivery.ready_at <= self._mail_clock:
+            self._ripe_mail += 1
+        else:
+            heapq.heappush(self._delayed, (delivery.ready_at, seq))
 
     def remove_delivery(self, delivery: PendingDelivery) -> None:
         alive = self._deliveries
@@ -114,10 +134,13 @@ class EventFrontier:
         if not delivery.ready_at:
             self._immediate -= 1
             return
+        if delivery.ready_at <= self._mail_clock:
+            self._ripe_mail -= 1
+            return
         heap = self._delayed
         while heap and heap[0][1] not in alive:
             heapq.heappop(heap)
-        if len(heap) > 2 * (len(alive) - self._immediate):
+        if len(heap) > 2 * (len(alive) - self._immediate - self._ripe_mail):
             heap[:] = [entry for entry in heap if entry[1] in alive]
             heapq.heapify(heap)
 
@@ -125,9 +148,18 @@ class EventFrontier:
         """The pending deliveries, in enqueue order."""
         return self._deliveries.values()
 
+    def _ripen_mail(self, now: int) -> None:
+        """Count the latency-stamped deliveries the clock has reached."""
+        heap = self._delayed
+        alive = self._deliveries
+        while heap and heap[0][0] <= now:
+            if heapq.heappop(heap)[1] in alive:
+                self._ripe_mail += 1
+        self._mail_clock = now
+
     def next_delivery_ready(self) -> Optional[int]:
         """Earliest ``ready_at`` among pending deliveries (``0`` = ripe now)."""
-        if self._immediate:
+        if self._immediate or self._ripe_mail:
             return 0
         heap = self._delayed
         alive = self._deliveries
@@ -203,14 +235,7 @@ class EventFrontier:
         building it."""
         if self._immediate or self._ready:
             return False
-        if not self._deliveries and not self._timeouts:
-            return True
-        now = now_fn()
-        ready = self.next_delivery_ready()
-        if ready is not None and ready <= now:
-            return False
-        self._ripen(now)
-        return not self._ripe
+        return not (self._deliveries or self._timeouts) or not self.ripe_count(now_fn())
 
     def oldest(self, now_fn) -> Optional[PendingEvent]:
         """The event of :meth:`events` with the smallest enqueue stamp, or
@@ -223,7 +248,8 @@ class EventFrontier:
         else:
             now = now_fn()
             best = next((d for d in deliveries.values() if d.ready_at <= now), None)
-        if self._timeouts:
+        timers = self._timer_heap
+        if timers and timers[0][0] <= now_fn():
             self._ripen(now_fn())
         if self._ripe:
             timeout = self._timeouts[self._ripe[0]]
@@ -233,6 +259,34 @@ class EventFrontier:
             if best is None or invocation.enqueued_at < best.enqueued_at:
                 best = invocation
         return best
+
+    def ripe_count(self, now: int) -> int:
+        """``len(events())`` at clock ``now``, without building the list: a
+        heap's due head (a timer, a stamped delivery) is moved off and
+        counted first."""
+        timers = self._timer_heap
+        if timers and timers[0][0] <= now:
+            self._ripen(now)
+        mail = self._delayed
+        if mail and mail[0][0] <= now:
+            self._ripen_mail(now)
+        return self._immediate + self._ripe_mail + len(self._ripe) + len(self._ready)
+
+    def event_at(self, index: int, now: int) -> PendingEvent:
+        """``events()[index]`` at clock ``now``, for an ``index`` below
+        :meth:`ripe_count` ``(now)``, which must be asked first (it ripens
+        what this reads): a random policy's draw looks its event up here,
+        with a C-level walk over the deliveries."""
+        count = self._immediate + self._ripe_mail
+        if index < count:
+            values: Iterable[PendingDelivery] = self._deliveries.values()
+            if len(values) != count:
+                values = compress(values, map(now.__ge__, map(_ready_at, values)))
+            return next(islice(values, index, None))
+        index -= count
+        if index < len(self._ripe):
+            return self._timeouts[self._ripe[index]]
+        return self._ready[self._ready_order[index - len(self._ripe)][1]]
 
     def events(self, now_fn) -> List[PendingEvent]:
         """The choosable events, in the canonical order: ripe deliveries in

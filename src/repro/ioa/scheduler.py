@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Any, Callable, List, Mapping, Optional, Sequence, Union
 
-from .actions import FrozenRecord, Message, slot_setters
+from .actions import FrozenRecord, Message
 from .errors import SchedulerError
 
 
@@ -40,35 +39,26 @@ class PendingDelivery(FrozenRecord):
     """
 
     __slots__ = ("message", "enqueued_at", "ready_at")
-    _fields = attrgetter(*__slots__)
 
-    def __init__(self, message: Message, enqueued_at: int, ready_at: int = 0) -> None:
-        _set_message(self, message)
-        _set_enqueued_at(self, enqueued_at)
-        _set_ready_at(self, ready_at)
-
-
-_set_message, _set_enqueued_at, _set_ready_at = slot_setters(PendingDelivery)
+    def _fill(self, message: Message, enqueued_at: int, ready_at: int = 0) -> None:
+        self.message = message
+        self.enqueued_at = enqueued_at
+        self.ready_at = ready_at
 
 
 class PendingInvocation(FrozenRecord):
     """An external transaction invocation waiting to be issued to a client."""
 
     __slots__ = ("client", "txn", "txn_id", "enqueued_at")
-    _fields = attrgetter(*__slots__)
 
-    def __init__(self, client: str, txn: Any, txn_id: Any, enqueued_at: int) -> None:
-        _set_client(self, client)
-        _set_txn(self, txn)
-        _set_txn_id(self, txn_id)
-        _set_invocation_enqueued_at(self, enqueued_at)
-
-
-_set_client, _set_txn, _set_txn_id, _set_invocation_enqueued_at = slot_setters(PendingInvocation)
+    def _fill(self, client: str, txn: Any, txn_id: Any, enqueued_at: int) -> None:
+        self.client = client
+        self.txn = txn
+        self.txn_id = txn_id
+        self.enqueued_at = enqueued_at
 
 
-@dataclass(frozen=True)
-class PendingTimeout:
+class PendingTimeout(FrozenRecord):
     """A timer armed by an automaton via ``Context.set_timeout``.
 
     ``ready_at`` is the virtual-time step at which the timer may fire; the
@@ -80,10 +70,13 @@ class PendingTimeout:
     systems that arm none behave byte-for-byte as before this type existed.
     """
 
-    owner: str
-    info: Mapping[str, Any]
-    enqueued_at: int
-    ready_at: int
+    __slots__ = ("owner", "info", "enqueued_at", "ready_at")
+
+    def _fill(self, owner: str, info: Mapping[str, Any], enqueued_at: int, ready_at: int) -> None:
+        self.owner = owner
+        self.info = info
+        self.enqueued_at = enqueued_at
+        self.ready_at = ready_at
 
 
 PendingEvent = Union[PendingDelivery, PendingInvocation, PendingTimeout]
@@ -97,8 +90,9 @@ class Scheduler:
       invocations): the inherited :meth:`pick` builds it for you.
     * Override :meth:`pick` and you answer from the frontier's indexes, no
       list is built, and you must return the very event your ``choose`` would
-      have indexed (:class:`FIFOScheduler` does; ``tests/ioa/test_frontier.py``
-      pins the two equal).
+      have indexed (:class:`FIFOScheduler` answers from ``oldest``,
+      :class:`RandomScheduler` from ``ripe_count`` and ``event_at``;
+      ``tests/ioa/test_frontier.py`` pins each pair equal).
 
     A subclass that redefines ``choose`` alone gets the list-based ``pick``
     back, so a fast ``pick`` inherited from its parent can never bypass it.
@@ -214,6 +208,13 @@ class RandomScheduler(Scheduler):
         if not pending:
             raise SchedulerError("choose() called with no pending events")
         return draw_below(self._rng, len(pending))  # in range by construction
+
+    def pick(self, frontier: Any, kernel: Any) -> PendingEvent:
+        now = kernel.now()
+        count = frontier.ripe_count(now)
+        if not count:
+            raise SchedulerError("pick() called with no pending events")
+        return frontier.event_at(draw_below(self._rng, count), now)
 
 
 class PriorityScheduler(Scheduler):

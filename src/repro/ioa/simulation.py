@@ -32,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Any, Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .actions import _MUTABLE, ActionKind, Keys, Message, PayloadLayouts, _freeze_value, _freeze_values, slot_setters
+from .actions import _MUTABLE, ActionKind, Keys, Message, PayloadLayouts, _freeze_value, _freeze_values
 from .automaton import (
     Automaton,
     Await,
@@ -61,11 +61,13 @@ from .scheduler import (
 )
 from .trace import Trace, TraceMode
 
-#: the kernel builds its pending deliveries and invocations without a Python
-#: ``__init__`` frame, as :meth:`PayloadLayouts.message` builds a message
+#: the kernel builds its pending deliveries, invocations and timers without a
+#: constructor frame, as :meth:`PayloadLayouts.message` builds a message: on
+#: the writable twin, then frozen (see :class:`~repro.ioa.actions.FrozenRecord`)
 _new_record = object.__new__
-_set_delivered, _set_enqueued_at, _set_ready_at = slot_setters(PendingDelivery)
-_set_client, _set_txn, _set_txn_id, _set_submitted_at = slot_setters(PendingInvocation)
+_WritableDelivery = PendingDelivery._writable
+_WritableInvocation = PendingInvocation._writable
+_WritableTimeout = PendingTimeout._writable
 
 #: the transaction kind each client kind may be handed (the paper's model:
 #: read clients issue only READs, write clients only WRITEs)
@@ -545,10 +547,11 @@ class Simulation:
         kernel offers it to the scheduler only once :meth:`now` reaches it.
         The reliable path always uses ``0`` (ripe at once).
         """
-        delivery = _new_record(PendingDelivery)
-        _set_delivered(delivery, message)
-        _set_enqueued_at(delivery, next(self._enqueue_counter))
-        _set_ready_at(delivery, ready_at)
+        delivery = _new_record(_WritableDelivery)
+        delivery.message = message
+        delivery.enqueued_at = next(self._enqueue_counter)
+        delivery.ready_at = ready_at
+        delivery.__class__ = PendingDelivery
         self._frontier.add_delivery(delivery)
         if self.obs is not None:
             self.obs.on_enqueue(delivery)
@@ -559,26 +562,22 @@ class Simulation:
         now (used through ``Context.set_timeout``)."""
         if owner not in self._automata:
             raise UnknownProcessError(owner)
-        timeout = PendingTimeout(
-            owner=owner,
-            info=dict(info),
-            enqueued_at=next(self._enqueue_counter),
-            ready_at=self.now() + max(1, int(delay)),
-        )
-        self._frontier.add_timeout(timeout)
-        return timeout
+        return self._arm(owner, dict(info), self.now() + max(1, int(delay)))
 
     def reschedule_timeout(self, timeout: PendingTimeout, ready_at: int) -> PendingTimeout:
         """Re-arm a (suppressed) timeout at a later virtual time — fault
         planes use this to defer a crashed owner's timer to its recovery."""
-        later = PendingTimeout(
-            owner=timeout.owner,
-            info=timeout.info,
-            enqueued_at=next(self._enqueue_counter),
-            ready_at=max(int(ready_at), timeout.ready_at),
-        )
-        self._frontier.add_timeout(later)
-        return later
+        return self._arm(timeout.owner, timeout.info, max(int(ready_at), timeout.ready_at))
+
+    def _arm(self, owner: str, info: Mapping[str, Any], ready_at: int) -> PendingTimeout:
+        timeout = _new_record(_WritableTimeout)
+        timeout.owner = owner
+        timeout.info = info
+        timeout.enqueued_at = next(self._enqueue_counter)
+        timeout.ready_at = ready_at
+        timeout.__class__ = PendingTimeout
+        self._frontier.add_timeout(timeout)
+        return timeout
 
     def _fire_timeout(self, timeout: PendingTimeout) -> None:
         if self.fault_plane is not None and self.fault_plane.suppress_timeout(timeout, self):
@@ -701,11 +700,12 @@ class Simulation:
         head = queue[0]
         records = self._records
         if all(records[dep].complete for dep in head.after if dep in records):
-            invocation = _new_record(PendingInvocation)
-            _set_client(invocation, client)
-            _set_txn(invocation, head.txn)
-            _set_txn_id(invocation, head.txn_id)
-            _set_submitted_at(invocation, head.submitted_at)
+            invocation = _new_record(_WritableInvocation)
+            invocation.client = client
+            invocation.txn = head.txn
+            invocation.txn_id = head.txn_id
+            invocation.enqueued_at = head.submitted_at
+            invocation.__class__ = PendingInvocation
             self._frontier.set_ready(order, invocation)
         else:
             self._frontier.clear_ready(order, client)

@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
-from .actions import Action, ActionKind, Keys, Message, slot_setters
+from .actions import Action, ActionKind, Keys, Message
 from .errors import TraceError
 
 
@@ -61,9 +61,9 @@ class TraceMode:
 
 View = TypeVar("View")
 
-#: how :meth:`Trace.record` fills a new action, and :meth:`Trace.append`
-#: stamps a fresh, never-shared one's index in place
-_set_kind, _set_actor, _set_message, _set_info_keys, _set_info_values, _stamp_index = slot_setters(Action)
+#: how :meth:`Trace.record` builds a new action: stores on the writable twin
+#: (see :class:`~repro.ioa.actions.FrozenRecord`)
+_WritableAction = Action._writable
 _new_action = object.__new__
 
 
@@ -131,13 +131,14 @@ class Trace:
         ``info_keys`` sorted and ``info_values`` already frozen."""
         index = self._total
         self._total = index + 1
-        action = _new_action(Action)
-        _set_kind(action, kind)
-        _set_actor(action, actor)
-        _set_message(action, message)
-        _set_info_keys(action, info_keys)
-        _set_info_values(action, info_values)
-        _stamp_index(action, index)
+        action = _new_action(_WritableAction)
+        action.kind = kind
+        action.actor = actor
+        action.message = message
+        action.info_keys = info_keys
+        action.info_values = info_values
+        action.index = index
+        action.__class__ = Action
         self._actions.append(action)
         if self._observer is not None:
             self._observer(action)
@@ -146,17 +147,13 @@ class Trace:
     def append(self, action: Action) -> Action:
         """Append a prebuilt ``action``, re-stamping its index; returns the stored copy.
 
-        Freshly built actions (index ``-1``, never shared) are stamped in
-        place instead of copied.  Actions that already carry an index
-        (fragment replays, trace copies) get a fresh stamped copy.
+        An action is immutable, so one that already carries this position's
+        index is stored as it is; any other (a fresh one at ``-1``, a
+        fragment replay, a trace copy) is stored as a stamped copy.
         """
         index = self._total
         self._total = index + 1
-        if action.index == -1:
-            _stamp_index(action, index)
-            stamped = action
-        else:
-            stamped = action.with_index(index)
+        stamped = action if action.index == index else action.with_index(index)
         self._actions.append(stamped)
         if self._observer is not None:
             self._observer(stamped)

@@ -3,8 +3,8 @@
 PR 16 replaced ``repro.ioa.actions._freeze_payload`` (sort, then a per-item
 ``isinstance`` loop on every call) by one C-level sort with the loop behind a
 type probe, and the per-event records (frozen dataclasses, later
-``PendingInvocation`` too, and the span tree's ``Span`` and ``CausalEdge``)
-by slotted immutable classes.
+``PendingInvocation`` too, the span tree's ``Span`` and ``CausalEdge``, and
+the kernel's ``PendingTimeout``) by slotted immutable classes.
 ``tests/ioa/test_record_contract.py`` pins the new code to these definitions;
 they go when the equivalence has held for a round.
 """
@@ -62,6 +62,14 @@ class PendingInvocation:
     txn: Any
     txn_id: Any
     enqueued_at: int
+
+
+@dataclass(frozen=True)
+class PendingTimeout:
+    owner: str
+    info: Mapping[str, Any]
+    enqueued_at: int
+    ready_at: int
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,19 @@ every ``call`` event ``sys.setprofile`` sees for a function defined in
 ``src/repro/ioa/*.py`` while the run loops.  Names starting with ``<``
 (comprehensions, generator expressions) are left out, so an interpreter that
 inlines comprehensions counts the same.
+
+A record is filled by plain attribute stores on its writable twin (see
+``repro.ioa.actions.FrozenRecord``), never through a slot's ``__set__``
+method-wrapper.  ``sys.setprofile`` reports no call of a method-wrapper, so
+that pin reads the names of every function the run loop called instead: none
+may name a ``__set__`` wrapper, through a module global or an attribute.
 """
 
 from __future__ import annotations
 
 import sys
 from pathlib import Path
+from types import MethodWrapperType
 
 import pytest
 
@@ -40,14 +47,19 @@ BUDGET = {
 }
 
 
-def kernel_calls(protocol: str):
-    """``(kernel calls, messages sent)`` over one run of ``protocol``'s cell."""
+def loaded_cell(protocol: str):
     readers, writers, objects, size, zipf = CELLS[protocol]
     handle = get_protocol(protocol).build(
         num_readers=readers, num_writers=writers, num_objects=objects, seed=17, scheduler=FIFOScheduler()
     )
     spec = WorkloadSpec(40, 20, size, size, zipf, 17)
     submit_workload(handle, generate_workload(spec, handle.readers, handle.writers, handle.objects))
+    return handle
+
+
+def kernel_calls(protocol: str):
+    """``(kernel calls, messages sent)`` over one run of ``protocol``'s cell."""
+    handle = loaded_cell(protocol)
     calls = 0
 
     def count(frame, event, arg):
@@ -78,3 +90,34 @@ def test_kernel_calls_per_message_stay_within_budget(protocol):
 
 def test_the_count_repeats_exactly():
     assert kernel_calls("algorithm-a") == kernel_calls("algorithm-a")
+
+
+def setters_named_in_the_run(protocol: str):
+    """``(function, name)`` for every name a function called while the run
+    loops binds to a slot's ``__set__`` method-wrapper."""
+    handle = loaded_cell(protocol)
+    ran = {}
+
+    def note(frame, event, arg):
+        if event == "call":
+            ran.setdefault(frame.f_code, frame.f_globals)
+
+    previous = sys.getprofile()
+    sys.setprofile(note)
+    try:
+        handle.run()
+    finally:
+        sys.setprofile(previous)
+    assert len(ran) > 20  # the kernel, the protocol and the trace all ran
+    return {
+        (code.co_qualname, name)
+        for code, names in ran.items()
+        for name in code.co_names
+        if name == "__set__"
+        or (type(names.get(name)) is MethodWrapperType and names[name].__name__ == "__set__")
+    }
+
+
+@pytest.mark.parametrize("protocol", sorted(CELLS))
+def test_no_slot_setter_is_called_while_the_run_loops(protocol):
+    assert setters_named_in_the_run(protocol) == set()

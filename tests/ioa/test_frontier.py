@@ -23,7 +23,10 @@ with ``EventFrontier.idle`` and ``FIFOScheduler.pick`` answers with
 both to the list after every operation (``idle`` == "the rebuild is empty",
 ``oldest`` **is** the event ``FIFOScheduler.choose`` indexes), and a cell per
 protocol and stack pins the whole trace: FIFO by ``pick`` == FIFO forced
-through ``choose``.
+through ``choose``.  A hypothesis test drives the same operations to pin
+``RandomScheduler.pick`` and ``ChaosScheduler.pick`` (``ripe_count`` and
+``event_at``, no list) to ``pending[choose(pending)]``, draws and counters
+included.
 
 Ripeness is the frontier's rule: ``events``, ``idle`` and ``oldest`` hold a
 latency-stamped delivery or a timer only once the kernel's clock has reached
@@ -34,10 +37,14 @@ rebuild filters deliveries and timers alike by ``ready_at <= now``.
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.workload import WorkloadSpec, generate_workload, submit_workload
+from repro.faults import ChaosScheduler
 from repro.ioa import (
     Await,
     ClientAutomaton,
@@ -54,6 +61,7 @@ from repro.ioa import (
     expect_type,
 )
 from repro.ioa.frontier import EventFrontier
+from repro.obs.registry import MetricsRegistry
 from repro.protocols import get_protocol, protocol_names
 
 from tests.conftest import build_system
@@ -156,8 +164,9 @@ def assert_frontier_matches_rebuild(sim, client_order, list_first):
         assert oldest is None
 
 
-@pytest.mark.parametrize("seed", [0, 1, 7, 23, 91])
-def test_random_interleaving_matches_rebuild(seed):
+def interleave(seed, turns, check):
+    """Run ``turns`` random frontier mutations from ``seed``, then drain the
+    run, calling ``check(sim, client_order, turn)`` after every operation."""
     rng = random.Random(seed)
     sim = Simulation(scheduler=RandomScheduler(seed=seed))
     servers = ["s1", "s2"]
@@ -180,8 +189,8 @@ def test_random_interleaving_matches_rebuild(seed):
     reserved = [f"X{i}" for i in range(8)]  # ids usable as future deps
     spare_counter = 0
 
-    assert_frontier_matches_rebuild(sim, client_order, True)
-    for turn in range(250):
+    check(sim, client_order, 1)
+    for turn in range(turns):
         op = rng.randrange(9)
         if op == 8:  # a latency-stamped delivery, as a fault plane would enqueue it
             message = Message.make("gossip", "s1", rng.choice(gossip_alive), {"from": "s1"})
@@ -222,16 +231,49 @@ def test_random_interleaving_matches_rebuild(seed):
             if len(gossip_alive) > 1:
                 name = gossip_alive.pop(rng.randrange(len(gossip_alive)))
                 assert sim.remove_automaton(name, force=True)
-        assert_frontier_matches_rebuild(sim, client_order, turn % 2)
+        check(sim, client_order, turn % 2)
 
     # Drain what remains, the kernel moving its clock to unripe work; the
     # equivalence must hold through completion too.
     guard = 0
     while sim.step():
-        assert_frontier_matches_rebuild(sim, client_order, guard % 2)
+        check(sim, client_order, guard % 2)
         guard += 1
         assert guard < 10_000
     assert sim.pending_deliveries() == () and sim._frontier.oldest(sim.now) is None
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 23, 91])
+def test_random_interleaving_matches_rebuild(seed):
+    interleave(seed, 250, assert_frontier_matches_rebuild)
+
+
+def assert_pick_is_choose_of_the_list(sim, client_order, turn):
+    """``RandomScheduler.pick`` and ``ChaosScheduler.pick`` (frontier count
+    and indexed lookup) return ``pending[choose(pending)]``, draw the same
+    numbers and bump the chaos counters by the same amounts."""
+    events = sim.pending_events()
+    frontier = sim._frontier
+    assert frontier.ripe_count(sim.now()) == len(events)
+    for index, event in enumerate(events):
+        assert frontier.event_at(index, sim.now()) is event
+    if not events:
+        return
+    for draws in range(3):  # three seeds, so the draws reach past index 0
+        by_pick, by_choose = RandomScheduler(seed=turn + draws), RandomScheduler(seed=turn + draws)
+        assert by_pick.pick(frontier, sim) is events[by_choose.choose(events, sim)]
+        assert by_pick._rng.getstate() == by_choose._rng.getstate()
+    picked, chosen = (SimpleNamespace(now=sim.now, obs=SimpleNamespace(registry=MetricsRegistry())) for _ in "ab")
+    by_pick, by_choose = ChaosScheduler(seed=len(events)), ChaosScheduler(seed=len(events))
+    assert by_pick.pick(frontier, picked) is events[by_choose.choose(events, chosen)]
+    assert picked.obs.registry.counter_value("scheduler.chaos_ripe_events") == len(events)
+    assert picked.obs.registry.snapshot() == chosen.obs.registry.snapshot()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 120))
+def test_random_and_chaos_pick_is_choose_of_the_list(seed, turns):
+    interleave(seed, turns, assert_pick_is_choose_of_the_list)
 
 
 class ListPathFIFO(FIFOScheduler):

@@ -1,15 +1,17 @@
 """The contract of the per-event records and of the payload freeze.
 
-``Action``, ``Message``, ``PendingDelivery`` and ``PendingInvocation``, and
-the span tree's ``Span`` and ``CausalEdge``, are hand-written slotted classes;
+``Action``, ``Message``, ``PendingDelivery``, ``PendingInvocation`` and
+``PendingTimeout``, and the span tree's ``Span`` and ``CausalEdge``, are
+hand-written slotted classes, each built on a writable twin and then frozen;
 everything else in the repository treats them as the frozen dataclasses they
 used to be.  The twins in ``reference_freeze.py`` *are*
 frozen dataclasses with the same fields, so "same ``==``, ``hash`` and
 ``repr``" is checked against what ``dataclasses`` generates.  A message the
 kernel sends and an action it records (``Trace.record``) are built from an
 interned layout (shared sorted keys plus a values tuple) and must equal their
-twins built from the seed's freeze; an ``ast`` pin keeps the ``info`` pair
-view to the few readers that need the pairs themselves.
+twins built from the seed's freeze; every builder's output is of the frozen
+class itself, and no writable twin outlives a run; an ``ast`` pin keeps the
+``info`` pair view to the few readers that need the pairs themselves.
 """
 
 from __future__ import annotations
@@ -35,13 +37,14 @@ from repro.ioa import (
     Message,
     PendingDelivery,
     PendingInvocation,
+    PendingTimeout,
     ServerAutomaton,
     Simulation,
     Trace,
     TraceMode,
 )
-from repro.ioa.actions import _freeze_payload, _freeze_values
-from repro.obs import CausalEdge, Span
+from repro.ioa.actions import _freeze_payload, _freeze_values, new_action
+from repro.obs import CausalEdge, Span, derive_spans
 from repro.protocols import get_protocol
 from repro.txn.transactions import ReadResult
 from tests.ioa import reference_freeze as reference
@@ -76,6 +79,11 @@ invocations = st.builds(
     names, st.one_of(st.none(), st.sampled_from(["read", "write"])), st.sampled_from(["R1", "W2"]), st.integers(0, 2),
 )
 
+timeouts = st.builds(
+    lambda *fields: (PendingTimeout(*fields), reference.PendingTimeout(*fields)),
+    names, st.sampled_from([{}, {"kind": "election"}]), st.integers(0, 2), st.integers(0, 3),
+)
+
 spans = st.builds(
     lambda *fields: (Span(*fields), reference.Span(*fields)),
     st.sampled_from(["txn:R1", "txn:R1/round1"]), st.sampled_from(["read R1", "read"]),
@@ -86,7 +94,7 @@ edges = st.builds(
     names, names, st.integers(0, 2), st.integers(0, 3), st.sampled_from(["read-val", "ack"]),
 )
 
-records = st.one_of(messages, actions(), deliveries(), invocations, spans, edges)
+records = st.one_of(messages, actions(), deliveries(), invocations, timeouts, spans, edges)
 
 
 @settings(max_examples=300, deadline=None)
@@ -95,8 +103,9 @@ def test_eq_and_hash_agree_with_the_frozen_dataclass_twin(first, second):
     (a, a_twin), (b, b_twin) = first, second
     assert (a == b) == (a_twin == b_twin)
     assert (a != b) == (a_twin != b_twin)
-    assert (hash(a) == hash(b)) == (hash(a_twin) == hash(b_twin))
-    assert a == copy.copy(a) and hash(a) == hash(copy.copy(a))
+    # a timer's info is a dict: both hash to TypeError, as the twins do
+    assert (hash_or_error(a) == hash_or_error(b)) == (hash_or_error(a_twin) == hash_or_error(b_twin))
+    assert a == copy.copy(a) and hash_or_error(a) == hash_or_error(copy.copy(a))
     assert repr(a) == repr(a_twin)
 
 
@@ -118,6 +127,7 @@ RECORDS = [
     Action(ActionKind.RECV, "sx", MESSAGE, (("session", "R1"),), 3),
     PendingDelivery(MESSAGE, 4, 9),
     PendingInvocation("r1", None, "R1", 4),
+    PendingTimeout("sx", {"kind": "election"}, 5, 12),
     Span("txn:R1/round1", "read", "round", "r1", 3, 8, "txn:R1", (("sends", 2), ("replies", 2))),
     CausalEdge("r1", "sx", 3, 5, "read-val"),
 ]
@@ -151,6 +161,8 @@ def test_keyword_and_positional_construction():
     assert PendingDelivery.__slots__ == ("message", "enqueued_at", "ready_at")
     assert PendingInvocation(client="r1", txn=None, txn_id="R1", enqueued_at=2) == PendingInvocation("r1", None, "R1", 2)
     assert PendingInvocation.__slots__ == ("client", "txn", "txn_id", "enqueued_at")
+    assert PendingTimeout(owner="sx", info={}, enqueued_at=1, ready_at=4) == PendingTimeout("sx", {}, 1, 4)
+    assert PendingTimeout.__slots__ == ("owner", "info", "enqueued_at", "ready_at")
     assert Span(span_id="s", name="n", kind="txn", actor="r1", start=1, end=2, parent="p", attrs=(("k", 1),)) == Span(
         "s", "n", "txn", "r1", 1, 2, "p", (("k", 1),)
     )
@@ -162,11 +174,12 @@ def test_repr_names_every_field():
     assert repr(MESSAGE) == "Message(msg_type='read-val', src='r1', dst='sx', items=(('txn', 'R1'),), msg_id=7)"
     assert repr(RECORDS[2]) == f"PendingDelivery(message={MESSAGE!r}, enqueued_at=4, ready_at=9)"
     assert repr(RECORDS[3]) == "PendingInvocation(client='r1', txn=None, txn_id='R1', enqueued_at=4)"
-    assert repr(RECORDS[4]) == (
+    assert repr(RECORDS[4]) == "PendingTimeout(owner='sx', info={'kind': 'election'}, enqueued_at=5, ready_at=12)"
+    assert repr(RECORDS[5]) == (
         "Span(span_id='txn:R1/round1', name='read', kind='round', actor='r1', start=3, end=8, "
         "parent='txn:R1', attrs=(('sends', 2), ('replies', 2)))"
     )
-    assert repr(RECORDS[5]) == "CausalEdge(src='r1', dst='sx', send_index=3, recv_index=5, msg_type='read-val')"
+    assert repr(RECORDS[6]) == "CausalEdge(src='r1', dst='sx', send_index=3, recv_index=5, msg_type='read-val')"
     assert repr(Action(ActionKind.START, "sx")) == (
         "Action(kind=<ActionKind.START: 'start'>, actor='sx', message=None, info=(), index=-1)"
     )
@@ -185,6 +198,106 @@ def test_derived_copies_keep_their_contracts():
 def test_messages_built_outside_a_kernel_never_collide_with_a_kernels():
     first, second = Message.make("m", "a", "b"), Message("m", "a", "b")
     assert first.msg_id != second.msg_id and first.msg_id < 0 and second.msg_id < 0
+
+
+# ----------------------------------------------------------------------
+# every builder hands out the frozen class, and no writable twin survives
+# ----------------------------------------------------------------------
+FROZEN = (Message, Action, PendingDelivery, PendingInvocation, PendingTimeout, Span, CausalEdge)
+
+
+def built_records():
+    """``(builder, record, frozen class, reference twin)`` for each way a
+    record is built: the kernel's inline builders, ``new_action``,
+    ``with_index``, the span tree's and the public constructors."""
+    simulation = kernel()
+    txn = "t1"  # equal to its copies, as the pickle round trip below needs
+    simulation.submit("r1", txn, txn_id="R1")
+    (invocation,) = simulation.pending_events()
+    sent = simulation._send_from("r1", "sx", "read-val", {"txn": "R1", "object": [1]})
+    (delivery,) = simulation.pending_deliveries()
+    recorded = simulation.trace[-1]
+    timer = simulation.set_timeout("sx", 3, {"kind": "t"})
+    later = simulation.reschedule_timeout(timer, 9)
+    twin_message = reference.Message("read-val", "r1", "sx", (("object", (1,)), ("txn", "R1")), sent.msg_id)
+    twin_send = reference.Action(ActionKind.SEND, "r1", twin_message, (), recorded.index)
+    yield "PayloadLayouts.message", sent, Message, twin_message
+    yield "Trace.record", recorded, Action, twin_send
+    yield "Action.with_index", recorded.with_index(5), Action, reference.Action(
+        ActionKind.SEND, "r1", twin_message, (), 5
+    )
+    yield "new_action", new_action(ActionKind.INTERNAL, "sx", None, ("k",), (1,)), Action, reference.Action(
+        ActionKind.INTERNAL, "sx", None, (("k", 1),)
+    )
+    yield "enqueue_delivery", delivery, PendingDelivery, reference.PendingDelivery(twin_message, delivery.enqueued_at)
+    yield "_refresh_ready", invocation, PendingInvocation, reference.PendingInvocation(
+        "r1", txn, "R1", invocation.enqueued_at
+    )
+    yield "set_timeout", timer, PendingTimeout, reference.PendingTimeout("sx", {"kind": "t"}, timer.enqueued_at, 3)
+    yield "reschedule_timeout", later, PendingTimeout, reference.PendingTimeout(
+        "sx", {"kind": "t"}, later.enqueued_at, 9
+    )
+    handle = get_protocol("algorithm-b").build(num_readers=1, num_writers=1, num_objects=2, seed=3)
+    submit_workload(handle, generate_workload(WorkloadSpec(2, 1, seed=3), handle.readers, handle.writers, handle.objects))
+    handle.run()
+    tree = derive_spans(handle.simulation)
+    for kind in ("txn", "round"):
+        span = tree.of_kind(kind)[0]
+        yield f"derive_spans {kind}", span, Span, reference.Span(*Span._fields(span))
+    edge = tree.edges[0]
+    yield "derive_spans edge", edge, CausalEdge, reference.CausalEdge(*CausalEdge._fields(edge))
+    for record in RECORDS:
+        yield f"{type(record).__name__}()", record, type(record), None
+
+
+def test_every_builder_hands_out_the_frozen_class():
+    seen = set()
+    for builder, record, cls, twin in built_records():
+        seen.add(cls)
+        assert type(record) is cls and type(record) is not cls._writable, builder
+        if twin is not None:
+            assert repr(record) == repr(twin), builder
+            assert (hash_or_error(record) is TypeError) == (hash_or_error(twin) is TypeError), builder
+        assert record == copy.copy(record) == pickle.loads(pickle.dumps(record)), builder
+        for name in record.__slots__:
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(record, name)
+    assert seen == set(FROZEN)
+
+
+def test_the_writable_twin_has_the_frozen_layout():
+    for cls in FROZEN:
+        twin = cls._writable
+        assert twin.__bases__ == cls.__bases__ and twin.__slots__ == cls.__slots__
+        assert twin.__setattr__ is object.__setattr__ and twin.__delattr__ is object.__delattr__
+
+
+def test_no_writable_twin_outlives_a_run():
+    """Mid-run (a full frontier) and after, every record in the trace, the
+    frontier and the span tree, and every object the collector tracks, is of
+    a frozen class."""
+    from tests.faults.perf_chaos_cell import workloads
+
+    workload = workloads.WORKLOADS["chaos"]
+    (cell,) = workload.cells
+    handle = workloads.build_cell(workload, cell, 5, 40, workloads.Parts())
+    workloads.load_cell(handle, cell, 5, 40)
+    simulation = handle.simulation
+    writable = {cls._writable for cls in FROZEN}
+    for budget in (300, None):
+        simulation.run(max_new_steps=budget)
+        frontier = simulation._frontier
+        held = [*simulation.trace, *frontier.deliveries(), *frontier.timeouts(), *frontier._ready.values()]
+        held += [action.message for action in simulation.trace if action.message is not None]
+        held += [delivery.message for delivery in frontier.deliveries()]
+        if budget is not None:
+            assert frontier.deliveries() and frontier.timeouts()  # the mid-run frontier holds both
+        tree = derive_spans(simulation)
+        held += [*tree.spans, *tree.edges]
+        assert {type(record) for record in held} <= set(FROZEN)
+        assert not [obj for obj in gc.get_objects() if type(obj) in writable]
 
 
 # ----------------------------------------------------------------------
@@ -478,8 +591,8 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def info_readers():
-    """Every ``<expr>.info`` read under ``src/repro``, as ``(module,
-    enclosing scope, receiver)``."""
+    """Every ``<expr>.info`` read (not a store) under ``src/repro``, as
+    ``(module, enclosing scope, receiver)``."""
     found = set()
     for path in sorted((SRC / "repro").rglob("*.py")):
         module = path.relative_to(SRC).as_posix()
@@ -489,7 +602,7 @@ def info_readers():
                 inner = scope
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                     inner = scope + (child.name,)
-                elif isinstance(child, ast.Attribute) and child.attr == "info":
+                elif isinstance(child, ast.Attribute) and child.attr == "info" and isinstance(child.ctx, ast.Load):
                     found.add((module, ".".join(scope), ast.unparse(child.value)))
                 visit(child, inner)
 

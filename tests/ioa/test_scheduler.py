@@ -269,3 +269,5 @@ class TestPickOrChoose:
             simulation.scheduler.pick(simulation._frontier, simulation)
         with pytest.raises(SchedulerError, match="no pending events"):
             LIFOScheduler().pick(simulation._frontier, simulation)
+        with pytest.raises(SchedulerError, match="no pending events"):
+            RandomScheduler(seed=1).pick(simulation._frontier, simulation)
