@@ -7,8 +7,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
     {
         "feasibility": (
             "FeasibilityVerdict", "check_setting", "feasibility_matrix",
-            "find_violation_in_impossible_cell", "format_feasibility_matrix",
-            "paper_expectation", "run_protocol_once", "verify_possible_cell",
+            "format_feasibility_matrix", "paper_expectation",
         ),
         "serializability": (
             "Lemma20Result", "SerializabilityResult", "check_lemma20",

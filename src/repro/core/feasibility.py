@@ -1,21 +1,14 @@
-"""Empirical reproduction of the result matrices of Figure 1.
+"""Reproduction of the result matrices of Figure 1.
 
 Figure 1(a) — *Is SNOW possible?* — classifies settings by client population
 (2 clients / MWSR / ≥3 clients) and by whether client-to-client communication
-is allowed.  Impossibility cannot be established by running programs, so the
-matrix is reproduced with a two-sided experiment that makes the boundary
-visible:
-
-* **possible cells** (MWSR or 2-client with C2C): algorithm A is executed
-  under many randomized and adversarial schedules with concurrent conflicting
-  WRITE transactions, and every execution is checked against *all four* SNOW
-  properties — the checkers never find a violation;
-* **impossible cells**: the natural SNOW candidate (one-round, one-version,
-  non-blocking latest-value reads, :mod:`repro.protocols.naive_snow`) is
-  subjected to the same schedules and a strict-serializability violation is
-  found and reported (with the seed / schedule that produced it).  The
-  accompanying mechanical proof replays in :mod:`repro.proofs` cover the
-  actual impossibility argument (Theorems 1 and 2).
+is allowed.  Each cell is read off the exhaustive search of
+:mod:`repro.proofs.exhaust`.  In a possible cell (MWSR or 2 clients, with
+C2C) algorithm A runs every trace, each checked against all four SNOW
+properties.  In an impossible one the natural candidate
+(:mod:`repro.protocols.naive_snow`) runs until its first trace that is not
+strictly serializable, the cell's witness; the proof replays in
+:mod:`repro.proofs` show that every candidate must fail (Theorems 1 and 2).
 
 Figure 1(b) — *Bounded SNW algorithms* — is the filed ``paper`` suite
 (:data:`repro.analysis.sweep.PAPER`, ``python -m repro.analysis paper``):
@@ -27,39 +20,46 @@ versions measured by the SNOW checkers and the paper's claims as its
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from ..ioa.network import SystemSetting, standard_settings
-from ..ioa.scheduler import AdversarialScheduler, FIFOScheduler, RandomScheduler, fracture_rules
-from ..txn.objects import server_for_object
-from .snow import SnowReport
 
 
 @dataclass
 class FeasibilityVerdict:
-    """One cell of the Figure 1(a) matrix."""
+    """One cell of the Figure 1(a) matrix, read off an exhaustive search."""
 
     setting: SystemSetting
-    snow_possible: bool
     paper_reference: str
-    method: str
     protocol: str
-    schedules_checked: int
-    violating_seed: Optional[int] = None
-    violation_note: str = ""
+    #: runs that ended (one per trace), and runs cut as reorderings
+    finished: int
+    pruned: int
+    #: finished traces breaking SNOW (possible cell) or S (impossible cell)
+    violating: int
+    #: every trace was run: no budget cut, no stop at a violation
+    complete: bool
+    #: the first violating trace's event keys, in the order they ran
+    witness: Optional[Tuple[Any, ...]] = None
+
+    @property
+    def snow_possible(self) -> bool:
+        return not self.violating
 
     def cell(self) -> str:
         return "yes" if self.snow_possible else "no"
 
     def describe(self) -> str:
         base = f"{self.setting.describe()}: SNOW {'possible' if self.snow_possible else 'impossible'} ({self.paper_reference})"
-        if self.snow_possible:
-            return base + f"; {self.protocol} satisfied SNOW on {self.schedules_checked} schedules"
-        return base + (
-            f"; {self.protocol} violated S under seed {self.violating_seed}"
-            if self.violating_seed is not None
-            else f"; {self.violation_note}"
-        )
+        runs = self.finished + self.pruned
+        if not paper_expectation(self.setting)[0]:
+            found, scope = f"trace {self.finished} violates S", "stopped at the first violation"
+        else:
+            found = f"all {self.finished} traces satisfy SNOW"
+            if self.violating:
+                found = f"{self.violating} of {self.finished} traces violate SNOW"
+            scope = "search complete" if self.complete else "search cut"
+        return f"{base}; {self.protocol}: {found} ({runs} runs, {scope})"
 
 
 def paper_expectation(setting: SystemSetting) -> Tuple[bool, str]:
@@ -75,174 +75,37 @@ def paper_expectation(setting: SystemSetting) -> Tuple[bool, str]:
     return False, "Theorem 2 / Section 5.1 (MWSR without C2C)"
 
 
-# ----------------------------------------------------------------------
-# Workloads used by the empirical search
-# ----------------------------------------------------------------------
-def _submit_contending_workload(handle, rounds: int = 3) -> Tuple[List[str], List[str]]:
-    """Concurrent conflicting reads and writes over every object.
-
-    Each writer issues ``rounds`` WRITE transactions covering all objects
-    (values encode writer and round); each reader issues ``rounds`` READ
-    transactions over all objects.  Nothing is ordered across clients, so
-    the scheduler is free to interleave everything (the W property's
-    "conflicting writes" situation).
-    """
-    write_ids: List[str] = []
-    read_ids: List[str] = []
-    for round_index in range(1, rounds + 1):
-        for writer_index, writer in enumerate(handle.writers, start=1):
-            updates = {obj: f"{writer}-r{round_index}" for obj in handle.objects}
-            write_ids.append(handle.submit_write(updates, writer=writer))
-        for reader in handle.readers:
-            read_ids.append(handle.submit_read(handle.objects, reader=reader))
-    return read_ids, write_ids
-
-
-# ----------------------------------------------------------------------
-# Per-setting experiment
-# ----------------------------------------------------------------------
-def run_protocol_once(
-    protocol_name: str,
-    setting: SystemSetting,
-    scheduler,
-    workload_rounds: int = 3,
-    seed: int = 0,
-) -> SnowReport:
-    """Run one protocol in one setting under one scheduler and report SNOW."""
+def check_setting(setting: SystemSetting, max_runs: Optional[int] = None) -> FeasibilityVerdict:
+    """Figure 1(a)'s verdict for one setting from at most ``max_runs`` runs
+    (None: all).  A possible cell counts algorithm A's traces that break SNOW;
+    an impossible one stops at ``naive-snow``'s first trace that is not
+    strictly serializable, and raises if there is none: no witness, no verdict."""
     # the checkers and the Figure 1 tables load without the protocol layer; running a cell loads it
-    from ..protocols.registry import get_protocol
+    from ..proofs.exhaust import Exploration
 
-    protocol = get_protocol(protocol_name)
-    handle = protocol.build(
-        num_readers=setting.num_readers,
-        num_writers=setting.num_writers,
-        num_objects=setting.num_servers,
-        scheduler=scheduler,
-        seed=seed,
-        c2c=setting.c2c,
-    )
-    _submit_contending_workload(handle, rounds=workload_rounds)
-    handle.run_to_completion()
-    return handle.snow_report()
-
-
-def verify_possible_cell(
-    setting: SystemSetting,
-    schedules: int = 20,
-    workload_rounds: int = 3,
-) -> FeasibilityVerdict:
-    """Check algorithm A satisfies SNOW across many schedules in a possible cell."""
-    checked = 0
-    for seed in range(schedules):
-        scheduler = FIFOScheduler() if seed == 0 else RandomScheduler(seed=seed)
-        report = run_protocol_once("algorithm-a", setting, scheduler, workload_rounds, seed)
-        checked += 1
-        if not report.satisfies_snow:
-            return FeasibilityVerdict(
-                setting=setting,
-                snow_possible=False,
-                paper_reference=paper_expectation(setting)[1],
-                method="verification-failed",
-                protocol="algorithm-a",
-                schedules_checked=checked,
-                violating_seed=seed,
-                violation_note=report.describe(),
-            )
+    possible, reference = paper_expectation(setting)
+    search = Exploration("algorithm-a" if possible else "naive-snow", setting, max_runs)
+    violating, witness = 0, None
+    for handle in search:
+        report = handle.snow_report()
+        if report.satisfies_snow if possible else report.satisfies_s:
+            continue
+        violating += 1
+        witness = witness or search.schedule()
+        if not possible:
+            break
+    if not (possible or violating):
+        scope = "every trace" if search.complete else "search cut"
+        runs = search.finished + search.pruned
+        raise RuntimeError(f"{setting.name}: no trace of {search.protocol} violates S in {runs} runs ({scope})")
     return FeasibilityVerdict(
-        setting=setting,
-        snow_possible=True,
-        paper_reference=paper_expectation(setting)[1],
-        method="verified-protocol",
-        protocol="algorithm-a",
-        schedules_checked=checked,
+        setting, reference, search.protocol, search.finished, search.pruned, violating, search.complete, witness
     )
 
 
-def find_violation_in_impossible_cell(
-    setting: SystemSetting,
-    schedules: int = 50,
-    workload_rounds: int = 2,
-) -> FeasibilityVerdict:
-    """Find an S-violation of the natural NOW candidate in an impossible cell."""
-    reference = paper_expectation(setting)[1]
-    checked = 0
-
-    # Targeted adversary first: deterministic and fast.
-    # the checkers and the Figure 1 tables load without the protocol layer; running a cell loads it
-    from ..protocols.registry import get_protocol
-
-    protocol = get_protocol("naive-snow")
-    handle = protocol.build(
-        num_readers=setting.num_readers,
-        num_writers=setting.num_writers,
-        num_objects=setting.num_servers,
-        scheduler=FIFOScheduler(),
-        c2c=setting.c2c,
-    )
-    # Submit the workload first, then wire the adversary to the generated ids
-    # (the scheduler is not consulted until the simulation runs).
-    read_ids, write_ids = _submit_contending_workload(handle, rounds=workload_rounds)
-    handle.simulation.scheduler = AdversarialScheduler(
-        rules=fracture_rules(
-            read_ids[0],
-            write_ids[0],
-            late_server=server_for_object(handle.objects[0]),
-            early_server=server_for_object(handle.objects[-1]),
-        )
-    )
-    handle.run_to_completion()
-    report = handle.snow_report()
-    checked += 1
-    if not report.satisfies_s and report.satisfies_n and report.satisfies_o and report.satisfies_w:
-        return FeasibilityVerdict(
-            setting=setting,
-            snow_possible=False,
-            paper_reference=reference,
-            method="targeted-adversary",
-            protocol="naive-snow",
-            schedules_checked=checked,
-            violating_seed=None,
-            violation_note="targeted fracture schedule: "
-            + (report.serializability.describe() if report.serializability else ""),
-        )
-
-    # Randomized search as a fallback.
-    for seed in range(1, schedules + 1):
-        report = run_protocol_once("naive-snow", setting, RandomScheduler(seed=seed), workload_rounds, seed)
-        checked += 1
-        if not report.satisfies_s:
-            return FeasibilityVerdict(
-                setting=setting,
-                snow_possible=False,
-                paper_reference=reference,
-                method="randomized-search",
-                protocol="naive-snow",
-                schedules_checked=checked,
-                violating_seed=seed,
-                violation_note=report.serializability.describe() if report.serializability else "",
-            )
-    return FeasibilityVerdict(
-        setting=setting,
-        snow_possible=False,
-        paper_reference=reference,
-        method="proof-only",
-        protocol="naive-snow",
-        schedules_checked=checked,
-        violation_note="no violation found empirically; impossibility rests on the mechanical proof replays",
-    )
-
-
-def check_setting(setting: SystemSetting, schedules: int = 20) -> FeasibilityVerdict:
-    """Produce the Figure 1(a) verdict for one setting."""
-    possible, _reference = paper_expectation(setting)
-    if possible:
-        return verify_possible_cell(setting, schedules=schedules)
-    return find_violation_in_impossible_cell(setting, schedules=schedules)
-
-
-def feasibility_matrix(schedules: int = 12) -> List[FeasibilityVerdict]:
+def feasibility_matrix(max_runs: Optional[int] = None) -> List[FeasibilityVerdict]:
     """The full Figure 1(a) matrix over the standard settings."""
-    return [check_setting(setting, schedules=schedules) for setting in standard_settings()]
+    return [check_setting(setting, max_runs) for setting in standard_settings()]
 
 
 def format_feasibility_matrix(verdicts: Sequence[FeasibilityVerdict]) -> str:

@@ -10,11 +10,10 @@ least two servers a READ that races a multi-object WRITE can observe the new
 value on one server and the old value on another ("fractured read"), and no
 serial order explains that.  The feasibility analysis
 (:mod:`repro.core.feasibility`) uses this protocol as the executable witness
-of the impossible cells of Figure 1(a): for every setting in which SNOW is
-impossible, an adversarial or randomized schedule quickly produces an
-execution whose history the strict-serializability checker rejects — while
-the same searches over algorithm A's executions (in the possible cells) find
-nothing.
+of the impossible cells of Figure 1(a): in every setting in which SNOW is
+impossible, the search over schedules (:mod:`repro.proofs.exhaust`) reaches
+an execution whose history the strict-serializability checker rejects —
+while the same search over algorithm A's (in the possible cells) finds none.
 
 Under the placement layer, writes install at a write quorum per object and
 reads take a read quorum per object, keeping the version with the largest

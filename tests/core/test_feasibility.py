@@ -1,5 +1,10 @@
 """Tests for the Figure 1(a) feasibility analysis (Figure 1(b) is the filed
-``paper`` suite, checked by ``tests/analysis/test_suite_expectations.py``)."""
+``paper`` suite, checked by ``tests/analysis/test_suite_expectations.py``).
+
+Each cell is read off the exhaustive search (:mod:`repro.proofs.exhaust`);
+the uncut matrix, whose MWSR cell with C2C runs ~20,000 schedules, is in
+``tests/proofs/exhaust_cells.py``.
+"""
 
 from __future__ import annotations
 
@@ -8,13 +13,9 @@ import pytest
 from repro.core.feasibility import (
     check_setting,
     feasibility_matrix,
-    find_violation_in_impossible_cell,
     format_feasibility_matrix,
     paper_expectation,
-    run_protocol_once,
-    verify_possible_cell,
 )
-from repro.ioa import FIFOScheduler
 from repro.ioa.network import SystemSetting, standard_settings
 
 
@@ -47,48 +48,66 @@ class TestPaperExpectation:
 
 
 class TestPossibleCells:
-    def test_two_client_c2c_cell_verified(self):
-        verdict = verify_possible_cell(setting("two-clients-c2c", 1, 1, True), schedules=4, workload_rounds=2)
-        assert verdict.snow_possible
-        assert verdict.protocol == "algorithm-a"
-        assert verdict.schedules_checked == 4
+    def test_two_client_c2c_cell_runs_every_trace(self):
+        verdict = check_setting(setting("two-clients-c2c", 1, 1, True))
+        assert verdict.snow_possible and verdict.complete
+        assert (verdict.protocol, verdict.finished, verdict.pruned, verdict.violating) == ("algorithm-a", 52, 94, 0)
+        assert verdict.witness is None
+        assert verdict.describe().endswith("algorithm-a: all 52 traces satisfy SNOW (146 runs, search complete)")
 
-    def test_mwsr_c2c_cell_verified(self):
-        verdict = verify_possible_cell(setting("mwsr-c2c", 1, 3, True), schedules=3, workload_rounds=2)
-        assert verdict.snow_possible
+    def test_a_cut_search_says_so(self):
+        verdict = check_setting(setting("mwsr-c2c", 1, 2, True), max_runs=40)
+        assert verdict.snow_possible and not verdict.complete
+        assert verdict.finished + verdict.pruned == 40
+        assert verdict.describe().endswith(f"all {verdict.finished} traces satisfy SNOW (40 runs, search cut)")
 
-    def test_run_protocol_once_reports_snow(self):
-        report = run_protocol_once("algorithm-a", setting("mwsr-c2c", 1, 2, True), FIFOScheduler(), 2, 0)
-        assert report.satisfies_snow
+    def test_a_violating_trace_refutes_the_cell(self, monkeypatch):
+        """Algorithm A's reader recording each WRITE for its first object only
+        returns fractured reads: the cell counts the traces that break SNOW
+        and keeps the first one."""
+        from repro.protocols.algorithm_a import AlgorithmAReader
+
+        def record_first_object_only(self, message, ctx):
+            tag = self.list.append(message.get("key"), {self.objects[0]: 1})
+            ctx.send(message.src, "ack-info", {"txn": message.get("txn"), "tag": tag}, phase="info-reader")
+
+        monkeypatch.setattr(AlgorithmAReader, "on_message", record_first_object_only)
+        verdict = check_setting(setting("two-clients-c2c", 1, 1, True))
+        assert not verdict.snow_possible and verdict.cell() == "no"
+        assert verdict.witness and verdict.violating <= verdict.finished
+        assert f"{verdict.violating} of {verdict.finished} traces violate SNOW" in verdict.describe()
 
 
 class TestImpossibleCells:
-    def test_three_client_violation_found(self):
-        verdict = find_violation_in_impossible_cell(setting("three-clients-no-c2c", 2, 1, False), schedules=20)
-        assert not verdict.snow_possible
-        assert verdict.method in ("targeted-adversary", "randomized-search")
+    @pytest.mark.parametrize(
+        "name, readers, writers, c2c, runs",
+        [
+            ("two-clients-no-c2c", 1, 1, False, 7),
+            ("mwsr-no-c2c", 1, 2, False, 125),
+            ("three-clients-c2c", 2, 1, True, 7),
+            ("three-clients-no-c2c", 2, 1, False, 7),
+        ],
+    )
+    def test_the_first_violating_trace_decides_the_cell(self, name, readers, writers, c2c, runs):
+        verdict = check_setting(setting(name, readers, writers, c2c))
+        assert not verdict.snow_possible and verdict.cell() == "no"
+        assert (verdict.protocol, verdict.violating, verdict.finished + verdict.pruned) == ("naive-snow", 1, runs)
+        assert len(verdict.witness) > 0
+        assert "impossible" in verdict.describe()
+        assert verdict.describe().endswith(f"violates S ({runs} runs, stopped at the first violation)")
 
-    def test_mwsr_no_c2c_violation_found(self):
-        verdict = find_violation_in_impossible_cell(setting("mwsr-no-c2c", 1, 2, False), schedules=20)
-        assert not verdict.snow_possible
-
-    def test_check_setting_dispatches_by_expectation(self):
-        possible = check_setting(setting("mwsr-c2c", 1, 2, True), schedules=2)
-        impossible = check_setting(setting("three-clients-c2c", 2, 1, True), schedules=10)
-        assert possible.snow_possible
-        assert not impossible.snow_possible
-
-    def test_verdict_describe(self):
-        verdict = check_setting(setting("two-clients-no-c2c", 1, 1, False), schedules=10)
-        text = verdict.describe()
-        assert "impossible" in text
+    def test_no_witness_no_verdict(self):
+        """A search cut before its first violation raises: no impossible cell
+        stands on the paper's word alone."""
+        with pytest.raises(RuntimeError, match="no trace of naive-snow violates S in 6 runs"):
+            check_setting(setting("three-clients-c2c", 2, 1, True), max_runs=6)
 
 
 class TestFormatting:
     def test_feasibility_matrix_rendering(self):
         """Figure 1(a) over all six standard settings: every verdict is the
         paper's, and the table carries the three population rows."""
-        verdicts = feasibility_matrix(schedules=5)
+        verdicts = feasibility_matrix(max_runs=200)
         assert [v.setting.name for v in verdicts] == [s.name for s in standard_settings()]
         for verdict in verdicts:
             assert verdict.snow_possible == paper_expectation(verdict.setting)[0], verdict.describe()

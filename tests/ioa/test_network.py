@@ -166,4 +166,5 @@ class TestSystemSetting:
             if setting.name.startswith("three-clients"):
                 assert setting.num_readers == 2 and setting.num_writers == 1
             if setting.name.startswith("mwsr"):
-                assert setting.num_readers == 1 and setting.num_writers > 1
+                # two writers: the feasibility search runs every schedule of it in seconds
+                assert setting.num_readers == 1 and setting.num_writers == 2
