@@ -121,7 +121,8 @@ class AlgorithmAWriter(ReplicaClient, WriterAutomaton):
         # write-value phase (a write quorum per written object) --------------
         yield from write_value_round(txn.txn_id, tuple(txn.updates), key, self.view, ctx)
         # info-reader phase (client-to-client!) ------------------------------
-        bits = tuple((obj, 1 if obj in dict(txn.updates) else 0) for obj in self.objects)
+        written = txn.values
+        bits = tuple((obj, 1 if obj in written else 0) for obj in self.objects)
         yield Send(
             dst=self.reader,
             msg_type="info-reader",

@@ -12,11 +12,16 @@ the coordinator itself stores one of the requested objects, the two requests
 are combined into a single message (as the paper notes), preserving the
 one-round property.
 
+The reader keeps each shipped ``Vals`` as it arrived and scans it
+newest-first for the key the coordinator named, so a READ's work is bounded
+by the WRITEs concurrent with it (or with the named WRITE), not by the length
+of the history.
+
 Under the placement layer the data requests fan out to every replica of each
 requested object and the round completes once a read quorum of ``Vals``
-snapshots arrived per object (plus the coordinator's tag array); the
-per-object snapshots are unioned, and quorum intersection with the write
-quorum guarantees the union contains every key the coordinator can name for
+snapshots arrived per object (plus the coordinator's tag array); the named
+key is looked up in each snapshot, and quorum intersection with the write
+quorum guarantees one of them holds every key the coordinator can name for
 a completed WRITE.
 
 Fidelity note
@@ -36,7 +41,8 @@ traces of one READ beside one WRITE take it, each strictly serializable
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from itertools import chain
+from typing import Any, Dict, List, Sequence, Tuple
 
 from ..ioa.automaton import Context, ReaderAutomaton, Send
 from ..ioa.errors import SimulationError
@@ -49,6 +55,36 @@ from .replication import key_read_round, quorum_round
 #: the read round's one requirement that is not an object: the tag array,
 #: one reply from a server asked for it
 TAG_ARRAY = "tag-array"
+
+#: one replica's ``Vals`` as a read-vals reply ships it: ``(key, value)``
+#: pairs in the order the replica installed them
+Vals = Tuple[Tuple[Key, Any], ...]
+
+#: what :func:`named_value` returns when no snapshot holds the key
+ABSENT = object()
+
+
+def named_value(snapshots: Sequence[Vals], wanted: Key) -> Any:
+    """The value the snapshots hold under ``wanted``, the last reply's first
+    (as merging the replies in arrival order would give), else ``ABSENT``.
+
+    Each snapshot is scanned newest-first, so one that holds the key passes
+    only the versions installed after it (WRITEs that overlapped the READ or
+    the named WRITE), whatever the length of the history."""
+    for snapshot in reversed(snapshots):
+        for key, value in reversed(snapshot):
+            if key == wanted:
+                return value
+    return ABSENT
+
+
+def versions_fetched(snapshots: Sequence[Vals]) -> int:
+    """How many versions of one object the READ fetched: the snapshot's
+    length when one replica answered, the union of the key sets when
+    several did."""
+    if len(snapshots) == 1:
+        return len(snapshots[0])
+    return len(dict(chain.from_iterable(snapshots)))
 
 
 class AlgorithmCReader(CoordinatedClient, ReaderAutomaton):
@@ -120,27 +156,24 @@ class AlgorithmCReader(CoordinatedClient, ReaderAutomaton):
 
         tag = None
         keys: Dict[str, Key] = {}
-        versions_by_object: Dict[str, Dict[Key, Any]] = {}
+        snapshots: Dict[str, List[Vals]] = {}
         for reply in replies:
             if reply.get("tag") is not None:
                 tag = reply.get("tag")
                 keys = dict(reply.get("keys", ()))
             if reply.msg_type == "read-vals-reply":
-                versions_by_object.setdefault(reply.get("object"), {}).update(
-                    reply.get("versions", ())
-                )
+                snapshots.setdefault(reply.get("object"), []).append(reply.get("versions", ()))
         if tag is None or not keys:
             raise SimulationError(f"reader {self.name} never received the tag array for {txn.txn_id}")
 
         values: Dict[str, Any] = {}
         missing: List[str] = []
         for object_id in read_set:
-            wanted = keys[object_id]
-            snapshot = versions_by_object.get(object_id, {})
-            if wanted in snapshot:
-                values[object_id] = snapshot[wanted]
-            else:
+            value = named_value(snapshots.get(object_id, ()), keys[object_id])
+            if value is ABSENT:
                 missing.append(object_id)
+            else:
+                values[object_id] = value
 
         fallback_rounds = 0
         if missing:
@@ -157,9 +190,7 @@ class AlgorithmCReader(CoordinatedClient, ReaderAutomaton):
             )
             values.update(fallback_values)
 
-        max_versions = max(
-            (len(snapshot) for snapshot in versions_by_object.values()), default=1
-        )
+        max_versions = max(map(versions_fetched, snapshots.values()), default=1)
         annotations: Dict[str, Any] = {
             "tag": tag,
             "protocol": "algorithm-c",

@@ -133,7 +133,8 @@ class CoordinatedWriter(CoordinatedClient, WriterAutomaton):
         yield from write_value_round(txn.txn_id, tuple(txn.updates), key, self.view, ctx)
         # update-coor phase (broadcast to the coordinator group; only the
         # consensus leader answers, once the entry committed) -----------------
-        bits = tuple((obj, 1 if obj in dict(txn.updates) else 0) for obj in self.objects)
+        written = txn.values
+        bits = tuple((obj, 1 if obj in written else 0) for obj in self.objects)
         yield from [
             Send(
                 dst=target,

@@ -8,17 +8,16 @@ serialization arguments assign each transaction a *tag* drawn from the
 naturals (Sections 7–9).
 
 This module defines those small value types plus the per-server version store
-(`VersionStore`) shared by the protocol implementations.
+(`VersionStore`) shared by the protocol implementations.  Keys and versions
+are named tuples, so they are hashed and compared in C.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 
-@dataclass(frozen=True, order=True)
-class Key:
+class Key(NamedTuple):
     """A WRITE-transaction key ``κ = (z, writer)``.
 
     ``z`` is the writer-local sequence number (strictly increasing per
@@ -27,6 +26,11 @@ class Key:
     Ordering is lexicographic, which is only used for deterministic
     tie-breaking in reports — the protocols never rely on cross-writer key
     order (that is what tags are for).
+
+    A key is a tuple, so hashing and equality run in C (algorithm C's
+    reader compares keys on every read); it therefore also equals the plain
+    tuple ``(z, writer)``.  No container in the package mixes keys with
+    plain tuples, and the stable-store codec tests ``Key`` before ``tuple``.
     """
 
     z: int
@@ -43,8 +47,7 @@ class Key:
         return f"({self.z},{self.writer})"
 
 
-@dataclass(frozen=True)
-class Version:
+class Version(NamedTuple):
     """One version of one object: the value plus the key that wrote it."""
 
     object_id: str
@@ -62,25 +65,28 @@ class VersionStore:
     (``Vals ← Vals ∪ {(κ, v)}``) and answer reads either for a specific key
     (A, B) or with the whole set (C).  The store also remembers insertion
     order so the Eiger-style and naive protocols can ask for "the latest"
-    version.
+    version, and so algorithm C's reader can scan a shipped ``Vals``
+    newest-first for the key the coordinator named.
     """
 
     def __init__(self, object_id: str, initial_value: Any = 0) -> None:
         self.object_id = object_id
+        #: every version by key, in insertion order (an overwrite keeps its place)
         self._by_key: Dict[Key, Version] = {}
-        self._order: List[Key] = []
-        initial = Version(object_id=object_id, value=initial_value, key=Key.initial())
-        self._by_key[initial.key] = initial
-        self._order.append(initial.key)
-        #: :meth:`pairs`, built on the first request after a :meth:`put`
+        #: ``Vals`` as a reply ships it, in the same order
+        self._pair_list: List[Tuple[Key, Any]] = []
+        #: :meth:`pairs`, the tuple of ``_pair_list``; ``None`` after a put
         self._pairs: Optional[Tuple[Tuple[Key, Any], ...]] = None
+        self.put(Key.initial(), initial_value)
 
     # ------------------------------------------------------------------
     def put(self, key: Key, value: Any) -> Version:
         """Insert (or overwrite) the version for ``key``."""
-        version = Version(object_id=self.object_id, value=value, key=key)
-        if key not in self._by_key:
-            self._order.append(key)
+        version = Version(self.object_id, value, key)
+        if key in self._by_key:  # a re-sent or repaired write: rare
+            self._pair_list[list(self._by_key).index(key)] = (key, value)
+        else:
+            self._pair_list.append((key, value))
         self._by_key[key] = version
         self._pairs = None
         return version
@@ -91,27 +97,29 @@ class VersionStore:
 
     def latest(self) -> Version:
         """The most recently inserted version (arrival order at this server)."""
-        return self._by_key[self._order[-1]]
+        return self._by_key[self._pair_list[-1][0]]
 
     def initial(self) -> Version:
-        return self._by_key[self._order[0]]
+        return self._by_key[self._pair_list[0][0]]
 
     def all_versions(self) -> Tuple[Version, ...]:
         """Every version, in insertion order (the ``Vals`` set)."""
-        return tuple(self._by_key[k] for k in self._order)
+        return tuple(self._by_key.values())
 
     def pairs(self) -> Tuple[Tuple[Key, Any], ...]:
-        """``Vals`` as the ``(key, value)`` pairs a reply ships: algorithm C
-        sends them on every read, so they are built once per write."""
+        """``Vals`` as the ``(key, value)`` pairs a reply ships, in insertion
+        order: algorithm C sends them on every read, so the tuple is copied
+        from a list (in C) on the first read after a put and shared by every
+        reply until the next one."""
         if self._pairs is None:
-            self._pairs = tuple((v.key, v.value) for v in self.all_versions())
+            self._pairs = tuple(self._pair_list)
         return self._pairs
 
     def keys(self) -> Tuple[Key, ...]:
-        return tuple(self._order)
+        return tuple(self._by_key)
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self._by_key)
 
     def __contains__(self, key: Key) -> bool:
         return key in self._by_key

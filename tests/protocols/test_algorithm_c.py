@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.ioa import FIFOScheduler, RandomScheduler
-from repro.protocols import AlgorithmC
+from repro.protocols import AlgorithmC, algorithm_c
+from repro.protocols.replication import quorum_round
+from repro.txn.objects import Key, VersionStore
 from tests.conftest import build_system, run_simple_workload
 
 
@@ -136,3 +140,114 @@ class TestBoundedLatencyProperties:
                 fallbacks += extra
         # The corner case is rare but the accounting must be coherent either way.
         assert fallbacks >= 0
+
+
+def calls_per_read(writes: int, reads: int = 5) -> float:
+    """Python-level ``call`` events (generated ``<string>`` methods and
+    generator resumptions included) per READ of a 1R/1W FIFO cell once the
+    servers hold ``writes`` versions of each object."""
+    handle = build_system("algorithm-c", num_readers=1, num_writers=1, scheduler=FIFOScheduler())
+    last = ()
+    for i in range(writes):
+        last = (handle.submit_write({"ox": i, "oy": -i}, after=last),)
+    handle.run_to_completion()
+    for _ in range(reads):
+        last = (handle.submit_read(after=last),)
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        handle.run()
+    finally:
+        sys.setprofile(None)
+    assert not handle.simulation.incomplete_transactions()
+    record = handle.simulation.transaction_record(last[0])
+    assert record.result.as_dict == {"ox": writes - 1, "oy": 1 - writes}
+    assert record.annotations["versions_fetched"] == writes + 1
+    return calls / reads
+
+
+def test_read_cost_does_not_grow_with_the_history():
+    """A READ looks up the named version newest-first in the shipped ``Vals``
+    instead of keying every shipped version into a dict, so it costs the
+    same at 50 and at 400 versions per object."""
+    short, long = calls_per_read(50), calls_per_read(400)
+    assert long <= short * 1.05, (short, long)
+
+
+def old_merge(replies, read_set):
+    """The reader as it was: every snapshot of an object merged into one
+    dict; a named key absent from the merge goes to the fallback round."""
+    keys, merged = {}, {}
+    for reply in replies:
+        if reply.get("tag") is not None:
+            keys = dict(reply.get("keys", ()))
+        if reply.msg_type == "read-vals-reply":
+            merged.setdefault(reply.get("object"), {}).update(reply.get("versions", ()))
+    values = {o: merged[o][keys[o]] for o in read_set if keys[o] in merged.get(o, {})}
+    missing = [o for o in read_set if o not in values]
+    return values, missing, max((len(versions) for versions in merged.values()), default=1)
+
+
+class TestLaggingReplica:
+    """C at rf=3 under majority quorums with replicas of ``ox`` that lost the
+    newest version (the first of them holds a WRITE no coordinator named yet,
+    so no snapshot's key set contains another's):
+    the READ returns the named version, ``versions_fetched`` is the union of
+    the answering replicas' key sets, and the fallback round runs only when
+    no snapshot holds the named key."""
+
+    def run(self, monkeypatch, seed: int, lagging: int):
+        captured = []
+
+        def recording_round(*args, **kwargs):
+            replies, attempt = yield from quorum_round(*args, **kwargs)
+            captured.append(replies)
+            return replies, attempt
+
+        monkeypatch.setattr(algorithm_c, "quorum_round", recording_round)
+        handle = build_system(
+            "algorithm-c",
+            scheduler=RandomScheduler(seed=seed),
+            seed=seed,
+            replication_factor=3,
+            quorum="majority",
+        )
+        last = ()
+        for i in range(1, 4):
+            last = (handle.submit_write({"ox": f"x{i}", "oy": f"y{i}"}, after=last),)
+        handle.run_to_completion()
+        group = handle.placement.group("ox")
+        for name in group[:lagging]:
+            server = handle.simulation.automaton(name)
+            full = server.store.pairs()
+            server.store = VersionStore("ox", 0)
+            for key, value in full[1:-1]:
+                server.store.put(key, value)
+        handle.simulation.automaton(group[0]).store.put(Key(9, "w9"), "in flight")
+        read = handle.submit_read()
+        handle.run_to_completion()
+        (replies,) = captured[-1:]
+        return handle.simulation.transaction_record(read), old_merge(replies, ("ox", "oy"))
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_one_lagging_replica(self, monkeypatch, seed):
+        record, (values, missing, versions) = self.run(monkeypatch, seed, lagging=1)
+        assert record.result.as_dict == {"ox": "x3", "oy": "y3"} == values
+        assert missing == [] and record.annotations["fallback_rounds"] == 0
+        assert record.annotations["versions_fetched"] == versions
+
+    def test_two_lagging_replicas(self, monkeypatch):
+        fallbacks = set()
+        for seed in range(1, 13):
+            record, (values, missing, versions) = self.run(monkeypatch, seed, lagging=2)
+            assert record.result.as_dict == {"ox": "x3", "oy": "y3"}
+            assert {**values, "ox": "x3"} == {"ox": "x3", "oy": "y3"}
+            assert record.annotations["fallback_rounds"] == len(missing)
+            assert record.annotations["versions_fetched"] == versions
+            fallbacks.add(len(missing))
+        assert fallbacks == {0, 1}  # both paths ran

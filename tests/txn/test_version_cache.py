@@ -1,12 +1,16 @@
-"""``VersionStore`` caches ``Vals``; every way the set changes must drop it.
+"""``VersionStore`` caches ``Vals``; every way the set changes must keep it right.
 
-Algorithm C ships the whole ``Vals`` set on every read, so the store builds
-``all_versions()`` and the ``(key, value)`` pairs once per write.  A stale
-cache would be a silently wrong read: each mutation path is followed by a
-comparison with a rebuild through the uncached accessors (``keys``/``get``).
+Algorithm C ships the whole ``Vals`` set on every read, so the store keeps
+the ``(key, value)`` pairs in a list and copies it into the shipped tuple on
+the first read after a put.  A stale cache would be a silently wrong read:
+each mutation path is followed by a comparison with a rebuild through the
+uncached accessors (``keys``/``get``).
 """
 
 from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ioa import Message
 from repro.protocols.replication import ReplicatedStorageServer
@@ -69,3 +73,38 @@ def test_every_mutation_path_drops_the_cached_vals():
     snapshot = ((Key.initial(), 0), (Key(1, "w1"), "b"), (Key(2, "w1"), "d"))
     assert server.install_sync(snapshot) == 2
     assert assert_fresh(server) == snapshot
+
+
+#: a put: a key drawn from a small space, so overwrites are common, and a
+#: value; ``None`` in place of a put asks for ``pairs()`` there
+puts = st.lists(
+    st.one_of(
+        st.none(),
+        st.tuples(st.integers(min_value=0, max_value=4), st.sampled_from(["w0", "w1"]), st.integers(0, 9)),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(puts)
+def test_pairs_is_vals_and_is_one_object_between_puts(sequence):
+    """``pairs()`` equals the pairs of ``all_versions()`` after any put
+    sequence, overwrites of the initial key included, and two calls with no
+    put between return the same tuple: replies share it."""
+    server = ReplicatedStorageServer("sx", "ox", initial_value=0)
+    store = server.store
+    for step in sequence:
+        if step is None:
+            shipped = store.pairs()
+            assert shipped == tuple((v.key, v.value) for v in store.all_versions())
+            assert store.pairs() is shipped and next_vals_reply(server)["versions"] is shipped
+            continue
+        z, writer, value = step
+        if z % 2:
+            store.pairs()  # a put must replace a built tuple, not only build one late
+        store.put(Key(z, writer), value)
+        assert store.pairs() == rebuilt(store)[1]
+        assert store.pairs() is store.pairs()
+    server.forget()
+    assert server.store.pairs() == ((Key.initial(), 0),) == rebuilt(server.store)[1]
