@@ -18,7 +18,7 @@ transaction).
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..ioa.actions import ActionKind
 from ..ioa.trace import Trace
@@ -50,6 +50,9 @@ class TrafficIndex:
 
         send, recv = ActionKind.SEND, ActionKind.RECV
         input_clock: Dict[str, int] = {}
+        #: a payload layout (``Message.keys``, shared within a simulation) →
+        #: where ``txn``, ``repair`` and ``num_versions`` sit in its values
+        slots: Dict[Tuple[str, ...], Tuple[Optional[int], ...]] = {}
         for action in trace:
             kind = action.kind
             if kind is recv:
@@ -60,10 +63,13 @@ class TrafficIndex:
             message = action.message
             if message is None:
                 continue
-            txn = message.get("txn")
+            keys = message.keys
+            txn_at, repair_at, versions_at = slots.get(keys) or slots.setdefault(keys, _slots(keys))
+            values = message.values
+            txn = None if txn_at is None else values[txn_at]
             if txn is None:
                 continue
-            repair = message.get("repair")
+            repair = None if repair_at is None else values[repair_at]
             if kind is recv:
                 if not repair:
                     self.requests.setdefault((actor, message.src, txn), []).append(clock)
@@ -73,7 +79,7 @@ class TrafficIndex:
             if not repair:
                 per_dst = self.sent.setdefault((message.src, txn), {})
                 per_dst[message.dst] = per_dst.get(message.dst, 0) + 1
-            versions = message.get("num_versions", 1)
+            versions = 1 if versions_at is None else values[versions_at]
             per_src = self.answered.setdefault((message.dst, txn), {})
             stats = per_src.get(message.src)
             if stats is None:
@@ -94,6 +100,12 @@ class TrafficIndex:
             if position == len(replies) or replies[position] != clock:
                 return True
         return False
+
+
+def _slots(keys: Tuple[str, ...]) -> Tuple[Optional[int], ...]:
+    """The positions of ``txn``, ``repair`` and ``num_versions`` among a
+    payload's ``keys`` (``None``: absent), as ``Message.get`` finds them."""
+    return tuple([keys.index(key) if key in keys else None for key in ("txn", "repair", "num_versions")])
 
 
 def traffic_index(trace: Trace) -> TrafficIndex:

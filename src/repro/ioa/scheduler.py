@@ -178,7 +178,9 @@ def draw_below(rng: random.Random, n: int) -> int:
     ``rng`` in the same state, without ``randrange``'s two Python frames.
     Owning the loop also keeps schedules stable across interpreters: Python
     promises only ``random()``'s sequence between versions, not
-    ``randrange``'s algorithm.
+    ``randrange``'s algorithm.  The workload generator's sampler
+    (``repro.analysis.workload._sampler``) owns the same loop, once per
+    index of a ``random.sample`` pick.
     """
     if n < 1:
         raise ValueError(f"draw_below needs n >= 1, got {n}")  # getrandbits(0) would loop forever

@@ -317,7 +317,8 @@ class Simulation:
         id.  A reader is handed only ``read`` transactions and a writer only
         ``write`` ones; anything else is refused here, before any step.
         """
-        if client not in self._client_queues:
+        queue = self._client_queues.get(client)
+        if queue is None:
             raise UnknownProcessError(client)
         kind = getattr(txn, "kind", None)
         client_kind = self._automata[client].kind
@@ -334,9 +335,10 @@ class Simulation:
             txn = replace(txn, txn_id=txn_id)
         if txn_id in self._records:
             raise WellFormednessError(f"transaction id {txn_id!r} submitted twice")
-        record = TransactionRecord(txn_id, txn, client, next(self._enqueue_counter), after=tuple(after))
+        record = TransactionRecord(txn_id, txn, client, next(self._enqueue_counter))
+        if after:  # set apart: a keyword argument costs the generated __init__ more
+            record.after = tuple(after)
         self._records[txn_id] = record
-        queue = self._client_queues[client]
         queue.append(record)
         if len(queue) == 1:
             self._watch_head(client)
@@ -359,7 +361,9 @@ class Simulation:
         return tuple(self._records.values())
 
     def incomplete_transactions(self) -> Tuple[TransactionRecord, ...]:
-        return tuple(r for r in self.transaction_records() if not r.complete)
+        """The submitted transactions that have not responded, in submission
+        order (one walk of the records, reading the slot ``complete`` reads)."""
+        return tuple([r for r in self._records.values() if r.respond_index is None])
 
     @property
     def steps_taken(self) -> int:
@@ -699,7 +703,8 @@ class Simulation:
             return
         head = queue[0]
         records = self._records
-        if all(records[dep].complete for dep in head.after if dep in records):
+        after = head.after
+        if not after or all(records[dep].respond_index is not None for dep in after if dep in records):
             invocation = _new_record(_WritableInvocation)
             invocation.client = client
             invocation.txn = head.txn

@@ -36,10 +36,10 @@ CELLS = {"algorithm-a": 1, "algorithm-b": 2, "algorithm-c": 2, "eiger": 2}
 
 #: ceiling on the pipeline's calls, and the transactions it checks
 BUDGET = {
-    "algorithm-a": (7_619, 120),
-    "algorithm-b": (11_233, 160),
-    "algorithm-c": (10_700, 160),
-    "eiger": (6_529, 160),
+    "algorithm-a": (4_425, 120),
+    "algorithm-b": (6_441, 160),
+    "algorithm-c": (6_430, 160),
+    "eiger": (3_245, 160),
 }
 
 
