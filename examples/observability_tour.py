@@ -9,8 +9,7 @@ from the same deterministic trace:
    edge per delivered message;
 2. a **kernel metrics registry** — virtual-time counters, gauges and
    histograms (events by kind, messages by type and channel class, mailbox
-   depth watermarks, probe RTTs) fed by cheap hooks instead of trace
-   re-walks;
+   depth watermarks) fed by cheap hooks instead of trace re-walks;
 3. **streaming invariant monitors** — the offline safety checkers as
    online automata (election safety, log matching, quorum intersection,
    config-in-flight), alerting at the exact offending trace index;

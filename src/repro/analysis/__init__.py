@@ -11,8 +11,8 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "metrics": (
-            "AggregateStats", "ConsensusMetrics", "ControllerMetrics", "ExperimentMetrics",
-            "FaultMetrics", "PersistenceMetrics", "ReconfigMetrics", "ReplicationMetrics",
+            "AggregateStats", "ConsensusMetrics", "ExperimentMetrics", "FaultMetrics",
+            "PersistenceMetrics", "ReconfigMetrics", "ReplicationMetrics",
             "TransactionMetrics", "collect_metrics", "percentile",
         ),
         "report": ("format_table",),

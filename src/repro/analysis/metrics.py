@@ -415,53 +415,6 @@ class PersistenceMetrics:
         }
 
 
-@dataclass(frozen=True)
-class ControllerMetrics:
-    """Automated-rebalancing measurements of one execution.
-
-    Only populated when the system was built with a
-    :class:`~repro.consensus.controller.ControllerPolicy`.  Everything comes
-    from the controller's self-describing internal actions plus the shared
-    directory: ``time_to_heal`` is the virtual-time span from the first
-    ``replica-dead`` detection to the last derived change reaching its
-    target configuration (``None`` when nothing was detected or nothing
-    healed); ``converged`` means every derived change reached its target and
-    no configuration change was left in flight.
-    """
-
-    probes: int
-    acks: int
-    dead_detected: int
-    plans_replace: int
-    plans_grow: int
-    plans_rejected: int
-    healed: int
-    time_to_heal: Optional[int]
-    converged: bool
-
-    def describe(self) -> str:
-        heal = "-" if self.time_to_heal is None else str(self.time_to_heal)
-        return (
-            f"controller: probes={self.probes} acks={self.acks} "
-            f"dead={self.dead_detected} replace={self.plans_replace} "
-            f"grow={self.plans_grow} healed={self.healed} "
-            f"time_to_heal={heal} converged={self.converged}"
-        )
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "probes": self.probes,
-            "probe_acks": self.acks,
-            "dead_detected": self.dead_detected,
-            "plans_replace": self.plans_replace,
-            "plans_grow": self.plans_grow,
-            "plans_rejected": self.plans_rejected,
-            "healed": self.healed,
-            "time_to_heal": self.time_to_heal,
-            "converged": self.converged,
-        }
-
-
 @dataclass
 class ExperimentMetrics:
     """Aggregated measurements of one protocol execution."""
@@ -484,8 +437,6 @@ class ExperimentMetrics:
     consensus: Optional[ConsensusMetrics] = None
     #: populated only for runs built with a reconfiguration plan
     reconfig: Optional[ReconfigMetrics] = None
-    #: populated only for runs built with a rebalancing controller
-    controller: Optional[ControllerMetrics] = None
     #: populated only for runs with a persistence plane attached
     persistence: Optional[PersistenceMetrics] = None
 
@@ -523,8 +474,6 @@ class ExperimentMetrics:
             lines.append("  " + self.consensus.describe())
         if self.reconfig is not None:
             lines.append("  " + self.reconfig.describe())
-        if self.controller is not None:
-            lines.append("  " + self.controller.describe())
         if self.persistence is not None:
             lines.append("  " + self.persistence.describe())
         return "\n".join(lines)
@@ -668,44 +617,6 @@ def _collect_reconfig_metrics(simulation: Simulation, directory) -> Optional[Rec
     )
 
 
-def _collect_controller_metrics(
-    simulation: Simulation, directory
-) -> Optional[ControllerMetrics]:
-    """Build the rebalancing block when a controller ran.
-
-    A build creates the placement directory iff a reconfiguration plan or a
-    controller is installed, so without one there is nothing to look for.
-    """
-    if directory is None:
-        return None
-    registry = _registry(simulation)
-    if registry.counter_total("controller.events") == 0:
-        return None
-    dead = registry.counter_value("controller.events", kind="replica-dead")
-    replaces = registry.counter_value("controller.events", kind="plan-replace")
-    grows = registry.counter_value("controller.events", kind="plan-grow")
-    healed = registry.counter_value("controller.events", kind="healed")
-    first_dead = registry.gauge_value("controller.first_dead_vtime") if dead else None
-    last_heal = registry.gauge_value("controller.last_heal_vtime") if healed else None
-    return ControllerMetrics(
-        probes=registry.counter_value("controller.probes"),
-        # delivered acks, counted per RECV: acks landing after the final
-        # tick would be invisible to any per-tick counter
-        acks=registry.counter_value("controller.acks"),
-        dead_detected=dead,
-        plans_replace=replaces,
-        plans_grow=grows,
-        plans_rejected=registry.counter_value("reconfig.events", kind="rejected"),
-        healed=healed,
-        time_to_heal=(
-            int(last_heal) - int(first_dead)
-            if first_dead is not None and last_heal is not None
-            else None
-        ),
-        converged=healed == replaces + grows and not directory.in_flight(),
-    )
-
-
 def _collect_persistence_metrics(simulation: Simulation) -> Optional[PersistenceMetrics]:
     """Build the persistence block when members carry stable stores."""
     group = getattr(simulation.topology, "consensus_group", lambda: ())()
@@ -804,6 +715,5 @@ def collect_metrics(
         replication=_collect_replication_metrics(simulation, placement, quorum_policy),
         consensus=_collect_consensus_metrics(simulation),
         reconfig=_collect_reconfig_metrics(simulation, directory),
-        controller=_collect_controller_metrics(simulation, directory),
         persistence=_collect_persistence_metrics(simulation),
     )

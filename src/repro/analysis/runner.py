@@ -81,8 +81,7 @@ class ExperimentConfig(SystemSpec):
     #: spans; see :mod:`repro.obs`).  Purely additive: the trace and every
     #: metric block stay identical — the collectors read the plane's
     #: registry instead of replaying the trace into one, which is also what
-    #: keeps the consensus/controller blocks exact under a partial
-    #: ``trace_mode``.
+    #: keeps the consensus block exact under a partial ``trace_mode``.
     observe: bool = False
     #: attach the streaming invariant monitors (implies ``observe``); the
     #: run's alerts are readable via ``result.obs.monitors.alerts``.
@@ -105,8 +104,6 @@ class ExperimentConfig(SystemSpec):
             base += f" [consensus={self.consensus_factor}]"
         if self.reconfig is not None:
             base += f" [{self.reconfig.describe()}]"
-        if self.controller is not None:
-            base += f" [{self.controller.describe()}]"
         if self.faults is not None:
             base += f" [{self.faults.describe()}]"
         extras = [
@@ -172,14 +169,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             "monitors and the health plane stay exact)"
         )
     observed = config.observe or config.monitors or config.health
-    if partial_trace and not observed and (
-        config.consensus_factor > 1 or config.reconfig is not None or config.controller is not None
-    ):
-        # Without a plane the consensus and controller blocks are counted by
-        # replaying the retained trace; on a partial record that count is
-        # silently short, so the replay refuses it — say so before the run.
+    if partial_trace and not observed and config.consensus_factor > 1:
+        # Without a plane the consensus block is counted by replaying the
+        # retained trace; on a partial record that count is silently short,
+        # so the replay refuses it — say so before the run.
         raise ValueError(
-            f"the consensus/controller metric blocks need every action, but trace_mode="
+            f"the consensus metric block needs every action, but trace_mode="
             f"{config.trace_mode.describe()} retains only some of the trace and no "
             "observability plane is requested; pass observe=True so a live plane "
             "counts each action as it is appended"

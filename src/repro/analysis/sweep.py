@@ -19,7 +19,7 @@ whatever the plane:
 
 ``python -m repro.analysis [NAME ...]`` regenerates, prints and checks the
 filed suites.  The declarations are the module constants below
-(:data:`GRID_SUITES` lists the ten that own a BENCH file); a variation for a
+(:data:`GRID_SUITES` lists the nine that own a BENCH file); a variation for a
 test or a notebook is ``dataclasses.replace(SUITE, ...)``.
 """
 
@@ -30,10 +30,8 @@ from dataclasses import KW_ONLY, dataclass, field, replace
 from itertools import product
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..consensus.controller import ControllerPolicy
 from ..faults.plan import CrashEvent, DropPolicy, FaultPlan, RetryPolicy
 from ..faults.scenarios import (
-    auto_heal,
     coordinator_failover,
     fail_stop,
     grow_group_mid_run,
@@ -77,7 +75,7 @@ class Suite:
 
     A cell's configuration is ``shared`` overlaid with ``vary(seed, *axis
     values)`` — the fields an axis value changes: fault plan, factor, leases,
-    persistence, reconfig, controller — seeded with ``seed`` (configuration
+    persistence, reconfig — seeded with ``seed`` (configuration
     and workload alike).  Its row carries the axis values, the SNOW verdict,
     the chosen :data:`RUN_COLUMNS` and, per entry of ``blocks``, the named
     metric block's ``as_dict()`` (all of it, or the listed keys) when the
@@ -587,6 +585,10 @@ _LEASED_READS = ("algorithm-b", "algorithm-c")
 #: verdict column unchanged.  Protocols whose coordinator requests all mutate
 #: (OCC's ``get-ts`` mints a timestamp) pin the null effect — the knob changes
 #: nothing, and the lease columns (present only on lease activity) are absent.
+#: Leases buy latency, not messages: fault-free, the lease rounds
+#: (acquisitions + renewals) roughly equal the lease-served reads — B 7 + 6
+#: for 12 local reads, C 12 + 4 for 12 — so a local read saves a commit's
+#: wait but not its quorum round.
 LEASE = Suite(
     name="lease",
     protocols=_COORDINATOR_PROTOCOLS,
@@ -718,76 +720,6 @@ RECONFIG = Suite(
     ),
 )
 
-
-def _self_healing(seed: int, scenario: str) -> Dict[str, Any]:
-    """``none``: the controller probes but must derive nothing;
-    ``auto-heal-dead-replica``: a replica fail-stops with no hand-authored
-    plan and the controller must restore full group strength on its own."""
-    if scenario == "none":
-        return {"controller": ControllerPolicy()}
-    plan, policy = auto_heal(_FIRST_OBJECT, 3, seed=seed)
-    return {"faults": plan, "controller": policy}
-
-
-#: The self-healing grid: protocol family × controller scenario.  Self-healing
-#: is a non-event: exactly one detection and one derived replacement, no
-#: unavailability window, and the verdicts of the family's own fault-free
-#: cell.  s2pl is absent by design: its lock rounds block on a fail-stopped
-#: replica (giving up N is its defining property) whatever the membership
-#: machinery does.
-CONTROLLER = Suite(
-    name="controller",
-    protocols=(
-        "algorithm-a",
-        "algorithm-b",
-        "algorithm-c",
-        "occ-double-collect",
-        "eiger",
-        "naive-snow",
-    ),
-    seed=17,
-    axes={"scenario": ("none", "auto-heal-dead-replica")},
-    shared=_REPLICATED_CELL,
-    vary=_self_healing,
-    columns=("max_read_rounds", "total_messages"),
-    blocks=(
-        ("faults", ("availability",)),
-        ("replication", ("replication_factor", "quorum")),
-        ("reconfig", None),
-        ("controller", None),
-    ),
-    expect=(
-        holds("availability", "==", 1.0, label="every family completes at full availability, healing or not"),
-        holds("dead_detected", "==", 0, where={"scenario": "none"},
-              label="fault-free, the controller detects no dead replica"),
-        holds("plans_replace", "==", 0, where={"scenario": "none"},
-              label="fault-free, the controller derives no replacement"),
-        holds("plans_grow", "==", 0, where={"scenario": "none"},
-              label="fault-free, the controller derives no growth"),
-        holds("probes", ">", 0, where={"scenario": "none"}, label="fault-free, the controller still probes"),
-        holds("dead_detected", "==", 1, where={"scenario": "auto-heal-dead-replica"},
-              label="the dead replica is detected exactly once"),
-        holds("plans_replace", "==", 1, where={"scenario": "auto-heal-dead-replica"},
-              label="exactly one replacement is derived, with no hand-authored plan"),
-        holds("healed", "==", 1, where={"scenario": "auto-heal-dead-replica"},
-              label="the replacement heals the group"),
-        holds("converged", "==", True, where={"scenario": "auto-heal-dead-replica"},
-              label="the controller converges to the replaced group"),
-        holds("unavailability_window", "==", 0, where={"scenario": "auto-heal-dead-replica"},
-              label="self-healing leaves no unavailability window"),
-        holds("time_to_heal", ">", 0, where={"scenario": "auto-heal-dead-replica"},
-              label="the time to heal is measured and positive"),
-        holds("epochs", "==", 2, where={"scenario": "auto-heal-dead-replica"},
-              label="a replacement is one joint entry plus one commit"),
-        holds("retired_servers", "==", 1, where={"scenario": "auto-heal-dead-replica"},
-              label="the replacement retires the dead replica"),
-        holds("transfer_versions", ">=", 1, where={"scenario": "auto-heal-dead-replica"},
-              label="the replacement synced state before the change committed"),
-        equal_across("snow", "scenario", label="self-healing keeps the family's fault-free SNOW verdict"),
-        equal_across("consistent", "scenario",
-                     label="self-healing keeps the family's fault-free consistency verdict"),
-    ),
-)
 
 _WRITER_COUNTS = (1, 2, 4, 6)
 
@@ -921,7 +853,6 @@ GRID_SUITES: Tuple[Suite, ...] = (
     PERSIST,
     LEASE,
     RECONFIG,
-    CONTROLLER,
     VERSIONS_VS_WRITERS,
     ROUNDS_VS_CONTENTION,
 )

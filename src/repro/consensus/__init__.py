@@ -37,7 +37,6 @@ from .._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        "controller": ("CONTROLLER_NAME", "ControllerPolicy", "ReconfigController"),
         "coordinator": ("CONFIG", "DEFAULT_ELECTION_TIMEOUT", "RECONFIG", "ReplicatedCoordinator"),
         "election": ("CANDIDATE", "FOLLOWER", "LEADER", "LeaderElection"),
         "lease": ("LeaderLeaseState",),

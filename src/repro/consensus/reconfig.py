@@ -147,10 +147,6 @@ class PlacementDirectory:
         self._consensus_group: Tuple[str, ...] = tuple(consensus_group)
         self.consensus_joint: Optional[Tuple[Tuple[str, ...], Tuple[str, ...]]] = None
         self.retired: Set[str] = set()
-        #: names no *derived* change may retire (the designated coordinator
-        #: at consensus_factor=1 — its role does not migrate, so replacing
-        #: it would strand every coordinator round; populated by the build)
-        self.protected: Set[str] = set()
         #: transition records (kind/object/epoch/vtime/old/new) for metrics
         #: and the cross-epoch invariant checks
         self.transitions: List[Dict[str, Any]] = []
@@ -375,12 +371,6 @@ class ReconfigDriver(Automaton):
 
     Requests that fire while another change is in flight are deferred — the
     at-most-one-config-in-flight rule — by re-arming their timer.
-
-    Besides the build-time plan, the driver accepts **dynamically submitted**
-    requests mid-run: a ``reconfig-submit`` message (from the rebalancing
-    controller, :mod:`repro.consensus.controller`) appends the carried
-    request to the executed list and schedules it immediately, through
-    exactly the same joint-consensus state machine as planned changes.
     """
 
     kind = "admin"
@@ -396,10 +386,8 @@ class ReconfigDriver(Automaton):
     ) -> None:
         super().__init__(name)
         self.plan = plan
-        #: every request this driver executes: the plan's, plus any submitted
-        #: mid-run via ``reconfig-submit`` (indices are stable — timers and
-        #: sync bookkeeping refer to positions in this list)
-        self.requests: List[ReconfigRequest] = list(plan.requests)
+        #: the plan's requests; timers and sync bookkeeping refer to positions
+        self.requests: Tuple[ReconfigRequest, ...] = plan.requests
         self.directory = directory
         self.replica_factory = replica_factory
         self.consensus_member_factory = consensus_member_factory
@@ -563,47 +551,6 @@ class ReconfigDriver(Automaton):
             self._on_sync_done(message, ctx)
         elif message.msg_type == "cns-reconfig-done":
             self._on_consensus_done(message, ctx)
-        elif message.msg_type == "reconfig-submit":
-            self._on_submit(message, ctx)
-
-    def _on_submit(self, message: Message, ctx: Context) -> None:
-        """Accept a dynamically derived membership change (the controller's
-        output): validate it like a planned request, append it to the
-        executed list and schedule it for the next tick — the usual deferral
-        applies if another change is in flight."""
-        request = ReconfigRequest(
-            kind=str(message.get("kind", REPLICA_GROUP)),
-            group=tuple(message.get("group", ())),
-            object_id=str(message.get("object", "")),
-            at=ctx.vtime,
-        )
-        self._validate(request)
-        if request.kind == REPLICA_GROUP:
-            current = self.directory.group(request.object_id)
-            stranded = [
-                name
-                for name in current
-                if name in self.directory.protected and name not in request.group
-            ]
-            if stranded:
-                ctx.internal(
-                    reconfig="rejected",
-                    object=request.object_id,
-                    protected=",".join(stranded),
-                    vtime=ctx.vtime,
-                )
-                return
-        index = len(self.requests)
-        self.requests.append(request)
-        ctx.internal(
-            reconfig="submitted",
-            request=index,
-            source=message.src,
-            object=request.object_id,
-            group=",".join(request.group),
-            vtime=ctx.vtime,
-        )
-        ctx.set_timeout(1, reconfig=index)
 
     def _on_sync_done(self, message: Message, ctx: Context) -> None:
         index = int(message.get("reconfig", -1))

@@ -32,7 +32,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ),
         "adversary": ("chaos_adversarial_scheduler", "fracture_rules", "hunt_s_violations"),
         "scenarios": (
-            "auto_heal", "coordinator_failover", "crash_amnesia", "crash_recover",
+            "coordinator_failover", "crash_amnesia", "crash_recover",
             "duplicating_network", "fail_stop", "flaky_everything", "grow_group_mid_run",
             "lossy_network", "partition_grid_scenarios",
             "replace_dead_replica", "shrink_consensus_group_mid_run", "slow_network",

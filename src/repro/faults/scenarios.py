@@ -152,38 +152,6 @@ def replace_dead_replica(
     return plan, reconfig
 
 
-def auto_heal(
-    object_id: str = "ox",
-    replication_factor: int = 3,
-    crash_at: int = 8,
-    seed: int = 0,
-) -> Tuple[FaultPlan, Any]:
-    """Fail-stop the last replica of one group and let the *controller* heal it.
-
-    The acceptance scenario of the rebalancing controller
-    (:mod:`repro.consensus.controller`): unlike :func:`replace_dead_replica`
-    there is **no hand-authored ReconfigPlan** — the controller's probes
-    notice the silent replica, derive the replacement change and submit it
-    to the driver.  Expected outcome: availability 1.0, the group back at
-    full strength, an unavailability window of 0 and unchanged SNOW /
-    Lemma-20 verdicts — self-healing as a non-event.
-
-    Returns ``(FaultPlan, ControllerPolicy)`` — pass them as the ``faults``
-    and ``controller`` arguments of one experiment.
-    """
-    # a plain fault scenario loads neither the reconfiguration plane nor txn; this one names both
-    from ..consensus.controller import ControllerPolicy
-    from ..txn.placement import replica_names
-
-    dead = replica_names(object_id, replication_factor)[-1]
-    plan = FaultPlan(
-        name="auto-heal",
-        crashes=(CrashEvent(server=dead, at=crash_at, recover=None),),
-        seed=seed,
-    )
-    return plan, ControllerPolicy()
-
-
 def grow_group_mid_run(
     object_id: str = "ox",
     replication_factor: int = 3,

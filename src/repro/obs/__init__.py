@@ -7,8 +7,8 @@ The coordinated pieces (see ISSUEs 6 and 8 / ROADMAP items 2, 3 and 5):
   windows, plus send→recv causal edges);
 * :mod:`repro.obs.registry` / :mod:`repro.obs.plane` — a kernel metrics
   registry fed by cheap hooks in the simulation (mailbox depth, events and
-  messages per kind, election/epoch/retry counts, probe RTT distributions),
-  with per-metric label-cardinality capping;
+  messages per kind, election/epoch/retry counts), with per-metric
+  label-cardinality capping;
 * :mod:`repro.obs.monitor` — **streaming invariant monitors**: the offline
   safety checkers as O(1)-per-event online automata, alerting (or halting)
   at the first offending trace index;

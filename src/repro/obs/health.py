@@ -83,8 +83,6 @@ class HealthPlane:
         self._slo_breach: Dict[str, int] = {}
         #: actor -> vtime of its most recent observed action
         self._last_active: Dict[str, int] = {}
-        #: replica -> ctl-probe round-trips (virtual-time steps)
-        self._probe_rtt: Dict[str, Histogram] = {}
         #: rolling (bucket_id, counts) windows, newest last (and held)
         self._buckets: Deque[Tuple[int, Dict[str, int]]] = deque()
         self._newest_id, self._newest = None, {}
@@ -155,12 +153,6 @@ class HealthPlane:
             message = action.message
             if message.msg_type == "epoch-mismatch":
                 self._bump("errors", now)
-            elif message.msg_type == "ctl-ack":
-                sent = message.get("sent")
-                if isinstance(sent, int):
-                    self._probe_rtt.setdefault(message.src, Histogram()).observe(
-                        max(0, now - sent)
-                    )
         elif kind is _INTERNAL and action.get("timeout"):
             self._bump("timeouts", now)
 
@@ -233,10 +225,6 @@ class HealthView:
         """Protocol errors (epoch-mismatch replies) per observed event over
         the rolling window."""
         return self._window_rate("errors")
-
-    def probe_rtt(self, replica: str) -> Dict[str, float]:
-        histogram = self._plane._probe_rtt.get(replica)
-        return histogram.summary() if histogram is not None else {"count": 0}
 
     # -- the end-of-run report -------------------------------------------
     def report(self) -> Dict[str, Any]:

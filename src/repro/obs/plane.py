@@ -28,7 +28,7 @@ if TYPE_CHECKING:  # each listener's module is imported by the plane that asks f
     from .health import HealthPlane, HealthView, SLOPolicy
     from .monitor import MonitorSuite
 
-_SEND, _RECV, _INTERNAL, _START = ActionKind.SEND, ActionKind.RECV, ActionKind.INTERNAL, ActionKind.START
+_SEND, _INTERNAL, _START = ActionKind.SEND, ActionKind.INTERNAL, ActionKind.START
 
 
 class ObservabilityPlane:
@@ -134,14 +134,6 @@ class ObservabilityPlane:
             channel = self._pairs.get((message.src, message.dst)) or self._channel(message)
             if channel is not None:
                 channel.value += 1
-        elif kind is _RECV and message is not None:
-            if message.msg_type == "ctl-ack":
-                registry = self.registry
-                registry.counter("controller.acks").inc()
-                sent = message.get("sent")
-                simulation = self.simulation
-                if isinstance(sent, int) and simulation is not None:
-                    registry.histogram("controller.probe_rtt").observe(max(0, simulation.now() - sent))
         elif kind is _INTERNAL and action.info_keys:
             self._on_internal(dict(zip(action.info_keys, action.info_values)))
         elif kind is _START:
@@ -185,18 +177,6 @@ class ObservabilityPlane:
         reconfig = info.get("reconfig")
         if isinstance(reconfig, str):  # timers carry reconfig=<request index>
             registry.counter("reconfig.events", kind=reconfig).inc()
-        controller = info.get("controller")
-        if controller is not None:
-            registry.counter("controller.events", kind=str(controller)).inc()
-            vtime = info.get("vtime")
-            if controller == "tick":
-                registry.counter("controller.probes").inc(int(info.get("probes", 0)))
-            elif controller == "replica-dead" and vtime is not None:
-                gauge = registry.gauge("controller.first_dead_vtime")
-                if registry.counter_value("controller.events", kind="replica-dead") == 1:
-                    gauge.set(int(vtime))
-            elif controller == "healed" and vtime is not None:
-                registry.gauge("controller.last_heal_vtime").set(int(vtime))
 
 
 def derive_registry(trace: Trace) -> MetricsRegistry:
@@ -204,7 +184,7 @@ def derive_registry(trace: Trace) -> MetricsRegistry:
     detached plane — what a live plane would have counted, for a run that
     had none (the metric collectors' source; cache it per trace through
     :meth:`Trace.derived`).  Kernel-side instruments that need the
-    simulation (channel classes, probe RTTs, mailbox depths) stay empty.
+    simulation (channel classes, mailbox depths) stay empty.
 
     A partial record would give counters that are wrong, not merely
     incomplete, so it is refused like :meth:`Trace.prefix` refuses it.

@@ -44,7 +44,6 @@ from ..txn.placement import (
 from ..txn.transactions import read as make_read, write_pairs
 
 if TYPE_CHECKING:  # the reconfiguration plane is imported where it attaches (_install_reconfig)
-    from ..consensus.controller import ControllerPolicy
     from ..consensus.reconfig import PlacementDirectory, ReconfigPlan
 
 
@@ -79,9 +78,6 @@ class SystemSpec:
     #: scheduled membership changes (None = fixed membership, byte-identical
     #: to the seed; see :mod:`repro.consensus.reconfig`)
     reconfig: Optional[ReconfigPlan] = None
-    #: automated-rebalancing control loop (None = no controller, byte-
-    #: identical; see :mod:`repro.consensus.controller`)
-    controller: Optional[ControllerPolicy] = None
     #: trace record retention (None = full, byte-identical to seed; see
     #: :class:`~repro.ioa.trace.TraceMode` — ``ring`` keeps counters and
     #: streaming monitors exact while recording only the newest actions)
@@ -478,9 +474,7 @@ class Protocol:
                 monitors.set_quorum_policy(config.quorum_policy())
         simulation.add_automata(self.make_automata(config, placement))
         directory = None
-        if (
-            config.reconfig is not None and config.reconfig.requests
-        ) or config.controller is not None:
+        if config.reconfig is not None and config.reconfig.requests:
             directory = self._install_reconfig(config, placement, simulation)
         return SystemHandle(
             protocol=self,
@@ -504,22 +498,16 @@ class Protocol:
         clients and storage replicas — and the admin driver is registered
         with the factories it needs to spawn replicas / consensus members.
         """
-        from ..consensus.reconfig import PlacementDirectory, ReconfigDriver, ReconfigPlan
+        from ..consensus.reconfig import PlacementDirectory, ReconfigDriver
 
         directory = PlacementDirectory(
             placement, config.quorum_policy(), config.consensus_group()
         )
-        if self.has_coordinator and config.consensus_factor == 1:
-            # The coordinator role does not migrate through replica-group
-            # changes: at consensus_factor=1 the designated first server must
-            # never be retired by a *derived* change (planned changes are
-            # rejected at validation already).
-            directory.protected.add(placement.servers()[0])
         for automaton in simulation.automata():
             if hasattr(automaton, "directory"):
                 automaton.directory = directory
         driver = ReconfigDriver(
-            plan=config.reconfig if config.reconfig is not None else ReconfigPlan(),
+            plan=config.reconfig,
             directory=directory,
             replica_factory=lambda obj, name, group: self.make_server(config, obj, name, group),
             consensus_member_factory=(
@@ -529,12 +517,6 @@ class Protocol:
             ),
         )
         simulation.add_automaton(driver)
-        if config.controller is not None:
-            from ..consensus.controller import ReconfigController
-
-            simulation.add_automaton(
-                ReconfigController(policy=config.controller, directory=directory)
-            )
         return directory
 
     def describe(self) -> str:

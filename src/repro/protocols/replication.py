@@ -64,7 +64,7 @@ from ..txn.placement import Placement, QuorumPolicy, ReadOneWriteAll
 class DirectoryAwareServer:
     """Mixin giving any storage automaton the reconfiguration wire protocol.
 
-    Three behaviours, all dormant (zero wire bytes) until the build injects a
+    Two behaviours, both dormant (zero wire bytes) until the build injects a
     shared :class:`~repro.consensus.reconfig.PlacementDirectory`:
 
     * **retired replicas answer ``epoch-mismatch``** — once the directory
@@ -74,10 +74,7 @@ class DirectoryAwareServer:
     * **state transfer** — ``sync-req`` streams this replica's state to each
       freshly added replica (via :meth:`sync_versions`), ``sync-state``
       installs it (via :meth:`install_sync`) and reports the transfer volume
-      to the driver;
-    * **controller probes** — ``ctl-probe`` is answered with ``ctl-ack`` so
-      the rebalancing controller can observe liveness and round-trip
-      latency without touching any transaction wire.
+      to the driver.
 
     Subclasses whose state is not a :class:`VersionStore` named ``store``
     override the two sync hooks.
@@ -113,18 +110,6 @@ class DirectoryAwareServer:
             return True
         if message.msg_type == "sync-state":
             self._on_sync_state(message, ctx)
-            return True
-        if message.msg_type == "ctl-probe":
-            ctx.send(
-                message.src,
-                "ctl-ack",
-                {
-                    "object": message.get("object"),
-                    "probe": message.get("probe"),
-                    "sent": message.get("sent"),
-                },
-                phase="controller",
-            )
             return True
         if self.directory.is_retired(self.name) and message.get("txn") is not None:
             # A retired replica serves nothing: it answers every

@@ -1,7 +1,7 @@
 """The human-readable reports, pinned as text.
 
 One experiment switches on every optional metric block (faults, replication,
-consensus with leases, a reconfiguration, the controller, persistence), so
+consensus with leases, a reconfiguration, persistence), so
 ``ExperimentResult.describe()`` prints each block's line; the README's
 coordinator-failover snippet pins ``ReplicatedCoordinator.describe()`` and
 the system, simulation and fault-plane lines a failure dump prints.  The runs
@@ -11,7 +11,7 @@ are seeded and on virtual time, so every number below is exact.
 from __future__ import annotations
 
 from repro.analysis import ExperimentConfig, WorkloadSpec, run_experiment
-from repro.consensus import ControllerPolicy, ReconfigPlan, set_replica_group
+from repro.consensus import ReconfigPlan, set_replica_group
 from repro.faults import ChaosScheduler, FaultInjector, FaultPlan, UniformLatency, coordinator_failover
 from repro.ioa import TraceMode
 from repro.persist import PersistencePolicy
@@ -20,25 +20,23 @@ from repro.protocols import get_protocol
 EXPERIMENT = """\
 algorithm-b (2R/2W/2 objects, fifo seed=3): 3 reads/reader x 2 objects, 2 writes/writer x 2 objects, \
 zipf_s=0.0, seed=3 [replication=3, quorum=majority] [consensus=3] \
-[swap: reconfig(oy -> [sy,sy.2,sy.4] @ 20)] [controller(every 20, fail_after=3, replace-dead+grow>50)] \
-[faults: uniform[0,4]] [monitors, health] [trace=full] [persist(sim, compact_every=4)] [leases]
+[swap: reconfig(oy -> [sy,sy.2,sy.4] @ 20)] [faults: uniform[0,4]] [monitors, health] [trace=full] [persist(sim, compact_every=4)] [leases]
   properties: SNoW
-  metrics[algorithm-b]: 6 reads, 4 writes, 90 messages, 600 steps
+  metrics[algorithm-b]: 6 reads, 4 writes, 92 messages, 252 steps
     read rounds   : n=6 mean=2.00 min=2 p50=2 p95=2 max=2
-    read latency  : n=6 mean=393.17 min=190 p50=194 p95=797 max=797
-    read messages : n=6 mean=9.00 min=9 p50=9 p95=9 max=9
+    read latency  : n=6 mean=170.67 min=125 p50=185 p95=197 max=197
+    read messages : n=6 mean=9.33 min=9 p50=9 p95=10 max=10
     read versions : n=6 mean=1.00 min=1 p50=1 p95=1 max=1
-    write latency : n=4 mean=311.75 min=285 p50=286 p95=339 max=339
+    write latency : n=4 mean=212.75 min=189 p50=190 p95=237 max=237
     faults[faults]: availability=1.00 (reads 6/6, writes 4/4), dropped=0, retransmitted=0, duplicated=0, \
 crash-held=0, partition-held=0, abandoned=0
-    read latency (virtual): n=6 mean=191.17 min=94 p50=95 p95=387 max=387
+    read latency (virtual): n=6 mean=81.33 min=60 p50=85 p95=96 max=96
     replication: factor=3 quorum=majority (R=2, W=2, servers=6); read quorum replies: \
 n=6 mean=5.00 min=5 p50=5 p95=5 max=5
     consensus: members=3 elections=0 leaders_elected=0 max_term=1 applied=11; commit latency: \
-n=11 mean=79.91 min=41 p50=74 p95=121 max=121; leases: acquired=12 renewed=0 expired=2 local_reads=6 \
-(100% of reads); local-read latency: n=6 mean=120.83 min=24 p50=27 p95=313 max=313
+n=11 mean=57.36 min=29 p50=67 p95=83 max=83; leases: acquired=6 renewed=0 expired=2 local_reads=6 \
+(100% of reads); local-read latency: n=6 mean=22.17 min=15 p50=18 p95=34 max=34
     reconfig: epochs=2 completed=1 transferred=2 retries=0 unavailability_window=0 retired=1
-    controller: probes=147 acks=147 dead=0 replace=0 grow=0 healed=0 time_to_heal=- converged=True
     persistence: members=3 recoveries=0 checkpoints=2 compacted=12 retained=0/4"""
 
 
@@ -54,7 +52,6 @@ def test_every_metric_block_describes_itself():
             consensus_factor=3,
             leases=True,
             reconfig=ReconfigPlan(name="swap", requests=(set_replica_group("oy", ("sy", "sy.2", "sy.4"), at=20),)),
-            controller=ControllerPolicy(latency_bound=50),
             persistence=PersistencePolicy(compact_every=4),
             monitors=True,
             health=True,

@@ -86,11 +86,6 @@ FLIPS = {
         ("epochs", 3),
         "a replacement is one joint entry plus one commit",
     ),
-    "controller": (
-        {"protocol": "algorithm-c", "scenario": "auto-heal-dead-replica"},
-        ("time_to_heal", None),
-        "the time to heal is measured and positive",
-    ),
     "versions-vs-writers": (
         {"protocol": "algorithm-c", "writers": 2},
         ("max_versions", 1000),

@@ -42,11 +42,15 @@ ROOT = Path(__file__).resolve().parents[2]
 #: ``run_protocol_once``, ``verify_possible_cell`` and
 #: ``find_violation_in_impossible_cell``: Figure 1(a)'s cells are read off
 #: the exhaustive search (``repro.proofs.exhaust``), not sampled schedules.
+#: ``repro.consensus``, ``repro.analysis`` and ``repro.faults`` lost the
+#: rebalancing controller's policy, automaton, name, metrics block and
+#: self-healing scenario: it checked no result of the paper, and membership
+#: changes are hand-authored ``ReconfigPlan``s.
 SEED_ALL = {
     name: names.split()
     for name, names in {
     "repro.analysis": """
-        AggregateStats ConsensusMetrics ControllerMetrics ExperimentMetrics FaultMetrics
+        AggregateStats ConsensusMetrics ExperimentMetrics FaultMetrics
         PersistenceMetrics ReconfigMetrics ReplicationMetrics TransactionMetrics collect_metrics
         percentile format_table ExperimentConfig ExperimentResult
         make_scheduler run_experiment scheduler_names GRID_SUITES
@@ -55,7 +59,7 @@ SEED_ALL = {
         write_heavy_spec
     """,
     "repro.consensus": """
-        CONFIG CONTROLLER_NAME ControllerPolicy ReconfigController DEFAULT_ELECTION_TIMEOUT
+        CONFIG DEFAULT_ELECTION_TIMEOUT
         RECONFIG ReplicatedCoordinator ADMIN_NAME CONSENSUS_GROUP
         REPLICA_GROUP PlacementDirectory ReconfigDriver ReconfigPlan ReconfigRequest
         set_consensus_group set_replica_group CANDIDATE FOLLOWER LEADER LeaderElection
@@ -72,7 +76,7 @@ SEED_ALL = {
     "repro.faults": """
         ChaosScheduler FaultInjector FaultStats BimodalLatency CrashEvent DropPolicy
         DuplicatePolicy FaultPlan FixedLatency LatencyModel Partition RetryPolicy UniformLatency
-        chaos_adversarial_scheduler fracture_rules hunt_s_violations auto_heal
+        chaos_adversarial_scheduler fracture_rules hunt_s_violations
         coordinator_failover crash_amnesia crash_recover duplicating_network fail_stop
         flaky_everything grow_group_mid_run lossy_network
         partition_grid_scenarios replace_dead_replica shrink_consensus_group_mid_run
@@ -147,7 +151,7 @@ print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "repro"
 #: what the quickstart must not have loaded: every optional plane, the
 #: checkers' Figure 1 harness, the proofs and the seven other protocols
 UNTOUCHED = re.compile(
-    r"repro\.(consensus\.(coordinator|controller|reconfig|election|lease|log)"
+    r"repro\.(consensus\.(coordinator|reconfig|election|lease|log)"
     r"|persist|faults|obs|analysis|proofs|core\.feasibility"
     r"|protocols\.(algorithm_b|algorithm_c|blocking|coordinated|eiger|naive_snow|occ|simple_rw))\b"
 )
@@ -162,7 +166,7 @@ class TestAProcessLoadsWhatItUses:
     def test_a_consensus_group_loads_its_members_and_no_reconfiguration(self, fresh_python):
         loaded = fresh_python(QUICKSTART.format(protocol="algorithm-b", kwargs={"consensus_factor": 3}))
         assert "repro.consensus.coordinator" in loaded
-        assert not {"repro.consensus.reconfig", "repro.consensus.controller"} & set(loaded)
+        assert "repro.consensus.reconfig" not in loaded
         assert [m for m in loaded if re.match(r"repro\.(persist|faults|obs|analysis|proofs)\b", m)] == []
 
     def test_every_module_imports_first(self, fresh_python):

@@ -13,7 +13,7 @@ README = Path(__file__).resolve().parents[2] / "README.md"
 
 #: ``README.md``'s size in bytes when the budget was set.  It may only be
 #: lowered (the target is 20,000); never raise it to make room.
-README_BUDGET = 57_900
+README_BUDGET = 56_475
 
 
 def test_readme_stays_within_its_byte_budget():

@@ -20,7 +20,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro.analysis.workload import WorkloadSpec, generate_workload, submit_workload
-from repro.faults import ChaosScheduler, FaultInjector, auto_heal, replace_dead_replica
+from repro.faults import ChaosScheduler, FaultInjector, replace_dead_replica
 from repro.ioa import Context, FIFOScheduler, LivenessError, Simulation
 from repro.obs import InvariantViolationError, MonitorSuite, ObservabilityPlane
 from repro.obs.monitor import OnlineMonitor
@@ -72,16 +72,14 @@ def perf_cell(name, scale):
     return handle
 
 
-def reconfig_and_controller():
-    """A hand-authored replica replacement *and* the controller's own heal."""
+def hand_authored_replacement():
+    """A dead replica swapped out by a hand-authored joint-consensus change."""
     faults, reconfig = replace_dead_replica("o1", 3, crash_at=8, reconfig_at=30, seed=7)
-    _, policy = auto_heal("o2", 3, crash_at=8, seed=7)
     return plain(
         rf=3,
         scheduler=ChaosScheduler(base=FIFOScheduler()),
         fault_plane=FaultInjector(faults, seed=7),
         reconfig=reconfig,
-        controller=policy,
     )
 
 
@@ -93,7 +91,7 @@ STACKS = {
     "plain": plain,
     "replicated": lambda: perf_cell("replicated-stack", 12),
     "chaos": lambda: perf_cell("chaos", 6),
-    "reconfig+controller": reconfig_and_controller,
+    "reconfig": hand_authored_replacement,
     "monitors+health": fully_observed,
 }
 

@@ -132,7 +132,7 @@ def test_suspects_are_sorted_and_thresholded():
 
 
 # ----------------------------------------------------------------------
-# Rolling rates: timeouts, errors, probe RTTs
+# Rolling rates: timeouts, errors
 # ----------------------------------------------------------------------
 def test_timeouts_and_errors_are_counted():
     plane = HealthPlane(SLOPolicy(window=16, history=2))
@@ -160,15 +160,6 @@ def test_rolling_window_forgets_old_buckets():
     assert view.timeout_rate() == 0.0
     # ... but the lifetime totals never forget
     assert view.report()["totals"]["timeouts"] == 1
-
-
-def test_probe_rtt_measured_from_ctl_ack_stamps():
-    plane = HealthPlane()
-    ack = Message.make("ctl-ack", "sx.2", "ctl", {"sent": 3})
-    view = feed(plane, act(ActionKind.RECV, "ctl", 10, message=ack))
-    assert view.probe_rtt("sx.2")["count"] == 1
-    assert view.probe_rtt("sx.2")["max"] == 7
-    assert view.probe_rtt("unknown") == {"count": 0}
 
 
 # ----------------------------------------------------------------------

@@ -13,15 +13,17 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.analysis.metrics import (
-    _collect_consensus_metrics,
-    _collect_controller_metrics,
-)
-from repro.faults import ChaosScheduler, FaultPlan, auto_heal
+import pytest
+
+from repro.analysis.metrics import _collect_consensus_metrics
+from repro.faults import ChaosScheduler, FaultPlan, grow_group_mid_run, replace_dead_replica
 from repro.ioa import FIFOScheduler
 from repro.ioa.actions import ActionKind
+from repro.protocols import protocol_names
 
+from tests.conftest import trace_digest
 from tests.obs.conftest import run_observed
+from tests.replication.conftest import run_fixed_workload
 
 
 def chaos_fifo():
@@ -138,32 +140,8 @@ def test_consensus_block_parity_holds_with_leases_on():
     assert live.local_read_ratio == 1.0  # every read served locally
 
 
-def test_controller_block_from_registry_equals_trace_walk():
-    plan, policy = auto_heal()
-    handle, plane = run_observed(
-        "algorithm-b",
-        scheduler=chaos_fifo(),
-        num_objects=2,
-        replication_factor=3,
-        quorum="majority",
-        plan=plan,
-        controller=policy,
-        run_to_completion=False,
-    )
-    live, replayed = both_collector_paths(
-        _collect_controller_metrics, handle.simulation, handle.directory
-    )
-    assert live is not None
-    assert live == replayed
-    assert live.healed >= 1  # the scenario's whole point
-    # probe RTTs: one observation per delivered ack, all non-negative
-    rtts = plane.registry.histogram_values("controller.probe_rtt")
-    assert len(rtts) == live.acks
-    assert all(value >= 0 for value in rtts)
-
-
 def test_chaos_scheduler_counters_populate_under_the_plane():
-    plan, policy = auto_heal()
+    plan, reconfig = replace_dead_replica()
     _handle, plane = run_observed(
         "algorithm-b",
         scheduler=chaos_fifo(),
@@ -171,7 +149,7 @@ def test_chaos_scheduler_counters_populate_under_the_plane():
         replication_factor=3,
         quorum="majority",
         plan=plan,
-        controller=policy,
+        reconfig=reconfig,
         run_to_completion=False,
     )
     registry = plane.registry
@@ -190,3 +168,23 @@ def test_a_reused_chaos_scheduler_counts_into_each_runs_own_registry():
     assert steps > 0
     assert first.registry.counter_value("scheduler.chaos_steps") == steps
     assert second.registry.snapshot() == first.registry.snapshot()
+
+
+@pytest.mark.parametrize("protocol", protocol_names())
+def test_the_plane_counts_a_membership_change_without_perturbing_it(protocol):
+    """Attached to a run that grows a group mid-run, the plane counts the
+    change's steps off the reconfiguration actions — one joint entry, one
+    sync per added replica, one commit — and the trace stays the one the
+    unobserved run produces."""
+    _, reconfig = grow_group_mid_run("ox", 3, to_factor=5, at=3)
+    settings = dict(
+        num_objects=2, replication_factor=3, quorum="majority", reconfig=reconfig
+    )
+    bare = run_fixed_workload(protocol, scheduler=chaos_fifo(), **settings)
+    handle, plane = run_observed(protocol, scheduler=chaos_fifo(), **settings)
+    assert trace_digest(handle) == trace_digest(bare)
+    assert handle.directory.group("ox") == ("sx", "sx.2", "sx.3", "sx.4", "sx.5")
+    registry = plane.registry
+    assert registry.counter_value("reconfig.events", kind="joint-begin") == 1
+    assert registry.counter_value("reconfig.events", kind="sync-done") == 2
+    assert registry.counter_value("reconfig.events", kind="commit") == 1

@@ -18,7 +18,6 @@ import inspect
 import pytest
 
 from repro.analysis import ExperimentConfig, run_experiment
-from repro.consensus import ControllerPolicy, ReconfigController
 from repro.consensus.reconfig import ReconfigPlan, set_replica_group
 from repro.ioa import TraceMode
 from repro.obs import MetricsRegistry, MonitorSuite, ObservabilityPlane, SLOPolicy
@@ -38,7 +37,6 @@ SHARED = (
     "quorum",
     "consensus_factor",
     "reconfig",
-    "controller",
     "trace_mode",
     "persistence",
     "leases",
@@ -66,6 +64,15 @@ def test_build_refuses_a_setting_build_config_lacks():
     with pytest.raises(TypeError, match="bogus"):
         get_protocol("naive-snow").build(bogus=1)
 
+
+
+def test_the_removed_controller_setting_is_refused():
+    """The rebalancing controller is gone with its setting: the build and
+    the experiment recipe refuse the keyword instead of ignoring it."""
+    with pytest.raises(TypeError, match="controller"):
+        get_protocol("algorithm-b").build(controller=None)
+    with pytest.raises(TypeError, match="controller"):
+        ExperimentConfig(protocol="algorithm-b", controller=None)
 
 #: the declarative experiment: the shared settings it forwards, then the
 #: workload and checks around them and the three listener switches of the
@@ -98,7 +105,6 @@ NON_DEFAULT = {
     "quorum": "majority",
     "consensus_factor": 3,
     "reconfig": ReconfigPlan(requests=(set_replica_group("ox", ("sx", "sx.2"), at=5),)),
-    "controller": ControllerPolicy(),
     "trace_mode": TraceMode.ring(8),
     "persistence": PersistencePolicy(),
     "leases": True,
@@ -133,7 +139,6 @@ def test_run_experiment_hands_every_shared_setting_to_the_build(setting, monkeyp
 #: the fields of each policy object a setting takes
 SUB_OPTIONS = {
     TraceMode: ("kind", "capacity"),
-    ControllerPolicy: ("fail_after", "latency_bound", "max_actions"),
     PersistencePolicy: ("backend", "root", "compact_every", "fsync"),
     SLOPolicy: ("read_latency", "write_latency", "window", "history", "stale_after"),
 }
@@ -149,7 +154,6 @@ CONSTRUCTOR_KEYWORDS = {
     ObservabilityPlane: ("monitors", "health"),
     MonitorSuite: ("monitors", "halt_on_violation"),
     MetricsRegistry: (),
-    ReconfigController: ("policy", "directory", "name"),
 }
 
 

@@ -15,7 +15,9 @@ import hashlib
 import pytest
 
 from repro.analysis import ExperimentConfig, WorkloadSpec, run_experiment
-from repro.faults import lossy_network, replace_dead_replica
+from repro.consensus.reconfig import ReconfigPlan, set_replica_group
+from repro.faults import grow_group_mid_run, lossy_network, replace_dead_replica
+from repro.protocols import protocol_names
 
 
 def run_twice(config: ExperimentConfig):
@@ -74,8 +76,6 @@ def metrics_record(result) -> dict:
         record["consensus"] = metrics.consensus.as_dict()
     if metrics.reconfig is not None:
         record["reconfig"] = metrics.reconfig.as_dict()
-    if metrics.controller is not None:
-        record["controller"] = metrics.controller.as_dict()
     return record
 
 
@@ -161,26 +161,35 @@ def test_ported_reconfig_runs_are_deterministic(protocol):
     assert first.metrics.reconfig.reconfigs_completed == 1, protocol
 
 
-def test_controller_runs_are_deterministic():
-    """The control loop (probe timers, detection, derived submissions) is
-    replayable too: same seed ⇒ identical trace, metrics and derived plans."""
-    from repro.faults import auto_heal
+#: a live membership change of each kind, fault-free (s2pl included: only a
+#: *dead* replica blocks its lock rounds)
+LIVE_CHANGES = {
+    "grow": grow_group_mid_run("ox", 3, to_factor=5, at=20)[1],
+    "shrink": ReconfigPlan(
+        name="shrink", requests=(set_replica_group("ox", ("sx", "sx.2"), at=20),)
+    ),
+}
 
-    plan, policy = auto_heal("ox", 3, crash_at=8, seed=7)
+
+@pytest.mark.parametrize("protocol", protocol_names())
+@pytest.mark.parametrize("change", sorted(LIVE_CHANGES))
+def test_live_membership_changes_are_deterministic(change, protocol):
+    """Growing a group (spawns, state transfer) and shrinking one
+    (retirement of a live replica) replay identically per seed for every
+    family — trace and metrics — and the change really commits."""
     config = ExperimentConfig(
-        protocol="algorithm-b",
+        protocol=protocol,
         scheduler="chaos",
         seed=7,
         replication_factor=3,
         quorum="majority",
-        faults=plan,
-        controller=policy,
+        reconfig=LIVE_CHANGES[change],
         workload=WorkloadSpec(reads_per_reader=4, writes_per_writer=3, seed=7),
     )
     first, second = run_twice(config)
-    assert trace_hash(first) == trace_hash(second)
-    assert metrics_record(first) == metrics_record(second)
-    assert first.metrics.controller.plans_replace == 1
+    assert trace_hash(first) == trace_hash(second), (change, protocol)
+    assert metrics_record(first) == metrics_record(second), (change, protocol)
+    assert first.metrics.reconfig.reconfigs_completed == 1, (change, protocol)
 
 
 def test_different_seeds_differ():

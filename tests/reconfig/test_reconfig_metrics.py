@@ -26,8 +26,10 @@ from repro.faults import (
     replace_dead_replica,
 )
 from repro.ioa import RandomScheduler
+from repro.protocols import protocol_names
 
 from tests.reconfig.conftest import run_reconfig_workload
+from tests.reconfig.test_storage_reconfig import QUORUM_FAMILIES
 from tests.replication.test_golden_rounds import epoch_swap
 
 
@@ -101,6 +103,42 @@ class TestReconfigMetrics:
         assert block.reconfigs_completed == 1
         assert block.retired_servers == 0
         assert block.transfer_versions >= 2
+
+
+@pytest.mark.parametrize("protocol", QUORUM_FAMILIES)
+def test_replace_accounting_holds_for_every_quorum_family(protocol):
+    """The block's figures come from the directory, not from one family's
+    rounds: every quorum family's replacement reads as one committed change,
+    one retired server, zero retries and full availability.  (How many
+    versions the sync moves depends on how many writes landed first — OCC's
+    register may still be at its initial timestamp — so it is not pinned.)"""
+    result = run_replace(protocol)
+    block = result.metrics.reconfig
+    assert (block.epochs, block.reconfigs_completed, block.joint_windows) == (2, 1, 1)
+    assert block.retired_servers == 1
+    assert (block.epoch_retries, block.unavailability_window) == (0, 0)
+    assert result.metrics.faults.availability == 1.0
+
+
+@pytest.mark.parametrize("protocol", protocol_names())
+def test_grow_accounting_holds_for_every_family(protocol):
+    """Growth rf 3 → 5 reads as one committed change that retires nobody,
+    for every family (s2pl too: a live change does not block its lock
+    rounds).  A fault-free experiment runs to completion, so every
+    transaction across the change finishes."""
+    _, reconfig = grow_group_mid_run("ox", 3, to_factor=5)
+    config = ExperimentConfig(
+        protocol=protocol,
+        scheduler="chaos",
+        seed=13,
+        replication_factor=3,
+        quorum="majority",
+        reconfig=reconfig,
+        workload=WorkloadSpec(reads_per_reader=5, writes_per_writer=3, seed=13),
+    )
+    block = run_experiment(config).metrics.reconfig
+    assert (block.epochs, block.reconfigs_completed, block.joint_windows) == (2, 1, 1)
+    assert block.retired_servers == 0
 
 
 def epoch_retry_cell(plan=None, seed=3):

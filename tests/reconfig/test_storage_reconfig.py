@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.consensus.reconfig import ReconfigPlan, set_replica_group
-from repro.faults import grow_group_mid_run, replace_dead_replica
+from repro.faults import CrashEvent, FaultPlan, grow_group_mid_run, replace_dead_replica
 from repro.protocols import get_protocol
 
 from tests.reconfig.conftest import final_read_values, run_reconfig_workload
@@ -185,8 +185,6 @@ class TestGuardsAndFailover:
         """The preferred state-transfer source (the first retained replica)
         is fail-stopped: the sync timer rotates to the next retained
         replica and the change still commits."""
-        from repro.faults.plan import CrashEvent, FaultPlan
-
         plan = FaultPlan(
             name="dead-source",
             crashes=(CrashEvent(server="sx", at=5, recover=None),),
@@ -248,3 +246,45 @@ class TestEpochMismatchRetry:
         ]
         assert tagged, "epoch-aware rounds must stamp requests"
         assert all(m.get("attempt") == 1 for m in tagged)
+
+
+
+#: every family whose quorum rounds absorb a fail-stopped replica
+QUORUM_FAMILIES = RECONFIG_PROTOCOLS + (
+    "algorithm-c", "occ-double-collect", "eiger", "naive-snow", "simple-rw",
+)
+#: the two objects' groups at replication factor 3
+GROUPS = {"ox": ("sx", "sx.2", "sx.3"), "oy": ("sy", "sy.2", "sy.3")}
+
+
+@pytest.mark.parametrize("object_id, dead", [("ox", "sx.2"), ("oy", "sy.3")])
+@pytest.mark.parametrize("protocol", QUORUM_FAMILIES)
+def test_any_dead_member_of_any_group_is_replaced(protocol, object_id, dead):
+    """A hand-authored swap is not tied to ``replace_dead_replica``'s choice
+    of the first object's last replica: a dead middle member, or a member of
+    another object's group, is replaced the same way — the change commits,
+    the other group is untouched, no round retries, every read completes."""
+    group = GROUPS[object_id]
+    new_group = tuple(s for s in group if s != dead) + (f"{group[0]}.4",)
+    plan = FaultPlan(
+        name="dead-member",
+        crashes=(CrashEvent(server=dead, at=8, recover=None),),
+        seed=3,
+    )
+    reconfig = ReconfigPlan(
+        name="replace-dead-member",
+        requests=(set_replica_group(object_id, new_group, at=30),),
+    )
+    handle = run_reconfig_workload(
+        protocol, reconfig=reconfig, plan=plan, rounds=4, run_to_completion=False
+    )
+    assert not handle.simulation.incomplete_transactions()
+    assert handle.directory.group(object_id) == new_group
+    assert handle.directory.is_retired(dead)
+    assert dead not in handle.simulation.servers()
+    assert handle.directory.transfer_volume() >= 1
+    for other, members in GROUPS.items():
+        if other != object_id:
+            assert handle.directory.group(other) == members
+    assert handle.directory.retries == []
+    assert final_read_values(handle, "R4") == {obj: f"v4-{obj}" for obj in handle.objects}

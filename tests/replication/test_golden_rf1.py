@@ -84,18 +84,6 @@ def test_consensus_factor_rejected_without_coordinator():
 
 
 @pytest.mark.parametrize("protocol", protocol_names())
-def test_explicit_controller_off_matches_seed(protocol):
-    """Passing controller=None explicitly changes nothing, for every
-    protocol: the rebalancing layer's byte-identity contract — no
-    controller automaton, no probes, no directory."""
-    handle = run_fixed_workload(
-        protocol, scheduler=FIFOScheduler(), num_objects=2, controller=None
-    )
-    assert handle.directory is None
-    assert trace_digest(handle) == GOLDEN[protocol]["fifo-2obj"], protocol
-
-
-@pytest.mark.parametrize("protocol", protocol_names())
 def test_explicit_reconfig_off_matches_seed(protocol):
     """Passing reconfig=None (and an empty plan) explicitly changes nothing,
     for every protocol: the reconfiguration layer's byte-identity contract —
