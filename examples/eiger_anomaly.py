@@ -7,12 +7,12 @@ claim is wrong, because Eiger orders operations with Lamport clocks and
 logical clocks cannot see the real-time order of causally unrelated
 operations.
 
-This example drives the executable Eiger-style protocol through exactly the
-Figure 5 scenario — two servers, writes w1, w2 to one shard and w3 to the
-other issued by a *different* writer only after w2 finished, and a READ
-transaction racing all three — and shows that the READ is accepted in a
-single round yet returns a combination of values (w3's together with w1's)
-that no strictly serializable system could return.
+This example replays, on the executable Eiger-style protocol, a schedule the
+explorer finds in the Figure 5 scenario — two servers, writes w1, w2 to one
+shard and w3 to the other issued by a *different* writer only after w2
+finished, and a READ transaction racing all three — and shows that the READ
+is accepted in a single round yet returns a combination of values (w3's
+together with w1's) that no strictly serializable system could return.
 
 Run with::
 

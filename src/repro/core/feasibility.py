@@ -20,6 +20,7 @@ versions measured by the SNOW checkers and the paper's claims as its
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, List, Optional, Sequence, Tuple
 
 from ..ioa.network import SystemSetting, standard_settings
@@ -81,10 +82,11 @@ def check_setting(setting: SystemSetting, max_runs: Optional[int] = None) -> Fea
     an impossible one stops at ``naive-snow``'s first trace that is not
     strictly serializable, and raises if there is none: no witness, no verdict."""
     # the checkers and the Figure 1 tables load without the protocol layer; running a cell loads it
-    from ..proofs.exhaust import Exploration
+    from ..proofs.exhaust import Exploration, contending_system
 
     possible, reference = paper_expectation(setting)
-    search = Exploration("algorithm-a" if possible else "naive-snow", setting, max_runs)
+    protocol = "algorithm-a" if possible else "naive-snow"
+    search = Exploration(partial(contending_system, protocol, setting), max_runs)
     violating, witness = 0, None
     for handle in search:
         report = handle.snow_report()
@@ -97,9 +99,9 @@ def check_setting(setting: SystemSetting, max_runs: Optional[int] = None) -> Fea
     if not (possible or violating):
         scope = "every trace" if search.complete else "search cut"
         runs = search.finished + search.pruned
-        raise RuntimeError(f"{setting.name}: no trace of {search.protocol} violates S in {runs} runs ({scope})")
+        raise RuntimeError(f"{setting.name}: no trace of {protocol} violates S in {runs} runs ({scope})")
     return FeasibilityVerdict(
-        setting, reference, search.protocol, search.finished, search.pruned, violating, search.complete, witness
+        setting, reference, protocol, search.finished, search.pruned, violating, search.complete, witness
     )
 
 

@@ -55,9 +55,7 @@ from .scheduler import (
     PriorityScheduler,
     RandomScheduler,
     Scheduler,
-    holds_invocation,
     holds_message,
-    never,
     until_message_delivered,
     until_transaction_done,
 )
@@ -109,9 +107,7 @@ __all__ = [
     "PriorityScheduler",
     "RandomScheduler",
     "Scheduler",
-    "holds_invocation",
     "holds_message",
-    "never",
     "until_message_delivered",
     "until_transaction_done",
     "Simulation",

@@ -16,7 +16,7 @@ Provided policies:
 * :class:`PriorityScheduler` — pick by an arbitrary key function.
 * :class:`AdversarialScheduler` — a rule-driven adversary built from
   :class:`DelayRule` objects ("hold messages matching *this* until *that*
-  has happened"), which is how the constructions of Figures 3–5 are driven.
+  has happened"), the base of the fault plane's adversarial chaos.
 """
 
 from __future__ import annotations
@@ -240,8 +240,8 @@ class DelayRule:
     ``holds`` receives the pending event; ``until`` receives the kernel
     (giving access to the trace, transaction records and automaton state),
     so rules can express schedules such as *"do not deliver the read request
-    to server B until the first write has been applied there"* — precisely
-    the constructions used in Figures 3–5 of the paper.
+    to server B until the first write has been applied there"* — the kind
+    of step the paper's constructions take.
 
     ``name`` is used in error messages and reports; ``one_shot`` rules are
     dropped after they release (their ``until`` became true once).
@@ -338,21 +338,6 @@ def holds_message(
     return _holds
 
 
-def holds_invocation(client: Optional[str] = None, txn_id: Optional[Any] = None) -> Callable[[PendingEvent], bool]:
-    """Build a ``holds`` predicate matching invocation events."""
-
-    def _holds(event: PendingEvent) -> bool:
-        if not isinstance(event, PendingInvocation):
-            return False
-        if client is not None and event.client != client:
-            return False
-        if txn_id is not None and event.txn_id != txn_id:
-            return False
-        return True
-
-    return _holds
-
-
 def until_transaction_done(txn_id: Any) -> Callable[[Any], bool]:
     """``until`` predicate: transaction ``txn_id`` has responded."""
 
@@ -363,10 +348,8 @@ def until_transaction_done(txn_id: Any) -> Callable[[Any], bool]:
     return _until
 
 
-def until_message_delivered(
-    msg_type: str, src: Optional[str] = None, dst: Optional[str] = None
-) -> Callable[[Any], bool]:
-    """``until`` predicate: some message of this shape has been received."""
+def until_message_delivered(msg_type: str, dst: Optional[str] = None) -> Callable[[Any], bool]:
+    """``until`` predicate: some message of this type (to ``dst``) has been received."""
 
     def _until(kernel: Any) -> bool:
         from .actions import ActionKind
@@ -376,8 +359,6 @@ def until_message_delivered(
                 continue
             message = action.message
             if message.msg_type != msg_type:
-                continue
-            if src is not None and message.src != src:
                 continue
             if dst is not None and message.dst != dst:
                 continue
@@ -407,8 +388,3 @@ def fracture_rules(read_id: str, write_id: str, late_server: str, early_server: 
             until=until_transaction_done(read_id),
         ),
     ]
-
-
-def never(kernel: Any) -> bool:
-    """``until`` predicate that never fires (pure reordering pressure)."""
-    return False

@@ -5,8 +5,9 @@ transactions provide strict serializability.  The root cause is that Eiger
 orders operations with Lamport clocks, and logical clocks cannot observe the
 *real-time* order of operations that are not causally related.
 
-This module drives the concrete Eiger-style protocol implementation
-(:mod:`repro.protocols.eiger`) through exactly the scenario of Figure 5:
+This module replays, on the concrete Eiger-style protocol
+(:mod:`repro.protocols.eiger`), a schedule that the explorer
+(:mod:`repro.proofs.exhaust`) finds in the system of Figure 5:
 
 * two servers ``sx`` (object ``ox``, the figure's ``A``) and ``sy``
   (object ``oy``, the figure's ``B``);
@@ -17,8 +18,12 @@ This module drives the concrete Eiger-style protocol implementation
   message chain connects them and their Lamport timestamps do not reflect
   the order;
 * the reader's READ transaction ``R = read(ox, oy)`` is concurrent with all
-  three writes; the network delivers its request to ``sy`` after ``W1`` but
-  before ``W2``, and its request to ``sx`` only after ``W3``.
+  three writes.
+
+Of the system's 14 traces, 4 are not strictly serializable; the schedule
+replayed here is the first whose READ returns Figure 5's pair: the network
+delivers its request to ``sy`` after ``W1`` but before ``W2``, and its
+request to ``sx`` only after ``W3``.
 
 Eiger's first-round validity-interval check then *accepts* the combination
 ``(ox = a3, oy = b1)`` — the returned logical intervals overlap — even though
@@ -31,19 +36,21 @@ protocol rather than on paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
-from ..core.serializability import SerializabilityResult, check_strict_serializability
-from ..core.snow import SnowReport, check_snow
-from ..ioa.scheduler import (
-    AdversarialScheduler,
-    DelayRule,
-    holds_message,
-    until_message_delivered,
-)
-from ..protocols.eiger import EigerProtocol
+from ..core.serializability import SerializabilityResult
+from ..core.snow import SnowReport
 from ..txn.history import History
 from ..txn.transactions import ReadResult
+from .exhaust import figure5_system, replay
+
+#: The explorer's first trace of Figure 5's system under Eiger whose READ
+#: returns (a3, b1), as the keys of its events in the order they ran.
+FIGURE5_SCHEDULE = (
+    ("i", "W2"), ("i", "R1"), ("d", 0), ("d", 3), ("i", "W3"), ("d", 2), ("d", 5),
+    ("d", 4), ("d", 6), ("i", "W4"), ("d", 7), ("d", 8), ("d", 1), ("d", 9),
+)
 
 
 @dataclass
@@ -81,59 +88,18 @@ class EigerExampleResult:
         return "\n".join(lines)
 
 
-def run_figure5(initial_value: str = "init") -> EigerExampleResult:
-    """Construct and run the Figure 5 execution on the Eiger-style protocol."""
-    protocol = EigerProtocol()
-    handle = protocol.build(
-        num_readers=1,
-        num_writers=2,
-        num_objects=2,
-        initial_value=initial_value,
-    )
-    sx, sy = handle.servers[0], handle.servers[1]
-    writer1, writer2 = handle.writers[0], handle.writers[1]
-    reader = handle.readers[0]
-
-    # The workload of Figure 5 -------------------------------------------------
-    read_id = handle.submit_read(["ox", "oy"], reader=reader)
-    w1_id = handle.submit_write({"oy": "b1"}, writer=writer1)
-    w2_id = handle.submit_write({"oy": "b2"}, writer=writer1)
-    w3_id = handle.submit_write({"ox": "a3"}, writer=writer2, after=[w2_id])
-
-    # The adversarial schedule of Figure 5 --------------------------------------
-    rules = [
-        DelayRule(
-            name="read-at-sy-waits-for-w1",
-            holds=holds_message(msg_type="eiger-read", dst=sy, predicate=lambda m: m.get("txn") == read_id),
-            until=until_message_delivered("eiger-write", src=writer1, dst=sy),
-        ),
-        DelayRule(
-            name="w2-waits-for-read-at-sy",
-            holds=holds_message(msg_type="eiger-write", dst=sy, predicate=lambda m: m.get("txn") == w2_id),
-            until=until_message_delivered("eiger-read", src=reader, dst=sy),
-        ),
-        DelayRule(
-            name="read-at-sx-waits-for-w3",
-            holds=holds_message(msg_type="eiger-read", dst=sx, predicate=lambda m: m.get("txn") == read_id),
-            until=until_message_delivered("eiger-write", src=writer2, dst=sx),
-        ),
-    ]
-    handle.simulation.scheduler = AdversarialScheduler(rules=rules, release_when_stuck=False)
-
-    handle.run_to_completion()
-
-    history = handle.history()
-    read_record = handle.simulation.transaction_record(read_id)
-    report = check_snow(handle.simulation, history)
-    serializability = check_strict_serializability(history)
+def run_figure5() -> EigerExampleResult:
+    """Replay :data:`FIGURE5_SCHEDULE` on the Eiger-style protocol."""
+    handle = replay(partial(figure5_system, "eiger"), FIGURE5_SCHEDULE)
+    read_record, w1, w2, w3 = handle.transaction_records()
     return EigerExampleResult(
-        history=history,
-        snow_report=report,
-        serializability=serializability,
-        read_result=read_record.result if read_record else None,
-        accepted_first_round=bool(read_record.annotations.get("accepted_first_round")) if read_record else False,
-        read_txn_id=read_id,
-        w1_id=w1_id,
-        w2_id=w2_id,
-        w3_id=w3_id,
+        history=handle.history(),
+        snow_report=handle.snow_report(),
+        serializability=handle.serializability(),
+        read_result=read_record.result,
+        accepted_first_round=bool(read_record.annotations.get("accepted_first_round")),
+        read_txn_id=read_record.txn_id,
+        w1_id=w1.txn_id,
+        w2_id=w2.txn_id,
+        w3_id=w3.txn_id,
     )

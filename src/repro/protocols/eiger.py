@@ -23,8 +23,8 @@ both its bounded latency and its anomaly:
   version valid at ``ET``.
 
 Reads therefore finish in at most two non-blocking one-version rounds — but,
-as :mod:`repro.proofs.eiger_example` demonstrates by reconstructing the
-execution of Figure 5, the accepted result can mix a new version from one
+as :mod:`repro.proofs.eiger_example` shows on a schedule the explorer finds
+in Figure 5's system, the accepted result can mix a new version from one
 server with a stale version from another even though an intervening WRITE
 completed strictly earlier in real time, violating strict serializability.
 """

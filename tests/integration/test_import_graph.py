@@ -91,7 +91,7 @@ SEED_ALL = {
         WellFormednessError FaultPlane SystemSetting Topology standard_settings
         AdversarialScheduler DelayRule FIFOScheduler LIFOScheduler PendingDelivery
         PendingInvocation PendingTimeout PriorityScheduler RandomScheduler Scheduler
-        holds_invocation holds_message never until_message_delivered until_transaction_done
+        holds_message until_message_delivered until_transaction_done
         Simulation TransactionRecord Fragment Trace TraceMode concat_fragments reindex
     """,
     "repro.obs": """

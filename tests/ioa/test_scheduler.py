@@ -17,9 +17,7 @@ from repro.ioa.scheduler import (
     PriorityScheduler,
     RandomScheduler,
     Scheduler,
-    holds_invocation,
     holds_message,
-    never,
 )
 from repro.protocols import get_protocol
 
@@ -105,21 +103,11 @@ class TestRuleHelpers:
         invocation = PendingInvocation(client="r1", txn=None, txn_id="R1", enqueued_at=0)
         assert not holds(invocation)
 
-    def test_holds_invocation(self):
-        holds = holds_invocation(client="r1")
-        invocation = PendingInvocation(client="r1", txn=None, txn_id="R1", enqueued_at=0)
-        delivery = deliveries(1)[0]
-        assert holds(invocation)
-        assert not holds(delivery)
-
-    def test_never_predicate(self):
-        assert never(object()) is False
-
 
 class TestAdversarialScheduler:
     def test_held_events_are_skipped(self):
         pending = deliveries(2, msg_type="read") + deliveries(1, msg_type="write")
-        rule = DelayRule(name="hold-reads", holds=holds_message(msg_type="read"), until=never)
+        rule = DelayRule(name="hold-reads", holds=holds_message(msg_type="read"), until=lambda kernel: False)
         scheduler = AdversarialScheduler(rules=[rule])
         choice = scheduler.choose(pending, FakeKernel())
         assert pending[choice].message.msg_type == "write"
@@ -133,13 +121,13 @@ class TestAdversarialScheduler:
 
     def test_all_held_releases_oldest_by_default(self):
         pending = deliveries(2, msg_type="read")
-        rule = DelayRule(name="hold", holds=holds_message(msg_type="read"), until=never)
+        rule = DelayRule(name="hold", holds=holds_message(msg_type="read"), until=lambda kernel: False)
         scheduler = AdversarialScheduler(rules=[rule])
         assert scheduler.choose(pending, FakeKernel()) == 0
 
     def test_all_held_raises_when_strict(self):
         pending = deliveries(2, msg_type="read")
-        rule = DelayRule(name="hold", holds=holds_message(msg_type="read"), until=never)
+        rule = DelayRule(name="hold", holds=holds_message(msg_type="read"), until=lambda kernel: False)
         scheduler = AdversarialScheduler(rules=[rule], release_when_stuck=False)
         with pytest.raises(SchedulerError):
             scheduler.choose(pending, FakeKernel())
@@ -171,7 +159,7 @@ class TestAdversarialScheduler:
 
     def test_base_policy_applies_to_eligible_subset(self):
         pending = deliveries(3, msg_type="read") + deliveries(2, msg_type="write")
-        rule = DelayRule(name="hold-reads", holds=holds_message(msg_type="read"), until=never)
+        rule = DelayRule(name="hold-reads", holds=holds_message(msg_type="read"), until=lambda kernel: False)
         scheduler = AdversarialScheduler(rules=[rule], base=LIFOScheduler())
         choice = scheduler.choose(pending, FakeKernel())
         assert choice == 4  # newest among the eligible (write) events

@@ -1,29 +1,36 @@
 """What the explorer's cells pin, and the search it is checked against.
 
 :func:`survey` runs :class:`repro.proofs.exhaust.Exploration` over one cell
-and sums up every finished trace.  :func:`full_search_classes` is the plain
-depth-first search with no reduction: every schedule of the same system,
-each run to the end.  Under a sound independence relation the explorer
-reaches every (values read, S verdict) class the full search reaches.  The
-three mutants at the end are what the cells must kill, each monkeypatched in
-over one method.
+(a build: :func:`contending` for Figure 1(a)'s, :func:`figure5` for Figure
+5's) and sums up every finished trace.  :func:`full_search_classes` is the
+plain depth-first search with no reduction: every schedule of the same
+system, each run to the end.  Under a sound independence relation the
+explorer reaches every (values read, S verdict) class the full search
+reaches.  The three mutants at the end are what the cells must kill, each
+monkeypatched in over one method.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import FrozenSet, List, NamedTuple, Set, Tuple
 
 from repro.ioa.network import SystemSetting
 from repro.ioa.scheduler import Scheduler
-from repro.proofs.exhaust import Exploration, contending_system
+from repro.proofs.exhaust import Build, Exploration, contending_system, figure5_system
 from repro.protocols.replication import write_value_round
 from repro.txn.objects import Key
 from repro.txn.transactions import WRITE_OK
 
 
-def setting(readers: int, writers: int, c2c: bool) -> SystemSetting:
-    """A two-server setting (the scope of every cell)."""
-    return SystemSetting(f"{readers}R/{writers}W/2S", readers, writers, 2, c2c)
+def contending(protocol: str, readers: int, writers: int, c2c: bool) -> Build:
+    """Figure 1(a)'s system at a two-server setting (the scope of its cells)."""
+    return partial(contending_system, protocol, SystemSetting(f"{readers}R/{writers}W/2S", readers, writers, 2, c2c))
+
+
+def figure5(protocol: str) -> Build:
+    """Figure 5's system under ``protocol``."""
+    return partial(figure5_system, protocol)
 
 
 class Survey(NamedTuple):
@@ -45,8 +52,8 @@ class Survey(NamedTuple):
     lemma20_failures: int
 
 
-def survey(protocol: str, cell: SystemSetting) -> Survey:
-    search = Exploration(protocol, cell)
+def survey(build: Build) -> Survey:
+    search = Exploration(build)
     violating = fallback = lemma20_failures = 0
     properties: Set[str] = set()
     rounds: Set[int] = set()
@@ -74,8 +81,8 @@ def run_class(handle) -> Tuple[tuple, bool]:
     return reads, handle.serializability().ok
 
 
-def explorer_classes(protocol: str, cell: SystemSetting) -> Set[Tuple[tuple, bool]]:
-    return {run_class(handle) for handle in Exploration(protocol, cell)}
+def explorer_classes(build: Build) -> Set[Tuple[tuple, bool]]:
+    return {run_class(handle) for handle in Exploration(build)}
 
 
 class _Replay(Scheduler):
@@ -95,14 +102,14 @@ class _Replay(Scheduler):
         return events[index]
 
 
-def full_search_classes(protocol: str, cell: SystemSetting) -> Tuple[int, Set[Tuple[tuple, bool]]]:
-    """Every schedule of the cell's system, each run to the end: how many
-    runs, and the classes they reach."""
+def full_search_classes(build: Build) -> Tuple[int, Set[Tuple[tuple, bool]]]:
+    """Every schedule of the system ``build`` makes, each run to the end: how
+    many runs, and the classes they reach."""
     choices: List[List[int]] = []
     classes: Set[Tuple[tuple, bool]] = set()
     runs = 0
     while True:
-        handle = contending_system(protocol, cell, _Replay(choices))
+        handle = build(_Replay(choices))
         handle.run_to_completion()
         runs += 1
         classes.add(run_class(handle))
