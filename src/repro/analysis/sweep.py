@@ -822,8 +822,8 @@ PAPER = Suite(
               label="A, B and the retry baseline reply with one version per object"),
         holds("max_read_rounds", "==", 2, where={"protocol": "algorithm-b"},
               label="B pays exactly one extra round (Theorem 4)"),
-        holds("max_read_rounds", "<=", 2, where={"protocol": "algorithm-c"},
-              label="C reads in one round, two in its documented fallback corner case"),
+        holds("max_read_rounds", "==", 1, where={"protocol": "algorithm-c"},
+              label="C reads in one round (Theorem 5)"),
         holds("max_versions", ">", 1, where={"protocol": "algorithm-c"},
               label="C pays in reply size: under contention a reply carries more than one version (Theorem 5)"),
         holds("max_read_rounds", ">=", 2, where={"protocol": "occ-double-collect"},

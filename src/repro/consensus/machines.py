@@ -6,7 +6,8 @@ designated server comes in two shapes:
 * the append-only **``List``** of algorithms B and C (Pseudocodes 5-7):
   per WRITE transaction, which objects it updated and under which key,
   answering ``update-coor`` (append, returning the tag) and ``get-tag-arr``
-  (per requested object, the key of the newest entry updating it);
+  (per requested object, the key of the newest entry updating it; for C,
+  also the List from the length its reader saw last);
 * the monotonic **timestamp counter** of the OCC baseline, answering
   ``get-ts``.
 
@@ -23,7 +24,7 @@ it never does I/O and never consults time or randomness.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..ioa.errors import SimulationError
 from ..txn.objects import Key
@@ -85,23 +86,33 @@ class CoordinatorList:
         self.entries.append((key, self._bits(bits)))
         return len(self.entries)
 
-    def latest_index_for(self, object_id: str) -> int:
-        """1-based index of the newest entry that wrote ``object_id``."""
+    def latest_index_for(self, object_id: str, length: Optional[int] = None) -> int:
+        """1-based index of the newest entry that wrote ``object_id`` (among the first ``length``)."""
         written = (object_id, 1)
-        for position in range(len(self.entries) - 1, -1, -1):
+        for position in range((len(self.entries) if length is None else length) - 1, -1, -1):
             if written in self.entries[position][1]:
                 return position + 1
         raise SimulationError(f"the List has no entry for object {object_id!r}")
 
-    def tag_array_for(self, read_set: Sequence[str]) -> Tuple[int, Dict[str, Key]]:
-        """``(t_r, {object: κ})`` for the requested read set."""
+    def tag_array_for(self, read_set: Sequence[str], length: Optional[int] = None) -> Tuple[int, Dict[str, Key]]:
+        """``(t_r, {object: κ})`` for the requested read set (over the first ``length`` entries)."""
         keys: Dict[str, Key] = {}
         tag = 1
         for object_id in read_set:
-            index = self.latest_index_for(object_id)
+            index = self.latest_index_for(object_id, length)
             tag = max(tag, index)
             keys[object_id] = self.entries[index - 1][0]
         return tag, keys
+
+    def prefixes(self, read_set: Sequence[str], since: Optional[int]) -> Dict[str, Any]:
+        """For algorithm C's reader, which sends the List length ``since``
+        its previous tag reply reported: ``prefixes``, that length, its
+        prefix's read tag and array, and the entries appended after it."""
+        if since is None:
+            return {}
+        since = min(since, len(self.entries))  # a List reset by amnesia is shorter
+        tag, keys = self.tag_array_for(read_set, since)
+        return {"prefixes": (since, tag, tuple(keys.items()), tuple(self.entries[since:]))}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -173,6 +184,7 @@ class ListStateMachine(CoordinatorStateMachine):
                 "tag": tag,
                 "keys": tuple(keys.items()),
                 "num_versions": 1,
+                **self.list.prefixes(read_set, payload.get("since")),
             }
         raise SimulationError(f"ListStateMachine cannot apply {msg_type!r}")
 

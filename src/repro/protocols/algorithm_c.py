@@ -1,42 +1,29 @@
-"""Algorithm C (Section 9, Pseudocodes 5, 7): SNW + one-round, ≤|W| versions, MWMR.
+"""Algorithm C (Section 9, Pseudocodes 5, 7): SNW + one-round, many versions, MWMR.
 
 Algorithm C keeps READ transactions down to a **single** parallel round by
 giving up the *one-version* half of the O property: every server answers a
-read request with its entire multi-version set ``Vals`` (whose size is
-bounded by the number of WRITE transactions concurrent with the READ plus
-the committed prefix), while the coordinator's reply pins down, per object,
-*which* of those versions the READ must return.
+read request with its entire multi-version set ``Vals``, while the
+coordinator's reply pins down, per object, *which* of those versions the READ
+returns.  The coordinator request and the data requests are sent
+concurrently; when the coordinator itself stores one of the requested
+objects, the two are combined into a single message (as the paper notes).
 
-The coordinator request and the data requests are sent concurrently; when
-the coordinator itself stores one of the requested objects, the two requests
-are combined into a single message (as the paper notes), preserving the
-one-round property.
+The coordinator's reply holds the ``List`` from the length the reader's
+previous tag reply reported (``since``) on: that prefix's tag array and the
+entries appended after it.  The READ returns the newest prefix whose named
+versions all arrived in its round, walking back only while a named key is
+missing.  Every entry was appended after its WRITE reached a write quorum, so
+the prefix that stood when the READ was invoked (``since`` or newer) is in
+any read quorum and ends the walk: one round in every schedule, and every
+WRITE that responded before the READ is seen.  (The pseudocode's one tag
+array can name a version that reached the data server after the READ's
+request did.)
 
-The reader keeps each shipped ``Vals`` as it arrived and scans it
-newest-first for the key the coordinator named, so a READ's work is bounded
-by the WRITEs concurrent with it (or with the named WRITE), not by the length
-of the history.
-
-Under the placement layer the data requests fan out to every replica of each
-requested object and the round completes once a read quorum of ``Vals``
-snapshots arrived per object (plus the coordinator's tag array); the named
-key is looked up in each snapshot, and quorum intersection with the write
-quorum guarantees one of them holds every key the coordinator can name for
-a completed WRITE.
-
-Fidelity note
--------------
-The paper's pseudocode assumes the version named by the coordinator is
-always present in the concurrently-fetched ``Vals`` snapshot.  Under an
-adversarial schedule the data reply can be captured *before* the write-value
-message reaches that server while the coordinator reply is captured *after*
-the same WRITE's update-coor message — in that corner case the named key is
-missing from the snapshot.  The implementation then falls back to one extra
-algorithm-B-style round for the affected objects and annotates the
-transaction with ``fallback_rounds`` so experiments can report how often the
-corner case occurs.  It cannot occur under FIFO scheduling; 4 of the 24
-traces of one READ beside one WRITE take it, each strictly serializable
-(``tests/proofs/test_exhaust.py::test_algorithm_c_fallback_corner``).
+A reply ships the whole ``Vals``: no reply rule keeps to Theorem 5's |W|
+versions (``PAPER.md``, Figure 1(b)).  The reader scans each shipped ``Vals``
+newest-first for a named key, so a lookup costs the WRITEs concurrent with
+the READ, not the history.  Under the placement layer the round completes
+once a read quorum of ``Vals`` snapshots arrived per object.
 """
 
 from __future__ import annotations
@@ -49,7 +36,7 @@ from ..ioa.errors import SimulationError
 from ..txn.objects import Key
 from ..txn.transactions import ReadResult, ReadTransaction
 from .coordinated import CoordinatedClient, CoordinatedProtocol
-from .replication import key_read_round, quorum_round
+from .replication import quorum_round
 
 
 #: the read round's one requirement that is not an object: the tag array,
@@ -90,6 +77,9 @@ def versions_fetched(snapshots: Sequence[Vals]) -> int:
 class AlgorithmCReader(CoordinatedClient, ReaderAutomaton):
     """One-round reader: fetch all versions and the tag array concurrently."""
 
+    #: the ``List`` length the previous tag reply reported (1: the initial entry)
+    since = 1
+
     def run_transaction(self, txn: ReadTransaction, ctx: Context):
         read_set = tuple(txn.objects)
         view = self.view
@@ -114,6 +104,7 @@ class AlgorithmCReader(CoordinatedClient, ReaderAutomaton):
                         # combine the data request and the tag-array request
                         payload["want_tags"] = True
                         payload["read_set"] = read_set
+                        payload["since"] = self.since
                     out.append(
                         Send(dst=replica, msg_type="read-vals", payload=payload, phase="read-values-and-tags")
                     )
@@ -128,7 +119,7 @@ class AlgorithmCReader(CoordinatedClient, ReaderAutomaton):
                     Send(
                         dst=target,
                         msg_type="get-tag-arr",
-                        payload={"txn": txn.txn_id, "read_set": read_set},
+                        payload={"txn": txn.txn_id, "read_set": read_set, "since": self.since},
                         phase="read-values-and-tags",
                     )
                 )
@@ -154,48 +145,41 @@ class AlgorithmCReader(CoordinatedClient, ReaderAutomaton):
             description="values and tag array",
         )
 
-        tag = None
-        keys: Dict[str, Key] = {}
+        prefixes = None
         snapshots: Dict[str, List[Vals]] = {}
         for reply in replies:
-            if reply.get("tag") is not None:
-                tag = reply.get("tag")
-                keys = dict(reply.get("keys", ()))
+            prefixes = reply.get("prefixes") or prefixes
             if reply.msg_type == "read-vals-reply":
                 snapshots.setdefault(reply.get("object"), []).append(reply.get("versions", ()))
-        if tag is None or not keys:
+        if prefixes is None:
             raise SimulationError(f"reader {self.name} never received the tag array for {txn.txn_id}")
 
-        values: Dict[str, Any] = {}
-        missing: List[str] = []
-        for object_id in read_set:
-            value = named_value(snapshots.get(object_id, ()), keys[object_id])
-            if value is ABSENT:
-                missing.append(object_id)
-            else:
-                values[object_id] = value
+        # Each object's named keys from prefix ``start`` on, as (position,
+        # key); the base array's keys carry its tag, a position ≤ ``start``.
+        start, base_tag, base, entries = prefixes
+        named = {object_id: [(base_tag, key)] for object_id, key in base}
+        for position, (key, bits) in enumerate(entries, start + 1):
+            for object_id, written in bits:
+                if written and object_id in named:
+                    named[object_id].append((position, key))
+        while True:
+            values = {o: named_value(snapshots.get(o, ()), keys[-1][1]) for o, keys in named.items()}
+            late = [named[o][-1][0] for o, value in values.items() if value is ABSENT]
+            if not late:
+                break
+            # every prefix from the oldest missing entry on names a missing key
+            oldest = min(late)
+            if oldest <= start:
+                raise SimulationError(f"reader {self.name}: {txn.txn_id}'s Vals miss List prefix {start}")
+            for keys in named.values():
+                while keys[-1][0] >= oldest:
+                    keys.pop()
+        self.since = start + len(entries)
 
-        fallback_rounds = 0
-        if missing:
-            # Corner-case fallback (see module docstring): fetch the named
-            # versions directly, algorithm-B style (quorum round under
-            # replication).
-            fallback_rounds = 1
-            fallback_values, _fallback_replies = yield from key_read_round(
-                txn.txn_id,
-                {object_id: keys[object_id] for object_id in missing},
-                view,
-                ctx,
-                phase="read-value-fallback",
-            )
-            values.update(fallback_values)
-
-        max_versions = max(map(versions_fetched, snapshots.values()), default=1)
         annotations: Dict[str, Any] = {
-            "tag": tag,
+            "tag": max(keys[-1][0] for keys in named.values()),
             "protocol": "algorithm-c",
-            "fallback_rounds": fallback_rounds,
-            "versions_fetched": max_versions,
+            "versions_fetched": max(map(versions_fetched, snapshots.values()), default=1),
         }
         if not self.placement.is_trivial():
             annotations["quorum_replies"] = len(replies)
@@ -212,4 +196,4 @@ class AlgorithmC(CoordinatedProtocol):
     reader = AlgorithmCReader
     claimed_properties = "SNW + one-round (Theorem 5)"
     claimed_read_rounds = 1
-    claimed_versions = None  # up to |W|
+    claimed_versions = None  # Theorem 5 says |W|; no reply keeps to it (PAPER.md)

@@ -162,7 +162,8 @@ class CoordinatedServer(ReplicatedStorageServer):
     positions in the pseudocode; the initial entry stands for the initial
     versions) and answers ``get-tag-arr`` requests with, per requested
     object, the key of the newest list entry that updated it, together with
-    the read tag ``t_r = max`` of those positions.
+    the read tag ``t_r = max`` of those positions (for C, also the List from
+    the length its reader saw last: :meth:`CoordinatorList.prefixes`).
     """
 
     missing_key_hint = "the coordinator only hands out keys whose write-value phase completed"
@@ -195,6 +196,13 @@ class CoordinatedServer(ReplicatedStorageServer):
         """``(t_r, {object: κ})`` for the requested read set."""
         return self.coordinator_list.tag_array_for(read_set)
 
+    def tag_fields(self, message: Message) -> Dict[str, Any]:
+        """The tag array a reply to ``message`` carries, and C's ``prefixes``."""
+        read_set = tuple(message.get("read_set", ()))
+        tag, keys = self.tag_array_for(read_set)
+        prefixes = self.coordinator_list.prefixes(read_set, message.get("since"))
+        return {"tag": tag, "keys": tuple(keys.items()), **prefixes}
+
     # ------------------------------------------------------------------
     def on_unhandled(self, message: Message, ctx: Context) -> None:
         if message.msg_type == "update-coor":
@@ -211,17 +219,10 @@ class CoordinatedServer(ReplicatedStorageServer):
     def _on_get_tag_arr(self, message: Message, ctx: Context) -> None:
         if not self.is_coordinator:
             raise SimulationError(f"server {self.name} is not the coordinator but received get-tag-arr")
-        read_set = tuple(message.get("read_set", ()))
-        tag, keys = self.tag_array_for(read_set)
         ctx.send(
             message.src,
             "tag-arr-reply",
-            {
-                "txn": message.get("txn"),
-                "tag": tag,
-                "keys": tuple(keys.items()),
-                "num_versions": 1,
-            },
+            {"txn": message.get("txn"), **self.tag_fields(message), "num_versions": 1},
             phase="get-tag-array",
         )
 
@@ -235,10 +236,7 @@ class CoordinatedServer(ReplicatedStorageServer):
         if message.get("want_tags"):
             if not self.is_coordinator:
                 raise SimulationError(f"server {self.name} asked for tags but is not the coordinator")
-            read_set = tuple(message.get("read_set", ()))
-            tag, keys = self.tag_array_for(read_set)
-            payload["tag"] = tag
-            payload["keys"] = tuple(keys.items())
+            payload.update(self.tag_fields(message))
 
 
 class CoordinatedProtocol(Protocol):

@@ -617,7 +617,6 @@ def key_read_round(
     chosen_keys: Mapping[str, Key],
     view,
     ctx: Context,
-    phase: str = "read-value",
 ):
     """Generator: fetch exact keys from every target replica, await a read
     quorum per object of which one reply is a hit.
@@ -644,7 +643,7 @@ def key_read_round(
                 dst=replica,
                 msg_type="read-val",
                 payload={"txn": txn_id, "object": object_id, "key": key, **stamp},
-                phase=phase,
+                phase="read-value",
             )
             for object_id, key in chosen_keys.items()
             for replica in view.targets(object_id)

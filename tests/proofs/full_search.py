@@ -2,11 +2,12 @@
 
 :func:`survey` runs :class:`repro.proofs.exhaust.Exploration` over one cell
 (a build: :func:`contending` for Figure 1(a)'s, :func:`figure5` for Figure
-5's) and sums up every finished trace.  :func:`full_search_classes` is the
+5's, :func:`twice` and :func:`read_after_write` for two WRITEs per writer)
+and sums up every finished trace.  :func:`full_search_classes` is the
 plain depth-first search with no reduction: every schedule of the same
 system, each run to the end.  Under a sound independence relation the
 explorer reaches every (values read, S verdict) class the full search
-reaches.  The three mutants at the end are what the cells must kill, each
+reaches.  The mutants at the end are what the cells must kill, each
 monkeypatched in over one method.
 """
 
@@ -18,6 +19,8 @@ from typing import FrozenSet, List, NamedTuple, Set, Tuple
 from repro.ioa.network import SystemSetting
 from repro.ioa.scheduler import Scheduler
 from repro.proofs.exhaust import Build, Exploration, contending_system, figure5_system
+from repro.protocols.base import SystemHandle
+from repro.protocols.registry import get_protocol
 from repro.protocols.replication import write_value_round
 from repro.txn.objects import Key
 from repro.txn.transactions import WRITE_OK
@@ -33,6 +36,36 @@ def figure5(protocol: str) -> Build:
     return partial(figure5_system, protocol)
 
 
+def twice(protocol: str, readers: int, writers: int, reads: int = 1) -> Build:
+    """Figure 1(a)'s system at two servers without client-to-client channels,
+    with two WRITEs queued at each writer (of every object, ``<writer>.1``
+    then ``<writer>.2``) and ``reads`` READs at each reader."""
+    return partial(_twice, protocol, readers, writers, reads)
+
+
+def _twice(
+    protocol: str, readers: int, writers: int, reads: int, scheduler: Scheduler, after_first: bool = False
+) -> SystemHandle:
+    handle = get_protocol(protocol).build(
+        num_readers=readers, num_writers=writers, num_objects=2, c2c=False, scheduler=scheduler
+    )
+    first = []
+    for writer in handle.writers:
+        first.append(handle.submit_write(dict.fromkeys(handle.objects, f"{writer}.1"), writer=writer))
+        handle.submit_write(dict.fromkeys(handle.objects, f"{writer}.2"), writer=writer)
+    for reader in handle.readers:
+        for _ in range(reads):
+            handle.submit_read(handle.objects, reader=reader, after=first if after_first else ())
+    return handle
+
+
+def read_after_write(protocol: str) -> Build:
+    """1R/1W with the writer's two WRITEs and a READ queued after the first
+    responds: every trace orders W1 before the READ by real time, which the
+    explorer's relation does not otherwise see (no message links them)."""
+    return partial(_twice, protocol, 1, 1, 1, after_first=True)
+
+
 class Survey(NamedTuple):
     """Every finished trace of one cell, summed up."""
 
@@ -46,15 +79,13 @@ class Survey(NamedTuple):
     rounds: FrozenSet[int]
     #: the most versions any reply of a trace carried, over the traces
     versions: FrozenSet[int]
-    #: traces in which a READ took algorithm C's fallback round
-    fallback: int
     #: traces whose tags break Lemma 20 (traces without tags are not asked)
     lemma20_failures: int
 
 
 def survey(build: Build) -> Survey:
     search = Exploration(build)
-    violating = fallback = lemma20_failures = 0
+    violating = lemma20_failures = 0
     properties: Set[str] = set()
     rounds: Set[int] = set()
     versions: Set[int] = set()
@@ -64,12 +95,11 @@ def survey(build: Build) -> Survey:
         properties.add(report.property_string())
         rounds.add(report.max_rounds())
         versions.add(report.max_versions())
-        fallback += any(r.annotations.get("fallback_rounds") for r in handle.transaction_records())
         lemma20_failures += bool(handle.tags()) and not handle.lemma20().ok
     assert search.complete
     return Survey(
         search.finished, search.pruned, violating, frozenset(properties), frozenset(rounds),
-        frozenset(versions), fallback, lemma20_failures,
+        frozenset(versions), lemma20_failures,
     )
 
 
@@ -143,6 +173,17 @@ def tag_one_too_high(self, read_set):
 def one_version_too_few(self, message, ctx):
     """Algorithm C's server leaves its newest version out of a ``Vals`` reply."""
     versions = self.store.pairs()[:-1] or self.store.pairs()
+    payload = {"txn": message.get("txn"), "object": self.object_id, "versions": versions, "num_versions": len(versions)}
+    self.extend_read_vals_payload(message, payload)
+    ctx.send(message.src, "read-vals-reply", payload, phase="read-values-and-tags")
+
+
+def newest_per_writer(self, message, ctx):
+    """Algorithm C's server shipping one version per writer: each writer's
+    newest, plus the initial version (what ``since`` = 1 names)."""
+    pairs = self.store.pairs()
+    newest = {key.writer: (key, value) for key, value in pairs}
+    versions = tuple(pair for pair in pairs if pair is pairs[0] or newest[pair[0].writer] is pair)
     payload = {"txn": message.get("txn"), "object": self.object_id, "versions": versions, "num_versions": len(versions)}
     self.extend_read_vals_payload(message, payload)
     ctx.send(message.src, "read-vals-reply", payload, phase="read-values-and-tags")

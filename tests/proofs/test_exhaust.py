@@ -1,6 +1,8 @@
 """The sleep-set explorer (:mod:`repro.proofs.exhaust`): exact counts per cell
-(Figure 1(a)'s and Figure 5's), its soundness against a search with no
-reduction, three mutants it kills, and the replay of a committed schedule.
+(Figure 1(a)'s, Figure 5's and two WRITEs per writer), its soundness against
+a search with no reduction, three mutants it kills, and the replay of
+committed schedules (Figure 5's, and the witness that no reply keeps C to
+Theorem 5's |W| versions).
 
 Each count is the number of finished runs (one per Mazurkiewicz trace under
 the distinct-automata relation) and of pruned runs under newest-first
@@ -14,6 +16,7 @@ from collections import Counter
 
 import pytest
 
+from repro.ioa.actions import ActionKind
 from repro.ioa.errors import SchedulerError
 from repro.ioa.scheduler import PendingInvocation, PendingTimeout
 from repro.proofs.eiger_example import FIGURE5_SCHEDULE
@@ -26,15 +29,20 @@ from tests.proofs.full_search import (
     figure5,
     explorer_classes,
     full_search_classes,
+    newest_per_writer,
     one_version_too_few,
+    read_after_write,
     survey,
     tag_one_too_high,
+    twice,
     write_without_info,
 )
 
-A_CELL = Survey(52, 94, 0, frozenset({"SNOW"}), frozenset({1}), frozenset({1}), 0, 0)
-B_CELL = Survey(44, 134, 0, frozenset({"SNoW"}), frozenset({2}), frozenset({1}), 0, 0)
-C_CELL = Survey(24, 82, 0, frozenset({"SNOW", "SNoW"}), frozenset({1, 2}), frozenset({1, 2}), 4, 0)
+A_CELL = Survey(52, 94, 0, frozenset({"SNOW"}), frozenset({1}), frozenset({1}), 0)
+B_CELL = Survey(44, 134, 0, frozenset({"SNoW"}), frozenset({2}), frozenset({1}), 0)
+C_CELL = Survey(24, 82, 0, frozenset({"SNOW", "SNoW"}), frozenset({1}), frozenset({1, 2}), 0)
+#: C at 1R/1W with the READ queued after the first of the writer's two WRITEs
+C_AFTER_CELL = Survey(48, 165, 0, frozenset({"SNoW"}), frozenset({1}), frozenset({2, 3}), 0)
 
 
 def test_algorithm_a_every_trace_is_snow():
@@ -47,13 +55,19 @@ def test_algorithm_b_every_trace_is_snw_in_two_rounds_one_version():
     assert survey(contending("algorithm-b", 1, 1, c2c=False)) == B_CELL
 
 
-def test_algorithm_c_fallback_corner():
-    """Theorem 5 at 1R/1W: S, N and W in every trace, and one round in all but
-    the corner its module docstring describes: in 4 of the 24 traces the data
-    reply was captured before the named version was installed, and the READ
-    takes the annotated fallback round.  So C's maximum rounds is 2, not its
-    ``claimed_read_rounds`` of 1, and the cell pins that."""
+def test_algorithm_c_every_trace_is_snw_in_one_round():
+    """Theorem 5 at 1R/1W: S, N and W in every trace, and one round in every
+    one, the 4 traces whose data reply was captured before the named version
+    was installed included (the READ returns the prefix before it)."""
     assert survey(contending("algorithm-c", 1, 1, c2c=False)) == C_CELL
+
+
+def test_algorithm_c_with_two_writes_per_writer():
+    """Theorem 5 at 1R/1W with two WRITEs queued at the writer: one round,
+    S and Lemma 20 in every trace, and up to 3 versions in a reply."""
+    cell = survey(twice("algorithm-c", 1, 1))
+    assert cell == Survey(120, 516, 0, frozenset({"SNOW", "SNoW"}), frozenset({1}), frozenset({1, 2, 3}), 0)
+    assert survey(read_after_write("algorithm-c")) == C_AFTER_CELL
 
 
 def test_naive_snow_at_two_readers():
@@ -132,19 +146,20 @@ def test_the_committed_figure5_schedule_is_the_first_a3_b1_trace():
 
 
 @pytest.mark.parametrize(
-    "protocol, finished, pruned, violating, fallback",
+    "protocol, finished, pruned, violating, rounds",
     [
-        ("naive-snow", 12, 39, 4, 0),
-        ("algorithm-b", 58, 255, 0, 0),
-        ("algorithm-c", 32, 158, 0, 16),
-        ("algorithm-a", 137, 275, 0, 0),
+        ("naive-snow", 12, 39, 4, {1}),
+        ("algorithm-b", 58, 255, 0, {2}),
+        ("algorithm-c", 30, 148, 0, {1}),
+        ("algorithm-a", 137, 275, 0, {1}),
     ],
 )
-def test_figure5_cell(protocol, finished, pruned, violating, fallback):
+def test_figure5_cell(protocol, finished, pruned, violating, rounds):
     """The paper's algorithms are S in every trace of Figure 5's system (A with
-    its client-to-client channels); C takes its fallback round in half of them."""
+    its client-to-client channels), and C reads in one round in each."""
     cell = survey(figure5(protocol))
-    assert (cell.finished, cell.pruned, cell.violating, cell.fallback) == (finished, pruned, violating, fallback)
+    assert (cell.finished, cell.pruned, cell.violating, cell.rounds) == (finished, pruned, violating, rounds)
+    assert cell.lemma20_failures == 0
 
 
 def test_replay_names_the_step_whose_key_is_not_pending():
@@ -169,21 +184,84 @@ def test_replay_of_an_overlong_schedule_names_the_first_key_left():
 # Mutants: each breaks one cell above
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
-    "protocol, c2c, target, name, mutant, pinned",
+    "build, target, name, mutant, pinned",
     [
-        ("algorithm-a", True, AlgorithmAWriter, "run_transaction", write_without_info, A_CELL),
-        ("algorithm-b", False, CoordinatedServer, "tag_array_for", tag_one_too_high, B_CELL),
-        ("algorithm-c", False, CoordinatedServer, "handle_read_vals", one_version_too_few, C_CELL),
+        (contending("algorithm-a", 1, 1, True), AlgorithmAWriter, "run_transaction", write_without_info, A_CELL),
+        (contending("algorithm-b", 1, 1, False), CoordinatedServer, "tag_array_for", tag_one_too_high, B_CELL),
+        (read_after_write("algorithm-c"), CoordinatedServer, "handle_read_vals", one_version_too_few, C_AFTER_CELL),
     ],
     ids=["a-without-info-reader", "b-tag-off-by-one", "c-one-version-too-few"],
 )
-def test_each_mutant_is_killed_by_its_cell(monkeypatch, protocol, c2c, target, name, mutant, pinned):
+def test_each_mutant_is_killed_by_its_cell(monkeypatch, build, target, name, mutant, pinned):
+    """A's writer is never told its tag; B's READs claim a tag past what they
+    read; C's READs miss the WRITE that precedes them (so they are not S
+    either: the cell orders that WRITE before the READ in every trace)."""
     monkeypatch.setattr(target, name, mutant)
-    killed = survey(contending(protocol, 1, 1, c2c))
+    killed = survey(build)
     assert killed != pinned
-    if protocol == "algorithm-c":
-        # more READs miss the named version and take the fallback round
-        assert killed.fallback > pinned.fallback
-    else:
-        # A's writer is never told its tag; B's READs claim a tag past what they read
-        assert killed.lemma20_failures > 0
+    assert killed.lemma20_failures > 0
+
+
+# ----------------------------------------------------------------------
+# Theorem 5's |W| versions: no reply can keep to it
+# ----------------------------------------------------------------------
+#: Three schedules of the two-WRITEs cell at 1R/1W.  In each, oy's server
+#: (not the coordinator) receives the same read-vals request holding the same
+#: three versions, so its reply is the same whatever it leaves out.  The READ
+#: must return a different one in each: w1.2 after both WRITEs responded
+#: before it was invoked; w1.1 when W1 responded before it and the
+#: coordinator's combined reply (ox's Vals and the List) was captured between
+#: W1 and W2; the initial version when that reply was captured before W1.
+THREE_VERSIONS = {
+    "w1.2": (
+        ("i", "W1"), ("d", 0), ("d", 1), ("d", 2), ("d", 3), ("d", 4), ("d", 5), ("i", "W2"), ("d", 6), ("d", 7),
+        ("d", 8), ("d", 9), ("d", 10), ("d", 11), ("i", "R3"), ("d", 12), ("d", 13), ("d", 14), ("d", 15),
+    ),
+    "w1.1": (
+        ("i", "W1"), ("d", 0), ("d", 1), ("d", 2), ("d", 3), ("d", 4), ("d", 5), ("i", "R3"), ("d", 6), ("d", 8),
+        ("i", "W2"), ("d", 9), ("d", 10), ("d", 11), ("d", 12), ("d", 13), ("d", 14), ("d", 7), ("d", 15),
+    ),
+    0: (
+        ("i", "R3"), ("d", 0), ("d", 2), ("i", "W1"), ("d", 3), ("d", 4), ("d", 5), ("d", 6), ("d", 7), ("d", 8),
+        ("i", "W2"), ("d", 9), ("d", 10), ("d", 11), ("d", 12), ("d", 13), ("d", 14), ("d", 1), ("d", 15),
+    ),
+}
+
+
+def read_vals_replies(handle):
+    """``{server: (request items, versions shipped)}`` of the READ's data requests."""
+    sent = [a.message for a in handle.trace() if a.kind is ActionKind.SEND and a.message is not None]
+    requests = {m.dst: m.items for m in sent if m.msg_type == "read-vals"}
+    return {m.src: (requests[m.src], m.get("versions")) for m in sent if m.msg_type == "read-vals-reply"}
+
+
+def test_one_reply_must_carry_three_versions_at_one_writer():
+    """|W| = 1, yet any reply rule ships all three versions: the same request
+    meets the same ``Vals`` at oy's server in the three schedules, and the
+    READ returns each of the three, strictly serializably.  Each is forced:
+    S by the WRITEs that responded before the READ was invoked, and the
+    coordinator's ``ox`` versions (which W1 and W2 both wrote) from above."""
+    runs = {value: replay(twice("algorithm-c", 1, 1), keys) for value, keys in THREE_VERSIONS.items()}
+    ox_server, oy_server = runs[0].servers
+    assert len({read_vals_replies(handle)[oy_server] for handle in runs.values()}) == 1
+    assert len(read_vals_replies(runs[0])[oy_server][1]) == 3
+    forced = {}
+    for value, handle in runs.items():
+        [read] = handle.history().reads()
+        assert read.result.as_dict == {"ox": value, "oy": value}
+        assert handle.serializability().ok and handle.lemma20().ok
+        preceding = tuple(write.precedes(read) for write in handle.history().writes())
+        forced[value] = preceding, len(read_vals_replies(handle)[ox_server][1])
+    assert forced == {"w1.2": ((True, True), 3), "w1.1": ((True, False), 2), 0: ((False, False), 1)}
+
+
+def test_one_version_per_writer_misses_a_write_that_preceded_the_read(monkeypatch):
+    """The one-version-per-writer reply rule ships oy's newest version and the
+    initial one; in the ``w1.1`` schedule the READ then returns the initial
+    values although W1 responded before it was invoked.  The explorer does
+    not find this (no message orders W1 before the READ), the replay does."""
+    monkeypatch.setattr(CoordinatedServer, "handle_read_vals", newest_per_writer)
+    assert survey(twice("algorithm-c", 1, 1)).violating == 0
+    handle = replay(twice("algorithm-c", 1, 1), THREE_VERSIONS["w1.1"])
+    assert handle.history().reads()[0].result.as_dict == {"ox": 0, "oy": 0}
+    assert not handle.serializability().ok

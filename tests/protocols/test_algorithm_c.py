@@ -7,7 +7,9 @@ import sys
 import pytest
 
 from repro.ioa import FIFOScheduler, RandomScheduler
+from repro.ioa.errors import SimulationError
 from repro.protocols import AlgorithmC, algorithm_c
+from repro.protocols.coordinated import CoordinatedServer
 from repro.protocols.replication import quorum_round
 from repro.txn.objects import Key, VersionStore
 from tests.conftest import build_system, run_simple_workload
@@ -100,8 +102,6 @@ class TestBoundedLatencyProperties:
         read_ids, _ = run_simple_workload(handle, rounds=3)
         records = {r.txn_id: r for r in handle.transaction_records()}
         assert all(records[read_id].rounds == 1 for read_id in read_ids)
-        # No fallback rounds under send-order delivery (see module docstring).
-        assert all(records[read_id].annotations.get("fallback_rounds", 0) == 0 for read_id in read_ids)
 
     def test_replies_carry_multiple_versions_under_contention(self):
         handle = build_system("algorithm-c", num_readers=1, num_writers=3, scheduler=FIFOScheduler())
@@ -123,23 +123,15 @@ class TestBoundedLatencyProperties:
         run_simple_workload(handle, rounds=3)
         assert handle.serializability().ok
 
-    def test_fallback_round_is_annotated_when_used(self):
-        """Across many random schedules, any fallback is recorded and bounded to one extra round."""
-        fallbacks = 0
+    def test_one_round_under_random_schedules(self):
+        """Across many random schedules every READ takes exactly one round."""
         for seed in range(1, 20):
             handle = build_system(
                 "algorithm-c", num_readers=2, num_writers=3, scheduler=RandomScheduler(seed=seed), seed=seed
             )
             read_ids, _ = run_simple_workload(handle, rounds=2)
             records = {r.txn_id: r for r in handle.transaction_records()}
-            for read_id in read_ids:
-                record = records[read_id]
-                extra = record.annotations.get("fallback_rounds", 0)
-                assert extra in (0, 1)
-                assert record.rounds <= 1 + extra
-                fallbacks += extra
-        # The corner case is rare but the accounting must be coherent either way.
-        assert fallbacks >= 0
+            assert [records[read_id].rounds for read_id in read_ids] == [1] * len(read_ids)
 
 
 def calls_per_read(writes: int, reads: int = 5) -> float:
@@ -181,7 +173,8 @@ def test_read_cost_does_not_grow_with_the_history():
 
 def old_merge(replies, read_set):
     """The reader as it was: every snapshot of an object merged into one
-    dict; a named key absent from the merge goes to the fallback round."""
+    dict; the objects whose key today's tag array names are absent from the
+    merge are ``missing``."""
     keys, merged = {}, {}
     for reply in replies:
         if reply.get("tag") is not None:
@@ -197,9 +190,10 @@ class TestLaggingReplica:
     """C at rf=3 under majority quorums with replicas of ``ox`` that lost the
     newest version (the first of them holds a WRITE no coordinator named yet,
     so no snapshot's key set contains another's):
-    the READ returns the named version, ``versions_fetched`` is the union of
-    the answering replicas' key sets, and the fallback round runs only when
-    no snapshot holds the named key."""
+    the READ returns the version today's tag array names, ``versions_fetched``
+    is the union of the answering replicas' key sets, and only when no
+    snapshot holds the named key does the READ return the prefix before it,
+    still in one round."""
 
     def run(self, monkeypatch, seed: int, lagging: int):
         captured = []
@@ -238,16 +232,50 @@ class TestLaggingReplica:
     def test_one_lagging_replica(self, monkeypatch, seed):
         record, (values, missing, versions) = self.run(monkeypatch, seed, lagging=1)
         assert record.result.as_dict == {"ox": "x3", "oy": "y3"} == values
-        assert missing == [] and record.annotations["fallback_rounds"] == 0
+        assert missing == [] and record.rounds == 1
         assert record.annotations["versions_fetched"] == versions
 
     def test_two_lagging_replicas(self, monkeypatch):
-        fallbacks = set()
+        """Two lagging replicas of three break quorum intersection: when both
+        answer, the third WRITE's version of ``ox`` is in no snapshot, and the
+        READ returns the second WRITE's prefix instead."""
+        missed = set()
         for seed in range(1, 13):
             record, (values, missing, versions) = self.run(monkeypatch, seed, lagging=2)
-            assert record.result.as_dict == {"ox": "x3", "oy": "y3"}
+            newest = 2 if missing else 3
+            assert record.result.as_dict == {"ox": f"x{newest}", "oy": f"y{newest}"}
             assert {**values, "ox": "x3"} == {"ox": "x3", "oy": "y3"}
-            assert record.annotations["fallback_rounds"] == len(missing)
+            assert record.rounds == 1 and record.annotations["tag"] == newest + 1
             assert record.annotations["versions_fetched"] == versions
-            fallbacks.add(len(missing))
-        assert fallbacks == {0, 1}  # both paths ran
+            missed.add(len(missing))
+        assert missed == {0, 1}  # both paths ran
+
+
+def test_a_read_whose_vals_miss_the_prefix_it_last_saw_fails_loudly(monkeypatch):
+    """Prefix ``since`` is in every read quorum unless a server lost its
+    versions; a READ that finds it missing raises instead of reading older."""
+
+    def no_versions(self, message, ctx):
+        payload = {"txn": message.get("txn"), "object": self.object_id, "versions": (), "num_versions": 0}
+        self.extend_read_vals_payload(message, payload)
+        ctx.send(message.src, "read-vals-reply", payload, phase="read-values-and-tags")
+
+    monkeypatch.setattr(CoordinatedServer, "handle_read_vals", no_versions)
+    handle = build_system("algorithm-c", num_readers=1, num_writers=1)
+    handle.submit_read()
+    with pytest.raises(SimulationError, match=r"R1's Vals miss List prefix 1"):
+        handle.run_to_completion()
+
+
+def test_a_read_after_the_coordinator_forgot_its_list_still_completes():
+    """Amnesia resets the coordinator's ``List`` to its initial entry, shorter
+    than the length the reader saw last: the reply starts from the reset
+    List instead of indexing past its end."""
+    handle = build_system("algorithm-c", num_readers=1, num_writers=1)
+    first = handle.submit_read(after=[handle.submit_write({"ox": "a", "oy": "b"})])
+    handle.run_to_completion()
+    handle.simulation.automaton(handle.servers[0]).forget()
+    second = handle.submit_read(after=[first])
+    handle.run_to_completion()
+    record = handle.simulation.transaction_record(second)
+    assert record.rounds == 1 and record.annotations["tag"] == 1
