@@ -7,7 +7,7 @@ designated server comes in two shapes:
   per WRITE transaction, which objects it updated and under which key,
   answering ``update-coor`` (append, returning the tag) and ``get-tag-arr``
   (per requested object, the key of the newest entry updating it; for C,
-  also the List from the length its reader saw last);
+  the entries that wrote it from the List length its reader saw last on);
 * the monotonic **timestamp counter** of the OCC baseline, answering
   ``get-ts``.
 
@@ -94,25 +94,37 @@ class CoordinatorList:
                 return position + 1
         raise SimulationError(f"the List has no entry for object {object_id!r}")
 
-    def tag_array_for(self, read_set: Sequence[str], length: Optional[int] = None) -> Tuple[int, Dict[str, Key]]:
-        """``(t_r, {object: κ})`` for the requested read set (over the first ``length`` entries)."""
+    def tag_array_for(self, read_set: Sequence[str]) -> Tuple[int, Dict[str, Key]]:
+        """``(t_r, {object: κ})`` for the requested read set."""
         keys: Dict[str, Key] = {}
         tag = 1
         for object_id in read_set:
-            index = self.latest_index_for(object_id, length)
+            index = self.latest_index_for(object_id)
             tag = max(tag, index)
             keys[object_id] = self.entries[index - 1][0]
         return tag, keys
 
-    def prefixes(self, read_set: Sequence[str], since: Optional[int]) -> Dict[str, Any]:
-        """For algorithm C's reader, which sends the List length ``since``
-        its previous tag reply reported: ``prefixes``, that length, its
-        prefix's read tag and array, and the entries appended after it."""
+    def tag_fields(self, request: Mapping[str, Any]) -> Dict[str, Any]:
+        """The tag fields of a reply to a ``get-tag-arr`` ``request``: B's tag
+        array (``tag``, ``keys``), or, for C's reader, which sends the List
+        length ``since`` its previous reply reported, ``prefixes``: ``(since,
+        length, ((object, ((position, κ), …)), …))``, per requested object
+        its newest entry among the first ``since`` and every later entry that
+        wrote it."""
+        read_set, since = tuple(request.get("read_set", ())), request.get("since")
         if since is None:
-            return {}
+            tag, keys = self.tag_array_for(read_set)
+            return {"tag": tag, "keys": tuple(keys.items())}
         since = min(since, len(self.entries))  # a List reset by amnesia is shorter
-        tag, keys = self.tag_array_for(read_set, since)
-        return {"prefixes": (since, tag, tuple(keys.items()), tuple(self.entries[since:]))}
+        named: Dict[str, List[Tuple[int, Key]]] = {}
+        for object_id in read_set:
+            index = self.latest_index_for(object_id, since)
+            named[object_id] = [(index, self.entries[index - 1][0])]
+        for position, (key, bits) in enumerate(self.entries[since:], since + 1):
+            for object_id, written in bits:
+                if written and object_id in named:
+                    named[object_id].append((position, key))
+        return {"prefixes": (since, len(self.entries), tuple((o, tuple(keys)) for o, keys in named.items()))}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -177,15 +189,7 @@ class ListStateMachine(CoordinatorStateMachine):
             tag = self.list.append(payload["key"], dict(payload.get("bits", ())))
             return "ack-coor", {"txn": payload.get("txn"), "tag": tag}
         if msg_type == "get-tag-arr":
-            read_set = tuple(payload.get("read_set", ()))
-            tag, keys = self.list.tag_array_for(read_set)
-            return "tag-arr-reply", {
-                "txn": payload.get("txn"),
-                "tag": tag,
-                "keys": tuple(keys.items()),
-                "num_versions": 1,
-                **self.list.prefixes(read_set, payload.get("since")),
-            }
+            return "tag-arr-reply", {"txn": payload.get("txn"), **self.list.tag_fields(payload), "num_versions": 1}
         raise SimulationError(f"ListStateMachine cannot apply {msg_type!r}")
 
     def reply_phase(self, msg_type: str) -> str:

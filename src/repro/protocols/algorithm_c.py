@@ -9,21 +9,22 @@ concurrently; when the coordinator itself stores one of the requested
 objects, the two are combined into a single message (as the paper notes).
 
 The coordinator's reply holds the ``List`` from the length the reader's
-previous tag reply reported (``since``) on: that prefix's tag array and the
-entries appended after it.  The READ returns the newest prefix whose named
-versions all arrived in its round, walking back only while a named key is
-missing.  Every entry was appended after its WRITE reached a write quorum, so
-the prefix that stood when the READ was invoked (``since`` or newer) is in
-any read quorum and ends the walk: one round in every schedule, and every
-WRITE that responded before the READ is seen.  (The pseudocode's one tag
-array can name a version that reached the data server after the READ's
-request did.)
+previous tag reply reported (``since``) on: per requested object, its newest
+entry in that prefix and every later entry that wrote it.  The READ returns
+the newest prefix whose named versions all arrived in its round, walking
+back only while a named key is missing.  Every entry was appended after its
+WRITE reached a write quorum, so the prefix that stood when the READ was
+invoked (``since`` or newer) is in any read quorum and ends the walk: one
+round, and every WRITE that responded before the READ is seen.  A replica
+that crashed with amnesia breaks that intersection and its ``Vals`` reply
+says so; when its object misses a named key, the READ fetches the prefix's
+named keys in a second round, which repairs the stale replicas.
 
-A reply ships the whole ``Vals``: no reply rule keeps to Theorem 5's |W|
-versions (``PAPER.md``, Figure 1(b)).  The reader scans each shipped ``Vals``
-newest-first for a named key, so a lookup costs the WRITEs concurrent with
-the READ, not the history.  Under the placement layer the round completes
-once a read quorum of ``Vals`` snapshots arrived per object.
+A reply ships the whole ``Vals``: no reply rule of this design keeps to
+Theorem 5's |W| versions (``PAPER.md``, Figure 1(b)).  The reader scans each
+shipped ``Vals`` newest-first for a named key, so a lookup costs the WRITEs
+concurrent with the READ, not the history.  Under the placement layer the
+round completes once a read quorum of ``Vals`` snapshots arrived per object.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from ..ioa.errors import SimulationError
 from ..txn.objects import Key
 from ..txn.transactions import ReadResult, ReadTransaction
 from .coordinated import CoordinatedClient, CoordinatedProtocol
-from .replication import quorum_round
+from .replication import key_read_round, quorum_round
 
 
 #: the read round's one requirement that is not an object: the tag array,
@@ -154,27 +155,28 @@ class AlgorithmCReader(CoordinatedClient, ReaderAutomaton):
         if prefixes is None:
             raise SimulationError(f"reader {self.name} never received the tag array for {txn.txn_id}")
 
-        # Each object's named keys from prefix ``start`` on, as (position,
-        # key); the base array's keys carry its tag, a position ≤ ``start``.
-        start, base_tag, base, entries = prefixes
-        named = {object_id: [(base_tag, key)] for object_id, key in base}
-        for position, (key, bits) in enumerate(entries, start + 1):
-            for object_id, written in bits:
-                if written and object_id in named:
-                    named[object_id].append((position, key))
+        # each object's named (position, key) pairs, oldest first, from prefix ``start`` on
+        start, length, pairs = prefixes
+        named = {object_id: list(keys) for object_id, keys in pairs}
         while True:
             values = {o: named_value(snapshots.get(o, ()), keys[-1][1]) for o, keys in named.items()}
-            late = [named[o][-1][0] for o, value in values.items() if value is ABSENT]
+            late = [o for o, value in values.items() if value is ABSENT]
             if not late:
                 break
+            if any(r.get("forgot") and r.get("object") in late for r in replies):
+                # the missing version may be a WRITE's that responded before
+                # this READ: fetch this prefix's named keys, and repair
+                fetched, _ = yield from key_read_round(txn.txn_id, {o: named[o][-1][1] for o in late}, view, ctx)
+                values.update(fetched)
+                break
             # every prefix from the oldest missing entry on names a missing key
-            oldest = min(late)
+            oldest = min(named[o][-1][0] for o in late)
             if oldest <= start:
                 raise SimulationError(f"reader {self.name}: {txn.txn_id}'s Vals miss List prefix {start}")
             for keys in named.values():
                 while keys[-1][0] >= oldest:
                     keys.pop()
-        self.since = start + len(entries)
+        self.since = length
 
         annotations: Dict[str, Any] = {
             "tag": max(keys[-1][0] for keys in named.values()),

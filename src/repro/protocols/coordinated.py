@@ -162,8 +162,9 @@ class CoordinatedServer(ReplicatedStorageServer):
     positions in the pseudocode; the initial entry stands for the initial
     versions) and answers ``get-tag-arr`` requests with, per requested
     object, the key of the newest list entry that updated it, together with
-    the read tag ``t_r = max`` of those positions (for C, also the List from
-    the length its reader saw last: :meth:`CoordinatorList.prefixes`).
+    the read tag ``t_r = max`` of those positions (for C, instead, the
+    entries that wrote each object from the List length its reader saw last
+    on: :meth:`CoordinatorList.tag_fields`).
     """
 
     missing_key_hint = "the coordinator only hands out keys whose write-value phase completed"
@@ -192,17 +193,6 @@ class CoordinatedServer(ReplicatedStorageServer):
     # ------------------------------------------------------------------
     # Coordinator-side helpers
     # ------------------------------------------------------------------
-    def tag_array_for(self, read_set: Sequence[str]) -> Tuple[int, Dict[str, Key]]:
-        """``(t_r, {object: κ})`` for the requested read set."""
-        return self.coordinator_list.tag_array_for(read_set)
-
-    def tag_fields(self, message: Message) -> Dict[str, Any]:
-        """The tag array a reply to ``message`` carries, and C's ``prefixes``."""
-        read_set = tuple(message.get("read_set", ()))
-        tag, keys = self.tag_array_for(read_set)
-        prefixes = self.coordinator_list.prefixes(read_set, message.get("since"))
-        return {"tag": tag, "keys": tuple(keys.items()), **prefixes}
-
     # ------------------------------------------------------------------
     def on_unhandled(self, message: Message, ctx: Context) -> None:
         if message.msg_type == "update-coor":
@@ -222,7 +212,7 @@ class CoordinatedServer(ReplicatedStorageServer):
         ctx.send(
             message.src,
             "tag-arr-reply",
-            {"txn": message.get("txn"), **self.tag_fields(message), "num_versions": 1},
+            {"txn": message.get("txn"), **self.coordinator_list.tag_fields(message), "num_versions": 1},
             phase="get-tag-array",
         )
 
@@ -236,7 +226,7 @@ class CoordinatedServer(ReplicatedStorageServer):
         if message.get("want_tags"):
             if not self.is_coordinator:
                 raise SimulationError(f"server {self.name} asked for tags but is not the coordinator")
-            payload.update(self.tag_fields(message))
+            payload.update(self.coordinator_list.tag_fields(message))
 
 
 class CoordinatedProtocol(Protocol):

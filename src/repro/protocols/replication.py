@@ -202,6 +202,10 @@ class ReplicatedStorageServer(DirectoryAwareServer, ServerAutomaton):
     #: key (replicated servers answer ``read-val-miss`` instead of raising).
     missing_key_hint = "the requested key was never installed at this server"
 
+    #: set by :meth:`forget`, and said in a ``Vals`` reply: the store may
+    #: lack versions this replica acked
+    forgot = False
+
     def __init__(
         self,
         name: str,
@@ -223,6 +227,7 @@ class ReplicatedStorageServer(DirectoryAwareServer, ServerAutomaton):
     def forget(self) -> None:
         """Crash-with-amnesia hook: lose all volatile state (the store)."""
         self.store = VersionStore(self.object_id, self.initial_value)
+        self.forgot = True
 
     def _ack_payload(self, message: Message) -> Dict[str, Any]:
         payload: Dict[str, Any] = {"txn": message.get("txn")}
@@ -316,6 +321,8 @@ class ReplicatedStorageServer(DirectoryAwareServer, ServerAutomaton):
             "versions": versions,
             "num_versions": len(versions),
         }
+        if self.forgot:
+            payload["forgot"] = True
         self._echo_attempt(message, payload)
         self.extend_read_vals_payload(message, payload)
         ctx.send(message.src, "read-vals-reply", payload, phase="read-values-and-tags")

@@ -104,8 +104,8 @@ CELLS = {
 #: sha256 of the three outputs' reprs, computed before the passes were
 #: rewritten; the metrics digests were re-pinned once, when ``ExperimentMetrics``
 #: lost its ``controller`` field (every other field's repr hashed as before),
-#: and algorithm C's once more, when its READs lost the ``fallback_rounds``
-#: annotation (the only difference in that repr)
+#: and algorithm C's once more, when its READs lost the annotation counting
+#: their fallback rounds (the only difference in that repr)
 DIGESTS = {
     "algorithm-a": (
         "b09683d3c039dd2483cf6126098c1114b3b20a0e7882ada8ff064ae7fe009e48",

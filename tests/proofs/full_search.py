@@ -164,9 +164,9 @@ def tag_one_too_high(self, read_set):
     """The coordinator's read tag compares one past the newest entry read."""
     keys, tag = {}, 1
     for object_id in read_set:
-        index = self.coordinator_list.latest_index_for(object_id)
+        index = self.latest_index_for(object_id)
         tag = max(tag, index + 1)
-        keys[object_id] = self.coordinator_list.entries[index - 1][0]
+        keys[object_id] = self.entries[index - 1][0]
     return tag, keys
 
 

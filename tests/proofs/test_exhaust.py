@@ -16,6 +16,7 @@ from collections import Counter
 
 import pytest
 
+from repro.consensus.machines import CoordinatorList
 from repro.ioa.actions import ActionKind
 from repro.ioa.errors import SchedulerError
 from repro.ioa.scheduler import PendingInvocation, PendingTimeout
@@ -187,7 +188,7 @@ def test_replay_of_an_overlong_schedule_names_the_first_key_left():
     "build, target, name, mutant, pinned",
     [
         (contending("algorithm-a", 1, 1, True), AlgorithmAWriter, "run_transaction", write_without_info, A_CELL),
-        (contending("algorithm-b", 1, 1, False), CoordinatedServer, "tag_array_for", tag_one_too_high, B_CELL),
+        (contending("algorithm-b", 1, 1, False), CoordinatorList, "tag_array_for", tag_one_too_high, B_CELL),
         (read_after_write("algorithm-c"), CoordinatedServer, "handle_read_vals", one_version_too_few, C_AFTER_CELL),
     ],
     ids=["a-without-info-reader", "b-tag-off-by-one", "c-one-version-too-few"],

@@ -7,11 +7,12 @@ import sys
 import pytest
 
 from repro.ioa import FIFOScheduler, RandomScheduler
+from repro.ioa.scheduler import AdversarialScheduler, DelayRule, holds_message, until_transaction_done
 from repro.ioa.errors import SimulationError
 from repro.protocols import AlgorithmC, algorithm_c
 from repro.protocols.coordinated import CoordinatedServer
 from repro.protocols.replication import quorum_round
-from repro.txn.objects import Key, VersionStore
+from repro.txn.objects import Key
 from tests.conftest import build_system, run_simple_workload
 
 
@@ -177,8 +178,8 @@ def old_merge(replies, read_set):
     merge are ``missing``."""
     keys, merged = {}, {}
     for reply in replies:
-        if reply.get("tag") is not None:
-            keys = dict(reply.get("keys", ()))
+        if reply.get("prefixes") is not None:
+            keys = {o: pairs[-1][1] for o, pairs in reply.get("prefixes")[2]}
         if reply.msg_type == "read-vals-reply":
             merged.setdefault(reply.get("object"), {}).update(reply.get("versions", ()))
     values = {o: merged[o][keys[o]] for o in read_set if keys[o] in merged.get(o, {})}
@@ -187,13 +188,13 @@ def old_merge(replies, read_set):
 
 
 class TestLaggingReplica:
-    """C at rf=3 under majority quorums with replicas of ``ox`` that lost the
-    newest version (the first of them holds a WRITE no coordinator named yet,
-    so no snapshot's key set contains another's):
-    the READ returns the version today's tag array names, ``versions_fetched``
-    is the union of the answering replicas' key sets, and only when no
-    snapshot holds the named key does the READ return the prefix before it,
-    still in one round."""
+    """C at rf=3 under majority quorums with replicas of ``oy`` that crashed
+    with amnesia and got back all but the newest version (the first of them
+    also holds a WRITE no coordinator named yet, so no snapshot's key set
+    contains another's): the READ returns the named version,
+    ``versions_fetched`` is the union of the answering replicas' key sets,
+    and a second round, fetching the named key, runs only when no snapshot
+    holds it."""
 
     def run(self, monkeypatch, seed: int, lagging: int):
         captured = []
@@ -215,11 +216,11 @@ class TestLaggingReplica:
         for i in range(1, 4):
             last = (handle.submit_write({"ox": f"x{i}", "oy": f"y{i}"}, after=last),)
         handle.run_to_completion()
-        group = handle.placement.group("ox")
+        group = handle.placement.group("oy")
         for name in group[:lagging]:
             server = handle.simulation.automaton(name)
             full = server.store.pairs()
-            server.store = VersionStore("ox", 0)
+            server.forget()  # ``oy``'s replicas hold no List
             for key, value in full[1:-1]:
                 server.store.put(key, value)
         handle.simulation.automaton(group[0]).store.put(Key(9, "w9"), "in flight")
@@ -236,19 +237,45 @@ class TestLaggingReplica:
         assert record.annotations["versions_fetched"] == versions
 
     def test_two_lagging_replicas(self, monkeypatch):
-        """Two lagging replicas of three break quorum intersection: when both
-        answer, the third WRITE's version of ``ox`` is in no snapshot, and the
-        READ returns the second WRITE's prefix instead."""
-        missed = set()
+        fallbacks = set()
         for seed in range(1, 13):
             record, (values, missing, versions) = self.run(monkeypatch, seed, lagging=2)
-            newest = 2 if missing else 3
-            assert record.result.as_dict == {"ox": f"x{newest}", "oy": f"y{newest}"}
-            assert {**values, "ox": "x3"} == {"ox": "x3", "oy": "y3"}
-            assert record.rounds == 1 and record.annotations["tag"] == newest + 1
+            assert record.result.as_dict == {"ox": "x3", "oy": "y3"}
+            assert {**values, "oy": "y3"} == {"ox": "x3", "oy": "y3"}
+            assert record.rounds == 1 + len(missing) and record.annotations["tag"] == 4
             assert record.annotations["versions_fetched"] == versions
-            missed.add(len(missing))
-        assert missed == {0, 1}  # both paths ran
+            fallbacks.add(len(missing))
+        assert fallbacks == {0, 1}  # both paths ran
+
+
+def test_amnesia_does_not_make_a_read_miss_a_preceding_write():
+    """rf=3 majority: W1 reached ``sy`` and ``sy.2`` but not yet ``sy.3``,
+    then ``sy`` forgot its store.  R1's read quorum for ``oy`` is ``{sy,
+    sy.3}``, neither holding W1's version; walking back to the initial prefix
+    would miss a WRITE that responded before R1 began.  The forgetful reply
+    sends R1 to a second round that fetches W1's key and repairs both."""
+    late = lambda m: m.get("txn") == "W1"  # noqa: E731
+    scheduler = AdversarialScheduler(
+        [
+            DelayRule("w1-late-at-sy.3", holds_message(dst="sy.3", predicate=late), until_transaction_done("R1")),
+            DelayRule("r1-vals-late-at-sy.2", holds_message("read-vals", dst="sy.2"), until_transaction_done("R1")),
+        ]
+    )
+    handle = build_system(
+        "algorithm-c", num_readers=1, num_writers=1, scheduler=scheduler, replication_factor=3, quorum="majority"
+    )
+    w1 = handle.submit_write({"ox": "v1", "oy": "v1"}, txn_id="W1")
+    while not handle.simulation.transaction_record(w1).complete:
+        handle.simulation.step()
+    handle.simulation.automaton("sy").forget()
+    handle.submit_read(("ox", "oy"), txn_id="R1", after=[w1])
+    handle.run_to_completion()
+    record = handle.simulation.transaction_record("R1")
+    assert record.result.as_dict == {"ox": "v1", "oy": "v1"}
+    assert record.rounds == 2
+    assert handle.serializability().ok
+    for name in ("sy", "sy.3"):
+        assert handle.simulation.automaton(name).store.get(Key(1, "w1")).value == "v1"
 
 
 def test_a_read_whose_vals_miss_the_prefix_it_last_saw_fails_loudly(monkeypatch):

@@ -109,11 +109,11 @@ class TestCoordinatedServerUnit:
         server = self.make_coordinator()
         ctx = FakeContext("s1")
         server.on_message(msg("update-coor", "w1", "s1", txn="W1", key=Key(1, "w1"), bits=(("o1", 1), ("o2", 0))), ctx)
-        tag, keys = server.tag_array_for(("o1", "o2"))
+        tag, keys = server.coordinator_list.tag_array_for(("o1", "o2"))
         assert tag == 2
         assert keys["o1"] == Key(1, "w1")
         assert keys["o2"] == Key.initial()
-        tag_only_o2, keys_only_o2 = server.tag_array_for(("o2",))
+        tag_only_o2, keys_only_o2 = server.coordinator_list.tag_array_for(("o2",))
         assert tag_only_o2 == 1
         assert keys_only_o2["o2"] == Key.initial()
 
