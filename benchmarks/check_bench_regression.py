@@ -25,6 +25,10 @@ transaction, completed share) are exact at a fixed seed, so within one
 workload every row measured at the same seed must carry identical values —
 a PR that only claims speed and moved one of them did not only change speed
 (ROADMAP item 1(c): deterministic cost columns are gated for equality).
+A PR that moves them on purpose says so in its row: ``"simulation_moved":
+"<one-line reason>"``.  Such a row must carry a ``parent`` block equal to
+the old values, must differ from it, and then holds the values every later
+row of that workload and seed must equal; drift nobody declared still fails.
 And committed evidence is a gate on speed too: a row that carries a
 ``parent`` block (the parent commit as re-measured in the same alternating
 campaign) fails when one of its host columns — the end-to-end metrics of
@@ -65,22 +69,40 @@ def simulated_column_drift(payload: Dict[str, Any]) -> List[str]:
 
     A row's seed is its own ``seed`` column, else the file's; a row's
     ``parent`` (the parent commit as re-measured beside it) is held to the
-    same values."""
-    first: Dict[Tuple[Any, Any], Tuple[str, Dict[str, Any]]] = {}
+    same values.  A row that declares ``simulation_moved`` is the exception:
+    its parent is held to the old values, and the row itself becomes what
+    later rows are held to."""
+    baseline: Dict[Tuple[Any, Any], Tuple[str, Dict[str, Any]]] = {}
     problems: List[str] = []
+
+    def differ(cell, pinned_label, pinned, label, measured) -> List[str]:
+        return [
+            f"workload {cell[0]!r} seed {cell[1]}: {column} is {pinned.get(column)!r} "
+            f"at {pinned_label} but {measured.get(column)!r} at {label}"
+            for column in SIMULATED_COLUMNS
+            if measured.get(column) != pinned.get(column)
+        ]
+
     for row in payload.get("grid", []):
         cell = (row.get("workload"), row.get("seed", payload.get("seed")))
         pr = f"PR {row.get('pr')}"
-        for label, measured in ((pr, row), (f"{pr}'s parent", row.get("parent"))):
-            if measured is None:
+        parent = row.get("parent")
+        if row.get("simulation_moved"):
+            where = f"workload {cell[0]!r} seed {cell[1]}: {pr} declares a simulation move"
+            if parent is None:
+                problems.append(f"{where} but carries no parent block")
                 continue
-            pinned_label, pinned = first.setdefault(cell, (label, measured))
-            for column in SIMULATED_COLUMNS:
-                if measured.get(column) != pinned.get(column):
-                    problems.append(
-                        f"workload {cell[0]!r} seed {cell[1]}: {column} is {pinned.get(column)!r} "
-                        f"at {pinned_label} but {measured.get(column)!r} at {label}"
-                    )
+            parent_label = f"{pr}'s parent"
+            old_label, old = baseline.setdefault(cell, (parent_label, parent))
+            problems.extend(differ(cell, old_label, old, parent_label, parent))
+            if not differ(cell, parent_label, parent, pr, row):
+                problems.append(f"{where} but its simulated columns equal its parent's")
+            baseline[cell] = (pr, row)
+            continue
+        for label, measured in ((pr, row), (f"{pr}'s parent", parent)):
+            if measured is not None:
+                pinned_label, pinned = baseline.setdefault(cell, (label, measured))
+                problems.extend(differ(cell, pinned_label, pinned, label, measured))
     return problems
 
 

@@ -49,7 +49,7 @@ leader is replaced within a bounded number of timeout windows (the
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Set, Tuple
 
 from ..ioa.actions import Message, _freeze_payload
 from ..ioa.automaton import Context, ServerAutomaton
@@ -137,9 +137,13 @@ class ReplicatedCoordinator(ServerAutomaton):
         self.recoveries = 0
         #: checkpoints this member took (stats)
         self.checkpoints = 0
-        # election-timer bookkeeping (at most one live timer per member)
+        # Election-timer bookkeeping (at most one live timer per member).
+        # The timer is the kernel's, not the member's memory: one armed
+        # before a crash still fires (deferred to the recovery), so these
+        # survive amnesia and ``_wipe`` leaves them alone.
         self._armed_at = 0
         self._last_heard = 0
+        self._timer_live = False
         self._wipe()
         if stable_store is None:
             return
@@ -180,8 +184,16 @@ class ReplicatedCoordinator(ServerAutomaton):
         # leader-side replication cursors
         self.next_index: Dict[str, int] = {}
         self.match_index: Dict[str, int] = {}
+        #: peer -> the snapshot index last shipped to it that it has not
+        #: answered yet: a silent (e.g. fail-stopped) peer gets each
+        #: snapshot once, not once per replicate
+        self._snapshot_sent: Dict[str, int] = {}
+        #: follower side: the newest ``(index, term)`` a leader announced
+        #: committed; applied once this log holds that pair (log matching
+        #: then vouches for the whole prefix), so a notice that overtakes
+        #: its entry takes effect when the entry lands
+        self._commit_anchor: Tuple[int, int] = (0, 0)
         self.machine.reset()
-        self._timer_live = False
         #: set when this member refused a vote to a candidate with an
         #: inferior log while no leader is known: the group needs a healthy
         #: member to campaign (and re-replicate) or the stale candidate
@@ -204,6 +216,10 @@ class ReplicatedCoordinator(ServerAutomaton):
         #: stable store: amnesia resets it, the documented hazard)
         self._promise_until = 0
         self._promise_holder: Optional[str] = None
+        #: locally-served reads a ``cns-lease`` round named before this
+        #: member's broadcast copy of the request arrived; the late copy is
+        #: then dropped, not buffered (nothing would ever clear it)
+        self._served_early: Set[str] = set()
 
     # ------------------------------------------------------------------
     @property
@@ -395,6 +411,8 @@ class ReplicatedCoordinator(ServerAutomaton):
             self._on_snapshot(message, ctx)
         elif msg_type == "cns-append-ack":
             self._on_append_ack(message, ctx)
+        elif msg_type == "cns-committed":
+            self._on_committed(message, ctx)
         elif msg_type == "cns-vote-req":
             self._on_vote_request(message, ctx)
         elif msg_type == "cns-vote":
@@ -405,11 +423,11 @@ class ReplicatedCoordinator(ServerAutomaton):
             self._on_lease_ack(message, ctx)
 
     def _heed_leader(self, message: Message, ctx: Context) -> bool:
-        """Raft's rule for a message from a leader (append, snapshot,
-        lease): a stale term is refused — False, and the caller answers so —
-        while a current or newer one makes this member the sender's
-        follower, which also counts as a sign of life for the election
-        timer."""
+        """Raft's rule for a message from a leader (append, commit notice,
+        snapshot, lease): a stale term is refused — False, and the caller
+        answers so — while a current or newer one makes this member the
+        sender's follower, which also counts as a sign of life for the
+        election timer."""
         term = int(message.get("term", 0))
         if term < self.election.term:
             return False
@@ -445,6 +463,10 @@ class ReplicatedCoordinator(ServerAutomaton):
             # so the client sees at most a few copies, never a quorum storm).
             if self.election.is_leader:
                 self._send_reply(request_id, ctx)
+            return
+        if request_id in self._served_early:
+            # A leader served this read and said so before this copy came.
+            self._served_early.discard(request_id)
             return
         if self.election.is_leader:
             if self.log.contains_request(request_id):
@@ -538,22 +560,30 @@ class ReplicatedCoordinator(ServerAutomaton):
         )
 
     def _send_snapshot(self, peer: str, ctx: Context) -> None:
+        """Ship the snapshot to ``peer`` once per snapshot index: until the
+        peer answers, a later replicate has nothing new to tell it."""
         if self._snapshot is None:
             raise SimulationError(
                 f"{self.name} compacted its log without retaining a snapshot"
             )
+        index = self._snapshot["index"]
+        if self._snapshot_sent.get(peer) == index:
+            return
+        self._snapshot_sent[peer] = index
         self._send(peer, "cns-snapshot", ctx, snapshot=self._snapshot)
 
     def _maybe_commit(self, ctx: Context) -> None:
         """Advance the commit index to the highest current-term entry
         replicated on a majority (counting self), then apply.
 
-        An advanced commit is immediately broadcast (an append carrying the
-        new commit index, usually with no entries): followers apply and drop
-        the request from their buffers, which is what lets their election
-        timers quiesce — without it the *last* request of a burst would sit
-        uncommitted at the followers forever and trigger a needless election
-        at idle.
+        An advanced commit is announced at once: each peer gets one
+        unacknowledged ``cns-committed`` notice carrying the commit index
+        and its term, and applies through it as soon as its log holds that
+        pair.  Followers thereby drop the request from their buffers, which
+        is what lets their election timers quiesce — without it the *last*
+        request of a burst would sit uncommitted at the followers forever
+        and trigger a needless election at idle.  Entries a peer still
+        lacks ride on the next append, as in Raft (§5.3).
         """
         before = self.log.commit_index
         for index in range(self.log.last_index, self.log.commit_index, -1):
@@ -565,16 +595,24 @@ class ReplicatedCoordinator(ServerAutomaton):
             if self._quorum_ok(supporters):
                 self.log.advance_commit(index)
                 break
+        # The members of the configuration the entries committed under: a
+        # committed joint entry's apply appends C_new, and the members that
+        # C_new drops must still hear that the joint entry committed.
+        peers = self.peers
         self._apply_committed(ctx)
         if self.log.commit_index > before:
-            self._replicate(ctx)
+            commit = self.log.commit_index
+            for peer in peers:
+                self._send(
+                    peer, "cns-committed", ctx, commit=commit, commit_term=self.log.term_at(commit)
+                )
             if self.leases:
                 # An advanced commit may satisfy the current-term guard that
                 # parked reads were waiting on.
                 self._lease_pump(ctx)
         if self._handoff_pending and self.election.is_leader:
             # This leader committed a C_new that excludes it: the commit has
-            # been broadcast above, so abdicate — the remaining members hold
+            # been announced above, so abdicate — the remaining members hold
             # an election the next time progress needs a leader.
             self._handoff_pending = False
             ctx.internal(
@@ -586,6 +624,7 @@ class ReplicatedCoordinator(ServerAutomaton):
         if not self._reply_in_term(message, LEADER, ctx):
             return
         peer = message.src
+        self._snapshot_sent.pop(peer, None)
         if message.get("ok"):
             match = int(message.get("match", 0))
             self.match_index[peer] = max(self.match_index.get(peer, 0), match)
@@ -732,7 +771,8 @@ class ReplicatedCoordinator(ServerAutomaton):
             self._promise_until = max(self._promise_until, ctx.vtime + self._lease_duration())
             self._promise_holder = message.src
             for request_id in tuple(message.get("served", ())):
-                self.pending.pop(request_id, None)
+                if self.pending.pop(request_id, None) is None:
+                    self._served_early.add(request_id)
         self._send(message.src, "cns-lease-ack", ctx, at=at, ok=heeded)
 
     def _on_lease_ack(self, message: Message, ctx: Context) -> None:
@@ -758,10 +798,11 @@ class ReplicatedCoordinator(ServerAutomaton):
             self.log.merge(prev_index, entries)
             # A merge may have installed *or truncated* a configuration
             # entry; re-derive the active config from the log (cheap: the
-            # log indexes its entries by type).  Empty appends (heartbeats,
-            # commit broadcasts) cannot change the log, so they skip both.
+            # log indexes its entries by type).  An empty append cannot
+            # change the log, so it skips both.
             self._refresh_config()
         self.log.advance_commit(int(message.get("commit", 0)))
+        self._advance_to_anchor()
         self._apply_committed(ctx)
         # Acknowledge exactly the prefix this append established — a stale
         # longer suffix past it must not inflate the leader's match cursor.
@@ -771,6 +812,29 @@ class ReplicatedCoordinator(ServerAutomaton):
         # forever.
         match = max(prev_index + len(entries), self.log.snapshot_index)
         self._send(message.src, "cns-append-ack", ctx, ok=True, match=match)
+
+    def _on_committed(self, message: Message, ctx: Context) -> None:
+        """Follower side of a commit notice: keep the newest announced
+        ``(commit, commit_term)`` and apply through it if this log holds
+        that pair; a stale term is refused as a stale append is, which
+        deposes its sender.  Never acknowledged otherwise."""
+        if not self._heed_leader(message, ctx):
+            self._send(message.src, "cns-append-ack", ctx, ok=False, match=self.log.commit_index)
+            return
+        commit = int(message.get("commit", 0))
+        if commit > self._commit_anchor[0]:
+            self._commit_anchor = (commit, int(message.get("commit_term", 0)))
+        if self._advance_to_anchor():
+            self._apply_committed(ctx)
+
+    def _advance_to_anchor(self) -> bool:
+        """Advance the commit index to the announced anchor if this log
+        holds its ``(index, term)`` pair; returns whether it moved."""
+        index, term = self._commit_anchor
+        if self.log.commit_index < index <= self.log.last_index and self.log.term_at(index) == term:
+            self.log.advance_commit(index)
+            return True
+        return False
 
     def _on_snapshot(self, message: Message, ctx: Context) -> None:
         """Install a leader-shipped snapshot (the compacted counterpart of
@@ -863,6 +927,7 @@ class ReplicatedCoordinator(ServerAutomaton):
         self._repair = False
         self.next_index = {p: self.log.last_index + 1 for p in self.peers}
         self.match_index = {p: 0 for p in self.peers}
+        self._snapshot_sent = {}
         # A fresh leader holds no lease and serves no local read until its
         # current-term no-op commits (its applied state must cover every
         # earlier-term commit before a local read can reflect them).

@@ -2,7 +2,7 @@
 
 Every read-only coordinator request (``get-tag-arr`` for algorithms B/C and
 the OCC oracle) normally costs a full commit round: append, quorum ack,
-commit broadcast, apply.  A *leader lease* lets the current leader answer
+commit notice, apply.  A *leader lease* lets the current leader answer
 those reads locally from its applied state machine instead, as long as it
 can prove no other leader may exist:
 

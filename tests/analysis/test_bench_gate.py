@@ -47,6 +47,48 @@ def test_host_columns_workloads_and_seeds_are_independent():
     assert gate.simulated_column_drift(payload) == []
 
 
+MOVE = "commits are announced by an unacknowledged notice"
+
+
+def moved(pr, parent):
+    """A row that declares a simulation move of ``events_per_txn`` to 0.9."""
+    return row(pr, events_per_txn=0.9, simulation_moved=MOVE, parent=parent)
+
+
+def test_a_declared_move_opens_the_new_baseline():
+    later = row(13, events_per_txn=0.9, parent=row(12, events_per_txn=0.9))
+    payload = {"seed": 17, "grid": [row(11), moved(12, row(11)), later]}
+    assert gate.simulated_column_drift(payload) == []
+
+
+def test_undeclared_drift_after_a_declared_move_fails():
+    payload = {"seed": 17, "grid": [row(11), moved(12, row(11)), row(13)]}  # back at the old values
+    (problem,) = gate.simulated_column_drift(payload)
+    assert "events_per_txn is 0.9 at PR 12 but 1.0 at PR 13" in problem
+
+
+def test_a_declared_move_whose_parent_is_not_the_old_baseline_fails():
+    payload = {"seed": 17, "grid": [row(11), moved(12, row(11, msgs_per_txn=9.5))]}
+    (problem,) = gate.simulated_column_drift(payload)
+    assert "msgs_per_txn is 1.0 at PR 11 but 9.5 at PR 12's parent" in problem
+
+
+def test_a_declared_move_needs_a_parent_block_and_a_move():
+    no_parent = row(12, events_per_txn=0.9, simulation_moved=MOVE)
+    (problem,) = gate.simulated_column_drift({"seed": 17, "grid": [row(11), no_parent]})
+    assert "PR 12 declares a simulation move but carries no parent block" in problem
+    unmoved = row(12, simulation_moved=MOVE, parent=row(11))
+    (problem,) = gate.simulated_column_drift({"seed": 17, "grid": [row(11), unmoved]})
+    assert "its simulated columns equal its parent's" in problem
+
+
+def test_a_declared_move_is_per_workload_and_seed():
+    other_seed = row(12, seed=3, events_per_txn=0.9)  # drift at seed 3, declared only at 17
+    payload = {"seed": 17, "grid": [row(11), row(11, seed=3), moved(12, row(11)), other_seed]}
+    (problem,) = gate.simulated_column_drift(payload)
+    assert "seed 3: events_per_txn is 1.0 at PR 11 but 0.9 at PR 12" in problem
+
+
 def test_the_committed_trajectory_is_exact():
     payload = json.loads((BENCHMARKS / "results" / "BENCH_perf.json").read_text(encoding="utf-8"))
     assert gate.simulated_column_drift(payload) == []

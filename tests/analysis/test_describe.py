@@ -22,22 +22,22 @@ algorithm-b (2R/2W/2 objects, fifo seed=3): 3 reads/reader x 2 objects, 2 writes
 zipf_s=0.0, seed=3 [replication=3, quorum=majority] [consensus=3] \
 [swap: reconfig(oy -> [sy,sy.2,sy.4] @ 20)] [faults: uniform[0,4]] [monitors, health] [trace=full] [persist(sim, compact_every=4)] [leases]
   properties: SNoW
-  metrics[algorithm-b]: 6 reads, 4 writes, 92 messages, 252 steps
+  metrics[algorithm-b]: 6 reads, 4 writes, 92 messages, 246 steps
     read rounds   : n=6 mean=2.00 min=2 p50=2 p95=2 max=2
-    read latency  : n=6 mean=170.67 min=125 p50=185 p95=197 max=197
+    read latency  : n=6 mean=166.83 min=118 p50=185 p95=195 max=195
     read messages : n=6 mean=9.33 min=9 p50=9 p95=10 max=10
     read versions : n=6 mean=1.00 min=1 p50=1 p95=1 max=1
-    write latency : n=4 mean=212.75 min=189 p50=190 p95=237 max=237
+    write latency : n=4 mean=210.25 min=183 p50=186 p95=237 max=237
     faults[faults]: availability=1.00 (reads 6/6, writes 4/4), dropped=0, retransmitted=0, duplicated=0, \
 crash-held=0, partition-held=0, abandoned=0
-    read latency (virtual): n=6 mean=81.33 min=60 p50=85 p95=96 max=96
+    read latency (virtual): n=6 mean=79.17 min=55 p50=85 p95=94 max=94
     replication: factor=3 quorum=majority (R=2, W=2, servers=6); read quorum replies: \
 n=6 mean=5.00 min=5 p50=5 p95=5 max=5
-    consensus: members=3 elections=0 leaders_elected=0 max_term=1 applied=11; commit latency: \
-n=11 mean=57.36 min=29 p50=67 p95=83 max=83; leases: acquired=6 renewed=0 expired=2 local_reads=6 \
+    consensus: members=3 elections=0 leaders_elected=0 max_term=1 applied=12; commit latency: \
+n=12 mean=55.75 min=29 p50=38 p95=83 max=83; leases: acquired=5 renewed=1 expired=2 local_reads=6 \
 (100% of reads); local-read latency: n=6 mean=22.17 min=15 p50=18 p95=34 max=34
     reconfig: epochs=2 completed=1 transferred=2 retries=0 unavailability_window=0 retired=1
-    persistence: members=3 recoveries=0 checkpoints=2 compacted=12 retained=0/4"""
+    persistence: members=3 recoveries=0 checkpoints=3 compacted=12 retained=0/4"""
 
 
 def test_every_metric_block_describes_itself():
@@ -87,14 +87,14 @@ def test_the_readme_failover_snippet_describes_the_coordinator():
         "objects=['ox', 'oy'], consensus=3 members [coor,coor.2,coor.3]"
     )
     assert handle.simulation.describe().splitlines() == [
-        "Simulation: 9 automata, 95 actions, 2 transactions (0 incomplete)",
+        "Simulation: 9 automata, 91 actions, 2 transactions (0 incomplete)",
         "Topology(clients=['r1', 'r2', 'w1', 'w2'], servers=['coor', 'coor.2', 'coor.3', 'sx', 'sy'], "
         "c2c=disallowed, consensus: [coor,coor.2,coor.3])",
         "  W1 @ w1: complete, rounds=2, result='ok'",
         "  R1 @ r1: complete, rounds=2, result=ReadResult(values=(('ox', 1), ('oy', 1)))",
     ]
     assert handle.simulation.fault_plane.describe() == (
-        "FaultInjector(coordinator-failover: crash(coor @ 12 forever); faults: sent=39 delivered=31 dropped=0 "
+        "FaultInjector(coordinator-failover: crash(coor @ 12 forever); faults: sent=37 delivered=29 dropped=0 "
         "retransmitted=0 duplicated=0 (suppressed=0) partition-held=0 crash-held=8 abandoned=0 crashes=1 recoveries=0)"
     )
-    assert handle.trace().describe(limit=2).splitlines()[-1] == "  ... (93 more actions)"
+    assert handle.trace().describe(limit=2).splitlines()[-1] == "  ... (89 more actions)"

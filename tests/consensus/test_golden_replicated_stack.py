@@ -11,7 +11,9 @@ so the compaction path is inside the pin.
 consensus member was made in one place (``Protocol.make_consensus_member``).
 A change to how a member is built, or to how its Raft rules are written,
 must reproduce all of it: the trace signature, the consensus and persistence
-metric blocks, and every member's store write counters.
+metric blocks, and every member's store write counters.  It was re-recorded
+once on purpose, when a leader began announcing each commit with one
+unacknowledged ``cns-committed`` notice instead of a second append round.
 
 Regenerate (only after a deliberate behaviour change) with
 ``PYTHONPATH=src python tests/consensus/test_golden_replicated_stack.py``.

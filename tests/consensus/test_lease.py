@@ -28,6 +28,7 @@ from repro.ioa import FIFOScheduler, RandomScheduler
 from repro.ioa.actions import Action, ActionKind
 from repro.obs import MonitorSuite, ObservabilityPlane
 from repro.obs.monitor import LeaseSafetyMonitor, offline_lease_violations
+from repro.protocols import get_protocol
 
 from tests import invariants
 from tests.consensus.conftest import COORDINATOR_PROTOCOLS, run_consensus_workload
@@ -105,18 +106,27 @@ def test_every_local_read_lands_inside_its_announced_window():
 
 
 def test_lease_expiry_is_observable():
-    """Under the chaos scheduler virtual time outruns a quiescent lease;
-    the next read logs exactly one ``lease-expired`` per lapse and then
-    re-proves a fresh window."""
-    handle = run_consensus_workload(
-        "algorithm-b",
-        leases=True,
-        scheduler=ChaosScheduler(base=FIFOScheduler()),
+    """An idle gap longer than the lease, made on purpose between two reads:
+    the second read logs exactly one ``lease-expired`` for the lapse and
+    then re-proves a fresh window."""
+    handle = get_protocol("algorithm-b").build(
+        num_readers=1, num_writers=1, num_objects=2, consensus_factor=3, leases=True, scheduler=FIFOScheduler()
     )
+    handle.submit_read(txn_id="R1")
+    handle.run()
+    lapsed = max(int(info["until"]) for info in lease_internals(handle, "lease-acquired", "lease-renewed"))
+    handle.simulation.advance_to(lapsed + 1)
+    handle.submit_read(txn_id="R2")
+    handle.run()
     expiries = lease_internals(handle, "lease-expired")
     acquisitions = lease_internals(handle, "lease-acquired")
-    assert expiries, "chaos run never let a lease lapse"
+    assert expiries, "the idle gap did not let the lease lapse"
     assert len(acquisitions) >= len(expiries)
+    (expiry,) = expiries
+    assert int(expiry["until"]) == lapsed < int(expiry["vtime"])
+    (second,) = [info for info in lease_internals(handle, "local-read") if info["request"] == "get-tag-arr/R2"]
+    assert int(second["vtime"]) < int(second["until"]) and int(second["until"]) > lapsed
+    assert all(record.complete for record in handle.transaction_records())
 
 
 def test_streaming_monitor_watches_a_leased_run():

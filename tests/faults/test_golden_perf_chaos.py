@@ -7,7 +7,9 @@ repeated on (3).  A change that only makes the fault and observability planes
 faster must reproduce all of it: the trace, every fault counter, zero monitor
 alerts, and the registry snapshot instrument for instrument.  The health
 report was added later, recorded on the commit before the listeners were made
-to pay once per action; the other four keys stayed byte-identical.
+to pay once per action; the other four keys stayed byte-identical.  All five
+were re-recorded when the coordinator group began announcing commits with an
+unacknowledged notice, a change of the wire, not of the planes.
 """
 
 from __future__ import annotations

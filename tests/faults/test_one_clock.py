@@ -9,7 +9,8 @@ the health plane on.
 
 ``golden_one_clock.json`` pins each run's trace signature, ``steps_taken``
 and final ``now()``; it was recorded while the scheduler still kept a clock
-of its own, and reads the same on the kernel's.  That older clock was the raw
+of its own, and reads the same on the kernel's.  It was re-recorded when the
+coordinator group began announcing commits with an unacknowledged notice.  That older clock was the raw
 step counter: it missed the kernel's jump, called the ripe timer unripe, and
 reported a fast-forward and a health stall that never happened (12 of these
 15 runs, 1–2 stalls each).  The kernel now offers a scheduler ripe events

@@ -105,7 +105,10 @@ CELLS = {
 #: rewritten; the metrics digests were re-pinned once, when ``ExperimentMetrics``
 #: lost its ``controller`` field (every other field's repr hashed as before),
 #: and algorithm C's once more, when its READs lost the annotation counting
-#: their fallback rounds (the only difference in that repr)
+#: their fallback rounds (the only difference in that repr); the span tree
+#: and metrics of the two cf=3 cells were re-pinned when the coordinator
+#: group began announcing commits with an unacknowledged notice (their runs
+#: send other consensus messages; both SNOW digests stayed as they were)
 DIGESTS = {
     "algorithm-a": (
         "b09683d3c039dd2483cf6126098c1114b3b20a0e7882ada8ff064ae7fe009e48",
@@ -133,14 +136,14 @@ DIGESTS = {
         "158a1fa4294b48773b0d365c426f25d10c9e0d3abf7f3e23923f52668ae6b70f",
     ),
     "b-lost-election-stuck-reconfig": (
-        "38c91b57c8daf074ea969cd4a0a6edc7b5f0ad4c39af51039a68605bd3eaa6e2",
+        "a8400bc89682a6bfe0b7f6318a177924b016f28ff1c644a397045e043970dc1f",
         "825987eb8797a8d31db9f8a0139a4e12014a86c522d2311cabc8b43fd5013a65",
-        "e2157bb2a572c3f1c15b0c713ec443c2d53aa3498ddeec1bfcade45807cc4ed3",
+        "ac4625a944ad307d1797f56e6ab08cfe92535ef2618b60d2c67bf9e3dd77a33c",
     ),
     "b-rf3-cf3-leases-failover": (
-        "f2915d8d341d9110b38932d310175d198c5882f1525070187f64e2d4780dd87f",
+        "a7d8ad5ef6835362ccea1fe1392d8692c7e1a2c3c2501a1c33c36da8284111f1",
         "b3687f8642510bb1cc2599cfb57ec1160c06a34679cac285f6bc9e44cb5151a7",
-        "c1bc7d2ecc1f2c9ab870f1b236608478bbca434090d17051e3f6605fdaf33809",
+        "4dd5409c74f3c699638b216a9f2c67d16e1e15b5ed39e8ae02e1d9a96eca19b1",
     ),
     "eiger": (
         "d16f5afc91a8e7deae1ab92cc70e8c8debc08fd30eaaf5b5da0fe3ede98580ab",

@@ -306,3 +306,21 @@ def test_a_read_after_the_coordinator_forgot_its_list_still_completes():
     handle.run_to_completion()
     record = handle.simulation.transaction_record(second)
     assert record.rounds == 1 and record.annotations["tag"] == 1
+
+
+@pytest.mark.xfail(
+    reason="at cf=1 the coordinator's List lives only in its server's volatile "
+    "state: amnesia resets it to the initial entry, so a READ after it names the "
+    "initial keys and returns the initial values although a WRITE responded "
+    "before it (not strictly serializable); a durable or replicated List is the fix",
+    strict=True,
+)
+@pytest.mark.parametrize("protocol", ("algorithm-b", "algorithm-c"))
+def test_a_read_after_the_coordinator_forgot_its_list_is_strictly_serializable(protocol):
+    handle = build_system(protocol, num_readers=1, num_writers=1)
+    first = handle.submit_read(after=[handle.submit_write({"ox": "a", "oy": "b"})])
+    handle.run_to_completion()
+    handle.simulation.automaton(handle.servers[0]).forget()
+    handle.submit_read(after=[first])
+    handle.run_to_completion()
+    assert handle.serializability().ok
