@@ -366,13 +366,13 @@ class PersistenceMetrics:
 
     Only populated when consensus members ran with a
     :class:`~repro.persist.PersistencePlane` attached.  ``recoveries`` counts
-    the crash-recovery paths actually taken (``forget()`` with a store),
-    ``checkpoints``/``compacted_entries`` the log-compaction activity, and
-    ``retained_entries`` the *largest* in-memory log suffix any member ended
-    with — the number compaction is supposed to bound (compare against
-    ``log_length``, the full history length).  ``journal_bytes`` totals the
-    on-disk journal sizes for file-backed stores (``None`` for the in-sim
-    backend)."""
+    the crash-recovery paths actually taken (``forget()`` with a durable
+    store), ``checkpoints``/``compacted_entries`` the log-compaction
+    activity, and ``retained_entries`` the *largest* in-memory log suffix
+    any member ended with — the number compaction is supposed to bound
+    (compare against ``log_length``, the full history length).
+    ``journal_bytes`` totals the on-disk journal sizes for file-backed
+    stores (``None`` for the in-sim backend)."""
 
     members: int
     recoveries: int
@@ -618,10 +618,10 @@ def _collect_reconfig_metrics(simulation: Simulation, directory) -> Optional[Rec
 
 
 def _collect_persistence_metrics(simulation: Simulation) -> Optional[PersistenceMetrics]:
-    """Build the persistence block when members carry stable stores."""
+    """Build the persistence block when members carry durable stores."""
     group = getattr(simulation.topology, "consensus_group", lambda: ())()
     members = [simulation.automaton(name) for name in group]
-    members = [m for m in members if getattr(m, "stable_store", None) is not None]
+    members = [m for m in members if m.stable_store.durable]
     if not members:
         return None
     stores = [m.stable_store for m in members]

@@ -513,7 +513,7 @@ _PERSISTENCE_MODES: Dict[str, Optional[PersistencePolicy]] = {
 
 def _amnesia(seed: int, mode: str, scenario: str) -> Dict[str, Any]:
     """``amnesia-member`` crashes one consensus member with amnesia and
-    recovers it mid-run: with a store attached it recovers its
+    recovers it mid-run: with a durable store it recovers its
     term/vote/log instead of resetting."""
     plan = FaultPlan.none()
     if scenario == "amnesia-member":

@@ -56,7 +56,7 @@ from ..ioa.automaton import Context, ServerAutomaton
 from ..ioa.errors import SimulationError
 from .election import CANDIDATE, DEFAULT_TIMEOUT_RANGE, LEADER, LeaderElection
 from .lease import LeaderLeaseState
-from .log import NOOP, ConsensusLog, LogEntry
+from .log import NOOP, ConsensusLog, LogEntry, StableStore
 from .machines import CoordinatorStateMachine
 
 #: Re-exported under the name the rest of the repository uses.
@@ -99,7 +99,7 @@ class ReplicatedCoordinator(ServerAutomaton):
         election_timeout: Tuple[int, int] = DEFAULT_ELECTION_TIMEOUT,
         bootstrap_leader: Optional[str] = None,
         leases: bool = False,
-        stable_store: Optional[Any] = None,
+        stable_store: Optional[StableStore] = None,
         compact_every: Optional[int] = None,
     ) -> None:
         super().__init__(name)
@@ -116,19 +116,21 @@ class ReplicatedCoordinator(ServerAutomaton):
         #: a late-joining member names a *current* member as its bootstrap
         #: leader so it never believes itself leader of term 1
         self.bootstrap_leader = bootstrap_leader if bootstrap_leader is not None else group[0]
-        #: When on (``BuildConfig.leases``), the leader answers read-only
-        #: requests (``machine.read_only_types``) locally from its applied state
-        #: machine under a quorum-proven lease instead of committing a log entry
-        #: — see :mod:`repro.consensus.lease`.  Off by default: the lease fast
-        #: path adds messages, payload fields and trace actions, so golden
-        #: traces pin the lease-free shape.
+        #: ``BuildConfig.leases``
         self.leases = leases
-        #: Stable storage (``BuildConfig.persistence``): term/vote/log/commit
-        #: write through before they take effect, and ``forget()`` recovers
-        #: from the store instead of coming back blank — crash-with-amnesia
-        #: degrades to ordinary crash-recovery, restoring Raft's persistence
-        #: assumption.
-        self.stable_store = stable_store
+        #: The request types the leader answers locally from its applied
+        #: state machine under a quorum-proven lease instead of committing a
+        #: log entry (see :mod:`repro.consensus.lease`): the machine's
+        #: read-only types with leases on, none with them off — then no lease
+        #: round is ever sent, and golden traces pin that lease-free shape.
+        self._local_reads: Tuple[str, ...] = machine.read_only_types if leases else ()
+        #: Stable storage: term/vote/log/commit write through before they
+        #: take effect, and ``forget()`` recovers from the store.  A durable
+        #: store (``BuildConfig.persistence``) makes crash-with-amnesia
+        #: ordinary crash-recovery, restoring Raft's persistence assumption;
+        #: without one the member writes to a :class:`StableStore` that keeps
+        #: nothing, and recovers blank.
+        self.stable_store = stable_store or StableStore()
         #: When set, checkpoint the state machine and compact the log every
         #: time the applied-but-uncompacted prefix reaches this many entries
         #: (``PersistencePolicy.compact_every``).
@@ -145,14 +147,10 @@ class ReplicatedCoordinator(ServerAutomaton):
         self._last_heard = 0
         self._timer_live = False
         self._wipe()
-        if stable_store is None:
-            return
-        if stable_store.is_empty():
+        if self.stable_store.is_empty():
             # Seal the bootstrap vote, so a crash before any mutation still
             # recovers it; every later mutation writes through.
-            stable_store.save_meta(self.election.term, self.election.voted_for)
-            self.election.attach_store(stable_store)
-            self.log.attach_store(stable_store)
+            self.stable_store.save_meta(self.election.term, self.election.voted_for)
         else:
             self._recover()
 
@@ -169,8 +167,9 @@ class ReplicatedCoordinator(ServerAutomaton):
             initial_leader=self.bootstrap_leader,
             seed=self.seed,
             timeout_range=self.election_timeout,
+            store=self.stable_store,
         )
-        self.log = ConsensusLog()
+        self.log = ConsensusLog(self.stable_store)
         #: known leader of the current term (None while electing)
         self.leader: Optional[str] = self.bootstrap_leader
         #: set when this leader committed a C_new that excludes it: hand off
@@ -203,9 +202,9 @@ class ReplicatedCoordinator(ServerAutomaton):
         #: checkpoint, a leader-installed one, or the recovered one); the
         #: log's compacted prefix is exactly what this covers
         self._snapshot: Optional[Dict[str, Any]] = None
-        # Lease state (all inert unless ``leases`` is on):
-        #: leader-side lease bookkeeping, created lazily on the first read
-        self._lease: Optional[LeaderLeaseState] = None
+        # Lease state (all inert while ``_local_reads`` is empty):
+        #: leader-side lease bookkeeping, fresh for each leadership term
+        self._lease = LeaderLeaseState(self._lease_duration())
         #: first log index of this member's current leadership term; local
         #: reads are refused until the commit index reaches it (the leader
         #: must know its applied state covers every earlier-term commit)
@@ -306,23 +305,23 @@ class ReplicatedCoordinator(ServerAutomaton):
         )
 
     def forget(self) -> None:
-        """Crash-with-amnesia hook: lose *all* volatile state.
+        """Crash-with-amnesia hook: lose *all* volatile state, then
+        :meth:`_recover` what the stable store kept.
 
         Raft's safety argument assumes term/vote/log survive crashes; an
         amnesiac member can double-vote, so replicated-coordinator systems
-        model crash-recovery with durable state.  Without a stable store
-        this hook keeps the fault plane's contract honest (tests document
-        the hazard); with one (``BuildConfig.persistence``) the volatile
-        wipe is followed by :meth:`_recover`, and amnesia degrades to
-        ordinary crash-recovery.
+        model crash-recovery with durable state.  A durable store
+        (``BuildConfig.persistence``) gives amnesia back as ordinary
+        crash-recovery; the store that keeps nothing gives back a blank
+        member, which keeps the fault plane's contract honest (tests
+        document the hazard).
         """
         self._wipe()
         self.leader = None
         if self.name == self.bootstrap_leader:
             # A blank bootstrap leader must not resume leading: it lost its log.
             self.election.step_down(self.election.term)
-        if self.stable_store is not None:
-            self._recover()
+        self._recover()
 
     # ------------------------------------------------------------------
     # Stable storage (persistence plane)
@@ -336,7 +335,6 @@ class ReplicatedCoordinator(ServerAutomaton):
         meta = store.load_meta()
         if meta is not None:
             self.election.restore(*meta)
-        self.election.attach_store(store)
         self.leader = None
         snapshot = store.load_snapshot()
         index = term = 0
@@ -346,10 +344,10 @@ class ReplicatedCoordinator(ServerAutomaton):
             self.applied_replies = dict(snapshot["replies"])
             index, term = int(snapshot["index"]), int(snapshot["term"])
         self.log.restore(index, term, store.load_entries(), store.load_commit())
-        self.log.attach_store(store)
         self._refresh_config()
         self._replay_committed()
-        self.recoveries += 1
+        if store.durable:
+            self.recoveries += 1
 
     def _replay_committed(self) -> None:
         """Recovery twin of :meth:`_apply_committed`: same exactly-once
@@ -471,10 +469,7 @@ class ReplicatedCoordinator(ServerAutomaton):
         if self.election.is_leader:
             if self.log.contains_request(request_id):
                 return
-            if (
-                self.leases
-                and message.msg_type in self.machine.read_only_types
-            ):
+            if message.msg_type in self._local_reads:
                 self._on_read_request(request_id, message, ctx)
                 return
             if message.msg_type == RECONFIG:
@@ -606,10 +601,9 @@ class ReplicatedCoordinator(ServerAutomaton):
                 self._send(
                     peer, "cns-committed", ctx, commit=commit, commit_term=self.log.term_at(commit)
                 )
-            if self.leases:
-                # An advanced commit may satisfy the current-term guard that
-                # parked reads were waiting on.
-                self._lease_pump(ctx)
+            # An advanced commit may satisfy the current-term guard that
+            # parked reads were waiting on.
+            self._lease_pump(ctx)
         if self._handoff_pending and self.election.is_leader:
             # This leader committed a C_new that excludes it: the commit has
             # been announced above, so abdicate — the remaining members hold
@@ -637,24 +631,19 @@ class ReplicatedCoordinator(ServerAutomaton):
             self._send_append(peer, ctx)
 
     # ------------------------------------------------------------------
-    # Leader leases (``leases`` only; see repro.consensus.lease)
+    # Leader leases (see repro.consensus.lease)
     # ------------------------------------------------------------------
     def _lease_duration(self) -> int:
         """The low end of the election-timeout range: a lease lapses before
         any successor's election timer can fire."""
         return max(1, int(self.election_timeout[0]))
 
-    def _lease_state(self) -> LeaderLeaseState:
-        if self._lease is None:
-            self._lease = LeaderLeaseState(self._lease_duration())
-        return self._lease
-
     def _on_read_request(self, request_id: str, message: Message, ctx: Context) -> None:
         """Leader fast path for a read-only request: park it on the lease
         and pump — a live proven lease serves it immediately (latency 0),
         otherwise the extension round in flight proves the window for every
         read parked behind it in one evaluation."""
-        lease = self._lease_state()
+        lease = self._lease
         if request_id in lease.reads:
             return
         if lease.expiry and not lease.live(ctx.vtime) and not lease.expired_logged:
@@ -700,8 +689,6 @@ class ReplicatedCoordinator(ServerAutomaton):
         """Serve every parked read the proven window covers, then keep an
         extension round in flight while anything still needs one."""
         lease = self._lease
-        if lease is None or not self.election.is_leader:
-            return
         if (
             lease.reads
             and lease.live(ctx.vtime)
@@ -717,7 +704,7 @@ class ReplicatedCoordinator(ServerAutomaton):
         self._maybe_start_lease_round(ctx)
 
     def _maybe_start_lease_round(self, ctx: Context) -> None:
-        lease = self._lease  # a leader's: only _lease_pump calls this
+        lease = self._lease
         if lease.round_open or not (lease.reads or lease.notify):
             return
         lease.round_open = True
@@ -763,8 +750,6 @@ class ReplicatedCoordinator(ServerAutomaton):
         virtual clock is skew-free, so receive time >= send time and the
         promise provably covers the leader's window), drop the broadcast
         copies of locally-served reads, and acknowledge."""
-        if not self.leases:
-            return
         at = int(message.get("at", 0))
         heeded = self._heed_leader(message, ctx)
         if heeded:
@@ -776,9 +761,7 @@ class ReplicatedCoordinator(ServerAutomaton):
         self._send(message.src, "cns-lease-ack", ctx, at=at, ok=heeded)
 
     def _on_lease_ack(self, message: Message, ctx: Context) -> None:
-        if not self._reply_in_term(message, LEADER, ctx):
-            return
-        if self._lease is None or not message.get("ok"):
+        if not self._reply_in_term(message, LEADER, ctx) or not message.get("ok"):
             return
         self._lease.record_ack(message.src, int(message.get("at", 0)))
         self._refresh_lease(ctx)
@@ -901,7 +884,7 @@ class ReplicatedCoordinator(ServerAutomaton):
         inside a proven lease window, so a candidate waits the old lease out.
         (The holder itself may reclaim: a same-member re-election cannot
         produce a stale read.)"""
-        return self.leases and self._promise_until > ctx.vtime and candidate != self._promise_holder
+        return self._promise_until > ctx.vtime and candidate != self._promise_holder
 
     def _on_vote(self, message: Message, ctx: Context) -> None:
         if self._reply_in_term(message, CANDIDATE, ctx) and message.get("granted"):
@@ -931,7 +914,7 @@ class ReplicatedCoordinator(ServerAutomaton):
         # A fresh leader holds no lease and serves no local read until its
         # current-term no-op commits (its applied state must cover every
         # earlier-term commit before a local read can reflect them).
-        self._lease = None
+        self._lease = LeaderLeaseState(self._lease_duration())
         self._term_start_index = self.log.last_index + 1
         ctx.internal(
             consensus="became-leader",
@@ -966,14 +949,12 @@ class ReplicatedCoordinator(ServerAutomaton):
         was_leader = self.election.is_leader
         self.election.step_down(term)
         self.leader = leader
-        if self._lease is not None:
+        if was_leader:
             # Unserved parked reads survive a deposition: they join the
             # follower buffer and are re-proposed (as ordinary committed
             # entries) if no other copy reaches the new leader.
             for request_id, (request, _arrived_at) in self._lease.reads.items():
                 self.pending.setdefault(request_id, request)
-            self._lease = None
-        if was_leader:
             ctx.internal(consensus="stepped-down", term=term, member=self.name)
 
     # ------------------------------------------------------------------
@@ -1094,7 +1075,7 @@ class ReplicatedCoordinator(ServerAutomaton):
                 continue
             self._apply_request(entry.request_id, entry)
             self.pending.pop(entry.request_id, None)
-            if self.leases and entry.msg_type in self.machine.read_only_types:
+            if entry.msg_type in self._local_reads:
                 info["read"] = True
             ctx.internal(**info)
             if self.election.is_leader:

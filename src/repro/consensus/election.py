@@ -20,9 +20,10 @@ at all, stay byte-identical to the seed).
 from __future__ import annotations
 
 import random
-from typing import Any, Optional, Set, Tuple
+from typing import Optional, Set, Tuple
 
 from ..ioa.scheduler import draw_below
+from .log import StableStore
 
 FOLLOWER = "follower"
 CANDIDATE = "candidate"
@@ -45,6 +46,7 @@ class LeaderElection:
         initial_leader: str,
         seed: int = 0,
         timeout_range: Tuple[int, int] = DEFAULT_TIMEOUT_RANGE,
+        store: Optional[StableStore] = None,
     ) -> None:
         if group_size < 1:
             raise ValueError(f"consensus group size must be >= 1, got {group_size}")
@@ -60,17 +62,13 @@ class LeaderElection:
         self.voted_for: Optional[str] = initial_leader
         self.votes: Set[str] = set()
         self._rng = random.Random(((seed & 0xFFFFFFFF) * 1_000_003 + index * 97) ^ 0xE1EC7)
-        #: attached stable store (write-through; None = volatile)
-        self._store: Optional[Any] = None
+        #: ``(term, voted_for)`` writes through to this store on every
+        #: mutation — a vote or candidacy is durable before anyone sees it
+        self._store = store or StableStore()
 
     # ------------------------------------------------------------------
     # Stable storage (Raft's persist-before-act rule for term and vote)
     # ------------------------------------------------------------------
-    def attach_store(self, store: Any) -> None:
-        """Write ``(term, voted_for)`` through to ``store`` on every later
-        mutation — a vote or candidacy is durable before anyone can see it."""
-        self._store = store
-
     def restore(self, term: int, voted_for: Optional[str]) -> None:
         """Reload persisted election state (recovery path).  A recovered
         member always restarts as a follower: role and gathered votes are
@@ -81,8 +79,7 @@ class LeaderElection:
         self.votes = set()
 
     def _persist(self) -> None:
-        if self._store is not None:
-            self._store.save_meta(self.term, self.voted_for)
+        self._store.save_meta(self.term, self.voted_for)
 
     # ------------------------------------------------------------------
     @property

@@ -24,10 +24,13 @@ Reads arriving while an extension round is in flight are batched: they park
 on the leader and the single quorum evaluation that closes the round proves
 the window for all of them at once.
 
-``leases=None`` (the default) leaves every message, field and trace action
-byte-identical to the seed; the fast path exists only under ``leases=True``.
-The lease duration is not a setting: it is always the election timeout's low
-bound, the longest lease that is still safe.
+Every leader holds a :class:`LeaderLeaseState`; ``leases`` only decides
+which request types it serves under the lease (the machine's read-only
+types, or none).  With ``leases=None`` (the default) that set is empty, so
+no read parks, no round is sent, and every message, field and trace action
+stays byte-identical to the seed.  The lease duration is not a setting: it
+is always the election timeout's low bound, the longest lease that is still
+safe.
 """
 
 from __future__ import annotations

@@ -21,9 +21,11 @@ Compaction (PR 9): a log may discard its *applied* prefix behind a state-
 machine snapshot (:meth:`compact` / :meth:`install_snapshot`).  Indices stay
 global — ``snapshot_index`` is the base the in-memory suffix hangs off —
 and queries into the discarded prefix raise :class:`CompactedLogError`
-loudly instead of answering from thin air.  With an attached
-:class:`~repro.persist.store.StableStore` every mutation writes through, so
-term/vote/log survive a crash (Raft's persistence rules).
+loudly instead of answering from thin air.  Every mutation writes through
+to the log's :class:`StableStore`: a durable backend
+(:mod:`repro.persist.store`) keeps term/vote/log across a crash (Raft's
+persistence rules), and the base class, a volatile member's store, keeps
+nothing.
 """
 
 from __future__ import annotations
@@ -37,6 +39,76 @@ from ..ioa.errors import SimulationError
 
 class CompactedLogError(SimulationError):
     """A query addressed an index that was compacted away behind a snapshot."""
+
+
+class StableStore:
+    """A member's stable storage; this base class is the store that keeps
+    nothing, the one a volatile member writes to.
+
+    The write API mirrors what a member persists (Raft figure 2's
+    "persistent state" plus the snapshot):
+
+    * ``save_meta(term, voted_for)`` — election state, written before any
+      vote or candidacy takes effect;
+    * ``log_append(index, entry)`` / ``log_truncate(from_index)`` — the log,
+      written through on every append/merge;
+    * ``save_commit(index)`` — the commit cursor (recovery could re-learn it
+      from the leader; persisting it lets a recovered member replay its
+      applied state at once);
+    * ``save_snapshot(snapshot)`` — a checkpoint of the applied state
+      machine; entries at or below ``snapshot["index"]`` are discarded from
+      the store (log compaction).
+
+    Here each save drops what it is given and each load returns the empty
+    value, so recovering from this store yields a blank member: exactly
+    what crash-with-amnesia leaves.  The durable backends
+    (:mod:`repro.persist`) override every method and set ``durable``.
+    """
+
+    backend = "none"
+    #: whether what is saved survives ``forget()``
+    durable = False
+
+    def __init__(self) -> None:
+        #: write counters (observability / benchmarks; no behaviour hangs
+        #: off them)
+        self.meta_saves = 0
+        self.appends = 0
+        self.truncations = 0
+        self.commit_saves = 0
+        self.snapshots = 0
+
+    def save_meta(self, term: int, voted_for: Optional[str]) -> None:
+        pass
+
+    def load_meta(self) -> Optional[Tuple[int, Optional[str]]]:
+        return None
+
+    def log_append(self, index: int, entry: Any) -> None:
+        pass
+
+    def log_truncate(self, from_index: int) -> None:
+        pass
+
+    def load_entries(self) -> Tuple[Tuple[int, Any], ...]:
+        """The stored ``(index, entry)`` suffix, ascending by index."""
+        return ()
+
+    def save_commit(self, index: int) -> None:
+        pass
+
+    def load_commit(self) -> int:
+        return 0
+
+    def save_snapshot(self, snapshot: Mapping[str, Any]) -> None:
+        """Persist a checkpoint and discard entries <= ``snapshot['index']``."""
+
+    def load_snapshot(self) -> Optional[Dict[str, Any]]:
+        return None
+
+    def is_empty(self) -> bool:
+        return True
+
 
 #: Entry type appended by a freshly elected leader to commit prior-term
 #: entries (Raft §5.4.2: a leader only counts replicas for entries of its
@@ -70,7 +142,7 @@ class LogEntry:
 class ConsensusLog:
     """Append/commit/apply state of one consensus member."""
 
-    def __init__(self) -> None:
+    def __init__(self, store: Optional[StableStore] = None) -> None:
         self._entries: List[LogEntry] = []
         self.commit_index = 0
         self.last_applied = 0
@@ -83,8 +155,8 @@ class ConsensusLog:
         self.snapshot_term = 0
         #: cumulative entries discarded by compaction (stats only)
         self.compacted_entries = 0
-        #: attached stable store (write-through; None = volatile)
-        self._store: Optional[Any] = None
+        #: every mutation writes through to this store
+        self._store = store or StableStore()
         #: request-id refcounts over ``_entries`` (re-proposed entries may
         #: legitimately appear twice), making :meth:`contains_request` O(1)
         #: instead of a full-log scan per client request.
@@ -93,10 +165,6 @@ class ConsensusLog:
         #: ascending: :meth:`newest` bisects instead of scanning back through
         #: a log that, uncompacted, grows for the whole run
         self._indices: Dict[str, List[int]] = {}
-
-    def attach_store(self, store: Any) -> None:
-        """Write every later mutation through to ``store``."""
-        self._store = store
 
     def _register(self, entry: LogEntry, index: int) -> None:
         """Index a new last entry (``index`` = its global index)."""
@@ -176,8 +244,7 @@ class ConsensusLog:
         self._entries.append(entry)
         index = self.last_index
         self._register(entry, index)
-        if self._store is not None:
-            self._store.log_append(index, entry)
+        self._store.log_append(index, entry)
         return index
 
     # ------------------------------------------------------------------
@@ -226,12 +293,10 @@ class ConsensusLog:
                 del self._entries[position:]
                 for indices in self._indices.values():
                     del indices[bisect_left(indices, index):]
-                if self._store is not None:
-                    self._store.log_truncate(index)
+                self._store.log_truncate(index)
             self._entries.append(entry)
             self._register(entry, index)
-            if self._store is not None:
-                self._store.log_append(index, entry)
+            self._store.log_append(index, entry)
 
     # ------------------------------------------------------------------
     # Commit / apply bookkeeping
@@ -241,8 +306,7 @@ class ConsensusLog:
         index = min(int(index), self.last_index)
         if index > self.commit_index:
             self.commit_index = index
-            if self._store is not None:
-                self._store.save_commit(index)
+            self._store.save_commit(index)
         return self.commit_index
 
     def take_unapplied(self) -> Tuple[Tuple[int, LogEntry], ...]:
@@ -289,8 +353,7 @@ class ConsensusLog:
         dropped = self._drop_prefix(through)
         self.snapshot_index = through
         self.snapshot_term = int(snapshot["term"])
-        if self._store is not None:
-            self._store.save_snapshot(dict(snapshot))
+        self._store.save_snapshot(dict(snapshot))
         return dropped
 
     def install_snapshot(self, snapshot: Mapping[str, Any]) -> bool:
@@ -315,14 +378,12 @@ class ConsensusLog:
             self.compacted_entries += len(self._entries)
             self._entries = []
             self._indices = {}
-            if self._store is not None:
-                self._store.log_truncate(index + 1)
+            self._store.log_truncate(index + 1)
         self.snapshot_index = index
         self.snapshot_term = term
         self.commit_index = max(self.commit_index, index)
         self.last_applied = max(self.last_applied, index)
-        if self._store is not None:
-            self._store.save_snapshot(dict(snapshot))
+        self._store.save_snapshot(dict(snapshot))
         return needs_restore
 
     def restore(

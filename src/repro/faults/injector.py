@@ -462,12 +462,12 @@ class FaultInjector(FaultPlane):
                 # was lost at the onset; the loss becomes observable now, so
                 # reset the automaton at the recovery boundary and record it.
                 # Amnesia only wipes *volatile* state: an automaton with a
-                # stable store attached reloads its durable state inside
+                # durable stable store reloads that state inside
                 # ``forget()`` and the record says so.
                 automaton = kernel.automaton(server)
                 automaton.forget()
                 info = {"fault": "amnesia"}
-                if getattr(automaton, "stable_store", None) is not None:
+                if getattr(getattr(automaton, "stable_store", None), "durable", False):
                     info["durable"] = "recovered"
                 kernel._record_internal(server, info)
         self._crashed = currently

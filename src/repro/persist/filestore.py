@@ -124,6 +124,7 @@ class FileStableStore(StableStore):
     """
 
     backend = "file"
+    durable = True
 
     def __init__(self, path: Any, fsync: bool = False) -> None:
         super().__init__()

@@ -1,15 +1,12 @@
-"""Stable storage for consensus members: the ``StableStore`` interface.
+"""Durable stable storage for consensus members.
 
 Raft's safety argument assumes a member's term, vote and log survive
-crashes.  The simulator's crash-with-amnesia hook (``forget()``) deliberately
-violates that assumption — which is honest about the hazard (the double-vote
-tests pin it) but forbids amnesiac members from ever rejoining safely.  A
-:class:`StableStore` restores the assumption: a
-:class:`~repro.consensus.coordinator.ReplicatedCoordinator` with a store
-attached writes term/vote/log/commit *through* to it before acting, and
-``forget()`` recovers from it instead of starting blank.
-
-Two backends implement the interface:
+crashes.  Every :class:`~repro.consensus.coordinator.ReplicatedCoordinator`
+writes term/vote/log/commit *through* to its :class:`StableStore` before
+acting, and ``forget()`` (crash-with-amnesia) recovers from it.  The base
+class lives beside the log in :mod:`repro.consensus.log` and keeps nothing,
+so a volatile member recovers blank — the double-vote hazard the tests pin.
+A durable backend restores the assumption:
 
 * :class:`SimStableStore` (here) — plain in-memory state that survives
   ``forget()`` because it lives *outside* the automaton's volatile state.
@@ -18,77 +15,13 @@ Two backends implement the interface:
 * :class:`~repro.persist.filestore.FileStableStore` — an append-only
   journal on disk with hash-chain integrity, for long real-clock runs and
   restart-from-disk recovery across builds.
-
-The write API mirrors what the coordinator persists (Raft figure 2's
-"persistent state" plus the snapshot):
-
-* ``save_meta(term, voted_for)`` — election state, written before any vote
-  or candidacy takes effect;
-* ``log_append(index, entry)`` / ``log_truncate(from_index)`` — the log,
-  written through on every append/merge;
-* ``save_commit(index)`` — the commit cursor (an optimisation: recovery
-  could re-learn it from the leader, persisting it lets a recovered member
-  replay its applied state immediately);
-* ``save_snapshot(snapshot)`` — a checkpoint of the applied state machine;
-  entries at or below ``snapshot["index"]`` are discarded from the store
-  (log compaction).
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-
-class StableStore:
-    """Interface + bookkeeping shared by every stable-storage backend."""
-
-    backend = "abstract"
-
-    def __init__(self) -> None:
-        #: write counters (observability / benchmarks; no behaviour hangs
-        #: off them)
-        self.meta_saves = 0
-        self.appends = 0
-        self.truncations = 0
-        self.commit_saves = 0
-        self.snapshots = 0
-
-    # -- election state -------------------------------------------------
-    def save_meta(self, term: int, voted_for: Optional[str]) -> None:
-        raise NotImplementedError
-
-    def load_meta(self) -> Optional[Tuple[int, Optional[str]]]:
-        raise NotImplementedError
-
-    # -- log ------------------------------------------------------------
-    def log_append(self, index: int, entry: Any) -> None:
-        raise NotImplementedError
-
-    def log_truncate(self, from_index: int) -> None:
-        raise NotImplementedError
-
-    def load_entries(self) -> Tuple[Tuple[int, Any], ...]:
-        """The stored ``(index, entry)`` suffix, ascending by index."""
-        raise NotImplementedError
-
-    # -- commit cursor --------------------------------------------------
-    def save_commit(self, index: int) -> None:
-        raise NotImplementedError
-
-    def load_commit(self) -> int:
-        raise NotImplementedError
-
-    # -- checkpoint -----------------------------------------------------
-    def save_snapshot(self, snapshot: Mapping[str, Any]) -> None:
-        """Persist a checkpoint and discard entries <= ``snapshot['index']``."""
-        raise NotImplementedError
-
-    def load_snapshot(self) -> Optional[Dict[str, Any]]:
-        raise NotImplementedError
-
-    # -- introspection --------------------------------------------------
-    def is_empty(self) -> bool:
-        raise NotImplementedError
+from ..consensus.log import StableStore
 
 
 class SimStableStore(StableStore):
@@ -105,6 +38,7 @@ class SimStableStore(StableStore):
     """
 
     backend = "sim"
+    durable = True
 
     def __init__(self) -> None:
         super().__init__()

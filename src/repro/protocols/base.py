@@ -86,13 +86,15 @@ class SystemSpec:
     #: :class:`~repro.persist.PersistencePolicy` or ready-made
     #: :class:`~repro.persist.PersistencePlane`, normalised to a plane by
     #: ``Protocol.build``); needs ``consensus_factor >= 2``.  None (the
-    #: default) keeps the seed's volatile members, byte-identical.
+    #: default): each member writes to a store that keeps nothing, so it
+    #: recovers blank from amnesia, byte-identical to the seed.
     persistence: Optional[Any] = None
     #: leader leases for the replicated coordinator (``True``): the lease
     #: holder answers read-only coordinator requests locally instead of
     #: committing a log entry, under a lease as long as the election
     #: timeout's low bound; needs ``consensus_factor >= 2``.  None (the
-    #: default) keeps the commit-round read path, byte-identical.
+    #: default): no request type is served under a lease, so every read
+    #: takes the commit round, byte-identical.
     leases: Optional[bool] = None
 
     def objects(self) -> Tuple[str, ...]:

@@ -141,10 +141,11 @@ def _double_vote_schedule(persistence):
 @pytest.mark.xfail(
     reason="Raft's election safety assumes term/vote survive crashes; a "
     "crash-with-amnesia member forgets its vote and can grant a second, "
-    "conflicting vote in the same term (the double-vote hazard the "
-    "ReplicatedCoordinator.forget docstring documents). Durable member "
-    "state — persisting term/vote across the outage — is the fix; see "
-    "the sibling test with stable storage attached.",
+    "conflicting vote in the same term: forget() recovers from a store "
+    "that keeps nothing, so the member comes back blank (the double-vote "
+    "hazard ReplicatedCoordinator.forget documents). A durable store — "
+    "persisting term/vote across the outage — is the fix; see the sibling "
+    "test with one.",
     strict=True,
 )
 def test_amnesiac_member_double_vote_hazard_without_persistence():
@@ -158,7 +159,7 @@ def test_amnesiac_member_double_vote_hazard_without_persistence():
 
 
 def test_amnesiac_member_with_stable_storage_must_not_double_vote():
-    """The fix for the hazard above: with a stable store attached (PR 9),
+    """The fix for the hazard above: with a durable store,
     ``forget()`` recovers term/vote from storage, so the exact schedule
     that double-votes with volatile members refuses the second grant."""
     assert not _double_vote_schedule(

@@ -17,6 +17,7 @@ from typing import List, Tuple
 import pytest
 
 from repro.consensus import ReconfigPlan, set_consensus_group
+from repro.consensus.log import StableStore
 from repro.faults import ChaosScheduler
 from repro.ioa import FIFOScheduler
 from repro.obs import ObservabilityPlane
@@ -67,7 +68,8 @@ def test_a_member_is_constructed_in_exactly_one_function():
 
 def test_persistence_is_normalised_once_per_build(monkeypatch):
     """A policy becomes one plane, the handle's, and members take their
-    stores from it; a value that is neither policy nor plane is refused."""
+    stores from it; without one, each member holds a store that keeps
+    nothing; a value that is neither policy nor plane is refused."""
     planes = []
     original = PersistencePlane.__init__
 
@@ -80,6 +82,10 @@ def test_persistence_is_normalised_once_per_build(monkeypatch):
     assert planes == [handle.persistence]
     for name in FOUNDERS:
         assert handle.simulation.automaton(name).stable_store is handle.persistence.store_for(name)
+    volatile = get_protocol("algorithm-b").build(consensus_factor=3)
+    for name in FOUNDERS:
+        store = volatile.simulation.automaton(name).stable_store
+        assert type(store) is StableStore and not store.durable
     with pytest.raises(ValueError, match="PersistencePolicy or PersistencePlane"):
         get_protocol("algorithm-b").build(consensus_factor=3, persistence="sim")
 

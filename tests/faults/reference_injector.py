@@ -201,7 +201,7 @@ class ReferenceFaultInjector(FaultInjector):
                 automaton = kernel.automaton(server)
                 automaton.forget()
                 info = {"fault": "amnesia"}
-                if getattr(automaton, "stable_store", None) is not None:
+                if getattr(getattr(automaton, "stable_store", None), "durable", False):
                     info["durable"] = "recovered"
                 kernel.trace.append(internal_action(server, info))
         self._crashed = currently

@@ -1,7 +1,9 @@
 """Unit tests for the stable-storage backends and the journal codec.
 
-Both backends are driven through one shared behavioural suite (the
-``StableStore`` contract), then the file backend's failure handling gets its
+Both durable backends are driven through one shared behavioural suite (the
+``StableStore`` contract), the base class — the store a volatile member
+writes to — is checked to keep nothing, then the file backend's failure
+handling gets its
 own corruption matrix: a torn tail is the crash-mid-write artifact and is
 recovered from, while *every* other corruption — a flipped bit, a damaged
 mid-chain line, an unknown record — raises :class:`IntegrityError` instead
@@ -21,6 +23,7 @@ from repro.persist import (
     PersistencePlane,
     PersistencePolicy,
     SimStableStore,
+    StableStore,
     decode_value,
     encode_value,
 )
@@ -41,13 +44,20 @@ def store(request, tmp_path):
 # ----------------------------------------------------------------------
 # The StableStore contract (both backends)
 # ----------------------------------------------------------------------
+def assert_empty(store):
+    assert store.is_empty()
+    assert store.load_meta() is None
+    assert store.load_entries() == ()
+    assert store.load_commit() == 0
+    assert store.load_snapshot() is None
+
+
 class TestStoreContract:
     def test_starts_empty(self, store):
-        assert store.is_empty()
-        assert store.load_meta() is None
-        assert store.load_entries() == ()
-        assert store.load_commit() == 0
-        assert store.load_snapshot() is None
+        assert_empty(store)
+
+    def test_is_durable(self, store):
+        assert store.durable
 
     def test_meta_roundtrip_and_idempotence(self, store):
         store.save_meta(3, "coor.2")
@@ -88,6 +98,27 @@ class TestStoreContract:
         loaded = store.load_snapshot()
         loaded["replies"]["b"] = 2
         assert "b" not in store.load_snapshot()["replies"]
+
+
+class TestTheStoreThatKeepsNothing:
+    """A member built without persistence writes to the ``StableStore`` base
+    class: every save is dropped, so recovery reads back a blank member."""
+
+    def test_every_save_leaves_it_empty(self):
+        store = StableStore()
+        assert_empty(store)
+        for save in (
+            lambda: store.save_meta(3, "coor.2"),
+            lambda: store.log_append(1, entry(1, "r1")),
+            lambda: store.log_truncate(1),
+            lambda: store.save_commit(3),
+            lambda: store.save_snapshot({"index": 1, "term": 1, "machine": 7, "replies": {}}),
+        ):
+            save()
+            assert_empty(store)
+
+    def test_is_not_durable(self):
+        assert not StableStore().durable
 
 
 # ----------------------------------------------------------------------

@@ -101,8 +101,8 @@ def test_explicit_reconfig_off_matches_seed(protocol):
 @pytest.mark.parametrize("protocol", protocol_names())
 def test_explicit_persistence_off_matches_seed(protocol):
     """Passing persistence=None explicitly changes nothing, for every
-    protocol: the persistence plane's byte-identity contract — no stores
-    attached, no recovery path armed, the seed's volatile members."""
+    protocol: the persistence plane's byte-identity contract — no durable
+    store, the seed's volatile members."""
     handle = run_fixed_workload(
         protocol, scheduler=FIFOScheduler(), num_objects=2, persistence=None
     )
