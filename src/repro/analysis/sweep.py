@@ -585,10 +585,11 @@ _LEASED_READS = ("algorithm-b", "algorithm-c")
 #: verdict column unchanged.  Protocols whose coordinator requests all mutate
 #: (OCC's ``get-ts`` mints a timestamp) pin the null effect — the knob changes
 #: nothing, and the lease columns (present only on lease activity) are absent.
-#: Leases buy latency, not messages: fault-free, the lease rounds
-#: (acquisitions + renewals) roughly equal the lease-served reads — B 7 + 6
-#: for 12 local reads, C 12 + 4 for 12 — so a local read saves a commit's
-#: wait but not its quorum round.
+#: Leases buy latency, not client messages: fault-free, the proven windows
+#: (acquisitions + renewals) are fewer than the lease-served reads — B 7 + 3
+#: for 12 local reads, C 7 + 4 for 12 — and write appends prove windows
+#: too: a local read saves a commit's wait, and one inside a window a
+#: write proved saves its quorum round as well.
 LEASE = Suite(
     name="lease",
     protocols=_COORDINATOR_PROTOCOLS,

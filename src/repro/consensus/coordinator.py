@@ -44,6 +44,16 @@ keeps fault-free executions election-free and lets every run quiesce (no
 heartbeat traffic, no timer churn after the workload drains), while a dead
 leader is replaced within a bounded number of timeout windows (the
 ``leaderless window`` regression tests pin the bound).
+
+Leader leases
+-------------
+With ``leases`` on, the leader serves read-only requests from its applied
+state machine inside a window its append rounds proved
+(:mod:`repro.consensus.lease`): once it has parked a read in its term, every
+``cns-append`` carries its send vtime ``at``, a follower that heeds one
+promises one lease duration of refused foreign votes and echoes ``at`` in its
+ack, and the ids of locally served reads ride the unacknowledged
+``cns-committed`` notice.  There is no lease message of its own.
 """
 
 from __future__ import annotations
@@ -121,8 +131,8 @@ class ReplicatedCoordinator(ServerAutomaton):
         #: The request types the leader answers locally from its applied
         #: state machine under a quorum-proven lease instead of committing a
         #: log entry (see :mod:`repro.consensus.lease`): the machine's
-        #: read-only types with leases on, none with them off — then no lease
-        #: round is ever sent, and golden traces pin that lease-free shape.
+        #: read-only types with leases on, none with them off — then no
+        #: append is ever stamped, and golden traces pin that lease-free shape.
         self._local_reads: Tuple[str, ...] = machine.read_only_types if leases else ()
         #: Stable storage: term/vote/log/commit write through before they
         #: take effect, and ``forget()`` recovers from the store.  A durable
@@ -215,7 +225,7 @@ class ReplicatedCoordinator(ServerAutomaton):
         #: stable store: amnesia resets it, the documented hazard)
         self._promise_until = 0
         self._promise_holder: Optional[str] = None
-        #: locally-served reads a ``cns-lease`` round named before this
+        #: locally-served reads a leader's commit notice named before this
         #: member's broadcast copy of the request arrived; the late copy is
         #: then dropped, not buffered (nothing would ever clear it)
         self._served_early: Set[str] = set()
@@ -415,14 +425,13 @@ class ReplicatedCoordinator(ServerAutomaton):
             self._on_vote_request(message, ctx)
         elif msg_type == "cns-vote":
             self._on_vote(message, ctx)
-        elif msg_type == "cns-lease":
-            self._on_lease(message, ctx)
-        elif msg_type == "cns-lease-ack":
-            self._on_lease_ack(message, ctx)
+        if self._lease.notify:
+            # reads served while handling it, with no commit notice to ride
+            self._announce(self.peers, ctx)
 
     def _heed_leader(self, message: Message, ctx: Context) -> bool:
         """Raft's rule for a message from a leader (append, commit notice,
-        snapshot, lease): a stale term is refused — False, and the caller
+        snapshot): a stale term is refused — False, and the caller
         answers so — while a current or newer one makes this member the
         sender's follower, which also counts as a sign of life for the
         election timer."""
@@ -544,6 +553,12 @@ class ReplicatedCoordinator(ServerAutomaton):
             self._send_snapshot(peer, ctx)
             return
         prev_index = next_index - 1
+        # A leader that has parked a read this term makes every append a
+        # lease round: its ack proves the window from this send vtime.
+        lease = self._lease
+        stamp = {"at": ctx.vtime} if lease.expiry or lease.round_open else {}
+        if stamp:
+            self._ack_own_round(ctx)
         self._send(
             peer,
             "cns-append",
@@ -552,6 +567,7 @@ class ReplicatedCoordinator(ServerAutomaton):
             prev_term=self.log.term_at(prev_index) if prev_index <= self.log.last_index else 0,
             entries=self.log.entries_from(next_index),
             commit=self.log.commit_index,
+            **stamp,
         )
 
     def _send_snapshot(self, peer: str, ctx: Context) -> None:
@@ -573,12 +589,13 @@ class ReplicatedCoordinator(ServerAutomaton):
 
         An advanced commit is announced at once: each peer gets one
         unacknowledged ``cns-committed`` notice carrying the commit index
-        and its term, and applies through it as soon as its log holds that
-        pair.  Followers thereby drop the request from their buffers, which
-        is what lets their election timers quiesce — without it the *last*
-        request of a burst would sit uncommitted at the followers forever
-        and trigger a needless election at idle.  Entries a peer still
-        lacks ride on the next append, as in Raft (§5.3).
+        and its term (and the reads served since the last notice), and
+        applies through it as soon as its log holds that pair.  Followers
+        thereby drop the request from their buffers, which is what lets
+        their election timers quiesce — without it the *last* request of a
+        burst would sit uncommitted at the followers forever and trigger a
+        needless election at idle.  Entries a peer still lacks ride on the
+        next append, as in Raft (§5.3).
         """
         before = self.log.commit_index
         for index in range(self.log.last_index, self.log.commit_index, -1):
@@ -596,14 +613,10 @@ class ReplicatedCoordinator(ServerAutomaton):
         peers = self.peers
         self._apply_committed(ctx)
         if self.log.commit_index > before:
-            commit = self.log.commit_index
-            for peer in peers:
-                self._send(
-                    peer, "cns-committed", ctx, commit=commit, commit_term=self.log.term_at(commit)
-                )
             # An advanced commit may satisfy the current-term guard that
             # parked reads were waiting on.
             self._lease_pump(ctx)
+            self._announce(peers, ctx)
         if self._handoff_pending and self.election.is_leader:
             # This leader committed a C_new that excludes it: the commit has
             # been announced above, so abdicate — the remaining members hold
@@ -614,11 +627,25 @@ class ReplicatedCoordinator(ServerAutomaton):
             )
             self._step_down(self.election.term, leader=None, ctx=ctx)
 
+    def _announce(self, peers: Sequence[str], ctx: Context) -> None:
+        """One unacknowledged ``cns-committed`` notice per peer: the commit
+        index and its term, and the ids of the reads served locally since
+        the last notice, so followers drop their broadcast copies."""
+        lease, commit = self._lease, self.log.commit_index
+        served = {"served": tuple(lease.notify)} if lease.notify else {}
+        lease.notify = []
+        for peer in peers:
+            self._send(peer, "cns-committed", ctx, commit=commit, commit_term=self.log.term_at(commit), **served)
+
     def _on_append_ack(self, message: Message, ctx: Context) -> None:
         if not self._reply_in_term(message, LEADER, ctx):
             return
         peer = message.src
         self._snapshot_sent.pop(peer, None)
+        at = message.get("at")
+        if at is not None:
+            self._lease.record_ack(peer, int(at))
+            self._refresh_lease(ctx)
         if message.get("ok"):
             match = int(message.get("match", 0))
             self.match_index[peer] = max(self.match_index.get(peer, 0), match)
@@ -668,8 +695,8 @@ class ReplicatedCoordinator(ServerAutomaton):
 
         Read-only transitions are pure, so applying one touches no state;
         the reply is memoized like a committed one (retransmissions dedup)
-        and the request id queues for the next ``cns-lease`` notify round so
-        followers drop their broadcast copies and quiesce."""
+        and the request id queues for the next served notice, so followers
+        drop their broadcast copies and quiesce."""
         self._apply_request(request_id, request)
         self.pending.pop(request_id, None)
         lease = self._lease
@@ -686,8 +713,9 @@ class ReplicatedCoordinator(ServerAutomaton):
         self._send_reply(request_id, ctx)
 
     def _lease_pump(self, ctx: Context) -> None:
-        """Serve every parked read the proven window covers, then keep an
-        extension round in flight while anything still needs one."""
+        """Serve every parked read the proven window covers (the caller
+        announces them), then start an extension round if the window
+        lapsed with reads still parked: an append round to every peer."""
         lease = self._lease
         if (
             lease.reads
@@ -701,25 +729,27 @@ class ReplicatedCoordinator(ServerAutomaton):
                     self._send_reply(request_id, ctx)
                     continue
                 self._serve_read_locally(request_id, request, arrived_at, ctx)
-        self._maybe_start_lease_round(ctx)
+        if lease.reads and not lease.round_open and not lease.live(ctx.vtime):
+            # (Under a live window parked reads wait only for the commit
+            # guard, and the commit that passes it pumps again.)
+            lease.round_open = True
+            lease.round_sent_at = ctx.vtime
+            self._ack_own_round(ctx)
+            self._replicate(ctx)
+            self._refresh_lease(ctx)  # single-member groups prove instantly
 
-    def _maybe_start_lease_round(self, ctx: Context) -> None:
-        lease = self._lease
-        if lease.round_open or not (lease.reads or lease.notify):
-            return
-        lease.round_open = True
-        lease.round_sent_at = ctx.vtime
-        # The leader's own ack is implicit at send time (it holds its log).
-        lease.record_ack(self.name, ctx.vtime)
-        served = tuple(lease.notify)
-        lease.notify = []
-        for peer in self.peers:
-            self._send(peer, "cns-lease", ctx, at=lease.round_sent_at, served=served)
-        self._refresh_lease(ctx)  # single-member groups prove instantly
+    def _ack_own_round(self, ctx: Context) -> None:
+        """The leader's own ack of a lease round it sends now, and the
+        promise it stands for: deposed inside the window, it elects nobody
+        else either, or the quorum that proved the window would not hold."""
+        self._lease.record_ack(self.name, ctx.vtime)
+        self._promise_until = max(self._promise_until, ctx.vtime + self._lease.duration)
+        self._promise_holder = self.name
 
     def _refresh_lease(self, ctx: Context) -> None:
-        """Recompute the proven lease window from the ack times and close
-        the open round once a quorum has acknowledged it."""
+        """Recompute the proven lease window from the ack times, close the
+        open round once a quorum has acknowledged it, and serve what a
+        longer window covers."""
         lease = self._lease
         start = lease.proven_start(self._quorum_ok)
         if start is not None:
@@ -740,41 +770,29 @@ class ReplicatedCoordinator(ServerAutomaton):
                     until=new_expiry,
                     vtime=ctx.vtime,
                 )
-        if lease.round_open and lease.expiry >= lease.round_sent_at + lease.duration:
-            lease.round_open = False
-            self._lease_pump(ctx)
-
-    def _on_lease(self, message: Message, ctx: Context) -> None:
-        """Follower side of a ``cns-lease`` round: promise not to elect
-        anyone else for one lease duration from *local* receive time (the
-        virtual clock is skew-free, so receive time >= send time and the
-        promise provably covers the leader's window), drop the broadcast
-        copies of locally-served reads, and acknowledge."""
-        at = int(message.get("at", 0))
-        heeded = self._heed_leader(message, ctx)
-        if heeded:
-            self._promise_until = max(self._promise_until, ctx.vtime + self._lease_duration())
-            self._promise_holder = message.src
-            for request_id in tuple(message.get("served", ())):
-                if self.pending.pop(request_id, None) is None:
-                    self._served_early.add(request_id)
-        self._send(message.src, "cns-lease-ack", ctx, at=at, ok=heeded)
-
-    def _on_lease_ack(self, message: Message, ctx: Context) -> None:
-        if not self._reply_in_term(message, LEADER, ctx) or not message.get("ok"):
-            return
-        self._lease.record_ack(message.src, int(message.get("at", 0)))
-        self._refresh_lease(ctx)
+                if lease.round_open and new_expiry >= lease.round_sent_at + lease.duration:
+                    lease.round_open = False
+                self._lease_pump(ctx)
 
     # ------------------------------------------------------------------
     # Replication (follower side)
     # ------------------------------------------------------------------
     def _on_append(self, message: Message, ctx: Context) -> None:
-        prev_index = int(message.get("prev_index", 0))
-        if not self._heed_leader(message, ctx) or not self.log.matches(
-            prev_index, int(message.get("prev_term", 0))
-        ):
-            self._send(message.src, "cns-append-ack", ctx, ok=False, match=self.log.commit_index)
+        """Follower side of an append.  One stamped with the leader's send
+        vtime ``at`` is also a lease round: a member that heeds it promises
+        not to elect anyone else for one lease duration from *local* receive
+        time (the virtual clock is skew-free, so receive time >= send time
+        and the promise covers the leader's window), whether or not its log
+        matches, and echoes ``at`` in its ack."""
+        prev_index, at = int(message.get("prev_index", 0)), message.get("at")
+        echo = {} if at is None else {"at": at}
+        heeded = self._heed_leader(message, ctx)
+        if heeded and echo:
+            self._promise_until = max(self._promise_until, ctx.vtime + self._lease_duration())
+            self._promise_holder = message.src
+        if not heeded or not self.log.matches(prev_index, int(message.get("prev_term", 0))):
+            # (a stale leader's echo is moot: the refusal's newer term deposes it)
+            self._send(message.src, "cns-append-ack", ctx, ok=False, match=self.log.commit_index, **echo)
             return
         entries = tuple(message.get("entries", ()))
         if entries:
@@ -794,16 +812,21 @@ class ReplicatedCoordinator(ServerAutomaton):
         # less would walk the leader's next_index into the compacted prefix
         # forever.
         match = max(prev_index + len(entries), self.log.snapshot_index)
-        self._send(message.src, "cns-append-ack", ctx, ok=True, match=match)
+        self._send(message.src, "cns-append-ack", ctx, ok=True, match=match, **echo)
 
     def _on_committed(self, message: Message, ctx: Context) -> None:
         """Follower side of a commit notice: keep the newest announced
         ``(commit, commit_term)`` and apply through it if this log holds
-        that pair; a stale term is refused as a stale append is, which
-        deposes its sender.  Never acknowledged otherwise."""
+        that pair, and drop the copies of the reads it names as served; a
+        stale term is refused as a stale append is, which deposes its
+        sender.  Never acknowledged otherwise."""
         if not self._heed_leader(message, ctx):
             self._send(message.src, "cns-append-ack", ctx, ok=False, match=self.log.commit_index)
             return
+        for request_id in message.get("served", ()):
+            if self.pending.pop(request_id, None) is None:
+                # the broadcast copy is still in flight: keep it out on arrival
+                self._served_early.add(request_id)
         commit = int(message.get("commit", 0))
         if commit > self._commit_anchor[0]:
             self._commit_anchor = (commit, int(message.get("commit_term", 0)))

@@ -6,13 +6,16 @@ commit notice, apply.  A *leader lease* lets the current leader answer
 those reads locally from its applied state machine instead, as long as it
 can prove no other leader may exist:
 
-* The lease is built from quorum-acknowledged extension rounds on the
-  kernel's **virtual clock** (skew-free by construction).  When the leader
-  sends a ``cns-lease`` round at vtime ``S`` and a quorum acknowledges it,
-  every acking follower has promised not to grant votes to *other*
-  candidates until ``S + duration``; by quorum intersection no election can
-  complete inside the proven window, so the leader may serve reads locally
-  until ``S + duration``.
+* The lease is proven by the leader's **append rounds** on the kernel's
+  **virtual clock** (skew-free by construction), as Raft's leader lease is
+  kept by its AppendEntries.  Once a leader has parked a read in its term
+  it stamps every ``cns-append`` with its send vtime ``at``; a follower that
+  heeds one promises not to grant votes to *other* candidates until its
+  receive time plus the lease duration, and echoes ``at`` in its ack.  When
+  a quorum has acknowledged appends sent at or after ``S``, no election can
+  complete before ``S + duration`` by quorum intersection, so the leader may
+  serve reads locally until then.  A write's append round renews the window
+  as well as a read's.
 * The lease duration is bounded by the **low end of the election-timeout
   range**: a partitioned leader's lease provably lapses before any
   successor's election timer can fire and win, so a new leader never
@@ -20,15 +23,19 @@ can prove no other leader may exist:
 * A candidate whose peers still hold a live promise is refused votes and
   simply retries after the next timeout — it *waits out* the old lease.
 
-Reads arriving while an extension round is in flight are batched: they park
-on the leader and the single quorum evaluation that closes the round proves
-the window for all of them at once.
+A read arriving under a live window is served at once.  One arriving after
+the window lapsed parks, and the leader sends an append round to every peer
+(the extension round); the single quorum evaluation that closes it proves
+the window for every read parked behind it.  The ids of the served reads
+ride the leader's unacknowledged ``cns-committed`` notice, so followers drop
+their broadcast copies; nothing answers it.
 
 Every leader holds a :class:`LeaderLeaseState`; ``leases`` only decides
 which request types it serves under the lease (the machine's read-only
 types, or none).  With ``leases=None`` (the default) that set is empty, so
-no read parks, no round is sent, and every message, field and trace action
-stays byte-identical to the seed.  The lease duration is not a setting: it
+no read parks, no append is stamped, and every message, field and trace
+action stays byte-identical to the seed; a leased run whose coordinator
+only writes is byte-identical too.  The lease duration is not a setting: it
 is always the election timeout's low bound, the longest lease that is still
 safe.
 """
@@ -44,7 +51,7 @@ __all__ = ["LeaderLeaseState"]
 class LeaderLeaseState:
     """Leader-side lease bookkeeping: ack times, the proven window, parked reads.
 
-    ``acks[peer]`` is the latest extension send-vtime that ``peer`` has
+    ``acks[peer]`` is the latest stamped append send-vtime that ``peer`` has
     acknowledged.  The proven lease start is the latest send-vtime ``S``
     such that the leader plus every peer with ``acks[peer] >= S`` forms a
     quorum; the lease then runs to ``S + duration``.  All O(members) per
@@ -71,9 +78,9 @@ class LeaderLeaseState:
         # one lease-expired trace action per lapse, not one per parked read
         self.expired_logged = False
         # request_id -> (pending request, arrival vtime): reads parked while
-        # an extension round proves the window they will be served under.
+        # an append round proves the window they will be served under.
         self.reads: "OrderedDict[str, Tuple[Any, int]]" = OrderedDict()
-        # Served-locally request ids awaiting follower notification (so the
+        # Served-locally request ids for the next commit notice (so the
         # broadcast copies buffered in follower ``pending`` are drained).
         self.notify: List[str] = []
 

@@ -22,20 +22,20 @@ algorithm-b (2R/2W/2 objects, fifo seed=3): 3 reads/reader x 2 objects, 2 writes
 zipf_s=0.0, seed=3 [replication=3, quorum=majority] [consensus=3] \
 [swap: reconfig(oy -> [sy,sy.2,sy.4] @ 20)] [faults: uniform[0,4]] [monitors, health] [trace=full] [persist(sim, compact_every=4)] [leases]
   properties: SNoW
-  metrics[algorithm-b]: 6 reads, 4 writes, 92 messages, 246 steps
+  metrics[algorithm-b]: 6 reads, 4 writes, 92 messages, 234 steps
     read rounds   : n=6 mean=2.00 min=2 p50=2 p95=2 max=2
-    read latency  : n=6 mean=166.83 min=118 p50=185 p95=195 max=195
+    read latency  : n=6 mean=159.33 min=85 p50=186 p95=196 max=196
     read messages : n=6 mean=9.33 min=9 p50=9 p95=10 max=10
     read versions : n=6 mean=1.00 min=1 p50=1 p95=1 max=1
-    write latency : n=4 mean=210.25 min=183 p50=186 p95=237 max=237
+    write latency : n=4 mean=194.75 min=179 p50=190 p95=210 max=210
     faults[faults]: availability=1.00 (reads 6/6, writes 4/4), dropped=0, retransmitted=0, duplicated=0, \
 crash-held=0, partition-held=0, abandoned=0
-    read latency (virtual): n=6 mean=79.17 min=55 p50=85 p95=94 max=94
+    read latency (virtual): n=6 mean=75.33 min=39 p50=83 p95=94 max=94
     replication: factor=3 quorum=majority (R=2, W=2, servers=6); read quorum replies: \
 n=6 mean=5.00 min=5 p50=5 p95=5 max=5
     consensus: members=3 elections=0 leaders_elected=0 max_term=1 applied=12; commit latency: \
-n=12 mean=55.75 min=29 p50=38 p95=83 max=83; leases: acquired=5 renewed=1 expired=2 local_reads=6 \
-(100% of reads); local-read latency: n=6 mean=22.17 min=15 p50=18 p95=34 max=34
+n=12 mean=46.00 min=27 p50=47 p95=62 max=62; leases: acquired=5 renewed=2 expired=2 local_reads=6 \
+(100% of reads); local-read latency: n=6 mean=23.50 min=5 p50=30 p95=34 max=34
     reconfig: epochs=2 completed=1 transferred=2 retries=0 unavailability_window=0 retired=1
     persistence: members=3 recoveries=0 checkpoints=3 compacted=12 retained=0/4"""
 

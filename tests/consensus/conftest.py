@@ -15,14 +15,48 @@ from __future__ import annotations
 
 import pytest
 
+from repro.consensus.coordinator import ReplicatedCoordinator
+from repro.consensus.machines import ListStateMachine
 from repro.faults import ChaosScheduler, coordinator_failover
 from repro.ioa import FIFOScheduler
+from repro.ioa.actions import Message
 
 from tests import invariants
 from tests.invariants import consensus_internals  # noqa: F401  (re-exported)
 from tests.replication.conftest import run_fixed_workload
 
 COORDINATOR_PROTOCOLS = ("algorithm-b", "algorithm-c", "occ-double-collect")
+GROUP = ("coor", "coor.2", "coor.3")
+
+
+class FakeContext:
+    """Captures a member's sends, internal actions and timers instead of
+    going through the kernel."""
+
+    def __init__(self, actor: str) -> None:
+        self.actor = actor
+        self.vtime = 0
+        self.sent = []
+        self.internals = []
+        self.timers = []
+
+    def send(self, dst, msg_type, payload=None, phase=""):
+        self.sent.append(Message.make(msg_type, self.actor, dst, payload or {}))
+
+    def internal(self, **info):
+        self.internals.append(info)
+
+    def set_timeout(self, delay, **info):
+        self.timers.append(info)
+
+
+def member(name: str, **settings) -> ReplicatedCoordinator:
+    """One member of a hand-driven ``GROUP`` holding B's ``List``."""
+    return ReplicatedCoordinator(name, GROUP, ListStateMachine(("ox", "oy")), **settings)
+
+
+def msg(msg_type: str, src: str, dst: str, **payload) -> Message:
+    return Message.make(msg_type, src, dst, payload)
 
 
 @pytest.fixture(autouse=True)

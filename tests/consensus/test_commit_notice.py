@@ -7,7 +7,7 @@ overtakes its entry takes effect when the entry lands, with no message of
 its own.  A leader ships a given snapshot to a peer once until the peer
 answers, so a fail-stopped peer does not get it again on every replicate.
 Two follower rules keep the quieter group from electing for nothing: a
-lease round that names a read before its broadcast copy arrives keeps the
+notice that names a served read before its broadcast copy arrives keeps the
 copy out of the buffer, and an election timer armed before an amnesiac
 crash still counts as the member's one live timer.
 """
@@ -21,47 +21,17 @@ import pytest
 
 from repro.analysis import ExperimentConfig, WorkloadSpec, generate_workload, make_scheduler, submit_workload
 from repro.analysis.sweep import PERSIST
-from repro.consensus.coordinator import ReplicatedCoordinator
 from repro.consensus.log import LogEntry
-from repro.consensus.machines import ListStateMachine
 from repro.faults import FaultInjector, coordinator_failover
 from repro.ioa import FIFOScheduler
-from repro.ioa.actions import ActionKind, Message
+from repro.ioa.actions import ActionKind
 from repro.persist import PersistencePolicy
 from repro.protocols import get_protocol
 from repro.protocols.base import SystemSpec
 from repro.txn.objects import Key
 
 from tests import invariants
-
-GROUP = ("coor", "coor.2", "coor.3")
-
-
-class FakeContext:
-    """Captures a member's sends and timers instead of going through the kernel."""
-
-    def __init__(self, actor: str) -> None:
-        self.actor = actor
-        self.vtime = 0
-        self.sent = []
-        self.timers = []
-
-    def send(self, dst, msg_type, payload=None, phase=""):
-        self.sent.append(Message.make(msg_type, self.actor, dst, payload or {}))
-
-    def internal(self, **info):
-        pass
-
-    def set_timeout(self, delay, **info):
-        self.timers.append(info)
-
-
-def member(name: str, **settings) -> ReplicatedCoordinator:
-    return ReplicatedCoordinator(name, GROUP, ListStateMachine(("ox", "oy")), **settings)
-
-
-def msg(msg_type: str, src: str, dst: str, **payload) -> Message:
-    return Message.make(msg_type, src, dst, payload)
+from tests.consensus.conftest import FakeContext, member, msg
 
 
 def write_entry(term: int) -> LogEntry:
@@ -180,7 +150,8 @@ def test_an_amnesiac_member_catches_up_after_recovery(protocol, mode):
 def test_a_read_served_before_its_copy_arrives_is_not_buffered():
     follower = member("coor.2", leases=True)
     ctx = FakeContext("coor.2")
-    follower.on_message(msg("cns-lease", "coor", "coor.2", term=1, at=0, served=("get-tag-arr/R1",)), ctx)
+    notice = msg("cns-committed", "coor", "coor.2", term=1, commit=0, commit_term=0, served=("get-tag-arr/R1",))
+    follower.on_message(notice, ctx)
     follower.on_message(msg("get-tag-arr", "r1", "coor.2", txn="R1"), ctx)
     assert not follower.pending and ctx.timers == []
 

@@ -12,8 +12,10 @@ consensus member was made in one place (``Protocol.make_consensus_member``).
 A change to how a member is built, or to how its Raft rules are written,
 must reproduce all of it: the trace signature, the consensus and persistence
 metric blocks, and every member's store write counters.  It was re-recorded
-once on purpose, when a leader began announcing each commit with one
-unacknowledged ``cns-committed`` notice instead of a second append round.
+on purpose when a leader began announcing each commit with one
+unacknowledged ``cns-committed`` notice instead of a second append round,
+and its algorithm-b cells again when append rounds began to prove the leader
+lease (OCC's cells never park a read, so they stayed as they were).
 
 Regenerate (only after a deliberate behaviour change) with
 ``PYTHONPATH=src python tests/consensus/test_golden_replicated_stack.py``.

@@ -1,7 +1,11 @@
 """Leader leases and the consensus read fast path (ISSUE 10 tentpole).
 
-Three layers of assurance, mirroring the ISSUE's "safety three ways":
+Four layers of assurance:
 
+* **the proof** — an append stamped with the leader's send vtime ``at`` is
+  the lease round: a follower that heeds it promises one lease duration from
+  its receipt and echoes ``at``; a window a write's append round proved
+  serves a read at once, and the served notice under it is unacknowledged;
 * **behaviour** — a leased run serves read-only coordinator requests
   locally from the applied state machine (no log entry, no quorum round
   per read), returns the same values as the unleased run, and emits the
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.consensus.coordinator import DEFAULT_ELECTION_TIMEOUT
 from repro.faults import ChaosScheduler, FaultPlan
 from repro.faults.plan import Partition, RetryPolicy
 from repro.ioa import FIFOScheduler, RandomScheduler
@@ -29,9 +34,10 @@ from repro.ioa.actions import Action, ActionKind
 from repro.obs import MonitorSuite, ObservabilityPlane
 from repro.obs.monitor import LeaseSafetyMonitor, offline_lease_violations
 from repro.protocols import get_protocol
+from repro.txn.objects import Key
 
 from tests import invariants
-from tests.consensus.conftest import COORDINATOR_PROTOCOLS, run_consensus_workload
+from tests.consensus.conftest import COORDINATOR_PROTOCOLS, FakeContext, member, msg, run_consensus_workload
 from tests.replication.conftest import run_fixed_workload
 
 pytestmark = pytest.mark.invariants
@@ -43,6 +49,122 @@ def lease_internals(handle, *kinds):
         for action in handle.trace()
         if action.info and dict(action.info).get("consensus") in kinds
     ]
+
+
+# ----------------------------------------------------------------------
+# Append rounds prove the lease
+# ----------------------------------------------------------------------
+LEASE = DEFAULT_ELECTION_TIMEOUT[0]
+
+
+def append(at=None, prev_index=0, **fields):
+    stamp = {} if at is None else {"at": at}
+    return msg(
+        "cns-append", "coor", "coor.2", term=1, prev_index=prev_index, prev_term=0, entries=(), commit=0,
+        **stamp, **fields,
+    )
+
+
+def vote_request():
+    return msg("cns-vote-req", "coor.3", "coor.2", term=2, last_index=0, last_term=0)
+
+
+@pytest.mark.parametrize("prev_index", (0, 5), ids=("log-matches", "log-lags"))
+def test_a_heeded_stamped_append_promises_one_lease_from_its_receipt(prev_index):
+    """A follower that heeds an ``at``-stamped append echoes ``at``, whether
+    or not its log matches, and refuses a vote to a foreign candidate until
+    receive time plus the lease duration; it grants one after."""
+    follower = member("coor.2", leases=True)
+    ctx = FakeContext("coor.2")
+    ctx.vtime = 10
+    follower.on_message(append(at=7, prev_index=prev_index), ctx)
+    (ack,) = ctx.sent
+    assert ack.msg_type == "cns-append-ack" and ack.get("at") == 7
+    assert ack.get("ok") is (prev_index == 0)
+    ctx.vtime = 10 + LEASE - 1
+    follower.on_message(vote_request(), ctx)
+    assert ctx.sent[-1].msg_type == "cns-vote" and ctx.sent[-1].get("granted") is False
+    ctx.vtime = 10 + LEASE
+    follower.on_message(vote_request(), ctx)
+    assert ctx.sent[-1].msg_type == "cns-vote" and ctx.sent[-1].get("granted") is True
+
+
+def test_an_unstamped_append_promises_nothing():
+    """A leader that has parked no read this term stamps nothing, so a
+    write-only run's appends, acks and votes are the lease-free ones."""
+    follower = member("coor.2", leases=True)
+    ctx = FakeContext("coor.2")
+    ctx.vtime = 10
+    follower.on_message(append(), ctx)
+    (ack,) = ctx.sent
+    assert ack.get("at") is None
+    ctx.vtime = 11
+    follower.on_message(vote_request(), ctx)
+    assert ctx.sent[-1].get("granted") is True
+
+
+def write_then_read():
+    """The bootstrap leader proves a window for read R1 with an extension
+    round at vtime 0, renews it with write W1's append round at vtime 30,
+    and gets read R2 at vtime 50: inside the write's window ``[30, 70)``,
+    after R1's ``[0, 40)`` lapsed.  Returns the leader's context, where
+    ``mark`` indexes the first send after R2 arrived."""
+    leader = member("coor", leases=True)
+    ctx = FakeContext("coor")
+    leader.on_message(msg("get-tag-arr", "r1", "coor", txn="R1", read_set=("ox",)), ctx)
+    assert [m.get("at") for m in ctx.sent if m.msg_type == "cns-append"] == [0, 0]
+    ctx.vtime = 3
+    leader.on_message(msg("cns-append-ack", "coor.2", "coor", term=1, ok=True, match=0, at=0), ctx)
+    ctx.vtime = 30
+    write = dict(txn="W1", key=Key(1, "w1"), bits=(("ox", 1), ("oy", 1)))
+    leader.on_message(msg("update-coor", "w1", "coor", **write), ctx)
+    assert [m.get("at") for m in ctx.sent[-2:]] == [30, 30]
+    ctx.vtime = 35
+    leader.on_message(msg("cns-append-ack", "coor.2", "coor", term=1, ok=True, match=1, at=30), ctx)
+    assert leader.log.commit_index == 1
+    ctx.vtime = 50
+    ctx.mark = len(ctx.sent)
+    leader.on_message(msg("get-tag-arr", "r2", "coor", txn="R2", read_set=("ox",)), ctx)
+    return ctx
+
+
+def test_a_read_inside_a_window_a_write_proved_is_served_at_once():
+    ctx = write_then_read()
+    (served,) = [info for info in ctx.internals if info.get("request") == "get-tag-arr/R2"]
+    assert served["consensus"] == "local-read"
+    assert served["read_latency"] == 0 and served["until"] == 30 + LEASE
+    after = [m.msg_type for m in ctx.sent[ctx.mark:]]
+    assert "cns-append" not in after  # no extension round
+    assert after == ["tag-arr-reply", "cns-committed", "cns-committed"]
+
+
+def test_a_served_notice_under_a_live_window_gets_no_reply():
+    ctx = write_then_read()
+    notice = ctx.sent[-1]
+    assert notice.msg_type == "cns-committed" and tuple(notice.get("served")) == ("get-tag-arr/R2",)
+    follower = member("coor.3", leases=True)
+    follower_ctx = FakeContext("coor.3")
+    follower.on_message(msg("get-tag-arr", "r2", "coor.3", txn="R2", read_set=("ox",)), follower_ctx)
+    assert "get-tag-arr/R2" in follower.pending
+    follower.on_message(notice, follower_ctx)
+    assert not follower.pending and follower_ctx.sent == []
+
+
+def test_a_leader_deposed_inside_its_window_elects_nobody_else():
+    """The leader's own ack counts in the quorum that proves its window, so
+    it keeps the promise the ack stands for: a higher-term candidate that
+    deposes it inside the window gets no vote from it, and one after does."""
+    leader = member("coor", leases=True)
+    ctx = FakeContext("coor")
+    leader.on_message(msg("get-tag-arr", "r1", "coor", txn="R1", read_set=("ox",)), ctx)
+    ctx.vtime = 3
+    leader.on_message(msg("cns-append-ack", "coor.2", "coor", term=1, ok=True, match=0, at=0), ctx)
+    votes = []
+    for vtime, term in ((LEASE - 1, 2), (LEASE, 4)):
+        ctx.vtime = vtime
+        leader.on_message(msg("cns-vote-req", "coor.3", "coor", term=term, last_index=0, last_term=0), ctx)
+        votes += [m.get("granted") for m in ctx.sent if m.msg_type == "cns-vote" and m.get("term") == term]
+    assert votes == [False, True]
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,8 @@ alerts, and the registry snapshot instrument for instrument.  The health
 report was added later, recorded on the commit before the listeners were made
 to pay once per action; the other four keys stayed byte-identical.  All five
 were re-recorded when the coordinator group began announcing commits with an
-unacknowledged notice, a change of the wire, not of the planes.
+unacknowledged notice, and again when its append rounds began to prove the
+leader lease: changes of the wire, not of the planes.
 """
 
 from __future__ import annotations

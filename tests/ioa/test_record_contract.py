@@ -286,7 +286,8 @@ def test_no_writable_twin_outlives_a_run():
     workloads.load_cell(handle, cell, 5, 40)
     simulation = handle.simulation
     writable = {cls._writable for cls in FROZEN}
-    for budget in (300, None):
+    # step 250 is mid-run with an election timer live (steps 279-303 hold none)
+    for budget in (250, None):
         simulation.run(max_new_steps=budget)
         frontier = simulation._frontier
         held = [*simulation.trace, *frontier.deliveries(), *frontier.timeouts(), *frontier._ready.values()]

@@ -108,7 +108,9 @@ CELLS = {
 #: their fallback rounds (the only difference in that repr); the span tree
 #: and metrics of the two cf=3 cells were re-pinned when the coordinator
 #: group began announcing commits with an unacknowledged notice (their runs
-#: send other consensus messages; both SNOW digests stayed as they were)
+#: send other consensus messages; both SNOW digests stayed as they were),
+#: and the leased failover cell's once more, when append rounds began to
+#: prove the lease (its SNOW digest again stayed as it was)
 DIGESTS = {
     "algorithm-a": (
         "b09683d3c039dd2483cf6126098c1114b3b20a0e7882ada8ff064ae7fe009e48",
@@ -141,9 +143,9 @@ DIGESTS = {
         "ac4625a944ad307d1797f56e6ab08cfe92535ef2618b60d2c67bf9e3dd77a33c",
     ),
     "b-rf3-cf3-leases-failover": (
-        "a7d8ad5ef6835362ccea1fe1392d8692c7e1a2c3c2501a1c33c36da8284111f1",
+        "7e3328fe8b1d7b77140b7e4f7be93318eaef48a9dcebbc18a349907f15e46610",
         "b3687f8642510bb1cc2599cfb57ec1160c06a34679cac285f6bc9e44cb5151a7",
-        "4dd5409c74f3c699638b216a9f2c67d16e1e15b5ed39e8ae02e1d9a96eca19b1",
+        "ff93685b84314e9a0883a6c98108514f913d4769f5a2f9b744155ea9f294b4fc",
     ),
     "eiger": (
         "d16f5afc91a8e7deae1ab92cc70e8c8debc08fd30eaaf5b5da0fe3ede98580ab",
